@@ -25,8 +25,9 @@ import numpy as np
 from .config import (MODE_STABILITY, MODE_STATIONARY, MODE_SWEEP,
                      MODE_TRANSIENT, RunConfig, config_for_sweep_value,
                      parse_config)
-from .dynamics import (MODE_INERTIAL, TransientResult, TransientWatch,
-                       initial_state, run_to_stationarity, run_transient)
+from .dynamics import (MODE_INERTIAL, STEP_STATS_KEYS, TransientResult,
+                       TransientWatch, initial_state, run_to_stationarity,
+                       run_transient)
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
 from .grid import CSV_HEADER, Grid, export_fields_csv, gap_function
@@ -38,6 +39,7 @@ from .stationary import StationaryReport, solve_stationary
 
 MIDLINE_HEADER = "x1,R_hat,p_scaled,p_gauge_Pa,alpha"
 SWEEP_HEADER = "value,converged,max_Rhat,min_phat,max_alpha"
+TRACE_HEADER = ",".join(STEP_STATS_KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,12 @@ def cmd_transient(config: RunConfig) -> int:
                                    ("t", "rate", "min_Rhat", "max_Rhat",
                                     "min_p", "max_p")))
     _write_text(out / "history.csv", "\n".join(hist_lines) + "\n")
+    trace_lines = [TRACE_HEADER]
+    stats = res.step_stats
+    for i in range(len(stats["t"])):
+        trace_lines.append(",".join(f"{stats[k][i]:.9g}"
+                                    for k in STEP_STATS_KEYS))
+    _write_text(out / "trace.csv", "\n".join(trace_lines) + "\n")
     _write_text(out / "summary.txt",
                 _transient_summary(res, config, consts.p_cav,
                                    consts.R_crit / params.R0))
@@ -165,6 +173,10 @@ def cmd_transient(config: RunConfig) -> int:
                         f"columns `{MIDLINE_HEADER}`"),
         ("history.csv", "per-step diagnostics, columns "
                         "`t,rate,min_Rhat,max_Rhat,min_p,max_p`"),
+        ("trace.csv", "per-step solver work, columns "
+                      f"`{TRACE_HEADER}`: step end time, step size used, "
+                      "iterations (explicit first check plus one pressure "
+                      "elimination each) and step halvings"),
         ("summary.txt", "run outcome (key = value lines)"),
     ]
     if config.snapshot_every > 0:

@@ -11,18 +11,24 @@ equation turns the elimination into a single sparse solve
     ( K(R) - diag(h f5 / (R f2)) ) y = K(R) f1(R) + Div(U h f4(R)),
 
 with ``K = -Div(f3(R) h^3 Grad .)`` SPD and ``-h f5/(R f2) >= 0``, so the
-shifted operator stays symmetric positive definite: the slaving is uniquely
-solvable for any positive radius field, and ``S = y / (R f2)``,
+shifted operator ``M`` stays symmetric positive definite: the slaving is
+uniquely solvable for any positive radius field, and ``S = y / (R f2)``,
 ``p = f1 - y`` follow pointwise.
 
-Time stepping is backward Euler resolved by Picard iteration (evaluate G at
-the current iterate, update, repeat); the iteration contracts when
-``dt * rate`` is below one, which bounds the usable step at roughly the
-inverse of the fastest collective relaxation rate.  A step that loses
-positivity or whose iteration stalls is rejected and retried at half the
-step size (at most 10 halvings) before a failure is declared.  An optional
-inertial mode integrates the full second-order wall dynamics with classical
-RK4 under the same positivity guard.
+Time stepping is backward Euler.  A step first tries the explicit update
+``R_old + dt G(R_old)``, which costs no elimination and is accepted when it
+moves the radius by less than ``picard_tol`` (this decides every step of a
+slow relaxation tail).  Otherwise the implicit equation
+``R - R_old - dt G(R) = 0`` is solved by chord Newton from a second-order
+extrapolated start: the exact Newton matrix, in the pencil form
+``A = M diag(R f2) (I - dt G'(R))`` built by :func:`backward_euler_jacobian`,
+is factored once and carried from step to step, and refactored only when
+``dt`` changes or an iteration shrinks the update by less than 100x.  Each
+iteration costs one pressure elimination.  A step that loses positivity or
+whose iteration stalls is rejected and retried at half the step size (at
+most 10 halvings) before a failure is declared.  An optional inertial mode
+integrates the full second-order wall dynamics with classical RK4 under the
+same positivity guard.
 """
 
 from __future__ import annotations
@@ -33,18 +39,30 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field, export_fields_csv
 from .elliptic import (DEFAULT_SOLVE, LinearSolveConfig, SCHEME_UPWIND,
-                       assemble_operator, convective_divergence, solve_spd)
+                       assemble_operator, convective_divergence,
+                       convective_divergence_matrix, diffusion_sensitivity,
+                       solve_spd)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_f1, eval_f2, eval_f3, eval_f4, eval_f5)
+                      eval_f1, eval_f1_prime, eval_f2, eval_f2_prime, eval_f3,
+                      eval_f3_prime, eval_f4, eval_f4_prime, eval_f5,
+                      eval_f5_prime)
 
 MODE_INERTIALESS = "inertialess"
 MODE_INERTIAL = "inertial"
 
+#: per-step columns of :attr:`TransientResult.step_stats`
+STEP_STATS_KEYS = ("t", "dt_used", "iterations", "halvings")
+
 MAX_HALVINGS = 10
+
+#: a chord iteration that shrinks the update by less than this factor
+#: refactors the Newton matrix at the current iterate
+CHORD_CONTRACTION = 100.0
 
 
 @dataclass(frozen=True)
@@ -52,9 +70,10 @@ class StepConfig:
     """Time-step settings.
 
     ``picard_tol`` is the relative update threshold of the backward-Euler
-    fixed-point iteration (required in (0, 1e-3]); ``picard_max`` bounds the
-    iterations per step; ``mode`` selects quasi-static or inertial wall
-    dynamics.
+    solve (required in (0, 1e-3]): an iterate ``x`` is accepted when
+    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``picard_max`` bounds
+    the iterations per step attempt, counting the explicit first check;
+    ``mode`` selects quasi-static or inertial wall dynamics.
     """
 
     dt: float = 3e-4
@@ -93,6 +112,26 @@ class StepStats:
     dt_used: float
 
 
+@dataclass
+class ChordCarry:
+    """What one backward-Euler step hands the next.
+
+    ``lu`` factors the Newton matrix ``A`` of :func:`backward_euler_jacobian`
+    built at an earlier iterate for step size ``dt``, and ``pencil`` is the
+    elimination pencil ``M diag(R f2)`` at that iterate, so
+    ``lu.solve(pencil @ r)`` applies the frozen inverse Jacobian of
+    ``R - R_old - dt G(R)`` to ``r``.  ``G_prev`` and ``dt_prev`` (the rate
+    at the start of the last accepted step and that step's size) feed the
+    second-order predictor.
+    """
+
+    lu: spla.SuperLU | None = None
+    pencil: sp.csr_matrix | None = None
+    dt: float = 0.0
+    G_prev: np.ndarray | None = None
+    dt_prev: float = 0.0
+
+
 def initial_state(grid: Grid, params: PhysicalParams, Rhat: float = 1.0,
                   mode: str = MODE_INERTIALESS) -> TransientState:
     """Uniform start at ``R = Rhat * R0`` (and zero wall velocity)."""
@@ -127,6 +166,47 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     return y / Rf2, f1 - y
 
 
+def backward_euler_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray,
+                            h: np.ndarray, U: tuple[float, float],
+                            params: PhysicalParams, dt: float,
+                            scheme: str = SCHEME_UPWIND
+                            ) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """Newton matrix of ``R - R_old - dt G(R)`` in pencil form.
+
+    ``p`` is the film pressure slaved to ``R`` (from
+    :func:`eliminate_pressure`).  Returns ``(A, P)`` with ``P = M diag(R f2)``
+    the elimination pencil, ``M = K + diag(shift)``,
+    ``shift = -h f5 / (R f2)``, and ``A = P (I - dt G'(R))``:
+
+        A = M diag(R f2 + dt y (R f2)' / (R f2)) - dt B,
+        B = K diag(f1') - Dsens(f3' h^3, p) + C(h f4') - diag(shift' y),
+
+    where ``y = f1 - p``, ``Dsens`` is :func:`diffusion_sensitivity` and
+    ``C`` is :func:`convective_divergence_matrix`.  At an equilibrium
+    pressure (``y = 0``) ``B`` is the stationary Jacobian, so the stepper
+    and the Newton stationary solver share one linearization.
+    """
+    Rf = ensure_field(grid, R, "R")
+    hf = ensure_field(grid, h, "h")
+    pf = ensure_field(grid, p, "p")
+    f2 = eval_f2(Rf, params)
+    f5 = eval_f5(Rf, params)
+    Rf2 = Rf * f2
+    dRf2 = f2 + Rf * eval_f2_prime(Rf, params)
+    y = eval_f1(Rf, params) - pf
+    shift = -hf * f5 / Rf2
+    dshift = -hf * (eval_f5_prime(Rf, params) - f5 * dRf2 / Rf2) / Rf2
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3).matrix
+    M = K + sp.diags(shift.ravel())
+    B = (K @ sp.diags(eval_f1_prime(Rf, params).ravel())
+         - diffusion_sensitivity(grid, eval_f3_prime(Rf, params) * hf ** 3, pf)
+         + convective_divergence_matrix(grid, U, hf * eval_f4_prime(Rf, params),
+                                        scheme)
+         - sp.diags((dshift * y).ravel()))
+    A = M @ sp.diags((Rf2 + dt * y * dRf2 / Rf2).ravel()) - dt * B
+    return A.tocsc(), (M @ sp.diags(Rf2.ravel())).tocsr()
+
+
 def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
                        h: np.ndarray, U: tuple[float, float],
                        params: PhysicalParams, cfg: LinearSolveConfig,
@@ -143,22 +223,38 @@ def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
     return acc, p
 
 
+def _relative(update: np.ndarray, x: np.ndarray) -> float:
+    return float(np.max(np.abs(update))) / max(float(np.max(np.abs(x))), 1e-300)
+
+
 def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                      U: tuple[float, float], params: PhysicalParams,
                      step_cfg: StepConfig,
                      cfg: LinearSolveConfig = DEFAULT_SOLVE,
                      scheme: str = SCHEME_UPWIND,
-                     G_at_state: np.ndarray | None = None
+                     G_at_state: np.ndarray | None = None,
+                     chord: ChordCarry | None = None
                      ) -> tuple[TransientState, StepStats, np.ndarray]:
     """One backward-Euler step of the quasi-static dynamics.
 
-    The implicit equation ``R_new = R_old + dt G(R_new)`` is resolved by
-    Picard iteration started from the current state (``G_at_state`` lets the
-    caller reuse an elimination already done at ``state.R``).  The fixed-point
-    map contracts only while ``dt`` times the local relaxation rate stays
-    below one, so a step is rejected -- and ``dt`` halved -- either when an
-    iterate leaves the positive cone or when the iteration stalls (update
-    growing well past its best value, or ``picard_max`` spent).  Exhausting
+    The implicit equation ``R_new = R_old + dt G(R_new)`` is resolved as
+    follows (``G_at_state`` lets the caller reuse an elimination already
+    done at ``state.R``).  The explicit update ``R_old + dt G(R_old)`` is
+    accepted outright when it moves ``R`` by less than ``picard_tol``.
+    Otherwise chord Newton iterates ``x <- x + A^-1 P (R_old + dt G(x) - x)``
+    with the factored Newton matrix ``A`` and pencil ``P`` of
+    :func:`backward_euler_jacobian`, from the predictor
+    ``R_old + dt (G_n + (G_n - G_{n-1}) dt / dt_prev)``, until
+    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``chord`` carries the
+    factorization and the predictor history between steps and is updated in
+    place; without it the step starts from the explicit update and factors
+    afresh.  The factorization is rebuilt at the current iterate when ``dt``
+    differs from the one it was built for or an iteration shrinks the update
+    by less than ``CHORD_CONTRACTION``.
+
+    A step attempt is rejected -- and ``dt`` halved -- when an iterate
+    leaves the positive cone or when the iteration stalls (update growing
+    well past its best value, or ``picard_max`` checks spent).  Exhausting
     the halving budget raises :class:`StepFailureError` after a stall and
     :class:`PositivityLossError` after a sign loss.
 
@@ -168,32 +264,56 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     R_old = state.R
     if G_at_state is None:
         G_at_state, _ = eliminate_pressure(grid, R_old, h, U, params, cfg, scheme)
+    if chord is None:
+        chord = ChordCarry()
+    tol = step_cfg.picard_tol
     dt = step_cfg.dt
     halvings = 0
     total_iters = 0
     while True:
-        R_k = R_old
-        G_k = G_at_state
+        total_iters += 1
+        x = R_old + dt * G_at_state
         accepted = None
         sign_loss = False
-        best = np.inf
-        for _ in range(step_cfg.picard_max):
-            total_iters += 1
-            R_next = R_old + dt * G_k
-            if np.any(R_next <= 0.0):
-                sign_loss = True
-                break                                    # reject: halve dt
-            update = np.max(np.abs(R_next - R_k)) / max(np.max(np.abs(R_k)), 1e-300)
-            R_k = R_next
-            if update < step_cfg.picard_tol:
-                accepted = R_k
-                break
-            if update > 10.0 * best and update > 100.0 * step_cfg.picard_tol:
-                break                    # diverging past its best: reject early
-            best = min(best, update)
-            G_k, _ = eliminate_pressure(grid, R_k, h, U, params, cfg, scheme)
+        if np.any(x <= 0.0):
+            sign_loss = True                             # reject: halve dt
+        elif _relative(x - R_old, R_old) < tol:
+            accepted = x
+            G_new, p_new = eliminate_pressure(grid, x, h, U, params, cfg, scheme)
+        else:
+            if chord.G_prev is not None:
+                guess = x + dt * dt / chord.dt_prev * (G_at_state - chord.G_prev)
+                if np.all(guess > 0.0):
+                    x = guess
+            best = np.inf
+            for _ in range(step_cfg.picard_max - 1):
+                total_iters += 1
+                G_x, p_x = eliminate_pressure(grid, x, h, U, params, cfg, scheme)
+                residual = R_old + dt * G_x - x
+                update = _relative(residual, x)
+                if update < tol:
+                    accepted, G_new, p_new = x, G_x, p_x
+                    break
+                if update > 10.0 * best and update > 100.0 * tol:
+                    break                # diverging past its best: reject early
+                if (chord.lu is None or chord.dt != dt
+                        or update * CHORD_CONTRACTION > best):
+                    # release the old factor first: building the new one
+                    # while the old is alive fragments the native heap,
+                    # and peak RSS then creeps up by megabytes over a run
+                    chord.lu = None
+                    A, chord.pencil = backward_euler_jacobian(
+                        grid, x, p_x, h, U, params, dt, scheme)
+                    chord.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+                    chord.dt = dt
+                best = min(best, update)
+                x = x + chord.lu.solve(chord.pencil @ residual.ravel()
+                                       ).reshape(grid.shape)
+                if np.any(x <= 0.0):
+                    sign_loss = True
+                    break                                # reject: halve dt
         if accepted is not None:
-            G_new, p_new = eliminate_pressure(grid, accepted, h, U, params, cfg, scheme)
+            chord.G_prev, chord.dt_prev = G_at_state, dt
             new_state = TransientState(t=state.t + dt, R=accepted, Rdot=None, p=p_new)
             return new_state, StepStats(total_iters, halvings, dt), G_new
         halvings += 1
@@ -203,9 +323,9 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     f"radius field left the positive cone at t = {state.t:.6g} "
                     f"even after {MAX_HALVINGS} step halvings (blow-up)")
             raise StepFailureError(
-                f"Picard iteration did not contract within {step_cfg.picard_max} "
-                f"iterations at t = {state.t:.6g} (dt = {dt:.3g} after "
-                f"{MAX_HALVINGS} halvings)")
+                f"backward-Euler iteration did not converge within "
+                f"{step_cfg.picard_max} iterations at t = {state.t:.6g} "
+                f"(dt = {dt:.3g} after {MAX_HALVINGS} halvings)")
         dt *= 0.5
 
 
@@ -279,7 +399,12 @@ class TransientWatch:
 
 @dataclass
 class TransientResult:
-    """Outcome of :func:`run_transient`."""
+    """Outcome of :func:`run_transient`.
+
+    ``history`` holds the recorded steps (every ``record_every``-th);
+    ``step_stats`` holds one entry per completed step: its end time ``t``,
+    ``dt_used``, solver ``iterations`` and ``halvings``.
+    """
 
     converged: bool
     steps: int
@@ -290,6 +415,7 @@ class TransientResult:
     max_p: float
     min_p: float
     history: dict[str, np.ndarray]
+    step_stats: dict[str, np.ndarray]
     failure: str | None = None
     failed_step: int | None = None
 
@@ -320,7 +446,9 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
 
     hist: dict[str, list] = {k: [] for k in
                              ("t", "rate", "min_Rhat", "max_Rhat", "min_p", "max_p")}
+    trace: dict[str, list] = {k: [] for k in STEP_STATS_KEYS}
     G_cur: np.ndarray | None = None
+    chord = ChordCarry()
     if step_cfg.mode == MODE_INERTIALESS:
         G_cur, p0 = eliminate_pressure(grid, state.R, hf, U, params, cfg, scheme)
         state = TransientState(state.t, state.R, None, p0)
@@ -349,15 +477,20 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
             if step_cfg.mode == MODE_INERTIALESS:
                 state, stats, G_cur = step_inertialess(
                     grid, state, hf, U, params, cfg_step, cfg, scheme,
-                    G_at_state=G_cur)
+                    G_at_state=G_cur, chord=chord)
             else:
                 state, stats = step_inertial(grid, state, hf, U, params,
                                              cfg_step, cfg, scheme)
         except StepFailureError as exc:
+            exc.step_index = step
             failure = str(exc)
             failed_step = step
             break
         steps_done = step
+        for key, val in (("t", state.t), ("dt_used", stats.dt_used),
+                         ("iterations", stats.iterations),
+                         ("halvings", stats.halvings)):
+            trace[key].append(val)
         if stats.halvings:
             dt_run = stats.dt_used
             clean_steps = 0
@@ -401,6 +534,7 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
         max_Rhat=max_Rhat_run, min_Rhat=min_Rhat_run,
         max_p=max_p_run, min_p=min_p_run,
         history={k: np.asarray(v) for k, v in hist.items()},
+        step_stats={k: np.asarray(v) for k, v in trace.items()},
         failure=failure, failed_step=failed_step)
 
 
@@ -455,6 +589,7 @@ def run_to_stationarity(grid: Grid, state: TransientState, h: np.ndarray,
     max_R, min_R = -np.inf, np.inf
     max_p, min_p = -np.inf, np.inf
     histories: list[dict[str, np.ndarray]] = []
+    traces: list[dict[str, np.ndarray]] = []
 
     def absorb(res: TransientResult) -> None:
         nonlocal total_steps, max_R, min_R, max_p, min_p
@@ -464,6 +599,7 @@ def run_to_stationarity(grid: Grid, state: TransientState, h: np.ndarray,
         max_p = max(max_p, res.max_p)
         min_p = min(min_p, res.min_p)
         histories.append(res.history)
+        traces.append(res.step_stats)
 
     def finalize(res: TransientResult) -> TransientResult:
         res.steps = total_steps
@@ -471,6 +607,8 @@ def run_to_stationarity(grid: Grid, state: TransientState, h: np.ndarray,
         res.max_p, res.min_p = max_p, min_p
         res.history = {k: np.concatenate([hi[k] for hi in histories])
                        for k in histories[0]}
+        res.step_stats = {k: np.concatenate([tr[k] for tr in traces])
+                          for k in STEP_STATS_KEYS}
         return res
 
     last: TransientResult | None = None

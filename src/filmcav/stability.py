@@ -113,7 +113,7 @@ def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
     hf5 = (hf * eval_f5(Rf, params)).ravel()
     rhs = (K @ sp.diags(eval_f1_prime(Rf, params).ravel()) - B1).toarray()
     M = (K @ sp.diags(Rf2) - sp.diags(hf5)).tocsc()
-    return spla.splu(M).solve(rhs)
+    return spla.splu(M, permc_spec="MMD_AT_PLUS_A").solve(rhs)
 
 
 def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
@@ -128,7 +128,7 @@ def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
             f"grid has {grid.n_cells}")
     Rf, hf, K, B1 = _linearization_parts(grid, R_s, h, U, params, cfg, scheme)
     n = grid.n_cells
-    lu = spla.splu(K.tocsc())
+    lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
     Pi1 = lu.solve(B1.toarray())
     Pi2 = lu.solve(np.diag(-(hf * eval_f5(Rf, params)).ravel()))
     r = Rf.ravel()[:, None]

@@ -147,7 +147,8 @@ def _newton_stage(grid: Grid, R: np.ndarray, h: np.ndarray,
         iters += 1
         J = stationary_jacobian(grid, R, h, U, params, scheme)
         try:
-            delta = spla.splu(J.tocsc()).solve(-phi).reshape(grid.shape)
+            delta = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A"
+                               ).solve(-phi).reshape(grid.shape)
         except RuntimeError:
             break                                   # singular Jacobian
         norm_phi = np.linalg.norm(phi)

@@ -12,7 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from filmcav.cli import MIDLINE_HEADER, SWEEP_HEADER, main, midline_profile
+from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
+                         midline_profile)
 from filmcav.config import parse_config
 from filmcav.grid import CSV_HEADER, Grid
 from filmcav.stability import critical_speed
@@ -51,9 +52,16 @@ def test_transient_writes_documented_artifacts(tmp_path):
     assert np.all(np.diff(history[:, 0]) > 0.0)
     assert history[-1, 0] == pytest.approx(183 * 3e-4)
 
+    trace = (out / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert trace[0] == TRACE_HEADER == "t,dt_used,iterations,halvings"
+    rows = _load_csv(out / "trace.csv")
+    assert rows.shape == (183, 4)
+    assert np.allclose(rows[:, 0], history[:, 0], rtol=1e-9)
+    assert np.all(rows[:, 1] == 3e-4) and np.all(rows[:, 2] >= 1)
+
     manifest = (out / "MANIFEST.txt").read_text(encoding="utf-8")
     for name in ("fields_final.csv", "midline.csv", "history.csv",
-                 "summary.txt"):
+                 "trace.csv", "summary.txt"):
         assert name in manifest
 
 

@@ -11,17 +11,20 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import filmcav.dynamics as dynamics
 from filmcav.dynamics import (
-    MODE_INERTIAL, StepConfig, TransientState, TransientWatch,
-    eliminate_pressure, initial_state, run_to_stationarity, run_transient,
-    step_inertial, step_inertialess,
+    MODE_INERTIAL, ChordCarry, StepConfig, TransientState, TransientWatch,
+    backward_euler_jacobian, eliminate_pressure, initial_state,
+    run_to_stationarity, run_transient, step_inertial, step_inertialess,
 )
-from filmcav.elliptic import assemble_operator, convective_divergence
+from filmcav.elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, assemble_operator,
+                              convective_divergence)
 from filmcav.errors import (ConfigurationError, PositivityLossError,
                             StepFailureError)
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function, grid_for_params
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1,
                              eval_f2, eval_f3, eval_f4, eval_f5)
+from filmcav.stationary import stationary_jacobian
 
 DEFAULT = PhysicalParams()
 
@@ -112,6 +115,93 @@ def test_zero_gas_fraction_decouples_the_film():
     assert np.max(np.abs(pres)) < 1e-9
     want = eval_f1(R, p) / (R * eval_f2(R, p))
     assert np.allclose(G, want, rtol=1e-9)
+
+
+def _jacobian_case(bc):
+    """A rough radius field on an eccentric gap, sliding in both directions."""
+    rng = np.random.default_rng(73)
+    p = PhysicalParams(ecc=0.3)
+    grid = Grid(8, 6, 2.0 * np.pi * p.J_r, p.B, bc_x1=bc)
+    R = p.R0 * rng.uniform(0.85, 1.15, size=grid.shape)
+    return p, grid, R, gap_function(grid, p), (2.0, -0.5), 1e-3
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_backward_euler_jacobian_matches_finite_differences(bc, scheme):
+    # A = P (I - dt G'(R)): compare with central differences of the
+    # backward-Euler residual R - R_old - dt G(R), column by column.
+    p, grid, R, h, U, dt = _jacobian_case(bc)
+    _, pres = eliminate_pressure(grid, R, h, U, p, scheme=scheme)
+    A, P = backward_euler_jacobian(grid, R, pres, h, U, p, dt, scheme)
+
+    n = grid.n_cells
+    eps = 1e-6 * p.R0
+    J = np.eye(n)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        Gp, _ = eliminate_pressure(grid, R + e.reshape(grid.shape), h, U, p,
+                                   scheme=scheme)
+        Gm, _ = eliminate_pressure(grid, R - e.reshape(grid.shape), h, U, p,
+                                   scheme=scheme)
+        J[:, j] -= dt * (Gp - Gm).ravel() / (2.0 * eps)
+    want = P.toarray() @ J
+    err = np.linalg.norm(A.toarray() - want) / np.linalg.norm(want - P.toarray())
+    assert err < 1e-8, err
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_backward_euler_jacobian_shares_the_stationary_linearization(bc, scheme):
+    # With the equilibrium pressure p = f1(R), as at every stationary state,
+    # A = P - dt B and B is the Newton stationary solver's Jacobian.
+    p, grid, R, h, U, dt = _jacobian_case(bc)
+    A, P = backward_euler_jacobian(grid, R, eval_f1(R, p), h, U, p, dt, scheme)
+    B = ((P - A) / dt).toarray()
+    want = stationary_jacobian(grid, R, h, U, p, scheme).toarray()
+    assert np.linalg.norm(B - want) < 1e-12 * np.linalg.norm(want)
+
+
+def _picard_reference(grid, R, h, U, p, dt, n_steps):
+    """Backward Euler by plain fixed-point iteration, solved to rounding."""
+    for _ in range(n_steps):
+        x = R
+        for _ in range(500):
+            G, _ = eliminate_pressure(grid, x, h, U, p)
+            x_next = R + dt * G
+            done = np.max(np.abs(x_next - x)) < 1e-14 * np.max(np.abs(x))
+            x = x_next
+            if done:
+                break
+        else:
+            raise AssertionError("reference Picard loop did not converge")
+        R = x
+    return R
+
+
+@pytest.mark.parametrize("carried", [True, False])
+def test_chord_newton_steps_match_plain_picard(carried):
+    p = PhysicalParams(ecc=0.4)
+    grid = grid_for_params(p, 16, 8)
+    h = gap_function(grid, p)
+    U = (p.surface_speed, 0.0)
+    cfg = StepConfig(dt=3e-4, picard_tol=1e-10)
+    state = initial_state(grid, p)
+    chord = ChordCarry() if carried else None
+    G = None
+    iterations = []
+    for _ in range(10):
+        if carried:
+            state, stats, G = step_inertialess(grid, state, h, U, p, cfg,
+                                               G_at_state=G, chord=chord)
+        else:
+            state, stats, _ = step_inertialess(grid, state, h, U, p, cfg)
+        iterations.append(stats.iterations)
+    assert max(iterations) > 2             # the chord iteration did the work
+    ref = _picard_reference(grid, initial_state(grid, p).R, h, U, p,
+                            cfg.dt, 10)
+    assert np.max(np.abs(state.R - ref) / ref) < 1e-8
 
 
 def _scalar_rate(r, params):
@@ -227,6 +317,37 @@ def test_history_recording_stride():
                                 "min_p", "max_p"}
     assert len(res.history["t"]) == 3
     assert res.history["t"][-1] == pytest.approx(6e-7, rel=1e-9)
+    # step statistics are kept for every step, not only the recorded ones
+    assert set(res.step_stats) == {"t", "dt_used", "iterations", "halvings"}
+    assert np.allclose(res.step_stats["t"], 1e-7 * np.arange(1, 7), rtol=1e-9)
+    assert np.all(res.step_stats["dt_used"] == 1e-7)
+    assert np.all(res.step_stats["iterations"] >= 1)
+    assert np.all(res.step_stats["halvings"] == 0)
+
+
+def test_run_sets_the_step_index_of_a_step_failure(monkeypatch):
+    p = PhysicalParams(alpha0=0.0, ecc=0.0)
+    grid = grid_for_params(p, 4, 4)
+    h = gap_function(grid, p)
+    state = TransientState(t=0.0, R=np.full(grid.shape, 1.02 * p.R0))
+    real_step = dynamics.step_inertialess
+    injected = StepFailureError("injected failure")
+    calls = []
+
+    def failing_third_step(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise injected
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step_inertialess", failing_third_step)
+    res = run_transient(grid, state, h, (0.0, 0.0), p, StepConfig(dt=1e-7),
+                        n_steps=6,
+                        watch=TransientWatch(stationarity_tol=1e-30))
+    assert res.failed_step == 3 and res.steps == 2
+    assert res.failure == "injected failure"
+    assert injected.step_index == 3
+    assert len(res.step_stats["t"]) == 2
 
 
 def test_inertial_mode_requires_wall_velocity():
@@ -311,6 +432,8 @@ def test_run_to_stationarity_reaches_the_target_rate():
     assert res.converged
     assert res.rate < 1e-6
     assert res.failure is None
+    assert all(len(v) == res.steps for v in res.step_stats.values())
+    assert np.all(np.diff(res.step_stats["t"]) > 0.0)
     consts = compute_derived(p)
     assert res.max_Rhat * p.R0 < consts.R_crit
     assert res.min_p > consts.p_cav - 1e-6 * abs(consts.p_cav)
