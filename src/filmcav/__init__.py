@@ -22,8 +22,7 @@ from .elliptic import (EllipticOperator, LinearSolveConfig, apply_A2,
                        assemble_couette_rhs, assemble_diffusion, solve_A1)
 from .dynamics import (StepConfig, TransientResult, TransientState,
                        TransientWatch, eliminate_pressure, initial_state,
-                       run_to_stationarity, run_transient, step_inertial,
-                       step_inertialess)
+                       run_transient, step_inertial, step_inertialess)
 from .stationary import (StationaryReport, StationarySolveConfig,
                          solve_stationary, stationary_residual,
                          trivial_solution)
@@ -48,8 +47,8 @@ __all__ = [
     "EllipticOperator", "LinearSolveConfig", "apply_A2",
     "assemble_couette_rhs", "assemble_diffusion", "solve_A1",
     "StepConfig", "TransientResult", "TransientState", "TransientWatch",
-    "eliminate_pressure", "initial_state", "run_to_stationarity",
-    "run_transient", "step_inertial", "step_inertialess",
+    "eliminate_pressure", "initial_state", "run_transient",
+    "step_inertial", "step_inertialess",
     "StationaryReport", "StationarySolveConfig", "solve_stationary",
     "stationary_residual", "trivial_solution",
     "HurwitzReport", "SpectrumReport", "assemble_LF", "assemble_LG",

@@ -26,11 +26,11 @@ from .config import (MODE_STABILITY, MODE_STATIONARY, MODE_SWEEP,
                      MODE_TRANSIENT, RunConfig, config_for_sweep_value,
                      parse_config)
 from .dynamics import (MODE_INERTIAL, STEP_STATS_KEYS, TransientResult,
-                       TransientWatch, initial_state, run_to_stationarity,
-                       run_transient)
+                       TransientWatch, initial_state, run_transient)
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
-from .grid import CSV_HEADER, Grid, export_fields_csv, gap_function
+from .grid import (BC_PERIODIC, CSV_HEADER, Grid, export_fields_csv,
+                   gap_function)
 from .physics import PhysicalParams, compute_derived, eval_alpha
 from .stability import (TAG_LF, TAG_LG, assemble_LF, assemble_LG,
                         compute_spectrum, critical_speed, export_spectrum_csv,
@@ -230,7 +230,7 @@ def cmd_stability(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     export_fields_csv(out / "fields_stationary.csv", grid, params, R_s, p_s)
 
-    LG = assemble_LG(grid, R_s, h, U, params, config.solver)
+    LG = assemble_LG(grid, R_s, h, U, params)
     rep_G = compute_spectrum(LG, config.stability_margin, TAG_LG,
                              (config.n1, config.n2))
     export_spectrum_csv(out / "spectrum_LG.csv", rep_G)
@@ -244,7 +244,7 @@ def cmd_stability(config: RunConfig) -> int:
                             "columns `re,im`"),
     ]
     if config.step.mode == MODE_INERTIAL:
-        LF = assemble_LF(grid, R_s, h, U, params, config.solver)
+        LF = assemble_LF(grid, R_s, h, U, params)
         rep_F = compute_spectrum(LF, config.stability_margin, TAG_LF,
                                  (config.n1, config.n2))
         export_spectrum_csv(out / "spectrum_LF.csv", rep_F)
@@ -255,16 +255,30 @@ def cmd_stability(config: RunConfig) -> int:
                         "linearization, columns `re,im`"))
 
     U_norm = float(np.hypot(*U))
-    u_crit, mode = critical_speed(params, config.k_max, consts)
-    hw = hurwitz_analysis(params, U_norm, mode, consts)
+    u_crit, mode = critical_speed(params, config.k_max, consts,
+                                  grid.L1, grid.L2)
+    hw = hurwitz_analysis(params, U_norm, mode, consts, grid.L1, grid.L2)
+    outside = []
+    if grid.bc_x1 == BC_PERIODIC:
+        outside.append("x1 is periodic, the modes assume zero pressure at "
+                       "x1 = 0 and L1")
+    if params.ecc > 0.0:
+        outside.append(f"ecc = {params.ecc:.9g} > 0, the modes assume a "
+                       "parallel gap")
+    scope = ("outside the analysis: " + "; ".join(outside) if outside else
+             "the configured geometry is within the analysis")
     hurwitz_text = (
+        f"modal analysis on L1 x L2 = {grid.L1:.9g} m x {grid.L2:.9g} m, "
+        "with a parallel gap and zero pressure on all four edges\n"
+        f"{scope}\n"
         f"sliding speed |U| = {U_norm:.9g} m/s\n"
         f"minimal modal critical speed = {u_crit:.9g} m/s at mode "
         f"({mode[0]}, {mode[1]}) over k1,k2 in 1..{config.k_max}\n\n"
         + hurwitz_report_text(hw))
     _write_text(out / "hurwitz.txt", hurwitz_text)
     entries.append(("hurwitz.txt", "modal polynomial analysis at the minimal "
-                    "critical mode (unit-square parallel-gap setting)"))
+                    "critical mode of the configured L1 x L2 rectangle "
+                    "(parallel gap, zero pressure on all edges); " + scope))
     lines.append(f"minimal modal critical speed = {u_crit:.9g} m/s "
                  f"at mode ({mode[0]}, {mode[1]})")
     _write_text(out / "stability_summary.txt", "\n".join(lines) + "\n")
@@ -302,13 +316,11 @@ def _sweep_point(args: tuple[RunConfig, float]) -> dict:
                        max_alpha=float(np.max(eval_alpha(R_s, params))))
         else:
             state = initial_state(grid, params, Rhat=1.0, mode=sub.step.mode)
-            chunk = min(400, sub.n_steps)
-            rounds = max(1, -(-sub.n_steps // chunk))
-            res = run_to_stationarity(grid, state, h, sub.velocity, params,
-                                      sub.step,
-                                      target_rate=sub.stationarity_tol,
-                                      chunk_steps=chunk, max_rounds=rounds,
-                                      cfg=sub.solver)
+            res = run_transient(grid, state, h, sub.velocity, params,
+                                sub.step, sub.n_steps,
+                                TransientWatch(
+                                    stationarity_tol=sub.stationarity_tol),
+                                sub.solver, consts=consts)
             export_fields_csv(out / "fields_final.csv", grid, params,
                               res.state.R, res.state.p)
             _write_text(out / "summary.txt",

@@ -44,13 +44,11 @@ import scipy.sparse.linalg as spla
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field, export_fields_csv
 from .elliptic import (DEFAULT_SOLVE, LinearSolveConfig, SCHEME_UPWIND,
-                       assemble_operator, convective_divergence,
-                       convective_divergence_matrix, diffusion_sensitivity,
+                       assemble_operator, convective_divergence, flux_jacobian,
                        solve_spd)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_f1, eval_f1_prime, eval_f2, eval_f2_prime, eval_f3,
-                      eval_f3_prime, eval_f4, eval_f4_prime, eval_f5,
-                      eval_f5_prime)
+                      eval_f1, eval_f2, eval_f2_prime, eval_f3, eval_f4,
+                      eval_f5, eval_f5_prime)
 
 MODE_INERTIALESS = "inertialess"
 MODE_INERTIAL = "inertial"
@@ -178,13 +176,11 @@ def backward_euler_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray,
     the elimination pencil, ``M = K + diag(shift)``,
     ``shift = -h f5 / (R f2)``, and ``A = P (I - dt G'(R))``:
 
-        A = M diag(R f2 + dt y (R f2)' / (R f2)) - dt B,
-        B = K diag(f1') - Dsens(f3' h^3, p) + C(h f4') - diag(shift' y),
+        A = M diag(R f2 + dt y (R f2)' / (R f2)) - dt (B - diag(shift' y)),
 
-    where ``y = f1 - p``, ``Dsens`` is :func:`diffusion_sensitivity` and
-    ``C`` is :func:`convective_divergence_matrix`.  At an equilibrium
-    pressure (``y = 0``) ``B`` is the stationary Jacobian, so the stepper
-    and the Newton stationary solver share one linearization.
+    where ``y = f1 - p`` and ``(B, K)`` is :func:`elliptic.flux_jacobian` at
+    ``(R, p)``, the linearization the Newton stationary solver and the
+    stability operators use as well.
     """
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
@@ -196,14 +192,10 @@ def backward_euler_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray,
     y = eval_f1(Rf, params) - pf
     shift = -hf * f5 / Rf2
     dshift = -hf * (eval_f5_prime(Rf, params) - f5 * dRf2 / Rf2) / Rf2
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3).matrix
+    B, K = flux_jacobian(grid, Rf, pf, hf, U, params, scheme)
     M = K + sp.diags(shift.ravel())
-    B = (K @ sp.diags(eval_f1_prime(Rf, params).ravel())
-         - diffusion_sensitivity(grid, eval_f3_prime(Rf, params) * hf ** 3, pf)
-         + convective_divergence_matrix(grid, U, hf * eval_f4_prime(Rf, params),
-                                        scheme)
-         - sp.diags((dshift * y).ravel()))
-    A = M @ sp.diags((Rf2 + dt * y * dRf2 / Rf2).ravel()) - dt * B
+    A = (M @ sp.diags((Rf2 + dt * y * dRf2 / Rf2).ravel())
+         - dt * (B - sp.diags((dshift * y).ravel())))
     return A.tocsc(), (M @ sp.diags(Rf2.ravel())).tocsr()
 
 
@@ -216,9 +208,7 @@ def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
     op = assemble_operator(grid, eval_f3(R, params) * h ** 3)
     conv = convective_divergence(grid, U, h * eval_f4(R, params), scheme)
     squeeze = h * eval_f5(R, params) * V
-    A1 = op.solve(-conv.ravel(), cfg)
-    A2 = op.solve(-squeeze.ravel(), cfg)
-    p = A1 + A2
+    p = op.solve(-(conv + squeeze).ravel(), cfg)
     acc = -1.5 * V ** 2 / R - V * eval_f2(R, params) + (f1 - p) / R
     return acc, p
 
@@ -536,110 +526,3 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
         history={k: np.asarray(v) for k, v in hist.items()},
         step_stats={k: np.asarray(v) for k, v in trace.items()},
         failure=failure, failed_step=failed_step)
-
-
-# ---------------------------------------------------------------------------
-# Long-time limit estimation
-# ---------------------------------------------------------------------------
-
-def _anderson_limit(tail: list[np.ndarray]) -> np.ndarray:
-    """Least-squares extrapolation of a linearly converging vector sequence.
-
-    Finds the affine combination of the iterates whose averaged update is
-    smallest (the standard residual-minimizing acceleration of fixed-point
-    sequences) and returns the corresponding combination of the *updated*
-    iterates.
-    """
-    X = np.column_stack([x.ravel() for x in tail])
-    D = X[:, 1:] - X[:, :-1]                  # updates
-    m = D.shape[1]
-    scale = np.linalg.norm(D, axis=0).max()
-    if scale == 0.0:
-        return tail[-1].copy()
-    w = 1e8 * scale
-    A = np.vstack([D, np.full((1, m), w)])
-    b = np.concatenate([np.zeros(D.shape[0]), [w]])
-    alpha, *_ = np.linalg.lstsq(A, b, rcond=None)
-    limit = X[:, 1:] @ alpha
-    return limit.reshape(tail[-1].shape)
-
-
-def run_to_stationarity(grid: Grid, state: TransientState, h: np.ndarray,
-                        U: tuple[float, float], params: PhysicalParams,
-                        step_cfg: StepConfig,
-                        target_rate: float = 1e-8,
-                        chunk_steps: int = 400, sample_stride: int = 25,
-                        window: int = 8, max_rounds: int = 8,
-                        cfg: LinearSolveConfig = DEFAULT_SOLVE,
-                        scheme: str = SCHEME_UPWIND) -> TransientResult:
-    """Drive the transient to a stationarity rate below ``target_rate``.
-
-    Alternates plain integration with residual-minimizing extrapolation of
-    the sampled iterate sequence; every extrapolated candidate is *validated
-    by further stepping* (the accepted state is always the output of the
-    unmodified step map and the reported rate is a measured one), and a
-    candidate is discarded when it fails to improve on plain stepping.  The
-    returned summary aggregates step counts, extrema, and history over all
-    accepted stepping, so slow relaxations through near-cavitating
-    transients keep their recorded undershoots.
-    """
-    watch = TransientWatch(stationarity_tol=target_rate, record_every=1)
-    consts = compute_derived(params)
-    total_steps = 0
-    max_R, min_R = -np.inf, np.inf
-    max_p, min_p = -np.inf, np.inf
-    histories: list[dict[str, np.ndarray]] = []
-    traces: list[dict[str, np.ndarray]] = []
-
-    def absorb(res: TransientResult) -> None:
-        nonlocal total_steps, max_R, min_R, max_p, min_p
-        total_steps += res.steps
-        max_R = max(max_R, res.max_Rhat)
-        min_R = min(min_R, res.min_Rhat)
-        max_p = max(max_p, res.max_p)
-        min_p = min(min_p, res.min_p)
-        histories.append(res.history)
-        traces.append(res.step_stats)
-
-    def finalize(res: TransientResult) -> TransientResult:
-        res.steps = total_steps
-        res.max_Rhat, res.min_Rhat = max_R, min_R
-        res.max_p, res.min_p = max_p, min_p
-        res.history = {k: np.concatenate([hi[k] for hi in histories])
-                       for k in histories[0]}
-        res.step_stats = {k: np.concatenate([tr[k] for tr in traces])
-                          for k in STEP_STATS_KEYS}
-        return res
-
-    last: TransientResult | None = None
-    for _ in range(max_rounds):
-        samples = [state.R.copy()]
-        for _ in range(max(chunk_steps // sample_stride, 1)):
-            res = run_transient(grid, state, h, U, params, step_cfg,
-                                sample_stride, watch, cfg, scheme, consts)
-            absorb(res)
-            state = res.state
-            last = res
-            samples.append(state.R.copy())
-            if len(samples) > window + 1:
-                samples.pop(0)
-            if res.converged or res.failure is not None:
-                return finalize(res)
-        candidate = _anderson_limit(samples)
-        if np.all(candidate > 0.0) and np.max(candidate) < consts.R_crit:
-            rdot = (np.zeros(grid.shape) if step_cfg.mode == MODE_INERTIAL
-                    else None)
-            probe = run_transient(grid,
-                                  TransientState(t=state.t, R=candidate,
-                                                 Rdot=rdot),
-                                  h, U, params, step_cfg, 2 * sample_stride,
-                                  watch, cfg, scheme, consts)
-            if probe.failure is None and last is not None and \
-                    probe.rate <= last.rate:
-                absorb(probe)
-                state = probe.state
-                last = probe
-                if probe.converged:
-                    return finalize(probe)
-    assert last is not None
-    return finalize(last)

@@ -13,14 +13,22 @@ upwinded by default.  The assembled operator ``K`` represents
 ``-Div(c Grad .)`` and is symmetric positive definite, which is what makes
 the coupled pressure elimination uniquely solvable.
 
-Two linearization helpers are provided for Newton solvers and stability
-operators: the sensitivity of the diffusion term to the radius field at a
-frozen potential, and the matrix form of the convective divergence.
+Every matrix here comes from one face stencil per grid (built once and
+cached): the interior and periodic faces, the Dirichlet edge cells and the
+fixed 5-point CSR pattern.  Each operator is a short coefficient rule that
+gives every face flux ``F = a S_A + b S_B`` and every edge its diagonal
+term; one assembler sums them into the pattern.  The rules are the
+diffusion operator ``K``, the convective divergence ``C`` (whose field form
+is ``C`` applied to ones) and the sensitivity of the diffusion term to its
+coefficient at a frozen potential.  :func:`flux_jacobian` combines them
+into the one linearization of the film flux balance that the Newton
+stationary solver, the implicit stepper and the stability operators share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +36,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
 from .grid import BC_DIRICHLET, BC_PERIODIC, Grid, ensure_field
-from .physics import PhysicalParams, eval_f3, eval_f4, eval_f5
+from .physics import (PhysicalParams, eval_f1_prime, eval_f3, eval_f3_prime,
+                      eval_f4, eval_f4_prime, eval_f5)
 
 #: cell count up to which the direct factorization is the default
 DIRECT_CELL_LIMIT = 65536
@@ -69,64 +78,105 @@ class LinearSolveConfig:
 DEFAULT_SOLVE = LinearSolveConfig()
 
 
-def _cell_index(grid: Grid) -> np.ndarray:
-    return np.arange(grid.n_cells).reshape(grid.shape)
+@dataclass(frozen=True, eq=False)
+class _FaceStencil:
+    """The 5-point finite-volume structure of one grid.
+
+    Faces are cell pairs ``(A, B)``, ``B`` the upper neighbour of ``A``
+    along ``face_axis`` (the periodic x1 wrap pairs the last row with the
+    first).  Edge entries are the cells next to a Dirichlet boundary, with
+    that boundary's axis and side (-1 low, +1 high).  ``*_dx`` and
+    ``*_dx2`` hold the spacing across each face or edge and its square.
+    The four matrix entries of every face, then the diagonal entry of every
+    edge, are permuted by ``order`` and summed into the CSR pattern
+    ``(indptr, indices)`` at ``slot``; ``order`` groups them face batch by
+    face batch, so that each diagonal accumulates in one fixed order.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    face_axis: np.ndarray
+    face_dx: np.ndarray
+    face_dx2: np.ndarray
+    cell: np.ndarray
+    edge_axis: np.ndarray
+    edge_side: np.ndarray
+    edge_dx: np.ndarray
+    edge_dx2: np.ndarray
+    order: np.ndarray
+    slot: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
 
-def _face_batches(grid: Grid):
-    """Interior/periodic face pairs (A, B, spacing) for both axes."""
-    idx = _cell_index(grid)
-    batches = [
-        (idx[:-1, :].ravel(), idx[1:, :].ravel(), grid.dx1),
-        (idx[:, :-1].ravel(), idx[:, 1:].ravel(), grid.dx2),
-    ]
+@lru_cache(maxsize=32)
+def _stencil(grid: Grid) -> _FaceStencil:
+    """The face stencil of ``grid`` (cached: grids are immutable)."""
+    n = grid.n_cells
+    idx = np.arange(n).reshape(grid.shape)
+    # face batches (A, B, axis) and Dirichlet edges (cells, axis, side)
+    batches = [(idx[:-1, :], idx[1:, :], 0), (idx[:, :-1], idx[:, 1:], 1)]
     if grid.bc_x1 == BC_PERIODIC:
-        batches.append((idx[-1, :].ravel(), idx[0, :].ravel(), grid.dx1))
-    return batches
-
-
-def _dirichlet_cells(grid: Grid):
-    """Cells adjacent to a Dirichlet boundary, with the face spacing."""
-    idx = _cell_index(grid)
-    cells = [
-        (idx[:, 0].ravel(), grid.dx2),
-        (idx[:, -1].ravel(), grid.dx2),
-    ]
+        batches.append((idx[-1, :], idx[0, :], 0))
+    edges = [(idx[:, 0], 1, -1.0), (idx[:, -1], 1, 1.0)]
     if grid.bc_x1 == BC_DIRICHLET:
-        cells.append((idx[0, :].ravel(), grid.dx1))
-        cells.append((idx[-1, :].ravel(), grid.dx1))
-    return cells
+        edges += [(idx[0, :], 0, -1.0), (idx[-1, :], 0, 1.0)]
+
+    def column(groups, k):
+        return np.concatenate([np.broadcast_to(g[k], g[0].shape).ravel()
+                               for g in groups])
+
+    A, B, face_axis = (column(batches, k) for k in range(3))
+    cell, edge_axis, edge_side = (column(edges, k) for k in range(3))
+    batch = column([(a, k) for k, (a, _, _) in enumerate(batches)], 1)
+    # entries in the order the assembler lists their values:
+    # (A, A), (B, B), (A, B), (B, A) for every face, then (cell, cell)
+    rows = np.concatenate([A, B, A, B, cell])
+    cols = np.concatenate([A, B, B, A, cell])
+    group = np.concatenate([4 * batch + k for k in range(4)]
+                           + [np.full(cell.size, 4 * len(batches))])
+    order = np.argsort(group, kind="stable")
+    pattern, slot = np.unique(rows * n + cols, return_inverse=True)
+    dx = np.array([grid.dx1, grid.dx2])
+    dx2 = np.array([grid.dx1 ** 2, grid.dx2 ** 2])
+    return _FaceStencil(
+        A=A, B=B, face_axis=face_axis, face_dx=dx[face_axis],
+        face_dx2=dx2[face_axis], cell=cell, edge_axis=edge_axis,
+        edge_side=edge_side, edge_dx=dx[edge_axis], edge_dx2=dx2[edge_axis],
+        order=order, slot=slot.ravel()[order],
+        indptr=np.searchsorted(pattern, n * np.arange(n + 1)).astype(np.int32),
+        indices=(pattern % n).astype(np.int32))
 
 
+def _assemble(st: _FaceStencil, a: np.ndarray, b: np.ndarray,
+              edge: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of the face fluxes ``F = a S_A + b S_B`` (row ``A`` gains
+    ``F``, row ``B`` loses it) plus ``edge`` on each edge cell's diagonal."""
+    values = np.concatenate([a, -b, b, -a, edge])[st.order]
+    data = np.bincount(st.slot, values, minlength=st.indices.size)
+    n = st.indptr.size - 1
+    return sp.csr_matrix((data, st.indices.copy(), st.indptr.copy()),
+                         shape=(n, n))
+
+
+@dataclass(frozen=True, eq=False)
 class EllipticOperator:
-    """Assembled ``K = -Div(c Grad .)`` with cached factorization.
+    """Assembled ``K = -Div(c Grad .)``.
 
     ``matrix`` is the symmetric positive definite CSR matrix acting on
     flattened fields (row-major cell order).
     """
 
-    def __init__(self, grid: Grid, matrix: sp.csr_matrix):
-        self.grid = grid
-        self.matrix = matrix
-        self._lu = None
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def _solve_direct(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            self._lu = spla.splu(self.matrix.tocsc(),
-                                 permc_spec="MMD_AT_PLUS_A")
-        return self._lu.solve(rhs)
+    grid: Grid
+    matrix: sp.csr_matrix
 
     def solve(self, rhs: np.ndarray, cfg: LinearSolveConfig = DEFAULT_SOLVE) -> np.ndarray:
         """Solve ``K x = rhs``; accepts a field or flat vector, returns a field."""
-        return solve_spd(self.matrix, rhs, self.grid, cfg, lu_cache=self)
+        return solve_spd(self.matrix, rhs, self.grid, cfg)
 
 
 def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray, grid: Grid,
-              cfg: LinearSolveConfig = DEFAULT_SOLVE, lu_cache=None) -> np.ndarray:
+              cfg: LinearSolveConfig = DEFAULT_SOLVE) -> np.ndarray:
     """Solve an SPD system with residual verification.
 
     Returns the solution shaped like the grid.  Raises
@@ -138,10 +188,7 @@ def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray, grid: Grid,
         raise ConfigurationError(f"rhs has {b.size} entries, operator has {n}")
     method = cfg.resolved_method(n)
     if method == "direct-banded":
-        if lu_cache is not None:
-            x = lu_cache._solve_direct(b)
-        else:
-            x = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+        x = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
     else:
         diag = matrix.diagonal()
         precond = spla.LinearOperator((n, n), matvec=lambda v: v / diag)
@@ -160,29 +207,24 @@ def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray, grid: Grid,
     return x.reshape(grid.shape)
 
 
+# ---------------------------------------------------------------------------
+# Coefficient rules on the face stencil
+# ---------------------------------------------------------------------------
+
 def assemble_operator(grid: Grid, coeff: np.ndarray) -> EllipticOperator:
-    """Assemble ``K = -Div(c Grad .)`` for a positive cellwise coefficient."""
+    """Assemble ``K = -Div(c Grad .)`` for a positive cellwise coefficient.
+
+    Face coefficients are arithmetic means of the two cells; a Dirichlet
+    face reflects a ghost cell (value ``-q``, coefficient of the own cell),
+    so its flux is ``2 c q / dx^2``.
+    """
     c = ensure_field(grid, coeff, "diffusion coefficient").ravel()
     if np.any(c <= 0.0):
         raise ConfigurationError("diffusion coefficient must be positive")
-    n = grid.n_cells
-    diag = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for A, B, dx in _face_batches(grid):
-        cf = 0.5 * (c[A] + c[B]) / dx ** 2
-        diag += np.bincount(A, weights=cf, minlength=n)
-        diag += np.bincount(B, weights=cf, minlength=n)
-        rows.append(A); cols.append(B); vals.append(-cf)
-        rows.append(B); cols.append(A); vals.append(-cf)
-    for D, dx in _dirichlet_cells(grid):
-        # ghost reflection: face value 0, face coefficient = own-cell value
-        diag += np.bincount(D, weights=2.0 * c[D] / dx ** 2, minlength=n)
-    rows.append(np.arange(n)); cols.append(np.arange(n)); vals.append(diag)
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    K.sum_duplicates()
-    return EllipticOperator(grid, K)
+    st = _stencil(grid)
+    cf = 0.5 * (c[st.A] + c[st.B]) / st.face_dx2
+    return EllipticOperator(grid, _assemble(st, cf, -cf,
+                                            2.0 * c[st.cell] / st.edge_dx2))
 
 
 def assemble_diffusion(grid: Grid, R: np.ndarray, h: np.ndarray,
@@ -193,121 +235,38 @@ def assemble_diffusion(grid: Grid, R: np.ndarray, h: np.ndarray,
     return assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
 
 
-# ---------------------------------------------------------------------------
-# Convective (entrained-flux) terms
-# ---------------------------------------------------------------------------
-
-def _face_values_1d(w: np.ndarray, axis: int, u: float, periodic: bool,
-                    scheme: str) -> np.ndarray:
-    """Face values of w along one axis, shape grows by one in that axis."""
-    w = np.moveaxis(w, axis, 0)                       # faces along first axis
-    nf = w.shape[0] + 1
-    vals = np.empty((nf,) + w.shape[1:])
-    if scheme == SCHEME_CENTRAL:
-        vals[1:-1] = 0.5 * (w[:-1] + w[1:])
-        if periodic:
-            vals[0] = vals[-1] = 0.5 * (w[-1] + w[0])
-        else:
-            vals[0] = w[0]
-            vals[-1] = w[-1]
-    elif scheme == SCHEME_UPWIND:
-        if u >= 0.0:
-            vals[1:-1] = w[:-1]
-            vals[0] = w[-1] if periodic else w[0]
-            vals[-1] = w[-1]
-        else:
-            vals[1:-1] = w[1:]
-            vals[-1] = w[0] if periodic else w[-1]
-            vals[0] = w[0]
-    else:
-        raise ConfigurationError(f"unknown convection scheme {scheme!r}")
-    return np.moveaxis(vals, 0, axis)
-
-
-def convective_divergence(grid: Grid, U: tuple[float, float], w: np.ndarray,
-                          scheme: str = SCHEME_UPWIND) -> np.ndarray:
-    """Cellwise divergence of the entrained flux ``U w``.
-
-    ``U`` is the constant entrainment velocity; ``w`` the transported
-    cell field (e.g. ``h f4(R)``).  Upwinding is with respect to the sign
-    of each velocity component; at Dirichlet boundaries the face takes the
-    adjacent interior value.
-    """
-    wf = ensure_field(grid, w, "transported field")
-    out = np.zeros(grid.shape)
-    periodic = grid.bc_x1 == BC_PERIODIC
-    if U[0] != 0.0:
-        fv = _face_values_1d(wf, 0, U[0], periodic, scheme)
-        out += U[0] * (fv[1:, :] - fv[:-1, :]) / grid.dx1
-    if U[1] != 0.0:
-        fv = _face_values_1d(wf, 1, U[1], False, scheme)
-        out += U[1] * (fv[:, 1:] - fv[:, :-1]) / grid.dx2
-    return out
-
-
 def convective_divergence_matrix(grid: Grid, U: tuple[float, float],
                                  w: np.ndarray,
                                  scheme: str = SCHEME_UPWIND) -> sp.csr_matrix:
     """Matrix form of ``S -> Div(U w S)`` for a frozen weight field ``w``.
 
-    Used by the Newton Jacobian and the linearized stability operators,
-    where the weight is ``h f4'(R)``; face rules match
-    :func:`convective_divergence` exactly.
+    ``U`` is the constant entrainment velocity.  A face carries the
+    upstream cell's value of ``w S`` (upwind, by the sign of each velocity
+    component) or the mean of its two cells (central); a Dirichlet face
+    carries the adjacent interior value.
     """
-    wflat = ensure_field(grid, w, "weight field").ravel()
-    n = grid.n_cells
-    idx = _cell_index(grid)
-    rows, cols, vals = [], [], []
+    wf = ensure_field(grid, w, "weight field").ravel()
+    if scheme not in (SCHEME_UPWIND, SCHEME_CENTRAL):
+        raise ConfigurationError(f"unknown convection scheme {scheme!r}")
+    st = _stencil(grid)
+    vel = np.asarray(U, dtype=float)
+    u = vel[st.face_axis]
+    if scheme == SCHEME_CENTRAL:
+        a = u * 0.5 * wf[st.A] / st.face_dx
+        b = u * 0.5 * wf[st.B] / st.face_dx
+    else:
+        a = np.where(u > 0.0, u * wf[st.A] / st.face_dx, 0.0)
+        b = np.where(u > 0.0, 0.0, u * wf[st.B] / st.face_dx)
+    edge = st.edge_side * vel[st.edge_axis] * wf[st.cell] / st.edge_dx
+    return _assemble(st, a, b, edge)
 
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v).ravel())
 
-    for axis, u in enumerate(U):
-        if u == 0.0:
-            continue
-        dx = grid.dx1 if axis == 0 else grid.dx2
-        periodic = (axis == 0 and grid.bc_x1 == BC_PERIODIC)
-        lo = idx[:-1, :] if axis == 0 else idx[:, :-1]   # cell below each face
-        hi = idx[1:, :] if axis == 0 else idx[:, 1:]     # cell above
-        lo, hi = lo.ravel(), hi.ravel()
-        first = (idx[0, :] if axis == 0 else idx[:, 0]).ravel()
-        last = (idx[-1, :] if axis == 0 else idx[:, -1]).ravel()
-
-        if scheme == SCHEME_CENTRAL:
-            # interior faces contribute half the flux to both neighbours
-            for src, coef in ((lo, 0.5), (hi, 0.5)):
-                add(lo, src, u * coef * wflat[src] / dx)
-                add(hi, src, -u * coef * wflat[src] / dx)
-            if periodic:
-                for src, coef in ((last, 0.5), (first, 0.5)):
-                    add(last, src, u * coef * wflat[src] / dx)
-                    add(first, src, -u * coef * wflat[src] / dx)
-            else:
-                add(first, first, -u * wflat[first] / dx)
-                add(last, last, u * wflat[last] / dx)
-        elif scheme == SCHEME_UPWIND:
-            src = lo if u > 0.0 else hi
-            add(lo, src, u * wflat[src] / dx)
-            add(hi, src, -u * wflat[src] / dx)
-            if periodic:
-                wrap_src = last if u > 0.0 else first
-                add(last, wrap_src, u * wflat[wrap_src] / dx)
-                add(first, wrap_src, -u * wflat[wrap_src] / dx)
-            else:
-                add(first, first, -u * wflat[first] / dx)
-                add(last, last, u * wflat[last] / dx)
-        else:
-            raise ConfigurationError(f"unknown convection scheme {scheme!r}")
-
-    if not rows:
-        return sp.csr_matrix((n, n))
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    M.sum_duplicates()
-    return M
+def convective_divergence(grid: Grid, U: tuple[float, float], w: np.ndarray,
+                          scheme: str = SCHEME_UPWIND) -> np.ndarray:
+    """Cellwise divergence of the entrained flux ``U w`` as a field: the
+    matrix of :func:`convective_divergence_matrix` applied to ones."""
+    C = convective_divergence_matrix(grid, U, w, scheme)
+    return (C @ np.ones(grid.n_cells)).reshape(grid.shape)
 
 
 def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
@@ -321,28 +280,37 @@ def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
     """
     cp = ensure_field(grid, coeff_prime, "coefficient derivative").ravel()
     q = ensure_field(grid, potential, "potential").ravel()
-    n = grid.n_cells
-    rows, cols, vals = [], [], []
+    st = _stencil(grid)
+    g = (q[st.B] - q[st.A]) / st.face_dx2
+    return _assemble(st, 0.5 * cp[st.A] * g, 0.5 * cp[st.B] * g,
+                     -2.0 * cp[st.cell] * q[st.cell] / st.edge_dx2)
 
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v).ravel())
 
-    for A, B, dx in _face_batches(grid):
-        g = (q[B] - q[A]) / dx ** 2
-        add(A, A, 0.5 * cp[A] * g)
-        add(A, B, 0.5 * cp[B] * g)
-        add(B, A, -0.5 * cp[A] * g)
-        add(B, B, -0.5 * cp[B] * g)
-    for D, dx in _dirichlet_cells(grid):
-        add(D, D, -2.0 * cp[D] * q[D] / dx ** 2)
+def flux_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray, h: np.ndarray,
+                  U: tuple[float, float], params: PhysicalParams,
+                  scheme: str = SCHEME_UPWIND
+                  ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The one linearization of the film flux balance.
 
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    M.sum_duplicates()
-    return M
+    Returns ``(B, K)``: ``K = -Div(f3(R) h^3 Grad .)`` and the derivative
+    with respect to the radius field of ``K(R) (f1(R) - y) + Div(U h f4(R))``
+    at a fixed bubble-pressure excess ``y = f1(R) - p``,
+
+        B = K diag(f1') - Dsens(f3' h^3, p) + C(h f4'),
+
+    with ``Dsens`` from :func:`diffusion_sensitivity` and ``C`` from
+    :func:`convective_divergence_matrix`.  At ``p = f1(R)`` it is the
+    Jacobian of the stationary balance; the backward-Euler Newton matrix and
+    both linearized evolution operators are built from it.
+    """
+    Rf = ensure_field(grid, R, "R")
+    hf = ensure_field(grid, h, "h")
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3).matrix
+    B = (K @ sp.diags(eval_f1_prime(Rf, params).ravel())
+         - diffusion_sensitivity(grid, eval_f3_prime(Rf, params) * hf ** 3, p)
+         + convective_divergence_matrix(grid, U,
+                                        hf * eval_f4_prime(Rf, params), scheme))
+    return B.tocsr(), K
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,17 @@
 """Linear stability of stationary states.
 
-Two linearized evolution operators are assembled as dense matrices by
-exact differentiation of the discrete dynamics:
+Two linearized evolution operators are assembled as dense matrices from
+the one flux Jacobian of the discrete dynamics, ``(B, K) =
+elliptic.flux_jacobian`` at ``(R_s, p_s = f1(R_s))`` (the Newton stationary
+solver's Jacobian and the stepper's Newton matrix are built from it too):
 
-* ``L_G`` — the quasi-static model linearized about ``(R_s, p_s)``: a
-  perturbation ``w`` evolves as ``dw/dt = L_G w`` where ``L_G w`` solves
+* ``L_G`` — the quasi-static model linearized about ``(R_s, p_s)``, the
+  growth-rate derivative ``P^{-1} B`` of the pencil
 
-      ( diag(R_s f2(R_s)) + Pi2 ) (L_G w) = f1'(R_s) w - Pi1 w ,
-
-  with ``Pi1`` the derivative of the entrained-flux pressure response and
-  ``Pi2`` the (linear) squeeze pressure response.
+      P (L_G w) = B w,   P = K diag(R_s f2(R_s)) - diag(h f5(R_s)).
 
 * ``L_F`` — the inertial model linearized at ``(R_s, 0)``: block matrix
-  ``[[0, I], [diag(1/R_s)(diag(f1') - Pi1), -diag(f2) - diag(1/R_s) Pi2]]``.
+  ``[[0, I], [diag(1/R_s) K^{-1} B, -diag(f2) + diag(1/R_s) K^{-1} diag(h f5)]]``.
 
 For a parallel gap both operators block-diagonalize exactly over the
 cross-film Dirichlet sine modes of the 5-point stencil; the
@@ -20,12 +19,13 @@ cross-film Dirichlet sine modes of the 5-point stencil; the
 beyond dense assembly, and the ``trivial_*`` helpers give the per-mode
 closed forms used as oracles.
 
-The sliding-speed instability mechanism is quantified mode-by-mode on the
-unit square with homogeneous Dirichlet values: each mode pair
-``k = (k1, k2)`` has a quartic characteristic polynomial whose
-Routh-Hurwitz determinant sequence counts unstable roots, and whose third
-determinant is affine in the squared speed — its root is the exact modal
-instability threshold.
+The sliding-speed instability mechanism is quantified mode-by-mode on an
+``L1 x L2`` rectangle with a parallel gap and homogeneous Dirichlet values:
+each mode pair ``k = (k1, k2)``, with Laplacian eigenvalue
+``pi^2 (k1^2/L1^2 + k2^2/L2^2)``, has a quartic characteristic polynomial
+whose Routh-Hurwitz determinant sequence counts unstable roots, and whose
+third determinant is affine in the squared speed — its root is the exact
+modal instability threshold.
 """
 
 from __future__ import annotations
@@ -38,13 +38,10 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError
 from .grid import Grid, ensure_field
-from .elliptic import (DEFAULT_SOLVE, LinearSolveConfig, SCHEME_CENTRAL,
-                       SCHEME_UPWIND, assemble_operator,
-                       convective_divergence_matrix, diffusion_sensitivity,
-                       solve_A1)
+from .elliptic import SCHEME_CENTRAL, SCHEME_UPWIND, flux_jacobian
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_f1_prime, eval_f2, eval_f3, eval_f3_prime,
-                      eval_f4_prime, eval_f5)
+                      eval_f1, eval_f1_prime, eval_f2, eval_f3, eval_f4_prime,
+                      eval_f5)
 
 DENSE_ASSEMBLY_LIMIT = 4096
 SPECTRUM_SIZE_LIMIT = 8192
@@ -79,63 +76,49 @@ class SpectrumReport:
 # Dense assembly about a general stationary state
 # ---------------------------------------------------------------------------
 
-def _linearization_parts(grid: Grid, R_s: np.ndarray, h: np.ndarray,
-                         U: tuple[float, float], params: PhysicalParams,
-                         cfg: LinearSolveConfig, scheme: str):
-    """Shared pieces: operator K, and the flux-response derivative B1 with
-    ``Pi1 = K^{-1} B1``."""
+def _linearization(grid: Grid, R_s: np.ndarray, h: np.ndarray,
+                   U: tuple[float, float], params: PhysicalParams,
+                   scheme: str):
+    """Radius field, ``h f5`` and the flux Jacobian ``(B, K)`` at the
+    stationary state, where the film pressure is ``f1(R_s)``."""
+    if grid.n_cells > DENSE_ASSEMBLY_LIMIT:
+        raise ConfigurationError(
+            f"dense assembly limited to {DENSE_ASSEMBLY_LIMIT} cells, "
+            f"grid has {grid.n_cells}")
     Rf = ensure_field(grid, R_s, "R_s")
     hf = ensure_field(grid, h, "h")
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3).matrix
-    A1 = solve_A1(grid, Rf, hf, U, params, cfg, scheme)
-    B1 = (diffusion_sensitivity(grid, eval_f3_prime(Rf, params) * hf ** 3, A1)
-          - convective_divergence_matrix(grid, U,
-                                         hf * eval_f4_prime(Rf, params), scheme))
-    return Rf, hf, K, B1
+    B, K = flux_jacobian(grid, Rf, eval_f1(Rf, params), hf, U, params, scheme)
+    return Rf, (hf * eval_f5(Rf, params)).ravel(), B, K
 
 
 def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
                 U: tuple[float, float], params: PhysicalParams,
-                cfg: LinearSolveConfig = DEFAULT_SOLVE,
                 scheme: str = SCHEME_UPWIND) -> np.ndarray:
     """Dense matrix of the linearized quasi-static evolution at ``R_s``.
 
     Columns are obtained simultaneously by one sparse factorization of the
-    squeeze-coupled pressure operator applied to all unit perturbations.
-    Refuses grids above 4096 cells (dense output).
+    squeeze-coupled pencil ``P`` applied to the flux Jacobian.  Refuses
+    grids above 4096 cells (dense output).
     """
-    if grid.n_cells > DENSE_ASSEMBLY_LIMIT:
-        raise ConfigurationError(
-            f"dense assembly limited to {DENSE_ASSEMBLY_LIMIT} cells, "
-            f"grid has {grid.n_cells}")
-    Rf, hf, K, B1 = _linearization_parts(grid, R_s, h, U, params, cfg, scheme)
-    Rf2 = (Rf * eval_f2(Rf, params)).ravel()
-    hf5 = (hf * eval_f5(Rf, params)).ravel()
-    rhs = (K @ sp.diags(eval_f1_prime(Rf, params).ravel()) - B1).toarray()
-    M = (K @ sp.diags(Rf2) - sp.diags(hf5)).tocsc()
-    return spla.splu(M, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    Rf, hf5, B, K = _linearization(grid, R_s, h, U, params, scheme)
+    P = (K @ sp.diags((Rf * eval_f2(Rf, params)).ravel())
+         - sp.diags(hf5)).tocsc()
+    return spla.splu(P, permc_spec="MMD_AT_PLUS_A").solve(B.toarray())
 
 
 def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
                 U: tuple[float, float], params: PhysicalParams,
-                cfg: LinearSolveConfig = DEFAULT_SOLVE,
                 scheme: str = SCHEME_UPWIND) -> np.ndarray:
     """Dense 2x2-block matrix of the linearized inertial evolution at
     ``(R_s, 0)``: state ordering is (radius perturbation, rate perturbation)."""
-    if grid.n_cells > DENSE_ASSEMBLY_LIMIT:
-        raise ConfigurationError(
-            f"dense assembly limited to {DENSE_ASSEMBLY_LIMIT} cells, "
-            f"grid has {grid.n_cells}")
-    Rf, hf, K, B1 = _linearization_parts(grid, R_s, h, U, params, cfg, scheme)
+    Rf, hf5, B, K = _linearization(grid, R_s, h, U, params, scheme)
     n = grid.n_cells
-    lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    Pi1 = lu.solve(B1.toarray())
-    Pi2 = lu.solve(np.diag(-(hf * eval_f5(Rf, params)).ravel()))
-    r = Rf.ravel()[:, None]
-    b21 = (np.diag(eval_f1_prime(Rf, params).ravel()) - Pi1) / r
-    b22 = -np.diag(eval_f2(Rf, params).ravel()) - Pi2 / r
+    lower = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(
+        np.hstack([B.toarray(), np.diag(hf5)]))
+    lower /= Rf.ravel()[:, None]
+    lower[:, n:] -= np.diag(eval_f2(Rf, params).ravel())
     top = np.hstack([np.zeros((n, n)), np.eye(n)])
-    return np.vstack([top, np.hstack([b21, b22])])
+    return np.vstack([top, lower])
 
 
 def compute_spectrum(matrix: np.ndarray, margin: float = 1e-8,
@@ -377,7 +360,7 @@ def trivial_branch_spectrum_LF(params: PhysicalParams, n1: int, n2: int,
 
 
 # ---------------------------------------------------------------------------
-# Routh-Hurwitz modal analysis (unit square, parallel gap)
+# Routh-Hurwitz modal analysis (L1 x L2 rectangle, parallel gap)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -419,15 +402,17 @@ def hurwitz_matrix(alpha0: float, beta0: float, alpha1: float, beta1: float,
 
 def hurwitz_analysis(params: PhysicalParams, U_norm: float,
                      k_pair: tuple[int, int],
-                     consts: DerivedConstants | None = None) -> HurwitzReport:
-    """Routh-Hurwitz data of the unit-square mode ``k_pair`` at sliding
-    speed ``U_norm``.
+                     consts: DerivedConstants | None = None,
+                     L1: float = 1.0, L2: float = 1.0) -> HurwitzReport:
+    """Routh-Hurwitz data of the mode ``k_pair`` of the ``L1 x L2``
+    rectangle at sliding speed ``U_norm``.
 
     Both mode indices must be at least 1 (the boundary kills constant
     cross modes).  Determinants are produced twice — closed forms and
     literal minors — and the modal threshold ``U_crit_sq`` is the exact
     root of the affine-in-``U^2`` third determinant,
-    ``4 b1 b2 (sigma2 + pi^2 |k|^2 b2) / sigma1``.
+    ``4 b1 b2 (sigma2 + kappa b2) / sigma1`` with the mode's Laplacian
+    eigenvalue ``kappa = pi^2 (k1^2/L1^2 + k2^2/L2^2)``.
     """
     k1, k2 = int(k_pair[0]), int(k_pair[1])
     if k1 < 1 or k2 < 1:
@@ -436,8 +421,7 @@ def hurwitz_analysis(params: PhysicalParams, U_norm: float,
     c = consts or compute_derived(params)
     sigma1, sigma2 = sigma_constants(params, c)
     b1, b2 = c.b1, c.b2
-    knorm2 = float(k1 * k1 + k2 * k2)
-    pi2k = np.pi ** 2 * knorm2
+    pi2k = np.pi ** 2 * (k1 * k1 / L1 ** 2 + k2 * k2 / L2 ** 2)
 
     alpha0 = 4.0 * pi2k
     beta0 = 4.0 * sigma2 + 8.0 * pi2k * b2
@@ -466,18 +450,20 @@ def hurwitz_analysis(params: PhysicalParams, U_norm: float,
 
 
 def critical_speed(params: PhysicalParams, k_max: int = 8,
-                   consts: DerivedConstants | None = None
+                   consts: DerivedConstants | None = None,
+                   L1: float = 1.0, L2: float = 1.0
                    ) -> tuple[float, tuple[int, int]]:
-    """Smallest modal instability threshold over ``k1, k2 in 1..k_max``.
+    """Smallest modal instability threshold on the ``L1 x L2`` rectangle
+    over ``k1, k2 in 1..k_max``.
 
-    Returns ``(U_crit, mode)``; the threshold grows with ``|k|^2`` so the
-    minimizer is the fundamental pair whenever parameters are isotropic.
+    Returns ``(U_crit, mode)``; the threshold grows with the mode's
+    Laplacian eigenvalue, so the minimizer is the fundamental pair.
     """
     c = consts or compute_derived(params)
     best: tuple[float, tuple[int, int]] | None = None
     for k1 in range(1, k_max + 1):
         for k2 in range(1, k_max + 1):
-            rep = hurwitz_analysis(params, 0.0, (k1, k2), c)
+            rep = hurwitz_analysis(params, 0.0, (k1, k2), c, L1, L2)
             u = float(np.sqrt(rep.U_crit_sq))
             if best is None or u < best[0]:
                 best = (u, (k1, k2))

@@ -30,10 +30,9 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SupercriticalRadiusError
 from .grid import Grid, ensure_field
 from .elliptic import (SCHEME_UPWIND, assemble_operator,
-                       convective_divergence_matrix, diffusion_sensitivity)
+                       convective_divergence_matrix, flux_jacobian)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_f1, eval_f1_prime, eval_f3, eval_f3_prime,
-                      eval_f4, eval_f4_prime)
+                      eval_f1, eval_f3, eval_f4)
 
 MAX_BACKTRACKS = 20
 
@@ -117,16 +116,11 @@ def stationary_jacobian(grid: Grid, R: np.ndarray, h: np.ndarray,
                         U: tuple[float, float], params: PhysicalParams,
                         scheme: str = SCHEME_UPWIND) -> sp.csr_matrix:
     """Exact derivative of :func:`stationary_residual` w.r.t. the radius
-    field (sparse)."""
+    field (sparse): the flux Jacobian :func:`elliptic.flux_jacobian` at the
+    equilibrium pressure ``p = f1(R)``."""
     Rf = ensure_field(grid, R, "R")
-    hf = ensure_field(grid, h, "h")
-    op = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-    f1 = eval_f1(Rf, params)
-    J = op.matrix @ sp.diags(eval_f1_prime(Rf, params).ravel())
-    J = J - diffusion_sensitivity(grid, eval_f3_prime(Rf, params) * hf ** 3, f1)
-    J = J + convective_divergence_matrix(grid, U,
-                                         hf * eval_f4_prime(Rf, params), scheme)
-    return J.tocsr()
+    return flux_jacobian(grid, Rf, eval_f1(Rf, params), h, U, params,
+                         scheme)[0]
 
 
 def _newton_stage(grid: Grid, R: np.ndarray, h: np.ndarray,

@@ -168,6 +168,22 @@ def test_stability_verdict_flips_across_critical_speed(tmp_path, factor,
     assert f"operator L_F: verdict = {f_verdict}" in summary
     # The quasi-static hierarchy stays stable on both sides.
     assert "operator L_G: verdict = stable" in summary
+    # a 1 x 1 all-Dirichlet parallel gap is the analysis's own setting
+    hurwitz = (out / "hurwitz.txt").read_text(encoding="utf-8")
+    assert "the configured geometry is within the analysis" in hurwitz
+    assert "outside the analysis" not in hurwitz
+
+
+def test_stability_names_geometry_outside_the_modal_analysis(tmp_path):
+    cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 4\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    hurwitz = (out / "hurwitz.txt").read_text(encoding="utf-8")
+    scope = hurwitz.splitlines()[1]
+    assert scope.startswith("outside the analysis: ")
+    assert "x1 is periodic" in scope and "ecc = 0.2 > 0" in scope
+    manifest = (out / "MANIFEST.txt").read_text(encoding="utf-8")
+    assert "outside the analysis: x1 is periodic" in manifest
 
 
 def test_stability_unconverged_branch_is_exit_3(tmp_path, capsys):
@@ -199,6 +215,30 @@ def test_sweep_aggregates_and_records_failures(tmp_path, capsys):
     assert (out / "sweep_ecc_0.1" / "fields_final.csv").exists()
     assert "sweep.csv" in (out / "MANIFEST.txt").read_text()
     assert "0.55,false,nan" in capsys.readouterr().out
+
+
+def test_transient_sweep_points_are_plain_transient_runs(tmp_path):
+    # Each point of a transient sweep is the `transient` run of its
+    # configuration: the same summary and the same final fields.
+    base = "n1 = 8\nn2 = 4\nn_steps = 4000\n"
+    cfg = _write(tmp_path, base + "sweep_axis = ecc\n"
+                 "sweep_values = 0.1,0.2\nsweep_solver = transient\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["0.1", "true"], ["0.2", "true"]]
+    assert 1.0 < float(rows[0][2]) < float(rows[1][2])
+    for value in ("0.1", "0.2"):
+        single = tmp_path / f"single_{value}"
+        path = tmp_path / f"single_{value}.cfg"
+        path.write_text(base + f"ecc = {value}\n", encoding="utf-8")
+        assert main(["transient", "--config", str(path), "--out",
+                     str(single)]) == 0
+        point = out / f"sweep_ecc_{value}"
+        for name in ("summary.txt", "fields_final.csv"):
+            assert (point / name).read_bytes() == (single / name).read_bytes()
+    assert "steps = 183" in (out / "sweep_ecc_0.2" / "summary.txt").read_text()
 
 
 def test_sweep_workers_do_not_change_results(tmp_path):

@@ -9,13 +9,15 @@ follows the single-bubble ordinary differential equation.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import filmcav.dynamics as dynamics
 from filmcav.dynamics import (
     MODE_INERTIAL, ChordCarry, StepConfig, TransientState, TransientWatch,
-    backward_euler_jacobian, eliminate_pressure, initial_state,
-    run_to_stationarity, run_transient, step_inertial, step_inertialess,
+    backward_euler_jacobian, eliminate_pressure, initial_state, run_transient,
+    step_inertial, step_inertialess,
 )
 from filmcav.elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, assemble_operator,
                               convective_divergence)
@@ -117,21 +119,34 @@ def test_zero_gas_fraction_decouples_the_film():
     assert np.allclose(G, want, rtol=1e-9)
 
 
-def _jacobian_case(bc):
-    """A rough radius field on an eccentric gap, sliding in both directions."""
-    rng = np.random.default_rng(73)
+def _jacobian_case(bc, shape=(8, 6), scales=(1.0, 1.0), U=(2.0, -0.5),
+                   seed=73):
+    """A rough radius field on an eccentric gap, sliding in both directions
+    by default; ``scales`` stretch the journal domain's two lengths."""
+    rng = np.random.default_rng(seed)
     p = PhysicalParams(ecc=0.3)
-    grid = Grid(8, 6, 2.0 * np.pi * p.J_r, p.B, bc_x1=bc)
+    grid = Grid(*shape, scales[0] * 2.0 * np.pi * p.J_r, scales[1] * p.B,
+                bc_x1=bc)
     R = p.R0 * rng.uniform(0.85, 1.15, size=grid.shape)
-    return p, grid, R, gap_function(grid, p), (2.0, -0.5), 1e-3
+    return p, grid, R, gap_function(grid, p), U, 1e-3
+
+
+#: one sliding-velocity component in m/s: zero, or either sign
+SPEEDS = st.one_of(st.just(0.0), st.floats(0.5, 4.0), st.floats(-4.0, -0.5))
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
-def test_backward_euler_jacobian_matches_finite_differences(bc, scheme):
+@settings(max_examples=6)
+@given(shape=st.tuples(st.integers(4, 12), st.integers(4, 12)),
+       scales=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+       U=st.tuples(SPEEDS, SPEEDS), seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(8, 6), scales=(1.0, 1.0), U=(2.0, -0.5), seed=73)
+def test_backward_euler_jacobian_matches_finite_differences(bc, scheme, shape,
+                                                            scales, U, seed):
     # A = P (I - dt G'(R)): compare with central differences of the
     # backward-Euler residual R - R_old - dt G(R), column by column.
-    p, grid, R, h, U, dt = _jacobian_case(bc)
+    p, grid, R, h, U, dt = _jacobian_case(bc, shape, scales, U, seed)
     _, pres = eliminate_pressure(grid, R, h, U, p, scheme=scheme)
     A, P = backward_euler_jacobian(grid, R, pres, h, U, p, dt, scheme)
 
@@ -422,13 +437,14 @@ def test_inertial_positivity_guard():
                       StepConfig(dt=1.0, mode=MODE_INERTIAL))
 
 
-def test_run_to_stationarity_reaches_the_target_rate():
+def test_run_transient_reaches_the_target_rate():
     p = PhysicalParams(ecc=0.15)
     grid = grid_for_params(p, 24, 6)
     h = gap_function(grid, p)
     state = initial_state(grid, p)
-    res = run_to_stationarity(grid, state, h, (p.surface_speed, 0.0), p,
-                              StepConfig(dt=3e-4), target_rate=1e-6)
+    res = run_transient(grid, state, h, (p.surface_speed, 0.0), p,
+                        StepConfig(dt=3e-4), n_steps=3200,
+                        watch=TransientWatch(stationarity_tol=1e-6))
     assert res.converged
     assert res.rate < 1e-6
     assert res.failure is None

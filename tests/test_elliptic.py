@@ -3,11 +3,17 @@
 The assembled matrices are checked against independent per-cell flux loops
 (written out with explicit ghost values), against manufactured smooth
 solutions under grid refinement, and against exact linearity/duality
-identities of the discrete operators.
+identities of the discrete operators.  The structural properties (symmetry
+and definiteness, agreement of matrix and field forms, conservation, exact
+derivatives) are checked as ``hypothesis`` properties over drawn grid
+shapes, domain lengths and velocities, each with the original hand-picked
+case kept as an explicit example.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from filmcav.elliptic import (
     DIRECT_CELL_LIMIT, SCHEME_CENTRAL, SCHEME_UPWIND, LinearSolveConfig,
@@ -20,6 +26,12 @@ from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, field_norms, gap_funct
 from filmcav.physics import PhysicalParams, eval_f3, eval_f4, eval_f5
 
 DEFAULT = PhysicalParams()
+
+SHAPES = st.tuples(st.integers(4, 12), st.integers(4, 12))
+LENGTHS = st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0))
+SEEDS = st.integers(0, 2 ** 32 - 1)
+#: one velocity component: zero, or either sign
+SPEEDS = st.one_of(st.just(0.0), st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
 
 
 def apply_diffusion_by_loops(grid, c, q):
@@ -71,9 +83,11 @@ def test_assembled_matrix_matches_loop_oracle(bc):
 
 
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
-def test_assembled_matrix_is_spd(bc):
-    rng = np.random.default_rng(3)
-    grid = Grid(6, 6, 1.0, 2.0, bc_x1=bc)
+@given(shape=SHAPES, lengths=LENGTHS, seed=SEEDS)
+@example(shape=(6, 6), lengths=(1.0, 2.0), seed=3)
+def test_assembled_matrix_is_spd(bc, shape, lengths, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid(*shape, *lengths, bc_x1=bc)
     K = assemble_operator(grid, rng.uniform(0.2, 3.0, size=grid.shape)).matrix
     asym = (K - K.T).toarray()
     assert np.max(np.abs(asym)) == 0.0
@@ -127,12 +141,19 @@ def test_variable_coefficient_solution_is_second_order():
 
 @pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
-def test_convective_matrix_agrees_with_field_form(scheme, bc):
-    # Div(U w S) assembled as a matrix in S must match the field routine
-    # applied to the product w*S -- same face rules on every boundary.
-    rng = np.random.default_rng(19)
-    grid = Grid(6, 5, 1.1, 0.8, bc_x1=bc)
-    for U in [(2.0, 0.7), (-1.3, -0.5), (1.5, -2.0), (0.0, 1.0), (1.0, 0.0)]:
+@given(shape=SHAPES, lengths=LENGTHS, U=st.tuples(SPEEDS, SPEEDS), seed=SEEDS)
+@example(shape=(6, 5), lengths=(1.1, 0.8), U=None, seed=19)
+def test_convective_matrix_agrees_with_field_form(scheme, bc, shape, lengths,
+                                                  U, seed):
+    # Div(U w S) assembled as a matrix in S must match the field form of
+    # the product w*S: every face rule is linear in the transported value,
+    # on every boundary.
+    rng = np.random.default_rng(seed)
+    grid = Grid(*shape, *lengths, bc_x1=bc)
+    velocities = ([U] if U is not None else
+                  [(2.0, 0.7), (-1.3, -0.5), (1.5, -2.0), (0.0, 1.0),
+                   (1.0, 0.0)])
+    for U in velocities:
         w = rng.normal(size=grid.shape)
         S = rng.normal(size=grid.shape)
         M = convective_divergence_matrix(grid, U, w, scheme)
@@ -150,14 +171,22 @@ def test_constant_transported_field_has_zero_divergence(scheme):
         assert np.max(np.abs(div)) < 1e-13
 
 
-def test_periodic_convection_telescopes_to_zero_total():
-    rng = np.random.default_rng(5)
-    grid = Grid(8, 5, 2.0, 1.0, bc_x1=BC_PERIODIC)
+@given(shape=SHAPES, lengths=LENGTHS, u=SPEEDS.filter(bool), seed=SEEDS)
+@example(shape=(8, 5), lengths=(2.0, 1.0), u=1.0, seed=5)
+@example(shape=(8, 5), lengths=(2.0, 1.0), u=-2.5, seed=5)
+def test_periodic_convection_telescopes_to_zero_total(shape, lengths, u, seed):
+    # Flow along the periodic direction only: every face flux leaves one
+    # cell and enters another, so the total divergence vanishes and so does
+    # every column sum of the matrix form (mass is conserved for any S).
+    rng = np.random.default_rng(seed)
+    grid = Grid(*shape, *lengths, bc_x1=BC_PERIODIC)
     w = rng.normal(size=grid.shape)
     for scheme in (SCHEME_UPWIND, SCHEME_CENTRAL):
-        for u in (1.0, -2.5):
-            div = convective_divergence(grid, (u, 0.0), w, scheme)
-            assert abs(div.sum()) < 1e-12 * np.abs(div).max()
+        div = convective_divergence(grid, (u, 0.0), w, scheme)
+        assert abs(div.sum()) < 1e-12 * np.abs(div).max()
+        C = convective_divergence_matrix(grid, (u, 0.0), w, scheme)
+        column_sums = np.asarray(C.sum(axis=0)).ravel()
+        assert np.max(np.abs(column_sums)) <= 1e-12 * abs(C).max()
 
 
 def test_convection_scheme_orders():
@@ -191,11 +220,14 @@ def test_unknown_scheme_is_rejected():
 
 
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
-def test_diffusion_sensitivity_is_the_exact_derivative(bc):
+@given(shape=SHAPES, lengths=LENGTHS, seed=SEEDS)
+@example(shape=(6, 5), lengths=(1.2, 0.9), seed=23)
+def test_diffusion_sensitivity_is_the_exact_derivative(bc, shape, lengths,
+                                                       seed):
     # The assembly is linear in its coefficient, so a symmetric difference
     # of K(c +/- t cp S) q recovers Div(cp S grad q) to rounding.
-    rng = np.random.default_rng(23)
-    grid = Grid(6, 5, 1.2, 0.9, bc_x1=bc)
+    rng = np.random.default_rng(seed)
+    grid = Grid(*shape, *lengths, bc_x1=bc)
     c = rng.uniform(1.0, 2.0, size=grid.shape)
     cp = rng.uniform(-0.3, 0.3, size=grid.shape)
     q = rng.normal(size=grid.shape)
@@ -217,7 +249,7 @@ def test_solve_matches_dense_reference():
     x = op.solve(b)
     ref = np.linalg.solve(op.matrix.toarray(), b)
     assert np.allclose(x.ravel(), ref, rtol=1e-10, atol=1e-12)
-    # the cached factorization returns the same answer on reuse
+    # a repeated solve returns the same answer
     assert np.array_equal(op.solve(b), x)
 
 

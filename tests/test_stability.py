@@ -334,6 +334,22 @@ def test_critical_speed_minimizes_over_modes():
     assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
 
 
+@pytest.mark.parametrize("L1,L2", [(2.0, 0.5), (3.0, 1.0)])
+def test_critical_speed_of_the_rectangle_flips_its_spectrum(L1, L2):
+    # The modal threshold of an L1 x L2 rectangle uses its own Laplacian
+    # eigenvalue pi^2 (k1^2/L1^2 + k2^2/L2^2); the separated inertial
+    # spectrum on that rectangle turns unstable between 0.9 and 1.1 times it.
+    u_crit, mode = critical_speed(TAME, L1=L1, L2=L2)
+    assert mode == (1, 1)
+    report = hurwitz_analysis(TAME, 0.0, mode, L1=L1, L2=L2)
+    kappa = np.pi ** 2 * (1.0 / L1 ** 2 + 1.0 / L2 ** 2)
+    assert report.alpha0 == pytest.approx(4.0 * kappa, rel=1e-14)
+    low = constant_gap_spectrum_LF(TAME, 0.9 * u_crit, 32, 32, L1, L2)
+    high = constant_gap_spectrum_LF(TAME, 1.1 * u_crit, 32, 32, L1, L2)
+    assert low.real.max() < -1e-3
+    assert high.real.max() > 1e-3
+
+
 def test_hurwitz_rejects_nonpositive_mode_indices():
     for k in ((0, 1), (1, 0), (-1, 2)):
         with pytest.raises(ConfigurationError):
