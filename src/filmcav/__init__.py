@@ -29,9 +29,9 @@ from .stationary import (StationaryReport, StationarySolveConfig,
 from .stability import (HurwitzReport, SpectrumReport, assemble_LF,
                         assemble_LG, b_branch_roots, compute_spectrum,
                         constant_gap_spectrum_LF, constant_gap_spectrum_LG,
-                        critical_speed, hurwitz_analysis, sigma_constants,
-                        trivial_LF_roots, trivial_LG_eigenvalue,
-                        trivial_branch_spectrum_LF)
+                        critical_speed, growth_pencil, hurwitz_analysis,
+                        pencil_spectrum, sigma_constants, trivial_LF_roots,
+                        trivial_LG_eigenvalue, trivial_branch_spectrum_LF)
 from .config import RunConfig, parse_config, render_config
 
 __version__ = "0.1.0"
@@ -53,9 +53,9 @@ __all__ = [
     "stationary_residual", "trivial_solution",
     "HurwitzReport", "SpectrumReport", "assemble_LF", "assemble_LG",
     "b_branch_roots", "compute_spectrum", "constant_gap_spectrum_LF",
-    "constant_gap_spectrum_LG", "critical_speed", "hurwitz_analysis",
-    "sigma_constants", "trivial_LF_roots", "trivial_LG_eigenvalue",
-    "trivial_branch_spectrum_LF",
+    "constant_gap_spectrum_LG", "critical_speed", "growth_pencil",
+    "hurwitz_analysis", "pencil_spectrum", "sigma_constants",
+    "trivial_LF_roots", "trivial_LG_eigenvalue", "trivial_branch_spectrum_LF",
     "RunConfig", "parse_config", "render_config",
     "__version__",
 ]

@@ -32,9 +32,10 @@ from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, export_fields_csv,
                    gap_function)
 from .physics import PhysicalParams, compute_derived, eval_alpha
-from .stability import (TAG_LF, TAG_LG, assemble_LF, assemble_LG,
+from .stability import (DENSE_ASSEMBLY_LIMIT, TAG_LF, TAG_LG, assemble_LF,
                         compute_spectrum, critical_speed, export_spectrum_csv,
-                        hurwitz_analysis, hurwitz_report_text)
+                        growth_pencil, hurwitz_analysis, hurwitz_report_text,
+                        pencil_spectrum)
 from .stationary import StationaryReport, solve_stationary
 
 MIDLINE_HEADER = "x1,R_hat,p_scaled,p_gauge_Pa,alpha"
@@ -216,6 +217,11 @@ def cmd_stationary(config: RunConfig) -> int:
 def cmd_stability(config: RunConfig) -> int:
     """Stationary branch, linearized spectra, and modal speed thresholds."""
     grid = config.make_grid()
+    inertial = config.step.mode == MODE_INERTIAL
+    if inertial and grid.n_cells > DENSE_ASSEMBLY_LIMIT:
+        raise ConfigurationError(
+            f"the inertial spectrum is dense, limited to {DENSE_ASSEMBLY_LIMIT}"
+            f" cells; grid has {grid.n_cells}")
     params = config.params
     consts = compute_derived(params)
     h = gap_function(grid, params)
@@ -230,20 +236,25 @@ def cmd_stability(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     export_fields_csv(out / "fields_stationary.csv", grid, params, R_s, p_s)
 
-    LG = assemble_LG(grid, R_s, h, U, params)
-    rep_G = compute_spectrum(LG, config.stability_margin, TAG_LG,
-                             (config.n1, config.n2))
+    B, P = growth_pencil(grid, R_s, h, U, params)
+    rep_G = pencil_spectrum(B, P, config.stability_margin, TAG_LG,
+                            (config.n1, config.n2))
     export_spectrum_csv(out / "spectrum_LG.csv", rep_G)
     lines = [
         f"operator {rep_G.operator_tag}: verdict = {rep_G.verdict}, "
         f"max real part = {rep_G.max_real_part:.9g}",
+        f"operator {rep_G.operator_tag}: {rep_G.eigenvalues.size} rightmost "
+        "eigenvalues listed, every other eigenvalue has real part <= "
+        f"{rep_G.bound:.9g}",
     ]
     entries = [
         ("fields_stationary.csv", _FIELDS_DESC),
-        ("spectrum_LG.csv", "eigenvalues of the quasi-static linearization, "
-                            "columns `re,im`"),
+        ("spectrum_LG.csv", "the k rightmost eigenvalues of the quasi-static "
+                            "linearization (conjugate pairs whole), columns "
+                            "`re,im`; the real part of every other eigenvalue "
+                            "is bounded in stability_summary.txt"),
     ]
-    if config.step.mode == MODE_INERTIAL:
+    if inertial:
         LF = assemble_LF(grid, R_s, h, U, params)
         rep_F = compute_spectrum(LF, config.stability_margin, TAG_LF,
                                  (config.n1, config.n2))
@@ -282,7 +293,10 @@ def cmd_stability(config: RunConfig) -> int:
     lines.append(f"minimal modal critical speed = {u_crit:.9g} m/s "
                  f"at mode ({mode[0]}, {mode[1]})")
     _write_text(out / "stability_summary.txt", "\n".join(lines) + "\n")
-    entries.append(("stability_summary.txt", "verdicts (plain text)"))
+    entries.append(("stability_summary.txt", "verdicts, the number of "
+                    "listed L_G eigenvalues with the real-part bound of the "
+                    "unlisted ones, and the modal critical speed (plain "
+                    "text)"))
     _write_text(out / "MANIFEST.txt", _manifest_text(entries))
     for line in lines:
         print(line)

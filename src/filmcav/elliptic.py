@@ -19,10 +19,11 @@ fixed 5-point CSR pattern.  Each operator is a short coefficient rule that
 gives every face flux ``F = a S_A + b S_B`` and every edge its diagonal
 term; one assembler sums them into the pattern.  The rules are the
 diffusion operator ``K``, the convective divergence ``C`` (whose field form
-is ``C`` applied to ones) and the sensitivity of the diffusion term to its
-coefficient at a frozen potential.  :func:`flux_jacobian` combines them
-into the one linearization of the film flux balance that the Newton
-stationary solver, the implicit stepper and the stability operators share.
+sums the same face fluxes straight into the cells) and the sensitivity of
+the diffusion term to its coefficient at a frozen potential.
+:func:`flux_jacobian` combines them into the one linearization of the film
+flux balance that the Newton stationary solver, the implicit stepper and
+the stability operators share.
 """
 
 from __future__ import annotations
@@ -235,16 +236,9 @@ def assemble_diffusion(grid: Grid, R: np.ndarray, h: np.ndarray,
     return assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
 
 
-def convective_divergence_matrix(grid: Grid, U: tuple[float, float],
-                                 w: np.ndarray,
-                                 scheme: str = SCHEME_UPWIND) -> sp.csr_matrix:
-    """Matrix form of ``S -> Div(U w S)`` for a frozen weight field ``w``.
-
-    ``U`` is the constant entrainment velocity.  A face carries the
-    upstream cell's value of ``w S`` (upwind, by the sign of each velocity
-    component) or the mean of its two cells (central); a Dirichlet face
-    carries the adjacent interior value.
-    """
+def _convective_fluxes(grid: Grid, U: tuple[float, float], w: np.ndarray,
+                       scheme: str):
+    """Face coefficients ``(a, b)`` and edge terms of ``S -> Div(U w S)``."""
     wf = ensure_field(grid, w, "weight field").ravel()
     if scheme not in (SCHEME_UPWIND, SCHEME_CENTRAL):
         raise ConfigurationError(f"unknown convection scheme {scheme!r}")
@@ -258,15 +252,34 @@ def convective_divergence_matrix(grid: Grid, U: tuple[float, float],
         a = np.where(u > 0.0, u * wf[st.A] / st.face_dx, 0.0)
         b = np.where(u > 0.0, 0.0, u * wf[st.B] / st.face_dx)
     edge = st.edge_side * vel[st.edge_axis] * wf[st.cell] / st.edge_dx
-    return _assemble(st, a, b, edge)
+    return st, a, b, edge
+
+
+def convective_divergence_matrix(grid: Grid, U: tuple[float, float],
+                                 w: np.ndarray,
+                                 scheme: str = SCHEME_UPWIND) -> sp.csr_matrix:
+    """Matrix form of ``S -> Div(U w S)`` for a frozen weight field ``w``.
+
+    ``U`` is the constant entrainment velocity.  A face carries the
+    upstream cell's value of ``w S`` (upwind, by the sign of each velocity
+    component) or the mean of its two cells (central); a Dirichlet face
+    carries the adjacent interior value.
+    """
+    return _assemble(*_convective_fluxes(grid, U, w, scheme))
 
 
 def convective_divergence(grid: Grid, U: tuple[float, float], w: np.ndarray,
                           scheme: str = SCHEME_UPWIND) -> np.ndarray:
     """Cellwise divergence of the entrained flux ``U w`` as a field: the
-    matrix of :func:`convective_divergence_matrix` applied to ones."""
-    C = convective_divergence_matrix(grid, U, w, scheme)
-    return (C @ np.ones(grid.n_cells)).reshape(grid.shape)
+    face fluxes ``a + b`` of :func:`convective_divergence_matrix` (its
+    action on ones) summed straight into the cells, without the matrix."""
+    st, a, b, edge = _convective_fluxes(grid, U, w, scheme)
+    n = grid.n_cells
+    flux = a + b
+    div = (np.bincount(st.A, flux, minlength=n)
+           - np.bincount(st.B, flux, minlength=n)
+           + np.bincount(st.cell, edge, minlength=n))
+    return div.reshape(grid.shape)
 
 
 def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,

@@ -1,17 +1,24 @@
 """Linear stability of stationary states.
 
-Two linearized evolution operators are assembled as dense matrices from
-the one flux Jacobian of the discrete dynamics, ``(B, K) =
-elliptic.flux_jacobian`` at ``(R_s, p_s = f1(R_s))`` (the Newton stationary
-solver's Jacobian and the stepper's Newton matrix are built from it too):
+Both linearized evolution operators come from the one flux Jacobian of the
+discrete dynamics, ``(B, K) = elliptic.flux_jacobian`` at
+``(R_s, p_s = f1(R_s))`` (the Newton stationary solver's Jacobian and the
+stepper's Newton matrix are built from it too):
 
 * ``L_G`` — the quasi-static model linearized about ``(R_s, p_s)``, the
-  growth-rate derivative ``P^{-1} B`` of the pencil
+  growth-rate derivative ``P^{-1} B`` of the sparse pencil
 
-      P (L_G w) = B w,   P = K diag(R_s f2(R_s)) - diag(h f5(R_s)).
+      B w = lam P w,   P = K diag(R_s f2(R_s)) - diag(h f5(R_s)).
 
-* ``L_F`` — the inertial model linearized at ``(R_s, 0)``: block matrix
-  ``[[0, I], [diag(1/R_s) K^{-1} B, -diag(f2) + diag(1/R_s) K^{-1} diag(h f5)]]``.
+  :func:`pencil_spectrum` finds its rightmost eigenvalues without forming
+  ``L_G``: ARPACK on the Cayley transform ``(B - s P)^{-1} (B + s P)``,
+  which maps the open right half-plane onto ``|theta| > 1``, and a
+  certificate that bounds the real part of every eigenvalue it does not
+  list.  :func:`assemble_LG` forms the dense matrix, as a test oracle.
+
+* ``L_F`` — the inertial model linearized at ``(R_s, 0)``, assembled dense:
+  block matrix ``[[0, I], [diag(1/R_s) K^{-1} B,
+  -diag(f2) + diag(1/R_s) K^{-1} diag(h f5)]]``.
 
 For a parallel gap both operators block-diagonalize exactly over the
 cross-film Dirichlet sine modes of the 5-point stencil; the
@@ -36,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SolverFailureError
 from .grid import Grid, ensure_field
 from .elliptic import SCHEME_CENTRAL, SCHEME_UPWIND, flux_jacobian
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
@@ -45,6 +52,17 @@ from .physics import (DerivedConstants, PhysicalParams, compute_derived,
 
 DENSE_ASSEMBLY_LIMIT = 4096
 SPECTRUM_SIZE_LIMIT = 8192
+
+#: eigenvalues the sparse pencil route asks ARPACK for (at most ``n - 2``)
+RIGHTMOST_COUNT = 16
+#: ARPACK tolerance of the spectral-radius estimate that places the pole
+POLE_ESTIMATE_TOL = 1e-2
+#: an uncertified attempt multiplies the pole by POLE_GROWTH, at most
+#: POLE_RAISES times
+POLE_GROWTH = 4.0
+POLE_RAISES = 3
+#: largest normwise backward error accepted for a listed eigenpair
+BACKWARD_ERROR_TOL = 1e-10
 
 VERDICT_STABLE = "stable"
 VERDICT_UNSTABLE = "unstable"
@@ -61,7 +79,9 @@ class SpectrumReport:
     ``verdict`` is "stable" when every real part is below ``-margin``,
     "unstable" when some real part exceeds ``+margin``, and "marginal"
     otherwise (eigenvalues inside the margin band decide nothing at finite
-    resolution).
+    resolution).  ``eigenvalues`` may be the rightmost part of the
+    spectrum only; ``bound`` then bounds the real part of every eigenvalue
+    not listed (``-inf`` when the list is the whole spectrum).
     """
 
     eigenvalues: np.ndarray
@@ -70,10 +90,20 @@ class SpectrumReport:
     operator_tag: str
     resolution: tuple[int, int] | None
     margin: float
+    bound: float = -np.inf
+
+
+def _verdict(max_real: float, margin: float) -> str:
+    """The three-way rule shared by the dense and the sparse spectra."""
+    if max_real < -margin:
+        return VERDICT_STABLE
+    if max_real > margin:
+        return VERDICT_UNSTABLE
+    return VERDICT_MARGINAL
 
 
 # ---------------------------------------------------------------------------
-# Dense assembly about a general stationary state
+# Linearization about a general stationary state
 # ---------------------------------------------------------------------------
 
 def _linearization(grid: Grid, R_s: np.ndarray, h: np.ndarray,
@@ -81,28 +111,42 @@ def _linearization(grid: Grid, R_s: np.ndarray, h: np.ndarray,
                    scheme: str):
     """Radius field, ``h f5`` and the flux Jacobian ``(B, K)`` at the
     stationary state, where the film pressure is ``f1(R_s)``."""
-    if grid.n_cells > DENSE_ASSEMBLY_LIMIT:
-        raise ConfigurationError(
-            f"dense assembly limited to {DENSE_ASSEMBLY_LIMIT} cells, "
-            f"grid has {grid.n_cells}")
     Rf = ensure_field(grid, R_s, "R_s")
     hf = ensure_field(grid, h, "h")
     B, K = flux_jacobian(grid, Rf, eval_f1(Rf, params), hf, U, params, scheme)
     return Rf, (hf * eval_f5(Rf, params)).ravel(), B, K
 
 
+def _check_dense(grid: Grid) -> None:
+    if grid.n_cells > DENSE_ASSEMBLY_LIMIT:
+        raise ConfigurationError(
+            f"dense assembly limited to {DENSE_ASSEMBLY_LIMIT} cells, "
+            f"grid has {grid.n_cells}")
+
+
+def growth_pencil(grid: Grid, R_s: np.ndarray, h: np.ndarray,
+                  U: tuple[float, float], params: PhysicalParams,
+                  scheme: str = SCHEME_UPWIND
+                  ) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+    """The sparse pencil ``(B, P)`` of the quasi-static linearization at
+    ``R_s``: ``L_G = P^{-1} B`` with ``P = K diag(R_s f2) - diag(h f5)``."""
+    Rf, hf5, B, K = _linearization(grid, R_s, h, U, params, scheme)
+    P = K @ sp.diags((Rf * eval_f2(Rf, params)).ravel()) - sp.diags(hf5)
+    return B.tocsc(), P.tocsc()
+
+
 def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
                 U: tuple[float, float], params: PhysicalParams,
                 scheme: str = SCHEME_UPWIND) -> np.ndarray:
-    """Dense matrix of the linearized quasi-static evolution at ``R_s``.
+    """Dense matrix ``P^{-1} B`` of :func:`growth_pencil`, the test oracle
+    of :func:`pencil_spectrum`.
 
-    Columns are obtained simultaneously by one sparse factorization of the
-    squeeze-coupled pencil ``P`` applied to the flux Jacobian.  Refuses
-    grids above 4096 cells (dense output).
+    Columns are obtained simultaneously by one sparse factorization of
+    ``P`` applied to the flux Jacobian.  Refuses grids above 4096 cells
+    (dense output).
     """
-    Rf, hf5, B, K = _linearization(grid, R_s, h, U, params, scheme)
-    P = (K @ sp.diags((Rf * eval_f2(Rf, params)).ravel())
-         - sp.diags(hf5)).tocsc()
+    _check_dense(grid)
+    B, P = growth_pencil(grid, R_s, h, U, params, scheme)
     return spla.splu(P, permc_spec="MMD_AT_PLUS_A").solve(B.toarray())
 
 
@@ -111,6 +155,7 @@ def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
                 scheme: str = SCHEME_UPWIND) -> np.ndarray:
     """Dense 2x2-block matrix of the linearized inertial evolution at
     ``(R_s, 0)``: state ordering is (radius perturbation, rate perturbation)."""
+    _check_dense(grid)
     Rf, hf5, B, K = _linearization(grid, R_s, h, U, params, scheme)
     n = grid.n_cells
     lower = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(
@@ -135,15 +180,119 @@ def compute_spectrum(matrix: np.ndarray, margin: float = 1e-8,
             f"matrix has {A.shape[0]}")
     eigs = np.sort_complex(np.linalg.eigvals(A))
     max_real = float(np.max(eigs.real))
-    if max_real < -margin:
-        verdict = VERDICT_STABLE
-    elif max_real > margin:
-        verdict = VERDICT_UNSTABLE
-    else:
-        verdict = VERDICT_MARGINAL
     return SpectrumReport(eigenvalues=eigs, max_real_part=max_real,
-                          verdict=verdict, operator_tag=operator_tag,
-                          resolution=resolution, margin=margin)
+                          verdict=_verdict(max_real, margin),
+                          operator_tag=operator_tag, resolution=resolution,
+                          margin=margin)
+
+
+# ---------------------------------------------------------------------------
+# Certified rightmost eigenvalues of a sparse pencil
+# ---------------------------------------------------------------------------
+
+def _factor(matrix: sp.spmatrix):
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: the matrix is exactly singular
+        raise SolverFailureError(f"sparse LU failed: {exc}") from exc
+
+
+def _largest_modulus(matvec, n: int, k: int, v0: np.ndarray, tol: float):
+    """``k`` eigenpairs of largest modulus of a real operator (ARPACK)."""
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        return spla.eigs(op, k=k, which="LM", v0=v0, tol=tol)
+    except spla.ArpackError as exc:
+        raise SolverFailureError(f"ARPACK: {exc}") from exc
+
+
+def _complete_pairs(lam: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of a real pencil with a conjugate pair that the
+    list splits completed, and ``+0`` imaginary parts on the real ones."""
+    lam = np.where(lam.imag == 0.0, lam.real + 0j, lam)
+    partners = [np.conj(z) for z in lam if z.imag != 0.0
+                and not np.any(np.isclose(lam, np.conj(z), rtol=1e-12,
+                                          atol=0.0))]
+    return np.sort_complex(np.concatenate([lam, partners]))
+
+
+def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix, margin: float = 1e-8,
+                    operator_tag: str = TAG_LG,
+                    resolution: tuple[int, int] | None = None
+                    ) -> SpectrumReport:
+    """Certified rightmost eigenvalues of the sparse pencil ``B w = lam P w``.
+
+    ARPACK, started from ones, finds the ``k = min(RIGHTMOST_COUNT, n - 2)``
+    eigenvalues ``theta`` of largest modulus of the Cayley transform
+    ``(B - s P)^{-1} (B + s P)``, factored once, and
+    ``lam = s (theta + 1) / (theta - 1)`` maps them back.  For a pole
+    ``s > 0``, ``|theta| > 1`` holds exactly on the open right half-plane,
+    and every eigenvalue not returned lies in the Apollonius disk
+    ``|theta| <= r`` of the smallest returned modulus ``r``, whose real
+    parts are at most ``bound = -s (1 - r) / (1 + r)`` when ``r <= 1``.
+
+    The report is returned only when it is certified: ``r <= 1``, the
+    largest listed real part is at least ``bound`` (so it is the largest of
+    the whole spectrum), and every pair's normwise backward error
+    ``|B v - lam P v|_1 / ((|B|_1 + |lam| |P|_1) |v|_1)`` is at most
+    ``BACKWARD_ERROR_TOL``.  The pole starts at ``s = 2 rho``, with ``rho``
+    a fixed-start ARPACK estimate of the spectral radius of ``P^{-1} B``
+    (deterministic, and ``|theta - 1| >= 4/3`` for ``|lam| <= rho``, so the
+    map back is well conditioned); an uncertified attempt multiplies it by
+    ``POLE_GROWTH``, and after ``POLE_RAISES`` raises
+    :class:`SolverFailureError` is raised.  The listed eigenvalues keep
+    conjugate pairs whole.
+    """
+    B = sp.csc_matrix(B, dtype=float)
+    P = sp.csc_matrix(P, dtype=float)
+    n = B.shape[0]
+    if B.shape != (n, n) or P.shape != (n, n):
+        raise ConfigurationError("a pencil needs two square matrices of one "
+                                 f"size, got {B.shape} and {P.shape}")
+    k = min(RIGHTMOST_COUNT, n - 2)
+    if k < 1:
+        raise ConfigurationError(f"pencil of size {n} is too small")
+    v0 = np.ones(n)
+    lu = _factor(P)
+    theta, _ = _largest_modulus(lambda x: lu.solve(B @ x), n, 1, v0,
+                                POLE_ESTIMATE_TOL)
+    del lu  # released before the Cayley factor is built
+    pole = 2.0 * float(np.abs(theta).max())
+    norm_B, norm_P = spla.norm(B, 1), spla.norm(P, 1)
+    for _ in range(POLE_RAISES + 1):
+        try:
+            lu = _factor(B - pole * P)
+            plus = (B + pole * P).tocsr()
+            theta, V = _largest_modulus(lambda x: lu.solve(plus @ x), n, k,
+                                        v0, 0.0)
+        except SolverFailureError as exc:
+            reason = str(exc)
+        else:
+            lam = pole * (theta + 1.0) / (theta - 1.0)
+            r = float(np.abs(theta).min())
+            bound = -pole * (1.0 - r) / (1.0 + r)
+            max_real = float(lam.real.max())
+            eta = float(np.max(
+                np.abs(B @ V - (P @ V) * lam).sum(axis=0)
+                / ((norm_B + np.abs(lam) * norm_P) * np.abs(V).sum(axis=0))))
+            if r > 1.0:
+                reason = (f"all {k} listed eigenvalues lie in the right "
+                          "half-plane, the others are not bounded")
+            elif max_real < bound:
+                reason = (f"largest listed real part {max_real:.9g} is below "
+                          f"the bound {bound:.9g} of the unlisted ones")
+            elif eta > BACKWARD_ERROR_TOL:
+                reason = f"eigenpair backward error {eta:.3e}"
+            else:
+                return SpectrumReport(
+                    eigenvalues=_complete_pairs(lam), max_real_part=max_real,
+                    verdict=_verdict(max_real, margin),
+                    operator_tag=operator_tag, resolution=resolution,
+                    margin=margin, bound=bound)
+        pole *= POLE_GROWTH
+    raise SolverFailureError(
+        f"rightmost eigenvalues of {operator_tag} not certified with Cayley "
+        f"poles up to {pole / POLE_GROWTH:.6g}: {reason}")
 
 
 def export_spectrum_csv(path, report: SpectrumReport) -> None:

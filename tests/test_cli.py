@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
                          midline_profile)
@@ -186,6 +187,46 @@ def test_stability_names_geometry_outside_the_modal_analysis(tmp_path):
     assert "outside the analysis: x1 is periodic" in manifest
 
 
+def test_stability_lists_rightmost_eigenvalues_above_dense_limit(tmp_path):
+    # 160 x 32 = 5120 cells: above DENSE_ASSEMBLY_LIMIT, where the dense L_G
+    # used to refuse the run (exit 2); the sparse pencil route certifies it
+    cfg = _write(tmp_path, "n1 = 160\nn2 = 32\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    summary = (out / "stability_summary.txt").read_text(encoding="utf-8")
+    first, second = summary.splitlines()[:2]
+    assert first.startswith("operator L_G: verdict = stable, max real part")
+    count = int(second.split()[2])
+    assert second.startswith(f"operator L_G: {count} rightmost eigenvalues "
+                             "listed, every other eigenvalue has real part <=")
+    rows = _load_csv(out / "spectrum_LG.csv")
+    assert rows.shape == (count, 2)
+    bound = float(second.rsplit(" ", 1)[1])
+    max_real = float(first.rsplit(" ", 1)[1])
+    assert bound < max_real == pytest.approx(rows[:, 0].max(), rel=1e-8)
+    # L_F is still dense: the inertial run is refused before any work
+    cfg = _write(tmp_path, "n1 = 160\nn2 = 32\nstep_mode = inertial\n")
+    out = tmp_path / "inertial"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_stability_uncertified_spectrum_is_exit_3(tmp_path, monkeypatch,
+                                                  capsys):
+    # a pencil with more unstable eigenvalues than the route lists cannot
+    # be certified: the run fails rather than print an unproven verdict
+    eigenvalues = np.concatenate([np.linspace(1.0, 20.0, 20),
+                                  -np.geomspace(50.0, 2500.0, 12)])
+    pencil = (sp.diags(eigenvalues).tocsc(), sp.identity(32, format="csc"))
+    monkeypatch.setattr("filmcav.cli.growth_pencil", lambda *a: pencil)
+    cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 4\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 3
+    assert "not certified" in capsys.readouterr().err
+    assert not (out / "stability_summary.txt").exists()
+    assert not (out / "spectrum_LG.csv").exists()
+
+
 def test_stability_unconverged_branch_is_exit_3(tmp_path, capsys):
     cfg = _write(tmp_path, "ecc = 0.4\nn1 = 16\nn2 = 8\nnewton_max = 1\n"
                            "continuation_steps = 1\n")
@@ -255,15 +296,19 @@ def test_sweep_workers_do_not_change_results(tmp_path):
 
 
 def test_identical_configs_give_bitwise_identical_outputs(tmp_path):
-    cfg = _write(tmp_path, "ecc = 0.3\nn1 = 8\nn2 = 4\nn_steps = 40\n"
-                           "stationarity_tol = 1e-4\n")
-    outs = (tmp_path / "a", tmp_path / "b")
-    for out in outs:
-        main(["transient", "--config", cfg, "--out", str(out)])
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert names == sorted(p.name for p in outs[1].iterdir())
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    runs = (("transient", "ecc = 0.3\nn1 = 8\nn2 = 4\nn_steps = 40\n"
+                          "stationarity_tol = 1e-4\n"),
+            ("stability", "ecc = 0.3\nn1 = 32\nn2 = 16\n"))
+    for command, text in runs:
+        cfg = _write(tmp_path, text)
+        outs = (tmp_path / command / "a", tmp_path / command / "b")
+        for out in outs:
+            main([command, "--config", cfg, "--out", str(out)])
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes())
 
 
 def test_configuration_errors_are_exit_2(tmp_path, capsys):

@@ -8,20 +8,24 @@ Dual routes used as oracles here:
 * separated (per-mode) parallel-gap spectra are checked against brute-force
   dense eigendecompositions of the assembled operators;
 * closed-form eigenvalue and determinant expressions are checked against
-  ``np.roots`` / exact ``fractions.Fraction`` determinant expansions.
+  ``np.roots`` / exact ``fractions.Fraction`` determinant expansions;
+* the certified sparse-pencil spectrum is checked against pencils with
+  known eigenvalues, the dense ``L_G`` and the separated spectra.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
 from filmcav.elliptic import DEFAULT_SOLVE, SCHEME_CENTRAL, SCHEME_UPWIND
-from filmcav.errors import ConfigurationError
+from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, Grid, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived
 from filmcav.stability import (
+    RIGHTMOST_COUNT,
     SPECTRUM_SIZE_LIMIT,
     TAG_LF,
     VERDICT_MARGINAL,
@@ -39,8 +43,10 @@ from filmcav.stability import (
     dirichlet_laplacian_eigenvalues_1d,
     export_spectrum_csv,
     flag_near_exceptional,
+    growth_pencil,
     hurwitz_analysis,
     hurwitz_report_text,
+    pencil_spectrum,
     sigma_constants,
     trivial_branch_spectrum_LF,
     trivial_LF_roots,
@@ -443,3 +449,147 @@ def test_hurwitz_report_text_lists_both_determinant_routes():
     assert "determinants (direct):" in text
     assert "sign changes" in text
     assert "critical speed for this mode:" in text
+
+
+# ---------------------------------------------------------------------------
+# Certified rightmost eigenvalues of a sparse pencil
+# ---------------------------------------------------------------------------
+
+def _known_pencil(real_eigs, pairs=(), seed=0):
+    """A sparse pencil ``(B, P)`` with known eigenvalues: ``P^{-1} B = T``
+    is block upper triangular, with the real eigenvalues as 1x1 blocks and
+    each pair ``a +- b i`` as a block ``[[a, b], [-b, a]]``, in a shuffled
+    order and coupled by a second superdiagonal (so ``T`` is not normal);
+    ``P`` is a diagonally dominant random tridiagonal matrix."""
+    rng = np.random.default_rng(seed)
+    blocks = ([np.array([[x]]) for x in real_eigs]
+              + [np.array([[a, b], [-b, a]]) for a, b in pairs])
+    T = sp.block_diag([blocks[i] for i in rng.permutation(len(blocks))])
+    n = T.shape[0]
+    T = T + sp.diags(rng.uniform(-50.0, 50.0, n - 2), 2)
+    P = sp.diags([rng.uniform(-1.0, 1.0, n - 1),
+                  rng.uniform(4.0, 5.0, n),
+                  rng.uniform(-1.0, 1.0, n - 1)], [-1, 0, 1])
+    return (P @ T).tocsc(), P.tocsc(), T.toarray()
+
+
+def _stable_set(count=120, pair_count=20, seed=0):
+    rng = np.random.default_rng(seed)
+    real = list(-np.geomspace(50.0, 2500.0, count))
+    pairs = list(zip(rng.uniform(-2500.0, -60.0, pair_count),
+                     rng.uniform(1.0, 500.0, pair_count)))
+    return real, pairs
+
+
+def _check_certificate(report, spectrum):
+    """Listed eigenvalues belong to the spectrum, the listed maximum is the
+    maximum of the spectrum, and every unlisted one is within the bound."""
+    scale = np.abs(spectrum).max()
+    for lam in report.eigenvalues:
+        assert np.abs(spectrum - lam).min() <= 1e-9 * max(abs(lam), 1e-3 * scale)
+    top = spectrum.real.max()
+    assert abs(report.max_real_part - top) <= 1e-10 * max(abs(top), 1e-3 * scale)
+    listed = np.array([np.abs(report.eigenvalues - z).min()
+                       <= 1e-9 * max(abs(z), 1e-3 * scale) for z in spectrum])
+    assert listed.sum() == report.eigenvalues.size
+    assert np.all(spectrum[~listed].real
+                  <= report.bound + 1e-9 * abs(report.bound))
+    # conjugate pairs whole, real eigenvalues with a +0 imaginary part
+    lam = report.eigenvalues
+    for z in lam[lam.imag != 0.0]:
+        assert np.conj(z) in lam
+    assert not np.any(np.signbit(lam.imag[lam.imag == 0.0]))
+
+
+@pytest.mark.parametrize("extra,verdict", [
+    ((), VERDICT_STABLE),
+    ((5e3,), VERDICT_UNSTABLE),
+    ((1e-3,), VERDICT_UNSTABLE),
+    ((0.0,), VERDICT_MARGINAL),
+    ((1e-12,), VERDICT_MARGINAL),
+], ids=["stable", "far-unstable", "near-unstable", "zero", "inside-margin"])
+def test_pencil_spectrum_is_certified_on_known_pencils(extra, verdict):
+    real, pairs = _stable_set()
+    B, P, T = _known_pencil(real + list(extra), pairs)
+    report = pencil_spectrum(B, P)
+    dense = compute_spectrum(T)
+    assert report.verdict == dense.verdict == verdict
+    _check_certificate(report, dense.eigenvalues)
+    assert report.margin == 1e-8 and report.bound < 0.0
+    assert report.eigenvalues.size in (RIGHTMOST_COUNT, RIGHTMOST_COUNT + 1)
+
+
+def test_pencil_spectrum_of_a_small_pencil_lists_all_but_two():
+    B, P, T = _known_pencil([-1.0, -3.0, -7.0, -20.0], [(-2.0, 5.0),
+                                                       (-40.0, 1.0)], seed=3)
+    report = pencil_spectrum(B, P, operator_tag=TAG_LF, resolution=(2, 4))
+    assert report.eigenvalues.size in (6, 7)
+    assert report.operator_tag == TAG_LF and report.resolution == (2, 4)
+    _check_certificate(report, np.linalg.eigvals(T))
+
+
+def test_pencil_spectrum_raises_the_pole_past_far_complex_eigenvalues():
+    # at the first pole 2 rho the ten pairs -55 +- (2000..2500) i have
+    # larger |theta| than the rightmost eigenvalue -50 and fill the list;
+    # their real parts are below the bound, so the pole is raised
+    real, _ = _stable_set()
+    pairs = [(-55.0, b) for b in np.linspace(2000.0, 2500.0, 10)]
+    B, P, T = _known_pencil(real, pairs, seed=1)
+    report = pencil_spectrum(B, P)
+    assert report.max_real_part == pytest.approx(-50.0, rel=1e-10)
+    _check_certificate(report, np.linalg.eigvals(T))
+
+
+def test_pencil_spectrum_refuses_inaccurate_eigenpairs(monkeypatch):
+    monkeypatch.setattr("filmcav.stability.BACKWARD_ERROR_TOL", 1e-30)
+    real, pairs = _stable_set()
+    B, P, _ = _known_pencil(real, pairs)
+    with pytest.raises(SolverFailureError, match="backward error"):
+        pencil_spectrum(B, P)
+
+
+def test_pencil_spectrum_refuses_to_certify_a_crowded_right_half_plane():
+    # more unstable eigenvalues than listed ones: every pole leaves some
+    # unlisted eigenvalue outside the unit circle, so nothing bounds them
+    real, pairs = _stable_set()
+    B, P, _ = _known_pencil(real + list(np.linspace(1.0, 20.0, 20)), pairs)
+    with pytest.raises(SolverFailureError, match="not certified"):
+        pencil_spectrum(B, P)
+
+
+def test_pencil_spectrum_rejects_mismatched_matrices():
+    with pytest.raises(ConfigurationError):
+        pencil_spectrum(sp.identity(6), sp.identity(5))
+    with pytest.raises(ConfigurationError):
+        pencil_spectrum(sp.identity(2), sp.identity(2))
+
+
+@pytest.mark.parametrize("ecc", [0.2, 0.4])
+def test_pencil_spectrum_matches_dense_growth_operator(ecc):
+    params = PhysicalParams(ecc=ecc)
+    grid = grid_for_params(params, 32, 16)
+    h = gap_function(grid, params)
+    U = (params.surface_speed, 0.0)
+    R_s, _, report = solve_stationary(grid, h, U, params)
+    assert report.converged
+    B, P = growth_pencil(grid, R_s, h, U, params)
+    sparse = pencil_spectrum(B, P, resolution=(32, 16))
+    dense = compute_spectrum(assemble_LG(grid, R_s, h, U, params))
+    assert sparse.verdict == dense.verdict == VERDICT_STABLE
+    _check_certificate(sparse, dense.eigenvalues)
+
+
+@pytest.mark.parametrize("factor", [0.0, 1.1])
+def test_pencil_spectrum_matches_separated_parallel_gap_spectrum(factor):
+    c = compute_derived(TAME)
+    u_crit, _ = critical_speed(TAME)
+    U_norm = factor * u_crit
+    grid = Grid(128, 32, 1.0, 1.0, bc_x1=BC_DIRICHLET)
+    R = np.full(grid.shape, c.R_bar)
+    h = np.full(grid.shape, TAME.h0)
+    B, P = growth_pencil(grid, R, h, (U_norm, 0.0), TAME,
+                         scheme=SCHEME_CENTRAL)
+    sparse = pencil_spectrum(B, P)
+    separated = constant_gap_spectrum_LG(TAME, U_norm, 128, 32)
+    assert sparse.verdict == VERDICT_STABLE
+    _check_certificate(sparse, separated)
