@@ -18,8 +18,8 @@ from .physics import (DerivedConstants, PhysicalParams, compute_derived,
                       eval_f5, hypotheses_check)
 from .grid import Grid, ensure_field, export_fields_csv, field_norms, \
     gap_function, gap_excess, grid_for_params
-from .elliptic import (EllipticOperator, LinearSolveConfig, apply_A2,
-                       assemble_couette_rhs, assemble_diffusion, solve_A1)
+from .elliptic import (apply_A2, assemble_couette_rhs, assemble_diffusion,
+                       solve_A1)
 from .dynamics import (StepConfig, TransientResult, TransientState,
                        TransientWatch, eliminate_pressure, initial_state,
                        run_transient, step_inertial, step_inertialess)
@@ -44,8 +44,7 @@ __all__ = [
     "hypotheses_check",
     "Grid", "ensure_field", "export_fields_csv", "field_norms",
     "gap_function", "gap_excess", "grid_for_params",
-    "EllipticOperator", "LinearSolveConfig", "apply_A2",
-    "assemble_couette_rhs", "assemble_diffusion", "solve_A1",
+    "apply_A2", "assemble_couette_rhs", "assemble_diffusion", "solve_A1",
     "StepConfig", "TransientResult", "TransientState", "TransientWatch",
     "eliminate_pressure", "initial_state", "run_transient",
     "step_inertial", "step_inertialess",

@@ -145,7 +145,7 @@ def cmd_transient(config: RunConfig) -> int:
                            out_dir=out if config.snapshot_every > 0 else None)
     state = initial_state(grid, params, Rhat=1.0, mode=config.step.mode)
     res = run_transient(grid, state, h, config.velocity, params, config.step,
-                        config.n_steps, watch, config.solver, consts=consts)
+                        config.n_steps, watch, consts=consts)
 
     out.mkdir(parents=True, exist_ok=True)
     export_fields_csv(out / "fields_final.csv", grid, params, res.state.R,
@@ -334,7 +334,7 @@ def _sweep_point(args: tuple[RunConfig, float]) -> dict:
                                 sub.step, sub.n_steps,
                                 TransientWatch(
                                     stationarity_tol=sub.stationarity_tol),
-                                sub.solver, consts=consts)
+                                consts=consts)
             export_fields_csv(out / "fields_final.csv", grid, params,
                               res.state.R, res.state.p)
             _write_text(out / "summary.txt",

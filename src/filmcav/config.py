@@ -11,13 +11,12 @@ precision).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
 from .grid import BC_DIRICHLET, BC_PERIODIC, Grid, grid_for_params
-from .elliptic import LinearSolveConfig
 from .dynamics import StepConfig
-from .physics import PhysicalParams
+from .physics import PhysicalParams, params_fields
 from .stationary import StationarySolveConfig
 
 log = logging.getLogger(__name__)
@@ -30,17 +29,16 @@ RUN_MODES = (MODE_TRANSIENT, MODE_STATIONARY, MODE_STABILITY, MODE_SWEEP)
 
 SWEEP_AXES = ("none", "ecc", "omega")
 
-_PHYSICS_KEYS = tuple(f.name for f in fields(PhysicalParams))
+_PHYSICS_KEYS = params_fields()
 
 #: key -> (converter, default-documentation); all defaults live in the
 #: dataclass definitions below / in PhysicalParams.
 _INT_KEYS = ("n1", "n2", "picard_max", "n_steps", "snapshot_every",
-             "solver_max_iter", "newton_max", "continuation_steps",
-             "k_max", "workers")
+             "newton_max", "continuation_steps", "k_max", "workers")
 _FLOAT_KEYS = _PHYSICS_KEYS + ("dt", "picard_tol", "stationarity_tol",
-                               "solver_tol", "newton_tol", "stability_margin")
-_STR_KEYS = ("mode", "step_mode", "bc_x1", "solver_method", "sweep_axis",
-             "sweep_solver", "output_dir")
+                               "newton_tol", "stability_margin")
+_STR_KEYS = ("mode", "step_mode", "bc_x1", "sweep_axis", "sweep_solver",
+             "output_dir")
 _LIST_KEYS = ("sweep_values",)
 
 KNOWN_KEYS = frozenset(_INT_KEYS) | frozenset(_FLOAT_KEYS) \
@@ -61,7 +59,6 @@ class RunConfig:
     stationarity_tol: float = 1e-8
     snapshot_every: int = 0
     output_dir: str = "out"
-    solver: LinearSolveConfig = LinearSolveConfig()
     newton: StationarySolveConfig = StationarySolveConfig(continuation_steps=8)
     sweep_axis: str = "none"
     sweep_values: tuple[float, ...] = ()
@@ -178,20 +175,12 @@ def parse_config(text: str) -> RunConfig:
         if cfg_key in values:
             step_kwargs[field_name] = values.pop(cfg_key)
     step = StepConfig(**step_kwargs)
-    solver_kwargs = {}
-    for cfg_key, field_name in (("solver_method", "method"),
-                                ("solver_tol", "tol"),
-                                ("solver_max_iter", "max_iter")):
-        if cfg_key in values:
-            solver_kwargs[field_name] = values.pop(cfg_key)
-    solver = LinearSolveConfig(**solver_kwargs)
     newton_kwargs = {k: values.pop(k) for k in
                      ("newton_tol", "newton_max", "continuation_steps")
                      if k in values}
     newton_defaults = {"continuation_steps": 8}
     newton = StationarySolveConfig(**{**newton_defaults, **newton_kwargs})
-    return RunConfig(params=params, step=step, solver=solver, newton=newton,
-                     **values)
+    return RunConfig(params=params, step=step, newton=newton, **values)
 
 
 def render_config(config: RunConfig) -> str:
@@ -220,11 +209,6 @@ def render_config(config: RunConfig) -> str:
         f"picard_tol = {config.step.picard_tol!r}",
         f"picard_max = {config.step.picard_max}",
         f"step_mode = {config.step.mode}",
-        "",
-        "# linear solver",
-        f"solver_method = {config.solver.method}",
-        f"solver_tol = {config.solver.tol!r}",
-        f"solver_max_iter = {config.solver.max_iter}",
         "",
         "# stationary solver",
         f"newton_tol = {config.newton.newton_tol!r}",

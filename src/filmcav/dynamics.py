@@ -43,9 +43,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field, export_fields_csv
-from .elliptic import (DEFAULT_SOLVE, LinearSolveConfig, SCHEME_UPWIND,
-                       assemble_operator, convective_divergence, flux_jacobian,
-                       solve_spd)
+from .elliptic import (SCHEME_UPWIND, _factorize, assemble_operator,
+                       convective_divergence, flux_jacobian, solve_spd)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
                       eval_f1, eval_f2, eval_f2_prime, eval_f3, eval_f4,
                       eval_f5, eval_f5_prime)
@@ -140,27 +139,26 @@ def initial_state(grid: Grid, params: PhysicalParams, Rhat: float = 1.0,
 
 def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
                        U: tuple[float, float], params: PhysicalParams,
-                       cfg: LinearSolveConfig = DEFAULT_SOLVE,
                        scheme: str = SCHEME_UPWIND
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Slave the film pressure to the radius field.
 
     Returns ``(G, p)`` where ``G = dR/dt`` of the quasi-static dynamics and
     ``p`` the film pressure.  The defining linear system is solved in its
-    symmetric-positive-definite form and the solver verifies the residual
-    against ``cfg.tol`` on every call.
+    symmetric-positive-definite form by :func:`elliptic.solve_spd`, which
+    verifies the residual on every call.
     """
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
     f1 = eval_f1(Rf, params)
     Rf2 = Rf * eval_f2(Rf, params)
     coeff = eval_f3(Rf, params) * hf ** 3
-    op = assemble_operator(grid, coeff)
+    K = assemble_operator(grid, coeff)
     conv = convective_divergence(grid, U, hf * eval_f4(Rf, params), scheme)
     shift = -hf * eval_f5(Rf, params) / Rf2          # >= 0
-    rhs = op.matrix @ f1.ravel() + conv.ravel()
-    M = op.matrix + sp.diags(shift.ravel())
-    y = solve_spd(M, rhs, grid, cfg)
+    rhs = K @ f1.ravel() + conv.ravel()
+    M = K + sp.diags(shift.ravel())
+    y = solve_spd(M, rhs, grid)
     return y / Rf2, f1 - y
 
 
@@ -201,14 +199,14 @@ def backward_euler_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray,
 
 def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
                        h: np.ndarray, U: tuple[float, float],
-                       params: PhysicalParams, cfg: LinearSolveConfig,
+                       params: PhysicalParams,
                        scheme: str) -> tuple[np.ndarray, np.ndarray]:
     """Radial wall acceleration of the inertial model and the film pressure."""
     f1 = eval_f1(R, params)
-    op = assemble_operator(grid, eval_f3(R, params) * h ** 3)
+    K = assemble_operator(grid, eval_f3(R, params) * h ** 3)
     conv = convective_divergence(grid, U, h * eval_f4(R, params), scheme)
     squeeze = h * eval_f5(R, params) * V
-    p = op.solve(-(conv + squeeze).ravel(), cfg)
+    p = solve_spd(K, -(conv + squeeze).ravel(), grid)
     acc = -1.5 * V ** 2 / R - V * eval_f2(R, params) + (f1 - p) / R
     return acc, p
 
@@ -220,7 +218,6 @@ def _relative(update: np.ndarray, x: np.ndarray) -> float:
 def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                      U: tuple[float, float], params: PhysicalParams,
                      step_cfg: StepConfig,
-                     cfg: LinearSolveConfig = DEFAULT_SOLVE,
                      scheme: str = SCHEME_UPWIND,
                      G_at_state: np.ndarray | None = None,
                      chord: ChordCarry | None = None
@@ -253,7 +250,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     """
     R_old = state.R
     if G_at_state is None:
-        G_at_state, _ = eliminate_pressure(grid, R_old, h, U, params, cfg, scheme)
+        G_at_state, _ = eliminate_pressure(grid, R_old, h, U, params, scheme)
     if chord is None:
         chord = ChordCarry()
     tol = step_cfg.picard_tol
@@ -269,7 +266,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             sign_loss = True                             # reject: halve dt
         elif _relative(x - R_old, R_old) < tol:
             accepted = x
-            G_new, p_new = eliminate_pressure(grid, x, h, U, params, cfg, scheme)
+            G_new, p_new = eliminate_pressure(grid, x, h, U, params, scheme)
         else:
             if chord.G_prev is not None:
                 guess = x + dt * dt / chord.dt_prev * (G_at_state - chord.G_prev)
@@ -278,7 +275,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             best = np.inf
             for _ in range(step_cfg.picard_max - 1):
                 total_iters += 1
-                G_x, p_x = eliminate_pressure(grid, x, h, U, params, cfg, scheme)
+                G_x, p_x = eliminate_pressure(grid, x, h, U, params, scheme)
                 residual = R_old + dt * G_x - x
                 update = _relative(residual, x)
                 if update < tol:
@@ -294,7 +291,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     chord.lu = None
                     A, chord.pencil = backward_euler_jacobian(
                         grid, x, p_x, h, U, params, dt, scheme)
-                    chord.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+                    chord.lu = _factorize(A)
                     chord.dt = dt
                 best = min(best, update)
                 x = x + chord.lu.solve(chord.pencil @ residual.ravel()
@@ -322,7 +319,6 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
 def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams,
                   step_cfg: StepConfig,
-                  cfg: LinearSolveConfig = DEFAULT_SOLVE,
                   scheme: str = SCHEME_UPWIND) -> tuple[TransientState, StepStats]:
     """One classical RK4 step of the inertial wall dynamics.
 
@@ -339,7 +335,7 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
             def F(R, V):
                 if np.any(R <= 0.0):
                     raise _StagePositivity()
-                acc, p = _wall_acceleration(grid, R, V, h, U, params, cfg, scheme)
+                acc, p = _wall_acceleration(grid, R, V, h, U, params, scheme)
                 return V, acc, p
 
             R0, V0 = state.R, state.Rdot
@@ -352,7 +348,7 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
             if np.any(R_new <= 0.0):
                 raise _StagePositivity()
             _, p_new = _wall_acceleration(grid, R_new, V_new, h, U, params,
-                                          cfg, scheme)
+                                          scheme)
             new_state = TransientState(t=state.t + dt, R=R_new, Rdot=V_new, p=p_new)
             return new_state, StepStats(4, halvings, dt)
         except _StagePositivity:
@@ -414,7 +410,6 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams,
                   step_cfg: StepConfig, n_steps: int,
                   watch: TransientWatch | None = None,
-                  cfg: LinearSolveConfig = DEFAULT_SOLVE,
                   scheme: str = SCHEME_UPWIND,
                   consts: DerivedConstants | None = None) -> TransientResult:
     """March the transient model and watch for stationarity or failure.
@@ -440,13 +435,13 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
     G_cur: np.ndarray | None = None
     chord = ChordCarry()
     if step_cfg.mode == MODE_INERTIALESS:
-        G_cur, p0 = eliminate_pressure(grid, state.R, hf, U, params, cfg, scheme)
+        G_cur, p0 = eliminate_pressure(grid, state.R, hf, U, params, scheme)
         state = TransientState(state.t, state.R, None, p0)
     else:
         if state.Rdot is None:
             raise ConfigurationError("inertial run needs a state with Rdot")
         _, p0 = _wall_acceleration(grid, state.R, state.Rdot, hf, U, params,
-                                   cfg, scheme)
+                                   scheme)
         state = TransientState(state.t, state.R, state.Rdot, p0)
     max_Rhat_run = float(np.max(state.R)) / params.R0
     min_Rhat_run = float(np.min(state.R)) / params.R0
@@ -466,11 +461,11 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
         try:
             if step_cfg.mode == MODE_INERTIALESS:
                 state, stats, G_cur = step_inertialess(
-                    grid, state, hf, U, params, cfg_step, cfg, scheme,
+                    grid, state, hf, U, params, cfg_step, scheme,
                     G_at_state=G_cur, chord=chord)
             else:
                 state, stats = step_inertial(grid, state, hf, U, params,
-                                             cfg_step, cfg, scheme)
+                                             cfg_step, scheme)
         except StepFailureError as exc:
             exc.step_index = step
             failure = str(exc)

@@ -24,6 +24,10 @@ the diffusion term to its coefficient at a frozen potential.
 :func:`flux_jacobian` combines them into the one linearization of the film
 flux balance that the Newton stationary solver, the implicit stepper and
 the stability operators share.
+
+Every sparse LU of the package is built by :func:`_factorize`, which fixes
+the column ordering and reports an exactly singular matrix as
+:class:`SolverFailureError`; :func:`solve_spd` is the one SPD solve.
 """
 
 from __future__ import annotations
@@ -40,43 +44,11 @@ from .grid import BC_DIRICHLET, BC_PERIODIC, Grid, ensure_field
 from .physics import (PhysicalParams, eval_f1_prime, eval_f3, eval_f3_prime,
                       eval_f4, eval_f4_prime, eval_f5)
 
-#: cell count up to which the direct factorization is the default
-DIRECT_CELL_LIMIT = 65536
+#: largest relative residual ``|K x - b| / |b|`` a solve may return
+RESIDUAL_TOL = 1e-10
 
 SCHEME_UPWIND = "upwind"
 SCHEME_CENTRAL = "central"
-
-
-@dataclass(frozen=True)
-class LinearSolveConfig:
-    """How to solve the assembled SPD systems.
-
-    ``method`` is "direct-banded" (sparse LU on the banded 5-point matrix),
-    "krylov" (conjugate gradients), or "auto" (direct up to
-    ``DIRECT_CELL_LIMIT`` cells).  ``tol`` is the relative residual bound,
-    required in (0, 1e-2].
-    """
-
-    method: str = "auto"
-    tol: float = 1e-10
-    max_iter: int = 5000
-
-    def __post_init__(self):
-        if self.method not in ("auto", "direct-banded", "krylov"):
-            raise ConfigurationError(f"unknown linear-solve method {self.method!r}")
-        if not 0.0 < self.tol <= 1e-2:
-            raise ConfigurationError("linear-solve tol must lie in (0, 1e-2], "
-                                     f"got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be at least 1")
-
-    def resolved_method(self, n_cells: int) -> str:
-        if self.method != "auto":
-            return self.method
-        return "direct-banded" if n_cells <= DIRECT_CELL_LIMIT else "krylov"
-
-
-DEFAULT_SOLVE = LinearSolveConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,51 +132,38 @@ def _assemble(st: _FaceStencil, a: np.ndarray, b: np.ndarray,
                          shape=(n, n))
 
 
-@dataclass(frozen=True, eq=False)
-class EllipticOperator:
-    """Assembled ``K = -Div(c Grad .)``.
+def _factorize(matrix: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of ``matrix``: the one place that calls SuperLU.
 
-    ``matrix`` is the symmetric positive definite CSR matrix acting on
-    flattened fields (row-major cell order).
+    Raises :class:`SolverFailureError` when SuperLU finds the matrix
+    exactly singular.
     """
-
-    grid: Grid
-    matrix: sp.csr_matrix
-
-    def solve(self, rhs: np.ndarray, cfg: LinearSolveConfig = DEFAULT_SOLVE) -> np.ndarray:
-        """Solve ``K x = rhs``; accepts a field or flat vector, returns a field."""
-        return solve_spd(self.matrix, rhs, self.grid, cfg)
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverFailureError(f"sparse LU failed: {exc}") from exc
 
 
-def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray, grid: Grid,
-              cfg: LinearSolveConfig = DEFAULT_SOLVE) -> np.ndarray:
-    """Solve an SPD system with residual verification.
+def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray,
+              grid: Grid) -> np.ndarray:
+    """Solve an SPD system by sparse LU with residual verification.
 
     Returns the solution shaped like the grid.  Raises
-    :class:`SolverFailureError` if the relative residual exceeds ``cfg.tol``.
+    :class:`SolverFailureError` if the matrix is singular or the relative
+    residual exceeds ``RESIDUAL_TOL``.
     """
     b = np.asarray(rhs, dtype=float).ravel()
     n = matrix.shape[0]
     if b.size != n:
         raise ConfigurationError(f"rhs has {b.size} entries, operator has {n}")
-    method = cfg.resolved_method(n)
-    if method == "direct-banded":
-        x = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
-    else:
-        diag = matrix.diagonal()
-        precond = spla.LinearOperator((n, n), matvec=lambda v: v / diag)
-        x, info = spla.cg(matrix, b, rtol=cfg.tol * 0.1, atol=0.0,
-                          maxiter=cfg.max_iter, M=precond)
-        if info != 0:
-            raise SolverFailureError(f"conjugate-gradient solve stopped with "
-                                     f"info={info} after {cfg.max_iter} iterations")
+    x = _factorize(matrix).solve(b)
     scale = np.linalg.norm(b)
     if scale > 0.0:
         resid = np.linalg.norm(matrix @ x - b)
-        if not resid <= cfg.tol * scale + 1e-300:
+        if not resid <= RESIDUAL_TOL * scale + 1e-300:
             raise SolverFailureError(
                 f"linear solve residual {resid:.3e} exceeds tol*|rhs| = "
-                f"{cfg.tol * scale:.3e}")
+                f"{RESIDUAL_TOL * scale:.3e}")
     return x.reshape(grid.shape)
 
 
@@ -212,8 +171,10 @@ def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray, grid: Grid,
 # Coefficient rules on the face stencil
 # ---------------------------------------------------------------------------
 
-def assemble_operator(grid: Grid, coeff: np.ndarray) -> EllipticOperator:
-    """Assemble ``K = -Div(c Grad .)`` for a positive cellwise coefficient.
+def assemble_operator(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
+    """Assemble ``K = -Div(c Grad .)`` for a positive cellwise coefficient:
+    a symmetric positive definite CSR matrix acting on flattened fields
+    (row-major cell order).
 
     Face coefficients are arithmetic means of the two cells; a Dirichlet
     face reflects a ghost cell (value ``-q``, coefficient of the own cell),
@@ -224,12 +185,11 @@ def assemble_operator(grid: Grid, coeff: np.ndarray) -> EllipticOperator:
         raise ConfigurationError("diffusion coefficient must be positive")
     st = _stencil(grid)
     cf = 0.5 * (c[st.A] + c[st.B]) / st.face_dx2
-    return EllipticOperator(grid, _assemble(st, cf, -cf,
-                                            2.0 * c[st.cell] / st.edge_dx2))
+    return _assemble(st, cf, -cf, 2.0 * c[st.cell] / st.edge_dx2)
 
 
 def assemble_diffusion(grid: Grid, R: np.ndarray, h: np.ndarray,
-                       params: PhysicalParams) -> EllipticOperator:
+                       params: PhysicalParams) -> sp.csr_matrix:
     """Assemble the film-pressure diffusion operator ``-Div(f3(R) h^3 Grad .)``."""
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
@@ -318,7 +278,7 @@ def flux_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray, h: np.ndarray,
     """
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3).matrix
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
     B = (K @ sp.diags(eval_f1_prime(Rf, params).ravel())
          - diffusion_sensitivity(grid, eval_f3_prime(Rf, params) * hf ** 3, p)
          + convective_divergence_matrix(grid, U,
@@ -340,7 +300,7 @@ def assemble_couette_rhs(grid: Grid, R: np.ndarray, h: np.ndarray,
 
 
 def solve_A1(grid: Grid, R: np.ndarray, h: np.ndarray, U: tuple[float, float],
-             params: PhysicalParams, cfg: LinearSolveConfig = DEFAULT_SOLVE,
+             params: PhysicalParams,
              scheme: str = SCHEME_UPWIND) -> np.ndarray:
     """Pressure response to the entrained flux alone.
 
@@ -348,14 +308,13 @@ def solve_A1(grid: Grid, R: np.ndarray, h: np.ndarray, U: tuple[float, float],
     (zero) Dirichlet values; vanishes identically when the flux divergence
     does (no entrainment, or uniform state with constant gap).
     """
-    op = assemble_diffusion(grid, R, h, params)
+    K = assemble_diffusion(grid, R, h, params)
     rhs = assemble_couette_rhs(grid, R, h, U, params, scheme)
-    return op.solve(-rhs.ravel(), cfg)
+    return solve_spd(K, -rhs.ravel(), grid)
 
 
 def apply_A2(grid: Grid, R: np.ndarray, h: np.ndarray, S: np.ndarray,
-             params: PhysicalParams,
-             cfg: LinearSolveConfig = DEFAULT_SOLVE) -> np.ndarray:
+             params: PhysicalParams) -> np.ndarray:
     """Pressure response to a radius growth-rate field ``S``.
 
     Solves ``Div(f3(R) h^3 Grad A2) = h f5(R) S``; linear in ``S``.  Growth
@@ -364,8 +323,8 @@ def apply_A2(grid: Grid, R: np.ndarray, h: np.ndarray, S: np.ndarray,
     ``sum (-f5) h A2(R, w) w dA >= 0`` holds exactly for the discrete
     operator.
     """
-    op = assemble_diffusion(grid, R, h, params)
+    K = assemble_diffusion(grid, R, h, params)
     Sf = ensure_field(grid, S, "S")
     hf = ensure_field(grid, h, "h")
     rhs = hf * eval_f5(ensure_field(grid, R, "R"), params) * Sf
-    return op.solve(-rhs.ravel(), cfg)
+    return solve_spd(K, -rhs.ravel(), grid)

@@ -17,7 +17,8 @@ class NonPositiveRadiusError(ValueError):
 
 
 class SolverFailureError(RuntimeError):
-    """A linear or nonlinear solve did not meet its residual tolerance."""
+    """A linear or nonlinear solve failed: a singular factorization, or a
+    residual above its tolerance."""
 
 
 class StepFailureError(RuntimeError):

@@ -45,7 +45,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
 from .grid import Grid, ensure_field
-from .elliptic import SCHEME_CENTRAL, SCHEME_UPWIND, flux_jacobian
+from .elliptic import SCHEME_CENTRAL, SCHEME_UPWIND, _factorize, flux_jacobian
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
                       eval_f1, eval_f1_prime, eval_f2, eval_f3, eval_f4_prime,
                       eval_f5)
@@ -147,7 +147,7 @@ def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
     """
     _check_dense(grid)
     B, P = growth_pencil(grid, R_s, h, U, params, scheme)
-    return spla.splu(P, permc_spec="MMD_AT_PLUS_A").solve(B.toarray())
+    return _factorize(P).solve(B.toarray())
 
 
 def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
@@ -158,8 +158,7 @@ def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
     _check_dense(grid)
     Rf, hf5, B, K = _linearization(grid, R_s, h, U, params, scheme)
     n = grid.n_cells
-    lower = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(
-        np.hstack([B.toarray(), np.diag(hf5)]))
+    lower = _factorize(K).solve(np.hstack([B.toarray(), np.diag(hf5)]))
     lower /= Rf.ravel()[:, None]
     lower[:, n:] -= np.diag(eval_f2(Rf, params).ravel())
     top = np.hstack([np.zeros((n, n)), np.eye(n)])
@@ -189,13 +188,6 @@ def compute_spectrum(matrix: np.ndarray, margin: float = 1e-8,
 # ---------------------------------------------------------------------------
 # Certified rightmost eigenvalues of a sparse pencil
 # ---------------------------------------------------------------------------
-
-def _factor(matrix: sp.spmatrix):
-    try:
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU: the matrix is exactly singular
-        raise SolverFailureError(f"sparse LU failed: {exc}") from exc
-
 
 def _largest_modulus(matvec, n: int, k: int, v0: np.ndarray, tol: float):
     """``k`` eigenpairs of largest modulus of a real operator (ARPACK)."""
@@ -253,7 +245,7 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix, margin: float = 1e-8,
     if k < 1:
         raise ConfigurationError(f"pencil of size {n} is too small")
     v0 = np.ones(n)
-    lu = _factor(P)
+    lu = _factorize(P)
     theta, _ = _largest_modulus(lambda x: lu.solve(B @ x), n, 1, v0,
                                 POLE_ESTIMATE_TOL)
     del lu  # released before the Cayley factor is built
@@ -261,7 +253,7 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix, margin: float = 1e-8,
     norm_B, norm_P = spla.norm(B, 1), spla.norm(P, 1)
     for _ in range(POLE_RAISES + 1):
         try:
-            lu = _factor(B - pole * P)
+            lu = _factorize(B - pole * P)
             plus = (B + pole * P).tocsr()
             theta, V = _largest_modulus(lambda x: lu.solve(plus @ x), n, k,
                                         v0, 0.0)

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, SupercriticalRadiusError
+from .errors import (ConfigurationError, SolverFailureError,
+                     SupercriticalRadiusError)
 from .grid import Grid, ensure_field
-from .elliptic import (SCHEME_UPWIND, assemble_operator,
+from .elliptic import (SCHEME_UPWIND, _factorize, assemble_operator,
                        convective_divergence_matrix, flux_jacobian)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
                       eval_f1, eval_f3, eval_f4)
@@ -100,14 +100,14 @@ def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
     """
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
-    op = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
     f1 = eval_f1(Rf, params).ravel()
     M = convective_divergence_matrix(grid, U, hf * eval_f4(Rf, params), scheme)
     ones = np.ones(grid.n_cells)
-    phi = op.matrix @ f1 + M @ ones
+    phi = K @ f1 + M @ ones
     p_char = (2.0 * params.sigma / params.R0
               + abs(params.P0 - params.p_bnd)) / params.rho_l
-    gross = abs(op.matrix) @ (np.abs(f1) + p_char) + abs(M) @ ones
+    gross = abs(K) @ (np.abs(f1) + p_char) + abs(M) @ ones
     scale = float(np.linalg.norm(gross))
     return phi, max(scale, 1e-300)
 
@@ -141,9 +141,8 @@ def _newton_stage(grid: Grid, R: np.ndarray, h: np.ndarray,
         iters += 1
         J = stationary_jacobian(grid, R, h, U, params, scheme)
         try:
-            delta = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A"
-                               ).solve(-phi).reshape(grid.shape)
-        except RuntimeError:
+            delta = _factorize(J).solve(-phi).reshape(grid.shape)
+        except SolverFailureError:
             break                                   # singular Jacobian
         norm_phi = np.linalg.norm(phi)
         lam = 1.0

@@ -85,6 +85,20 @@ def test_transient_nonconvergence_is_exit_3(tmp_path):
     assert "converged = false" in (out / "summary.txt").read_text()
 
 
+def test_transient_singular_factorization_is_exit_3(tmp_path, monkeypatch,
+                                                    capsys):
+    # SuperLU raises a bare RuntimeError on an exactly singular matrix; the
+    # run reports it as a numerical failure, not as a traceback
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
+    cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 4\nn_steps = 5\n")
+    out = tmp_path / "out"
+    assert main(["transient", "--config", cfg, "--out", str(out)]) == 3
+    assert "exactly singular" in capsys.readouterr().err
+
+
 def test_transient_rest_state_is_exact(tmp_path):
     # Parallel gap without sliding: the initial uniform state is already
     # stationary, pressures vanish identically.

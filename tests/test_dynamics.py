@@ -67,7 +67,7 @@ def test_pressure_elimination_matches_dense_block_solve(bc):
     G, pres = eliminate_pressure(grid, R, h, U, p)
 
     n = grid.n_cells
-    K = assemble_operator(grid, eval_f3(R, p) * h ** 3).matrix.toarray()
+    K = assemble_operator(grid, eval_f3(R, p) * h ** 3).toarray()
     conv = convective_divergence(grid, U, h * eval_f4(R, p)).ravel()
     A = np.zeros((2 * n, 2 * n))
     b = np.zeros(2 * n)
@@ -96,7 +96,7 @@ def test_pressure_elimination_satisfies_both_equations():
     assert np.allclose(pres + R * eval_f2(R, p) * G, eval_f1(R, p),
                        rtol=1e-12, atol=1e-9)
     # film equation residual is small against its gross flux magnitude
-    K = assemble_operator(grid, eval_f3(R, p) * h ** 3).matrix
+    K = assemble_operator(grid, eval_f3(R, p) * h ** 3)
     conv = convective_divergence(grid, U, h * eval_f4(R, p)).ravel()
     resid = K @ pres.ravel() + (h * eval_f5(R, p) * G).ravel() + conv
     gross = abs(K) @ np.abs(pres.ravel()) + np.abs(conv)

@@ -12,12 +12,13 @@ case kept as an explicit example.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import filmcav.elliptic as elliptic
 from filmcav.elliptic import (
-    DIRECT_CELL_LIMIT, SCHEME_CENTRAL, SCHEME_UPWIND, LinearSolveConfig,
-    apply_A2, assemble_couette_rhs, assemble_diffusion, assemble_operator,
+    SCHEME_CENTRAL, SCHEME_UPWIND, apply_A2, assemble_couette_rhs, assemble_diffusion, assemble_operator,
     convective_divergence, convective_divergence_matrix,
     diffusion_sensitivity, solve_A1, solve_spd,
 )
@@ -76,7 +77,7 @@ def test_assembled_matrix_matches_loop_oracle(bc):
     for _ in range(5):
         c = rng.uniform(0.5, 2.0, size=grid.shape)
         q = rng.normal(size=grid.shape)
-        K = assemble_operator(grid, c).matrix
+        K = assemble_operator(grid, c)
         got = (K @ q.ravel()).reshape(grid.shape)
         assert np.allclose(got, apply_diffusion_by_loops(grid, c, q),
                            rtol=1e-13, atol=1e-13)
@@ -88,7 +89,7 @@ def test_assembled_matrix_matches_loop_oracle(bc):
 def test_assembled_matrix_is_spd(bc, shape, lengths, seed):
     rng = np.random.default_rng(seed)
     grid = Grid(*shape, *lengths, bc_x1=bc)
-    K = assemble_operator(grid, rng.uniform(0.2, 3.0, size=grid.shape)).matrix
+    K = assemble_operator(grid, rng.uniform(0.2, 3.0, size=grid.shape))
     asym = (K - K.T).toarray()
     assert np.max(np.abs(asym)) == 0.0
     eigs = np.linalg.eigvalsh(K.toarray())
@@ -132,8 +133,8 @@ def test_variable_coefficient_solution_is_second_order():
     for n in (16, 32, 64):
         grid = Grid(n, n, 1.0, 1.0)
         X, Y = grid.centers()
-        op = assemble_operator(grid, coeff(X, Y))
-        u = op.solve(forcing(X, Y))
+        K = assemble_operator(grid, coeff(X, Y))
+        u = solve_spd(K, forcing(X, Y), grid)
         errors.append(field_norms(grid, u - exact(X, Y))["L2"])
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 1.9), f"observed orders {orders}"
@@ -235,8 +236,8 @@ def test_diffusion_sensitivity_is_the_exact_derivative(bc, shape, lengths,
     M = diffusion_sensitivity(grid, cp, q)
     got = M @ S.ravel()
     t = 0.5
-    hi = assemble_operator(grid, c + t * cp * S).matrix @ q.ravel()
-    lo = assemble_operator(grid, c - t * cp * S).matrix @ q.ravel()
+    hi = assemble_operator(grid, c + t * cp * S) @ q.ravel()
+    lo = assemble_operator(grid, c - t * cp * S) @ q.ravel()
     want = -(hi - lo) / (2.0 * t)
     assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
@@ -244,55 +245,43 @@ def test_diffusion_sensitivity_is_the_exact_derivative(bc, shape, lengths,
 def test_solve_matches_dense_reference():
     rng = np.random.default_rng(31)
     grid = Grid(6, 6, 1.0, 1.0)
-    op = assemble_operator(grid, rng.uniform(0.5, 2.0, size=grid.shape))
+    K = assemble_operator(grid, rng.uniform(0.5, 2.0, size=grid.shape))
     b = rng.normal(size=grid.n_cells)
-    x = op.solve(b)
-    ref = np.linalg.solve(op.matrix.toarray(), b)
+    x = solve_spd(K, b, grid)
+    ref = np.linalg.solve(K.toarray(), b)
     assert np.allclose(x.ravel(), ref, rtol=1e-10, atol=1e-12)
     # a repeated solve returns the same answer
-    assert np.array_equal(op.solve(b), x)
-
-
-def test_krylov_path_agrees_with_direct():
-    rng = np.random.default_rng(37)
-    grid = Grid(10, 10, 1.0, 1.0)
-    op = assemble_operator(grid, rng.uniform(0.5, 2.0, size=grid.shape))
-    b = rng.normal(size=grid.n_cells)
-    direct = solve_spd(op.matrix, b, grid, LinearSolveConfig(method="direct-banded"))
-    krylov = solve_spd(op.matrix, b, grid,
-                       LinearSolveConfig(method="krylov", tol=1e-10))
-    assert np.allclose(krylov, direct, rtol=1e-7, atol=1e-9)
-
-
-def test_krylov_iteration_budget_failure_is_reported():
-    rng = np.random.default_rng(41)
-    grid = Grid(16, 16, 1.0, 1.0)
-    op = assemble_operator(grid, rng.uniform(0.5, 2.0, size=grid.shape))
-    b = rng.normal(size=grid.n_cells)
-    with pytest.raises(SolverFailureError):
-        solve_spd(op.matrix, b, grid,
-                  LinearSolveConfig(method="krylov", tol=1e-12, max_iter=2))
+    assert np.array_equal(solve_spd(K, b, grid), x)
 
 
 def test_solve_rejects_wrong_sized_rhs():
     grid = Grid(4, 4, 1.0, 1.0)
-    op = assemble_operator(grid, np.ones(grid.shape))
+    K = assemble_operator(grid, np.ones(grid.shape))
     with pytest.raises(ConfigurationError):
-        op.solve(np.ones(grid.n_cells + 1))
+        solve_spd(K, np.ones(grid.n_cells + 1), grid)
 
 
-def test_linear_solve_config_validation():
-    with pytest.raises(ConfigurationError):
-        LinearSolveConfig(method="gauss-seidel")
-    with pytest.raises(ConfigurationError):
-        LinearSolveConfig(tol=0.0)
-    with pytest.raises(ConfigurationError):
-        LinearSolveConfig(tol=0.1)
-    with pytest.raises(ConfigurationError):
-        LinearSolveConfig(max_iter=0)
-    cfg = LinearSolveConfig()
-    assert cfg.resolved_method(DIRECT_CELL_LIMIT) == "direct-banded"
-    assert cfg.resolved_method(DIRECT_CELL_LIMIT + 1) == "krylov"
+def test_singular_matrix_is_a_solver_failure():
+    # SuperLU reports an exactly singular matrix as a bare RuntimeError;
+    # the solve turns it into the package's numerical-failure error.
+    grid = Grid(4, 4, 1.0, 1.0)
+    zero = sp.csr_matrix((grid.n_cells, grid.n_cells))
+    with pytest.raises(SolverFailureError, match="singular"):
+        solve_spd(zero, np.ones(grid.n_cells), grid)
+
+
+def test_residual_check_rejects_a_wrong_factorization(monkeypatch):
+    # A factorization of 1.001 K solves K x = b with relative residual
+    # about 1e-3, far above RESIDUAL_TOL: the check must catch it.
+    rng = np.random.default_rng(41)
+    grid = Grid(16, 16, 1.0, 1.0)
+    K = assemble_operator(grid, rng.uniform(0.5, 2.0, size=grid.shape))
+    b = rng.normal(size=grid.n_cells)
+    splu = elliptic.spla.splu
+    monkeypatch.setattr(elliptic.spla, "splu",
+                        lambda A, **kw: splu(1.001 * A, **kw))
+    with pytest.raises(SolverFailureError, match="residual"):
+        solve_spd(K, b, grid)
 
 
 def test_film_diffusion_coefficient_wiring():
@@ -301,8 +290,8 @@ def test_film_diffusion_coefficient_wiring():
     grid = Grid(6, 5, 1.0, 1.0)
     R = p.R0 * rng.uniform(0.8, 1.2, size=grid.shape)
     h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
-    K1 = assemble_diffusion(grid, R, h, p).matrix
-    K2 = assemble_operator(grid, eval_f3(R, p) * h ** 3).matrix
+    K1 = assemble_diffusion(grid, R, h, p)
+    K2 = assemble_operator(grid, eval_f3(R, p) * h ** 3)
     assert (K1 - K2).nnz == 0
 
 

@@ -20,7 +20,7 @@ import pytest
 import scipy.sparse as sp
 
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
-from filmcav.elliptic import DEFAULT_SOLVE, SCHEME_CENTRAL, SCHEME_UPWIND
+from filmcav.elliptic import SCHEME_CENTRAL, SCHEME_UPWIND
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, Grid, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived
@@ -119,17 +119,17 @@ def test_inertial_jacobian_blocks_match_acceleration_derivatives(journal_state):
         v = rng.normal(size=grid.shape)
         v /= np.max(np.abs(v))
         ap, _ = _wall_acceleration(grid, R_s + t_R * v, V0, h, U, params,
-                                   DEFAULT_SOLVE, SCHEME_UPWIND)
+                                   SCHEME_UPWIND)
         am, _ = _wall_acceleration(grid, R_s - t_R * v, V0, h, U, params,
-                                   DEFAULT_SOLVE, SCHEME_UPWIND)
+                                   SCHEME_UPWIND)
         fd = ((ap - am) / (2.0 * t_R)).ravel()
         got = LF[n:, :n] @ v.ravel()
         assert np.linalg.norm(got - fd) <= 1e-7 * np.linalg.norm(fd)
 
         ap, _ = _wall_acceleration(grid, R_s, t_V * v, h, U, params,
-                                   DEFAULT_SOLVE, SCHEME_UPWIND)
+                                   SCHEME_UPWIND)
         am, _ = _wall_acceleration(grid, R_s, -t_V * v, h, U, params,
-                                   DEFAULT_SOLVE, SCHEME_UPWIND)
+                                   SCHEME_UPWIND)
         fd = ((ap - am) / (2.0 * t_V)).ravel()
         got = LF[n:, n:] @ v.ravel()
         # The acceleration is affine in the wall velocity at Rdot = 0, so
