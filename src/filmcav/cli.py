@@ -3,10 +3,10 @@
 Subcommands map to the run modes: ``transient`` (time marching with
 snapshot/midline/summary artifacts), ``stationary`` (Newton solve),
 ``stability`` (stationary branch + linearized spectra + modal threshold
-analysis), and ``sweep`` (one transient or stationary solve per parameter
-value with an aggregated CSV).  Every output directory receives a MANIFEST
-documenting file names and column schemas; outputs are deterministic for a
-fixed configuration.
+analysis), and ``sweep`` (the plain transient or stationary run of each
+parameter value, with an aggregated CSV).  Every output directory receives
+a MANIFEST documenting file names and column schemas; outputs are
+deterministic for a fixed configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (solver
 breakdown or an unconverged run).
@@ -25,8 +25,9 @@ import numpy as np
 from .config import (MODE_STABILITY, MODE_STATIONARY, MODE_SWEEP,
                      MODE_TRANSIENT, RunConfig, config_for_sweep_value,
                      parse_config)
-from .dynamics import (MODE_INERTIAL, STEP_STATS_KEYS, TransientResult,
-                       TransientWatch, initial_state, run_transient)
+from .dynamics import (HISTORY_KEYS, MODE_INERTIAL, STEP_STATS_KEYS,
+                       TransientResult, TransientWatch, initial_state,
+                       run_transient)
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, export_fields_csv,
@@ -40,7 +41,12 @@ from .stationary import StationaryReport, solve_stationary
 
 MIDLINE_HEADER = "x1,R_hat,p_scaled,p_gauge_Pa,alpha"
 SWEEP_HEADER = "value,converged,max_Rhat,min_phat,max_alpha"
+HISTORY_HEADER = ",".join(HISTORY_KEYS)
 TRACE_HEADER = ",".join(STEP_STATS_KEYS)
+
+#: the errors a run reports as a numerical failure (exit 3)
+_NUMERICAL_FAILURES = (SolverFailureError, StepFailureError,
+                       SupercriticalRadiusError)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +82,15 @@ def render_midline_csv(grid: Grid, params: PhysicalParams, R: np.ndarray,
     return "\n".join(lines) + "\n"
 
 
+def _write_columns_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """One CSV row per index of the equally long ``columns``, 9 significant
+    digits, headed by the column names."""
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append(",".join(f"{v:.9g}" for v in row))
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def _manifest_text(entries: list[tuple[str, str]]) -> str:
     lines = ["# output files", ""]
     for name, desc in entries:
@@ -86,6 +101,8 @@ def _manifest_text(entries: list[tuple[str, str]]) -> str:
 
 _FIELDS_DESC = (f"cell-centered fields, columns `{CSV_HEADER}`; "
                 "row-major with x2 varying fastest, 9 significant digits")
+_MIDLINE_DESC = ("mid-width profile (average of the two center rows), "
+                 f"columns `{MIDLINE_HEADER}`")
 
 
 def _transient_summary(res: TransientResult, config: RunConfig,
@@ -133,16 +150,15 @@ def _stationary_summary(report: StationaryReport, R: np.ndarray,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_transient(config: RunConfig) -> int:
-    """Time-march the configured model and write field artifacts."""
+def _transient(config: RunConfig) -> TransientResult:
+    """Time-march the configured model and write every artifact of the run."""
     grid = config.make_grid()
     params = config.params
     consts = compute_derived(params)
     h = gap_function(grid, params)
     out = Path(config.output_dir)
     watch = TransientWatch(stationarity_tol=config.stationarity_tol,
-                           snapshot_every=config.snapshot_every,
-                           out_dir=out if config.snapshot_every > 0 else None)
+                           snapshot_every=config.snapshot_every, out_dir=out)
     state = initial_state(grid, params, Rhat=1.0, mode=config.step.mode)
     res = run_transient(grid, state, h, config.velocity, params, config.step,
                         config.n_steps, watch, consts=consts)
@@ -152,28 +168,15 @@ def cmd_transient(config: RunConfig) -> int:
                       res.state.p)
     _write_text(out / "midline.csv",
                 render_midline_csv(grid, params, res.state.R, res.state.p))
-    hist_lines = ["t,rate,min_Rhat,max_Rhat,min_p,max_p"]
-    hist = res.history
-    for i in range(len(hist["t"])):
-        hist_lines.append(",".join(f"{hist[k][i]:.9g}" for k in
-                                   ("t", "rate", "min_Rhat", "max_Rhat",
-                                    "min_p", "max_p")))
-    _write_text(out / "history.csv", "\n".join(hist_lines) + "\n")
-    trace_lines = [TRACE_HEADER]
-    stats = res.step_stats
-    for i in range(len(stats["t"])):
-        trace_lines.append(",".join(f"{stats[k][i]:.9g}"
-                                    for k in STEP_STATS_KEYS))
-    _write_text(out / "trace.csv", "\n".join(trace_lines) + "\n")
+    _write_columns_csv(out / "history.csv", res.history)
+    _write_columns_csv(out / "trace.csv", res.step_stats)
     _write_text(out / "summary.txt",
                 _transient_summary(res, config, consts.p_cav,
                                    consts.R_crit / params.R0))
     entries = [
         ("fields_final.csv", _FIELDS_DESC),
-        ("midline.csv", "mid-width profile (average of the two center rows), "
-                        f"columns `{MIDLINE_HEADER}`"),
-        ("history.csv", "per-step diagnostics, columns "
-                        "`t,rate,min_Rhat,max_Rhat,min_p,max_p`"),
+        ("midline.csv", _MIDLINE_DESC),
+        ("history.csv", f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
         ("trace.csv", "per-step solver work, columns "
                       f"`{TRACE_HEADER}`: step end time, step size used, "
                       "iterations (explicit first check plus one pressure "
@@ -184,13 +187,22 @@ def cmd_transient(config: RunConfig) -> int:
         entries.append((f"snapshot_<step>.csv (every {config.snapshot_every} "
                         "steps)", _FIELDS_DESC))
     _write_text(out / "MANIFEST.txt", _manifest_text(entries))
+    return res
+
+
+def cmd_transient(config: RunConfig) -> int:
+    """Time-march the configured model and write field artifacts."""
+    res = _transient(config)
     print(f"transient: converged={str(res.converged).lower()} "
-          f"steps={res.steps} max_Rhat={res.max_Rhat:.6g} -> {out}")
+          f"steps={res.steps} max_Rhat={res.max_Rhat:.6g} -> "
+          f"{Path(config.output_dir)}")
     return 0 if res.converged else 3
 
 
-def cmd_stationary(config: RunConfig) -> int:
-    """Solve directly for the stationary state and write field artifacts."""
+def _stationary(config: RunConfig
+                ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
+    """Solve directly for the stationary state and write every artifact of
+    the run."""
     grid = config.make_grid()
     params = config.params
     h = gap_function(grid, params)
@@ -205,12 +217,17 @@ def cmd_stationary(config: RunConfig) -> int:
                 _stationary_summary(report, R_s, p_s, params))
     _write_text(out / "MANIFEST.txt", _manifest_text([
         ("fields_final.csv", _FIELDS_DESC),
-        ("midline.csv", "mid-width profile (average of the two center rows), "
-                        f"columns `{MIDLINE_HEADER}`"),
+        ("midline.csv", _MIDLINE_DESC),
         ("summary.txt", "solver report (key = value lines)"),
     ]))
+    return R_s, p_s, report
+
+
+def cmd_stationary(config: RunConfig) -> int:
+    """Solve directly for the stationary state and write field artifacts."""
+    _, _, report = _stationary(config)
     print(f"stationary: converged={str(report.converged).lower()} "
-          f"residual={report.final_residual:.3e} -> {out}")
+          f"residual={report.final_residual:.3e} -> {Path(config.output_dir)}")
     return 0 if report.converged else 3
 
 
@@ -303,53 +320,33 @@ def cmd_stability(config: RunConfig) -> int:
     return 0
 
 
-def _sweep_point(args: tuple[RunConfig, float]) -> dict:
-    """One sweep evaluation (top-level for process pools)."""
+def _sweep_row(value: float, converged: bool, *numbers: float) -> str:
+    return ",".join([f"{value:.9g}", str(converged).lower()]
+                    + [f"{x:.9g}" for x in numbers])
+
+
+def _sweep_point(args: tuple[RunConfig, float]) -> str:
+    """One sweep evaluation (top-level for process pools): the plain run of
+    the point's configuration, mapped to its ``sweep.csv`` row."""
     config, value = args
-    sub = config_for_sweep_value(config, value)
-    sub = replace(sub,
+    sub = replace(config_for_sweep_value(config, value),
                   output_dir=str(Path(config.output_dir)
                                  / f"sweep_{config.sweep_axis}_{value:g}"))
-    grid = sub.make_grid()
     params = sub.params
-    consts = compute_derived(params)
-    h = gap_function(grid, params)
-    out = Path(sub.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    row: dict = {"value": value}
+    p_cav = abs(compute_derived(params).p_cav)
     try:
         if sub.mode == MODE_STATIONARY:
-            R_s, p_s, report = solve_stationary(grid, h, sub.velocity, params,
-                                                sub.newton, consts=consts)
-            export_fields_csv(out / "fields_final.csv", grid, params, R_s, p_s)
-            _write_text(out / "summary.txt",
-                        _stationary_summary(report, R_s, p_s, params))
-            row.update(converged=report.converged,
-                       max_Rhat=float(np.max(R_s)) / params.R0,
-                       min_phat=float(np.min(p_s)) / abs(consts.p_cav),
-                       max_alpha=float(np.max(eval_alpha(R_s, params))))
-        else:
-            state = initial_state(grid, params, Rhat=1.0, mode=sub.step.mode)
-            res = run_transient(grid, state, h, sub.velocity, params,
-                                sub.step, sub.n_steps,
-                                TransientWatch(
-                                    stationarity_tol=sub.stationarity_tol),
-                                consts=consts)
-            export_fields_csv(out / "fields_final.csv", grid, params,
-                              res.state.R, res.state.p)
-            _write_text(out / "summary.txt",
-                        _transient_summary(res, sub, consts.p_cav,
-                                           consts.R_crit / params.R0))
-            row.update(converged=res.converged, max_Rhat=res.max_Rhat,
-                       min_phat=res.min_p / abs(consts.p_cav),
-                       max_alpha=float(eval_alpha(res.max_Rhat * params.R0,
-                                                  params)))
-    except (SolverFailureError, StepFailureError,
-            SupercriticalRadiusError) as exc:
-        _write_text(out / "summary.txt", f"failure = {exc}\n")
-        row.update(converged=False, max_Rhat=float("nan"),
-                   min_phat=float("nan"), max_alpha=float("nan"))
-    return row
+            R_s, p_s, report = _stationary(sub)
+            return _sweep_row(value, report.converged,
+                              float(np.max(R_s)) / params.R0,
+                              float(np.min(p_s)) / p_cav,
+                              float(np.max(eval_alpha(R_s, params))))
+        res = _transient(sub)
+        return _sweep_row(value, res.converged, res.max_Rhat, res.min_p / p_cav,
+                          float(eval_alpha(res.max_Rhat * params.R0, params)))
+    except _NUMERICAL_FAILURES as exc:
+        _write_text(Path(sub.output_dir) / "summary.txt", f"failure = {exc}\n")
+        return _sweep_row(value, False, *[float("nan")] * 3)
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -364,18 +361,16 @@ def cmd_sweep(config: RunConfig) -> int:
     else:
         rows = [_sweep_point(job) for job in jobs]
 
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(f"{row['value']:.9g},{str(row['converged']).lower()},"
-                     f"{row['max_Rhat']:.9g},{row['min_phat']:.9g},"
-                     f"{row['max_alpha']:.9g}")
+    lines = [SWEEP_HEADER] + rows
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     _write_text(out / "MANIFEST.txt", _manifest_text([
         ("sweep.csv", f"one row per swept value, columns `{SWEEP_HEADER}`; "
                       "min_phat is the scaled pressure minimum normalized by "
                       "|min f1| (cavitation level = -1)"),
-        (f"sweep_{config.sweep_axis}_<value>/", "per-point artifacts "
-         "(fields_final.csv, summary.txt)"),
+        (f"sweep_{config.sweep_axis}_<value>/", "the plain "
+         f"`{config.sweep_solver}` run of the point's configuration: its "
+         "artifacts and its MANIFEST.txt; the summary.txt of a point that "
+         "failed numerically names the failure"),
     ]))
     for line in lines:
         print(line)
@@ -442,8 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailureError, StepFailureError,
-            SupercriticalRadiusError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

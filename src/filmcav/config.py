@@ -1,9 +1,12 @@
 """Flat key-value run configuration: parsing, validation, rendering.
 
 The file format is one ``key = value`` assignment per line, with ``#``
-comments and blank lines ignored.  Keys match the physical-parameter field
-names plus run/solver settings; every key has a documented default, unknown
-or repeated keys are rejected by name, and ``parse_config(render_config(c))``
+comments and blank lines ignored.  The keys come from one table built from
+the dataclass fields of :class:`RunConfig` and of its three settings
+objects (``params``, ``step``, ``newton``): each field is one key named
+after it (``step.mode`` is ``step_mode``), its default is the dataclass
+default, and its value is parsed by the type of that default.  Unknown or
+repeated keys are rejected by name, and ``parse_config(render_config(c))``
 reproduces ``c`` exactly (floats are rendered with full round-trip
 precision).
 """
@@ -11,12 +14,12 @@ precision).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .errors import ConfigurationError
-from .grid import BC_DIRICHLET, BC_PERIODIC, Grid, grid_for_params
+from .grid import BC_PERIODIC, Grid, grid_for_params
 from .dynamics import StepConfig
-from .physics import PhysicalParams, params_fields
+from .physics import PhysicalParams
 from .stationary import StationarySolveConfig
 
 log = logging.getLogger(__name__)
@@ -28,21 +31,6 @@ MODE_SWEEP = "sweep"
 RUN_MODES = (MODE_TRANSIENT, MODE_STATIONARY, MODE_STABILITY, MODE_SWEEP)
 
 SWEEP_AXES = ("none", "ecc", "omega")
-
-_PHYSICS_KEYS = params_fields()
-
-#: key -> (converter, default-documentation); all defaults live in the
-#: dataclass definitions below / in PhysicalParams.
-_INT_KEYS = ("n1", "n2", "picard_max", "n_steps", "snapshot_every",
-             "newton_max", "continuation_steps", "k_max", "workers")
-_FLOAT_KEYS = _PHYSICS_KEYS + ("dt", "picard_tol", "stationarity_tol",
-                               "newton_tol", "stability_margin")
-_STR_KEYS = ("mode", "step_mode", "bc_x1", "sweep_axis", "sweep_solver",
-             "output_dir")
-_LIST_KEYS = ("sweep_values",)
-
-KNOWN_KEYS = frozenset(_INT_KEYS) | frozenset(_FLOAT_KEYS) \
-    | frozenset(_STR_KEYS) | frozenset(_LIST_KEYS)
 
 
 @dataclass(frozen=True)
@@ -71,11 +59,7 @@ class RunConfig:
         if self.mode not in RUN_MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(RUN_MODES)}, got {self.mode!r}")
-        if self.n1 < 4 or self.n2 < 4:
-            raise ConfigurationError("n1 and n2 must be at least 4")
-        if self.bc_x1 not in (BC_PERIODIC, BC_DIRICHLET):
-            raise ConfigurationError(f"bc_x1 must be '{BC_PERIODIC}' or "
-                                     f"'{BC_DIRICHLET}', got {self.bc_x1!r}")
+        self.make_grid()                 # checks n1, n2 and bc_x1
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be at least 1")
         if not self.stationarity_tol > 0.0:
@@ -120,16 +104,41 @@ class RunConfig:
         return (self.params.omega * self.params.J_r, 0.0)
 
 
+#: settings fields whose key is not their field name
+_RENAMED = {("step", "mode"): "step_mode"}
+#: section -> the comment line that heads it in rendered text
+_SECTION_TITLES = {"params": "physical parameters", None: "run",
+                   "step": "time stepping", "newton": "stationary solver"}
+
+
+def _key_table() -> dict[str, tuple[str | None, str, object]]:
+    """key -> (section, field, default) over every field of ``RunConfig``
+    and of its settings objects; section ``None`` is ``RunConfig`` itself."""
+    defaults = RunConfig()
+    table = {}
+    for f in fields(RunConfig):
+        default = getattr(defaults, f.name)
+        if not is_dataclass(default):
+            table[f.name] = (None, f.name, default)
+            continue
+        for sub in fields(default):
+            key = _RENAMED.get((f.name, sub.name), sub.name)
+            table[key] = (f.name, sub.name, getattr(default, sub.name))
+    return table
+
+
+_KEYS = _key_table()
+KNOWN_KEYS = frozenset(_KEYS)
+
+
 def _parse_value(key: str, raw: str):
+    """Parse by the type of the key's default: int, float, str, or a
+    comma-separated tuple of floats."""
+    default = _KEYS[key][2]
     try:
-        if key in _LIST_KEYS:
-            items = [s.strip() for s in raw.split(",") if s.strip()]
-            return tuple(float(s) for s in items)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _STR_KEYS:
-            return raw
-        return float(raw)
+        if isinstance(default, tuple):
+            return tuple(float(s) for s in raw.split(",") if s.strip())
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigurationError(
             f"invalid value for key '{key}': {raw!r}") from exc
@@ -141,7 +150,7 @@ def parse_config(text: str) -> RunConfig:
     Unknown and repeated keys are rejected by name; duplicate sweep values
     are dropped (order-preserving) with a logged warning.
     """
-    values: dict[str, object] = {}
+    given: dict[str | None, dict[str, object]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -151,82 +160,43 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key not in KNOWN_KEYS:
             raise ConfigurationError(f"unknown configuration key '{key}'")
-        if key in values:
+        section, name, _ = _KEYS[key]
+        if name in given.setdefault(section, {}):
             raise ConfigurationError(f"repeated configuration key '{key}'")
-        values[key] = _parse_value(key, raw)
+        given[section][name] = _parse_value(key, raw.strip())
 
-    if "sweep_values" in values:
-        vals = values["sweep_values"]
+    run = given.pop(None, {})
+    if "sweep_values" in run:
+        vals = run["sweep_values"]
         deduped = tuple(dict.fromkeys(vals))
         if len(deduped) != len(vals):
             log.warning("dropping %d duplicate sweep value(s)",
                         len(vals) - len(deduped))
-        values["sweep_values"] = deduped
+        run["sweep_values"] = deduped
+    defaults = RunConfig()
+    return replace(defaults, **run, **{
+        section: replace(getattr(defaults, section), **kwargs)
+        for section, kwargs in given.items()})
 
-    params = PhysicalParams(**{k: values.pop(k) for k in _PHYSICS_KEYS
-                               if k in values})
-    step_kwargs = {}
-    for cfg_key, field_name in (("dt", "dt"), ("picard_tol", "picard_tol"),
-                                ("picard_max", "picard_max"),
-                                ("step_mode", "mode")):
-        if cfg_key in values:
-            step_kwargs[field_name] = values.pop(cfg_key)
-    step = StepConfig(**step_kwargs)
-    newton_kwargs = {k: values.pop(k) for k in
-                     ("newton_tol", "newton_max", "continuation_steps")
-                     if k in values}
-    newton_defaults = {"continuation_steps": 8}
-    newton = StationarySolveConfig(**{**newton_defaults, **newton_kwargs})
-    return RunConfig(params=params, step=step, newton=newton, **values)
+
+def _render_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_config(config: RunConfig) -> str:
     """Render a configuration as parseable text (exact round trip)."""
-    p = config.params
-    lines = ["# physical parameters"]
-    for name in _PHYSICS_KEYS:
-        lines.append(f"{name} = {getattr(p, name)!r}")
-    lines += [
-        "",
-        "# grid",
-        f"n1 = {config.n1}",
-        f"n2 = {config.n2}",
-        f"bc_x1 = {config.bc_x1}",
-        "",
-        "# run",
-        f"mode = {config.mode}",
-        f"n_steps = {config.n_steps}",
-        f"stationarity_tol = {config.stationarity_tol!r}",
-        f"snapshot_every = {config.snapshot_every}",
-        f"output_dir = {config.output_dir}",
-        f"workers = {config.workers}",
-        "",
-        "# time stepping",
-        f"dt = {config.step.dt!r}",
-        f"picard_tol = {config.step.picard_tol!r}",
-        f"picard_max = {config.step.picard_max}",
-        f"step_mode = {config.step.mode}",
-        "",
-        "# stationary solver",
-        f"newton_tol = {config.newton.newton_tol!r}",
-        f"newton_max = {config.newton.newton_max}",
-        f"continuation_steps = {config.newton.continuation_steps}",
-        "",
-        "# stability",
-        f"stability_margin = {config.stability_margin!r}",
-        f"k_max = {config.k_max}",
-        "",
-        "# sweep",
-        f"sweep_axis = {config.sweep_axis}",
-        f"sweep_solver = {config.sweep_solver}",
-    ]
-    if config.sweep_values:
-        rendered = ",".join(repr(v) for v in config.sweep_values)
-        lines.append(f"sweep_values = {rendered}")
-    return "\n".join(lines) + "\n"
+    lines = []
+    for section, title in _SECTION_TITLES.items():
+        lines += ["", f"# {title}"]
+        owner = config if section is None else getattr(config, section)
+        for key, (key_section, name, _) in _KEYS.items():
+            if key_section == section and getattr(owner, name) != ():
+                lines.append(f"{key} = {_render_value(getattr(owner, name))}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 def config_for_sweep_value(config: RunConfig, value: float) -> RunConfig:

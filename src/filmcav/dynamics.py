@@ -54,6 +54,8 @@ MODE_INERTIAL = "inertial"
 
 #: per-step columns of :attr:`TransientResult.step_stats`
 STEP_STATS_KEYS = ("t", "dt_used", "iterations", "halvings")
+#: per-recorded-step columns of :attr:`TransientResult.history`
+HISTORY_KEYS = ("t", "rate", "min_Rhat", "max_Rhat", "min_p", "max_p")
 
 MAX_HALVINGS = 10
 
@@ -371,16 +373,16 @@ class TransientWatch:
     ``stationarity_tol`` declares the run stationary when
     ``max|R_new - R_old| / (dt R0)`` drops below it (units 1/s).
     ``snapshot_every`` > 0 writes ``snapshot_<step>.csv`` into ``out_dir``.
-    ``stop_at_critical`` ends the run unsuccessfully as soon as the radius
-    field reaches the critical radius, where the monotone quasi-static
-    response (and with it the model's validity) ends.
+    ``record_every`` thins the recorded history.  Whatever the watch, a run
+    ends unsuccessfully as soon as the radius field reaches the critical
+    radius, where the monotone quasi-static response (and with it the
+    model's validity) ends.
     """
 
     stationarity_tol: float = 1e-8
     snapshot_every: int = 0
     out_dir: Path | None = None
     record_every: int = 1
-    stop_at_critical: bool = True
 
 
 @dataclass
@@ -429,8 +431,7 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
         consts = compute_derived(params)
     hf = ensure_field(grid, h, "h")
 
-    hist: dict[str, list] = {k: [] for k in
-                             ("t", "rate", "min_Rhat", "max_Rhat", "min_p", "max_p")}
+    hist: dict[str, list] = {k: [] for k in HISTORY_KEYS}
     trace: dict[str, list] = {k: [] for k in STEP_STATS_KEYS}
     G_cur: np.ndarray | None = None
     chord = ChordCarry()
@@ -472,9 +473,8 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
             failed_step = step
             break
         steps_done = step
-        for key, val in (("t", state.t), ("dt_used", stats.dt_used),
-                         ("iterations", stats.iterations),
-                         ("halvings", stats.halvings)):
+        for key, val in zip(STEP_STATS_KEYS, (state.t, stats.dt_used,
+                                              stats.iterations, stats.halvings)):
             trace[key].append(val)
         if stats.halvings:
             dt_run = stats.dt_used
@@ -495,16 +495,15 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
         max_p_run = max(max_p_run, p_max)
 
         if step % max(watch.record_every, 1) == 0:
-            for key, val in (("t", state.t), ("rate", rate),
-                             ("min_Rhat", rhat_min), ("max_Rhat", rhat_max),
-                             ("min_p", p_min), ("max_p", p_max)):
+            for key, val in zip(HISTORY_KEYS, (state.t, rate, rhat_min,
+                                               rhat_max, p_min, p_max)):
                 hist[key].append(val)
         if (watch.snapshot_every > 0 and watch.out_dir is not None
                 and step % watch.snapshot_every == 0):
             os.makedirs(watch.out_dir, exist_ok=True)
             export_fields_csv(Path(watch.out_dir) / f"snapshot_{step}.csv",
                               grid, params, state.R, state.p)
-        if watch.stop_at_critical and rhat_max * params.R0 >= consts.R_crit:
+        if rhat_max * params.R0 >= consts.R_crit:
             failure = (f"radius reached the critical value at step {step} "
                        f"(max R_hat = {rhat_max:.4f}); quasi-static response "
                        "is no longer monotone")

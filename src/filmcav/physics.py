@@ -31,7 +31,7 @@ Every ``eval_*`` function accepts scalars or numpy arrays and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -429,8 +429,3 @@ def hypotheses_check(params: PhysicalParams,
               "f5(R) <= 0: bubble growth acts as a film volume source",
               eval_f5(r, params) <= 0.0),
     ]
-
-
-def params_fields() -> tuple[str, ...]:
-    """Names of the physical-parameter fields (the parameter-file keys)."""
-    return tuple(f.name for f in fields(PhysicalParams))

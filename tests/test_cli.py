@@ -6,13 +6,16 @@ inspects exit codes plus written artifacts; one subprocess test covers the
 error, 3 numerical failure.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import filmcav
 from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
                          midline_profile)
 from filmcav.config import parse_config
@@ -272,12 +275,13 @@ def test_sweep_aggregates_and_records_failures(tmp_path, capsys):
     assert "0.55,false,nan" in capsys.readouterr().out
 
 
-def test_transient_sweep_points_are_plain_transient_runs(tmp_path):
-    # Each point of a transient sweep is the `transient` run of its
-    # configuration: the same summary and the same final fields.
+@pytest.mark.parametrize("solver", ["transient", "stationary"])
+def test_sweep_points_are_plain_runs(tmp_path, solver):
+    # Each point of a sweep is the plain run of its configuration: the same
+    # files, names and bytes, MANIFEST included.
     base = "n1 = 8\nn2 = 4\nn_steps = 4000\n"
     cfg = _write(tmp_path, base + "sweep_axis = ecc\n"
-                 "sweep_values = 0.1,0.2\nsweep_solver = transient\n")
+                 f"sweep_values = 0.1,0.2\nsweep_solver = {solver}\n")
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     rows = [line.split(",") for line in
@@ -288,12 +292,17 @@ def test_transient_sweep_points_are_plain_transient_runs(tmp_path):
         single = tmp_path / f"single_{value}"
         path = tmp_path / f"single_{value}.cfg"
         path.write_text(base + f"ecc = {value}\n", encoding="utf-8")
-        assert main(["transient", "--config", str(path), "--out",
+        assert main([solver, "--config", str(path), "--out",
                      str(single)]) == 0
         point = out / f"sweep_ecc_{value}"
-        for name in ("summary.txt", "fields_final.csv"):
+        names = sorted(p.name for p in point.iterdir())
+        assert names == sorted(p.name for p in single.iterdir())
+        assert "MANIFEST.txt" in names and "midline.csv" in names
+        for name in names:
             assert (point / name).read_bytes() == (single / name).read_bytes()
-    assert "steps = 183" in (out / "sweep_ecc_0.2" / "summary.txt").read_text()
+    if solver == "transient":
+        summary = (out / "sweep_ecc_0.2" / "summary.txt").read_text()
+        assert "steps = 183" in summary
 
 
 def test_sweep_workers_do_not_change_results(tmp_path):
@@ -346,10 +355,15 @@ def test_missing_subcommand_is_a_usage_error():
 
 def test_module_entry_point(tmp_path):
     cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 4\n")
+    # the child imports the same filmcav as this test, installed or not
+    source = str(Path(filmcav.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source,
+                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "filmcav.cli", "stationary", "--config", cfg,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "stationary: converged=true" in proc.stdout
     assert (tmp_path / "out" / "fields_final.csv").exists()

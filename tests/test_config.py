@@ -1,6 +1,7 @@
 """Tests for the flat key-value run configuration."""
 
 import logging
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -172,12 +173,56 @@ def test_nested_solver_keys_route_to_their_configs():
         newton_tol=1e-9, newton_max=11, continuation_steps=2)
 
 
+def _settings(config):
+    """(section, field) -> value over every field of a RunConfig and of its
+    settings objects; section "" is the RunConfig itself."""
+    leaves = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            leaves.update({(f.name, g.name): getattr(value, g.name)
+                           for g in fields(value)})
+        else:
+            leaves[("", f.name)] = value
+    return leaves
+
+
 def test_every_physical_parameter_is_a_config_key():
-    from dataclasses import fields
-    for f in fields(PhysicalParams):
-        assert f.name in KNOWN_KEYS
-        config = parse_config(f"{f.name} = {getattr(PhysicalParams(), f.name)!r}\n")
-        assert config.params == PhysicalParams()
+    # every setting differs from its default here
+    params = PhysicalParams()
+    custom = RunConfig(
+        params=replace(params, k_poly=1.0, **{
+            f.name: 0.5 * getattr(params, f.name) for f in fields(params)
+            if f.name != "k_poly"}),
+        n1=48, n2=12, bc_x1=BC_DIRICHLET, mode=MODE_STATIONARY,
+        step=StepConfig(dt=1e-5, picard_tol=1e-9, picard_max=7,
+                        mode=MODE_INERTIAL),
+        n_steps=777, stationarity_tol=2e-7, snapshot_every=50,
+        output_dir="elsewhere",
+        newton=StationarySolveConfig(newton_tol=1e-9, newton_max=11,
+                                     continuation_steps=2),
+        sweep_axis="ecc", sweep_values=(0.25,), sweep_solver=MODE_STATIONARY,
+        stability_margin=1e-6, k_max=4, workers=3)
+    defaults = _settings(RunConfig())
+    wanted = _settings(custom)
+    assert all(wanted[leaf] != defaults[leaf] for leaf in defaults)
+
+    # each key, given alone, sets exactly one setting, and each setting has
+    # exactly one key
+    owner = {}
+    for line in render_config(custom).splitlines():
+        if not line or line.startswith("#"):
+            continue
+        got = _settings(parse_config(line + "\n"))
+        changed = [leaf for leaf in defaults if got[leaf] != defaults[leaf]]
+        assert len(changed) == 1, line
+        assert got[changed[0]] == wanted[changed[0]], line
+        assert changed[0] not in owner, line
+        owner[changed[0]] = line.partition("=")[0].strip()
+    assert set(owner) == set(defaults)
+    assert set(owner.values()) == KNOWN_KEYS
+    assert owner[("step", "mode")] == "step_mode"
+    assert all(owner[("params", f.name)] == f.name for f in fields(params))
 
 
 def test_config_for_sweep_value_substitutes_the_axis():

@@ -9,7 +9,7 @@ from filmcav.physics import (
     PhysicalParams, compute_derived, effective_viscosity, eval_alpha,
     eval_alpha_prime, eval_f1, eval_f1_prime, eval_f2, eval_f2_prime,
     eval_f3, eval_f3_prime, eval_f4, eval_f4_prime, eval_f5, eval_f5_prime,
-    hypotheses_check, mixture_density, params_fields,
+    hypotheses_check, mixture_density,
 )
 
 DEFAULT = PhysicalParams()
@@ -238,9 +238,3 @@ def test_nonpositive_radius_rejected():
         eval_f2(np.array([1e-7, -1e-7]), DEFAULT)
     with pytest.raises(NonPositiveRadiusError):
         eval_f3(np.nan, DEFAULT)
-
-
-def test_params_fields_cover_the_dataclass():
-    names = params_fields()
-    assert "rho_l" in names and "omega" in names
-    assert len(names) == 16
