@@ -32,7 +32,8 @@ from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, export_fields_csv,
                    gap_function)
-from .physics import PhysicalParams, compute_derived, eval_alpha
+from .physics import (DerivedConstants, PhysicalParams, compute_derived,
+                      eval_alpha)
 from .stability import (DENSE_ASSEMBLY_LIMIT, TAG_LF, TAG_LG, assemble_LF,
                         compute_spectrum, critical_speed, export_spectrum_csv,
                         growth_pencil, hurwitz_analysis, hurwitz_report_text,
@@ -150,11 +151,14 @@ def _stationary_summary(report: StationaryReport, R: np.ndarray,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _transient(config: RunConfig) -> TransientResult:
-    """Time-march the configured model and write every artifact of the run."""
+def _transient(config: RunConfig,
+               consts: DerivedConstants | None = None) -> TransientResult:
+    """Time-march the configured model and write every artifact of the run
+    (``consts`` are those of ``config.params``, computed when omitted)."""
     grid = config.make_grid()
     params = config.params
-    consts = compute_derived(params)
+    if consts is None:
+        consts = compute_derived(params)
     h = gap_function(grid, params)
     out = Path(config.output_dir)
     watch = TransientWatch(stationarity_tol=config.stationarity_tol,
@@ -179,8 +183,10 @@ def _transient(config: RunConfig) -> TransientResult:
         ("history.csv", f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
         ("trace.csv", "per-step solver work, columns "
                       f"`{TRACE_HEADER}`: step end time, step size used, "
-                      "iterations (explicit first check plus one pressure "
-                      "elimination each) and step halvings"),
+                      "iterations over all attempts (explicit first check "
+                      "plus one pressure elimination each), step halvings "
+                      "after a positivity loss or a stalled iteration, and "
+                      "attempts rejected by the local error test"),
         ("summary.txt", "run outcome (key = value lines)"),
     ]
     if config.snapshot_every > 0:
@@ -199,15 +205,17 @@ def cmd_transient(config: RunConfig) -> int:
     return 0 if res.converged else 3
 
 
-def _stationary(config: RunConfig
+def _stationary(config: RunConfig, consts: DerivedConstants | None = None
                 ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
     """Solve directly for the stationary state and write every artifact of
-    the run."""
+    the run (``consts`` as for :func:`_transient`)."""
     grid = config.make_grid()
     params = config.params
+    if consts is None:
+        consts = compute_derived(params)
     h = gap_function(grid, params)
     R_s, p_s, report = solve_stationary(grid, h, config.velocity, params,
-                                        config.newton)
+                                        config.newton, consts=consts)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_fields_csv(out / "fields_final.csv", grid, params, R_s, p_s)
@@ -333,15 +341,16 @@ def _sweep_point(args: tuple[RunConfig, float]) -> str:
                   output_dir=str(Path(config.output_dir)
                                  / f"sweep_{config.sweep_axis}_{value:g}"))
     params = sub.params
-    p_cav = abs(compute_derived(params).p_cav)
+    consts = compute_derived(params)
+    p_cav = abs(consts.p_cav)
     try:
         if sub.mode == MODE_STATIONARY:
-            R_s, p_s, report = _stationary(sub)
+            R_s, p_s, report = _stationary(sub, consts)
             return _sweep_row(value, report.converged,
                               float(np.max(R_s)) / params.R0,
                               float(np.min(p_s)) / p_cav,
                               float(np.max(eval_alpha(R_s, params))))
-        res = _transient(sub)
+        res = _transient(sub, consts)
         return _sweep_row(value, res.converged, res.max_Rhat, res.min_p / p_cav,
                           float(eval_alpha(res.max_Rhat * params.R0, params)))
     except _NUMERICAL_FAILURES as exc:

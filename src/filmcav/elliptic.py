@@ -61,9 +61,12 @@ class _FaceStencil:
     that boundary's axis and side (-1 low, +1 high).  ``*_dx`` and
     ``*_dx2`` hold the spacing across each face or edge and its square.
     The four matrix entries of every face, then the diagonal entry of every
-    edge, are permuted by ``order`` and summed into the CSR pattern
-    ``(indptr, indices)`` at ``slot``; ``order`` groups them face batch by
-    face batch, so that each diagonal accumulates in one fixed order.
+    edge, are summed into the CSR pattern ``(indptr, indices)`` by the 0/1
+    matrix ``scatter``: its row ``s`` lists the entries that land in
+    pattern slot ``s``, face batch by face batch, so that each diagonal
+    accumulates in one fixed order.  Index arrays are int32; gathers use
+    ``take``, which reads them as they are, where ``[]`` indexing would
+    first copy them to int64 on every call.
     """
 
     A: np.ndarray
@@ -76,8 +79,7 @@ class _FaceStencil:
     edge_side: np.ndarray
     edge_dx: np.ndarray
     edge_dx2: np.ndarray
-    order: np.ndarray
-    slot: np.ndarray
+    scatter: sp.csr_matrix
     indptr: np.ndarray
     indices: np.ndarray
 
@@ -110,23 +112,31 @@ def _stencil(grid: Grid) -> _FaceStencil:
                            + [np.full(cell.size, 4 * len(batches))])
     order = np.argsort(group, kind="stable")
     pattern, slot = np.unique(rows * n + cols, return_inverse=True)
+    slot = slot.ravel()[order]
+    # each scatter row keeps its entries in listing order (the CSR product
+    # sums a row in stored order), so every sum is the same at every call
+    by_slot = np.argsort(slot, kind="stable")
+    starts = np.searchsorted(slot[by_slot], np.arange(pattern.size + 1))
+    i32 = np.int32
+    scatter = sp.csr_matrix((np.ones(order.size), order[by_slot].astype(i32),
+                             starts.astype(i32)),
+                            shape=(pattern.size, order.size))
     dx = np.array([grid.dx1, grid.dx2])
     dx2 = np.array([grid.dx1 ** 2, grid.dx2 ** 2])
     return _FaceStencil(
-        A=A, B=B, face_axis=face_axis, face_dx=dx[face_axis],
-        face_dx2=dx2[face_axis], cell=cell, edge_axis=edge_axis,
-        edge_side=edge_side, edge_dx=dx[edge_axis], edge_dx2=dx2[edge_axis],
-        order=order, slot=slot.ravel()[order],
-        indptr=np.searchsorted(pattern, n * np.arange(n + 1)).astype(np.int32),
-        indices=(pattern % n).astype(np.int32))
+        A=A.astype(i32), B=B.astype(i32), face_axis=face_axis.astype(i32),
+        face_dx=dx[face_axis], face_dx2=dx2[face_axis], cell=cell.astype(i32),
+        edge_axis=edge_axis.astype(i32), edge_side=edge_side,
+        edge_dx=dx[edge_axis], edge_dx2=dx2[edge_axis], scatter=scatter,
+        indptr=np.searchsorted(pattern, n * np.arange(n + 1)).astype(i32),
+        indices=(pattern % n).astype(i32))
 
 
 def _assemble(st: _FaceStencil, a: np.ndarray, b: np.ndarray,
               edge: np.ndarray) -> sp.csr_matrix:
     """CSR matrix of the face fluxes ``F = a S_A + b S_B`` (row ``A`` gains
     ``F``, row ``B`` loses it) plus ``edge`` on each edge cell's diagonal."""
-    values = np.concatenate([a, -b, b, -a, edge])[st.order]
-    data = np.bincount(st.slot, values, minlength=st.indices.size)
+    data = st.scatter @ np.concatenate([a, -b, b, -a, edge])
     n = st.indptr.size - 1
     return sp.csr_matrix((data, st.indices.copy(), st.indptr.copy()),
                          shape=(n, n))
@@ -184,8 +194,8 @@ def assemble_operator(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
     if np.any(c <= 0.0):
         raise ConfigurationError("diffusion coefficient must be positive")
     st = _stencil(grid)
-    cf = 0.5 * (c[st.A] + c[st.B]) / st.face_dx2
-    return _assemble(st, cf, -cf, 2.0 * c[st.cell] / st.edge_dx2)
+    cf = 0.5 * (c.take(st.A) + c.take(st.B)) / st.face_dx2
+    return _assemble(st, cf, -cf, 2.0 * c.take(st.cell) / st.edge_dx2)
 
 
 def assemble_diffusion(grid: Grid, R: np.ndarray, h: np.ndarray,
@@ -204,14 +214,14 @@ def _convective_fluxes(grid: Grid, U: tuple[float, float], w: np.ndarray,
         raise ConfigurationError(f"unknown convection scheme {scheme!r}")
     st = _stencil(grid)
     vel = np.asarray(U, dtype=float)
-    u = vel[st.face_axis]
+    u = vel.take(st.face_axis)
     if scheme == SCHEME_CENTRAL:
-        a = u * 0.5 * wf[st.A] / st.face_dx
-        b = u * 0.5 * wf[st.B] / st.face_dx
+        a = u * 0.5 * wf.take(st.A) / st.face_dx
+        b = u * 0.5 * wf.take(st.B) / st.face_dx
     else:
-        a = np.where(u > 0.0, u * wf[st.A] / st.face_dx, 0.0)
-        b = np.where(u > 0.0, 0.0, u * wf[st.B] / st.face_dx)
-    edge = st.edge_side * vel[st.edge_axis] * wf[st.cell] / st.edge_dx
+        a = np.where(u > 0.0, u * wf.take(st.A) / st.face_dx, 0.0)
+        b = np.where(u > 0.0, 0.0, u * wf.take(st.B) / st.face_dx)
+    edge = st.edge_side * vel.take(st.edge_axis) * wf.take(st.cell) / st.edge_dx
     return st, a, b, edge
 
 
@@ -254,9 +264,9 @@ def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
     cp = ensure_field(grid, coeff_prime, "coefficient derivative").ravel()
     q = ensure_field(grid, potential, "potential").ravel()
     st = _stencil(grid)
-    g = (q[st.B] - q[st.A]) / st.face_dx2
-    return _assemble(st, 0.5 * cp[st.A] * g, 0.5 * cp[st.B] * g,
-                     -2.0 * cp[st.cell] * q[st.cell] / st.edge_dx2)
+    g = (q.take(st.B) - q.take(st.A)) / st.face_dx2
+    return _assemble(st, 0.5 * cp.take(st.A) * g, 0.5 * cp.take(st.B) * g,
+                     -2.0 * cp.take(st.cell) * q.take(st.cell) / st.edge_dx2)
 
 
 def flux_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray, h: np.ndarray,

@@ -30,6 +30,7 @@ def test_defaults_are_the_documented_desk_scale():
     assert config.bc_x1 == BC_PERIODIC
     assert config.mode == MODE_TRANSIENT
     assert config.step.dt == 3e-4
+    assert config.step.error_tol == 1e-4
     assert config.step.mode == MODE_INERTIALESS
     assert config.n_steps == 20000
     assert config.stationarity_tol == 1e-8
@@ -63,7 +64,8 @@ def test_comments_and_blank_lines_ignored():
     RunConfig(),
     RunConfig(params=PhysicalParams(ecc=0.4, omega=2500.0 / 3.0),
               n1=48, n2=12, bc_x1=BC_DIRICHLET,
-              step=StepConfig(dt=1e-3 / 3.0, picard_tol=1e-9, picard_max=25,
+              step=StepConfig(dt=1e-3 / 3.0, error_tol=2e-5 / 3.0,
+                              picard_tol=1e-9, picard_max=25,
                               mode=MODE_INERTIAL),
               n_steps=777, stationarity_tol=2e-7, snapshot_every=50,
               output_dir="artifacts/run one",
@@ -133,6 +135,8 @@ def test_out_of_range_physical_values_rejected():
     "stability_margin = 0.0",
     "k_max = 0",
     "workers = 0",
+    "error_tol = 1e-9",
+    "error_tol = 1.0",
 ])
 def test_run_setting_validation(line):
     with pytest.raises(ConfigurationError):
@@ -166,9 +170,10 @@ def test_sweep_values_parse_and_dedup(caplog):
 def test_nested_solver_keys_route_to_their_configs():
     config = parse_config(
         "step_mode = inertial\ndt = 1e-5\npicard_tol = 1e-9\npicard_max = 7\n"
+        "error_tol = 1e-6\n"
         "newton_tol = 1e-9\nnewton_max = 11\ncontinuation_steps = 2\n")
-    assert config.step == StepConfig(dt=1e-5, picard_tol=1e-9, picard_max=7,
-                                     mode=MODE_INERTIAL)
+    assert config.step == StepConfig(dt=1e-5, error_tol=1e-6, picard_tol=1e-9,
+                                     picard_max=7, mode=MODE_INERTIAL)
     assert config.newton == StationarySolveConfig(
         newton_tol=1e-9, newton_max=11, continuation_steps=2)
 
@@ -195,8 +200,8 @@ def test_every_physical_parameter_is_a_config_key():
             f.name: 0.5 * getattr(params, f.name) for f in fields(params)
             if f.name != "k_poly"}),
         n1=48, n2=12, bc_x1=BC_DIRICHLET, mode=MODE_STATIONARY,
-        step=StepConfig(dt=1e-5, picard_tol=1e-9, picard_max=7,
-                        mode=MODE_INERTIAL),
+        step=StepConfig(dt=1e-5, error_tol=1e-5, picard_tol=1e-9,
+                        picard_max=7, mode=MODE_INERTIAL),
         n_steps=777, stationarity_tol=2e-7, snapshot_every=50,
         output_dir="elsewhere",
         newton=StationarySolveConfig(newton_tol=1e-9, newton_max=11,

@@ -42,6 +42,11 @@ def test_step_config_validation():
         StepConfig(picard_max=0)
     with pytest.raises(ConfigurationError):
         StepConfig(mode="semi-implicit")
+    # the local error tolerance lies strictly between picard_tol and 1
+    for error_tol in (0.0, 1e-8, 1e-9, 1.0, 2.0):
+        with pytest.raises(ConfigurationError, match="error_tol"):
+            StepConfig(picard_tol=1e-8, error_tol=error_tol)
+    assert StepConfig(picard_tol=1e-8, error_tol=2e-8).error_tol == 2e-8
 
 
 def test_initial_state():
@@ -178,9 +183,10 @@ def test_backward_euler_jacobian_shares_the_stationary_linearization(bc, scheme)
     assert np.linalg.norm(B - want) < 1e-12 * np.linalg.norm(want)
 
 
-def _picard_reference(grid, R, h, U, p, dt, n_steps):
-    """Backward Euler by plain fixed-point iteration, solved to rounding."""
-    for _ in range(n_steps):
+def _picard_reference(grid, R, h, U, p, dts):
+    """Backward Euler by plain fixed-point iteration, solved to rounding,
+    with the step sizes ``dts``."""
+    for dt in dts:
         x = R
         for _ in range(500):
             G, _ = eliminate_pressure(grid, x, h, U, p)
@@ -206,6 +212,7 @@ def test_chord_newton_steps_match_plain_picard(carried):
     chord = ChordCarry() if carried else None
     G = None
     iterations = []
+    dts = []
     for _ in range(10):
         if carried:
             state, stats, G = step_inertialess(grid, state, h, U, p, cfg,
@@ -213,9 +220,9 @@ def test_chord_newton_steps_match_plain_picard(carried):
         else:
             state, stats, _ = step_inertialess(grid, state, h, U, p, cfg)
         iterations.append(stats.iterations)
+        dts.append(stats.dt_used)
     assert max(iterations) > 2             # the chord iteration did the work
-    ref = _picard_reference(grid, initial_state(grid, p).R, h, U, p,
-                            cfg.dt, 10)
+    ref = _picard_reference(grid, initial_state(grid, p).R, h, U, p, dts)
     assert np.max(np.abs(state.R - ref) / ref) < 1e-8
 
 
@@ -264,6 +271,93 @@ def test_backward_euler_is_first_order():
         errors.append(abs(float(state.R[0, 0]) - ref))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 0.8) and np.all(orders < 1.2), orders
+
+
+def _journal_case(ecc=0.4, shape=(16, 8)):
+    p = PhysicalParams(ecc=ecc)
+    grid = grid_for_params(p, *shape)
+    return p, grid, gap_function(grid, p), (p.surface_speed, 0.0)
+
+
+def test_error_test_rejects_and_retries_smaller():
+    # a first step of 2e-3 s from rest overshoots the fast transient by far:
+    # the error test rejects it, counts the rejections apart from the
+    # halvings, and retries at smaller sizes until the estimate passes
+    p, grid, h, U = _journal_case()
+    cfg = StepConfig(dt=2e-3)
+    chord = ChordCarry()
+    state, stats, G = step_inertialess(grid, initial_state(grid, p), h, U, p,
+                                       cfg, chord=chord)
+    assert stats.rejections >= 1 and stats.halvings == 0
+    assert cfg.dt * 0.2 ** stats.rejections <= stats.dt_used < cfg.dt
+    assert stats.iterations > stats.rejections + 1   # every attempt counts
+    assert 0.0 < chord.err_prev <= 1.0          # the accepted estimate passed
+    # the next step starts from the controller's proposal
+    proposal = chord.dt_next
+    _, stats, _ = step_inertialess(grid, state, h, U, p, cfg, G_at_state=G,
+                                   chord=chord)
+    assert stats.rejections == 0 and stats.dt_used == proposal
+
+
+def test_step_size_grows_at_most_fivefold():
+    # from a needlessly small initial step, through the error-limited
+    # transient, to the slow tail far past the nominal step
+    p, grid, h, U = _journal_case(ecc=0.2, shape=(8, 4))
+    res = run_transient(grid, initial_state(grid, p), h, U, p,
+                        StepConfig(dt=1e-8), n_steps=4000)
+    assert res.converged
+    dt = res.step_stats["dt_used"]
+    assert dt[0] == 1e-8
+    ratios = dt[1:] / dt[:-1]
+    assert np.max(ratios) <= 5.0 * (1.0 + 1e-12)
+    assert np.max(ratios) == pytest.approx(5.0)   # the clamp was reached
+    assert np.max(dt) > 100 * 3e-4
+
+
+def _fixed_step_history(grid, h, U, p, dt, stationarity_tol=1e-8):
+    """Step times and radius and pressure extrema of backward Euler at the
+    fixed step ``dt`` (each step is error-tested once against a loose
+    tolerance, which it passes), until the rate drops below the tolerance."""
+    state = initial_state(grid, p)
+    cfg = StepConfig(dt=dt, error_tol=0.5)
+    rows = []
+    G = None
+    while True:
+        R_old = state.R
+        state, stats, G = step_inertialess(grid, state, h, U, p, cfg,
+                                           G_at_state=G)
+        assert stats.dt_used == dt and stats.halvings == 0
+        rows.append((state.t, state.R.max() / p.R0, state.R.min() / p.R0,
+                     state.p.max(), state.p.min()))
+        if np.max(np.abs(state.R - R_old)) / (dt * p.R0) < stationarity_tol:
+            break
+    return dict(zip(("t", "max_Rhat", "min_Rhat", "max_p", "min_p"),
+                    np.array(rows).T))
+
+
+def test_error_control_is_no_less_accurate_than_the_fixed_step():
+    # History extrema at each run's own step times, against a run with a
+    # hundredfold tighter tolerance (interpolated in time): the default
+    # error-controlled run is at least as accurate, column by column, as
+    # backward Euler at the fixed nominal step 3e-4 s.
+    p, grid, h, U = _journal_case()
+
+    def adaptive(error_tol):
+        res = run_transient(grid, initial_state(grid, p), h, U, p,
+                            StepConfig(dt=3e-4, error_tol=error_tol), 5000)
+        assert res.converged
+        return res
+
+    ref = adaptive(1e-6).history
+    run = adaptive(1e-4)
+    fixed = _fixed_step_history(grid, h, U, p, 3e-4)
+    assert run.steps < len(fixed["t"])
+    for col in ("max_Rhat", "min_Rhat", "max_p", "min_p"):
+        scale = np.max(np.abs(ref[col]))
+        errors = [np.max(np.abs(hist[col] - np.interp(hist["t"], ref["t"],
+                                                      ref[col]))) / scale
+                  for hist in (run.history, fixed)]
+        assert errors[0] <= errors[1], (col, errors)
 
 
 def test_rest_state_is_an_exact_fixed_point():
@@ -331,11 +425,13 @@ def test_history_recording_stride():
     assert set(res.history) == {"t", "rate", "min_Rhat", "max_Rhat",
                                 "min_p", "max_p"}
     assert len(res.history["t"]) == 3
-    assert res.history["t"][-1] == pytest.approx(6e-7, rel=1e-9)
     # step statistics are kept for every step, not only the recorded ones
-    assert set(res.step_stats) == {"t", "dt_used", "iterations", "halvings"}
-    assert np.allclose(res.step_stats["t"], 1e-7 * np.arange(1, 7), rtol=1e-9)
-    assert np.all(res.step_stats["dt_used"] == 1e-7)
+    assert set(res.step_stats) == {"t", "dt_used", "iterations", "halvings",
+                                   "rejections"}
+    assert len(res.step_stats["t"]) == 6
+    assert np.allclose(res.step_stats["t"], np.cumsum(res.step_stats["dt_used"]),
+                       rtol=1e-12)
+    assert res.history["t"][-1] == res.step_stats["t"][-1]
     assert np.all(res.step_stats["iterations"] >= 1)
     assert np.all(res.step_stats["halvings"] == 0)
 
