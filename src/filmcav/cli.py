@@ -183,10 +183,9 @@ def _transient(config: RunConfig,
         ("history.csv", f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
         ("trace.csv", "per-step solver work, columns "
                       f"`{TRACE_HEADER}`: step end time, step size used, "
-                      "iterations over all attempts (explicit first check "
-                      "plus one pressure elimination each), step halvings "
-                      "after a positivity loss or a stalled iteration, and "
-                      "attempts rejected by the local error test"),
+                      "pressure eliminations over all attempts, step "
+                      "halvings after a positivity loss or a stalled "
+                      "iteration, and attempts rejected by the error test"),
         ("summary.txt", "run outcome (key = value lines)"),
     ]
     if config.snapshot_every > 0:

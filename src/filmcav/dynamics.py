@@ -15,17 +15,17 @@ shifted operator ``M`` stays symmetric positive definite: the slaving is
 uniquely solvable for any positive radius field, and ``S = y / (R f2)``,
 ``p = f1 - y`` follow pointwise.
 
-Time stepping is backward Euler.  A step first tries the explicit update
-``R_old + dt G(R_old)``, which costs no elimination and is accepted when it
-moves the radius by less than ``picard_tol``.  Otherwise the implicit
-equation ``R - R_old - dt G(R) = 0`` is solved by chord Newton from a
-second-order extrapolated start: the exact Newton matrix, in the pencil form
+Time stepping is backward Euler.  Every step attempt solves the implicit
+equation ``R - R_old - dt G(R) = 0`` by chord Newton from a second-order
+extrapolated start, and accepts only an iterate whose residual is below
+``picard_tol``.  The exact Newton matrix, in the pencil form
 ``A = M diag(R f2) (I - dt G'(R))`` built by :func:`backward_euler_jacobian`,
-is factored once and carried from step to step, and refactored only when
-``dt`` changes or an iteration shrinks the update by less than 100x.  Each
-iteration costs one pressure elimination.  A step that loses positivity or
-whose iteration stalls is rejected and retried at half the step size (at
-most 10 halvings) before a failure is declared.
+is factored at the first iterate that misses the tolerance and refactored
+when an iteration shrinks the update by less than 100x; the factor belongs
+to the attempt and is dropped with it.  Each iteration costs one pressure
+elimination.  A step that loses positivity or whose iteration stalls is
+rejected and retried at half the step size (at most 10 halvings) before a
+failure is declared.
 
 The step size is error-controlled.  The difference between the solved
 step and the extrapolated start is a free error estimate, in the manner of
@@ -49,7 +49,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field, export_fields_csv
@@ -87,14 +86,16 @@ class StepConfig:
     """Time-step settings.
 
     ``dt`` is the initial backward-Euler step and the fixed inertial (RK4)
-    step.  ``error_tol`` bounds the estimated local error of a
-    backward-Euler step, in max norm relative to ``max|R|`` (required in
-    ``(picard_tol, 1)``); the step size follows from it.  ``picard_tol`` is
-    the relative update threshold of the backward-Euler solve (required in
-    (0, 1e-3]): an iterate ``x`` is accepted when
+    step.  ``error_tol`` bounds the distance between a solved
+    backward-Euler step and its extrapolated start, in max norm relative to
+    ``max|R|`` (required in ``(picard_tol, 1)``); the step size follows from
+    it.  That distance shrinks like ``dt^3``, one order faster than the
+    local error of backward Euler, so it does not bound that error.
+    ``picard_tol`` is the relative residual threshold of the backward-Euler
+    solve (required in (0, 1e-3]): an iterate ``x`` is accepted when
     ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``picard_max`` bounds
-    the iterations per step attempt, counting the explicit first check;
-    ``mode`` selects quasi-static or inertial wall dynamics.
+    the pressure eliminations per step attempt; ``mode`` selects
+    quasi-static or inertial wall dynamics.
     """
 
     dt: float = 3e-4
@@ -132,8 +133,8 @@ class TransientState:
 
 @dataclass
 class StepStats:
-    """Work of one accepted step: solver ``iterations`` over all its
-    attempts, ``halvings`` after a positivity loss or a stall,
+    """Work of one accepted step: ``iterations``, the pressure eliminations
+    over all its attempts, ``halvings`` after a positivity loss or a stall,
     ``rejections`` by the error test, and the step size ``dt_used``."""
 
     iterations: int
@@ -144,22 +145,15 @@ class StepStats:
 
 @dataclass
 class ChordCarry:
-    """What one backward-Euler step hands the next.
+    """What one backward-Euler step hands the next; it holds no factor.
 
-    ``lu`` factors the Newton matrix ``A`` of :func:`backward_euler_jacobian`
-    built at an earlier iterate for step size ``dt``, and ``pencil`` is the
-    elimination pencil ``M diag(R f2)`` at that iterate, so
-    ``lu.solve(pencil @ r)`` applies the frozen inverse Jacobian of
-    ``R - R_old - dt G(R)`` to ``r``.  ``G_prev`` and ``dt_prev`` (the rate
-    at the start of the last accepted step and that step's size) feed the
-    second-order predictor.  ``err_prev`` is that step's error estimate over
-    ``error_tol`` and ``dt_next`` the step size the controller proposed for
-    the next step (0 before any step: start at ``StepConfig.dt``).
+    ``G_prev`` and ``dt_prev`` (the rate at the start of the last accepted
+    step and that step's size) feed the second-order predictor.
+    ``err_prev`` is that step's error estimate over ``error_tol`` and
+    ``dt_next`` the step size the controller proposed for the next step (0
+    before any step: start at ``StepConfig.dt``).
     """
 
-    lu: spla.SuperLU | None = None
-    pencil: sp.csr_matrix | None = None
-    dt: float = 0.0
     G_prev: np.ndarray | None = None
     dt_prev: float = 0.0
     err_prev: float = 1.0
@@ -271,21 +265,19 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                      ) -> tuple[TransientState, StepStats, np.ndarray]:
     """One error-controlled backward-Euler step of the quasi-static dynamics.
 
-    The implicit equation ``R_new = R_old + dt G(R_new)`` is resolved as
-    follows (``G_at_state`` lets the caller reuse an elimination already
-    done at ``state.R``).  The explicit update ``R_old + dt G(R_old)`` is
-    accepted outright when it moves ``R`` by less than ``picard_tol``.
-    Otherwise chord Newton iterates ``x <- x + A^-1 P (R_old + dt G(x) - x)``
-    with the factored Newton matrix ``A`` and pencil ``P`` of
-    :func:`backward_euler_jacobian`, from the predictor
-    ``pred = R_old + dt (G_n + (G_n - G_{n-1}) dt / dt_prev)``, until
-    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``chord`` carries the
-    factorization, the predictor history and the proposed step size between
-    steps and is updated in place; without it the step starts at
-    ``step_cfg.dt`` from the explicit update and factors afresh.  The
-    factorization is rebuilt at the current iterate when ``dt`` differs
-    from the one it was built for or an iteration shrinks the update by
-    less than ``CHORD_CONTRACTION``.
+    The implicit equation ``R_new = R_old + dt G(R_new)`` is solved by
+    chord Newton, ``x <- x + A^-1 P (R_old + dt G(x) - x)`` with the Newton
+    matrix ``A`` and pencil ``P`` of :func:`backward_euler_jacobian`, from
+    the predictor ``pred = R_old + dt (G_n + (G_n - G_{n-1}) dt / dt_prev)``
+    (the explicit update ``R_old + dt G_n`` without a history), until
+    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``G_at_state`` lets
+    the caller reuse an elimination already done at ``state.R``.  Each
+    attempt factors ``A`` at its first iterate that misses the tolerance,
+    refactors it at the current iterate when an iteration shrinks the
+    update by less than ``CHORD_CONTRACTION``, and drops it when it ends.
+    ``chord`` carries the predictor history and the proposed step size
+    between steps and is updated in place; without it the step starts at
+    ``step_cfg.dt``.
 
     The error of the solved step is estimated as
     ``max|R_new - pred| / max|R_new|``; without a history, as half that
@@ -296,27 +288,28 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     the PI controller in ``chord``.
 
     A step attempt is rejected -- and ``dt`` halved -- when an iterate
-    leaves the positive cone or when the iteration stalls (update growing
-    well past its best value, or ``picard_max`` checks spent).  More than
-    ``MAX_HALVINGS`` halvings raise :class:`StepFailureError` after a stall
-    and :class:`PositivityLossError` after a sign loss; more than
+    leaves the positive cone or when the iteration stalls (residual growing
+    well past its best value, or ``picard_max`` eliminations spent).  More
+    than ``MAX_HALVINGS`` halvings raise :class:`StepFailureError` after a
+    stall and :class:`PositivityLossError` after a sign loss; more than
     ``MAX_HALVINGS`` error-test retries raise :class:`StepFailureError`.
 
-    Returns the new state, step statistics, and ``G`` evaluated at the new
+    Returns the new state, step statistics (``iterations`` counts every
+    pressure elimination of the call), and ``G`` evaluated at the new
     state (reusable as the next step's first evaluation).
     """
     R_old = state.R
+    total_iters = 0
     if G_at_state is None:
         G_at_state, _ = eliminate_pressure(grid, R_old, h, U, params, scheme)
+        total_iters = 1
     if chord is None:
         chord = ChordCarry()
     tol = step_cfg.picard_tol
     dt = chord.dt_next or step_cfg.dt
     halvings = 0
     rejections = 0
-    total_iters = 0
     while True:
-        total_iters += 1
         x = R_old + dt * G_at_state
         if chord.G_prev is None:
             pred, weight = x, 0.5
@@ -324,17 +317,13 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             pred = x + dt * dt / chord.dt_prev * (G_at_state - chord.G_prev)
             weight = 1.0
         accepted = None
-        sign_loss = False
-        if np.any(x <= 0.0):
-            sign_loss = True                             # reject: halve dt
-        elif _relative(x - R_old, R_old) < tol:
-            accepted = x
-            G_new, p_new = eliminate_pressure(grid, x, h, U, params, scheme)
-        else:
+        sign_loss = np.any(x <= 0.0)                     # reject: halve dt
+        if not sign_loss:
             if np.all(pred > 0.0):
                 x = pred
             best = np.inf
-            for _ in range(step_cfg.picard_max - 1):
+            lu = None
+            for _ in range(step_cfg.picard_max):
                 total_iters += 1
                 G_x, p_x = eliminate_pressure(grid, x, h, U, params, scheme)
                 residual = R_old + dt * G_x - x
@@ -344,19 +333,16 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     break
                 if update > 10.0 * best and update > 100.0 * tol:
                     break                # diverging past its best: reject early
-                if (chord.lu is None or chord.dt != dt
-                        or update * CHORD_CONTRACTION > best):
+                if lu is None or update * CHORD_CONTRACTION > best:
                     # release the old factor first: building the new one
                     # while the old is alive fragments the native heap,
                     # and peak RSS then creeps up by megabytes over a run
-                    chord.lu = None
-                    A, chord.pencil = backward_euler_jacobian(
+                    lu = None
+                    A, pencil = backward_euler_jacobian(
                         grid, x, p_x, h, U, params, dt, scheme)
-                    chord.lu = _factorize(A)
-                    chord.dt = dt
+                    lu = _factorize(A)
                 best = min(best, update)
-                x = x + chord.lu.solve(chord.pencil @ residual.ravel()
-                                       ).reshape(grid.shape)
+                x = x + lu.solve(pencil @ residual.ravel()).reshape(grid.shape)
                 if np.any(x <= 0.0):
                     sign_loss = True
                     break                                # reject: halve dt
@@ -374,7 +360,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             rejections += 1
             if rejections > MAX_HALVINGS:
                 raise StepFailureError(
-                    f"backward-Euler local error stayed above error_tol = "
+                    f"backward-Euler error estimate stayed above error_tol = "
                     f"{step_cfg.error_tol:.3g} at t = {state.t:.6g} after "
                     f"{MAX_HALVINGS} retries (dt = {dt:.3g})")
             dt *= max(GROWTH_LIMITS[0], SAFETY * err ** -0.5)

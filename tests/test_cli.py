@@ -40,7 +40,7 @@ def test_transient_writes_documented_artifacts(tmp_path):
 
     summary = (out / "summary.txt").read_text(encoding="utf-8")
     assert "converged = true" in summary
-    assert "steps = 61" in summary
+    assert "steps = 56" in summary
 
     fields = (out / "fields_final.csv").read_text(encoding="utf-8")
     assert fields.splitlines()[0] == CSV_HEADER
@@ -59,7 +59,7 @@ def test_transient_writes_documented_artifacts(tmp_path):
     assert (trace[0] == TRACE_HEADER
             == "t,dt_used,iterations,halvings,rejections")
     rows = _load_csv(out / "trace.csv")
-    assert rows.shape == (61, 5)
+    assert rows.shape == (56, 5)
     assert np.allclose(rows[:, 0], history[:, 0], rtol=1e-9)
     # step end times are the running sum of the step sizes used, and the
     # history ends where the trace does
@@ -307,7 +307,7 @@ def test_sweep_points_are_plain_runs(tmp_path, solver):
             assert (point / name).read_bytes() == (single / name).read_bytes()
     if solver == "transient":
         summary = (out / "sweep_ecc_0.2" / "summary.txt").read_text()
-        assert "steps = 61" in summary
+        assert "steps = 56" in summary
 
 
 def test_sweep_workers_do_not_change_results(tmp_path):

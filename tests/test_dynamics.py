@@ -26,7 +26,8 @@ from filmcav.errors import (ConfigurationError, PositivityLossError,
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function, grid_for_params
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1,
                              eval_f2, eval_f3, eval_f4, eval_f5)
-from filmcav.stationary import stationary_jacobian
+from filmcav.stationary import (StationarySolveConfig, solve_stationary,
+                                stationary_jacobian)
 
 DEFAULT = PhysicalParams()
 
@@ -42,7 +43,7 @@ def test_step_config_validation():
         StepConfig(picard_max=0)
     with pytest.raises(ConfigurationError):
         StepConfig(mode="semi-implicit")
-    # the local error tolerance lies strictly between picard_tol and 1
+    # the error tolerance lies strictly between picard_tol and 1
     for error_tol in (0.0, 1e-8, 1e-9, 1.0, 2.0):
         with pytest.raises(ConfigurationError, match="error_tol"):
             StepConfig(picard_tol=1e-8, error_tol=error_tol)
@@ -297,6 +298,48 @@ def test_error_test_rejects_and_retries_smaller():
     _, stats, _ = step_inertialess(grid, state, h, U, p, cfg, G_at_state=G,
                                    chord=chord)
     assert stats.rejections == 0 and stats.dt_used == proposal
+
+
+def test_every_accepted_step_solves_the_implicit_equation():
+    # A state within 1e-11 of stationary moves by far less than picard_tol
+    # under an explicit update even at a long step, yet backward Euler at
+    # that step is a different equation: the accepted step must solve it.
+    p, grid, h, U = _journal_case()
+    R_s, _, report = solve_stationary(
+        grid, h, U, p, StationarySolveConfig(continuation_steps=8))
+    assert report.converged
+    i, j = np.indices(grid.shape)
+    R_old = R_s * (1.0 + 1e-11 * (-1.0) ** (i + j))
+    dt, cfg = 0.5, StepConfig(dt=0.5)
+    new, stats, G_new = step_inertialess(
+        grid, TransientState(t=0.0, R=R_old), h, U, p, cfg)
+    assert stats.dt_used == dt
+    residual = np.max(np.abs(R_old + dt * G_new - new.R))
+    assert residual / np.max(np.abs(new.R)) < cfg.picard_tol
+
+
+def test_step_iterations_count_the_pressure_eliminations(monkeypatch):
+    calls = []
+    eliminate = dynamics.eliminate_pressure
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "eliminate_pressure", counted)
+    p, grid, h, U = _journal_case()
+    cfg = StepConfig(dt=2e-3)
+    state = initial_state(grid, p)
+    G, _ = eliminate(grid, state.R, h, U, p)
+    chord = ChordCarry()
+    # from rest the error test rejects the first attempts, then a plain
+    # step follows; a step given no G_at_state counts its own elimination
+    for given in (True, True, False):
+        calls.clear()
+        state, stats, G = step_inertialess(
+            grid, state, h, U, p, cfg, G_at_state=G if given else None,
+            chord=chord)
+        assert stats.iterations == len(calls) >= 2
 
 
 def test_step_size_grows_at_most_fivefold():
