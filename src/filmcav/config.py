@@ -47,12 +47,11 @@ class RunConfig:
     stationarity_tol: float = 1e-8
     snapshot_every: int = 0
     output_dir: str = "out"
-    newton: StationarySolveConfig = StationarySolveConfig(continuation_steps=8)
+    newton: StationarySolveConfig = StationarySolveConfig()
     sweep_axis: str = "none"
     sweep_values: tuple[float, ...] = ()
     sweep_solver: str = MODE_TRANSIENT
     stability_margin: float = 1e-8
-    k_max: int = 8
     workers: int = 1
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class RunConfig:
                                      f"'stationary', got {self.sweep_solver!r}")
         if not self.stability_margin > 0.0:
             raise ConfigurationError("stability_margin must be positive")
-        if self.k_max < 1:
-            raise ConfigurationError("k_max must be at least 1")
         if self.workers < 1:
             raise ConfigurationError("workers must be at least 1")
         if self.mode == MODE_SWEEP:

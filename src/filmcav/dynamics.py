@@ -274,7 +274,9 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     the caller reuse an elimination already done at ``state.R``.  Each
     attempt factors ``A`` at its first iterate that misses the tolerance,
     refactors it at the current iterate when an iteration shrinks the
-    update by less than ``CHORD_CONTRACTION``, and drops it when it ends.
+    update by less than ``CHORD_CONTRACTION``, and drops it when it ends;
+    its last allowed iterate is neither factored nor updated, since no
+    elimination is left to test the update.
     ``chord`` carries the predictor history and the proposed step size
     between steps and is updated in place; without it the step starts at
     ``step_cfg.dt``.
@@ -323,7 +325,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                 x = pred
             best = np.inf
             lu = None
-            for _ in range(step_cfg.picard_max):
+            for it in range(step_cfg.picard_max):
                 total_iters += 1
                 G_x, p_x = eliminate_pressure(grid, x, h, U, params, scheme)
                 residual = R_old + dt * G_x - x
@@ -333,6 +335,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     break
                 if update > 10.0 * best and update > 100.0 * tol:
                     break                # diverging past its best: reject early
+                if it == step_cfg.picard_max - 1:
+                    break                # no elimination left to test an update
                 if lu is None or update * CHORD_CONTRACTION > best:
                     # release the old factor first: building the new one
                     # while the old is alive fragments the native heap,
@@ -428,31 +432,29 @@ class _StagePositivity(Exception):
 
 @dataclass
 class TransientWatch:
-    """Run supervision: stationarity threshold, recording and snapshots.
+    """Run supervision: stationarity threshold and snapshots.
 
     ``stationarity_tol`` declares the run stationary when
     ``max|R_new - R_old| / (dt R0)`` drops below it (units 1/s).
     ``snapshot_every`` > 0 writes ``snapshot_<step>.csv`` into ``out_dir``.
-    ``record_every`` thins the recorded history.  Whatever the watch, a run
-    ends unsuccessfully as soon as the radius field reaches the critical
-    radius, where the monotone quasi-static response (and with it the
-    model's validity) ends.
+    Whatever the watch, a run ends unsuccessfully as soon as the radius
+    field reaches the critical radius, where the monotone quasi-static
+    response (and with it the model's validity) ends.
     """
 
     stationarity_tol: float = 1e-8
     snapshot_every: int = 0
     out_dir: Path | None = None
-    record_every: int = 1
 
 
 @dataclass
 class TransientResult:
     """Outcome of :func:`run_transient`.
 
-    ``history`` holds the recorded steps (every ``record_every``-th);
-    ``step_stats`` holds one entry per completed step: its end time ``t``,
-    ``dt_used``, solver ``iterations``, ``halvings`` and error-test
-    ``rejections``.
+    ``history`` and ``step_stats`` hold one entry per completed step:
+    ``history`` its end time, update rate and field extrema
+    (:data:`HISTORY_KEYS`), ``step_stats`` its end time ``t``, ``dt_used``,
+    solver ``iterations``, ``halvings`` and error-test ``rejections``.
     """
 
     converged: bool
@@ -478,7 +480,7 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
     """March the transient model and watch for stationarity or failure.
 
     Records the normalized update rate ``max|dR|/(dt R0)``, the radius and
-    pressure extrema per recorded step, and stops early on stationarity,
+    pressure extrema per step, and stops early on stationarity,
     on reaching the critical radius, or on step failure (which is reported
     in the result together with the step index rather than raised).
 
@@ -544,10 +546,9 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
         min_p_run = min(min_p_run, p_min)
         max_p_run = max(max_p_run, p_max)
 
-        if step % max(watch.record_every, 1) == 0:
-            for key, val in zip(HISTORY_KEYS, (state.t, rate, rhat_min,
-                                               rhat_max, p_min, p_max)):
-                hist[key].append(val)
+        for key, val in zip(HISTORY_KEYS, (state.t, rate, rhat_min,
+                                           rhat_max, p_min, p_max)):
+            hist[key].append(val)
         if (watch.snapshot_every > 0 and watch.out_dir is not None
                 and step % watch.snapshot_every == 0):
             os.makedirs(watch.out_dir, exist_ok=True)

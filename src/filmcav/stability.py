@@ -514,7 +514,8 @@ class HurwitzReport:
     in the Routh sequence {alpha0, Delta1, Delta2/Delta1, Delta3/Delta2,
     Delta4/Delta3} — the number of eigenvalue pairs pushed into the right
     half plane.  ``U_crit_sq`` is the squared sliding speed at which
-    Delta3 crosses zero for this mode.
+    Delta3 crosses zero for this mode (``inf`` without squeeze coupling,
+    ``sigma1 = 0``, where Delta3 does not depend on the speed).
     """
 
     k: tuple[int, int]
@@ -553,7 +554,8 @@ def hurwitz_analysis(params: PhysicalParams, U_norm: float,
     literal minors — and the modal threshold ``U_crit_sq`` is the exact
     root of the affine-in-``U^2`` third determinant,
     ``4 b1 b2 (sigma2 + kappa b2) / sigma1`` with the mode's Laplacian
-    eigenvalue ``kappa = pi^2 (k1^2/L1^2 + k2^2/L2^2)``.
+    eigenvalue ``kappa = pi^2 (k1^2/L1^2 + k2^2/L2^2)``, or ``inf`` when
+    ``sigma1 = 0`` (``alpha0 = 0``).
     """
     k1, k2 = int(k_pair[0]), int(k_pair[1])
     if k1 < 1 or k2 < 1:
@@ -583,33 +585,27 @@ def hurwitz_analysis(params: PhysicalParams, U_norm: float,
     signs = np.sign(seq)
     sign_changes = int(np.sum(signs[:-1] * signs[1:] < 0))
 
-    U_crit_sq = 4.0 * b1 * b2 * (sigma2 + pi2k * b2) / sigma1
+    U_crit_sq = (4.0 * b1 * b2 * (sigma2 + pi2k * b2) / sigma1
+                 if sigma1 > 0.0 else np.inf)
     return HurwitzReport(k=(k1, k2), alpha0=alpha0, beta0=beta0,
                          alpha1=alpha1, beta1=beta1, alpha2=alpha2,
                          deltas=(d1, d2, d3, d4), deltas_direct=direct,
                          sign_changes=sign_changes, U_crit_sq=U_crit_sq)
 
 
-def critical_speed(params: PhysicalParams, k_max: int = 8,
+def critical_speed(params: PhysicalParams,
                    consts: DerivedConstants | None = None,
-                   L1: float = 1.0, L2: float = 1.0
-                   ) -> tuple[float, tuple[int, int]]:
-    """Smallest modal instability threshold on the ``L1 x L2`` rectangle
-    over ``k1, k2 in 1..k_max``.
+                   L1: float = 1.0, L2: float = 1.0) -> float:
+    """Smallest modal instability threshold on the ``L1 x L2`` rectangle:
+    that of mode ``(1, 1)``.
 
-    Returns ``(U_crit, mode)``; the threshold grows with the mode's
-    Laplacian eigenvalue, so the minimizer is the fundamental pair.
+    ``U_crit^2 = 4 b1 b2 (sigma2 + kappa b2) / sigma1`` with ``b1, b2 > 0``
+    and ``sigma1 >= 0`` grows with the mode's Laplacian eigenvalue
+    ``kappa``, so the fundamental pair minimizes it over all modes
+    (``inf`` when ``sigma1 = 0``).
     """
-    c = consts or compute_derived(params)
-    best: tuple[float, tuple[int, int]] | None = None
-    for k1 in range(1, k_max + 1):
-        for k2 in range(1, k_max + 1):
-            rep = hurwitz_analysis(params, 0.0, (k1, k2), c, L1, L2)
-            u = float(np.sqrt(rep.U_crit_sq))
-            if best is None or u < best[0]:
-                best = (u, (k1, k2))
-    assert best is not None
-    return best
+    return float(np.sqrt(hurwitz_analysis(params, 0.0, (1, 1), consts,
+                                          L1, L2).U_crit_sq))
 
 
 def hurwitz_report_text(report: HurwitzReport) -> str:

@@ -15,8 +15,7 @@ part differentiates the transported density ``f4(R)``.
 
 Whenever ``U = 0`` or the gap is parallel (``h - min h = 0``) the uniform
 rest state ``(R_bar, 0)`` is an exact stationary solution; it is the Newton
-starting point and the base of the gap-amplitude continuation used when a
-direct solve stalls.
+starting point.
 """
 
 from __future__ import annotations
@@ -39,26 +38,21 @@ MAX_BACKTRACKS = 20
 
 @dataclass(frozen=True)
 class StationarySolveConfig:
-    """Newton/continuation settings.
+    """Newton settings.
 
     ``newton_tol`` is a relative residual tolerance: the discrete balance is
     declared satisfied when the net flux divergence in every cell has
     cancelled to that fraction of the gross (sign-less) flux magnitude.
-    ``continuation_steps`` sets how many increments the gap amplitude is
-    ramped over when the direct solve from the rest state fails.
     """
 
     newton_tol: float = 1e-10
     newton_max: int = 40
-    continuation_steps: int = 1
 
     def __post_init__(self):
         if not self.newton_tol > 0.0:
             raise ConfigurationError("newton_tol must be positive")
         if self.newton_max < 1:
             raise ConfigurationError("newton_max must be at least 1")
-        if self.continuation_steps < 1:
-            raise ConfigurationError("continuation_steps must be at least 1")
 
 
 @dataclass
@@ -123,56 +117,6 @@ def stationary_jacobian(grid: Grid, R: np.ndarray, h: np.ndarray,
                          scheme)[0]
 
 
-def _newton_stage(grid: Grid, R: np.ndarray, h: np.ndarray,
-                  U: tuple[float, float], params: PhysicalParams,
-                  cfg: StationarySolveConfig, consts: DerivedConstants,
-                  scheme: str, report: StationaryReport
-                  ) -> tuple[np.ndarray, bool]:
-    """Damped Newton at fixed data; returns (iterate, converged)."""
-    iters = 0
-    for _ in range(cfg.newton_max):
-        phi, scale = stationary_residual(grid, R, h, U, params, scheme)
-        res = float(np.linalg.norm(phi)) / scale
-        report.residual_history.append(res)
-        if res < cfg.newton_tol:
-            report.newton_iterations.append(iters)
-            report.final_residual = res
-            return R, True
-        iters += 1
-        J = stationary_jacobian(grid, R, h, U, params, scheme)
-        try:
-            delta = _factorize(J).solve(-phi).reshape(grid.shape)
-        except SolverFailureError:
-            break                                   # singular Jacobian
-        norm_phi = np.linalg.norm(phi)
-        lam = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            R_new = R + lam * delta
-            if np.all(R_new > 0.0):
-                phi_new, _ = stationary_residual(grid, R_new, h, U, params,
-                                                 scheme)
-                if np.linalg.norm(phi_new) <= (1.0 - 1e-4 * lam) * norm_phi:
-                    accepted = True
-                    break
-            lam *= 0.5
-        if not accepted:
-            break
-        R = R_new
-        if float(np.max(R)) >= consts.R_crit:
-            raise SupercriticalRadiusError(
-                f"stationary iterate reached the critical radius "
-                f"(max R_hat = {float(np.max(R)) / params.R0:.4f}); the "
-                "monotone pressure-radius response ends there and the "
-                "solve refuses to continue")
-    report.newton_iterations.append(iters)
-    phi, scale = stationary_residual(grid, R, h, U, params, scheme)
-    res = float(np.linalg.norm(phi)) / scale
-    report.residual_history.append(res)
-    report.final_residual = res
-    return R, res < cfg.newton_tol
-
-
 def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
                      params: PhysicalParams,
                      cfg: StationarySolveConfig | None = None,
@@ -181,37 +125,56 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
                      ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
     """Newton solve for the stationary pair ``(R_s, p_s)``.
 
-    Starts from the uniform rest state.  If the direct solve fails, the gap
-    amplitude ``h - min h`` is ramped from zero to its full value over
-    ``cfg.continuation_steps`` increments (at zero amplitude the rest state
-    is exact for any sliding speed, so the ramp always starts on the
-    branch), re-using each stage's solution as the next starting point.
+    Damped Newton from the uniform rest state, at most ``cfg.newton_max``
+    iterations, each step halved until the residual norm decreases.
     Raises :class:`SupercriticalRadiusError` when an iterate reaches the
-    critical radius; other failures are reported, not raised.
+    critical radius.  A solve that stops short of ``cfg.newton_tol`` (its
+    iterations spent, a singular Jacobian, or no descending step) is
+    reported unconverged with a ``message``, not raised.  The report's
+    ``stage_fractions`` is ``[1.0]`` and ``newton_iterations`` holds the one
+    iteration count.
     """
     cfg = cfg or StationarySolveConfig()
     if consts is None:
         consts = compute_derived(params)
     hf = ensure_field(grid, h, "h")
-    report = StationaryReport(converged=False)
-    R0_field, _ = trivial_solution(grid, params, consts)
-
-    report.stage_fractions.append(1.0)
-    R, ok = _newton_stage(grid, R0_field, hf, U, params, cfg, consts,
-                          scheme, report)
-    if not ok and cfg.continuation_steps > 1:
-        h_min = float(np.min(hf))
-        h_plus = hf - h_min
-        R = R0_field
-        for s in np.linspace(0.0, 1.0, cfg.continuation_steps + 1)[1:]:
-            report.stage_fractions.append(float(s))
-            h_s = h_min + s * h_plus
-            R, ok = _newton_stage(grid, R, h_s, U, params, cfg, consts,
-                                  scheme, report)
-            if not ok:
-                break
-    report.converged = ok
-    if not ok:
+    report = StationaryReport(converged=False, stage_fractions=[1.0])
+    R, _ = trivial_solution(grid, params, consts)
+    iters = 0
+    while True:
+        phi, scale = stationary_residual(grid, R, hf, U, params, scheme)
+        report.final_residual = float(np.linalg.norm(phi)) / scale
+        report.residual_history.append(report.final_residual)
+        if report.final_residual < cfg.newton_tol or iters == cfg.newton_max:
+            break
+        iters += 1
+        J = stationary_jacobian(grid, R, hf, U, params, scheme)
+        try:
+            delta = _factorize(J).solve(-phi).reshape(grid.shape)
+        except SolverFailureError:
+            break                                   # singular Jacobian
+        norm_phi = np.linalg.norm(phi)
+        lam = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            R_new = R + lam * delta
+            if np.all(R_new > 0.0):
+                phi_new, _ = stationary_residual(grid, R_new, hf, U, params,
+                                                 scheme)
+                if np.linalg.norm(phi_new) <= (1.0 - 1e-4 * lam) * norm_phi:
+                    break
+            lam *= 0.5
+        else:
+            break                                   # no descending step
+        R = R_new
+        if float(np.max(R)) >= consts.R_crit:
+            raise SupercriticalRadiusError(
+                f"stationary iterate reached the critical radius "
+                f"(max R_hat = {float(np.max(R)) / params.R0:.4f}); the "
+                "monotone pressure-radius response ends there and the "
+                "solve refuses to continue")
+    report.newton_iterations.append(iters)
+    report.converged = report.final_residual < cfg.newton_tol
+    if not report.converged:
         report.message = ("Newton did not reach the residual tolerance "
                           f"(final relative residual {report.final_residual:.3e})")
     p = eval_f1(R, params)

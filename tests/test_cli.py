@@ -183,7 +183,7 @@ def test_stability_verdict_flips_across_critical_speed(tmp_path, factor,
                                                        f_verdict):
     jr = 1.0 / (2.0 * np.pi)
     params = parse_config(_GENTLE.format(jr=jr, omega=0.0)).params
-    u_crit, _ = critical_speed(params)
+    u_crit = critical_speed(params)
     cfg = _write(tmp_path, _GENTLE.format(jr=jr, omega=factor * u_crit / jr))
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
@@ -207,6 +207,19 @@ def test_stability_names_geometry_outside_the_modal_analysis(tmp_path):
     assert "x1 is periodic" in scope and "ecc = 0.2 > 0" in scope
     manifest = (out / "MANIFEST.txt").read_text(encoding="utf-8")
     assert "outside the analysis: x1 is periodic" in manifest
+
+
+@pytest.mark.parametrize("ecc", [0.0, 0.1])
+def test_stability_without_bubbles_has_no_modal_threshold(tmp_path, ecc):
+    # alpha0 = 0 leaves the film dynamically passive: the squeeze coupling
+    # sigma1 vanishes, Delta3 no longer depends on U, and no speed is critical
+    cfg = _write(tmp_path, f"alpha0 = 0.0\necc = {ecc}\nn1 = 16\nn2 = 8\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    hurwitz = (out / "hurwitz.txt").read_text(encoding="utf-8")
+    assert "critical speed for this mode: inf m/s" in hurwitz
+    summary = (out / "stability_summary.txt").read_text(encoding="utf-8")
+    assert "minimal modal critical speed = inf m/s" in summary
 
 
 def test_stability_lists_rightmost_eigenvalues_above_dense_limit(tmp_path):
@@ -250,8 +263,7 @@ def test_stability_uncertified_spectrum_is_exit_3(tmp_path, monkeypatch,
 
 
 def test_stability_unconverged_branch_is_exit_3(tmp_path, capsys):
-    cfg = _write(tmp_path, "ecc = 0.4\nn1 = 16\nn2 = 8\nnewton_max = 1\n"
-                           "continuation_steps = 1\n")
+    cfg = _write(tmp_path, "ecc = 0.4\nn1 = 16\nn2 = 8\nnewton_max = 1\n")
     rc = main(["stability", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "stationary solve failed" in capsys.readouterr().err
@@ -344,9 +356,10 @@ def test_configuration_errors_are_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
 
-    assert main(["transient", "--config",
-                 _write(tmp_path, "frobnicate = 1\n")]) == 2
-    capsys.readouterr()
+    for key in ("frobnicate", "k_max", "continuation_steps"):
+        assert main(["transient", "--config",
+                     _write(tmp_path, f"{key} = 1\n")]) == 2
+        assert f"unknown configuration key '{key}'" in capsys.readouterr().err
     assert main(["stationary", "--config",
                  _write(tmp_path, "ecc = 1.2\n")]) == 2
     assert "configuration error" in capsys.readouterr().err

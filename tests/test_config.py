@@ -1,7 +1,9 @@
 """Tests for the flat key-value run configuration."""
 
 import logging
+import re
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ def test_defaults_are_the_documented_desk_scale():
     assert config.snapshot_every == 0
     assert config.sweep_axis == "none"
     assert config.sweep_values == ()
-    assert config.newton.continuation_steps == 8
+    assert config.newton == StationarySolveConfig()
     assert config.workers == 1
 
 
@@ -69,9 +71,8 @@ def test_comments_and_blank_lines_ignored():
                               mode=MODE_INERTIAL),
               n_steps=777, stationarity_tol=2e-7, snapshot_every=50,
               output_dir="artifacts/run one",
-              newton=StationarySolveConfig(newton_tol=1e-9, newton_max=17,
-                                           continuation_steps=3),
-              stability_margin=1e-6, k_max=4, workers=3),
+              newton=StationarySolveConfig(newton_tol=1e-9, newton_max=17),
+              stability_margin=1e-6, workers=3),
     RunConfig(mode=MODE_SWEEP, sweep_axis="ecc",
               sweep_values=(0.1, 0.2, 1.0 / 3.0),
               sweep_solver=MODE_STATIONARY),
@@ -82,9 +83,33 @@ def test_render_parse_round_trip_is_exact(config):
 
 def test_unknown_key_rejected_by_name():
     for key in ("frobnicate", "solver_method", "solver_tol",
-                "solver_max_iter"):
+                "solver_max_iter", "k_max", "continuation_steps"):
         with pytest.raises(ConfigurationError, match=key):
             parse_config(f"{key} = 3\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+#: a fenced code block: its info string and its body
+FENCED = re.compile(r"^```(\w*)\n(.*?)^```", re.M | re.S)
+#: a backticked ``key = value`` span whose value is a plain config value
+#: (words or numbers, comma-separated), not a formula like ``U = (..)``
+ASSIGNMENT = re.compile(r"`([A-Za-z_]\w*) = ([\w.+-]+(?:,\s*[\w.+-]+)*,?)`")
+
+
+def test_readme_names_only_known_keys():
+    # a deleted key must not stay in the documentation
+    text = README.read_text(encoding="utf-8")
+    blocks = FENCED.findall(text)
+    ini = [body for info, body in blocks if info == "ini"]
+    assert ini
+    for body in ini:
+        parse_config(body)                 # rejects unknown keys by name
+    prose = FENCED.sub("", text)
+    spans = ASSIGNMENT.findall(prose)
+    assert spans
+    for key, value in spans:
+        if (key, value) != ("key", "value"):   # the format's placeholder
+            assert key in KNOWN_KEYS, f"`{key} = {value}`"
 
 
 def test_known_keys_are_the_rendered_keys():
@@ -133,7 +158,6 @@ def test_out_of_range_physical_values_rejected():
     "sweep_axis = viscosity",
     "sweep_solver = stability",
     "stability_margin = 0.0",
-    "k_max = 0",
     "workers = 0",
     "error_tol = 1e-9",
     "error_tol = 1.0",
@@ -171,11 +195,11 @@ def test_nested_solver_keys_route_to_their_configs():
     config = parse_config(
         "step_mode = inertial\ndt = 1e-5\npicard_tol = 1e-9\npicard_max = 7\n"
         "error_tol = 1e-6\n"
-        "newton_tol = 1e-9\nnewton_max = 11\ncontinuation_steps = 2\n")
+        "newton_tol = 1e-9\nnewton_max = 11\n")
     assert config.step == StepConfig(dt=1e-5, error_tol=1e-6, picard_tol=1e-9,
                                      picard_max=7, mode=MODE_INERTIAL)
-    assert config.newton == StationarySolveConfig(
-        newton_tol=1e-9, newton_max=11, continuation_steps=2)
+    assert config.newton == StationarySolveConfig(newton_tol=1e-9,
+                                                  newton_max=11)
 
 
 def _settings(config):
@@ -204,10 +228,9 @@ def test_every_physical_parameter_is_a_config_key():
                         picard_max=7, mode=MODE_INERTIAL),
         n_steps=777, stationarity_tol=2e-7, snapshot_every=50,
         output_dir="elsewhere",
-        newton=StationarySolveConfig(newton_tol=1e-9, newton_max=11,
-                                     continuation_steps=2),
+        newton=StationarySolveConfig(newton_tol=1e-9, newton_max=11),
         sweep_axis="ecc", sweep_values=(0.25,), sweep_solver=MODE_STATIONARY,
-        stability_margin=1e-6, k_max=4, workers=3)
+        stability_margin=1e-6, workers=3)
     defaults = _settings(RunConfig())
     wanted = _settings(custom)
     assert all(wanted[leaf] != defaults[leaf] for leaf in defaults)

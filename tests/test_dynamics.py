@@ -26,8 +26,7 @@ from filmcav.errors import (ConfigurationError, PositivityLossError,
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function, grid_for_params
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1,
                              eval_f2, eval_f3, eval_f4, eval_f5)
-from filmcav.stationary import (StationarySolveConfig, solve_stationary,
-                                stationary_jacobian)
+from filmcav.stationary import solve_stationary, stationary_jacobian
 
 DEFAULT = PhysicalParams()
 
@@ -305,8 +304,7 @@ def test_every_accepted_step_solves_the_implicit_equation():
     # under an explicit update even at a long step, yet backward Euler at
     # that step is a different equation: the accepted step must solve it.
     p, grid, h, U = _journal_case()
-    R_s, _, report = solve_stationary(
-        grid, h, U, p, StationarySolveConfig(continuation_steps=8))
+    R_s, _, report = solve_stationary(grid, h, U, p)
     assert report.converged
     i, j = np.indices(grid.shape)
     R_old = R_s * (1.0 + 1e-11 * (-1.0) ** (i + j))
@@ -431,9 +429,15 @@ def test_positivity_guard_raises_after_exhausting_halvings():
                          G_at_state=crash)
 
 
-def test_stalled_iteration_raises_step_failure():
+def test_stalled_iteration_raises_step_failure(monkeypatch):
     # One Picard iteration is never enough away from equilibrium, at any of
-    # the fallback step sizes, so the stall is reported as such.
+    # the fallback step sizes, so the stall is reported as such.  With one
+    # elimination per attempt no update could be tested, so no chord LU is
+    # built.
+    factorizations = []
+    factorize = dynamics._factorize
+    monkeypatch.setattr(dynamics, "_factorize",
+                        lambda A: factorizations.append(1) or factorize(A))
     p = PhysicalParams(alpha0=0.0, ecc=0.0)
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
@@ -441,6 +445,7 @@ def test_stalled_iteration_raises_step_failure():
     cfg = StepConfig(dt=1e-3, picard_tol=1e-8, picard_max=1)
     with pytest.raises(StepFailureError):
         step_inertialess(grid, state, h, (0.0, 0.0), p, cfg)
+    assert factorizations == []
 
 
 def test_run_reports_critical_radius_instead_of_raising():
@@ -461,20 +466,20 @@ def test_history_recording_stride():
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
     state = TransientState(t=0.0, R=np.full(grid.shape, 1.02 * p.R0))
-    watch = TransientWatch(stationarity_tol=1e-30, record_every=2)
+    watch = TransientWatch(stationarity_tol=1e-30)
     res = run_transient(grid, state, h, (0.0, 0.0), p,
                         StepConfig(dt=1e-7), n_steps=6, watch=watch)
     assert res.steps == 6
     assert set(res.history) == {"t", "rate", "min_Rhat", "max_Rhat",
                                 "min_p", "max_p"}
-    assert len(res.history["t"]) == 3
-    # step statistics are kept for every step, not only the recorded ones
+    # one history row and one step statistics row per step
+    assert len(res.history["t"]) == 6
     assert set(res.step_stats) == {"t", "dt_used", "iterations", "halvings",
                                    "rejections"}
     assert len(res.step_stats["t"]) == 6
     assert np.allclose(res.step_stats["t"], np.cumsum(res.step_stats["dt_used"]),
                        rtol=1e-12)
-    assert res.history["t"][-1] == res.step_stats["t"][-1]
+    assert np.array_equal(res.history["t"], res.step_stats["t"])
     assert np.all(res.step_stats["iterations"] >= 1)
     assert np.all(res.step_stats["halvings"] == 0)
 

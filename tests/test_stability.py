@@ -18,6 +18,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
 from filmcav.elliptic import SCHEME_CENTRAL, SCHEME_UPWIND
@@ -332,12 +334,26 @@ def test_hurwitz_critical_speed_zeroes_third_determinant():
 
 
 def test_critical_speed_minimizes_over_modes():
-    u_crit, mode = critical_speed(TAME)
-    assert mode == (1, 1)
+    u_crit = critical_speed(TAME)
     assert u_crit == pytest.approx(8.648208542983802, rel=1e-9)
     thresholds = [hurwitz_analysis(TAME, 0.0, k).U_crit_sq
                   for k in ((1, 1), (1, 2), (2, 2), (3, 1))]
     assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+
+
+@given(L1=st.floats(0.1, 10.0), L2=st.floats(0.1, 10.0),
+       alpha0=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+def test_fundamental_mode_has_the_smallest_threshold(L1, L2, alpha0):
+    # critical_speed evaluates mode (1, 1) alone: no mode with indices up
+    # to 8 may have a lower threshold on any rectangle
+    params = PhysicalParams(alpha0=alpha0)
+    c = compute_derived(params)
+    fundamental = hurwitz_analysis(params, 0.0, (1, 1), c, L1, L2).U_crit_sq
+    for k1 in range(1, 9):
+        for k2 in range(1, 9):
+            other = hurwitz_analysis(params, 0.0, (k1, k2), c, L1, L2)
+            assert fundamental <= other.U_crit_sq, (k1, k2)
+    assert critical_speed(params, c, L1, L2) == np.sqrt(fundamental)
 
 
 @pytest.mark.parametrize("L1,L2", [(2.0, 0.5), (3.0, 1.0)])
@@ -345,9 +361,8 @@ def test_critical_speed_of_the_rectangle_flips_its_spectrum(L1, L2):
     # The modal threshold of an L1 x L2 rectangle uses its own Laplacian
     # eigenvalue pi^2 (k1^2/L1^2 + k2^2/L2^2); the separated inertial
     # spectrum on that rectangle turns unstable between 0.9 and 1.1 times it.
-    u_crit, mode = critical_speed(TAME, L1=L1, L2=L2)
-    assert mode == (1, 1)
-    report = hurwitz_analysis(TAME, 0.0, mode, L1=L1, L2=L2)
+    u_crit = critical_speed(TAME, L1=L1, L2=L2)
+    report = hurwitz_analysis(TAME, 0.0, (1, 1), L1=L1, L2=L2)
     kappa = np.pi ** 2 * (1.0 / L1 ** 2 + 1.0 / L2 ** 2)
     assert report.alpha0 == pytest.approx(4.0 * kappa, rel=1e-14)
     low = constant_gap_spectrum_LF(TAME, 0.9 * u_crit, 32, 32, L1, L2)
@@ -363,7 +378,7 @@ def test_hurwitz_rejects_nonpositive_mode_indices():
 
 
 def test_inertial_spectrum_flips_across_critical_speed():
-    u_crit, _ = critical_speed(TAME)
+    u_crit = critical_speed(TAME)
     low = constant_gap_spectrum_LF(TAME, 0.9 * u_crit, 32, 32)
     high = constant_gap_spectrum_LF(TAME, 1.1 * u_crit, 32, 32)
     assert low.real.max() < -1e-3
@@ -582,7 +597,7 @@ def test_pencil_spectrum_matches_dense_growth_operator(ecc):
 @pytest.mark.parametrize("factor", [0.0, 1.1])
 def test_pencil_spectrum_matches_separated_parallel_gap_spectrum(factor):
     c = compute_derived(TAME)
-    u_crit, _ = critical_speed(TAME)
+    u_crit = critical_speed(TAME)
     U_norm = factor * u_crit
     grid = Grid(128, 32, 1.0, 1.0, bc_x1=BC_DIRICHLET)
     R = np.full(grid.shape, c.R_bar)
