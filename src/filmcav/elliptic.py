@@ -21,12 +21,13 @@ term; one assembler sums them into the pattern.  The rules are the
 diffusion operator ``K``, the convective divergence ``C`` (whose field form
 sums the same face fluxes straight into the cells) and the sensitivity of
 the diffusion term to its coefficient at a frozen potential.
-:func:`flux_jacobian` combines them into the one linearization of the film
-flux balance that the Newton stationary solver, the implicit stepper and
-the stability operators share.
+:func:`flux_jacobian` sums the face fluxes of all three into the one
+linearization of the film flux balance, assembled once, that the Newton
+stationary solver, the implicit stepper and the stability operators share.
 
 Every sparse LU of the package is built by :func:`_factorize`, which fixes
-the column ordering and reports an exactly singular matrix as
+the column ordering (minimum degree on ``A^T + A``) and SuperLU's panel
+size (1), and reports an exactly singular matrix as
 :class:`SolverFailureError`; :func:`solve_spd` is the one SPD solve.
 """
 
@@ -145,11 +146,17 @@ def _assemble(st: _FaceStencil, a: np.ndarray, b: np.ndarray,
 def _factorize(matrix: sp.spmatrix) -> spla.SuperLU:
     """Sparse LU of ``matrix``: the one place that calls SuperLU.
 
+    The column order is minimum degree on ``A^T + A`` (``MMD_AT_PLUS_A``)
+    and the panel size is 1, which on the 5-point matrices of this package
+    takes about a fifth less time than SuperLU's default panel of 10
+    (10.5 against 13.3 ms at 128x32 on 2 vCPUs).
+
     Raises :class:`SolverFailureError` when SuperLU finds the matrix
     exactly singular.
     """
     try:
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         panel_size=1)
     except RuntimeError as exc:
         raise SolverFailureError(f"sparse LU failed: {exc}") from exc
 
@@ -181,6 +188,16 @@ def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray,
 # Coefficient rules on the face stencil
 # ---------------------------------------------------------------------------
 
+def _diffusion_fluxes(grid: Grid, coeff: np.ndarray):
+    """Face coefficients ``(a, b)`` and edge terms of ``K = -Div(c Grad .)``."""
+    c = ensure_field(grid, coeff, "diffusion coefficient").ravel()
+    if np.any(c <= 0.0):
+        raise ConfigurationError("diffusion coefficient must be positive")
+    st = _stencil(grid)
+    cf = 0.5 * (c.take(st.A) + c.take(st.B)) / st.face_dx2
+    return st, cf, -cf, 2.0 * c.take(st.cell) / st.edge_dx2
+
+
 def assemble_operator(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
     """Assemble ``K = -Div(c Grad .)`` for a positive cellwise coefficient:
     a symmetric positive definite CSR matrix acting on flattened fields
@@ -190,12 +207,7 @@ def assemble_operator(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
     face reflects a ghost cell (value ``-q``, coefficient of the own cell),
     so its flux is ``2 c q / dx^2``.
     """
-    c = ensure_field(grid, coeff, "diffusion coefficient").ravel()
-    if np.any(c <= 0.0):
-        raise ConfigurationError("diffusion coefficient must be positive")
-    st = _stencil(grid)
-    cf = 0.5 * (c.take(st.A) + c.take(st.B)) / st.face_dx2
-    return _assemble(st, cf, -cf, 2.0 * c.take(st.cell) / st.edge_dx2)
+    return _assemble(*_diffusion_fluxes(grid, coeff))
 
 
 def assemble_diffusion(grid: Grid, R: np.ndarray, h: np.ndarray,
@@ -252,6 +264,18 @@ def convective_divergence(grid: Grid, U: tuple[float, float], w: np.ndarray,
     return div.reshape(grid.shape)
 
 
+def _sensitivity_fluxes(grid: Grid, coeff_prime: np.ndarray,
+                        potential: np.ndarray):
+    """Face coefficients ``(a, b)`` and edge terms of
+    ``S -> Div( c'(R) S Grad q )``."""
+    cp = ensure_field(grid, coeff_prime, "coefficient derivative").ravel()
+    q = ensure_field(grid, potential, "potential").ravel()
+    st = _stencil(grid)
+    g = (q.take(st.B) - q.take(st.A)) / st.face_dx2
+    return (st, 0.5 * cp.take(st.A) * g, 0.5 * cp.take(st.B) * g,
+            -2.0 * cp.take(st.cell) * q.take(st.cell) / st.edge_dx2)
+
+
 def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
                           potential: np.ndarray) -> sp.csr_matrix:
     """Matrix form of ``S -> Div( c'(R) S Grad q )`` at a frozen potential q.
@@ -261,12 +285,7 @@ def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
     mean (half the perturbation from each neighbour), Dirichlet faces keep
     the ghost-reflected potential and the own-cell coefficient.
     """
-    cp = ensure_field(grid, coeff_prime, "coefficient derivative").ravel()
-    q = ensure_field(grid, potential, "potential").ravel()
-    st = _stencil(grid)
-    g = (q.take(st.B) - q.take(st.A)) / st.face_dx2
-    return _assemble(st, 0.5 * cp.take(st.A) * g, 0.5 * cp.take(st.B) * g,
-                     -2.0 * cp.take(st.cell) * q.take(st.cell) / st.edge_dx2)
+    return _assemble(*_sensitivity_fluxes(grid, coeff_prime, potential))
 
 
 def flux_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray, h: np.ndarray,
@@ -282,18 +301,25 @@ def flux_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray, h: np.ndarray,
         B = K diag(f1') - Dsens(f3' h^3, p) + C(h f4'),
 
     with ``Dsens`` from :func:`diffusion_sensitivity` and ``C`` from
-    :func:`convective_divergence_matrix`.  At ``p = f1(R)`` it is the
-    Jacobian of the stationary balance; the backward-Euler Newton matrix and
-    both linearized evolution operators are built from it.
+    :func:`convective_divergence_matrix`.  All three are face-flux rules on
+    one stencil (``K diag(f1')`` scales each face coefficient by ``f1'`` of
+    its cell), so ``B`` is summed face by face and assembled once, on the
+    full 5-point pattern.  At ``p = f1(R)`` it is the Jacobian of the
+    stationary balance; the backward-Euler Newton matrix and both
+    linearized evolution operators are built from it.
     """
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-    B = (K @ sp.diags(eval_f1_prime(Rf, params).ravel())
-         - diffusion_sensitivity(grid, eval_f3_prime(Rf, params) * hf ** 3, p)
-         + convective_divergence_matrix(grid, U,
-                                        hf * eval_f4_prime(Rf, params), scheme))
-    return B.tocsr(), K
+    h3 = hf ** 3
+    st, ka, kb, ke = _diffusion_fluxes(grid, eval_f3(Rf, params) * h3)
+    _, sa, sb, se = _sensitivity_fluxes(grid, eval_f3_prime(Rf, params) * h3,
+                                        p)
+    _, ca, cb, ce = _convective_fluxes(grid, U, hf * eval_f4_prime(Rf, params),
+                                       scheme)
+    d = eval_f1_prime(Rf, params).ravel()
+    B = _assemble(st, ka * d.take(st.A) - sa + ca, kb * d.take(st.B) - sb + cb,
+                  ke * d.take(st.cell) - se + ce)
+    return B, _assemble(st, ka, kb, ke)
 
 
 # ---------------------------------------------------------------------------

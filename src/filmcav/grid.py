@@ -10,7 +10,6 @@ live at cell centers ``((i + 1/2) dx1, (j + 1/2) dx2)`` and are stored as
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,10 +153,9 @@ def render_fields_csv(grid: Grid, params: PhysicalParams,
         (params.rho_l * pf).ravel(),
         eval_alpha(Rf, params).ravel(),
     ])
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    np.savetxt(buf, cols, fmt="%.9g", delimiter=",")
-    return buf.getvalue()
+    row = ",".join(["%.9g"] * cols.shape[1]) + "\n"
+    body = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
+    return CSV_HEADER + "\n" + body
 
 
 def export_fields_csv(path, grid: Grid, params: PhysicalParams,

@@ -141,8 +141,8 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     report = StationaryReport(converged=False, stage_fractions=[1.0])
     R, _ = trivial_solution(grid, params, consts)
     iters = 0
+    phi, scale = stationary_residual(grid, R, hf, U, params, scheme)
     while True:
-        phi, scale = stationary_residual(grid, R, hf, U, params, scheme)
         report.final_residual = float(np.linalg.norm(phi)) / scale
         report.residual_history.append(report.final_residual)
         if report.final_residual < cfg.newton_tol or iters == cfg.newton_max:
@@ -158,14 +158,14 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
         for _ in range(MAX_BACKTRACKS):
             R_new = R + lam * delta
             if np.all(R_new > 0.0):
-                phi_new, _ = stationary_residual(grid, R_new, hf, U, params,
-                                                 scheme)
+                phi_new, scale_new = stationary_residual(
+                    grid, R_new, hf, U, params, scheme)
                 if np.linalg.norm(phi_new) <= (1.0 - 1e-4 * lam) * norm_phi:
                     break
             lam *= 0.5
         else:
             break                                   # no descending step
-        R = R_new
+        R, phi, scale = R_new, phi_new, scale_new   # the accepted trial
         if float(np.max(R)) >= consts.R_crit:
             raise SupercriticalRadiusError(
                 f"stationary iterate reached the critical radius "

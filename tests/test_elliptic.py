@@ -10,9 +10,13 @@ shapes, domain lengths and velocities, each with the original hand-picked
 case kept as an explicit example.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -20,11 +24,13 @@ import filmcav.elliptic as elliptic
 from filmcav.elliptic import (
     SCHEME_CENTRAL, SCHEME_UPWIND, apply_A2, assemble_couette_rhs, assemble_diffusion, assemble_operator,
     convective_divergence, convective_divergence_matrix,
-    diffusion_sensitivity, solve_A1, solve_spd,
+    diffusion_sensitivity, flux_jacobian, solve_A1, solve_spd,
 )
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, field_norms, gap_function
-from filmcav.physics import PhysicalParams, eval_f3, eval_f4, eval_f5
+from filmcav.physics import (PhysicalParams, eval_f1, eval_f1_prime,
+                             eval_f3, eval_f3_prime, eval_f4, eval_f4_prime,
+                             eval_f5)
 
 DEFAULT = PhysicalParams()
 
@@ -282,6 +288,74 @@ def test_residual_check_rejects_a_wrong_factorization(monkeypatch):
                         lambda A, **kw: splu(1.001 * A, **kw))
     with pytest.raises(SolverFailureError, match="residual"):
         solve_spd(K, b, grid)
+
+
+def test_factorization_matches_the_default_panel_lu():
+    # panel size 1 changes only the blocking of the supernodal updates: a
+    # nonsymmetric flux Jacobian solves like SuperLU's default LU, for one
+    # and for several right-hand sides at once
+    rng = np.random.default_rng(53)
+    p = PhysicalParams(ecc=0.3)
+    grid = Grid(16, 8, 2.0, 1.0, bc_x1=BC_PERIODIC)
+    R = p.R0 * rng.uniform(0.9, 1.1, size=grid.shape)
+    h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
+    B, _ = flux_jacobian(grid, R, eval_f1(R, p), h, (p.surface_speed, 0.0), p)
+    reference = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = elliptic._factorize(B)
+    for b in (rng.normal(size=grid.n_cells),
+              rng.normal(size=(grid.n_cells, 3))):
+        x, ref = lu.solve(b), reference.solve(b)
+        assert x.shape == b.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+#: scipy.sparse.linalg entry points that factor by SuperLU
+SUPERLU_CALLS = {"splu", "spilu", "spsolve", "factorized"}
+
+
+def test_superlu_is_called_only_by_factorize():
+    # the one place that calls SuperLU, also for the names it is imported by
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        names = ([node.attr] if isinstance(node, ast.Attribute)
+                 else [node.id] if isinstance(node, ast.Name)
+                 else [a.name for a in node.names]
+                 if isinstance(node, ast.ImportFrom) else [])
+        found.extend((where, n) for n in names if n in SUPERLU_CALLS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(elliptic.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == [("elliptic._factorize", "splu")]
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_flux_jacobian_equals_its_composed_form(scheme, bc):
+    # B is summed face by face in one assembly; the oracle composes it from
+    # the three public operators, B = K diag(f1') - Dsens + C
+    rng = np.random.default_rng(59)
+    p = PhysicalParams(ecc=0.3)
+    grid = Grid(9, 6, 2.0, 1.5, bc_x1=bc)
+    R = p.R0 * rng.uniform(0.8, 1.2, size=grid.shape)
+    pres = rng.normal(scale=100.0, size=grid.shape)
+    h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
+    U = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+    B, K = flux_jacobian(grid, R, pres, h, U, p, scheme)
+    K_ref = assemble_operator(grid, eval_f3(R, p) * h ** 3)
+    B_ref = (K_ref @ sp.diags(eval_f1_prime(R, p).ravel())
+             - diffusion_sensitivity(grid, eval_f3_prime(R, p) * h ** 3, pres)
+             + convective_divergence_matrix(grid, U, h * eval_f4_prime(R, p),
+                                            scheme))
+    assert abs(K - K_ref).max() == 0.0
+    assert abs(B - B_ref).max() <= 1e-13 * abs(B).max()
+    # B lives on the pattern of K: the full 5-point stencil
+    assert np.array_equal(B.indptr, K.indptr)
+    assert np.array_equal(B.indices, K.indices)
 
 
 def test_film_diffusion_coefficient_wiring():

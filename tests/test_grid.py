@@ -1,5 +1,7 @@
 """Grid geometry, gap profile, field validation, norms and CSV export."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,25 @@ def test_export_writes_the_rendered_text(tmp_path):
     path = tmp_path / "fields.csv"
     export_fields_csv(path, g, DEFAULT, R, pres)
     assert path.read_text(encoding="utf-8") == render_fields_csv(g, DEFAULT, R, pres)
+
+
+def test_csv_matches_the_savetxt_oracle():
+    # The rows are formatted in one pass; the text must be the one
+    # np.savetxt writes, for negative, tiny (exponent form) and large values.
+    rng = np.random.default_rng(11)
+    p = PhysicalParams(ecc=0.3)
+    g = grid_for_params(p, 12, 7)
+    R = p.R0 * rng.choice([1e-7, 1.0, 3.0], size=g.shape) \
+        * rng.uniform(0.5, 1.5, size=g.shape)
+    pres = rng.choice([-1e9, -1.0, -3e-12, 0.0, 2e-12, 1.0, 7e13],
+                      size=g.shape) * rng.uniform(0.5, 1.5, size=g.shape)
+    X1, X2 = g.centers()
+    cols = np.column_stack([X1.ravel(), X2.ravel(), (R / p.R0).ravel(),
+                            pres.ravel(), (p.rho_l * pres).ravel(),
+                            eval_alpha(R, p).ravel()])
+    buf = io.StringIO()
+    buf.write(CSV_HEADER + "\n")
+    np.savetxt(buf, cols, fmt="%.9g", delimiter=",")
+    text = render_fields_csv(g, p, R, pres)
+    assert "e-" in text and "e+" in text and ",-" in text
+    assert text == buf.getvalue()

@@ -9,6 +9,8 @@ guarded stop at the critical radius.
 import numpy as np
 import pytest
 
+import filmcav.stationary as stationary
+from filmcav.elliptic import _factorize
 from filmcav.errors import ConfigurationError, SupercriticalRadiusError
 from filmcav.grid import gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived, eval_f1
@@ -132,3 +134,56 @@ def test_budget_starved_direct_solve_reports_a_message():
     assert report.message is not None
     assert report.stage_fractions == [1.0]
     assert report.newton_iterations == [5]
+
+
+def _newton_reevaluating(grid, h, U, p, cfg):
+    """Residual history and iteration count of the damped Newton loop that
+    evaluates the residual at the top of every iteration, so once more at
+    each accepted iterate."""
+    R, _ = trivial_solution(grid, p)
+    history, iters = [], 0
+    while True:
+        phi, scale = stationary_residual(grid, R, h, U, p)
+        history.append(float(np.linalg.norm(phi)) / scale)
+        if history[-1] < cfg.newton_tol or iters == cfg.newton_max:
+            return history, iters
+        iters += 1
+        J = stationary_jacobian(grid, R, h, U, p)
+        delta = _factorize(J).solve(-phi).reshape(grid.shape)
+        lam = 1.0
+        while True:
+            R_new = R + lam * delta
+            if np.all(R_new > 0.0) and (
+                    np.linalg.norm(stationary_residual(grid, R_new, h, U, p)[0])
+                    <= (1.0 - 1e-4 * lam) * np.linalg.norm(phi)):
+                break
+            lam *= 0.5
+        R = R_new
+
+
+def test_each_state_is_evaluated_once(monkeypatch):
+    # The line search's accepted residual is the next iterate's: the solve
+    # evaluates the rest state and then each line-search trial, once each.
+    p = PhysicalParams(ecc=0.3)
+    grid = grid_for_params(p, 16, 8)
+    h = gap_function(grid, p)
+    U = (p.surface_speed, 0.0)
+    cfg = StationarySolveConfig()
+    history, iters = _newton_reevaluating(grid, h, U, p, cfg)
+    states = []
+
+    def counted(grid, R, *args):
+        states.append(np.array(R, dtype=float).tobytes())
+        return stationary_residual(grid, R, *args)
+
+    monkeypatch.setattr(stationary, "stationary_residual", counted)
+    _, _, report = solve_stationary(grid, h, U, p, cfg)
+    assert report.converged
+    rest, _ = trivial_solution(grid, p)
+    trials = len(set(states[1:]))
+    assert states[0] == rest.tobytes()
+    assert trials >= iters > 1
+    assert len(states) == 1 + trials
+    # the same arithmetic as the loop that re-evaluates
+    assert report.residual_history == history
+    assert report.newton_iterations == [iters]
