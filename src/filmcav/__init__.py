@@ -17,7 +17,7 @@ from .physics import (DerivedConstants, PhysicalParams, compute_derived,
                       eval_alpha, eval_f1, eval_f2, eval_f3, eval_f4,
                       eval_f5, hypotheses_check)
 from .grid import Grid, ensure_field, export_fields_csv, field_norms, \
-    gap_function, gap_excess, grid_for_params
+    gap_function, grid_for_params
 from .elliptic import (apply_A2, assemble_couette_rhs, assemble_diffusion,
                        solve_A1)
 from .dynamics import (StepConfig, TransientResult, TransientState,
@@ -43,7 +43,7 @@ __all__ = [
     "eval_f1", "eval_f2", "eval_f3", "eval_f4", "eval_f5",
     "hypotheses_check",
     "Grid", "ensure_field", "export_fields_csv", "field_norms",
-    "gap_function", "gap_excess", "grid_for_params",
+    "gap_function", "grid_for_params",
     "apply_A2", "assemble_couette_rhs", "assemble_diffusion", "solve_A1",
     "StepConfig", "TransientResult", "TransientState", "TransientWatch",
     "eliminate_pressure", "initial_state", "run_transient",

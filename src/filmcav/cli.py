@@ -183,9 +183,10 @@ def _transient(config: RunConfig,
         ("history.csv", f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
         ("trace.csv", "per-step solver work, columns "
                       f"`{TRACE_HEADER}`: step end time, step size used, "
-                      "pressure eliminations over all attempts, step "
-                      "halvings after a positivity loss or a stalled "
-                      "iteration, and attempts rejected by the error test"),
+                      "pressure eliminations and chord Newton LU "
+                      "factorizations over all attempts, step halvings "
+                      "after a positivity loss or a stalled iteration, and "
+                      "attempts rejected by the error test"),
         ("summary.txt", "run outcome (key = value lines)"),
     ]
     if config.snapshot_every > 0:

@@ -16,16 +16,18 @@ uniquely solvable for any positive radius field, and ``S = y / (R f2)``,
 ``p = f1 - y`` follow pointwise.
 
 Time stepping is backward Euler.  Every step attempt solves the implicit
-equation ``R - R_old - dt G(R) = 0`` by chord Newton from a second-order
-extrapolated start, and accepts only an iterate whose residual is below
-``picard_tol``.  The exact Newton matrix, in the pencil form
-``A = M diag(R f2) (I - dt G'(R))`` built by :func:`backward_euler_jacobian`,
-is factored at the first iterate that misses the tolerance and refactored
-when an iteration shrinks the update by less than 100x; the factor belongs
-to the attempt and is dropped with it.  Each iteration costs one pressure
-elimination.  A step that loses positivity or whose iteration stalls is
-rejected and retried at half the step size (at most 10 halvings) before a
-failure is declared.
+equation ``R - R_old - dt G(R) = 0`` from a second-order extrapolated start
+by chord Newton on :func:`backward_euler_residual`, the film equation at the
+pressure the growth law gives for the backward-difference rate, which costs
+one assembly and one product, no pressure elimination.  Its exact Jacobian,
+from :func:`backward_euler_jacobian`, is factored at the first iterate and
+refactored when an iteration shrinks the update by less than 100x; the
+factor belongs to the attempt and is dropped with it.  Once the update falls
+below ``picard_tol`` (or the iterations run out), one pressure elimination
+certifies the iterate and gives the new state's rate and pressure.  A step
+that loses positivity, whose iteration stalls or whose iterate fails its
+certification is rejected and retried at half the step size (at most 10
+halvings) before a failure is declared.
 
 The step size is error-controlled.  The difference between the solved
 step and the extrapolated start is a free error estimate, in the manner of
@@ -62,7 +64,8 @@ MODE_INERTIALESS = "inertialess"
 MODE_INERTIAL = "inertial"
 
 #: per-step columns of :attr:`TransientResult.step_stats`
-STEP_STATS_KEYS = ("t", "dt_used", "iterations", "halvings", "rejections")
+STEP_STATS_KEYS = ("t", "dt_used", "iterations", "factorizations",
+                   "halvings", "rejections")
 #: per-recorded-step columns of :attr:`TransientResult.history`
 HISTORY_KEYS = ("t", "rate", "min_Rhat", "max_Rhat", "min_p", "max_p")
 
@@ -94,8 +97,10 @@ class StepConfig:
     ``picard_tol`` is the relative residual threshold of the backward-Euler
     solve (required in (0, 1e-3]): an iterate ``x`` is accepted when
     ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``picard_max`` bounds
-    the pressure eliminations per step attempt; ``mode`` selects
-    quasi-static or inertial wall dynamics.
+    the iterations of one step attempt: at most ``picard_max - 1`` chord
+    updates, then the one pressure elimination that tests the iterate (with
+    ``picard_max = 1`` the extrapolated start is tested as it is).  ``mode``
+    selects quasi-static or inertial wall dynamics.
     """
 
     dt: float = 3e-4
@@ -134,13 +139,15 @@ class TransientState:
 @dataclass
 class StepStats:
     """Work of one accepted step: ``iterations``, the pressure eliminations
-    over all its attempts, ``halvings`` after a positivity loss or a stall,
+    over all its attempts, ``factorizations``, the chord Newton LUs over all
+    its attempts, ``halvings`` after a positivity loss or a stall,
     ``rejections`` by the error test, and the step size ``dt_used``."""
 
     iterations: int
     halvings: int
     dt_used: float
     rejections: int = 0
+    factorizations: int = 0
 
 
 @dataclass
@@ -193,23 +200,50 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     return y / Rf2, f1 - y
 
 
-def backward_euler_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray,
+def backward_euler_residual(grid: Grid, R_old: np.ndarray, x: np.ndarray,
                             h: np.ndarray, U: tuple[float, float],
                             params: PhysicalParams, dt: float,
                             scheme: str = SCHEME_UPWIND
-                            ) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """Newton matrix of ``R - R_old - dt G(R)`` in pencil form.
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Pencil-form residual of the backward-Euler step from ``R_old`` at the
+    iterate ``x``, without a pressure elimination.
 
-    ``p`` is the film pressure slaved to ``R`` (from
-    :func:`eliminate_pressure`).  Returns ``(A, P)`` with ``P = M diag(R f2)``
-    the elimination pencil, ``M = K + diag(shift)``,
-    ``shift = -h f5 / (R f2)``, and ``A = P (I - dt G'(R))``:
+    Returns ``(F, p)``: ``p = f1(x) - x f2(x) S`` is the film pressure that
+    the growth law gives for the rate ``S = (x - R_old) / dt``, and
+    ``F = -(K(x) p + h f5(x) S + Div(U h f4(x)))`` the film equation at
+    ``(p, S)``.  With ``y = x f2 S``, ``F = M y - K f1 - Div(U h f4)`` for the
+    elimination matrix ``M``, so ``P (R_old + dt G(x) - x) = -dt F`` with
+    ``P = M diag(x f2)``: ``F`` vanishes exactly at the backward-Euler
+    solution.  Its Jacobian is ``A / dt`` with ``A`` from
+    :func:`backward_euler_jacobian` at ``(x, p)``.
+    """
+    Rf = ensure_field(grid, x, "x")
+    hf = ensure_field(grid, h, "h")
+    S = (Rf - ensure_field(grid, R_old, "R_old")) / dt
+    p = eval_f1(Rf, params) - Rf * eval_f2(Rf, params) * S
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
+    conv = convective_divergence(grid, U, hf * eval_f4(Rf, params), scheme)
+    F = -(K @ p.ravel()) - (hf * eval_f5(Rf, params) * S + conv).ravel()
+    return F.reshape(grid.shape), p
 
-        A = M diag(R f2 + dt y (R f2)' / (R f2)) - dt (B - diag(shift' y)),
 
-    where ``y = f1 - p`` and ``(B, K)`` is :func:`elliptic.flux_jacobian` at
-    ``(R, p)``, the linearization the Newton stationary solver and the
-    stability operators use as well.
+def backward_euler_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray,
+                            h: np.ndarray, U: tuple[float, float],
+                            params: PhysicalParams, dt: float,
+                            scheme: str = SCHEME_UPWIND) -> sp.csc_matrix:
+    """Newton matrix of the backward-Euler step in pencil form.
+
+    With ``M = K + diag(shift)``, ``shift = -h f5 / (R f2)``, ``y = f1 - p``
+    and ``B`` from :func:`elliptic.flux_jacobian` at ``(R, p)``, the
+    linearization the Newton stationary solver and the stability operators
+    use as well,
+
+        A = M diag(R f2 + dt y (R f2)' / (R f2)) - dt (B - diag(shift' y)).
+
+    At the pressure of :func:`backward_euler_residual` it is ``dt`` times the
+    exact Jacobian of that residual.  At the slaved pressure of
+    :func:`eliminate_pressure` it is ``P (I - dt G'(R))``, where
+    ``P = M diag(R f2)`` is the matrix at ``dt = 0``.
     """
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
@@ -221,11 +255,12 @@ def backward_euler_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray,
     y = eval_f1(Rf, params) - pf
     shift = -hf * f5 / Rf2
     dshift = -hf * (eval_f5_prime(Rf, params) - f5 * dRf2 / Rf2) / Rf2
-    B, K = flux_jacobian(grid, Rf, pf, hf, U, params, scheme)
-    M = K + sp.diags(shift.ravel())
+    B = flux_jacobian(grid, Rf, pf, hf, U, params, scheme)
+    M = (assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
+         + sp.diags(shift.ravel()))
     A = (M @ sp.diags((Rf2 + dt * y * dRf2 / Rf2).ravel())
          - dt * (B - sp.diags((dshift * y).ravel())))
-    return A.tocsc(), (M @ sp.diags(Rf2.ravel())).tocsr()
+    return A.tocsc()
 
 
 def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
@@ -266,17 +301,18 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     """One error-controlled backward-Euler step of the quasi-static dynamics.
 
     The implicit equation ``R_new = R_old + dt G(R_new)`` is solved by
-    chord Newton, ``x <- x + A^-1 P (R_old + dt G(x) - x)`` with the Newton
-    matrix ``A`` and pencil ``P`` of :func:`backward_euler_jacobian`, from
-    the predictor ``pred = R_old + dt (G_n + (G_n - G_{n-1}) dt / dt_prev)``
-    (the explicit update ``R_old + dt G_n`` without a history), until
+    chord Newton on its pencil form, ``x <- x - dt A^-1 F(x)`` with ``F``
+    from :func:`backward_euler_residual` and the Newton matrix ``A`` of
+    :func:`backward_euler_jacobian`, from the predictor
+    ``pred = R_old + dt (G_n + (G_n - G_{n-1}) dt / dt_prev)`` (the explicit
+    update ``R_old + dt G_n`` without a history).  Each attempt factors
+    ``A`` at its first iterate, refactors it at the current iterate when an
+    iteration shrinks the update by less than ``CHORD_CONTRACTION``, and
+    drops it when it ends.  Once an update falls below ``picard_tol`` (or
+    at the last of ``picard_max`` iterations, with no update), one pressure
+    elimination certifies the iterate: it is accepted only if
     ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``G_at_state`` lets
-    the caller reuse an elimination already done at ``state.R``.  Each
-    attempt factors ``A`` at its first iterate that misses the tolerance,
-    refactors it at the current iterate when an iteration shrinks the
-    update by less than ``CHORD_CONTRACTION``, and drops it when it ends;
-    its last allowed iterate is neither factored nor updated, since no
-    elimination is left to test the update.
+    the caller reuse an elimination already done at ``state.R``.
     ``chord`` carries the predictor history and the proposed step size
     between steps and is updated in place; without it the step starts at
     ``step_cfg.dt``.
@@ -290,18 +326,21 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     the PI controller in ``chord``.
 
     A step attempt is rejected -- and ``dt`` halved -- when an iterate
-    leaves the positive cone or when the iteration stalls (residual growing
-    well past its best value, or ``picard_max`` eliminations spent).  More
-    than ``MAX_HALVINGS`` halvings raise :class:`StepFailureError` after a
-    stall and :class:`PositivityLossError` after a sign loss; more than
+    leaves the positive cone or when the iteration stalls (update growing
+    well past its best value, ``picard_max`` iterations spent, or an
+    iterate that fails its certification).  More than ``MAX_HALVINGS``
+    halvings raise :class:`StepFailureError` after a stall and
+    :class:`PositivityLossError` after a sign loss; more than
     ``MAX_HALVINGS`` error-test retries raise :class:`StepFailureError`.
 
     Returns the new state, step statistics (``iterations`` counts every
-    pressure elimination of the call), and ``G`` evaluated at the new
-    state (reusable as the next step's first evaluation).
+    pressure elimination of the call, ``factorizations`` every chord LU),
+    and ``G`` evaluated at the new state (reusable as the next step's first
+    evaluation).
     """
     R_old = state.R
     total_iters = 0
+    factorizations = 0
     if G_at_state is None:
         G_at_state, _ = eliminate_pressure(grid, R_old, h, U, params, scheme)
         total_iters = 1
@@ -325,31 +364,38 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                 x = pred
             best = np.inf
             lu = None
-            for it in range(step_cfg.picard_max):
-                total_iters += 1
-                G_x, p_x = eliminate_pressure(grid, x, h, U, params, scheme)
-                residual = R_old + dt * G_x - x
-                update = _relative(residual, x)
-                if update < tol:
-                    accepted, G_new, p_new = x, G_x, p_x
-                    break
-                if update > 10.0 * best and update > 100.0 * tol:
-                    break                # diverging past its best: reject early
-                if it == step_cfg.picard_max - 1:
-                    break                # no elimination left to test an update
-                if lu is None or update * CHORD_CONTRACTION > best:
+            stalled = False
+            for _ in range(step_cfg.picard_max - 1):
+                F, p_x = backward_euler_residual(grid, R_old, x, h, U, params,
+                                                 dt, scheme)
+                rhs = -dt * F.ravel()
+                delta = None if lu is None else lu.solve(rhs)
+                if lu is None or _relative(delta, x) * CHORD_CONTRACTION > best:
                     # release the old factor first: building the new one
                     # while the old is alive fragments the native heap,
                     # and peak RSS then creeps up by megabytes over a run
                     lu = None
-                    A, pencil = backward_euler_jacobian(
-                        grid, x, p_x, h, U, params, dt, scheme)
-                    lu = _factorize(A)
+                    lu = _factorize(backward_euler_jacobian(
+                        grid, x, p_x, h, U, params, dt, scheme))
+                    factorizations += 1
+                    delta = lu.solve(rhs)
+                update = _relative(delta, x)
+                if update > 10.0 * best and update > 100.0 * tol:
+                    stalled = True       # diverging past its best: reject early
+                    break
                 best = min(best, update)
-                x = x + lu.solve(pencil @ residual.ravel()).reshape(grid.shape)
+                x = x + delta.reshape(grid.shape)
                 if np.any(x <= 0.0):
                     sign_loss = True
                     break                                # reject: halve dt
+                if update < tol:
+                    break
+            if not (stalled or sign_loss):
+                # the one elimination of the attempt certifies its iterate
+                total_iters += 1
+                G_x, p_x = eliminate_pressure(grid, x, h, U, params, scheme)
+                if _relative(R_old + dt * G_x - x, x) < tol:
+                    accepted, G_new, p_new = x, G_x, p_x
         if accepted is not None:
             err = (weight * _relative(accepted - pred, accepted)
                    / step_cfg.error_tol)
@@ -360,7 +406,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                 new_state = TransientState(t=state.t + dt, R=accepted,
                                            Rdot=None, p=p_new)
                 return (new_state, StepStats(total_iters, halvings, dt,
-                                             rejections), G_new)
+                                             rejections, factorizations),
+                        G_new)
             rejections += 1
             if rejections > MAX_HALVINGS:
                 raise StepFailureError(
@@ -454,7 +501,8 @@ class TransientResult:
     ``history`` and ``step_stats`` hold one entry per completed step:
     ``history`` its end time, update rate and field extrema
     (:data:`HISTORY_KEYS`), ``step_stats`` its end time ``t``, ``dt_used``,
-    solver ``iterations``, ``halvings`` and error-test ``rejections``.
+    pressure-elimination ``iterations``, chord LU ``factorizations``,
+    ``halvings`` and error-test ``rejections``.
     """
 
     converged: bool
@@ -533,8 +581,8 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
             break
         steps_done = step
         for key, val in zip(STEP_STATS_KEYS, (
-                state.t, stats.dt_used, stats.iterations, stats.halvings,
-                stats.rejections)):
+                state.t, stats.dt_used, stats.iterations,
+                stats.factorizations, stats.halvings, stats.rejections)):
             trace[key].append(val)
         rate = float(np.max(np.abs(state.R - R_prev)) / (stats.dt_used * params.R0))
         rhat_min = float(np.min(state.R)) / params.R0

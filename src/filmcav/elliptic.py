@@ -290,12 +290,11 @@ def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
 
 def flux_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams,
-                  scheme: str = SCHEME_UPWIND
-                  ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+                  scheme: str = SCHEME_UPWIND) -> sp.csr_matrix:
     """The one linearization of the film flux balance.
 
-    Returns ``(B, K)``: ``K = -Div(f3(R) h^3 Grad .)`` and the derivative
-    with respect to the radius field of ``K(R) (f1(R) - y) + Div(U h f4(R))``
+    Returns ``B``, the derivative with respect to the radius field of
+    ``K(R) (f1(R) - y) + Div(U h f4(R))``, ``K = -Div(f3(R) h^3 Grad .)``,
     at a fixed bubble-pressure excess ``y = f1(R) - p``,
 
         B = K diag(f1') - Dsens(f3' h^3, p) + C(h f4'),
@@ -317,9 +316,8 @@ def flux_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray, h: np.ndarray,
     _, ca, cb, ce = _convective_fluxes(grid, U, hf * eval_f4_prime(Rf, params),
                                        scheme)
     d = eval_f1_prime(Rf, params).ravel()
-    B = _assemble(st, ka * d.take(st.A) - sa + ca, kb * d.take(st.B) - sb + cb,
-                  ke * d.take(st.cell) - se + ce)
-    return B, _assemble(st, ka, kb, ke)
+    return _assemble(st, ka * d.take(st.A) - sa + ca,
+                     kb * d.take(st.B) - sb + cb, ke * d.take(st.cell) - se + ce)
 
 
 # ---------------------------------------------------------------------------

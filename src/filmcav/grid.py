@@ -107,11 +107,6 @@ def gap_function(grid: Grid, params: PhysicalParams) -> np.ndarray:
     return np.repeat(h_line[:, None], grid.n2, axis=1)
 
 
-def gap_excess(h: np.ndarray) -> np.ndarray:
-    """Deviation of the gap above its minimum, ``h - min(h)`` (zero iff constant)."""
-    return h - float(np.min(h))
-
-
 def ensure_field(grid: Grid, values: np.ndarray, name: str = "field") -> np.ndarray:
     """Validate shape and finiteness of a scalar field; returns it as (n1, n2)."""
     arr = np.asarray(values, dtype=float)

@@ -1,9 +1,10 @@
 """Linear stability of stationary states.
 
 Both linearized evolution operators come from the one flux Jacobian of the
-discrete dynamics, ``(B, K) = elliptic.flux_jacobian`` at
-``(R_s, p_s = f1(R_s))`` (the Newton stationary solver's Jacobian and the
-stepper's Newton matrix are built from it too):
+discrete dynamics, ``B = elliptic.flux_jacobian`` at
+``(R_s, p_s = f1(R_s))``, with ``K = -Div(f3(R_s) h^3 Grad .)`` (the Newton
+stationary solver's Jacobian and the stepper's Newton matrix are built from
+them too):
 
 * ``L_G`` — the quasi-static model linearized about ``(R_s, p_s)``, the
   growth-rate derivative ``P^{-1} B`` of the sparse pencil
@@ -45,7 +46,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
 from .grid import Grid, ensure_field
-from .elliptic import SCHEME_CENTRAL, SCHEME_UPWIND, _factorize, flux_jacobian
+from .elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, _factorize,
+                       assemble_operator, flux_jacobian)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
                       eval_f1, eval_f1_prime, eval_f2, eval_f3, eval_f4_prime,
                       eval_f5)
@@ -109,11 +111,13 @@ def _verdict(max_real: float, margin: float) -> str:
 def _linearization(grid: Grid, R_s: np.ndarray, h: np.ndarray,
                    U: tuple[float, float], params: PhysicalParams,
                    scheme: str):
-    """Radius field, ``h f5`` and the flux Jacobian ``(B, K)`` at the
-    stationary state, where the film pressure is ``f1(R_s)``."""
+    """Radius field, ``h f5``, the flux Jacobian ``B`` and the diffusion
+    operator ``K`` at the stationary state, where the film pressure is
+    ``f1(R_s)``."""
     Rf = ensure_field(grid, R_s, "R_s")
     hf = ensure_field(grid, h, "h")
-    B, K = flux_jacobian(grid, Rf, eval_f1(Rf, params), hf, U, params, scheme)
+    B = flux_jacobian(grid, Rf, eval_f1(Rf, params), hf, U, params, scheme)
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
     return Rf, (hf * eval_f5(Rf, params)).ravel(), B, K
 
 

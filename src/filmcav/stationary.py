@@ -113,8 +113,7 @@ def stationary_jacobian(grid: Grid, R: np.ndarray, h: np.ndarray,
     field (sparse): the flux Jacobian :func:`elliptic.flux_jacobian` at the
     equilibrium pressure ``p = f1(R)``."""
     Rf = ensure_field(grid, R, "R")
-    return flux_jacobian(grid, Rf, eval_f1(Rf, params), h, U, params,
-                         scheme)[0]
+    return flux_jacobian(grid, Rf, eval_f1(Rf, params), h, U, params, scheme)
 
 
 def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],

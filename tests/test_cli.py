@@ -57,9 +57,9 @@ def test_transient_writes_documented_artifacts(tmp_path):
 
     trace = (out / "trace.csv").read_text(encoding="utf-8").splitlines()
     assert (trace[0] == TRACE_HEADER
-            == "t,dt_used,iterations,halvings,rejections")
+            == "t,dt_used,iterations,factorizations,halvings,rejections")
     rows = _load_csv(out / "trace.csv")
-    assert rows.shape == (56, 5)
+    assert rows.shape == (56, 6)
     assert np.allclose(rows[:, 0], history[:, 0], rtol=1e-9)
     # step end times are the running sum of the step sizes used, and the
     # history ends where the trace does

@@ -16,7 +16,8 @@ from scipy.integrate import solve_ivp
 import filmcav.dynamics as dynamics
 from filmcav.dynamics import (
     MODE_INERTIAL, ChordCarry, StepConfig, TransientState, TransientWatch,
-    backward_euler_jacobian, eliminate_pressure, initial_state, run_transient,
+    backward_euler_jacobian, backward_euler_residual, eliminate_pressure,
+    initial_state, run_transient,
     step_inertial, step_inertialess,
 )
 from filmcav.elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, assemble_operator,
@@ -153,7 +154,8 @@ def test_backward_euler_jacobian_matches_finite_differences(bc, scheme, shape,
     # backward-Euler residual R - R_old - dt G(R), column by column.
     p, grid, R, h, U, dt = _jacobian_case(bc, shape, scales, U, seed)
     _, pres = eliminate_pressure(grid, R, h, U, p, scheme=scheme)
-    A, P = backward_euler_jacobian(grid, R, pres, h, U, p, dt, scheme)
+    A = backward_euler_jacobian(grid, R, pres, h, U, p, dt, scheme)
+    P = backward_euler_jacobian(grid, R, pres, h, U, p, 0.0, scheme)
 
     n = grid.n_cells
     eps = 1e-6 * p.R0
@@ -177,10 +179,61 @@ def test_backward_euler_jacobian_shares_the_stationary_linearization(bc, scheme)
     # With the equilibrium pressure p = f1(R), as at every stationary state,
     # A = P - dt B and B is the Newton stationary solver's Jacobian.
     p, grid, R, h, U, dt = _jacobian_case(bc)
-    A, P = backward_euler_jacobian(grid, R, eval_f1(R, p), h, U, p, dt, scheme)
+    A = backward_euler_jacobian(grid, R, eval_f1(R, p), h, U, p, dt, scheme)
+    P = backward_euler_jacobian(grid, R, eval_f1(R, p), h, U, p, 0.0, scheme)
     B = ((P - A) / dt).toarray()
     want = stationary_jacobian(grid, R, h, U, p, scheme).toarray()
     assert np.linalg.norm(B - want) < 1e-12 * np.linalg.norm(want)
+
+
+def _off_solution(bc, seed=83):
+    """The Jacobian case of :func:`_jacobian_case` as the start ``R_old`` of
+    a step, with a positive iterate ``x`` that does not solve it."""
+    p, grid, R_old, h, U, dt = _jacobian_case(bc)
+    rng = np.random.default_rng(seed)
+    x = R_old * rng.uniform(0.95, 1.05, size=grid.shape)
+    return p, grid, R_old, x, h, U, dt
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_pencil_residual_is_the_implicit_equation_times_the_pencil(bc, scheme):
+    # P (R_old + dt G(x) - x) = -dt F(x), with the pencil P = M diag(x f2)
+    # the Newton matrix at dt = 0
+    p, grid, R_old, x, h, U, dt = _off_solution(bc)
+    G, pres = eliminate_pressure(grid, x, h, U, p, scheme=scheme)
+    F, _ = backward_euler_residual(grid, R_old, x, h, U, p, dt, scheme)
+    P = backward_euler_jacobian(grid, x, pres, h, U, p, 0.0, scheme)
+    lhs = P @ (R_old + dt * G - x).ravel()
+    want = -dt * F.ravel()
+    assert np.linalg.norm(lhs - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_pencil_residual_jacobian_matches_finite_differences(bc, scheme):
+    # dF/dx = A(x, p) / dt at the pressure p the residual returns; the error
+    # is measured against the part of the Jacobian beyond P / dt, as in the
+    # finite-difference test of A itself
+    p, grid, R_old, x, h, U, dt = _off_solution(bc)
+    _, pres = backward_euler_residual(grid, R_old, x, h, U, p, dt, scheme)
+    A = backward_euler_jacobian(grid, x, pres, h, U, p, dt, scheme)
+    P = backward_euler_jacobian(grid, x, pres, h, U, p, 0.0, scheme)
+
+    n = grid.n_cells
+    eps = 1e-6 * p.R0
+    J = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        Fp, _ = backward_euler_residual(grid, R_old, x + e.reshape(grid.shape),
+                                        h, U, p, dt, scheme)
+        Fm, _ = backward_euler_residual(grid, R_old, x - e.reshape(grid.shape),
+                                        h, U, p, dt, scheme)
+        J[:, j] = (Fp - Fm).ravel() / (2.0 * eps)
+    err = (np.linalg.norm(A.toarray() / dt - J)
+           / np.linalg.norm(J - P.toarray() / dt))
+    assert err < 1e-8, err
 
 
 def _picard_reference(grid, R, h, U, p, dts):
@@ -330,14 +383,38 @@ def test_step_iterations_count_the_pressure_eliminations(monkeypatch):
     state = initial_state(grid, p)
     G, _ = eliminate(grid, state.R, h, U, p)
     chord = ChordCarry()
-    # from rest the error test rejects the first attempts, then a plain
-    # step follows; a step given no G_at_state counts its own elimination
+    # from rest the error test rejects the first three attempts, each after
+    # the one elimination that certifies its iterate, then a plain step
+    # follows; a step given no G_at_state counts its own elimination
+    counts = []
     for given in (True, True, False):
         calls.clear()
         state, stats, G = step_inertialess(
             grid, state, h, U, p, cfg, G_at_state=G if given else None,
             chord=chord)
-        assert stats.iterations == len(calls) >= 2
+        assert stats.iterations == len(calls)
+        counts.append(len(calls))
+    assert counts == [4, 1, 2]
+
+
+def test_run_trace_counts_the_work_of_the_run(monkeypatch):
+    # every pressure elimination but the run's first is counted in some
+    # step's iterations, and every chord LU in some step's factorizations
+    eliminations, factorizations = [], []
+    eliminate, factorize = dynamics.eliminate_pressure, dynamics._factorize
+    monkeypatch.setattr(dynamics, "eliminate_pressure",
+                        lambda *a, **k: eliminations.append(1)
+                        or eliminate(*a, **k))
+    monkeypatch.setattr(dynamics, "_factorize",
+                        lambda A: factorizations.append(1) or factorize(A))
+    p, grid, h, U = _journal_case()
+    res = run_transient(grid, initial_state(grid, p), h, U, p, StepConfig(),
+                        n_steps=5000)
+    assert res.converged
+    stats = res.step_stats
+    assert len(eliminations) == 1 + int(np.sum(stats["iterations"]))
+    assert len(factorizations) == int(np.sum(stats["factorizations"]))
+    assert len(factorizations) >= res.steps     # one LU per attempt at least
 
 
 def test_step_size_grows_at_most_fivefold():
@@ -474,8 +551,8 @@ def test_history_recording_stride():
                                 "min_p", "max_p"}
     # one history row and one step statistics row per step
     assert len(res.history["t"]) == 6
-    assert set(res.step_stats) == {"t", "dt_used", "iterations", "halvings",
-                                   "rejections"}
+    assert set(res.step_stats) == {"t", "dt_used", "iterations",
+                                   "factorizations", "halvings", "rejections"}
     assert len(res.step_stats["t"]) == 6
     assert np.allclose(res.step_stats["t"], np.cumsum(res.step_stats["dt_used"]),
                        rtol=1e-12)

@@ -299,7 +299,7 @@ def test_factorization_matches_the_default_panel_lu():
     grid = Grid(16, 8, 2.0, 1.0, bc_x1=BC_PERIODIC)
     R = p.R0 * rng.uniform(0.9, 1.1, size=grid.shape)
     h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
-    B, _ = flux_jacobian(grid, R, eval_f1(R, p), h, (p.surface_speed, 0.0), p)
+    B = flux_jacobian(grid, R, eval_f1(R, p), h, (p.surface_speed, 0.0), p)
     reference = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A")
     lu = elliptic._factorize(B)
     for b in (rng.normal(size=grid.n_cells),
@@ -345,13 +345,12 @@ def test_flux_jacobian_equals_its_composed_form(scheme, bc):
     pres = rng.normal(scale=100.0, size=grid.shape)
     h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
     U = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-    B, K = flux_jacobian(grid, R, pres, h, U, p, scheme)
-    K_ref = assemble_operator(grid, eval_f3(R, p) * h ** 3)
-    B_ref = (K_ref @ sp.diags(eval_f1_prime(R, p).ravel())
+    B = flux_jacobian(grid, R, pres, h, U, p, scheme)
+    K = assemble_operator(grid, eval_f3(R, p) * h ** 3)
+    B_ref = (K @ sp.diags(eval_f1_prime(R, p).ravel())
              - diffusion_sensitivity(grid, eval_f3_prime(R, p) * h ** 3, pres)
              + convective_divergence_matrix(grid, U, h * eval_f4_prime(R, p),
                                             scheme))
-    assert abs(K - K_ref).max() == 0.0
     assert abs(B - B_ref).max() <= 1e-13 * abs(B).max()
     # B lives on the pattern of K: the full 5-point stencil
     assert np.array_equal(B.indptr, K.indptr)

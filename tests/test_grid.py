@@ -8,7 +8,7 @@ import pytest
 from filmcav.errors import ConfigurationError
 from filmcav.grid import (
     BC_DIRICHLET, BC_PERIODIC, CSV_HEADER, Grid, ensure_field,
-    export_fields_csv, field_norms, gap_excess, gap_function,
+    export_fields_csv, field_norms, gap_function,
     grid_for_params, render_fields_csv,
 )
 from filmcav.physics import PhysicalParams, eval_alpha
@@ -87,15 +87,6 @@ def test_gap_rejects_touching_surfaces():
     for ecc in (1.0, 1.2):
         with pytest.raises(ConfigurationError):
             gap_function(g, PhysicalParams(ecc=ecc))
-
-
-def test_gap_excess():
-    p = PhysicalParams(ecc=0.25)
-    g = grid_for_params(p, 16, 4)
-    e = gap_excess(gap_function(g, p))
-    assert np.min(e) == 0.0
-    assert np.max(e) == pytest.approx(np.ptp(gap_function(g, p)), rel=1e-14)
-    assert np.all(gap_excess(np.full(g.shape, 3.5)) == 0.0)
 
 
 def test_ensure_field_accepts_flat_input_and_validates():
