@@ -15,11 +15,10 @@ from .errors import (ConfigurationError, NonPositiveRadiusError,
                      StepFailureError, SupercriticalRadiusError)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
                       eval_alpha, eval_f1, eval_f2, eval_f3, eval_f4,
-                      eval_f5, hypotheses_check)
+                      eval_f5)
 from .grid import Grid, ensure_field, export_fields_csv, field_norms, \
     gap_function, grid_for_params
-from .elliptic import (apply_A2, assemble_couette_rhs, assemble_diffusion,
-                       solve_A1)
+from .elliptic import apply_A2
 from .dynamics import (StepConfig, TransientResult, TransientState,
                        TransientWatch, eliminate_pressure, initial_state,
                        run_transient, step_inertial, step_inertialess)
@@ -27,7 +26,7 @@ from .stationary import (StationaryReport, StationarySolveConfig,
                          solve_stationary, stationary_residual,
                          trivial_solution)
 from .stability import (HurwitzReport, SpectrumReport, assemble_LF,
-                        assemble_LG, b_branch_roots, compute_spectrum,
+                        assemble_LG, compute_spectrum,
                         constant_gap_spectrum_LF, constant_gap_spectrum_LG,
                         critical_speed, growth_pencil, hurwitz_analysis,
                         pencil_spectrum, sigma_constants, trivial_LF_roots,
@@ -41,17 +40,15 @@ __all__ = [
     "SolverFailureError", "StepFailureError", "SupercriticalRadiusError",
     "DerivedConstants", "PhysicalParams", "compute_derived", "eval_alpha",
     "eval_f1", "eval_f2", "eval_f3", "eval_f4", "eval_f5",
-    "hypotheses_check",
     "Grid", "ensure_field", "export_fields_csv", "field_norms",
-    "gap_function", "grid_for_params",
-    "apply_A2", "assemble_couette_rhs", "assemble_diffusion", "solve_A1",
+    "gap_function", "grid_for_params", "apply_A2",
     "StepConfig", "TransientResult", "TransientState", "TransientWatch",
     "eliminate_pressure", "initial_state", "run_transient",
     "step_inertial", "step_inertialess",
     "StationaryReport", "StationarySolveConfig", "solve_stationary",
     "stationary_residual", "trivial_solution",
     "HurwitzReport", "SpectrumReport", "assemble_LF", "assemble_LG",
-    "b_branch_roots", "compute_spectrum", "constant_gap_spectrum_LF",
+    "compute_spectrum", "constant_gap_spectrum_LF",
     "constant_gap_spectrum_LG", "critical_speed", "growth_pencil",
     "hurwitz_analysis", "pencil_spectrum", "sigma_constants",
     "trivial_LF_roots", "trivial_LG_eigenvalue", "trivial_branch_spectrum_LF",

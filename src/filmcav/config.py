@@ -6,14 +6,15 @@ the dataclass fields of :class:`RunConfig` and of its three settings
 objects (``params``, ``step``, ``newton``): each field is one key named
 after it (``step.mode`` is ``step_mode``), its default is the dataclass
 default, and its value is parsed by the type of that default.  Unknown or
-repeated keys are rejected by name, and ``parse_config(render_config(c))``
-reproduces ``c`` exactly (floats are rendered with full round-trip
-precision).
+repeated keys and non-finite floats are rejected by name, and
+``parse_config(render_config(c))`` reproduces ``c`` exactly (floats are
+rendered with full round-trip precision).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .errors import ConfigurationError
@@ -130,15 +131,17 @@ KNOWN_KEYS = frozenset(_KEYS)
 
 def _parse_value(key: str, raw: str):
     """Parse by the type of the key's default: int, float, str, or a
-    comma-separated tuple of floats."""
+    comma-separated tuple of floats.  Every float must be finite."""
     default = _KEYS[key][2]
     try:
-        if isinstance(default, tuple):
-            return tuple(float(s) for s in raw.split(",") if s.strip())
-        return type(default)(raw)
+        values = ([float(s) for s in raw.split(",") if s.strip()]
+                  if isinstance(default, tuple) else [type(default)(raw)])
     except ValueError as exc:
         raise ConfigurationError(
             f"invalid value for key '{key}': {raw!r}") from exc
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise ConfigurationError(f"key '{key}' needs finite values, got {raw!r}")
+    return tuple(values) if isinstance(default, tuple) else values[0]
 
 
 def parse_config(text: str) -> RunConfig:

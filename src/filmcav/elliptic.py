@@ -43,7 +43,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverFailureError
 from .grid import BC_DIRICHLET, BC_PERIODIC, Grid, ensure_field
 from .physics import (PhysicalParams, eval_f1_prime, eval_f3, eval_f3_prime,
-                      eval_f4, eval_f4_prime, eval_f5)
+                      eval_f4_prime, eval_f5)
 
 #: largest relative residual ``|K x - b| / |b|`` a solve may return
 RESIDUAL_TOL = 1e-10
@@ -210,14 +210,6 @@ def assemble_operator(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
     return _assemble(*_diffusion_fluxes(grid, coeff))
 
 
-def assemble_diffusion(grid: Grid, R: np.ndarray, h: np.ndarray,
-                       params: PhysicalParams) -> sp.csr_matrix:
-    """Assemble the film-pressure diffusion operator ``-Div(f3(R) h^3 Grad .)``."""
-    Rf = ensure_field(grid, R, "R")
-    hf = ensure_field(grid, h, "h")
-    return assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-
-
 def _convective_fluxes(grid: Grid, U: tuple[float, float], w: np.ndarray,
                        scheme: str):
     """Face coefficients ``(a, b)`` and edge terms of ``S -> Div(U w S)``."""
@@ -321,31 +313,8 @@ def flux_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray, h: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# The two film-pressure sub-solves
+# The squeeze-response oracle
 # ---------------------------------------------------------------------------
-
-def assemble_couette_rhs(grid: Grid, R: np.ndarray, h: np.ndarray,
-                         U: tuple[float, float], params: PhysicalParams,
-                         scheme: str = SCHEME_UPWIND) -> np.ndarray:
-    """Divergence of the entrained flux ``Div(U h f4(R))`` as a cell field."""
-    Rf = ensure_field(grid, R, "R")
-    hf = ensure_field(grid, h, "h")
-    return convective_divergence(grid, U, hf * eval_f4(Rf, params), scheme)
-
-
-def solve_A1(grid: Grid, R: np.ndarray, h: np.ndarray, U: tuple[float, float],
-             params: PhysicalParams,
-             scheme: str = SCHEME_UPWIND) -> np.ndarray:
-    """Pressure response to the entrained flux alone.
-
-    Solves ``Div(f3(R) h^3 Grad A1) = Div(U h f4(R))`` with ambient
-    (zero) Dirichlet values; vanishes identically when the flux divergence
-    does (no entrainment, or uniform state with constant gap).
-    """
-    K = assemble_diffusion(grid, R, h, params)
-    rhs = assemble_couette_rhs(grid, R, h, U, params, scheme)
-    return solve_spd(K, -rhs.ravel(), grid)
-
 
 def apply_A2(grid: Grid, R: np.ndarray, h: np.ndarray, S: np.ndarray,
              params: PhysicalParams) -> np.ndarray:
@@ -357,8 +326,8 @@ def apply_A2(grid: Grid, R: np.ndarray, h: np.ndarray, S: np.ndarray,
     ``sum (-f5) h A2(R, w) w dA >= 0`` holds exactly for the discrete
     operator.
     """
-    K = assemble_diffusion(grid, R, h, params)
-    Sf = ensure_field(grid, S, "S")
+    Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
-    rhs = hf * eval_f5(ensure_field(grid, R, "R"), params) * Sf
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
+    rhs = hf * eval_f5(Rf, params) * ensure_field(grid, S, "S")
     return solve_spd(K, -rhs.ravel(), grid)

@@ -25,6 +25,10 @@ behaviour enters through five scalar closures of ``R``:
 The gas fraction follows a fixed-count dispersion law
 ``alpha(R) = alpha0 (R/R0)^3 / (1 + alpha0 (R/R0)^3)``.
 
+Every valid :class:`PhysicalParams` meets the five standing hypotheses on
+``(0, R_crit)``: ``f2, f3, f4 > 0`` by their form, ``f1' < 0`` by the
+definition of ``R_crit``, and ``f5 <= 0`` because ``rho_g <= rho_l``.
+
 Every ``eval_*`` function accepts scalars or numpy arrays and raises
 :class:`~filmcav.errors.NonPositiveRadiusError` for non-positive radii.
 """
@@ -54,6 +58,9 @@ class PhysicalParams:
     Defaults describe an oil-lubricated journal bearing with a dilute
     air micro-bubble dispersion.  Pressures are in Pa (1 atm = 101325),
     lengths in m, viscosities in Pa·s (``kappa_s`` in Pa·s·m).
+
+    ``rho_g <= rho_l`` keeps the squeeze coupling ``f5`` non-positive, as
+    the SPD pressure elimination and the squeeze-feedback sign both need.
 
     Attributes
     ----------
@@ -115,8 +122,12 @@ class PhysicalParams:
                 raise ConfigurationError(f"parameter '{name}' must be positive, "
                                          f"got {getattr(self, name)!r}")
         for name in ("kappa_s", "omega"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"parameter '{name}' must be non-negative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError(f"parameter '{name}' must be finite and "
+                                         f"non-negative, got {getattr(self, name)!r}")
+        if self.rho_g > self.rho_l:
+            raise ConfigurationError(f"parameter 'rho_g' = {self.rho_g!r} exceeds "
+                                     f"rho_l = {self.rho_l!r}, breaking f5 <= 0")
         if not 0.0 <= self.alpha0 < 1.0:
             raise ConfigurationError(f"alpha0 must lie in [0, 1), got {self.alpha0!r}")
         if not 0.0 <= self.ecc < 1.0:
@@ -164,18 +175,6 @@ def _alpha_second(R, params: PhysicalParams):
     da = 3.0 * params.alpha0 * r ** 2 / params.R0 ** 3
     dda = 6.0 * params.alpha0 * r / params.R0 ** 3
     return _match(R, dda / (1.0 + a) ** 2 - 2.0 * da ** 2 / (1.0 + a) ** 3)
-
-
-def mixture_density(R, params: PhysicalParams):
-    """Averaged mixture density rho_mix = alpha rho_g + (1 - alpha) rho_l."""
-    al = eval_alpha(R, params)
-    return al * params.rho_g + (1.0 - al) * params.rho_l
-
-
-def effective_viscosity(R, params: PhysicalParams):
-    """Effective mixture viscosity mu_eff = alpha mu_g + (1 - alpha) mu_l."""
-    al = eval_alpha(R, params)
-    return al * params.mu_g + (1.0 - al) * params.mu_l
 
 
 def eval_f1(R, params: PhysicalParams):
@@ -254,7 +253,8 @@ def eval_f4_prime(R, params: PhysicalParams):
 
 
 def eval_f5(R, params: PhysicalParams):
-    """Squeeze coupling ½ (rho_g/rho_l - 1) alpha'(R); non-positive."""
+    """Squeeze coupling ½ (rho_g/rho_l - 1) alpha'(R); non-positive, since
+    valid parameters have ``rho_g <= rho_l``."""
     return eval_f4_prime(R, params)
 
 
@@ -373,59 +373,3 @@ def compute_derived(params: PhysicalParams, rel_tol: float = 1e-12) -> DerivedCo
         d4=b4,
         d5=b5,
     )
-
-
-# ---------------------------------------------------------------------------
-# Standing-hypothesis checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HypothesisCheck:
-    """Outcome of one standing-assumption check on a radius interval."""
-
-    name: str
-    description: str
-    passed: bool
-    violating_R: float | None = None
-
-
-def hypotheses_check(params: PhysicalParams,
-                     R_interval: tuple[float, float],
-                     samples: int = 2048) -> list[HypothesisCheck]:
-    """Verify the model's standing assumptions on a radius interval.
-
-    The closures are sampled densely (log-spaced plus the endpoints) and each
-    assumption is reported with a pass/fail flag and, on failure, the first
-    violating radius.  The assumptions are the ones every solver in this
-    package relies on: strictly decreasing pressure response, positive wall
-    damping and mobility, positive transport coefficient, and non-positive
-    squeeze coupling.
-    """
-    lo, hi = R_interval
-    if not (0.0 < lo < hi):
-        raise ConfigurationError("R_interval must satisfy 0 < lo < hi")
-    r = np.geomspace(lo, hi, samples)
-
-    def check(name, description, ok_mask):
-        bad = np.nonzero(~ok_mask)[0]
-        return HypothesisCheck(
-            name=name, description=description, passed=bad.size == 0,
-            violating_R=float(r[bad[0]]) if bad.size else None)
-
-    return [
-        check("pressure_response_decreasing",
-              "f1'(R) < 0: quasi-static bubble response is monotone",
-              eval_f1_prime(r, params) < 0.0),
-        check("wall_damping_positive",
-              "f2(R) > 0: radial motion is damped",
-              eval_f2(r, params) > 0.0),
-        check("mobility_positive",
-              "f3(R) > 0: pressure diffusion is elliptic",
-              eval_f3(r, params) > 0.0),
-        check("transport_positive",
-              "f4(R) > 0: entrained flux moves with the wall",
-              eval_f4(r, params) > 0.0),
-        check("squeeze_coupling_nonpositive",
-              "f5(R) <= 0: bubble growth acts as a film volume source",
-              eval_f5(r, params) <= 0.0),
-    ]

@@ -364,19 +364,6 @@ def trivial_LF_roots(kappa: float, consts: DerivedConstants, h0: float
     return _stable_quadratic_roots(consts.b2 + gamma, consts.b1)
 
 
-def b_branch_roots(consts: DerivedConstants) -> tuple[complex, complex]:
-    """Roots of the uncoupled wall-oscillator polynomial
-    ``lam^2 + b2 lam + b1`` (both have negative real part)."""
-    return _stable_quadratic_roots(consts.b2, consts.b1)
-
-
-def flag_near_exceptional(eigenvalues: np.ndarray, consts: DerivedConstants,
-                          rtol: float = 1e-6) -> np.ndarray:
-    """Mask of eigenvalues within ``rtol`` (relative) of the accumulation
-    value ``-d1``; these are reported but not interpreted."""
-    return np.abs(np.asarray(eigenvalues) + consts.d1) <= rtol * consts.d1
-
-
 def _dirichlet_second_difference_1d(n: int, dx: float) -> np.ndarray:
     """Dense ``-d^2/dx^2`` on a cell-centered line with ghost reflection."""
     T = np.zeros((n, n))

@@ -174,9 +174,11 @@ def test_criterion_04_hurwitz_determinant_forms():
     factor_ok = True
     for _ in range(50):
         p_bnd = rng.uniform(500.0, 2000.0)
+        rho_l = rng.uniform(500.0, 2000.0)
         params = PhysicalParams(
-            rho_l=rng.uniform(500.0, 2000.0), mu_l=rng.uniform(0.05, 5.0),
-            rho_g=rng.uniform(0.5, 900.0), mu_g=rng.uniform(1e-3, 0.1),
+            rho_l=rho_l, mu_l=rng.uniform(0.05, 5.0),
+            rho_g=rng.uniform(0.5, min(900.0, rho_l)),
+            mu_g=rng.uniform(1e-3, 0.1),
             kappa_s=rng.uniform(0.0, 0.05),
             k_poly=float(rng.choice([1.0, 1.4])),
             sigma=rng.uniform(0.3, 3.0),

@@ -365,6 +365,15 @@ def test_configuration_errors_are_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_gas_denser_than_liquid_is_exit_2(tmp_path, capsys):
+    # f5 <= 0 needs rho_g <= rho_l; the default liquid has rho_l = 854
+    cfg = _write(tmp_path, "rho_g = 900\nn1 = 8\nn2 = 4\n")
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", cfg, "--out", str(out)]) == 2
+    assert "'rho_g'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

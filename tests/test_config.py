@@ -138,6 +138,10 @@ def test_invalid_value_reports_key():
         parse_config("dt = fast\n")
     with pytest.raises(ConfigurationError, match="'sweep_values'"):
         parse_config("sweep_values = 0.1,x\n")
+    with pytest.raises(ConfigurationError, match="'newton_tol'"):
+        parse_config("newton_tol = inf\n")
+    with pytest.raises(ConfigurationError, match="'sweep_values'"):
+        parse_config("sweep_values = 0.1, nan\n")
 
 
 def test_out_of_range_physical_values_rejected():
@@ -161,6 +165,12 @@ def test_out_of_range_physical_values_rejected():
     "workers = 0",
     "error_tol = 1e-9",
     "error_tol = 1.0",
+    "newton_tol = inf",
+    "dt = inf",
+    "stationarity_tol = inf",
+    "omega = nan",
+    "kappa_s = nan",
+    "sweep_values = 0.1, inf",
 ])
 def test_run_setting_validation(line):
     with pytest.raises(ConfigurationError):

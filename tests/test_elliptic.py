@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 
 import filmcav.elliptic as elliptic
 from filmcav.elliptic import (
-    SCHEME_CENTRAL, SCHEME_UPWIND, apply_A2, assemble_couette_rhs, assemble_diffusion, assemble_operator,
+    SCHEME_CENTRAL, SCHEME_UPWIND, apply_A2, assemble_operator,
     convective_divergence, convective_divergence_matrix,
-    diffusion_sensitivity, flux_jacobian, solve_A1, solve_spd,
+    diffusion_sensitivity, flux_jacobian, solve_spd,
 )
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, field_norms, gap_function
 from filmcav.physics import (PhysicalParams, eval_f1, eval_f1_prime,
-                             eval_f3, eval_f3_prime, eval_f4, eval_f4_prime,
+                             eval_f3, eval_f3_prime, eval_f4_prime,
                              eval_f5)
 
 DEFAULT = PhysicalParams()
@@ -355,50 +355,6 @@ def test_flux_jacobian_equals_its_composed_form(scheme, bc):
     # B lives on the pattern of K: the full 5-point stencil
     assert np.array_equal(B.indptr, K.indptr)
     assert np.array_equal(B.indices, K.indices)
-
-
-def test_film_diffusion_coefficient_wiring():
-    rng = np.random.default_rng(43)
-    p = PhysicalParams(ecc=0.2)
-    grid = Grid(6, 5, 1.0, 1.0)
-    R = p.R0 * rng.uniform(0.8, 1.2, size=grid.shape)
-    h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
-    K1 = assemble_diffusion(grid, R, h, p)
-    K2 = assemble_operator(grid, eval_f3(R, p) * h ** 3)
-    assert (K1 - K2).nnz == 0
-
-
-def test_couette_rhs_is_divergence_of_entrained_flux():
-    rng = np.random.default_rng(47)
-    p = PhysicalParams(ecc=0.3)
-    grid = Grid(8, 5, 1.0, 1.0)
-    R = p.R0 * rng.uniform(0.8, 1.2, size=grid.shape)
-    h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
-    U = (2.4, 0.0)
-    got = assemble_couette_rhs(grid, R, h, U, p)
-    want = convective_divergence(grid, U, h * eval_f4(R, p))
-    assert np.array_equal(got, want)
-
-
-def test_entrained_pressure_response_vanishes_for_uniform_film():
-    # Constant gap + uniform radius: the entrained flux is divergence-free
-    # on the periodic journal, so its pressure response is identically zero.
-    p = PhysicalParams(ecc=0.0)
-    grid = Grid(8, 6, 2.0 * np.pi * p.J_r, p.B, bc_x1=BC_PERIODIC)
-    R = np.full(grid.shape, 1.1 * p.R0)
-    h = gap_function(grid, p)
-    A1 = solve_A1(grid, R, h, (3.0, 0.0), p)
-    assert np.max(np.abs(A1)) < 1e-12
-    A1 = solve_A1(grid, R, h, (0.0, 0.0), p)
-    assert np.max(np.abs(A1)) == 0.0
-
-
-def test_entrained_pressure_response_nonzero_for_eccentric_gap():
-    p = PhysicalParams(ecc=0.3)
-    grid = Grid(16, 8, 2.0 * np.pi * p.J_r, p.B, bc_x1=BC_PERIODIC)
-    R = np.full(grid.shape, p.R0)
-    A1 = solve_A1(grid, R, gap_function(grid, p), (3.0, 0.0), p)
-    assert np.max(np.abs(A1)) > 1e-6
 
 
 def test_squeeze_response_is_linear_in_the_rate():
