@@ -195,6 +195,24 @@ def test_derived_constants_all_positive():
 # hypotheses and validation
 # ---------------------------------------------------------------------------
 
+def test_hypotheses_hold_below_critical_radius():
+    c = compute_derived(DEFAULT)
+    r = np.geomspace(0.3 * DEFAULT.R0, 0.999 * c.R_crit, 512)
+    assert np.all(eval_f1_prime(r, DEFAULT) < 0.0)
+    assert np.all(eval_f2(r, DEFAULT) > 0.0)
+    assert np.all(eval_f3(r, DEFAULT) > 0.0)
+    assert np.all(eval_f4(r, DEFAULT) > 0.0)
+    assert np.all(eval_f5(r, DEFAULT) <= 0.0)
+
+
+def test_monotone_response_fails_past_critical_radius():
+    c = compute_derived(DEFAULT)
+    r = np.geomspace(0.3 * DEFAULT.R0, 3.0 * c.R_crit, 512)
+    violating = r[eval_f1_prime(r, DEFAULT) >= 0.0]
+    assert violating.size > 0
+    assert violating[0] >= 0.99 * c.R_crit
+
+
 #: valid parameter sets spanning the desk and gentle regimes; the gas
 #: density and the reference gas pressure are drawn relative to the liquid
 #: density and the ambient pressure, up to equal densities
