@@ -28,7 +28,7 @@ from .stationary import (StationaryReport, StationarySolveConfig,
 from .stability import (HurwitzReport, SpectrumReport, assemble_LF,
                         assemble_LG, compute_spectrum,
                         constant_gap_spectrum_LF, constant_gap_spectrum_LG,
-                        critical_speed, growth_pencil, hurwitz_analysis,
+                        critical_speed, hurwitz_analysis,
                         pencil_spectrum, sigma_constants, trivial_LF_roots,
                         trivial_LG_eigenvalue, trivial_branch_spectrum_LF)
 from .config import RunConfig, parse_config, render_config
@@ -49,7 +49,7 @@ __all__ = [
     "stationary_residual", "trivial_solution",
     "HurwitzReport", "SpectrumReport", "assemble_LF", "assemble_LG",
     "compute_spectrum", "constant_gap_spectrum_LF",
-    "constant_gap_spectrum_LG", "critical_speed", "growth_pencil",
+    "constant_gap_spectrum_LG", "critical_speed",
     "hurwitz_analysis", "pencil_spectrum", "sigma_constants",
     "trivial_LF_roots", "trivial_LG_eigenvalue", "trivial_branch_spectrum_LF",
     "RunConfig", "parse_config", "render_config",

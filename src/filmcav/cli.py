@@ -28,6 +28,7 @@ from .config import (MODE_STABILITY, MODE_STATIONARY, MODE_SWEEP,
 from .dynamics import (HISTORY_KEYS, MODE_INERTIAL, STEP_STATS_KEYS,
                        TransientResult, TransientWatch, initial_state,
                        run_transient)
+from .elliptic import film_pencil
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, export_fields_csv,
@@ -36,7 +37,7 @@ from .physics import (DerivedConstants, PhysicalParams, compute_derived,
                       eval_alpha)
 from .stability import (DENSE_ASSEMBLY_LIMIT, TAG_LF, TAG_LG, assemble_LF,
                         compute_spectrum, export_spectrum_csv,
-                        growth_pencil, hurwitz_analysis, hurwitz_report_text,
+                        hurwitz_analysis, hurwitz_report_text,
                         pencil_spectrum)
 from .stationary import StationaryReport, solve_stationary
 
@@ -261,7 +262,7 @@ def cmd_stability(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     export_fields_csv(out / "fields_stationary.csv", grid, params, R_s, p_s)
 
-    B, P = growth_pencil(grid, R_s, h, U, params)
+    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
     rep_G = pencil_spectrum(B, P, config.stability_margin, TAG_LG,
                             (config.n1, config.n2))
     export_spectrum_csv(out / "spectrum_LG.csv", rep_G)

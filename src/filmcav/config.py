@@ -62,8 +62,9 @@ class RunConfig:
         self.make_grid()                 # checks n1, n2 and bc_x1
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be at least 1")
-        if not self.stationarity_tol > 0.0:
-            raise ConfigurationError("stationarity_tol must be positive")
+        if not 0.0 < self.stationarity_tol < math.inf:
+            raise ConfigurationError("stationarity_tol must be finite and "
+                                     "positive")
         if self.snapshot_every < 0:
             raise ConfigurationError("snapshot_every must be >= 0")
         if self.sweep_axis not in SWEEP_AXES:
@@ -73,8 +74,9 @@ class RunConfig:
         if self.sweep_solver not in (MODE_TRANSIENT, MODE_STATIONARY):
             raise ConfigurationError("sweep_solver must be 'transient' or "
                                      f"'stationary', got {self.sweep_solver!r}")
-        if not self.stability_margin > 0.0:
-            raise ConfigurationError("stability_margin must be positive")
+        if not 0.0 < self.stability_margin < math.inf:
+            raise ConfigurationError("stability_margin must be finite and "
+                                     "positive")
         if self.workers < 1:
             raise ConfigurationError("workers must be at least 1")
         if self.mode == MODE_SWEEP:

@@ -17,11 +17,16 @@ uniquely solvable for any positive radius field, and ``S = y / (R f2)``,
 
 Time stepping is backward Euler.  Every step attempt solves the implicit
 equation ``R - R_old - dt G(R) = 0`` from a second-order extrapolated start
-by chord Newton on :func:`backward_euler_residual`, the film equation at the
-pressure the growth law gives for the backward-difference rate, which costs
-one assembly and one product, no pressure elimination.  Its exact Jacobian,
-from :func:`backward_euler_jacobian`, is factored at the first iterate and
-refactored when an iteration shrinks the update by less than 100x; the
+by chord Newton on its pencil form: the film equation ``F(x, S)`` of
+:func:`elliptic.film_residual` at the backward-difference rate
+``S = (x - R_old) / dt``, which costs one assembly and one product, no
+pressure elimination.  With ``y = x f2 S``, ``F = M y - K f1 - Div(U h f4)``,
+so ``P (R_old + dt G(x) - x) = -dt F`` with ``P = M diag(x f2)``: ``F``
+vanishes exactly at the backward-Euler solution.  Its Newton matrix
+``P - dt B`` comes from the pencil ``(B, P)`` of :func:`elliptic.film_pencil`,
+the linearization the stationary solver and the spectra use as well, formed
+in place on the shared 5-point pattern.  It is factored at the first iterate
+and refactored when an iteration shrinks the update by less than 100x; the
 factor belongs to the attempt and is dropped with it.  Once the update falls
 below ``picard_tol`` (or the iterations run out), one pressure elimination
 certifies the iterate and gives the new state's rate and pressure.  A step
@@ -55,10 +60,10 @@ import scipy.sparse as sp
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field, export_fields_csv
 from .elliptic import (SCHEME_UPWIND, _factorize, assemble_operator,
-                       convective_divergence, flux_jacobian, solve_spd)
+                       convective_divergence, film_pencil, film_residual,
+                       solve_spd)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_f1, eval_f2, eval_f2_prime, eval_f3, eval_f4,
-                      eval_f5, eval_f5_prime)
+                      eval_f1, eval_f2, eval_f3, eval_f4, eval_f5)
 
 MODE_INERTIALESS = "inertialess"
 MODE_INERTIAL = "inertial"
@@ -110,8 +115,8 @@ class StepConfig:
     mode: str = MODE_INERTIALESS
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ConfigurationError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ConfigurationError("dt must be finite and positive")
         if not 0.0 < self.picard_tol <= 1e-3:
             raise ConfigurationError("picard_tol must lie in (0, 1e-3], got "
                                      f"{self.picard_tol!r}")
@@ -200,69 +205,6 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     return y / Rf2, f1 - y
 
 
-def backward_euler_residual(grid: Grid, R_old: np.ndarray, x: np.ndarray,
-                            h: np.ndarray, U: tuple[float, float],
-                            params: PhysicalParams, dt: float,
-                            scheme: str = SCHEME_UPWIND
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Pencil-form residual of the backward-Euler step from ``R_old`` at the
-    iterate ``x``, without a pressure elimination.
-
-    Returns ``(F, p)``: ``p = f1(x) - x f2(x) S`` is the film pressure that
-    the growth law gives for the rate ``S = (x - R_old) / dt``, and
-    ``F = -(K(x) p + h f5(x) S + Div(U h f4(x)))`` the film equation at
-    ``(p, S)``.  With ``y = x f2 S``, ``F = M y - K f1 - Div(U h f4)`` for the
-    elimination matrix ``M``, so ``P (R_old + dt G(x) - x) = -dt F`` with
-    ``P = M diag(x f2)``: ``F`` vanishes exactly at the backward-Euler
-    solution.  Its Jacobian is ``A / dt`` with ``A`` from
-    :func:`backward_euler_jacobian` at ``(x, p)``.
-    """
-    Rf = ensure_field(grid, x, "x")
-    hf = ensure_field(grid, h, "h")
-    S = (Rf - ensure_field(grid, R_old, "R_old")) / dt
-    p = eval_f1(Rf, params) - Rf * eval_f2(Rf, params) * S
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-    conv = convective_divergence(grid, U, hf * eval_f4(Rf, params), scheme)
-    F = -(K @ p.ravel()) - (hf * eval_f5(Rf, params) * S + conv).ravel()
-    return F.reshape(grid.shape), p
-
-
-def backward_euler_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray,
-                            h: np.ndarray, U: tuple[float, float],
-                            params: PhysicalParams, dt: float,
-                            scheme: str = SCHEME_UPWIND) -> sp.csc_matrix:
-    """Newton matrix of the backward-Euler step in pencil form.
-
-    With ``M = K + diag(shift)``, ``shift = -h f5 / (R f2)``, ``y = f1 - p``
-    and ``B`` from :func:`elliptic.flux_jacobian` at ``(R, p)``, the
-    linearization the Newton stationary solver and the stability operators
-    use as well,
-
-        A = M diag(R f2 + dt y (R f2)' / (R f2)) - dt (B - diag(shift' y)).
-
-    At the pressure of :func:`backward_euler_residual` it is ``dt`` times the
-    exact Jacobian of that residual.  At the slaved pressure of
-    :func:`eliminate_pressure` it is ``P (I - dt G'(R))``, where
-    ``P = M diag(R f2)`` is the matrix at ``dt = 0``.
-    """
-    Rf = ensure_field(grid, R, "R")
-    hf = ensure_field(grid, h, "h")
-    pf = ensure_field(grid, p, "p")
-    f2 = eval_f2(Rf, params)
-    f5 = eval_f5(Rf, params)
-    Rf2 = Rf * f2
-    dRf2 = f2 + Rf * eval_f2_prime(Rf, params)
-    y = eval_f1(Rf, params) - pf
-    shift = -hf * f5 / Rf2
-    dshift = -hf * (eval_f5_prime(Rf, params) - f5 * dRf2 / Rf2) / Rf2
-    B = flux_jacobian(grid, Rf, pf, hf, U, params, scheme)
-    M = (assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-         + sp.diags(shift.ravel()))
-    A = (M @ sp.diags((Rf2 + dt * y * dRf2 / Rf2).ravel())
-         - dt * (B - sp.diags((dshift * y).ravel())))
-    return A.tocsc()
-
-
 def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
                        h: np.ndarray, U: tuple[float, float],
                        params: PhysicalParams,
@@ -301,9 +243,10 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     """One error-controlled backward-Euler step of the quasi-static dynamics.
 
     The implicit equation ``R_new = R_old + dt G(R_new)`` is solved by
-    chord Newton on its pencil form, ``x <- x - dt A^-1 F(x)`` with ``F``
-    from :func:`backward_euler_residual` and the Newton matrix ``A`` of
-    :func:`backward_euler_jacobian`, from the predictor
+    chord Newton on its pencil form, ``x <- x - dt A^-1 F(x, S)`` with
+    ``F`` from :func:`elliptic.film_residual` at ``S = (x - R_old) / dt``
+    and the Newton matrix ``A = P - dt B`` of the pencil
+    :func:`elliptic.film_pencil` at ``(x, S)``, from the predictor
     ``pred = R_old + dt (G_n + (G_n - G_{n-1}) dt / dt_prev)`` (the explicit
     update ``R_old + dt G_n`` without a history).  Each attempt factors
     ``A`` at its first iterate, refactors it at the current iterate when an
@@ -366,8 +309,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             lu = None
             stalled = False
             for _ in range(step_cfg.picard_max - 1):
-                F, p_x = backward_euler_residual(grid, R_old, x, h, U, params,
-                                                 dt, scheme)
+                S = (x - R_old) / dt
+                F, _ = film_residual(grid, x, S, h, U, params, scheme)
                 rhs = -dt * F.ravel()
                 delta = None if lu is None else lu.solve(rhs)
                 if lu is None or _relative(delta, x) * CHORD_CONTRACTION > best:
@@ -375,8 +318,9 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     # while the old is alive fragments the native heap,
                     # and peak RSS then creeps up by megabytes over a run
                     lu = None
-                    lu = _factorize(backward_euler_jacobian(
-                        grid, x, p_x, h, U, params, dt, scheme))
+                    B, A = film_pencil(grid, x, S, h, U, params, scheme)
+                    A.data -= dt * B.data                # P - dt B
+                    lu = _factorize(A)
                     factorizations += 1
                     delta = lu.solve(rhs)
                 update = _relative(delta, x)

@@ -21,9 +21,13 @@ term; one assembler sums them into the pattern.  The rules are the
 diffusion operator ``K``, the convective divergence ``C`` (whose field form
 sums the same face fluxes straight into the cells) and the sensitivity of
 the diffusion term to its coefficient at a frozen potential.
-:func:`flux_jacobian` sums the face fluxes of all three into the one
-linearization of the film flux balance, assembled once, that the Newton
-stationary solver, the implicit stepper and the stability operators share.
+
+The film equation :func:`film_residual` is the pressure equation above at
+``dR/dt = S`` and the pressure ``p = f1(R) - R f2(R) S`` the growth law gives;
+its one linearization is the pencil ``(B, P)`` of :func:`film_pencil`.  The
+Newton stationary solver factors ``B`` at ``S = 0``, the implicit stepper
+``P - dt B`` at the backward-difference rate, and the spectra use the pencil
+at ``S = 0``.
 
 Every sparse LU of the package is built by :func:`_factorize`, which fixes
 the column ordering (minimum degree on ``A^T + A``) and SuperLU's panel
@@ -42,8 +46,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
 from .grid import BC_DIRICHLET, BC_PERIODIC, Grid, ensure_field
-from .physics import (PhysicalParams, eval_f1_prime, eval_f3, eval_f3_prime,
-                      eval_f4_prime, eval_f5)
+from .physics import (PhysicalParams, eval_f1, eval_f1_prime, eval_f2,
+                      eval_f2_prime, eval_f3, eval_f3_prime, eval_f4,
+                      eval_f4_prime, eval_f5, eval_f5_prime)
 
 #: largest relative residual ``|K x - b| / |b|`` a solve may return
 RESIDUAL_TOL = 1e-10
@@ -65,7 +70,8 @@ class _FaceStencil:
     edge, are summed into the CSR pattern ``(indptr, indices)`` by the 0/1
     matrix ``scatter``: its row ``s`` lists the entries that land in
     pattern slot ``s``, face batch by face batch, so that each diagonal
-    accumulates in one fixed order.  Index arrays are int32; gathers use
+    accumulates in one fixed order.  ``diag`` holds each cell's diagonal
+    slot in the pattern.  Index arrays are int32; gathers use
     ``take``, which reads them as they are, where ``[]`` indexing would
     first copy them to int64 on every call.
     """
@@ -83,6 +89,7 @@ class _FaceStencil:
     scatter: sp.csr_matrix
     indptr: np.ndarray
     indices: np.ndarray
+    diag: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -130,7 +137,8 @@ def _stencil(grid: Grid) -> _FaceStencil:
         edge_axis=edge_axis.astype(i32), edge_side=edge_side,
         edge_dx=dx[edge_axis], edge_dx2=dx2[edge_axis], scatter=scatter,
         indptr=np.searchsorted(pattern, n * np.arange(n + 1)).astype(i32),
-        indices=(pattern % n).astype(i32))
+        indices=(pattern % n).astype(i32),
+        diag=np.searchsorted(pattern, (n + 1) * np.arange(n)).astype(i32))
 
 
 def _assemble(st: _FaceStencil, a: np.ndarray, b: np.ndarray,
@@ -280,36 +288,64 @@ def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
     return _assemble(*_sensitivity_fluxes(grid, coeff_prime, potential))
 
 
-def flux_jacobian(grid: Grid, R: np.ndarray, p: np.ndarray, h: np.ndarray,
+def film_residual(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams,
-                  scheme: str = SCHEME_UPWIND) -> sp.csr_matrix:
-    """The one linearization of the film flux balance.
+                  scheme: str = SCHEME_UPWIND
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The film equation at the radius field ``R`` and the growth rate ``S``.
 
-    Returns ``B``, the derivative with respect to the radius field of
-    ``K(R) (f1(R) - y) + Div(U h f4(R))``, ``K = -Div(f3(R) h^3 Grad .)``,
-    at a fixed bubble-pressure excess ``y = f1(R) - p``,
-
-        B = K diag(f1') - Dsens(f3' h^3, p) + C(h f4'),
-
-    with ``Dsens`` from :func:`diffusion_sensitivity` and ``C`` from
-    :func:`convective_divergence_matrix`.  All three are face-flux rules on
-    one stencil (``K diag(f1')`` scales each face coefficient by ``f1'`` of
-    its cell), so ``B`` is summed face by face and assembled once, on the
-    full 5-point pattern.  At ``p = f1(R)`` it is the Jacobian of the
-    stationary balance; the backward-Euler Newton matrix and both
-    linearized evolution operators are built from it.
+    Returns ``(F, p)``: ``p = f1(R) - R f2(R) S`` is the film pressure the
+    growth law gives for ``S``, and ``F = -(K(R) p + h f5(R) S +
+    Div(U h f4(R)))`` the film flux balance at ``(p, S)``.  ``F`` is affine
+    in ``S``, ``F(R, S) = F(R, 0) + P S`` with ``P`` of :func:`film_pencil`.
     """
     Rf = ensure_field(grid, R, "R")
+    Sf = ensure_field(grid, S, "S")
+    hf = ensure_field(grid, h, "h")
+    p = eval_f1(Rf, params) - Rf * eval_f2(Rf, params) * Sf
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
+    conv = convective_divergence(grid, U, hf * eval_f4(Rf, params), scheme)
+    F = -(K @ p.ravel()) - (hf * eval_f5(Rf, params) * Sf + conv).ravel()
+    return F.reshape(grid.shape), p
+
+
+def film_pencil(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
+                U: tuple[float, float], params: PhysicalParams,
+                scheme: str = SCHEME_UPWIND
+                ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The one linearization of the film equation: ``B = -dF/dR`` at fixed
+    ``S`` and ``P = dF/dS`` for ``F`` of :func:`film_residual`,
+
+        B = K diag(f1' - S (R f2)') - Dsens(f3' h^3, p) + C(h f4')
+            + diag(h f5' S),     p = f1 - R f2 S,
+        P = K diag(R f2) - diag(h f5),
+
+    with ``Dsens`` of :func:`diffusion_sensitivity` and ``C`` of
+    :func:`convective_divergence_matrix`.  ``B`` is summed face by face and
+    assembled once, ``P`` scales the data of ``K`` by ``R f2`` of each
+    entry's column, and both add their diagonal terms through the stencil's
+    diagonal slots: both live on the 5-point pattern of ``K``.
+    """
+    Rf = ensure_field(grid, R, "R")
+    Sf = ensure_field(grid, S, "S")
     hf = ensure_field(grid, h, "h")
     h3 = hf ** 3
+    f2 = eval_f2(Rf, params)
+    Rf2 = Rf * f2
     st, ka, kb, ke = _diffusion_fluxes(grid, eval_f3(Rf, params) * h3)
     _, sa, sb, se = _sensitivity_fluxes(grid, eval_f3_prime(Rf, params) * h3,
-                                        p)
+                                        eval_f1(Rf, params) - Rf2 * Sf)
     _, ca, cb, ce = _convective_fluxes(grid, U, hf * eval_f4_prime(Rf, params),
                                        scheme)
-    d = eval_f1_prime(Rf, params).ravel()
-    return _assemble(st, ka * d.take(st.A) - sa + ca,
-                     kb * d.take(st.B) - sb + cb, ke * d.take(st.cell) - se + ce)
+    d = (eval_f1_prime(Rf, params)
+         - Sf * (f2 + Rf * eval_f2_prime(Rf, params))).ravel()
+    B = _assemble(st, ka * d.take(st.A) - sa + ca,
+                  kb * d.take(st.B) - sb + cb, ke * d.take(st.cell) - se + ce)
+    B.data[st.diag] += (hf * eval_f5_prime(Rf, params) * Sf).ravel()
+    P = _assemble(st, ka, kb, ke)
+    P.data *= Rf2.ravel().take(st.indices)
+    P.data[st.diag] -= (hf * eval_f5(Rf, params)).ravel()
+    return B, P
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,9 @@ class Grid:
         if self.n1 < 4 or self.n2 < 4:
             raise ConfigurationError("grid needs at least 4 cells per direction, "
                                      f"got {self.n1} x {self.n2}")
-        if not (self.L1 > 0.0 and self.L2 > 0.0):
-            raise ConfigurationError("domain lengths must be positive")
+        if not (0.0 < self.L1 < np.inf and 0.0 < self.L2 < np.inf):
+            raise ConfigurationError("domain lengths must be finite and "
+                                     "positive")
         if self.bc_x1 not in (BC_PERIODIC, BC_DIRICHLET):
             raise ConfigurationError(f"bc_x1 must be '{BC_PERIODIC}' or "
                                      f"'{BC_DIRICHLET}', got {self.bc_x1!r}")

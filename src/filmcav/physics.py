@@ -118,9 +118,9 @@ class PhysicalParams:
         positive = ("rho_l", "mu_l", "rho_g", "mu_g", "k_poly", "sigma",
                     "P0", "p_bnd", "R0", "J_r", "B", "h0")
         for name in positive:
-            if not getattr(self, name) > 0.0:
-                raise ConfigurationError(f"parameter '{name}' must be positive, "
-                                         f"got {getattr(self, name)!r}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"parameter '{name}' must be finite and "
+                                         f"positive, got {getattr(self, name)!r}")
         for name in ("kappa_s", "omega"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigurationError(f"parameter '{name}' must be finite and "

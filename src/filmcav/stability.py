@@ -1,21 +1,21 @@
 """Linear stability of stationary states.
 
-Both linearized evolution operators come from the one flux Jacobian of the
-discrete dynamics, ``B = elliptic.flux_jacobian`` at
-``(R_s, p_s = f1(R_s))``, with ``K = -Div(f3(R_s) h^3 Grad .)`` (the Newton
-stationary solver's Jacobian and the stepper's Newton matrix are built from
-them too):
+Both linearized evolution operators come from the one linearization of the
+film equation, the pencil ``(B, P) = elliptic.film_pencil`` at
+``(R_s, S = 0)``, where the film pressure is ``p_s = f1(R_s)`` (the Newton
+stationary solver factors the same ``B``, the stepper ``P - dt B``):
 
 * ``L_G`` — the quasi-static model linearized about ``(R_s, p_s)``, the
   growth-rate derivative ``P^{-1} B`` of the sparse pencil
 
-      B w = lam P w,   P = K diag(R_s f2(R_s)) - diag(h f5(R_s)).
+      B w = lam P w,   P = K diag(R_s f2(R_s)) - diag(h f5(R_s)),
 
-  :func:`pencil_spectrum` finds its rightmost eigenvalues without forming
-  ``L_G``: ARPACK on the Cayley transform ``(B - s P)^{-1} (B + s P)``,
-  which maps the open right half-plane onto ``|theta| > 1``, and a
-  certificate that bounds the real part of every eigenvalue it does not
-  list.  :func:`assemble_LG` forms the dense matrix, as a test oracle.
+  with ``K = -Div(f3(R_s) h^3 Grad .)``.  :func:`pencil_spectrum` finds
+  its rightmost eigenvalues without forming ``L_G``: ARPACK on the Cayley
+  transform ``(B - s P)^{-1} (B + s P)``, which maps the open right
+  half-plane onto ``|theta| > 1``, and a certificate that bounds the real
+  part of every eigenvalue it does not list.  :func:`assemble_LG` forms
+  the dense matrix, as a test oracle.
 
 * ``L_F`` — the inertial model linearized at ``(R_s, 0)``, assembled dense:
   block matrix ``[[0, I], [diag(1/R_s) K^{-1} B,
@@ -47,10 +47,9 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverFailureError
 from .grid import Grid, ensure_field
 from .elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, _factorize,
-                       assemble_operator, flux_jacobian)
+                       assemble_operator, film_pencil)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_f1, eval_f1_prime, eval_f2, eval_f3, eval_f4_prime,
-                      eval_f5)
+                      eval_f1_prime, eval_f2, eval_f3, eval_f4_prime, eval_f5)
 
 DENSE_ASSEMBLY_LIMIT = 4096
 SPECTRUM_SIZE_LIMIT = 8192
@@ -108,19 +107,6 @@ def _verdict(max_real: float, margin: float) -> str:
 # Linearization about a general stationary state
 # ---------------------------------------------------------------------------
 
-def _linearization(grid: Grid, R_s: np.ndarray, h: np.ndarray,
-                   U: tuple[float, float], params: PhysicalParams,
-                   scheme: str):
-    """Radius field, ``h f5``, the flux Jacobian ``B`` and the diffusion
-    operator ``K`` at the stationary state, where the film pressure is
-    ``f1(R_s)``."""
-    Rf = ensure_field(grid, R_s, "R_s")
-    hf = ensure_field(grid, h, "h")
-    B = flux_jacobian(grid, Rf, eval_f1(Rf, params), hf, U, params, scheme)
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-    return Rf, (hf * eval_f5(Rf, params)).ravel(), B, K
-
-
 def _check_dense(grid: Grid) -> None:
     if grid.n_cells > DENSE_ASSEMBLY_LIMIT:
         raise ConfigurationError(
@@ -128,29 +114,17 @@ def _check_dense(grid: Grid) -> None:
             f"grid has {grid.n_cells}")
 
 
-def growth_pencil(grid: Grid, R_s: np.ndarray, h: np.ndarray,
-                  U: tuple[float, float], params: PhysicalParams,
-                  scheme: str = SCHEME_UPWIND
-                  ) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-    """The sparse pencil ``(B, P)`` of the quasi-static linearization at
-    ``R_s``: ``L_G = P^{-1} B`` with ``P = K diag(R_s f2) - diag(h f5)``."""
-    Rf, hf5, B, K = _linearization(grid, R_s, h, U, params, scheme)
-    P = K @ sp.diags((Rf * eval_f2(Rf, params)).ravel()) - sp.diags(hf5)
-    return B.tocsc(), P.tocsc()
-
-
 def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
                 U: tuple[float, float], params: PhysicalParams,
                 scheme: str = SCHEME_UPWIND) -> np.ndarray:
-    """Dense matrix ``P^{-1} B`` of :func:`growth_pencil`, the test oracle
-    of :func:`pencil_spectrum`.
+    """Dense matrix ``P^{-1} B`` of the pencil :func:`elliptic.film_pencil`
+    at ``(R_s, 0)``, the test oracle of :func:`pencil_spectrum`.
 
     Columns are obtained simultaneously by one sparse factorization of
-    ``P`` applied to the flux Jacobian.  Refuses grids above 4096 cells
-    (dense output).
+    ``P`` applied to ``B``.  Refuses grids above 4096 cells (dense output).
     """
     _check_dense(grid)
-    B, P = growth_pencil(grid, R_s, h, U, params, scheme)
+    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params, scheme)
     return _factorize(P).solve(B.toarray())
 
 
@@ -160,9 +134,13 @@ def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
     """Dense 2x2-block matrix of the linearized inertial evolution at
     ``(R_s, 0)``: state ordering is (radius perturbation, rate perturbation)."""
     _check_dense(grid)
-    Rf, hf5, B, K = _linearization(grid, R_s, h, U, params, scheme)
+    Rf = ensure_field(grid, R_s, "R_s")
+    hf = ensure_field(grid, h, "h")
+    B = film_pencil(grid, Rf, np.zeros(grid.shape), hf, U, params, scheme)[0]
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
     n = grid.n_cells
-    lower = _factorize(K).solve(np.hstack([B.toarray(), np.diag(hf5)]))
+    lower = _factorize(K).solve(
+        np.hstack([B.toarray(), np.diag((hf * eval_f5(Rf, params)).ravel())]))
     lower /= Rf.ravel()[:, None]
     lower[:, n:] -= np.diag(eval_f2(Rf, params).ravel())
     top = np.hstack([np.zeros((n, n)), np.eye(n)])

@@ -4,14 +4,16 @@ A stationary state has zero squeeze rate, which forces the film pressure to
 equal the bubble-equilibrium pressure pointwise, ``p_s = f1(R_s)``.  The
 radius field alone then satisfies the nonlinear balance
 
-    Phi(R) = -Div( f3(R) h^3 Grad f1(R) ) - Div( U h f4(R) ) = 0,
+    Phi(R) = -Div( f3(R) h^3 Grad f1(R) ) + Div( U h f4(R) ) = 0,
 
-discretized with exactly the same operators as the transient right-hand
-side, so a Newton root of ``Phi`` is *the same fixed point* the transient
-integrator relaxes to (not merely a consistent one).  The Jacobian is the
-exact derivative of the discrete residual: the diffusion part differentiates
-both the potential ``f1(R)`` and the mobility ``f3(R) h^3``, and the Couette
-part differentiates the transported density ``f4(R)``.
+which is the film equation of :func:`elliptic.film_residual` at zero
+growth rate, ``Phi(R) = -F(R, 0)``: a Newton root of ``Phi`` is *the same
+fixed point* the transient integrator relaxes to (not merely a consistent
+one).  The Newton matrix is ``B`` of :func:`elliptic.film_pencil` at
+``S = 0``, the exact derivative of the discrete balance and the same
+linearization the stepper and the spectra use.  :func:`stationary_residual`
+still assembles ``Phi`` from its two matrices, because its gross-flux scale
+needs their entrywise magnitudes.
 
 Whenever ``U = 0`` or the gap is parallel (``h - min h = 0``) the uniform
 rest state ``(R_bar, 0)`` is an exact stationary solution; it is the Newton
@@ -23,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (ConfigurationError, SolverFailureError,
                      SupercriticalRadiusError)
 from .grid import Grid, ensure_field
 from .elliptic import (SCHEME_UPWIND, _factorize, assemble_operator,
-                       convective_divergence_matrix, flux_jacobian)
+                       convective_divergence_matrix, film_pencil)
 from .physics import (DerivedConstants, PhysicalParams, compute_derived,
                       eval_f1, eval_f3, eval_f4)
 
@@ -49,8 +50,8 @@ class StationarySolveConfig:
     newton_max: int = 40
 
     def __post_init__(self):
-        if not self.newton_tol > 0.0:
-            raise ConfigurationError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ConfigurationError("newton_tol must be finite and positive")
         if self.newton_max < 1:
             raise ConfigurationError("newton_max must be at least 1")
 
@@ -106,16 +107,6 @@ def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
     return phi, max(scale, 1e-300)
 
 
-def stationary_jacobian(grid: Grid, R: np.ndarray, h: np.ndarray,
-                        U: tuple[float, float], params: PhysicalParams,
-                        scheme: str = SCHEME_UPWIND) -> sp.csr_matrix:
-    """Exact derivative of :func:`stationary_residual` w.r.t. the radius
-    field (sparse): the flux Jacobian :func:`elliptic.flux_jacobian` at the
-    equilibrium pressure ``p = f1(R)``."""
-    Rf = ensure_field(grid, R, "R")
-    return flux_jacobian(grid, Rf, eval_f1(Rf, params), h, U, params, scheme)
-
-
 def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
                      params: PhysicalParams,
                      cfg: StationarySolveConfig | None = None,
@@ -139,6 +130,7 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     hf = ensure_field(grid, h, "h")
     report = StationaryReport(converged=False, stage_fractions=[1.0])
     R, _ = trivial_solution(grid, params, consts)
+    zero_rate = np.zeros(grid.shape)
     iters = 0
     phi, scale = stationary_residual(grid, R, hf, U, params, scheme)
     while True:
@@ -147,7 +139,7 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
         if report.final_residual < cfg.newton_tol or iters == cfg.newton_max:
             break
         iters += 1
-        J = stationary_jacobian(grid, R, hf, U, params, scheme)
+        J = film_pencil(grid, R, zero_rate, hf, U, params, scheme)[0]
         try:
             delta = _factorize(J).solve(-phi).reshape(grid.shape)
         except SolverFailureError:

@@ -253,7 +253,7 @@ def test_stability_uncertified_spectrum_is_exit_3(tmp_path, monkeypatch,
     eigenvalues = np.concatenate([np.linspace(1.0, 20.0, 20),
                                   -np.geomspace(50.0, 2500.0, 12)])
     pencil = (sp.diags(eigenvalues).tocsc(), sp.identity(32, format="csc"))
-    monkeypatch.setattr("filmcav.cli.growth_pencil", lambda *a: pencil)
+    monkeypatch.setattr("filmcav.cli.film_pencil", lambda *a: pencil)
     cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 4\n")
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 3

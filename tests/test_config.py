@@ -171,10 +171,16 @@ def test_out_of_range_physical_values_rejected():
     "omega = nan",
     "kappa_s = nan",
     "sweep_values = 0.1, inf",
+    # settings built in Python, past the parser's finiteness check
+    {"stationarity_tol": np.inf},
+    {"stability_margin": np.inf},
 ])
 def test_run_setting_validation(line):
     with pytest.raises(ConfigurationError):
-        parse_config(line + "\n")
+        if isinstance(line, dict):
+            RunConfig(**line)
+        else:
+            parse_config(line + "\n")
 
 
 def test_sweep_mode_needs_axis_and_values():

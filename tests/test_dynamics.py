@@ -16,18 +16,18 @@ from scipy.integrate import solve_ivp
 import filmcav.dynamics as dynamics
 from filmcav.dynamics import (
     MODE_INERTIAL, ChordCarry, StepConfig, TransientState, TransientWatch,
-    backward_euler_jacobian, backward_euler_residual, eliminate_pressure,
-    initial_state, run_transient,
+    eliminate_pressure, initial_state, run_transient,
     step_inertial, step_inertialess,
 )
 from filmcav.elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, assemble_operator,
-                              convective_divergence)
+                              convective_divergence, film_pencil,
+                              film_residual)
 from filmcav.errors import (ConfigurationError, PositivityLossError,
                             StepFailureError)
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function, grid_for_params
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1,
                              eval_f2, eval_f3, eval_f4, eval_f5)
-from filmcav.stationary import solve_stationary, stationary_jacobian
+from filmcav.stationary import solve_stationary
 
 DEFAULT = PhysicalParams()
 
@@ -35,6 +35,8 @@ DEFAULT = PhysicalParams()
 def test_step_config_validation():
     with pytest.raises(ConfigurationError):
         StepConfig(dt=0.0)
+    with pytest.raises(ConfigurationError):
+        StepConfig(dt=np.inf)
     with pytest.raises(ConfigurationError):
         StepConfig(picard_tol=0.0)
     with pytest.raises(ConfigurationError):
@@ -150,12 +152,13 @@ SPEEDS = st.one_of(st.just(0.0), st.floats(0.5, 4.0), st.floats(-4.0, -0.5))
 @example(shape=(8, 6), scales=(1.0, 1.0), U=(2.0, -0.5), seed=73)
 def test_backward_euler_jacobian_matches_finite_differences(bc, scheme, shape,
                                                             scales, U, seed):
-    # A = P (I - dt G'(R)): compare with central differences of the
-    # backward-Euler residual R - R_old - dt G(R), column by column.
+    # At the slaved rate S = G(R), F(R, G(R)) = 0 gives G' = P^-1 B, so the
+    # step matrix P - dt B is P (I - dt G'(R)): compare with central
+    # differences of the backward-Euler residual R - R_old - dt G(R).
     p, grid, R, h, U, dt = _jacobian_case(bc, shape, scales, U, seed)
-    _, pres = eliminate_pressure(grid, R, h, U, p, scheme=scheme)
-    A = backward_euler_jacobian(grid, R, pres, h, U, p, dt, scheme)
-    P = backward_euler_jacobian(grid, R, pres, h, U, p, 0.0, scheme)
+    G, _ = eliminate_pressure(grid, R, h, U, p, scheme=scheme)
+    B, P = film_pencil(grid, R, G, h, U, p, scheme)
+    A = P - dt * B
 
     n = grid.n_cells
     eps = 1e-6 * p.R0
@@ -173,19 +176,6 @@ def test_backward_euler_jacobian_matches_finite_differences(bc, scheme, shape,
     assert err < 1e-8, err
 
 
-@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
-@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
-def test_backward_euler_jacobian_shares_the_stationary_linearization(bc, scheme):
-    # With the equilibrium pressure p = f1(R), as at every stationary state,
-    # A = P - dt B and B is the Newton stationary solver's Jacobian.
-    p, grid, R, h, U, dt = _jacobian_case(bc)
-    A = backward_euler_jacobian(grid, R, eval_f1(R, p), h, U, p, dt, scheme)
-    P = backward_euler_jacobian(grid, R, eval_f1(R, p), h, U, p, 0.0, scheme)
-    B = ((P - A) / dt).toarray()
-    want = stationary_jacobian(grid, R, h, U, p, scheme).toarray()
-    assert np.linalg.norm(B - want) < 1e-12 * np.linalg.norm(want)
-
-
 def _off_solution(bc, seed=83):
     """The Jacobian case of :func:`_jacobian_case` as the start ``R_old`` of
     a step, with a positive iterate ``x`` that does not solve it."""
@@ -198,12 +188,13 @@ def _off_solution(bc, seed=83):
 @pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
 def test_pencil_residual_is_the_implicit_equation_times_the_pencil(bc, scheme):
-    # P (R_old + dt G(x) - x) = -dt F(x), with the pencil P = M diag(x f2)
-    # the Newton matrix at dt = 0
+    # P (R_old + dt G(x) - x) = -dt F(x, S) at the backward-difference rate
+    # S = (x - R_old) / dt, with the pencil P = M diag(x f2)
     p, grid, R_old, x, h, U, dt = _off_solution(bc)
-    G, pres = eliminate_pressure(grid, x, h, U, p, scheme=scheme)
-    F, _ = backward_euler_residual(grid, R_old, x, h, U, p, dt, scheme)
-    P = backward_euler_jacobian(grid, x, pres, h, U, p, 0.0, scheme)
+    G, _ = eliminate_pressure(grid, x, h, U, p, scheme=scheme)
+    S = (x - R_old) / dt
+    F, _ = film_residual(grid, x, S, h, U, p, scheme)
+    _, P = film_pencil(grid, x, S, h, U, p, scheme)
     lhs = P @ (R_old + dt * G - x).ravel()
     want = -dt * F.ravel()
     assert np.linalg.norm(lhs - want) <= 1e-12 * np.linalg.norm(want)
@@ -212,13 +203,16 @@ def test_pencil_residual_is_the_implicit_equation_times_the_pencil(bc, scheme):
 @pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
 def test_pencil_residual_jacobian_matches_finite_differences(bc, scheme):
-    # dF/dx = A(x, p) / dt at the pressure p the residual returns; the error
-    # is measured against the part of the Jacobian beyond P / dt, as in the
-    # finite-difference test of A itself
+    # d/dx F(x, (x - R_old) / dt) = (P - dt B) / dt at the backward-
+    # difference rate; the error is measured against the part of the
+    # Jacobian beyond P / dt, as in the finite-difference test of the step
+    # matrix at the slaved rate
     p, grid, R_old, x, h, U, dt = _off_solution(bc)
-    _, pres = backward_euler_residual(grid, R_old, x, h, U, p, dt, scheme)
-    A = backward_euler_jacobian(grid, x, pres, h, U, p, dt, scheme)
-    P = backward_euler_jacobian(grid, x, pres, h, U, p, 0.0, scheme)
+    B, P = film_pencil(grid, x, (x - R_old) / dt, h, U, p, scheme)
+    A = P - dt * B
+
+    def residual(y):
+        return film_residual(grid, y, (y - R_old) / dt, h, U, p, scheme)[0]
 
     n = grid.n_cells
     eps = 1e-6 * p.R0
@@ -226,10 +220,8 @@ def test_pencil_residual_jacobian_matches_finite_differences(bc, scheme):
     for j in range(n):
         e = np.zeros(n)
         e[j] = eps
-        Fp, _ = backward_euler_residual(grid, R_old, x + e.reshape(grid.shape),
-                                        h, U, p, dt, scheme)
-        Fm, _ = backward_euler_residual(grid, R_old, x - e.reshape(grid.shape),
-                                        h, U, p, dt, scheme)
+        Fp = residual(x + e.reshape(grid.shape))
+        Fm = residual(x - e.reshape(grid.shape))
         J[:, j] = (Fp - Fm).ravel() / (2.0 * eps)
     err = (np.linalg.norm(A.toarray() / dt - J)
            / np.linalg.norm(J - P.toarray() / dt))

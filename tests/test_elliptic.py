@@ -24,13 +24,13 @@ import filmcav.elliptic as elliptic
 from filmcav.elliptic import (
     SCHEME_CENTRAL, SCHEME_UPWIND, apply_A2, assemble_operator,
     convective_divergence, convective_divergence_matrix,
-    diffusion_sensitivity, flux_jacobian, solve_spd,
+    diffusion_sensitivity, film_pencil, solve_spd,
 )
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, field_norms, gap_function
-from filmcav.physics import (PhysicalParams, eval_f1, eval_f1_prime,
-                             eval_f3, eval_f3_prime, eval_f4_prime,
-                             eval_f5)
+from filmcav.physics import (PhysicalParams, eval_f1, eval_f1_prime, eval_f2,
+                             eval_f2_prime, eval_f3, eval_f3_prime,
+                             eval_f4_prime, eval_f5, eval_f5_prime)
 
 DEFAULT = PhysicalParams()
 
@@ -299,7 +299,8 @@ def test_factorization_matches_the_default_panel_lu():
     grid = Grid(16, 8, 2.0, 1.0, bc_x1=BC_PERIODIC)
     R = p.R0 * rng.uniform(0.9, 1.1, size=grid.shape)
     h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
-    B = flux_jacobian(grid, R, eval_f1(R, p), h, (p.surface_speed, 0.0), p)
+    B, _ = film_pencil(grid, R, np.zeros(grid.shape), h,
+                       (p.surface_speed, 0.0), p)
     reference = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A")
     lu = elliptic._factorize(B)
     for b in (rng.normal(size=grid.n_cells),
@@ -336,25 +337,34 @@ def test_superlu_is_called_only_by_factorize():
 @pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
 def test_flux_jacobian_equals_its_composed_form(scheme, bc):
-    # B is summed face by face in one assembly; the oracle composes it from
-    # the three public operators, B = K diag(f1') - Dsens + C
+    # B is summed face by face in one assembly and P scales the data of K;
+    # the oracle composes both from the public operators at a rate S != 0,
+    # B = K diag(f1' - S (R f2)') - Dsens(p) + C + diag(h f5' S) with
+    # p = f1 - R f2 S, and P = K diag(R f2) - diag(h f5)
     rng = np.random.default_rng(59)
     p = PhysicalParams(ecc=0.3)
     grid = Grid(9, 6, 2.0, 1.5, bc_x1=bc)
     R = p.R0 * rng.uniform(0.8, 1.2, size=grid.shape)
-    pres = rng.normal(scale=100.0, size=grid.shape)
+    S = rng.normal(scale=10.0, size=grid.shape)
     h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
     U = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-    B = flux_jacobian(grid, R, pres, h, U, p, scheme)
+    B, P = film_pencil(grid, R, S, h, U, p, scheme)
     K = assemble_operator(grid, eval_f3(R, p) * h ** 3)
-    B_ref = (K @ sp.diags(eval_f1_prime(R, p).ravel())
-             - diffusion_sensitivity(grid, eval_f3_prime(R, p) * h ** 3, pres)
+    Rf2 = R * eval_f2(R, p)
+    dRf2 = eval_f2(R, p) + R * eval_f2_prime(R, p)
+    B_ref = (K @ sp.diags((eval_f1_prime(R, p) - S * dRf2).ravel())
+             - diffusion_sensitivity(grid, eval_f3_prime(R, p) * h ** 3,
+                                     eval_f1(R, p) - Rf2 * S)
              + convective_divergence_matrix(grid, U, h * eval_f4_prime(R, p),
-                                            scheme))
+                                            scheme)
+             + sp.diags((h * eval_f5_prime(R, p) * S).ravel()))
+    P_ref = K @ sp.diags(Rf2.ravel()) - sp.diags((h * eval_f5(R, p)).ravel())
     assert abs(B - B_ref).max() <= 1e-13 * abs(B).max()
-    # B lives on the pattern of K: the full 5-point stencil
-    assert np.array_equal(B.indptr, K.indptr)
-    assert np.array_equal(B.indices, K.indices)
+    assert abs(P - P_ref).max() <= 1e-13 * abs(P).max()
+    # both live on the pattern of K: the full 5-point stencil
+    for M in (B, P):
+        assert np.array_equal(M.indptr, K.indptr)
+        assert np.array_equal(M.indices, K.indices)
 
 
 def test_squeeze_response_is_linear_in_the_rate():

@@ -47,6 +47,10 @@ def test_grid_validation():
     with pytest.raises(ConfigurationError):
         Grid(n1=8, n2=8, L1=1.0, L2=-2.0)
     with pytest.raises(ConfigurationError):
+        Grid(n1=4, n2=4, L1=np.inf, L2=1.0)
+    with pytest.raises(ConfigurationError):
+        Grid(n1=4, n2=4, L1=1.0, L2=np.inf)
+    with pytest.raises(ConfigurationError):
         Grid(n1=8, n2=8, L1=1.0, L2=1.0, bc_x1="reflecting")
 
 

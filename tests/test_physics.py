@@ -253,6 +253,8 @@ def test_standing_hypotheses_hold_below_critical_radius(params):
     {"kappa_s": -1e-9},
     {"omega": np.nan},
     {"rho_g": 1000.0},
+    {"h0": np.inf},
+    {"rho_l": np.inf, "rho_g": 1.0},
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ConfigurationError):

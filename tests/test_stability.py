@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
-from filmcav.elliptic import SCHEME_CENTRAL, SCHEME_UPWIND
+from filmcav.elliptic import SCHEME_CENTRAL, SCHEME_UPWIND, film_pencil
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, Grid, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived
@@ -44,7 +44,6 @@ from filmcav.stability import (
     dirichlet_laplacian_eigenvalues,
     dirichlet_laplacian_eigenvalues_1d,
     export_spectrum_csv,
-    growth_pencil,
     hurwitz_analysis,
     hurwitz_report_text,
     pencil_spectrum,
@@ -578,7 +577,7 @@ def test_pencil_spectrum_matches_dense_growth_operator(ecc):
     U = (params.surface_speed, 0.0)
     R_s, _, report = solve_stationary(grid, h, U, params)
     assert report.converged
-    B, P = growth_pencil(grid, R_s, h, U, params)
+    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
     sparse = pencil_spectrum(B, P, resolution=(32, 16))
     dense = compute_spectrum(assemble_LG(grid, R_s, h, U, params))
     assert sparse.verdict == dense.verdict == VERDICT_STABLE
@@ -593,8 +592,8 @@ def test_pencil_spectrum_matches_separated_parallel_gap_spectrum(factor):
     grid = Grid(128, 32, 1.0, 1.0, bc_x1=BC_DIRICHLET)
     R = np.full(grid.shape, c.R_bar)
     h = np.full(grid.shape, TAME.h0)
-    B, P = growth_pencil(grid, R, h, (U_norm, 0.0), TAME,
-                         scheme=SCHEME_CENTRAL)
+    B, P = film_pencil(grid, R, np.zeros(grid.shape), h, (U_norm, 0.0), TAME,
+                       scheme=SCHEME_CENTRAL)
     sparse = pencil_spectrum(B, P)
     separated = constant_gap_spectrum_LG(TAME, U_norm, 128, 32)
     assert sparse.verdict == VERDICT_STABLE

@@ -10,21 +10,29 @@ import numpy as np
 import pytest
 
 import filmcav.stationary as stationary
-from filmcav.elliptic import _factorize
+from filmcav.elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, _factorize,
+                              film_pencil, film_residual)
 from filmcav.errors import ConfigurationError, SupercriticalRadiusError
-from filmcav.grid import gap_function, grid_for_params
+from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived, eval_f1
 from filmcav.stationary import (
-    StationarySolveConfig, solve_stationary, stationary_jacobian,
-    stationary_residual, trivial_solution,
+    StationarySolveConfig, solve_stationary, stationary_residual,
+    trivial_solution,
 )
 
 DEFAULT = PhysicalParams()
 
 
+def _jacobian(grid, R, h, U, p, scheme=SCHEME_UPWIND):
+    """The Newton matrix of the stationary solve: ``B`` at zero rate."""
+    return film_pencil(grid, R, np.zeros(grid.shape), h, U, p, scheme)[0]
+
+
 def test_solve_config_validation():
     with pytest.raises(ConfigurationError):
         StationarySolveConfig(newton_tol=0.0)
+    with pytest.raises(ConfigurationError):
+        StationarySolveConfig(newton_tol=np.inf)
     with pytest.raises(ConfigurationError):
         StationarySolveConfig(newton_max=0)
 
@@ -76,7 +84,7 @@ def test_jacobian_matches_directional_differences():
     h = gap_function(grid, p)
     U = (p.surface_speed, 0.0)
     R = p.R0 * rng.uniform(0.9, 1.15, size=grid.shape)
-    J = stationary_jacobian(grid, R, h, U, p)
+    J = _jacobian(grid, R, h, U, p)
     t = 1e-7 * p.R0
     for _ in range(5):
         v = rng.normal(size=grid.shape)
@@ -86,6 +94,28 @@ def test_jacobian_matches_directional_differences():
         fd = (hi - lo) / (2.0 * t)
         got = J @ v.ravel()
         assert np.linalg.norm(got - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_stationary_balance_is_the_film_equation_at_zero_rate(bc, scheme):
+    # Phi(R) = -F(R, 0), and F is affine in the rate: F(R, S) = F(R, 0) + P S
+    rng = np.random.default_rng(97)
+    p = PhysicalParams(ecc=0.3)
+    grid = grid_for_params(p, 10, 6, bc)
+    h = gap_function(grid, p)
+    U = (p.surface_speed, 0.0)
+    R = p.R0 * rng.uniform(0.85, 1.15, size=grid.shape)
+    S = rng.normal(scale=10.0, size=grid.shape)
+    phi, scale = stationary_residual(grid, R, h, U, p, scheme)
+    F0, p0 = film_residual(grid, R, np.zeros(grid.shape), h, U, p, scheme)
+    assert np.array_equal(p0, eval_f1(R, p))
+    assert np.linalg.norm(phi + F0.ravel()) <= 1e-14 * scale
+    F, _ = film_residual(grid, R, S, h, U, p, scheme)
+    _, P = film_pencil(grid, R, S, h, U, p, scheme)
+    want = P @ S.ravel()
+    err = np.linalg.norm((F - F0).ravel() - want)
+    assert err <= 1e-12 * np.linalg.norm(want)
 
 
 def test_stationary_pressure_is_the_equilibrium_pressure():
@@ -148,7 +178,7 @@ def _newton_reevaluating(grid, h, U, p, cfg):
         if history[-1] < cfg.newton_tol or iters == cfg.newton_max:
             return history, iters
         iters += 1
-        J = stationary_jacobian(grid, R, h, U, p)
+        J = _jacobian(grid, R, h, U, p)
         delta = _factorize(J).solve(-phi).reshape(grid.shape)
         lam = 1.0
         while True:
