@@ -33,8 +33,7 @@ from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, export_fields_csv,
                    gap_function)
-from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_alpha)
+from .physics import PhysicalParams, compute_derived, eval_alpha
 from .stability import (DENSE_ASSEMBLY_LIMIT, TAG_LF, TAG_LG, assemble_LF,
                         compute_spectrum, export_spectrum_csv,
                         hurwitz_analysis, hurwitz_report_text,
@@ -107,8 +106,8 @@ _MIDLINE_DESC = ("mid-width profile (average of the two center rows), "
                  f"columns `{MIDLINE_HEADER}`")
 
 
-def _transient_summary(res: TransientResult, config: RunConfig,
-                       p_cav: float, Rhat_crit: float) -> str:
+def _transient_summary(res: TransientResult, config: RunConfig) -> str:
+    derived = compute_derived(config.params)
     lines = [
         f"converged = {str(res.converged).lower()}",
         f"steps = {res.steps}",
@@ -119,8 +118,8 @@ def _transient_summary(res: TransientResult, config: RunConfig,
         f"max_Rhat = {res.max_Rhat:.9g}",
         f"min_p_scaled = {res.min_p:.9g}",
         f"max_p_scaled = {res.max_p:.9g}",
-        f"p_cav_scaled = {p_cav:.9g}",
-        f"Rhat_crit = {Rhat_crit:.9g}",
+        f"p_cav_scaled = {derived.p_cav:.9g}",
+        f"Rhat_crit = {derived.R_crit / config.params.R0:.9g}",
     ]
     if res.failure is not None:
         lines.append(f"failure = {res.failure}")
@@ -152,21 +151,17 @@ def _stationary_summary(report: StationaryReport, R: np.ndarray,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _transient(config: RunConfig,
-               consts: DerivedConstants | None = None) -> TransientResult:
-    """Time-march the configured model and write every artifact of the run
-    (``consts`` are those of ``config.params``, computed when omitted)."""
+def _transient(config: RunConfig) -> TransientResult:
+    """Time-march the configured model and write every artifact of the run."""
     grid = config.make_grid()
     params = config.params
-    if consts is None:
-        consts = compute_derived(params)
     h = gap_function(grid, params)
     out = Path(config.output_dir)
     watch = TransientWatch(stationarity_tol=config.stationarity_tol,
                            snapshot_every=config.snapshot_every, out_dir=out)
     state = initial_state(grid, params, Rhat=1.0, mode=config.step.mode)
     res = run_transient(grid, state, h, config.velocity, params, config.step,
-                        config.n_steps, watch, consts=consts)
+                        config.n_steps, watch)
 
     out.mkdir(parents=True, exist_ok=True)
     export_fields_csv(out / "fields_final.csv", grid, params, res.state.R,
@@ -175,9 +170,7 @@ def _transient(config: RunConfig,
                 render_midline_csv(grid, params, res.state.R, res.state.p))
     _write_columns_csv(out / "history.csv", res.history)
     _write_columns_csv(out / "trace.csv", res.step_stats)
-    _write_text(out / "summary.txt",
-                _transient_summary(res, config, consts.p_cav,
-                                   consts.R_crit / params.R0))
+    _write_text(out / "summary.txt", _transient_summary(res, config))
     entries = [
         ("fields_final.csv", _FIELDS_DESC),
         ("midline.csv", _MIDLINE_DESC),
@@ -206,17 +199,15 @@ def cmd_transient(config: RunConfig) -> int:
     return 0 if res.converged else 3
 
 
-def _stationary(config: RunConfig, consts: DerivedConstants | None = None
+def _stationary(config: RunConfig
                 ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
     """Solve directly for the stationary state and write every artifact of
-    the run (``consts`` as for :func:`_transient`)."""
+    the run."""
     grid = config.make_grid()
     params = config.params
-    if consts is None:
-        consts = compute_derived(params)
     h = gap_function(grid, params)
     R_s, p_s, report = solve_stationary(grid, h, config.velocity, params,
-                                        config.newton, consts=consts)
+                                        config.newton)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_fields_csv(out / "fields_final.csv", grid, params, R_s, p_s)
@@ -249,11 +240,9 @@ def cmd_stability(config: RunConfig) -> int:
             f"the inertial spectrum is dense, limited to {DENSE_ASSEMBLY_LIMIT}"
             f" cells; grid has {grid.n_cells}")
     params = config.params
-    consts = compute_derived(params)
     h = gap_function(grid, params)
     U = config.velocity
-    R_s, p_s, report = solve_stationary(grid, h, U, params, config.newton,
-                                        consts=consts)
+    R_s, p_s, report = solve_stationary(grid, h, U, params, config.newton)
     if not report.converged:
         print(f"stability: stationary solve failed "
               f"(residual {report.final_residual:.3e})", file=sys.stderr)
@@ -263,8 +252,7 @@ def cmd_stability(config: RunConfig) -> int:
     export_fields_csv(out / "fields_stationary.csv", grid, params, R_s, p_s)
 
     B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
-    rep_G = pencil_spectrum(B, P, config.stability_margin, TAG_LG,
-                            (config.n1, config.n2))
+    rep_G = pencil_spectrum(B, P, config.stability_margin, TAG_LG)
     export_spectrum_csv(out / "spectrum_LG.csv", rep_G)
     lines = [
         f"operator {rep_G.operator_tag}: verdict = {rep_G.verdict}, "
@@ -282,8 +270,7 @@ def cmd_stability(config: RunConfig) -> int:
     ]
     if inertial:
         LF = assemble_LF(grid, R_s, h, U, params)
-        rep_F = compute_spectrum(LF, config.stability_margin, TAG_LF,
-                                 (config.n1, config.n2))
+        rep_F = compute_spectrum(LF, config.stability_margin, TAG_LF)
         export_spectrum_csv(out / "spectrum_LF.csv", rep_F)
         lines.append(f"operator {rep_F.operator_tag}: verdict = "
                      f"{rep_F.verdict}, max real part = "
@@ -294,7 +281,7 @@ def cmd_stability(config: RunConfig) -> int:
     U_norm = float(np.hypot(*U))
     # the threshold grows with the mode's Laplacian eigenvalue, and it does
     # not depend on U: the (1, 1) analysis at U_norm gives it
-    hw = hurwitz_analysis(params, U_norm, (1, 1), consts, grid.L1, grid.L2)
+    hw = hurwitz_analysis(params, U_norm, (1, 1), grid.L1, grid.L2)
     u_crit = float(np.sqrt(hw.U_crit_sq))
     outside = []
     if grid.bc_x1 == BC_PERIODIC:
@@ -343,16 +330,15 @@ def _sweep_point(args: tuple[RunConfig, float]) -> str:
                   output_dir=str(Path(config.output_dir)
                                  / f"sweep_{config.sweep_axis}_{value:g}"))
     params = sub.params
-    consts = compute_derived(params)
-    p_cav = abs(consts.p_cav)
+    p_cav = abs(compute_derived(params).p_cav)
     try:
         if sub.mode == MODE_STATIONARY:
-            R_s, p_s, report = _stationary(sub, consts)
+            R_s, p_s, report = _stationary(sub)
             return _sweep_row(value, report.converged,
                               float(np.max(R_s)) / params.R0,
                               float(np.min(p_s)) / p_cav,
                               float(np.max(eval_alpha(R_s, params))))
-        res = _transient(sub, consts)
+        res = _transient(sub)
         return _sweep_row(value, res.converged, res.max_Rhat, res.min_p / p_cav,
                           float(eval_alpha(res.max_Rhat * params.R0, params)))
     except _NUMERICAL_FAILURES as exc:

@@ -101,7 +101,7 @@ class RunConfig:
     @property
     def velocity(self) -> tuple[float, float]:
         """Entrainment velocity of the journal surface, ``(omega J_r, 0)``."""
-        return (self.params.omega * self.params.J_r, 0.0)
+        return (self.params.surface_speed, 0.0)
 
 
 #: settings fields whose key is not their field name

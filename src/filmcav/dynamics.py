@@ -55,15 +55,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field, export_fields_csv
-from .elliptic import (SCHEME_UPWIND, _factorize, assemble_operator,
-                       convective_divergence, film_pencil, film_residual,
-                       solve_spd)
-from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_f1, eval_f2, eval_f3, eval_f4, eval_f5)
+from .elliptic import (SCHEME_UPWIND, _factorize, _stencil,
+                       assemble_operator, convective_divergence, film_pencil,
+                       film_residual, solve_spd)
+from .physics import (PhysicalParams, compute_derived, eval_f1, eval_f2,
+                      eval_f3, eval_f4, eval_f5)
 
 MODE_INERTIALESS = "inertialess"
 MODE_INERTIAL = "inertial"
@@ -200,7 +199,8 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     conv = convective_divergence(grid, U, hf * eval_f4(Rf, params), scheme)
     shift = -hf * eval_f5(Rf, params) / Rf2          # >= 0
     rhs = K @ f1.ravel() + conv.ravel()
-    M = K + sp.diags(shift.ravel())
+    M = K                                # shifted in place: K is spent
+    M.data[_stencil(grid).diag] += shift.ravel()
     y = solve_spd(M, rhs, grid)
     return y / Rf2, f1 - y
 
@@ -467,22 +467,21 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams,
                   step_cfg: StepConfig, n_steps: int,
                   watch: TransientWatch | None = None,
-                  scheme: str = SCHEME_UPWIND,
-                  consts: DerivedConstants | None = None) -> TransientResult:
+                  scheme: str = SCHEME_UPWIND) -> TransientResult:
     """March the transient model and watch for stationarity or failure.
 
     Records the normalized update rate ``max|dR|/(dt R0)``, the radius and
-    pressure extrema per step, and stops early on stationarity,
-    on reaching the critical radius, or on step failure (which is reported
-    in the result together with the step index rather than raised).
+    pressure extrema per step, and stops early on stationarity, on reaching
+    the critical radius ``R_crit`` of ``compute_derived(params)``, or on
+    step failure, which is reported in the result (its message in
+    ``failure``, its step in ``failed_step``) rather than raised.
 
     Backward-Euler steps hand each other one :class:`ChordCarry`: the first
     starts at ``step_cfg.dt``, every later one at the size the error
     controller proposed.  Inertial (RK4) steps start at ``step_cfg.dt``.
     """
     watch = watch or TransientWatch()
-    if consts is None:
-        consts = compute_derived(params)
+    R_crit = compute_derived(params).R_crit
     hf = ensure_field(grid, h, "h")
 
     hist: dict[str, list] = {k: [] for k in HISTORY_KEYS}
@@ -519,7 +518,6 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
                 state, stats = step_inertial(grid, state, hf, U, params,
                                              step_cfg, scheme)
         except StepFailureError as exc:
-            exc.step_index = step
             failure = str(exc)
             failed_step = step
             break
@@ -546,7 +544,7 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
             os.makedirs(watch.out_dir, exist_ok=True)
             export_fields_csv(Path(watch.out_dir) / f"snapshot_{step}.csv",
                               grid, params, state.R, state.p)
-        if rhat_max * params.R0 >= consts.R_crit:
+        if rhat_max * params.R0 >= R_crit:
             failure = (f"radius reached the critical value at step {step} "
                        f"(max R_hat = {rhat_max:.4f}); quasi-static response "
                        "is no longer monotone")

@@ -24,10 +24,6 @@ class SolverFailureError(RuntimeError):
 class StepFailureError(RuntimeError):
     """A time step could not be completed (fixed-point iteration exhausted)."""
 
-    def __init__(self, message: str, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
-
 
 class PositivityLossError(StepFailureError):
     """The radius field left the positive cone even after step-size halving.

@@ -51,10 +51,6 @@ class Grid:
                                      f"'{BC_DIRICHLET}', got {self.bc_x1!r}")
 
     @property
-    def bc_x2(self) -> str:
-        return BC_DIRICHLET
-
-    @property
     def dx1(self) -> float:
         return self.L1 / self.n1
 

@@ -36,6 +36,7 @@ Every ``eval_*`` function accepts scalars or numpy arrays and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -284,8 +285,7 @@ class DerivedConstants:
     and the ``d*`` constants the equivalent set used by the quasi-static
     (inertialess) analysis:
 
-        d1 = b1/b2      d2 = 1/(R_bar f2)    d3 = R_bar f3 f2
-        d4 = -f4'       d5 = -f5
+        d1 = b1/b2      d3 = R_bar f3 f2      d5 = -f5
     """
 
     R_bar: float
@@ -298,15 +298,12 @@ class DerivedConstants:
     b5: float
     b_r: float
     d1: float
-    d2: float
     d3: float
-    d4: float
     d5: float
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float,
-            rel_tol: float = 1e-12) -> float:
-    """Plain bisection with a relative-width stopping rule."""
+def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Plain bisection to a bracket of relative width 1e-12."""
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -315,7 +312,7 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float,
     if flo * fhi > 0.0:
         raise ConfigurationError("no sign change of the target function in the "
                                  f"search bracket [{lo:g}, {hi:g}]")
-    while hi - lo > rel_tol * max(abs(lo), abs(hi)):
+    while hi - lo > 1e-12 * max(abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
         if fm == 0.0:
@@ -327,8 +324,12 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def compute_derived(params: PhysicalParams, rel_tol: float = 1e-12) -> DerivedConstants:
+@lru_cache(maxsize=32)
+def compute_derived(params: PhysicalParams) -> DerivedConstants:
     """Locate the reference state by bisection and build the constant set.
+
+    The constants depend on ``params`` alone, so the 32 most recently used
+    parameter sets are cached and every caller shares the frozen result.
 
     ``R_crit`` is found first from the sign change of f1' (the derivative is
     negative for small radii — gas compression dominates — and positive for
@@ -350,9 +351,9 @@ def compute_derived(params: PhysicalParams, rel_tol: float = 1e-12) -> DerivedCo
     else:
         raise ConfigurationError("no sign change of f1' found: the pressure "
                                  "response has no critical radius")
-    R_crit = _bisect(f1p, lo, hi, rel_tol)
+    R_crit = _bisect(f1p, lo, hi)
 
-    R_bar = _bisect(lambda r: eval_f1(r, params), 1e-3 * params.R0, R_crit, rel_tol)
+    R_bar = _bisect(lambda r: eval_f1(r, params), 1e-3 * params.R0, R_crit)
 
     b2 = eval_f2(R_bar, params)
     b3 = eval_f3(R_bar, params)
@@ -368,8 +369,6 @@ def compute_derived(params: PhysicalParams, rel_tol: float = 1e-12) -> DerivedCo
         p_cav=eval_f1(R_crit, params),
         b1=b1, b2=b2, b3=b3, b4=b4, b5=b5, b_r=1.0 / R_bar,
         d1=b1 / b2,
-        d2=1.0 / (R_bar * b2),
         d3=R_bar * b3 * b2,
-        d4=b4,
         d5=b5,
     )

@@ -25,7 +25,9 @@ For a parallel gap both operators block-diagonalize exactly over the
 cross-film Dirichlet sine modes of the 5-point stencil; the
 ``constant_gap_spectrum_*`` helpers exploit that to reach resolutions far
 beyond dense assembly, and the ``trivial_*`` helpers give the per-mode
-closed forms used as oracles.
+closed forms used as oracles.  These oracles and the modal analysis below
+take the physical parameters alone and read the rest-state constants of
+:func:`physics.compute_derived`.
 
 The sliding-speed instability mechanism is quantified mode-by-mode on an
 ``L1 x L2`` rectangle with a parallel gap and homogeneous Dirichlet values:
@@ -48,8 +50,8 @@ from .errors import ConfigurationError, SolverFailureError
 from .grid import Grid, ensure_field
 from .elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, _factorize,
                        assemble_operator, film_pencil)
-from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_f1_prime, eval_f2, eval_f3, eval_f4_prime, eval_f5)
+from .physics import (PhysicalParams, compute_derived, eval_f1_prime,
+                      eval_f2, eval_f3, eval_f4_prime, eval_f5)
 
 DENSE_ASSEMBLY_LIMIT = 4096
 SPECTRUM_SIZE_LIMIT = 8192
@@ -77,9 +79,10 @@ TAG_LF = "L_F"
 class SpectrumReport:
     """Eigenvalues of a linearized evolution operator with a verdict.
 
-    ``verdict`` is "stable" when every real part is below ``-margin``,
-    "unstable" when some real part exceeds ``+margin``, and "marginal"
-    otherwise (eigenvalues inside the margin band decide nothing at finite
+    ``verdict`` applies the ``margin`` of the call that built the report:
+    "stable" when every real part is below ``-margin``, "unstable" when
+    some real part exceeds ``+margin``, and "marginal" otherwise
+    (eigenvalues inside the margin band decide nothing at finite
     resolution).  ``eigenvalues`` may be the rightmost part of the
     spectrum only; ``bound`` then bounds the real part of every eigenvalue
     not listed (``-inf`` when the list is the whole spectrum).
@@ -89,8 +92,6 @@ class SpectrumReport:
     max_real_part: float
     verdict: str
     operator_tag: str
-    resolution: tuple[int, int] | None
-    margin: float
     bound: float = -np.inf
 
 
@@ -148,9 +149,7 @@ def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
 
 
 def compute_spectrum(matrix: np.ndarray, margin: float = 1e-8,
-                     operator_tag: str = TAG_LG,
-                     resolution: tuple[int, int] | None = None
-                     ) -> SpectrumReport:
+                     operator_tag: str = TAG_LG) -> SpectrumReport:
     """Full eigendecomposition with a three-way stability verdict."""
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -163,8 +162,7 @@ def compute_spectrum(matrix: np.ndarray, margin: float = 1e-8,
     max_real = float(np.max(eigs.real))
     return SpectrumReport(eigenvalues=eigs, max_real_part=max_real,
                           verdict=_verdict(max_real, margin),
-                          operator_tag=operator_tag, resolution=resolution,
-                          margin=margin)
+                          operator_tag=operator_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +189,7 @@ def _complete_pairs(lam: np.ndarray) -> np.ndarray:
 
 
 def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix, margin: float = 1e-8,
-                    operator_tag: str = TAG_LG,
-                    resolution: tuple[int, int] | None = None
-                    ) -> SpectrumReport:
+                    operator_tag: str = TAG_LG) -> SpectrumReport:
     """Certified rightmost eigenvalues of the sparse pencil ``B w = lam P w``.
 
     ARPACK, started from ones, finds the ``k = min(RIGHTMOST_COUNT, n - 2)``
@@ -261,8 +257,7 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix, margin: float = 1e-8,
                 return SpectrumReport(
                     eigenvalues=_complete_pairs(lam), max_real_part=max_real,
                     verdict=_verdict(max_real, margin),
-                    operator_tag=operator_tag, resolution=resolution,
-                    margin=margin, bound=bound)
+                    operator_tag=operator_tag, bound=bound)
         pole *= POLE_GROWTH
     raise SolverFailureError(
         f"rightmost eigenvalues of {operator_tag} not certified with Cayley "
@@ -299,26 +294,25 @@ def dirichlet_laplacian_eigenvalues(n1: int, n2: int, L1: float, L2: float
     return (k1[:, None] + k2[None, :]).ravel()
 
 
-def sigma_constants(params: PhysicalParams,
-                    consts: DerivedConstants | None = None
-                    ) -> tuple[float, float]:
+def sigma_constants(params: PhysicalParams) -> tuple[float, float]:
     """The two squeeze-coupling strengths of the parallel-gap analysis:
     ``sigma2 = b5 b_r / (b3 h0^2)`` and ``sigma1 = b4^2 b_r^2 / (b3^2 h0^4)``.
     Since ``b4 = b5`` (the transport and squeeze couplings share one
     derivative), ``sigma1 = sigma2^2``."""
-    c = consts or compute_derived(params)
+    c = compute_derived(params)
     sigma2 = c.b5 * c.b_r / (c.b3 * params.h0 ** 2)
     sigma1 = (c.b4 ** 2 * c.b_r ** 2) / (c.b3 ** 2 * params.h0 ** 4)
     return sigma1, sigma2
 
 
-def trivial_LG_eigenvalue(kappa, consts: DerivedConstants, h0: float):
+def trivial_LG_eigenvalue(kappa, params: PhysicalParams):
     """Relaxation rate of the quasi-static model's mode with Laplacian
     eigenvalue ``kappa`` at the uniform rest state:
-    ``-kappa h0^2 d3 d1 / (d5 + kappa h0^2 d3)``."""
-    k = np.asarray(kappa, dtype=float)
-    return -(k * h0 ** 2 * consts.d3 * consts.d1
-             / (consts.d5 + k * h0 ** 2 * consts.d3))
+    ``-kappa h0^2 d3 d1 / (d5 + kappa h0^2 d3)`` with the constants of
+    ``compute_derived(params)``."""
+    c = compute_derived(params)
+    kh = np.asarray(kappa, dtype=float) * params.h0 ** 2
+    return -(kh * c.d3 * c.d1 / (c.d5 + kh * c.d3))
 
 
 def _stable_quadratic_roots(b: float, c: float) -> tuple[complex, complex]:
@@ -333,13 +327,15 @@ def _stable_quadratic_roots(b: float, c: float) -> tuple[complex, complex]:
     return complex(-0.5 * b, im), complex(-0.5 * b, -im)
 
 
-def trivial_LF_roots(kappa: float, consts: DerivedConstants, h0: float
+def trivial_LF_roots(kappa: float, params: PhysicalParams
                      ) -> tuple[complex, complex]:
     """The inertial mode pair at the rest state: roots of
     ``lam^2 + (b2 + gamma) lam + b1`` with
-    ``gamma = b5 b_r / (b3 h0^2 kappa)``."""
-    gamma = consts.b5 * consts.b_r / (consts.b3 * h0 ** 2 * kappa)
-    return _stable_quadratic_roots(consts.b2 + gamma, consts.b1)
+    ``gamma = b5 b_r / (b3 h0^2 kappa)``, the constants those of
+    ``compute_derived(params)``."""
+    c = compute_derived(params)
+    gamma = c.b5 * c.b_r / (c.b3 * params.h0 ** 2 * kappa)
+    return _stable_quadratic_roots(c.b2 + gamma, c.b1)
 
 
 def _dirichlet_second_difference_1d(n: int, dx: float) -> np.ndarray:
@@ -381,8 +377,7 @@ def _convection_1d(n: int, dx: float, u: float, w: float, scheme: str
 
 
 def _constant_gap_blocks(params: PhysicalParams, U_norm: float, n1: int,
-                         n2: int, L1: float, L2: float, scheme: str,
-                         consts: DerivedConstants | None):
+                         n2: int, L1: float, L2: float, scheme: str):
     """Per-cross-mode (x2) reduced operators for a parallel gap at rest.
 
     With every coefficient field constant, the only x2 coupling is the
@@ -390,8 +385,7 @@ def _constant_gap_blocks(params: PhysicalParams, U_norm: float, n1: int,
     exact block diagonalization of the discrete operators: block ``m`` sees
     the 1D streamwise operators shifted by the m-th cross eigenvalue.
     """
-    c = consts or compute_derived(params)
-    R_bar, h0 = c.R_bar, params.h0
+    R_bar, h0 = compute_derived(params).R_bar, params.h0
     f1p = float(eval_f1_prime(R_bar, params))
     f2v = float(eval_f2(R_bar, params))
     f3v = float(eval_f3(R_bar, params))
@@ -408,15 +402,14 @@ def _constant_gap_blocks(params: PhysicalParams, U_norm: float, n1: int,
 
 def constant_gap_spectrum_LG(params: PhysicalParams, U_norm: float,
                              n1: int, n2: int, L1: float = 1.0,
-                             L2: float = 1.0, scheme: str = SCHEME_CENTRAL,
-                             consts: DerivedConstants | None = None
+                             L2: float = 1.0, scheme: str = SCHEME_CENTRAL
                              ) -> np.ndarray:
     """All ``n1*n2`` eigenvalues of the quasi-static linearization on an
     all-Dirichlet rectangle with parallel gap, via exact cross-mode
     separation (equals the dense assembly's spectrum)."""
     eigs = []
     for K_m, C1, R_bar, f1p, f2v, hf5 in _constant_gap_blocks(
-            params, U_norm, n1, n2, L1, L2, scheme, consts):
+            params, U_norm, n1, n2, L1, L2, scheme):
         M_m = R_bar * f2v * K_m - hf5 * np.eye(K_m.shape[0])
         rhs = f1p * K_m + C1
         eigs.append(np.linalg.eigvals(np.linalg.solve(M_m, rhs)))
@@ -425,14 +418,13 @@ def constant_gap_spectrum_LG(params: PhysicalParams, U_norm: float,
 
 def constant_gap_spectrum_LF(params: PhysicalParams, U_norm: float,
                              n1: int, n2: int, L1: float = 1.0,
-                             L2: float = 1.0, scheme: str = SCHEME_CENTRAL,
-                             consts: DerivedConstants | None = None
+                             L2: float = 1.0, scheme: str = SCHEME_CENTRAL
                              ) -> np.ndarray:
     """All ``2 n1 n2`` eigenvalues of the inertial linearization on an
     all-Dirichlet rectangle with parallel gap (exact cross-mode separation)."""
     eigs = []
     for K_m, C1, R_bar, f1p, f2v, hf5 in _constant_gap_blocks(
-            params, U_norm, n1, n2, L1, L2, scheme, consts):
+            params, U_norm, n1, n2, L1, L2, scheme):
         n = K_m.shape[0]
         Pi1 = np.linalg.solve(K_m, -C1)
         Pi2 = np.linalg.solve(K_m, -hf5 * np.eye(n))
@@ -445,8 +437,7 @@ def constant_gap_spectrum_LF(params: PhysicalParams, U_norm: float,
 
 
 def trivial_branch_spectrum_LF(params: PhysicalParams, n1: int, n2: int,
-                               L1: float = 1.0, L2: float = 1.0,
-                               consts: DerivedConstants | None = None
+                               L1: float = 1.0, L2: float = 1.0
                                ) -> np.ndarray:
     """Inertial rest-state spectrum (``U = 0``) through the assembled
     diffusion operator.
@@ -459,13 +450,12 @@ def trivial_branch_spectrum_LF(params: PhysicalParams, n1: int, n2: int,
     absolute error floor (``~norm * eps``) swamps near-zero real parts at
     stiff physical constants.
     """
-    c = consts or compute_derived(params)
-    cbar = float(eval_f3(c.R_bar, params)) * params.h0 ** 3
+    cbar = float(eval_f3(compute_derived(params).R_bar, params)) * params.h0 ** 3
     eigs = []
     for K_m, _C1, _R_bar, _f1p, _f2v, _hf5 in _constant_gap_blocks(
-            params, 0.0, n1, n2, L1, L2, SCHEME_CENTRAL, c):
+            params, 0.0, n1, n2, L1, L2, SCHEME_CENTRAL):
         for kappa in np.linalg.eigvalsh(K_m) / cbar:
-            eigs.extend(trivial_LF_roots(float(kappa), c, params.h0))
+            eigs.extend(trivial_LF_roots(float(kappa), params))
     return np.sort_complex(np.array(eigs))
 
 
@@ -512,9 +502,8 @@ def hurwitz_matrix(alpha0: float, beta0: float, alpha1: float, beta1: float,
 
 
 def hurwitz_analysis(params: PhysicalParams, U_norm: float,
-                     k_pair: tuple[int, int],
-                     consts: DerivedConstants | None = None,
-                     L1: float = 1.0, L2: float = 1.0) -> HurwitzReport:
+                     k_pair: tuple[int, int], L1: float = 1.0,
+                     L2: float = 1.0) -> HurwitzReport:
     """Routh-Hurwitz data of the mode ``k_pair`` of the ``L1 x L2``
     rectangle at sliding speed ``U_norm``.
 
@@ -530,8 +519,8 @@ def hurwitz_analysis(params: PhysicalParams, U_norm: float,
     if k1 < 1 or k2 < 1:
         raise ConfigurationError(
             f"mode indices must be positive, got ({k1}, {k2})")
-    c = consts or compute_derived(params)
-    sigma1, sigma2 = sigma_constants(params, c)
+    c = compute_derived(params)
+    sigma1, sigma2 = sigma_constants(params)
     b1, b2 = c.b1, c.b2
     pi2k = np.pi ** 2 * (k1 * k1 / L1 ** 2 + k2 * k2 / L2 ** 2)
 
@@ -562,9 +551,8 @@ def hurwitz_analysis(params: PhysicalParams, U_norm: float,
                          sign_changes=sign_changes, U_crit_sq=U_crit_sq)
 
 
-def critical_speed(params: PhysicalParams,
-                   consts: DerivedConstants | None = None,
-                   L1: float = 1.0, L2: float = 1.0) -> float:
+def critical_speed(params: PhysicalParams, L1: float = 1.0,
+                   L2: float = 1.0) -> float:
     """Smallest modal instability threshold on the ``L1 x L2`` rectangle:
     that of mode ``(1, 1)``.
 
@@ -573,8 +561,8 @@ def critical_speed(params: PhysicalParams,
     ``kappa``, so the fundamental pair minimizes it over all modes
     (``inf`` when ``sigma1 = 0``).
     """
-    return float(np.sqrt(hurwitz_analysis(params, 0.0, (1, 1), consts,
-                                          L1, L2).U_crit_sq))
+    return float(np.sqrt(hurwitz_analysis(params, 0.0, (1, 1), L1,
+                                          L2).U_crit_sq))
 
 
 def hurwitz_report_text(report: HurwitzReport) -> str:

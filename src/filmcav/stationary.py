@@ -31,8 +31,8 @@ from .errors import (ConfigurationError, SolverFailureError,
 from .grid import Grid, ensure_field
 from .elliptic import (SCHEME_UPWIND, _factorize, assemble_operator,
                        convective_divergence_matrix, film_pencil)
-from .physics import (DerivedConstants, PhysicalParams, compute_derived,
-                      eval_f1, eval_f3, eval_f4)
+from .physics import (PhysicalParams, compute_derived, eval_f1, eval_f3,
+                      eval_f4)
 
 MAX_BACKTRACKS = 20
 
@@ -68,14 +68,12 @@ class StationaryReport:
     message: str | None = None
 
 
-def trivial_solution(grid: Grid, params: PhysicalParams,
-                     consts: DerivedConstants | None = None
+def trivial_solution(grid: Grid, params: PhysicalParams
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The uniform rest state ``(R_bar, 0)``, exact whenever ``U = 0`` or
     the gap is parallel."""
-    if consts is None:
-        consts = compute_derived(params)
-    return np.full(grid.shape, consts.R_bar), np.zeros(grid.shape)
+    return (np.full(grid.shape, compute_derived(params).R_bar),
+            np.zeros(grid.shape))
 
 
 def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
@@ -110,8 +108,7 @@ def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
 def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
                      params: PhysicalParams,
                      cfg: StationarySolveConfig | None = None,
-                     scheme: str = SCHEME_UPWIND,
-                     consts: DerivedConstants | None = None
+                     scheme: str = SCHEME_UPWIND
                      ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
     """Newton solve for the stationary pair ``(R_s, p_s)``.
 
@@ -125,11 +122,10 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     iteration count.
     """
     cfg = cfg or StationarySolveConfig()
-    if consts is None:
-        consts = compute_derived(params)
+    R_crit = compute_derived(params).R_crit
     hf = ensure_field(grid, h, "h")
     report = StationaryReport(converged=False, stage_fractions=[1.0])
-    R, _ = trivial_solution(grid, params, consts)
+    R, _ = trivial_solution(grid, params)
     zero_rate = np.zeros(grid.shape)
     iters = 0
     phi, scale = stationary_residual(grid, R, hf, U, params, scheme)
@@ -157,7 +153,7 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
         else:
             break                                   # no descending step
         R, phi, scale = R_new, phi_new, scale_new   # the accepted trial
-        if float(np.max(R)) >= consts.R_crit:
+        if float(np.max(R)) >= R_crit:
             raise SupercriticalRadiusError(
                 f"stationary iterate reached the critical radius "
                 f"(max R_hat = {float(np.max(R)) / params.R0:.4f}); the "

@@ -16,10 +16,12 @@ import pytest
 import scipy.sparse as sp
 
 import filmcav
+from filmcav import physics
 from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
                          midline_profile)
 from filmcav.config import parse_config
 from filmcav.grid import CSV_HEADER, Grid
+from filmcav.physics import PhysicalParams, compute_derived
 from filmcav.stability import critical_speed
 
 
@@ -349,6 +351,31 @@ def test_identical_configs_give_bitwise_identical_outputs(tmp_path):
         for name in names:
             assert ((outs[0] / name).read_bytes()
                     == (outs[1] / name).read_bytes())
+
+
+def test_derived_constants_are_computed_once_per_parameter_set(tmp_path,
+                                                               monkeypatch):
+    # every layer of a run reads the one cached constant set of its
+    # parameters: two bisections (R_crit, R_bar) per distinct parameter set
+    assert compute_derived(PhysicalParams()) is compute_derived(PhysicalParams())
+    bisections = []
+    real_bisect = physics._bisect
+
+    def counted(*args):
+        bisections.append(args)
+        return real_bisect(*args)
+
+    monkeypatch.setattr(physics, "_bisect", counted)
+    runs = (("stability", "n1 = 8\nn2 = 4\n", 2),
+            ("sweep", "n1 = 8\nn2 = 4\nsweep_axis = ecc\n"
+                      "sweep_values = 0.1,0.25,0.4\n"
+                      "sweep_solver = stationary\n", 6))
+    for command, text, expected in runs:
+        compute_derived.cache_clear()   # earlier tests fill the cache
+        bisections.clear()
+        assert main([command, "--config", _write(tmp_path, text), "--out",
+                     str(tmp_path / command)]) == 0
+        assert len(bisections) == expected, command
 
 
 def test_configuration_errors_are_exit_2(tmp_path, capsys):

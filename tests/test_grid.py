@@ -7,7 +7,7 @@ import pytest
 
 from filmcav.errors import ConfigurationError
 from filmcav.grid import (
-    BC_DIRICHLET, BC_PERIODIC, CSV_HEADER, Grid, ensure_field,
+    BC_PERIODIC, CSV_HEADER, Grid, ensure_field,
     export_fields_csv, field_norms, gap_function,
     grid_for_params, render_fields_csv,
 )
@@ -52,11 +52,6 @@ def test_grid_validation():
         Grid(n1=4, n2=4, L1=1.0, L2=np.inf)
     with pytest.raises(ConfigurationError):
         Grid(n1=8, n2=8, L1=1.0, L2=1.0, bc_x1="reflecting")
-
-
-def test_axial_boundary_is_always_ambient():
-    for bc in (BC_PERIODIC, BC_DIRICHLET):
-        assert Grid(4, 4, 1.0, 1.0, bc_x1=bc).bc_x2 == BC_DIRICHLET
 
 
 def test_grid_for_params_is_the_journal_rectangle():

@@ -14,19 +14,24 @@ ORACLES = {
 }
 
 
+def _modules():
+    """Module name and syntax tree of every package module but __init__."""
+    for path in sorted(Path(filmcav.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_every_public_definition_has_a_caller_or_is_an_oracle():
     # a public module-level function or class must be named somewhere in
     # the package outside its own definition (imports and __init__ do not
     # count), unless it is an oracle
     defined, named = {}, set()
-    for path in sorted(Path(filmcav.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in _modules():
+        for top in tree.body:
             own = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
                    else None)
             if own is not None and not own.startswith("_"):
-                defined[own] = path.stem
+                defined[own] = module
             for node in ast.walk(top):
                 name = (node.id if isinstance(node, ast.Name)
                         else node.attr if isinstance(node, ast.Attribute)
@@ -36,6 +41,33 @@ def test_every_public_definition_has_a_caller_or_is_an_oracle():
     unnamed = {name: module for name, module in defined.items()
                if name not in named}
     assert set(unnamed) == ORACLES, unnamed
+
+
+def _is_property(node):
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Name) and d.id == "property"
+        for d in node.decorator_list)
+
+
+def test_every_public_field_and_property_is_read():
+    # every annotated field and every property of a public class must be
+    # read as an attribute somewhere in the package
+    declared, read = [], set()
+    for _, tree in _modules():
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                for item in top.body:
+                    if (isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)):
+                        declared.append((top.name, item.target.id))
+                    elif _is_property(item):
+                        declared.append((top.name, item.name))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    unread = sorted(f"{cls}.{name}" for cls, name in declared
+                    if name not in read)
+    assert unread == []
 
 
 def test_every_export_resolves():

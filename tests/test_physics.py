@@ -179,7 +179,6 @@ def test_constant_set_internal_consistency():
     c = compute_derived(DEFAULT)
     assert c.b4 == c.b5  # one closure supplies both couplings
     assert c.d1 == pytest.approx(c.b1 / c.b2, rel=1e-14)
-    assert c.d2 == pytest.approx(1.0 / (c.R_bar * c.b2), rel=1e-14)
     assert c.d3 == pytest.approx(c.R_bar * c.b3 * c.b2, rel=1e-14)
     assert c.b1 == pytest.approx(-eval_f1_prime(c.R_bar, DEFAULT) / c.R_bar,
                                  rel=1e-12)
@@ -187,7 +186,7 @@ def test_constant_set_internal_consistency():
 
 def test_derived_constants_all_positive():
     c = compute_derived(DEFAULT)
-    for name in ("b1", "b2", "b3", "b4", "b5", "b_r", "d1", "d2", "d3", "d4", "d5"):
+    for name in ("b1", "b2", "b3", "b4", "b5", "b_r", "d1", "d3", "d5"):
         assert getattr(c, name) > 0.0, name
 
 
