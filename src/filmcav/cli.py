@@ -159,7 +159,7 @@ def _transient(config: RunConfig) -> TransientResult:
     out = Path(config.output_dir)
     watch = TransientWatch(stationarity_tol=config.stationarity_tol,
                            snapshot_every=config.snapshot_every, out_dir=out)
-    state = initial_state(grid, params, Rhat=1.0, mode=config.step.mode)
+    state = initial_state(grid, params, mode=config.step.mode)
     res = run_transient(grid, state, h, config.velocity, params, config.step,
                         config.n_steps, watch)
 

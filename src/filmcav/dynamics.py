@@ -58,9 +58,9 @@ import numpy as np
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field, export_fields_csv
-from .elliptic import (SCHEME_UPWIND, _factorize, _stencil,
-                       assemble_operator, convective_divergence, film_pencil,
-                       film_residual, solve_spd)
+from .elliptic import (_factorize, _stencil, assemble_operator,
+                       convective_divergence, film_pencil, film_residual,
+                       solve_spd)
 from .physics import (PhysicalParams, compute_derived, eval_f1, eval_f2,
                       eval_f3, eval_f4, eval_f5)
 
@@ -143,9 +143,10 @@ class TransientState:
 @dataclass
 class StepStats:
     """Work of one accepted step: ``iterations``, the pressure eliminations
-    over all its attempts, ``factorizations``, the chord Newton LUs over all
-    its attempts, ``halvings`` after a positivity loss or a stall,
-    ``rejections`` by the error test, and the step size ``dt_used``."""
+    over all its attempts (in inertial mode, its pressure solves),
+    ``factorizations``, the chord Newton LUs over all its attempts,
+    ``halvings`` after a positivity loss or a stall, ``rejections`` by the
+    error test, and the step size ``dt_used``."""
 
     iterations: int
     halvings: int
@@ -171,17 +172,16 @@ class ChordCarry:
     dt_next: float = 0.0
 
 
-def initial_state(grid: Grid, params: PhysicalParams, Rhat: float = 1.0,
+def initial_state(grid: Grid, params: PhysicalParams,
                   mode: str = MODE_INERTIALESS) -> TransientState:
-    """Uniform start at ``R = Rhat * R0`` (and zero wall velocity)."""
-    R = np.full(grid.shape, Rhat * params.R0)
+    """Uniform start at ``R = R0`` (and zero wall velocity)."""
+    R = np.full(grid.shape, params.R0)
     Rdot = np.zeros(grid.shape) if mode == MODE_INERTIAL else None
     return TransientState(t=0.0, R=R, Rdot=Rdot)
 
 
 def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
-                       U: tuple[float, float], params: PhysicalParams,
-                       scheme: str = SCHEME_UPWIND
+                       U: tuple[float, float], params: PhysicalParams
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Slave the film pressure to the radius field.
 
@@ -196,7 +196,7 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     Rf2 = Rf * eval_f2(Rf, params)
     coeff = eval_f3(Rf, params) * hf ** 3
     K = assemble_operator(grid, coeff)
-    conv = convective_divergence(grid, U, hf * eval_f4(Rf, params), scheme)
+    conv = convective_divergence(grid, U, hf * eval_f4(Rf, params))
     shift = -hf * eval_f5(Rf, params) / Rf2          # >= 0
     rhs = K @ f1.ravel() + conv.ravel()
     M = K                                # shifted in place: K is spent
@@ -207,12 +207,12 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
 
 def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
                        h: np.ndarray, U: tuple[float, float],
-                       params: PhysicalParams,
-                       scheme: str) -> tuple[np.ndarray, np.ndarray]:
+                       params: PhysicalParams
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Radial wall acceleration of the inertial model and the film pressure."""
     f1 = eval_f1(R, params)
     K = assemble_operator(grid, eval_f3(R, params) * h ** 3)
-    conv = convective_divergence(grid, U, h * eval_f4(R, params), scheme)
+    conv = convective_divergence(grid, U, h * eval_f4(R, params))
     squeeze = h * eval_f5(R, params) * V
     p = solve_spd(K, -(conv + squeeze).ravel(), grid)
     acc = -1.5 * V ** 2 / R - V * eval_f2(R, params) + (f1 - p) / R
@@ -236,7 +236,6 @@ def _next_step_factor(err: float, err_prev: float) -> float:
 def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                      U: tuple[float, float], params: PhysicalParams,
                      step_cfg: StepConfig,
-                     scheme: str = SCHEME_UPWIND,
                      G_at_state: np.ndarray | None = None,
                      chord: ChordCarry | None = None
                      ) -> tuple[TransientState, StepStats, np.ndarray]:
@@ -285,7 +284,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     total_iters = 0
     factorizations = 0
     if G_at_state is None:
-        G_at_state, _ = eliminate_pressure(grid, R_old, h, U, params, scheme)
+        G_at_state, _ = eliminate_pressure(grid, R_old, h, U, params)
         total_iters = 1
     if chord is None:
         chord = ChordCarry()
@@ -310,7 +309,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             stalled = False
             for _ in range(step_cfg.picard_max - 1):
                 S = (x - R_old) / dt
-                F, _ = film_residual(grid, x, S, h, U, params, scheme)
+                F, _ = film_residual(grid, x, S, h, U, params)
                 rhs = -dt * F.ravel()
                 delta = None if lu is None else lu.solve(rhs)
                 if lu is None or _relative(delta, x) * CHORD_CONTRACTION > best:
@@ -318,7 +317,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     # while the old is alive fragments the native heap,
                     # and peak RSS then creeps up by megabytes over a run
                     lu = None
-                    B, A = film_pencil(grid, x, S, h, U, params, scheme)
+                    B, A = film_pencil(grid, x, S, h, U, params)
                     A.data -= dt * B.data                # P - dt B
                     lu = _factorize(A)
                     factorizations += 1
@@ -337,7 +336,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             if not (stalled or sign_loss):
                 # the one elimination of the attempt certifies its iterate
                 total_iters += 1
-                G_x, p_x = eliminate_pressure(grid, x, h, U, params, scheme)
+                G_x, p_x = eliminate_pressure(grid, x, h, U, params)
                 if _relative(R_old + dt * G_x - x, x) < tol:
                     accepted, G_new, p_new = x, G_x, p_x
         if accepted is not None:
@@ -375,39 +374,41 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
 
 def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams,
-                  step_cfg: StepConfig,
-                  scheme: str = SCHEME_UPWIND) -> tuple[TransientState, StepStats]:
+                  step_cfg: StepConfig) -> tuple[TransientState, StepStats]:
     """One classical RK4 step of the inertial wall dynamics.
 
     The stage function is ``(R, V) -> (V, -3/2 V²/R - V f2(R) +
-    (f1(R) - p(R, V))/R)`` with the film pressure re-slaved at every stage.
-    Positivity of intermediate radius fields is guarded by reject-and-halve.
+    (f1(R) - p(R, V))/R)`` with the film pressure re-slaved at every stage,
+    and once more at the new state for its pressure.  Positivity of
+    intermediate radius fields is guarded by reject-and-halve.  The step's
+    ``iterations`` counts the pressure solves of all its attempts.
     """
     if state.Rdot is None:
         raise ConfigurationError("inertial stepping needs a state with Rdot")
+    solves = 0
+
+    def F(R, V):
+        nonlocal solves
+        if np.any(R <= 0.0):
+            raise _StagePositivity()
+        solves += 1
+        acc, p = _wall_acceleration(grid, R, V, h, U, params)
+        return V, acc, p
+
+    R0, V0 = state.R, state.Rdot
     dt = step_cfg.dt
     halvings = 0
     while True:
         try:
-            def F(R, V):
-                if np.any(R <= 0.0):
-                    raise _StagePositivity()
-                acc, p = _wall_acceleration(grid, R, V, h, U, params, scheme)
-                return V, acc, p
-
-            R0, V0 = state.R, state.Rdot
             k1R, k1V, _ = F(R0, V0)
             k2R, k2V, _ = F(R0 + 0.5 * dt * k1R, V0 + 0.5 * dt * k1V)
             k3R, k3V, _ = F(R0 + 0.5 * dt * k2R, V0 + 0.5 * dt * k2V)
             k4R, k4V, _ = F(R0 + dt * k3R, V0 + dt * k3V)
             R_new = R0 + dt / 6.0 * (k1R + 2 * k2R + 2 * k3R + k4R)
             V_new = V0 + dt / 6.0 * (k1V + 2 * k2V + 2 * k3V + k4V)
-            if np.any(R_new <= 0.0):
-                raise _StagePositivity()
-            _, p_new = _wall_acceleration(grid, R_new, V_new, h, U, params,
-                                          scheme)
+            _, _, p_new = F(R_new, V_new)
             new_state = TransientState(t=state.t + dt, R=R_new, Rdot=V_new, p=p_new)
-            return new_state, StepStats(4, halvings, dt)
+            return new_state, StepStats(solves, halvings, dt)
         except _StagePositivity:
             halvings += 1
             if halvings > MAX_HALVINGS:
@@ -445,7 +446,8 @@ class TransientResult:
     ``history`` and ``step_stats`` hold one entry per completed step:
     ``history`` its end time, update rate and field extrema
     (:data:`HISTORY_KEYS`), ``step_stats`` its end time ``t``, ``dt_used``,
-    pressure-elimination ``iterations``, chord LU ``factorizations``,
+    pressure-elimination ``iterations`` (in inertial mode, pressure
+    solves), chord LU ``factorizations``,
     ``halvings`` and error-test ``rejections``.
     """
 
@@ -466,8 +468,7 @@ class TransientResult:
 def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams,
                   step_cfg: StepConfig, n_steps: int,
-                  watch: TransientWatch | None = None,
-                  scheme: str = SCHEME_UPWIND) -> TransientResult:
+                  watch: TransientWatch | None = None) -> TransientResult:
     """March the transient model and watch for stationarity or failure.
 
     Records the normalized update rate ``max|dR|/(dt R0)``, the radius and
@@ -489,13 +490,12 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
     G_cur: np.ndarray | None = None
     chord = ChordCarry()
     if step_cfg.mode == MODE_INERTIALESS:
-        G_cur, p0 = eliminate_pressure(grid, state.R, hf, U, params, scheme)
+        G_cur, p0 = eliminate_pressure(grid, state.R, hf, U, params)
         state = TransientState(state.t, state.R, None, p0)
     else:
         if state.Rdot is None:
             raise ConfigurationError("inertial run needs a state with Rdot")
-        _, p0 = _wall_acceleration(grid, state.R, state.Rdot, hf, U, params,
-                                   scheme)
+        _, p0 = _wall_acceleration(grid, state.R, state.Rdot, hf, U, params)
         state = TransientState(state.t, state.R, state.Rdot, p0)
     max_Rhat_run = float(np.max(state.R)) / params.R0
     min_Rhat_run = float(np.min(state.R)) / params.R0
@@ -512,11 +512,11 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
         try:
             if step_cfg.mode == MODE_INERTIALESS:
                 state, stats, G_cur = step_inertialess(
-                    grid, state, hf, U, params, step_cfg, scheme,
+                    grid, state, hf, U, params, step_cfg,
                     G_at_state=G_cur, chord=chord)
             else:
                 state, stats = step_inertial(grid, state, hf, U, params,
-                                             step_cfg, scheme)
+                                             step_cfg)
         except StepFailureError as exc:
             failure = str(exc)
             failed_step = step

@@ -9,7 +9,7 @@ discretized on the cell-centered grid with a 5-point stencil: face
 coefficients are arithmetic means of the adjacent cell values, Dirichlet
 boundaries are enforced by ghost-cell reflection (ghost value = -interior
 value, so the face value vanishes), and the entrained (Couette) flux is
-upwinded by default.  The assembled operator ``K`` represents
+upwinded, the one convection scheme.  The assembled operator ``K`` represents
 ``-Div(c Grad .)`` and is symmetric positive definite, which is what makes
 the coupled pressure elimination uniquely solvable.
 
@@ -52,9 +52,6 @@ from .physics import (PhysicalParams, eval_f1, eval_f1_prime, eval_f2,
 
 #: largest relative residual ``|K x - b| / |b|`` a solve may return
 RESIDUAL_TOL = 1e-10
-
-SCHEME_UPWIND = "upwind"
-SCHEME_CENTRAL = "central"
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,44 +215,36 @@ def assemble_operator(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
     return _assemble(*_diffusion_fluxes(grid, coeff))
 
 
-def _convective_fluxes(grid: Grid, U: tuple[float, float], w: np.ndarray,
-                       scheme: str):
-    """Face coefficients ``(a, b)`` and edge terms of ``S -> Div(U w S)``."""
+def _convective_fluxes(grid: Grid, U: tuple[float, float], w: np.ndarray):
+    """Face coefficients ``(a, b)`` and edge terms of ``S -> Div(U w S)``,
+    upwinded."""
     wf = ensure_field(grid, w, "weight field").ravel()
-    if scheme not in (SCHEME_UPWIND, SCHEME_CENTRAL):
-        raise ConfigurationError(f"unknown convection scheme {scheme!r}")
     st = _stencil(grid)
     vel = np.asarray(U, dtype=float)
     u = vel.take(st.face_axis)
-    if scheme == SCHEME_CENTRAL:
-        a = u * 0.5 * wf.take(st.A) / st.face_dx
-        b = u * 0.5 * wf.take(st.B) / st.face_dx
-    else:
-        a = np.where(u > 0.0, u * wf.take(st.A) / st.face_dx, 0.0)
-        b = np.where(u > 0.0, 0.0, u * wf.take(st.B) / st.face_dx)
+    a = np.where(u > 0.0, u * wf.take(st.A) / st.face_dx, 0.0)
+    b = np.where(u > 0.0, 0.0, u * wf.take(st.B) / st.face_dx)
     edge = st.edge_side * vel.take(st.edge_axis) * wf.take(st.cell) / st.edge_dx
     return st, a, b, edge
 
 
 def convective_divergence_matrix(grid: Grid, U: tuple[float, float],
-                                 w: np.ndarray,
-                                 scheme: str = SCHEME_UPWIND) -> sp.csr_matrix:
+                                 w: np.ndarray) -> sp.csr_matrix:
     """Matrix form of ``S -> Div(U w S)`` for a frozen weight field ``w``.
 
     ``U`` is the constant entrainment velocity.  A face carries the
     upstream cell's value of ``w S`` (upwind, by the sign of each velocity
-    component) or the mean of its two cells (central); a Dirichlet face
-    carries the adjacent interior value.
+    component); a Dirichlet face carries the adjacent interior value.
     """
-    return _assemble(*_convective_fluxes(grid, U, w, scheme))
+    return _assemble(*_convective_fluxes(grid, U, w))
 
 
-def convective_divergence(grid: Grid, U: tuple[float, float], w: np.ndarray,
-                          scheme: str = SCHEME_UPWIND) -> np.ndarray:
+def convective_divergence(grid: Grid, U: tuple[float, float],
+                          w: np.ndarray) -> np.ndarray:
     """Cellwise divergence of the entrained flux ``U w`` as a field: the
     face fluxes ``a + b`` of :func:`convective_divergence_matrix` (its
     action on ones) summed straight into the cells, without the matrix."""
-    st, a, b, edge = _convective_fluxes(grid, U, w, scheme)
+    st, a, b, edge = _convective_fluxes(grid, U, w)
     n = grid.n_cells
     flux = a + b
     div = (np.bincount(st.A, flux, minlength=n)
@@ -289,8 +278,7 @@ def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
 
 
 def film_residual(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
-                  U: tuple[float, float], params: PhysicalParams,
-                  scheme: str = SCHEME_UPWIND
+                  U: tuple[float, float], params: PhysicalParams
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The film equation at the radius field ``R`` and the growth rate ``S``.
 
@@ -304,14 +292,13 @@ def film_residual(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
     hf = ensure_field(grid, h, "h")
     p = eval_f1(Rf, params) - Rf * eval_f2(Rf, params) * Sf
     K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-    conv = convective_divergence(grid, U, hf * eval_f4(Rf, params), scheme)
+    conv = convective_divergence(grid, U, hf * eval_f4(Rf, params))
     F = -(K @ p.ravel()) - (hf * eval_f5(Rf, params) * Sf + conv).ravel()
     return F.reshape(grid.shape), p
 
 
 def film_pencil(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
-                U: tuple[float, float], params: PhysicalParams,
-                scheme: str = SCHEME_UPWIND
+                U: tuple[float, float], params: PhysicalParams
                 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The one linearization of the film equation: ``B = -dF/dR`` at fixed
     ``S`` and ``P = dF/dS`` for ``F`` of :func:`film_residual`,
@@ -335,8 +322,7 @@ def film_pencil(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
     st, ka, kb, ke = _diffusion_fluxes(grid, eval_f3(Rf, params) * h3)
     _, sa, sb, se = _sensitivity_fluxes(grid, eval_f3_prime(Rf, params) * h3,
                                         eval_f1(Rf, params) - Rf2 * Sf)
-    _, ca, cb, ce = _convective_fluxes(grid, U, hf * eval_f4_prime(Rf, params),
-                                       scheme)
+    _, ca, cb, ce = _convective_fluxes(grid, U, hf * eval_f4_prime(Rf, params))
     d = (eval_f1_prime(Rf, params)
          - Sf * (f2 + Rf * eval_f2_prime(Rf, params))).ravel()
     B = _assemble(st, ka * d.take(st.A) - sa + ca,

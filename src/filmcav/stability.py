@@ -48,8 +48,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
 from .grid import Grid, ensure_field
-from .elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, _factorize,
-                       assemble_operator, film_pencil)
+from .elliptic import _factorize, assemble_operator, film_pencil
 from .physics import (PhysicalParams, compute_derived, eval_f1_prime,
                       eval_f2, eval_f3, eval_f4_prime, eval_f5)
 
@@ -116,8 +115,7 @@ def _check_dense(grid: Grid) -> None:
 
 
 def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
-                U: tuple[float, float], params: PhysicalParams,
-                scheme: str = SCHEME_UPWIND) -> np.ndarray:
+                U: tuple[float, float], params: PhysicalParams) -> np.ndarray:
     """Dense matrix ``P^{-1} B`` of the pencil :func:`elliptic.film_pencil`
     at ``(R_s, 0)``, the test oracle of :func:`pencil_spectrum`.
 
@@ -125,19 +123,18 @@ def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
     ``P`` applied to ``B``.  Refuses grids above 4096 cells (dense output).
     """
     _check_dense(grid)
-    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params, scheme)
+    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
     return _factorize(P).solve(B.toarray())
 
 
 def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
-                U: tuple[float, float], params: PhysicalParams,
-                scheme: str = SCHEME_UPWIND) -> np.ndarray:
+                U: tuple[float, float], params: PhysicalParams) -> np.ndarray:
     """Dense 2x2-block matrix of the linearized inertial evolution at
     ``(R_s, 0)``: state ordering is (radius perturbation, rate perturbation)."""
     _check_dense(grid)
     Rf = ensure_field(grid, R_s, "R_s")
     hf = ensure_field(grid, h, "h")
-    B = film_pencil(grid, Rf, np.zeros(grid.shape), hf, U, params, scheme)[0]
+    B = film_pencil(grid, Rf, np.zeros(grid.shape), hf, U, params)[0]
     K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
     n = grid.n_cells
     lower = _factorize(K).solve(
@@ -350,34 +347,23 @@ def _dirichlet_second_difference_1d(n: int, dx: float) -> np.ndarray:
     return T / dx ** 2
 
 
-def _convection_1d(n: int, dx: float, u: float, w: float, scheme: str
-                   ) -> np.ndarray:
-    """Dense 1D mirror of :func:`convective_divergence_matrix` on a
-    Dirichlet line with constant weight ``w``."""
+def _convection_1d(n: int, dx: float, u: float, w: float) -> np.ndarray:
+    """Dense 1D mirror of :func:`convective_divergence_matrix` (upwind) on
+    a Dirichlet line with constant weight ``w``."""
     C = np.zeros((n, n))
     if u == 0.0:
         return C
-    if scheme == SCHEME_CENTRAL:
-        for i in range(n - 1):
-            for src, coef in ((i, 0.5), (i + 1, 0.5)):
-                C[i, src] += u * coef * w / dx
-                C[i + 1, src] -= u * coef * w / dx
-        C[0, 0] += -u * w / dx
-        C[n - 1, n - 1] += u * w / dx
-    elif scheme == SCHEME_UPWIND:
-        for i in range(n - 1):
-            src = i if u > 0.0 else i + 1
-            C[i, src] += u * w / dx
-            C[i + 1, src] -= u * w / dx
-        C[0, 0] += -u * w / dx
-        C[n - 1, n - 1] += u * w / dx
-    else:
-        raise ConfigurationError(f"unknown convection scheme {scheme!r}")
+    for i in range(n - 1):
+        src = i if u > 0.0 else i + 1
+        C[i, src] += u * w / dx
+        C[i + 1, src] -= u * w / dx
+    C[0, 0] += -u * w / dx
+    C[n - 1, n - 1] += u * w / dx
     return C
 
 
 def _constant_gap_blocks(params: PhysicalParams, U_norm: float, n1: int,
-                         n2: int, L1: float, L2: float, scheme: str):
+                         n2: int, L1: float, L2: float):
     """Per-cross-mode (x2) reduced operators for a parallel gap at rest.
 
     With every coefficient field constant, the only x2 coupling is the
@@ -393,7 +379,7 @@ def _constant_gap_blocks(params: PhysicalParams, U_norm: float, n1: int,
     f5v = float(eval_f5(R_bar, params))
     cbar = f3v * h0 ** 3
     K1 = cbar * _dirichlet_second_difference_1d(n1, L1 / n1)
-    C1 = _convection_1d(n1, L1 / n1, U_norm, h0 * f4p, scheme)
+    C1 = _convection_1d(n1, L1 / n1, U_norm, h0 * f4p)
     kappa2 = dirichlet_laplacian_eigenvalues_1d(n2, L2 / n2)
     for k2 in kappa2:
         K_m = K1 + cbar * k2 * np.eye(n1)
@@ -402,14 +388,13 @@ def _constant_gap_blocks(params: PhysicalParams, U_norm: float, n1: int,
 
 def constant_gap_spectrum_LG(params: PhysicalParams, U_norm: float,
                              n1: int, n2: int, L1: float = 1.0,
-                             L2: float = 1.0, scheme: str = SCHEME_CENTRAL
-                             ) -> np.ndarray:
+                             L2: float = 1.0) -> np.ndarray:
     """All ``n1*n2`` eigenvalues of the quasi-static linearization on an
     all-Dirichlet rectangle with parallel gap, via exact cross-mode
     separation (equals the dense assembly's spectrum)."""
     eigs = []
     for K_m, C1, R_bar, f1p, f2v, hf5 in _constant_gap_blocks(
-            params, U_norm, n1, n2, L1, L2, scheme):
+            params, U_norm, n1, n2, L1, L2):
         M_m = R_bar * f2v * K_m - hf5 * np.eye(K_m.shape[0])
         rhs = f1p * K_m + C1
         eigs.append(np.linalg.eigvals(np.linalg.solve(M_m, rhs)))
@@ -418,13 +403,12 @@ def constant_gap_spectrum_LG(params: PhysicalParams, U_norm: float,
 
 def constant_gap_spectrum_LF(params: PhysicalParams, U_norm: float,
                              n1: int, n2: int, L1: float = 1.0,
-                             L2: float = 1.0, scheme: str = SCHEME_CENTRAL
-                             ) -> np.ndarray:
+                             L2: float = 1.0) -> np.ndarray:
     """All ``2 n1 n2`` eigenvalues of the inertial linearization on an
     all-Dirichlet rectangle with parallel gap (exact cross-mode separation)."""
     eigs = []
     for K_m, C1, R_bar, f1p, f2v, hf5 in _constant_gap_blocks(
-            params, U_norm, n1, n2, L1, L2, scheme):
+            params, U_norm, n1, n2, L1, L2):
         n = K_m.shape[0]
         Pi1 = np.linalg.solve(K_m, -C1)
         Pi2 = np.linalg.solve(K_m, -hf5 * np.eye(n))
@@ -453,7 +437,7 @@ def trivial_branch_spectrum_LF(params: PhysicalParams, n1: int, n2: int,
     cbar = float(eval_f3(compute_derived(params).R_bar, params)) * params.h0 ** 3
     eigs = []
     for K_m, _C1, _R_bar, _f1p, _f2v, _hf5 in _constant_gap_blocks(
-            params, 0.0, n1, n2, L1, L2, SCHEME_CENTRAL):
+            params, 0.0, n1, n2, L1, L2):
         for kappa in np.linalg.eigvalsh(K_m) / cbar:
             eigs.extend(trivial_LF_roots(float(kappa), params))
     return np.sort_complex(np.array(eigs))

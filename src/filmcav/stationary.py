@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (ConfigurationError, SolverFailureError,
                      SupercriticalRadiusError)
 from .grid import Grid, ensure_field
-from .elliptic import (SCHEME_UPWIND, _factorize, assemble_operator,
+from .elliptic import (_factorize, assemble_operator,
                        convective_divergence_matrix, film_pencil)
 from .physics import (PhysicalParams, compute_derived, eval_f1, eval_f3,
                       eval_f4)
@@ -77,8 +77,7 @@ def trivial_solution(grid: Grid, params: PhysicalParams
 
 
 def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
-                        U: tuple[float, float], params: PhysicalParams,
-                        scheme: str = SCHEME_UPWIND
+                        U: tuple[float, float], params: PhysicalParams
                         ) -> tuple[np.ndarray, float]:
     """Discrete stationary balance and its gross-flux scale.
 
@@ -95,7 +94,7 @@ def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
     hf = ensure_field(grid, h, "h")
     K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
     f1 = eval_f1(Rf, params).ravel()
-    M = convective_divergence_matrix(grid, U, hf * eval_f4(Rf, params), scheme)
+    M = convective_divergence_matrix(grid, U, hf * eval_f4(Rf, params))
     ones = np.ones(grid.n_cells)
     phi = K @ f1 + M @ ones
     p_char = (2.0 * params.sigma / params.R0
@@ -107,8 +106,7 @@ def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
 
 def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
                      params: PhysicalParams,
-                     cfg: StationarySolveConfig | None = None,
-                     scheme: str = SCHEME_UPWIND
+                     cfg: StationarySolveConfig | None = None
                      ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
     """Newton solve for the stationary pair ``(R_s, p_s)``.
 
@@ -128,14 +126,14 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     R, _ = trivial_solution(grid, params)
     zero_rate = np.zeros(grid.shape)
     iters = 0
-    phi, scale = stationary_residual(grid, R, hf, U, params, scheme)
+    phi, scale = stationary_residual(grid, R, hf, U, params)
     while True:
         report.final_residual = float(np.linalg.norm(phi)) / scale
         report.residual_history.append(report.final_residual)
         if report.final_residual < cfg.newton_tol or iters == cfg.newton_max:
             break
         iters += 1
-        J = film_pencil(grid, R, zero_rate, hf, U, params, scheme)[0]
+        J = film_pencil(grid, R, zero_rate, hf, U, params)[0]
         try:
             delta = _factorize(J).solve(-phi).reshape(grid.shape)
         except SolverFailureError:
@@ -145,8 +143,8 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
         for _ in range(MAX_BACKTRACKS):
             R_new = R + lam * delta
             if np.all(R_new > 0.0):
-                phi_new, scale_new = stationary_residual(
-                    grid, R_new, hf, U, params, scheme)
+                phi_new, scale_new = stationary_residual(grid, R_new, hf, U,
+                                                         params)
                 if np.linalg.norm(phi_new) <= (1.0 - 1e-4 * lam) * norm_phi:
                     break
             lam *= 0.5

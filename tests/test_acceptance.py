@@ -65,7 +65,7 @@ def desk_transients():
         params = PhysicalParams(ecc=ecc)
         grid = grid_for_params(params, *DESK)
         h = gap_function(grid, params)
-        state = initial_state(grid, params, Rhat=1.0)
+        state = initial_state(grid, params)
         watch = TransientWatch(stationarity_tol=1e-8)
         start = time.monotonic()
         res = run_transient(grid, state, h, (params.surface_speed, 0.0),
@@ -96,7 +96,7 @@ def test_criterion_01_trivial_stationary_state():
     grid = grid_for_params(params, *DESK)
     h = gap_function(grid, params)
     start = time.monotonic()
-    res = run_transient(grid, initial_state(grid, params, Rhat=1.0), h,
+    res = run_transient(grid, initial_state(grid, params), h,
                         (0.0, 0.0), params, StepConfig(dt=DT), 200,
                         TransientWatch(stationarity_tol=1e-8))
     elapsed = time.monotonic() - start

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 import filmcav.elliptic as elliptic
 from filmcav.elliptic import (
-    SCHEME_CENTRAL, SCHEME_UPWIND, apply_A2, assemble_operator,
-    convective_divergence, convective_divergence_matrix,
-    diffusion_sensitivity, film_pencil, solve_spd,
+    apply_A2, assemble_operator, convective_divergence,
+    convective_divergence_matrix, diffusion_sensitivity, film_pencil,
+    solve_spd,
 )
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, field_norms, gap_function
@@ -146,12 +146,11 @@ def test_variable_coefficient_solution_is_second_order():
     assert np.all(orders > 1.9), f"observed orders {orders}"
 
 
-@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
 @given(shape=SHAPES, lengths=LENGTHS, U=st.tuples(SPEEDS, SPEEDS), seed=SEEDS)
 @example(shape=(6, 5), lengths=(1.1, 0.8), U=None, seed=19)
-def test_convective_matrix_agrees_with_field_form(scheme, bc, shape, lengths,
-                                                  U, seed):
+def test_convective_matrix_agrees_with_field_form(bc, shape, lengths, U,
+                                                  seed):
     # Div(U w S) assembled as a matrix in S must match the field form of
     # the product w*S: every face rule is linear in the transported value,
     # on every boundary.
@@ -163,18 +162,17 @@ def test_convective_matrix_agrees_with_field_form(scheme, bc, shape, lengths,
     for U in velocities:
         w = rng.normal(size=grid.shape)
         S = rng.normal(size=grid.shape)
-        M = convective_divergence_matrix(grid, U, w, scheme)
+        M = convective_divergence_matrix(grid, U, w)
         got = (M @ S.ravel()).reshape(grid.shape)
-        want = convective_divergence(grid, U, w * S, scheme)
+        want = convective_divergence(grid, U, w * S)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
-@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
-def test_constant_transported_field_has_zero_divergence(scheme):
+def test_constant_transported_field_has_zero_divergence():
     for bc in (BC_PERIODIC, BC_DIRICHLET):
         grid = Grid(5, 6, 1.0, 1.0, bc_x1=bc)
         div = convective_divergence(grid, (1.7, -0.4),
-                                    np.full(grid.shape, 2.25), scheme)
+                                    np.full(grid.shape, 2.25))
         assert np.max(np.abs(div)) < 1e-13
 
 
@@ -188,17 +186,16 @@ def test_periodic_convection_telescopes_to_zero_total(shape, lengths, u, seed):
     rng = np.random.default_rng(seed)
     grid = Grid(*shape, *lengths, bc_x1=BC_PERIODIC)
     w = rng.normal(size=grid.shape)
-    for scheme in (SCHEME_UPWIND, SCHEME_CENTRAL):
-        div = convective_divergence(grid, (u, 0.0), w, scheme)
-        assert abs(div.sum()) < 1e-12 * np.abs(div).max()
-        C = convective_divergence_matrix(grid, (u, 0.0), w, scheme)
-        column_sums = np.asarray(C.sum(axis=0)).ravel()
-        assert np.max(np.abs(column_sums)) <= 1e-12 * abs(C).max()
+    div = convective_divergence(grid, (u, 0.0), w)
+    assert abs(div.sum()) < 1e-12 * np.abs(div).max()
+    C = convective_divergence_matrix(grid, (u, 0.0), w)
+    column_sums = np.asarray(C.sum(axis=0)).ravel()
+    assert np.max(np.abs(column_sums)) <= 1e-12 * abs(C).max()
 
 
 def test_convection_scheme_orders():
-    # Smooth periodic profile advected along x1: the centered face average
-    # is second-order accurate, the upwind face is first-order.
+    # Smooth periodic profile advected along x1: the upwind face is
+    # first-order accurate.
     def profile(x):
         return np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
 
@@ -206,24 +203,14 @@ def test_convection_scheme_orders():
         return 2 * np.pi * np.cos(2 * np.pi * x) - 1.2 * np.pi * np.sin(4 * np.pi * x)
 
     u = 1.8
-    err = {SCHEME_UPWIND: [], SCHEME_CENTRAL: []}
+    err = []
     for n in (32, 64, 128):
         grid = Grid(n, 4, 1.0, 1.0, bc_x1=BC_PERIODIC)
         X, _ = grid.centers()
-        for scheme in err:
-            div = convective_divergence(grid, (u, 0.0), profile(X), scheme)
-            err[scheme].append(np.max(np.abs(div - u * derivative(X))))
-    for scheme, expected in ((SCHEME_UPWIND, 1.0), (SCHEME_CENTRAL, 2.0)):
-        orders = np.log2(np.array(err[scheme][:-1]) / np.array(err[scheme][1:]))
-        assert np.all(orders > expected - 0.15), (scheme, orders)
-
-
-def test_unknown_scheme_is_rejected():
-    grid = Grid(4, 4, 1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        convective_divergence(grid, (1.0, 0.0), np.ones(grid.shape), "quick")
-    with pytest.raises(ConfigurationError):
-        convective_divergence_matrix(grid, (1.0, 0.0), np.ones(grid.shape), "quick")
+        div = convective_divergence(grid, (u, 0.0), profile(X))
+        err.append(np.max(np.abs(div - u * derivative(X))))
+    orders = np.log2(np.array(err[:-1]) / np.array(err[1:]))
+    assert np.all(orders > 0.85), orders
 
 
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
@@ -334,9 +321,8 @@ def test_superlu_is_called_only_by_factorize():
     assert found == [("elliptic._factorize", "splu")]
 
 
-@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
-def test_flux_jacobian_equals_its_composed_form(scheme, bc):
+def test_flux_jacobian_equals_its_composed_form(bc):
     # B is summed face by face in one assembly and P scales the data of K;
     # the oracle composes both from the public operators at a rate S != 0,
     # B = K diag(f1' - S (R f2)') - Dsens(p) + C + diag(h f5' S) with
@@ -348,15 +334,14 @@ def test_flux_jacobian_equals_its_composed_form(scheme, bc):
     S = rng.normal(scale=10.0, size=grid.shape)
     h = p.h0 * rng.uniform(0.5, 1.5, size=grid.shape)
     U = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-    B, P = film_pencil(grid, R, S, h, U, p, scheme)
+    B, P = film_pencil(grid, R, S, h, U, p)
     K = assemble_operator(grid, eval_f3(R, p) * h ** 3)
     Rf2 = R * eval_f2(R, p)
     dRf2 = eval_f2(R, p) + R * eval_f2_prime(R, p)
     B_ref = (K @ sp.diags((eval_f1_prime(R, p) - S * dRf2).ravel())
              - diffusion_sensitivity(grid, eval_f3_prime(R, p) * h ** 3,
                                      eval_f1(R, p) - Rf2 * S)
-             + convective_divergence_matrix(grid, U, h * eval_f4_prime(R, p),
-                                            scheme)
+             + convective_divergence_matrix(grid, U, h * eval_f4_prime(R, p))
              + sp.diags((h * eval_f5_prime(R, p) * S).ravel()))
     P_ref = K @ sp.diags(Rf2.ravel()) - sp.diags((h * eval_f5(R, p)).ravel())
     assert abs(B - B_ref).max() <= 1e-13 * abs(B).max()

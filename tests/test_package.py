@@ -70,6 +70,35 @@ def test_every_public_field_and_property_is_read():
     assert unread == []
 
 
+def test_every_optional_parameter_is_set_by_some_caller():
+    # a defaulted parameter of a module-level function must be passed, by
+    # position or by keyword, at some call in the package: an option no
+    # caller sets is a constant.  The oracles are called by tests only, and
+    # main's argv is how tests and the console script enter the CLI.
+    optional, passed = [], set()
+    for module, tree in _modules():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name not in ORACLES:
+                args = top.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                optional += [(module, top.name, a.arg, i)
+                             for i, a in enumerate(positional) if i >= first]
+                optional += [(module, top.name, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                passed.update((name, i) for i in range(len(node.args)))
+                passed.update((name, k.arg) for k in node.keywords)
+    unset = [f"{module}.{name}({arg})" for module, name, arg, index in optional
+             if (name, arg) not in passed and (name, index) not in passed
+             and (name, arg) != ("main", "argv")]
+    assert unset == []
+
+
 def test_every_export_resolves():
     missing = [name for name in filmcav.__all__
                if not hasattr(filmcav, name)]

@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
-from filmcav.elliptic import SCHEME_CENTRAL, SCHEME_UPWIND, film_pencil
+from filmcav.elliptic import film_pencil
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, Grid, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived
@@ -118,18 +118,14 @@ def test_inertial_jacobian_blocks_match_acceleration_derivatives(journal_state):
     for _ in range(3):
         v = rng.normal(size=grid.shape)
         v /= np.max(np.abs(v))
-        ap, _ = _wall_acceleration(grid, R_s + t_R * v, V0, h, U, params,
-                                   SCHEME_UPWIND)
-        am, _ = _wall_acceleration(grid, R_s - t_R * v, V0, h, U, params,
-                                   SCHEME_UPWIND)
+        ap, _ = _wall_acceleration(grid, R_s + t_R * v, V0, h, U, params)
+        am, _ = _wall_acceleration(grid, R_s - t_R * v, V0, h, U, params)
         fd = ((ap - am) / (2.0 * t_R)).ravel()
         got = LF[n:, :n] @ v.ravel()
         assert np.linalg.norm(got - fd) <= 1e-7 * np.linalg.norm(fd)
 
-        ap, _ = _wall_acceleration(grid, R_s, t_V * v, h, U, params,
-                                   SCHEME_UPWIND)
-        am, _ = _wall_acceleration(grid, R_s, -t_V * v, h, U, params,
-                                   SCHEME_UPWIND)
+        ap, _ = _wall_acceleration(grid, R_s, t_V * v, h, U, params)
+        am, _ = _wall_acceleration(grid, R_s, -t_V * v, h, U, params)
         fd = ((ap - am) / (2.0 * t_V)).ravel()
         got = LF[n:, n:] @ v.ravel()
         # The acceleration is affine in the wall velocity at Rdot = 0, so
@@ -155,14 +151,14 @@ def test_separated_spectra_match_dense_assemblies():
     h = np.full(grid.shape, TAME.h0)
     U_norm = 3.0
 
-    LG = assemble_LG(grid, R, h, (U_norm, 0.0), TAME, scheme=SCHEME_CENTRAL)
+    LG = assemble_LG(grid, R, h, (U_norm, 0.0), TAME)
     dense = np.linalg.eigvals(LG)
     separated = constant_gap_spectrum_LG(TAME, U_norm, 16, 16)
     assert separated.size == dense.size
     scale = np.abs(separated).max()
     assert _pair_distance(dense, separated) <= 1e-11 * scale
 
-    LF = assemble_LF(grid, R, h, (U_norm, 0.0), TAME, scheme=SCHEME_CENTRAL)
+    LF = assemble_LF(grid, R, h, (U_norm, 0.0), TAME)
     dense_f = np.linalg.eigvals(LF)
     separated_f = constant_gap_spectrum_LF(TAME, U_norm, 16, 16)
     assert separated_f.size == dense_f.size
@@ -587,8 +583,7 @@ def test_pencil_spectrum_matches_separated_parallel_gap_spectrum(factor):
     grid = Grid(128, 32, 1.0, 1.0, bc_x1=BC_DIRICHLET)
     R = np.full(grid.shape, c.R_bar)
     h = np.full(grid.shape, TAME.h0)
-    B, P = film_pencil(grid, R, np.zeros(grid.shape), h, (U_norm, 0.0), TAME,
-                       scheme=SCHEME_CENTRAL)
+    B, P = film_pencil(grid, R, np.zeros(grid.shape), h, (U_norm, 0.0), TAME)
     sparse = pencil_spectrum(B, P)
     separated = constant_gap_spectrum_LG(TAME, U_norm, 128, 32)
     assert sparse.verdict == VERDICT_STABLE

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import filmcav.stationary as stationary
-from filmcav.elliptic import (SCHEME_CENTRAL, SCHEME_UPWIND, _factorize,
-                              film_pencil, film_residual)
+from filmcav.elliptic import _factorize, film_pencil, film_residual
 from filmcav.errors import ConfigurationError, SupercriticalRadiusError
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived, eval_f1
@@ -23,9 +22,9 @@ from filmcav.stationary import (
 DEFAULT = PhysicalParams()
 
 
-def _jacobian(grid, R, h, U, p, scheme=SCHEME_UPWIND):
+def _jacobian(grid, R, h, U, p):
     """The Newton matrix of the stationary solve: ``B`` at zero rate."""
-    return film_pencil(grid, R, np.zeros(grid.shape), h, U, p, scheme)[0]
+    return film_pencil(grid, R, np.zeros(grid.shape), h, U, p)[0]
 
 
 def test_solve_config_validation():
@@ -96,9 +95,8 @@ def test_jacobian_matches_directional_differences():
         assert np.linalg.norm(got - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
-@pytest.mark.parametrize("scheme", [SCHEME_UPWIND, SCHEME_CENTRAL])
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
-def test_stationary_balance_is_the_film_equation_at_zero_rate(bc, scheme):
+def test_stationary_balance_is_the_film_equation_at_zero_rate(bc):
     # Phi(R) = -F(R, 0), and F is affine in the rate: F(R, S) = F(R, 0) + P S
     rng = np.random.default_rng(97)
     p = PhysicalParams(ecc=0.3)
@@ -107,12 +105,12 @@ def test_stationary_balance_is_the_film_equation_at_zero_rate(bc, scheme):
     U = (p.surface_speed, 0.0)
     R = p.R0 * rng.uniform(0.85, 1.15, size=grid.shape)
     S = rng.normal(scale=10.0, size=grid.shape)
-    phi, scale = stationary_residual(grid, R, h, U, p, scheme)
-    F0, p0 = film_residual(grid, R, np.zeros(grid.shape), h, U, p, scheme)
+    phi, scale = stationary_residual(grid, R, h, U, p)
+    F0, p0 = film_residual(grid, R, np.zeros(grid.shape), h, U, p)
     assert np.array_equal(p0, eval_f1(R, p))
     assert np.linalg.norm(phi + F0.ravel()) <= 1e-14 * scale
-    F, _ = film_residual(grid, R, S, h, U, p, scheme)
-    _, P = film_pencil(grid, R, S, h, U, p, scheme)
+    F, _ = film_residual(grid, R, S, h, U, p)
+    _, P = film_pencil(grid, R, S, h, U, p)
     want = P @ S.ravel()
     err = np.linalg.norm((F - F0).ravel() - want)
     assert err <= 1e-12 * np.linalg.norm(want)
