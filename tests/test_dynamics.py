@@ -30,6 +30,11 @@ from filmcav.stationary import solve_stationary
 
 DEFAULT = PhysicalParams()
 
+#: boundary cases of the convection tests; their ids also name the one
+#: convection scheme, first-order upwind
+UPWIND_BCS = pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET],
+                                     ids=lambda bc: f"{bc}-upwind")
+
 
 def test_step_config_validation():
     with pytest.raises(ConfigurationError):
@@ -142,7 +147,7 @@ def _jacobian_case(bc, shape=(8, 6), scales=(1.0, 1.0), U=(2.0, -0.5),
 SPEEDS = st.one_of(st.just(0.0), st.floats(0.5, 4.0), st.floats(-4.0, -0.5))
 
 
-@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+@UPWIND_BCS
 @settings(max_examples=6)
 @given(shape=st.tuples(st.integers(4, 12), st.integers(4, 12)),
        scales=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
@@ -181,7 +186,7 @@ def _off_solution(bc, seed=83):
     return p, grid, R_old, x, h, U, dt
 
 
-@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+@UPWIND_BCS
 def test_pencil_residual_is_the_implicit_equation_times_the_pencil(bc):
     # P (R_old + dt G(x) - x) = -dt F(x, S) at the backward-difference rate
     # S = (x - R_old) / dt, with the pencil P = M diag(x f2)
@@ -195,7 +200,7 @@ def test_pencil_residual_is_the_implicit_equation_times_the_pencil(bc):
     assert np.linalg.norm(lhs - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+@UPWIND_BCS
 def test_pencil_residual_jacobian_matches_finite_differences(bc):
     # d/dx F(x, (x - R_old) / dt) = (P - dt B) / dt at the backward-
     # difference rate; the error is measured against the part of the

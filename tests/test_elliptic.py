@@ -34,6 +34,11 @@ from filmcav.physics import (PhysicalParams, eval_f1, eval_f1_prime, eval_f2,
 
 DEFAULT = PhysicalParams()
 
+#: boundary cases of the convection tests; their ids also name the one
+#: convection scheme, first-order upwind
+UPWIND_BCS = pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET],
+                                     ids=lambda bc: f"{bc}-upwind")
+
 SHAPES = st.tuples(st.integers(4, 12), st.integers(4, 12))
 LENGTHS = st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0))
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -146,7 +151,7 @@ def test_variable_coefficient_solution_is_second_order():
     assert np.all(orders > 1.9), f"observed orders {orders}"
 
 
-@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+@UPWIND_BCS
 @given(shape=SHAPES, lengths=LENGTHS, U=st.tuples(SPEEDS, SPEEDS), seed=SEEDS)
 @example(shape=(6, 5), lengths=(1.1, 0.8), U=None, seed=19)
 def test_convective_matrix_agrees_with_field_form(bc, shape, lengths, U,
@@ -321,7 +326,7 @@ def test_superlu_is_called_only_by_factorize():
     assert found == [("elliptic._factorize", "splu")]
 
 
-@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+@UPWIND_BCS
 def test_flux_jacobian_equals_its_composed_form(bc):
     # B is summed face by face in one assembly and P scales the data of K;
     # the oracle composes both from the public operators at a rate S != 0,

@@ -21,6 +21,11 @@ from filmcav.stationary import (
 
 DEFAULT = PhysicalParams()
 
+#: boundary cases of the convection tests; their ids also name the one
+#: convection scheme, first-order upwind
+UPWIND_BCS = pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET],
+                                     ids=lambda bc: f"{bc}-upwind")
+
 
 def _jacobian(grid, R, h, U, p):
     """The Newton matrix of the stationary solve: ``B`` at zero rate."""
@@ -95,7 +100,7 @@ def test_jacobian_matches_directional_differences():
         assert np.linalg.norm(got - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
-@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+@UPWIND_BCS
 def test_stationary_balance_is_the_film_equation_at_zero_rate(bc):
     # Phi(R) = -F(R, 0), and F is affine in the rate: F(R, S) = F(R, 0) + P S
     rng = np.random.default_rng(97)
