@@ -32,7 +32,7 @@ from .elliptic import film_pencil
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, export_fields_csv,
-                   gap_function)
+                   gap_function, render_csv)
 from .physics import PhysicalParams, compute_derived, eval_alpha
 from .stability import (DENSE_ASSEMBLY_LIMIT, TAG_LF, TAG_LG, assemble_LF,
                         compute_spectrum, export_spectrum_csv,
@@ -76,20 +76,8 @@ def render_midline_csv(grid: Grid, params: PhysicalParams, R: np.ndarray,
     p_mid = midline_profile(grid, np.asarray(p, dtype=float))
     a_mid = midline_profile(grid, eval_alpha(np.asarray(R, dtype=float),
                                              params))
-    lines = [MIDLINE_HEADER]
-    for i, x1 in enumerate(grid.x1):
-        lines.append(f"{x1:.9g},{r_mid[i] / params.R0:.9g},{p_mid[i]:.9g},"
-                     f"{params.rho_l * p_mid[i]:.9g},{a_mid[i]:.9g}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_columns_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """One CSV row per index of the equally long ``columns``, 9 significant
-    digits, headed by the column names."""
-    lines = [",".join(columns)]
-    for row in zip(*columns.values()):
-        lines.append(",".join(f"{v:.9g}" for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    return render_csv(MIDLINE_HEADER, [grid.x1, r_mid / params.R0, p_mid,
+                                       params.rho_l * p_mid, a_mid])
 
 
 def _manifest_text(entries: list[tuple[str, str]]) -> str:
@@ -168,8 +156,10 @@ def _transient(config: RunConfig) -> TransientResult:
                       res.state.p)
     _write_text(out / "midline.csv",
                 render_midline_csv(grid, params, res.state.R, res.state.p))
-    _write_columns_csv(out / "history.csv", res.history)
-    _write_columns_csv(out / "trace.csv", res.step_stats)
+    _write_text(out / "history.csv",
+                render_csv(HISTORY_HEADER, res.history.values()))
+    _write_text(out / "trace.csv",
+                render_csv(TRACE_HEADER, res.step_stats.values()))
     _write_text(out / "summary.txt", _transient_summary(res, config))
     entries = [
         ("fields_final.csv", _FIELDS_DESC),

@@ -131,8 +131,10 @@ class StepConfig:
 
 @dataclass
 class TransientState:
-    """Solution snapshot: time, radius field, wall velocity (inertial mode
-    only) and the slaved film pressure."""
+    """Solution snapshot: time, radius field, wall velocity ``Rdot = dR/dt``
+    and the slaved film pressure.  ``Rdot`` is the independent velocity
+    ``V`` of the inertial model, and in the quasi-static one the rate
+    ``G(R)`` of the elimination that gave ``p`` (``None`` before any)."""
 
     t: float
     R: np.ndarray
@@ -157,7 +159,8 @@ class StepStats:
 
 @dataclass
 class ChordCarry:
-    """What one backward-Euler step hands the next; it holds no factor.
+    """The predictor and controller history one backward-Euler step hands
+    the next; it holds no factor (a step's start rate is ``state.Rdot``).
 
     ``G_prev`` and ``dt_prev`` (the rate at the start of the last accepted
     step and that step's size) feed the second-order predictor.
@@ -174,7 +177,8 @@ class ChordCarry:
 
 def initial_state(grid: Grid, params: PhysicalParams,
                   mode: str = MODE_INERTIALESS) -> TransientState:
-    """Uniform start at ``R = R0`` (and zero wall velocity)."""
+    """Uniform start at ``R = R0``, at zero wall velocity in inertial mode
+    and with no rate yet (``Rdot = None``) in the quasi-static one."""
     R = np.full(grid.shape, params.R0)
     Rdot = np.zeros(grid.shape) if mode == MODE_INERTIAL else None
     return TransientState(t=0.0, R=R, Rdot=Rdot)
@@ -235,10 +239,8 @@ def _next_step_factor(err: float, err_prev: float) -> float:
 
 def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                      U: tuple[float, float], params: PhysicalParams,
-                     step_cfg: StepConfig,
-                     G_at_state: np.ndarray | None = None,
-                     chord: ChordCarry | None = None
-                     ) -> tuple[TransientState, StepStats, np.ndarray]:
+                     step_cfg: StepConfig, chord: ChordCarry | None = None
+                     ) -> tuple[TransientState, StepStats]:
     """One error-controlled backward-Euler step of the quasi-static dynamics.
 
     The implicit equation ``R_new = R_old + dt G(R_new)`` is solved by
@@ -253,8 +255,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     drops it when it ends.  Once an update falls below ``picard_tol`` (or
     at the last of ``picard_max`` iterations, with no update), one pressure
     elimination certifies the iterate: it is accepted only if
-    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``G_at_state`` lets
-    the caller reuse an elimination already done at ``state.R``.
+    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  The start rate
+    ``G_n`` is ``state.Rdot``, eliminated at ``state.R`` only when ``None``.
     ``chord`` carries the predictor history and the proposed step size
     between steps and is updated in place; without it the step starts at
     ``step_cfg.dt``.
@@ -275,29 +277,28 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     :class:`PositivityLossError` after a sign loss; more than
     ``MAX_HALVINGS`` error-test retries raise :class:`StepFailureError`.
 
-    Returns the new state, step statistics (``iterations`` counts every
-    pressure elimination of the call, ``factorizations`` every chord LU),
-    and ``G`` evaluated at the new state (reusable as the next step's first
-    evaluation).
+    Returns the new state, whose ``Rdot`` and ``p`` come from the
+    elimination that certified it, and the step statistics (``iterations``
+    counts every pressure elimination of the call, ``factorizations`` every
+    chord LU).
     """
-    R_old = state.R
+    R_old, G_n = state.R, state.Rdot
     total_iters = 0
     factorizations = 0
-    if G_at_state is None:
-        G_at_state, _ = eliminate_pressure(grid, R_old, h, U, params)
+    if G_n is None:
+        G_n, _ = eliminate_pressure(grid, R_old, h, U, params)
         total_iters = 1
-    if chord is None:
-        chord = ChordCarry()
+    chord = chord or ChordCarry()
     tol = step_cfg.picard_tol
     dt = chord.dt_next or step_cfg.dt
     halvings = 0
     rejections = 0
     while True:
-        x = R_old + dt * G_at_state
+        x = R_old + dt * G_n
         if chord.G_prev is None:
             pred, weight = x, 0.5
         else:
-            pred = x + dt * dt / chord.dt_prev * (G_at_state - chord.G_prev)
+            pred = x + dt * dt / chord.dt_prev * (G_n - chord.G_prev)
             weight = 1.0
         accepted = None
         sign_loss = np.any(x <= 0.0)                     # reject: halve dt
@@ -338,19 +339,16 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                 total_iters += 1
                 G_x, p_x = eliminate_pressure(grid, x, h, U, params)
                 if _relative(R_old + dt * G_x - x, x) < tol:
-                    accepted, G_new, p_new = x, G_x, p_x
+                    accepted = TransientState(state.t + dt, x, G_x, p_x)
         if accepted is not None:
-            err = (weight * _relative(accepted - pred, accepted)
+            err = (weight * _relative(accepted.R - pred, accepted.R)
                    / step_cfg.error_tol)
             if err <= 1.0:
                 chord.dt_next = dt * _next_step_factor(err, chord.err_prev)
                 chord.err_prev = err
-                chord.G_prev, chord.dt_prev = G_at_state, dt
-                new_state = TransientState(t=state.t + dt, R=accepted,
-                                           Rdot=None, p=p_new)
-                return (new_state, StepStats(total_iters, halvings, dt,
-                                             rejections, factorizations),
-                        G_new)
+                chord.G_prev, chord.dt_prev = G_n, dt
+                return accepted, StepStats(total_iters, halvings, dt,
+                                           rejections, factorizations)
             rejections += 1
             if rejections > MAX_HALVINGS:
                 raise StepFailureError(
@@ -487,20 +485,15 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
 
     hist: dict[str, list] = {k: [] for k in HISTORY_KEYS}
     trace: dict[str, list] = {k: [] for k in STEP_STATS_KEYS}
-    G_cur: np.ndarray | None = None
     chord = ChordCarry()
     if step_cfg.mode == MODE_INERTIALESS:
-        G_cur, p0 = eliminate_pressure(grid, state.R, hf, U, params)
-        state = TransientState(state.t, state.R, None, p0)
+        Rdot, p0 = eliminate_pressure(grid, state.R, hf, U, params)
     else:
         if state.Rdot is None:
             raise ConfigurationError("inertial run needs a state with Rdot")
-        _, p0 = _wall_acceleration(grid, state.R, state.Rdot, hf, U, params)
-        state = TransientState(state.t, state.R, state.Rdot, p0)
-    max_Rhat_run = float(np.max(state.R)) / params.R0
-    min_Rhat_run = float(np.min(state.R)) / params.R0
-    max_p_run = float(np.max(p0))
-    min_p_run = float(np.min(p0))
+        Rdot = state.Rdot
+        _, p0 = _wall_acceleration(grid, state.R, Rdot, hf, U, params)
+    state = start = TransientState(state.t, state.R, Rdot, p0)
     converged = False
     failure = None
     failed_step = None
@@ -511,9 +504,8 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
         R_prev = state.R
         try:
             if step_cfg.mode == MODE_INERTIALESS:
-                state, stats, G_cur = step_inertialess(
-                    grid, state, hf, U, params, step_cfg,
-                    G_at_state=G_cur, chord=chord)
+                state, stats = step_inertialess(grid, state, hf, U, params,
+                                                step_cfg, chord=chord)
             else:
                 state, stats = step_inertial(grid, state, hf, U, params,
                                              step_cfg)
@@ -527,17 +519,10 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
                 stats.factorizations, stats.halvings, stats.rejections)):
             trace[key].append(val)
         rate = float(np.max(np.abs(state.R - R_prev)) / (stats.dt_used * params.R0))
-        rhat_min = float(np.min(state.R)) / params.R0
         rhat_max = float(np.max(state.R)) / params.R0
-        p_min = float(np.min(state.p))
-        p_max = float(np.max(state.p))
-        min_Rhat_run = min(min_Rhat_run, rhat_min)
-        max_Rhat_run = max(max_Rhat_run, rhat_max)
-        min_p_run = min(min_p_run, p_min)
-        max_p_run = max(max_p_run, p_max)
-
-        for key, val in zip(HISTORY_KEYS, (state.t, rate, rhat_min,
-                                           rhat_max, p_min, p_max)):
+        for key, val in zip(HISTORY_KEYS, (
+                state.t, rate, float(np.min(state.R)) / params.R0, rhat_max,
+                float(np.min(state.p)), float(np.max(state.p)))):
             hist[key].append(val)
         if (watch.snapshot_every > 0 and watch.out_dir is not None
                 and step % watch.snapshot_every == 0):
@@ -556,8 +541,10 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
 
     return TransientResult(
         converged=converged, steps=steps_done, state=state, rate=rate,
-        max_Rhat=max_Rhat_run, min_Rhat=min_Rhat_run,
-        max_p=max_p_run, min_p=min_p_run,
+        max_Rhat=max([float(np.max(start.R)) / params.R0, *hist["max_Rhat"]]),
+        min_Rhat=min([float(np.min(start.R)) / params.R0, *hist["min_Rhat"]]),
+        max_p=max([float(np.max(start.p)), *hist["max_p"]]),
+        min_p=min([float(np.min(start.p)), *hist["min_p"]]),
         history={k: np.asarray(v) for k, v in hist.items()},
         step_stats={k: np.asarray(v) for k, v in trace.items()},
         failure=failure, failed_step=failed_step)

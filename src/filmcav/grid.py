@@ -1,4 +1,5 @@
-"""Cell-centered rectangular grid, gap geometry, norms and field export.
+"""Cell-centered rectangular grid, gap geometry, norms, the CSV format of
+every artifact table, and field export.
 
 The film domain is the rectangle ``[0, L1] x [0, L2]``; for the journal
 setting ``L1 = 2 pi J_r`` (circumferential, usually periodic) and
@@ -127,6 +128,14 @@ def field_norms(grid: Grid, values: np.ndarray) -> dict[str, float]:
     }
 
 
+def render_csv(header: str, columns, digits: int = 9) -> str:
+    """CSV text: the ``header`` line, then one comma-separated line per
+    index of the equal-length ``columns``, ``digits`` significant digits."""
+    cols = np.column_stack(list(columns))
+    row = ",".join([f"%.{digits}g"] * cols.shape[1]) + "\n"
+    return header + "\n" + (row * cols.shape[0]) % tuple(cols.ravel().tolist())
+
+
 def render_fields_csv(grid: Grid, params: PhysicalParams,
                       R: np.ndarray, p_scaled: np.ndarray) -> str:
     """Serialize the solution fields to CSV text.
@@ -138,16 +147,13 @@ def render_fields_csv(grid: Grid, params: PhysicalParams,
     Rf = ensure_field(grid, R, "R")
     pf = ensure_field(grid, p_scaled, "p")
     X1, X2 = grid.centers()
-    cols = np.column_stack([
+    return render_csv(CSV_HEADER, [
         X1.ravel(), X2.ravel(),
         (Rf / params.R0).ravel(),
         pf.ravel(),
         (params.rho_l * pf).ravel(),
         eval_alpha(Rf, params).ravel(),
     ])
-    row = ",".join(["%.9g"] * cols.shape[1]) + "\n"
-    body = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
-    return CSV_HEADER + "\n" + body
 
 
 def export_fields_csv(path, grid: Grid, params: PhysicalParams,

@@ -47,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
-from .grid import Grid, ensure_field
+from .grid import Grid, ensure_field, render_csv
 from .elliptic import _factorize, assemble_operator, film_pencil
 from .physics import (PhysicalParams, compute_derived, eval_f1_prime,
                       eval_f2, eval_f3, eval_f4_prime, eval_f5)
@@ -262,12 +262,11 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix, margin: float = 1e-8,
 
 
 def export_spectrum_csv(path, report: SpectrumReport) -> None:
-    """Write eigenvalues as ``re,im`` rows."""
-    lines = ["re,im"]
-    for lam in report.eigenvalues:
-        lines.append(f"{lam.real:.12g},{lam.imag:.12g}")
+    """Write the eigenvalues to ``path`` as ``re,im`` rows of
+    :func:`grid.render_csv`, 12 significant digits."""
+    lam = report.eigenvalues
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(render_csv("re,im", [lam.real, lam.imag], digits=12))
 
 
 # ---------------------------------------------------------------------------

@@ -336,8 +336,7 @@ def test_criterion_09_property_suites():
     state = TransientState(t=0.0, R=np.full(grid.shape, 1.05 * params0.R0))
     cfg = StepConfig(dt=dt, picard_tol=1e-12, picard_max=200)
     for _ in range(steps):
-        state, _, _ = step_inertialess(grid, state, h, (0.0, 0.0), params0,
-                                       cfg)
+        state, _ = step_inertialess(grid, state, h, (0.0, 0.0), params0, cfg)
 
     def rate(r):
         return eval_f1(r, params0) / (r * eval_f2(r, params0))

@@ -254,15 +254,10 @@ def test_chord_newton_steps_match_plain_picard(carried):
     cfg = StepConfig(dt=3e-4, picard_tol=1e-10)
     state = initial_state(grid, p)
     chord = ChordCarry() if carried else None
-    G = None
     iterations = []
     dts = []
     for _ in range(10):
-        if carried:
-            state, stats, G = step_inertialess(grid, state, h, U, p, cfg,
-                                               G_at_state=G, chord=chord)
-        else:
-            state, stats, _ = step_inertialess(grid, state, h, U, p, cfg)
+        state, stats = step_inertialess(grid, state, h, U, p, cfg, chord=chord)
         iterations.append(stats.iterations)
         dts.append(stats.dt_used)
     assert max(iterations) > 2             # the chord iteration did the work
@@ -293,7 +288,7 @@ def test_backward_euler_tracks_the_scalar_reduction():
     state = TransientState(t=0.0, R=np.full(grid.shape, 1.05 * p.R0))
     cfg = StepConfig(dt=dt, picard_tol=1e-10)
     for _ in range(n):
-        state, _, _ = step_inertialess(grid, state, h, (0.0, 0.0), p, cfg)
+        state, _ = step_inertialess(grid, state, h, (0.0, 0.0), p, cfg)
     ref = _scalar_rk4(1.05 * p.R0, dt / 100.0, 100 * n, p)
     assert state.t == pytest.approx(n * dt, rel=1e-12)
     assert np.allclose(state.R, ref, rtol=2e-4)
@@ -311,7 +306,7 @@ def test_backward_euler_is_first_order():
         cfg = StepConfig(dt=T / n, picard_tol=1e-12, picard_max=200)
         state = TransientState(t=0.0, R=np.full(grid.shape, 1.1 * p.R0))
         for _ in range(n):
-            state, _, _ = step_inertialess(grid, state, h, (0.0, 0.0), p, cfg)
+            state, _ = step_inertialess(grid, state, h, (0.0, 0.0), p, cfg)
         errors.append(abs(float(state.R[0, 0]) - ref))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 0.8) and np.all(orders < 1.2), orders
@@ -330,16 +325,15 @@ def test_error_test_rejects_and_retries_smaller():
     p, grid, h, U = _journal_case()
     cfg = StepConfig(dt=2e-3)
     chord = ChordCarry()
-    state, stats, G = step_inertialess(grid, initial_state(grid, p), h, U, p,
-                                       cfg, chord=chord)
+    state, stats = step_inertialess(grid, initial_state(grid, p), h, U, p,
+                                    cfg, chord=chord)
     assert stats.rejections >= 1 and stats.halvings == 0
     assert cfg.dt * 0.2 ** stats.rejections <= stats.dt_used < cfg.dt
     assert stats.iterations > stats.rejections + 1   # every attempt counts
     assert 0.0 < chord.err_prev <= 1.0          # the accepted estimate passed
     # the next step starts from the controller's proposal
     proposal = chord.dt_next
-    _, stats, _ = step_inertialess(grid, state, h, U, p, cfg, G_at_state=G,
-                                   chord=chord)
+    _, stats = step_inertialess(grid, state, h, U, p, cfg, chord=chord)
     assert stats.rejections == 0 and stats.dt_used == proposal
 
 
@@ -353,10 +347,10 @@ def test_every_accepted_step_solves_the_implicit_equation():
     i, j = np.indices(grid.shape)
     R_old = R_s * (1.0 + 1e-11 * (-1.0) ** (i + j))
     dt, cfg = 0.5, StepConfig(dt=0.5)
-    new, stats, G_new = step_inertialess(
+    new, stats = step_inertialess(
         grid, TransientState(t=0.0, R=R_old), h, U, p, cfg)
     assert stats.dt_used == dt
-    residual = np.max(np.abs(R_old + dt * G_new - new.R))
+    residual = np.max(np.abs(R_old + dt * new.Rdot - new.R))
     assert residual / np.max(np.abs(new.R)) < cfg.picard_tol
 
 
@@ -372,20 +366,47 @@ def test_step_iterations_count_the_pressure_eliminations(monkeypatch):
     p, grid, h, U = _journal_case()
     cfg = StepConfig(dt=2e-3)
     state = initial_state(grid, p)
-    G, _ = eliminate(grid, state.R, h, U, p)
+    state.Rdot, _ = eliminate(grid, state.R, h, U, p)
     chord = ChordCarry()
     # from rest the error test rejects the first three attempts, each after
     # the one elimination that certifies its iterate, then a plain step
-    # follows; a step given no G_at_state counts its own elimination
+    # follows; a step from a state without a rate counts its own elimination
     counts = []
     for given in (True, True, False):
         calls.clear()
-        state, stats, G = step_inertialess(
-            grid, state, h, U, p, cfg, G_at_state=G if given else None,
-            chord=chord)
+        if not given:
+            state.Rdot = None
+        state, stats = step_inertialess(grid, state, h, U, p, cfg, chord=chord)
         assert stats.iterations == len(calls)
         counts.append(len(calls))
     assert counts == [4, 1, 2]
+
+
+def test_chained_steps_eliminate_once_at_the_first_start_state(monkeypatch):
+    # a returned state carries the rate and pressure of the elimination that
+    # certified it, so steps chained without a carry eliminate at their
+    # start state only in the first call, whose state has no rate yet
+    radii = []
+    eliminate = dynamics.eliminate_pressure
+
+    def counted(grid, R, *args):
+        radii.append(R)
+        return eliminate(grid, R, *args)
+
+    monkeypatch.setattr(dynamics, "eliminate_pressure", counted)
+    p, grid, h, U = _journal_case()
+    cfg = StepConfig()
+    state = initial_state(grid, p)
+    at_start = []
+    for _ in range(5):
+        radii.clear()
+        start = state.R
+        state, stats = step_inertialess(grid, state, h, U, p, cfg)
+        assert stats.iterations == len(radii)
+        at_start.append(any(np.array_equal(R, start) for R in radii))
+        G, pres = eliminate(grid, state.R, h, U, p)
+        assert np.array_equal(state.Rdot, G) and np.array_equal(state.p, pres)
+    assert at_start == [True, False, False, False, False]
 
 
 def test_run_trace_counts_the_work_of_the_run(monkeypatch):
@@ -430,11 +451,9 @@ def _fixed_step_history(grid, h, U, p, dt, stationarity_tol=1e-8):
     state = initial_state(grid, p)
     cfg = StepConfig(dt=dt, error_tol=0.5)
     rows = []
-    G = None
     while True:
         R_old = state.R
-        state, stats, G = step_inertialess(grid, state, h, U, p, cfg,
-                                           G_at_state=G)
+        state, stats = step_inertialess(grid, state, h, U, p, cfg)
         assert stats.dt_used == dt and stats.halvings == 0
         rows.append((state.t, state.R.max() / p.R0, state.R.min() / p.R0,
                      state.p.max(), state.p.min()))
@@ -490,11 +509,10 @@ def test_positivity_guard_raises_after_exhausting_halvings():
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
     dt = 1e-4
-    state = TransientState(t=0.0, R=np.full(grid.shape, p.R0))
     crash = np.full(grid.shape, -2100.0 * p.R0 / dt)
+    state = TransientState(t=0.0, R=np.full(grid.shape, p.R0), Rdot=crash)
     with pytest.raises(PositivityLossError):
-        step_inertialess(grid, state, h, (0.0, 0.0), p, StepConfig(dt=dt),
-                         G_at_state=crash)
+        step_inertialess(grid, state, h, (0.0, 0.0), p, StepConfig(dt=dt))
 
 
 def test_stalled_iteration_raises_step_failure(monkeypatch):

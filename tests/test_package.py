@@ -103,3 +103,32 @@ def test_every_export_resolves():
     missing = [name for name in filmcav.__all__
                if not hasattr(filmcav, name)]
     assert missing == []
+
+
+#: the functions that write files: every artifact of a run goes through one
+#: of them, where a traced run counts its bytes or its time
+WRITERS = {("cli", "_write_text"), ("grid", "export_fields_csv"),
+           ("stability", "export_spectrum_csv")}
+
+
+def _opens_for_reading(call):
+    mode = (call.args[1] if len(call.args) > 1 else
+            next((k.value for k in call.keywords if k.arg == "mode"), None))
+    return mode is None or (isinstance(mode, ast.Constant)
+                            and isinstance(mode.value, str)
+                            and not set(mode.value) & set("wax+"))
+
+
+def test_every_file_write_goes_through_a_writer():
+    # an open() outside the writers must open its file for reading
+    strays = []
+    for module, tree in _modules():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id",
+                                    getattr(node.func, "attr", None)) == "open"
+                        and (module, getattr(top, "name", None)) not in WRITERS
+                        and not _opens_for_reading(node)):
+                    strays.append(f"{module}.py:{node.lineno}")
+    assert strays == []
