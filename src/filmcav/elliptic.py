@@ -265,18 +265,6 @@ def _sensitivity_fluxes(grid: Grid, coeff_prime: np.ndarray,
             -2.0 * cp.take(st.cell) * q.take(st.cell) / st.edge_dx2)
 
 
-def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
-                          potential: np.ndarray) -> sp.csr_matrix:
-    """Matrix form of ``S -> Div( c'(R) S Grad q )`` at a frozen potential q.
-
-    This is the exact derivative of the assembled diffusion term with
-    respect to its coefficient field: faces differentiate the arithmetic
-    mean (half the perturbation from each neighbour), Dirichlet faces keep
-    the ghost-reflected potential and the own-cell coefficient.
-    """
-    return _assemble(*_sensitivity_fluxes(grid, coeff_prime, potential))
-
-
 def film_residual(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +295,8 @@ def film_pencil(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
             + diag(h f5' S),     p = f1 - R f2 S,
         P = K diag(R f2) - diag(h f5),
 
-    with ``Dsens`` of :func:`diffusion_sensitivity` and ``C`` of
+    with ``Dsens(c', q)`` the sensitivity ``S -> Div(c' S Grad q)`` of
+    :func:`_sensitivity_fluxes` and ``C`` of
     :func:`convective_divergence_matrix`.  ``B`` is summed face by face and
     assembled once, ``P`` scales the data of ``K`` by ``R f2`` of each
     entry's column, and both add their diagonal terms through the stencil's
@@ -333,23 +322,3 @@ def film_pencil(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
     P.data[st.diag] -= (hf * eval_f5(Rf, params)).ravel()
     return B, P
 
-
-# ---------------------------------------------------------------------------
-# The squeeze-response oracle
-# ---------------------------------------------------------------------------
-
-def apply_A2(grid: Grid, R: np.ndarray, h: np.ndarray, S: np.ndarray,
-             params: PhysicalParams) -> np.ndarray:
-    """Pressure response to a radius growth-rate field ``S``.
-
-    Solves ``Div(f3(R) h^3 Grad A2) = h f5(R) S``; linear in ``S``.  Growth
-    where bubbles dilute the mixture (f5 < 0) pressurizes the film, which
-    is the stabilizing squeeze feedback: the weighted pairing
-    ``sum (-f5) h A2(R, w) w dA >= 0`` holds exactly for the discrete
-    operator.
-    """
-    Rf = ensure_field(grid, R, "R")
-    hf = ensure_field(grid, h, "h")
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-    rhs = hf * eval_f5(Rf, params) * ensure_field(grid, S, "S")
-    return solve_spd(K, -rhs.ravel(), grid)

@@ -1,4 +1,4 @@
-"""Cell-centered rectangular grid, gap geometry, norms, the CSV format of
+"""Cell-centered rectangular grid, gap geometry, the CSV format of
 every artifact table, and field export.
 
 The film domain is the rectangle ``[0, L1] x [0, L2]``; for the journal
@@ -68,10 +68,6 @@ class Grid:
         return self.n1 * self.n2
 
     @property
-    def cell_area(self) -> float:
-        return self.dx1 * self.dx2
-
-    @property
     def x1(self) -> np.ndarray:
         """Cell-center coordinates along x1, shape (n1,)."""
         return (np.arange(self.n1) + 0.5) * self.dx1
@@ -115,17 +111,6 @@ def ensure_field(grid: Grid, values: np.ndarray, name: str = "field") -> np.ndar
     if not np.all(np.isfinite(arr)):
         raise ConfigurationError(f"{name} contains non-finite values")
     return arr
-
-
-def field_norms(grid: Grid, values: np.ndarray) -> dict[str, float]:
-    """Area-weighted L2 and L1 norms plus the pointwise maximum."""
-    arr = ensure_field(grid, values)
-    dA = grid.cell_area
-    return {
-        "L2": float(np.sqrt(np.sum(arr ** 2) * dA)),
-        "L1": float(np.sum(np.abs(arr)) * dA),
-        "Linf": float(np.max(np.abs(arr))),
-    }
 
 
 def render_csv(header: str, columns, digits: int = 9) -> str:

@@ -281,11 +281,6 @@ class DerivedConstants:
 
         b1 = -f1'(R_bar)/R_bar   b2 = f2(R_bar)    b3 = f3(R_bar)
         b4 = -f4'(R_bar)         b5 = -f5(R_bar)   b_r = 1/R_bar
-
-    and the ``d*`` constants the equivalent set used by the quasi-static
-    (inertialess) analysis:
-
-        d1 = b1/b2      d3 = R_bar f3 f2      d5 = -f5
     """
 
     R_bar: float
@@ -297,9 +292,6 @@ class DerivedConstants:
     b4: float
     b5: float
     b_r: float
-    d1: float
-    d3: float
-    d5: float
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
@@ -368,7 +360,4 @@ def compute_derived(params: PhysicalParams) -> DerivedConstants:
         R_crit=R_crit,
         p_cav=eval_f1(R_crit, params),
         b1=b1, b2=b2, b3=b3, b4=b4, b5=b5, b_r=1.0 / R_bar,
-        d1=b1 / b2,
-        d3=R_bar * b3 * b2,
-        d5=b5,
     )

@@ -14,20 +14,11 @@ stationary solver factors the same ``B``, the stepper ``P - dt B``):
   its rightmost eigenvalues without forming ``L_G``: ARPACK on the Cayley
   transform ``(B - s P)^{-1} (B + s P)``, which maps the open right
   half-plane onto ``|theta| > 1``, and a certificate that bounds the real
-  part of every eigenvalue it does not list.  :func:`assemble_LG` forms
-  the dense matrix, as a test oracle.
+  part of every eigenvalue it does not list.
 
 * ``L_F`` — the inertial model linearized at ``(R_s, 0)``, assembled dense:
   block matrix ``[[0, I], [diag(1/R_s) K^{-1} B,
   -diag(f2) + diag(1/R_s) K^{-1} diag(h f5)]]``.
-
-For a parallel gap both operators block-diagonalize exactly over the
-cross-film Dirichlet sine modes of the 5-point stencil; the
-``constant_gap_spectrum_*`` helpers exploit that to reach resolutions far
-beyond dense assembly, and the ``trivial_*`` helpers give the per-mode
-closed forms used as oracles.  These oracles and the modal analysis below
-take the physical parameters alone and read the rest-state constants of
-:func:`physics.compute_derived`.
 
 The sliding-speed instability mechanism is quantified mode-by-mode on an
 ``L1 x L2`` rectangle with a parallel gap and homogeneous Dirichlet values:
@@ -35,7 +26,9 @@ each mode pair ``k = (k1, k2)``, with Laplacian eigenvalue
 ``pi^2 (k1^2/L1^2 + k2^2/L2^2)``, has a quartic characteristic polynomial
 whose Routh-Hurwitz determinant sequence counts unstable roots, and whose
 third determinant is affine in the squared speed — its root is the exact
-modal instability threshold.
+modal instability threshold.  The modal analysis takes the physical
+parameters alone and reads the rest-state constants of
+:func:`physics.compute_derived`.
 """
 
 from __future__ import annotations
@@ -49,8 +42,8 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverFailureError
 from .grid import Grid, ensure_field, render_csv
 from .elliptic import _factorize, assemble_operator, film_pencil
-from .physics import (PhysicalParams, compute_derived, eval_f1_prime,
-                      eval_f2, eval_f3, eval_f4_prime, eval_f5)
+from .physics import (PhysicalParams, compute_derived, eval_f2, eval_f3,
+                      eval_f5)
 
 DENSE_ASSEMBLY_LIMIT = 4096
 SPECTRUM_SIZE_LIMIT = 8192
@@ -107,31 +100,15 @@ def _verdict(max_real: float, margin: float) -> str:
 # Linearization about a general stationary state
 # ---------------------------------------------------------------------------
 
-def _check_dense(grid: Grid) -> None:
+def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
+                U: tuple[float, float], params: PhysicalParams) -> np.ndarray:
+    """Dense 2x2-block matrix of the linearized inertial evolution at
+    ``(R_s, 0)``: state ordering is (radius perturbation, rate perturbation).
+    Refuses grids above 4096 cells (dense output)."""
     if grid.n_cells > DENSE_ASSEMBLY_LIMIT:
         raise ConfigurationError(
             f"dense assembly limited to {DENSE_ASSEMBLY_LIMIT} cells, "
             f"grid has {grid.n_cells}")
-
-
-def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
-                U: tuple[float, float], params: PhysicalParams) -> np.ndarray:
-    """Dense matrix ``P^{-1} B`` of the pencil :func:`elliptic.film_pencil`
-    at ``(R_s, 0)``, the test oracle of :func:`pencil_spectrum`.
-
-    Columns are obtained simultaneously by one sparse factorization of
-    ``P`` applied to ``B``.  Refuses grids above 4096 cells (dense output).
-    """
-    _check_dense(grid)
-    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
-    return _factorize(P).solve(B.toarray())
-
-
-def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
-                U: tuple[float, float], params: PhysicalParams) -> np.ndarray:
-    """Dense 2x2-block matrix of the linearized inertial evolution at
-    ``(R_s, 0)``: state ordering is (radius perturbation, rate perturbation)."""
-    _check_dense(grid)
     Rf = ensure_field(grid, R_s, "R_s")
     hf = ensure_field(grid, h, "h")
     B = film_pencil(grid, Rf, np.zeros(grid.shape), hf, U, params)[0]
@@ -270,25 +247,8 @@ def export_spectrum_csv(path, report: SpectrumReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Parallel-gap closed forms and separated spectra
+# Routh-Hurwitz modal analysis (L1 x L2 rectangle, parallel gap)
 # ---------------------------------------------------------------------------
-
-def dirichlet_laplacian_eigenvalues_1d(n: int, dx: float) -> np.ndarray:
-    """Exact eigenvalues of the 1D 5-point-stencil Dirichlet second
-    difference (cell-centered, ghost reflection): ``(4/dx^2) sin^2(k pi/(2n))``
-    for ``k = 1..n``."""
-    k = np.arange(1, n + 1)
-    return (4.0 / dx ** 2) * np.sin(k * np.pi / (2 * n)) ** 2
-
-
-def dirichlet_laplacian_eigenvalues(n1: int, n2: int, L1: float, L2: float
-                                    ) -> np.ndarray:
-    """All eigenvalues of the all-Dirichlet 5-point Laplacian on an
-    ``n1 x n2`` cell-centered grid over ``[0,L1] x [0,L2]`` (flattened)."""
-    k1 = dirichlet_laplacian_eigenvalues_1d(n1, L1 / n1)
-    k2 = dirichlet_laplacian_eigenvalues_1d(n2, L2 / n2)
-    return (k1[:, None] + k2[None, :]).ravel()
-
 
 def sigma_constants(params: PhysicalParams) -> tuple[float, float]:
     """The two squeeze-coupling strengths of the parallel-gap analysis:
@@ -300,151 +260,6 @@ def sigma_constants(params: PhysicalParams) -> tuple[float, float]:
     sigma1 = (c.b4 ** 2 * c.b_r ** 2) / (c.b3 ** 2 * params.h0 ** 4)
     return sigma1, sigma2
 
-
-def trivial_LG_eigenvalue(kappa, params: PhysicalParams):
-    """Relaxation rate of the quasi-static model's mode with Laplacian
-    eigenvalue ``kappa`` at the uniform rest state:
-    ``-kappa h0^2 d3 d1 / (d5 + kappa h0^2 d3)`` with the constants of
-    ``compute_derived(params)``."""
-    c = compute_derived(params)
-    kh = np.asarray(kappa, dtype=float) * params.h0 ** 2
-    return -(kh * c.d3 * c.d1 / (c.d5 + kh * c.d3))
-
-
-def _stable_quadratic_roots(b: float, c: float) -> tuple[complex, complex]:
-    """Roots of ``x^2 + b x + c`` without cancellation."""
-    disc = b * b - 4.0 * c
-    if disc >= 0.0:
-        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
-        if q == 0.0:
-            return 0.0 + 0.0j, 0.0 + 0.0j
-        return complex(q), complex(c / q)
-    im = 0.5 * np.sqrt(-disc)
-    return complex(-0.5 * b, im), complex(-0.5 * b, -im)
-
-
-def trivial_LF_roots(kappa: float, params: PhysicalParams
-                     ) -> tuple[complex, complex]:
-    """The inertial mode pair at the rest state: roots of
-    ``lam^2 + (b2 + gamma) lam + b1`` with
-    ``gamma = b5 b_r / (b3 h0^2 kappa)``, the constants those of
-    ``compute_derived(params)``."""
-    c = compute_derived(params)
-    gamma = c.b5 * c.b_r / (c.b3 * params.h0 ** 2 * kappa)
-    return _stable_quadratic_roots(c.b2 + gamma, c.b1)
-
-
-def _dirichlet_second_difference_1d(n: int, dx: float) -> np.ndarray:
-    """Dense ``-d^2/dx^2`` on a cell-centered line with ghost reflection."""
-    T = np.zeros((n, n))
-    i = np.arange(n)
-    T[i, i] = 2.0
-    T[i[:-1], i[:-1] + 1] = -1.0
-    T[i[1:], i[1:] - 1] = -1.0
-    T[0, 0] = 3.0
-    T[n - 1, n - 1] = 3.0
-    return T / dx ** 2
-
-
-def _convection_1d(n: int, dx: float, u: float, w: float) -> np.ndarray:
-    """Dense 1D mirror of :func:`convective_divergence_matrix` (upwind) on
-    a Dirichlet line with constant weight ``w``."""
-    C = np.zeros((n, n))
-    if u == 0.0:
-        return C
-    for i in range(n - 1):
-        src = i if u > 0.0 else i + 1
-        C[i, src] += u * w / dx
-        C[i + 1, src] -= u * w / dx
-    C[0, 0] += -u * w / dx
-    C[n - 1, n - 1] += u * w / dx
-    return C
-
-
-def _constant_gap_blocks(params: PhysicalParams, U_norm: float, n1: int,
-                         n2: int, L1: float, L2: float):
-    """Per-cross-mode (x2) reduced operators for a parallel gap at rest.
-
-    With every coefficient field constant, the only x2 coupling is the
-    shared Laplacian, so conjugating by its cross-film sine modes is an
-    exact block diagonalization of the discrete operators: block ``m`` sees
-    the 1D streamwise operators shifted by the m-th cross eigenvalue.
-    """
-    R_bar, h0 = compute_derived(params).R_bar, params.h0
-    f1p = float(eval_f1_prime(R_bar, params))
-    f2v = float(eval_f2(R_bar, params))
-    f3v = float(eval_f3(R_bar, params))
-    f4p = float(eval_f4_prime(R_bar, params))
-    f5v = float(eval_f5(R_bar, params))
-    cbar = f3v * h0 ** 3
-    K1 = cbar * _dirichlet_second_difference_1d(n1, L1 / n1)
-    C1 = _convection_1d(n1, L1 / n1, U_norm, h0 * f4p)
-    kappa2 = dirichlet_laplacian_eigenvalues_1d(n2, L2 / n2)
-    for k2 in kappa2:
-        K_m = K1 + cbar * k2 * np.eye(n1)
-        yield K_m, C1, R_bar, f1p, f2v, h0 * f5v
-
-
-def constant_gap_spectrum_LG(params: PhysicalParams, U_norm: float,
-                             n1: int, n2: int, L1: float = 1.0,
-                             L2: float = 1.0) -> np.ndarray:
-    """All ``n1*n2`` eigenvalues of the quasi-static linearization on an
-    all-Dirichlet rectangle with parallel gap, via exact cross-mode
-    separation (equals the dense assembly's spectrum)."""
-    eigs = []
-    for K_m, C1, R_bar, f1p, f2v, hf5 in _constant_gap_blocks(
-            params, U_norm, n1, n2, L1, L2):
-        M_m = R_bar * f2v * K_m - hf5 * np.eye(K_m.shape[0])
-        rhs = f1p * K_m + C1
-        eigs.append(np.linalg.eigvals(np.linalg.solve(M_m, rhs)))
-    return np.sort_complex(np.concatenate(eigs))
-
-
-def constant_gap_spectrum_LF(params: PhysicalParams, U_norm: float,
-                             n1: int, n2: int, L1: float = 1.0,
-                             L2: float = 1.0) -> np.ndarray:
-    """All ``2 n1 n2`` eigenvalues of the inertial linearization on an
-    all-Dirichlet rectangle with parallel gap (exact cross-mode separation)."""
-    eigs = []
-    for K_m, C1, R_bar, f1p, f2v, hf5 in _constant_gap_blocks(
-            params, U_norm, n1, n2, L1, L2):
-        n = K_m.shape[0]
-        Pi1 = np.linalg.solve(K_m, -C1)
-        Pi2 = np.linalg.solve(K_m, -hf5 * np.eye(n))
-        b21 = (f1p * np.eye(n) - Pi1) / R_bar
-        b22 = -f2v * np.eye(n) - Pi2 / R_bar
-        block = np.vstack([np.hstack([np.zeros((n, n)), np.eye(n)]),
-                           np.hstack([b21, b22])])
-        eigs.append(np.linalg.eigvals(block))
-    return np.sort_complex(np.concatenate(eigs))
-
-
-def trivial_branch_spectrum_LF(params: PhysicalParams, n1: int, n2: int,
-                               L1: float = 1.0, L2: float = 1.0
-                               ) -> np.ndarray:
-    """Inertial rest-state spectrum (``U = 0``) through the assembled
-    diffusion operator.
-
-    At rest the linearization commutes with the constant-coefficient
-    diffusion operator, so each of its eigenvalues ``kappa`` contributes the
-    mode pair of :func:`trivial_LF_roots`.  The ``kappa`` are extracted from
-    the assembled symmetric blocks with ``eigvalsh`` — backward-stable at any
-    parameter magnitudes — instead of a nonsymmetric companion solve whose
-    absolute error floor (``~norm * eps``) swamps near-zero real parts at
-    stiff physical constants.
-    """
-    cbar = float(eval_f3(compute_derived(params).R_bar, params)) * params.h0 ** 3
-    eigs = []
-    for K_m, _C1, _R_bar, _f1p, _f2v, _hf5 in _constant_gap_blocks(
-            params, 0.0, n1, n2, L1, L2):
-        for kappa in np.linalg.eigvalsh(K_m) / cbar:
-            eigs.extend(trivial_LF_roots(float(kappa), params))
-    return np.sort_complex(np.array(eigs))
-
-
-# ---------------------------------------------------------------------------
-# Routh-Hurwitz modal analysis (L1 x L2 rectangle, parallel gap)
-# ---------------------------------------------------------------------------
 
 @dataclass
 class HurwitzReport:
@@ -532,20 +347,6 @@ def hurwitz_analysis(params: PhysicalParams, U_norm: float,
                          alpha1=alpha1, beta1=beta1, alpha2=alpha2,
                          deltas=(d1, d2, d3, d4), deltas_direct=direct,
                          sign_changes=sign_changes, U_crit_sq=U_crit_sq)
-
-
-def critical_speed(params: PhysicalParams, L1: float = 1.0,
-                   L2: float = 1.0) -> float:
-    """Smallest modal instability threshold on the ``L1 x L2`` rectangle:
-    that of mode ``(1, 1)``.
-
-    ``U_crit^2 = 4 b1 b2 (sigma2 + kappa b2) / sigma1`` with ``b1, b2 > 0``
-    and ``sigma1 >= 0`` grows with the mode's Laplacian eigenvalue
-    ``kappa``, so the fundamental pair minimizes it over all modes
-    (``inf`` when ``sigma1 = 0``).
-    """
-    return float(np.sqrt(hurwitz_analysis(params, 0.0, (1, 1), L1,
-                                          L2).U_crit_sq))
 
 
 def hurwitz_report_text(report: HurwitzReport) -> str:

@@ -1,0 +1,271 @@
+"""Test oracles: dense references and closed forms that no CLI run calls.
+
+The tests gate the package's discretization against these:
+
+* ``assemble_LG`` forms the dense quasi-static operator ``P^{-1} B`` from
+  the same pencil :func:`filmcav.elliptic.film_pencil` that the certified
+  sparse spectrum uses;
+* ``diffusion_sensitivity`` is the matrix of the sensitivity fluxes that
+  :func:`filmcav.elliptic.film_pencil` sums face by face, and ``apply_A2``
+  the squeeze response of the pressure equation;
+* ``field_norms`` gives the area-weighted norms of a field;
+* for a parallel gap both linearized operators block-diagonalize exactly
+  over the cross-film Dirichlet sine modes of the 5-point stencil: the
+  ``constant_gap_spectrum_*`` helpers exploit that to reach resolutions far
+  beyond dense assembly, and the ``trivial_*`` helpers give the per-mode
+  closed forms at the rest state;
+* ``critical_speed`` is the smallest modal instability threshold of the
+  Routh-Hurwitz analysis.
+
+The parallel-gap oracles take the physical parameters alone and read the
+rest-state constants of :func:`filmcav.physics.compute_derived`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from filmcav.elliptic import (_assemble, _factorize, _sensitivity_fluxes,
+                              assemble_operator, film_pencil, solve_spd)
+from filmcav.grid import Grid, ensure_field
+from filmcav.physics import (PhysicalParams, compute_derived, eval_f1_prime,
+                             eval_f2, eval_f3, eval_f4_prime, eval_f5)
+from filmcav.stability import hurwitz_analysis
+
+
+# ---------------------------------------------------------------------------
+# Dense and matrix forms of the package operators
+# ---------------------------------------------------------------------------
+
+def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
+                U: tuple[float, float], params: PhysicalParams) -> np.ndarray:
+    """Dense matrix ``P^{-1} B`` of the pencil :func:`elliptic.film_pencil`
+    at ``(R_s, 0)``, the test oracle of :func:`pencil_spectrum`.
+
+    Columns are obtained simultaneously by one sparse factorization of
+    ``P`` applied to ``B``.
+    """
+    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
+    return _factorize(P).solve(B.toarray())
+
+
+def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
+                          potential: np.ndarray) -> sp.csr_matrix:
+    """Matrix form of ``S -> Div( c'(R) S Grad q )`` at a frozen potential q.
+
+    This is the exact derivative of the assembled diffusion term with
+    respect to its coefficient field: faces differentiate the arithmetic
+    mean (half the perturbation from each neighbour), Dirichlet faces keep
+    the ghost-reflected potential and the own-cell coefficient.
+    """
+    return _assemble(*_sensitivity_fluxes(grid, coeff_prime, potential))
+
+
+def apply_A2(grid: Grid, R: np.ndarray, h: np.ndarray, S: np.ndarray,
+             params: PhysicalParams) -> np.ndarray:
+    """Pressure response to a radius growth-rate field ``S``.
+
+    Solves ``Div(f3(R) h^3 Grad A2) = h f5(R) S``; linear in ``S``.  Growth
+    where bubbles dilute the mixture (f5 < 0) pressurizes the film, which
+    is the stabilizing squeeze feedback: the weighted pairing
+    ``sum (-f5) h A2(R, w) w dA >= 0`` holds exactly for the discrete
+    operator.
+    """
+    Rf = ensure_field(grid, R, "R")
+    hf = ensure_field(grid, h, "h")
+    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
+    rhs = hf * eval_f5(Rf, params) * ensure_field(grid, S, "S")
+    return solve_spd(K, -rhs.ravel(), grid)
+
+
+def field_norms(grid: Grid, values: np.ndarray) -> dict[str, float]:
+    """Area-weighted L2 and L1 norms plus the pointwise maximum."""
+    arr = ensure_field(grid, values)
+    dA = grid.dx1 * grid.dx2
+    return {
+        "L2": float(np.sqrt(np.sum(arr ** 2) * dA)),
+        "L1": float(np.sum(np.abs(arr)) * dA),
+        "Linf": float(np.max(np.abs(arr))),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Parallel-gap closed forms and separated spectra
+# ---------------------------------------------------------------------------
+
+def dirichlet_laplacian_eigenvalues_1d(n: int, dx: float) -> np.ndarray:
+    """Exact eigenvalues of the 1D 5-point-stencil Dirichlet second
+    difference (cell-centered, ghost reflection): ``(4/dx^2) sin^2(k pi/(2n))``
+    for ``k = 1..n``."""
+    k = np.arange(1, n + 1)
+    return (4.0 / dx ** 2) * np.sin(k * np.pi / (2 * n)) ** 2
+
+
+def dirichlet_laplacian_eigenvalues(n1: int, n2: int, L1: float, L2: float
+                                    ) -> np.ndarray:
+    """All eigenvalues of the all-Dirichlet 5-point Laplacian on an
+    ``n1 x n2`` cell-centered grid over ``[0,L1] x [0,L2]`` (flattened)."""
+    k1 = dirichlet_laplacian_eigenvalues_1d(n1, L1 / n1)
+    k2 = dirichlet_laplacian_eigenvalues_1d(n2, L2 / n2)
+    return (k1[:, None] + k2[None, :]).ravel()
+
+
+def trivial_LG_eigenvalue(kappa, params: PhysicalParams):
+    """Relaxation rate of the quasi-static model's mode with Laplacian
+    eigenvalue ``kappa`` at the uniform rest state:
+    ``-kappa h0^2 d3 d1 / (b5 + kappa h0^2 d3)`` with ``d1 = b1 / b2`` and
+    ``d3 = R_bar b3 b2``, the constants those of ``compute_derived(params)``."""
+    c = compute_derived(params)
+    d1, d3 = c.b1 / c.b2, c.R_bar * c.b3 * c.b2
+    kh = np.asarray(kappa, dtype=float) * params.h0 ** 2
+    return -(kh * d3 * d1 / (c.b5 + kh * d3))
+
+
+def _stable_quadratic_roots(b: float, c: float) -> tuple[complex, complex]:
+    """Roots of ``x^2 + b x + c`` without cancellation."""
+    disc = b * b - 4.0 * c
+    if disc >= 0.0:
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+        if q == 0.0:
+            return 0.0 + 0.0j, 0.0 + 0.0j
+        return complex(q), complex(c / q)
+    im = 0.5 * np.sqrt(-disc)
+    return complex(-0.5 * b, im), complex(-0.5 * b, -im)
+
+
+def trivial_LF_roots(kappa: float, params: PhysicalParams
+                     ) -> tuple[complex, complex]:
+    """The inertial mode pair at the rest state: roots of
+    ``lam^2 + (b2 + gamma) lam + b1`` with
+    ``gamma = b5 b_r / (b3 h0^2 kappa)``, the constants those of
+    ``compute_derived(params)``."""
+    c = compute_derived(params)
+    gamma = c.b5 * c.b_r / (c.b3 * params.h0 ** 2 * kappa)
+    return _stable_quadratic_roots(c.b2 + gamma, c.b1)
+
+
+def _dirichlet_second_difference_1d(n: int, dx: float) -> np.ndarray:
+    """Dense ``-d^2/dx^2`` on a cell-centered line with ghost reflection."""
+    T = np.zeros((n, n))
+    i = np.arange(n)
+    T[i, i] = 2.0
+    T[i[:-1], i[:-1] + 1] = -1.0
+    T[i[1:], i[1:] - 1] = -1.0
+    T[0, 0] = 3.0
+    T[n - 1, n - 1] = 3.0
+    return T / dx ** 2
+
+
+def _convection_1d(n: int, dx: float, u: float, w: float) -> np.ndarray:
+    """Dense 1D mirror of :func:`convective_divergence_matrix` (upwind) on
+    a Dirichlet line with constant weight ``w``."""
+    C = np.zeros((n, n))
+    if u == 0.0:
+        return C
+    for i in range(n - 1):
+        src = i if u > 0.0 else i + 1
+        C[i, src] += u * w / dx
+        C[i + 1, src] -= u * w / dx
+    C[0, 0] += -u * w / dx
+    C[n - 1, n - 1] += u * w / dx
+    return C
+
+
+def _constant_gap_blocks(params: PhysicalParams, U_norm: float, n1: int,
+                         n2: int, L1: float, L2: float):
+    """Per-cross-mode (x2) reduced operators for a parallel gap at rest.
+
+    With every coefficient field constant, the only x2 coupling is the
+    shared Laplacian, so conjugating by its cross-film sine modes is an
+    exact block diagonalization of the discrete operators: block ``m`` sees
+    the 1D streamwise operators shifted by the m-th cross eigenvalue.
+    """
+    R_bar, h0 = compute_derived(params).R_bar, params.h0
+    f1p = float(eval_f1_prime(R_bar, params))
+    f2v = float(eval_f2(R_bar, params))
+    f3v = float(eval_f3(R_bar, params))
+    f4p = float(eval_f4_prime(R_bar, params))
+    f5v = float(eval_f5(R_bar, params))
+    cbar = f3v * h0 ** 3
+    K1 = cbar * _dirichlet_second_difference_1d(n1, L1 / n1)
+    C1 = _convection_1d(n1, L1 / n1, U_norm, h0 * f4p)
+    kappa2 = dirichlet_laplacian_eigenvalues_1d(n2, L2 / n2)
+    for k2 in kappa2:
+        K_m = K1 + cbar * k2 * np.eye(n1)
+        yield K_m, C1, R_bar, f1p, f2v, h0 * f5v
+
+
+def constant_gap_spectrum_LG(params: PhysicalParams, U_norm: float,
+                             n1: int, n2: int, L1: float = 1.0,
+                             L2: float = 1.0) -> np.ndarray:
+    """All ``n1*n2`` eigenvalues of the quasi-static linearization on an
+    all-Dirichlet rectangle with parallel gap, via exact cross-mode
+    separation (equals the dense assembly's spectrum)."""
+    eigs = []
+    for K_m, C1, R_bar, f1p, f2v, hf5 in _constant_gap_blocks(
+            params, U_norm, n1, n2, L1, L2):
+        M_m = R_bar * f2v * K_m - hf5 * np.eye(K_m.shape[0])
+        rhs = f1p * K_m + C1
+        eigs.append(np.linalg.eigvals(np.linalg.solve(M_m, rhs)))
+    return np.sort_complex(np.concatenate(eigs))
+
+
+def constant_gap_spectrum_LF(params: PhysicalParams, U_norm: float,
+                             n1: int, n2: int, L1: float = 1.0,
+                             L2: float = 1.0) -> np.ndarray:
+    """All ``2 n1 n2`` eigenvalues of the inertial linearization on an
+    all-Dirichlet rectangle with parallel gap (exact cross-mode separation)."""
+    eigs = []
+    for K_m, C1, R_bar, f1p, f2v, hf5 in _constant_gap_blocks(
+            params, U_norm, n1, n2, L1, L2):
+        n = K_m.shape[0]
+        Pi1 = np.linalg.solve(K_m, -C1)
+        Pi2 = np.linalg.solve(K_m, -hf5 * np.eye(n))
+        b21 = (f1p * np.eye(n) - Pi1) / R_bar
+        b22 = -f2v * np.eye(n) - Pi2 / R_bar
+        block = np.vstack([np.hstack([np.zeros((n, n)), np.eye(n)]),
+                           np.hstack([b21, b22])])
+        eigs.append(np.linalg.eigvals(block))
+    return np.sort_complex(np.concatenate(eigs))
+
+
+def trivial_branch_spectrum_LF(params: PhysicalParams, n1: int, n2: int,
+                               L1: float = 1.0, L2: float = 1.0
+                               ) -> np.ndarray:
+    """Inertial rest-state spectrum (``U = 0``) through the assembled
+    diffusion operator.
+
+    At rest the linearization commutes with the constant-coefficient
+    diffusion operator, so each of its eigenvalues ``kappa`` contributes the
+    mode pair of :func:`trivial_LF_roots`.  The ``kappa`` are extracted from
+    the assembled symmetric blocks with ``eigvalsh`` — backward-stable at any
+    parameter magnitudes — instead of a nonsymmetric companion solve whose
+    absolute error floor (``~norm * eps``) swamps near-zero real parts at
+    stiff physical constants.
+    """
+    cbar = float(eval_f3(compute_derived(params).R_bar, params)) * params.h0 ** 3
+    eigs = []
+    for K_m, _C1, _R_bar, _f1p, _f2v, _hf5 in _constant_gap_blocks(
+            params, 0.0, n1, n2, L1, L2):
+        for kappa in np.linalg.eigvalsh(K_m) / cbar:
+            eigs.extend(trivial_LF_roots(float(kappa), params))
+    return np.sort_complex(np.array(eigs))
+
+
+# ---------------------------------------------------------------------------
+# Routh-Hurwitz modal threshold
+# ---------------------------------------------------------------------------
+
+def critical_speed(params: PhysicalParams, L1: float = 1.0,
+                   L2: float = 1.0) -> float:
+    """Smallest modal instability threshold on the ``L1 x L2`` rectangle:
+    that of mode ``(1, 1)``.
+
+    ``U_crit^2 = 4 b1 b2 (sigma2 + kappa b2) / sigma1`` with ``b1, b2 > 0``
+    and ``sigma1 >= 0`` grows with the mode's Laplacian eigenvalue
+    ``kappa``, so the fundamental pair minimizes it over all modes
+    (``inf`` when ``sigma1 = 0``).
+    """
+    return float(np.sqrt(hurwitz_analysis(params, 0.0, (1, 1), L1,
+                                          L2).U_crit_sq))

@@ -22,7 +22,7 @@ from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
 from filmcav.config import parse_config
 from filmcav.grid import CSV_HEADER, Grid
 from filmcav.physics import PhysicalParams, compute_derived
-from filmcav.stability import critical_speed
+from oracles import critical_speed
 
 
 def _write(tmp_path, text):

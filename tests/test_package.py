@@ -1,17 +1,15 @@
-"""Package-wide structure: no dead public code, and every export resolves."""
+"""Package-wide structure: no dead public code, no dead test oracle, and
+every export resolves."""
 
 import ast
 from pathlib import Path
 
 import filmcav
 
-#: public names no package code calls: the oracles the tests use as gates
-ORACLES = {
-    "apply_A2", "assemble_LG", "constant_gap_spectrum_LF",
-    "constant_gap_spectrum_LG", "critical_speed", "diffusion_sensitivity",
-    "dirichlet_laplacian_eigenvalues", "field_norms", "render_config",
-    "trivial_LG_eigenvalue", "trivial_branch_spectrum_LF",
-}
+#: public names no package code calls: the calls README documents
+ORACLES = {"render_config"}
+
+TESTS = Path(__file__).parent
 
 
 def _modules():
@@ -21,26 +19,50 @@ def _modules():
             yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _names_outside_own_definition(tree):
+    """Top-level functions and classes of ``tree`` by name, and every name
+    the tree uses outside the definition that owns it (imports do not
+    count)."""
+    defined, named = [], set()
+    for top in tree.body:
+        own = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+               else None)
+        if own is not None:
+            defined.append(own)
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if name is not None and name != own:
+                named.add(name)
+    return defined, named
+
+
 def test_every_public_definition_has_a_caller_or_is_an_oracle():
     # a public module-level function or class must be named somewhere in
     # the package outside its own definition (imports and __init__ do not
-    # count), unless it is an oracle
+    # count), unless README documents it as a call
     defined, named = {}, set()
     for module, tree in _modules():
-        for top in tree.body:
-            own = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                   else None)
-            if own is not None and not own.startswith("_"):
-                defined[own] = module
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute)
-                        else None)
-                if name is not None and name != own:
-                    named.add(name)
+        own, used = _names_outside_own_definition(tree)
+        defined.update((name, module) for name in own
+                       if not name.startswith("_"))
+        named |= used
     unnamed = {name: module for name, module in defined.items()
                if name not in named}
     assert set(unnamed) == ORACLES, unnamed
+
+
+def test_every_test_oracle_is_used():
+    # every top-level function of tests/oracles.py must be named in some
+    # test module or by another oracle: the package guards above do not
+    # see the oracles, so without this one a dead oracle would stay
+    defined, named = _names_outside_own_definition(
+        ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8")))
+    for path in sorted(TESTS.glob("test_*.py")):
+        named |= _names_outside_own_definition(
+            ast.parse(path.read_text(encoding="utf-8")))[1]
+    assert sorted(name for name in defined if name not in named) == []
 
 
 def _is_property(node):
@@ -73,12 +95,12 @@ def test_every_public_field_and_property_is_read():
 def test_every_optional_parameter_is_set_by_some_caller():
     # a defaulted parameter of a module-level function must be passed, by
     # position or by keyword, at some call in the package: an option no
-    # caller sets is a constant.  The oracles are called by tests only, and
-    # main's argv is how tests and the console script enter the CLI.
+    # caller sets is a constant.  main's argv is how tests and the console
+    # script enter the CLI.
     optional, passed = [], set()
     for module, tree in _modules():
         for top in tree.body:
-            if isinstance(top, ast.FunctionDef) and top.name not in ORACLES:
+            if isinstance(top, ast.FunctionDef):
                 args = top.args
                 positional = args.posonlyargs + args.args
                 first = len(positional) - len(args.defaults)

@@ -171,22 +171,20 @@ def test_frozen_reference_constants():
     assert c.b3 == pytest.approx(10022.0930, rel=1e-7)
     assert c.b4 == pytest.approx(321615.018, rel=1e-7)
     assert c.b_r == pytest.approx(2597402.6, rel=1e-7)
-    assert c.d1 == pytest.approx(1235.12427, rel=1e-7)
-    assert c.d3 == pytest.approx(2.48613e10, rel=1e-5)
+    assert c.b1 / c.b2 == pytest.approx(1235.12427, rel=1e-7)
+    assert c.R_bar * c.b3 * c.b2 == pytest.approx(2.48613e10, rel=1e-5)
 
 
 def test_constant_set_internal_consistency():
     c = compute_derived(DEFAULT)
     assert c.b4 == c.b5  # one closure supplies both couplings
-    assert c.d1 == pytest.approx(c.b1 / c.b2, rel=1e-14)
-    assert c.d3 == pytest.approx(c.R_bar * c.b3 * c.b2, rel=1e-14)
     assert c.b1 == pytest.approx(-eval_f1_prime(c.R_bar, DEFAULT) / c.R_bar,
                                  rel=1e-12)
 
 
 def test_derived_constants_all_positive():
     c = compute_derived(DEFAULT)
-    for name in ("b1", "b2", "b3", "b4", "b5", "b_r", "d1", "d3", "d5"):
+    for name in ("b1", "b2", "b3", "b4", "b5", "b_r"):
         assert getattr(c, name) > 0.0, name
 
 
