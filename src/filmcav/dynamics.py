@@ -145,7 +145,8 @@ class TransientState:
 @dataclass
 class StepStats:
     """Work of one accepted step: ``iterations``, the pressure eliminations
-    over all its attempts (in inertial mode, its pressure solves),
+    over all its attempts (in inertial mode, its pressure solves, at the
+    three later RK4 stages and the new state of every attempt),
     ``factorizations``, the chord Newton LUs over all its attempts,
     ``halvings`` after a positivity loss or a stall, ``rejections`` by the
     error test, and the step size ``dt_used``."""
@@ -209,18 +210,23 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     return y / Rf2, f1 - y
 
 
+def _acceleration(R: np.ndarray, V: np.ndarray, p: np.ndarray,
+                  params: PhysicalParams) -> np.ndarray:
+    """Radial wall acceleration of the inertial model at film pressure ``p``."""
+    return (-1.5 * V ** 2 / R - V * eval_f2(R, params)
+            + (eval_f1(R, params) - p) / R)
+
+
 def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
                        h: np.ndarray, U: tuple[float, float],
                        params: PhysicalParams
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Radial wall acceleration of the inertial model and the film pressure."""
-    f1 = eval_f1(R, params)
     K = assemble_operator(grid, eval_f3(R, params) * h ** 3)
     conv = convective_divergence(grid, U, h * eval_f4(R, params))
     squeeze = h * eval_f5(R, params) * V
     p = solve_spd(K, -(conv + squeeze).ravel(), grid)
-    acc = -1.5 * V ** 2 / R - V * eval_f2(R, params) + (f1 - p) / R
-    return acc, p
+    return _acceleration(R, V, p, params), p
 
 
 def _relative(update: np.ndarray, x: np.ndarray) -> float:
@@ -376,48 +382,43 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
     """One classical RK4 step of the inertial wall dynamics.
 
     The stage function is ``(R, V) -> (V, -3/2 V²/R - V f2(R) +
-    (f1(R) - p(R, V))/R)`` with the film pressure re-slaved at every stage,
-    and once more at the new state for its pressure.  Positivity of
-    intermediate radius fields is guarded by reject-and-halve.  The step's
-    ``iterations`` counts the pressure solves of all its attempts.
+    (f1(R) - p(R, V))/R)``.  The first stage takes the pressure the state
+    carries (solved only when ``state.p`` is ``None``); the three later
+    stages and the new state each re-slave it.  A non-positive stage radius
+    rejects the attempt, which is retried at half the step size.  The
+    step's ``iterations`` counts the pressure solves of all its attempts.
     """
     if state.Rdot is None:
         raise ConfigurationError("inertial stepping needs a state with Rdot")
-    solves = 0
-
-    def F(R, V):
-        nonlocal solves
-        if np.any(R <= 0.0):
-            raise _StagePositivity()
-        solves += 1
-        acc, p = _wall_acceleration(grid, R, V, h, U, params)
-        return V, acc, p
-
     R0, V0 = state.R, state.Rdot
+    solves = int(state.p is None)
+    a0 = (_wall_acceleration(grid, R0, V0, h, U, params)[0] if solves
+          else _acceleration(R0, V0, state.p, params))
     dt = step_cfg.dt
     halvings = 0
     while True:
-        try:
-            k1R, k1V, _ = F(R0, V0)
-            k2R, k2V, _ = F(R0 + 0.5 * dt * k1R, V0 + 0.5 * dt * k1V)
-            k3R, k3V, _ = F(R0 + 0.5 * dt * k2R, V0 + 0.5 * dt * k2V)
-            k4R, k4V, _ = F(R0 + dt * k3R, V0 + dt * k3V)
-            R_new = R0 + dt / 6.0 * (k1R + 2 * k2R + 2 * k3R + k4R)
-            V_new = V0 + dt / 6.0 * (k1V + 2 * k2V + 2 * k3V + k4V)
-            _, _, p_new = F(R_new, V_new)
-            new_state = TransientState(t=state.t + dt, R=R_new, Rdot=V_new, p=p_new)
-            return new_state, StepStats(solves, halvings, dt)
-        except _StagePositivity:
-            halvings += 1
-            if halvings > MAX_HALVINGS:
-                raise PositivityLossError(
-                    f"radius field left the positive cone at t = {state.t:.6g} "
-                    f"even after {MAX_HALVINGS} step halvings (blow-up)") from None
-            dt *= 0.5
-
-
-class _StagePositivity(Exception):
-    """Internal: an RK stage produced a non-positive radius."""
+        kR, kV = [V0], [a0]
+        for c in (0.5, 0.5, 1.0, None):          # None: the new state
+            if c is None:
+                R = R0 + dt / 6.0 * (kR[0] + 2 * kR[1] + 2 * kR[2] + kR[3])
+                V = V0 + dt / 6.0 * (kV[0] + 2 * kV[1] + 2 * kV[2] + kV[3])
+            else:
+                R, V = R0 + c * dt * kR[-1], V0 + c * dt * kV[-1]
+            if np.any(R <= 0.0):
+                break                                    # reject: halve dt
+            solves += 1
+            acc, p = _wall_acceleration(grid, R, V, h, U, params)
+            kR.append(V)
+            kV.append(acc)
+        else:
+            return (TransientState(t=state.t + dt, R=R, Rdot=V, p=p),
+                    StepStats(solves, halvings, dt))
+        halvings += 1
+        if halvings > MAX_HALVINGS:
+            raise PositivityLossError(
+                f"radius field left the positive cone at t = {state.t:.6g} "
+                f"even after {MAX_HALVINGS} step halvings (blow-up)")
+        dt *= 0.5
 
 
 @dataclass

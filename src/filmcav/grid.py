@@ -92,11 +92,8 @@ def gap_function(grid: Grid, params: PhysicalParams) -> np.ndarray:
     """Film thickness ``h = h0 (1 - ecc cos(x1 / J_r))`` as an (n1, n2) field.
 
     The minimum gap ``h0 (1 - ecc)`` sits at ``x1 = 0``.  On the journal
-    domain ``L1 = 2 pi J_r`` the profile closes periodically.  Raises for
-    ``ecc >= 1`` (the surfaces would touch).
+    domain ``L1 = 2 pi J_r`` the profile closes periodically.
     """
-    if params.ecc >= 1.0:
-        raise ConfigurationError("eccentricity >= 1 closes the gap")
     h_line = params.h0 * (1.0 - params.ecc * np.cos(grid.x1 / params.J_r))
     return np.repeat(h_line[:, None], grid.n2, axis=1)
 

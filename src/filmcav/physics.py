@@ -280,7 +280,7 @@ class DerivedConstants:
     linearization coefficients about the uniform state
 
         b1 = -f1'(R_bar)/R_bar   b2 = f2(R_bar)    b3 = f3(R_bar)
-        b4 = -f4'(R_bar)         b5 = -f5(R_bar)   b_r = 1/R_bar
+        b5 = -f5(R_bar) = -f4'(R_bar)              b_r = 1/R_bar
     """
 
     R_bar: float
@@ -289,7 +289,6 @@ class DerivedConstants:
     b1: float
     b2: float
     b3: float
-    b4: float
     b5: float
     b_r: float
 
@@ -347,17 +346,13 @@ def compute_derived(params: PhysicalParams) -> DerivedConstants:
 
     R_bar = _bisect(lambda r: eval_f1(r, params), 1e-3 * params.R0, R_crit)
 
-    b2 = eval_f2(R_bar, params)
-    b3 = eval_f3(R_bar, params)
-    f1p_bar = eval_f1_prime(R_bar, params)
-    f4p_bar = eval_f4_prime(R_bar, params)
-    f5_bar = eval_f5(R_bar, params)
-    b1 = -f1p_bar / R_bar
-    b4 = -f4p_bar
-    b5 = -f5_bar
     return DerivedConstants(
         R_bar=R_bar,
         R_crit=R_crit,
         p_cav=eval_f1(R_crit, params),
-        b1=b1, b2=b2, b3=b3, b4=b4, b5=b5, b_r=1.0 / R_bar,
+        b1=-eval_f1_prime(R_bar, params) / R_bar,
+        b2=eval_f2(R_bar, params),
+        b3=eval_f3(R_bar, params),
+        b5=-eval_f5(R_bar, params),
+        b_r=1.0 / R_bar,
     )

@@ -252,12 +252,12 @@ def export_spectrum_csv(path, report: SpectrumReport) -> None:
 
 def sigma_constants(params: PhysicalParams) -> tuple[float, float]:
     """The two squeeze-coupling strengths of the parallel-gap analysis:
-    ``sigma2 = b5 b_r / (b3 h0^2)`` and ``sigma1 = b4^2 b_r^2 / (b3^2 h0^4)``.
-    Since ``b4 = b5`` (the transport and squeeze couplings share one
-    derivative), ``sigma1 = sigma2^2``."""
+    ``sigma2 = b5 b_r / (b3 h0^2)`` and ``sigma1 = b5^2 b_r^2 / (b3^2 h0^4)``
+    (the transport coupling ``-f4'`` equals the squeeze coupling ``b5``), so
+    ``sigma1 = sigma2^2``."""
     c = compute_derived(params)
     sigma2 = c.b5 * c.b_r / (c.b3 * params.h0 ** 2)
-    sigma1 = (c.b4 ** 2 * c.b_r ** 2) / (c.b3 ** 2 * params.h0 ** 4)
+    sigma1 = (c.b5 ** 2 * c.b_r ** 2) / (c.b3 ** 2 * params.h0 ** 4)
     return sigma1, sigma2
 
 

@@ -669,8 +669,8 @@ def test_inertial_positivity_guard():
 def test_inertial_run_trace_counts_every_pressure_solve(monkeypatch):
     # the inertial twin of test_run_trace_counts_the_work_of_the_run: every
     # pressure solve but the run's first is counted in some step's
-    # iterations, the four stages and the end-of-step pressure of every
-    # attempt, those of attempts dropped by a halving too
+    # iterations, the three later stages and the end-of-step pressure of
+    # every attempt, those of attempts dropped by a halving too
     solves = []
     accelerate = dynamics._wall_acceleration
     monkeypatch.setattr(dynamics, "_wall_acceleration",
@@ -685,6 +685,24 @@ def test_inertial_run_trace_counts_every_pressure_solve(monkeypatch):
     assert res.steps == 50 and res.failure is None
     assert np.sum(res.step_stats["halvings"]) > 0
     assert len(solves) == 1 + int(np.sum(res.step_stats["iterations"]))
+
+
+def test_inertial_step_starts_from_the_pressure_its_state_carries(monkeypatch):
+    # the first RK4 stage takes the pressure the previous step solved at the
+    # same (R, V): the run's first solve, then four a step
+    solves = []
+    accelerate = dynamics._wall_acceleration
+    monkeypatch.setattr(dynamics, "_wall_acceleration",
+                        lambda *a, **k: solves.append(1) or accelerate(*a, **k))
+    grid = grid_for_params(TAME, 4, 4)
+    h = gap_function(grid, TAME)
+    res = run_transient(grid, initial_state(grid, TAME, MODE_INERTIAL), h,
+                        (0.0, 0.0), TAME,
+                        StepConfig(dt=1e-3, mode=MODE_INERTIAL), n_steps=20,
+                        watch=TransientWatch(stationarity_tol=0.0))
+    assert res.steps == 20 and np.sum(res.step_stats["halvings"]) == 0
+    assert len(solves) == 1 + 4 * 20
+    assert np.all(res.step_stats["iterations"] == 4)
 
 
 def test_run_transient_reaches_the_target_rate():

@@ -1,7 +1,10 @@
-"""Package-wide structure: no dead public code, no dead test oracle, and
-every export resolves."""
+"""Package-wide structure: no dead public code, no dead test oracle, and a
+package namespace that imports and re-exports nothing."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import filmcav
@@ -121,10 +124,31 @@ def test_every_optional_parameter_is_set_by_some_caller():
     assert unset == []
 
 
-def test_every_export_resolves():
-    missing = [name for name in filmcav.__all__
-               if not hasattr(filmcav, name)]
-    assert missing == []
+def test_package_namespace_imports_and_exports_nothing():
+    # every name has one import path, filmcav.<module>.<name>: __init__
+    # holds no import that would load a layer and no __all__ to keep in sync
+    init = Path(filmcav.__file__)
+    found = [f"{init.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             or (isinstance(node, ast.Name) and node.id == "__all__")]
+    assert found == []
+
+
+def test_importing_a_layer_loads_only_what_it_imports():
+    # a fresh interpreter: the grid layer needs errors and physics, no
+    # other filmcav module and no scipy
+    source = str(Path(filmcav.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source,
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys, filmcav.grid; print(' '.join(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in ('filmcav', 'scipy'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["filmcav", "filmcav.errors",
+                                   "filmcav.grid", "filmcav.physics"]
 
 
 #: the functions that write files: every artifact of a run goes through one

@@ -247,7 +247,7 @@ def test_sigma_constants_identity(params):
     sigma1, sigma2 = sigma_constants(params)
     assert sigma2 > 0.0
     assert abs(sigma2 / (c.b5 * c.b_r / (c.b3 * params.h0 ** 2)) - 1.0) <= 1e-14
-    # b4 == b5 for this model family, which collapses sigma1 to sigma2^2.
+    # -f4' == b5 for this model family, which collapses sigma1 to sigma2^2.
     assert abs(sigma1 / sigma2 ** 2 - 1.0) <= 1e-12
 
 
