@@ -26,7 +26,7 @@ from .config import (MODE_STABILITY, MODE_STATIONARY, MODE_SWEEP,
                      MODE_TRANSIENT, RunConfig, config_for_sweep_value,
                      parse_config)
 from .dynamics import (HISTORY_KEYS, MODE_INERTIAL, STEP_STATS_KEYS,
-                       TransientResult, TransientWatch, initial_state,
+                       TransientResult, TransientState, initial_state,
                        run_transient)
 from .elliptic import film_pencil
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
@@ -90,8 +90,13 @@ def _manifest_text(entries: list[tuple[str, str]]) -> str:
 
 _FIELDS_DESC = (f"cell-centered fields, columns `{CSV_HEADER}`; "
                 "row-major with x2 varying fastest, 9 significant digits")
-_MIDLINE_DESC = ("mid-width profile (average of the two center rows), "
-                 f"columns `{MIDLINE_HEADER}`")
+
+
+def _midline_desc(grid: Grid) -> str:
+    """MANIFEST entry of ``midline.csv``, as :func:`midline_profile` takes it."""
+    rows = ("average of the two center rows" if grid.n2 % 2 == 0
+            else "the center row")
+    return f"mid-width profile ({rows}), columns `{MIDLINE_HEADER}`"
 
 
 def _transient_summary(res: TransientResult, config: RunConfig) -> str:
@@ -144,12 +149,20 @@ def _transient(config: RunConfig) -> TransientResult:
     grid = config.make_grid()
     params = config.params
     h = gap_function(grid, params)
+    U = config.velocity
     out = Path(config.output_dir)
-    watch = TransientWatch(stationarity_tol=config.stationarity_tol,
-                           snapshot_every=config.snapshot_every, out_dir=out)
-    state = initial_state(grid, params, mode=config.step.mode)
-    res = run_transient(grid, state, h, config.velocity, params, config.step,
-                        config.n_steps, watch)
+
+    def write_snapshot(step: int, state: TransientState) -> None:
+        if step % config.snapshot_every == 0:
+            out.mkdir(parents=True, exist_ok=True)
+            export_fields_csv(out / f"snapshot_{step}.csv", grid, params,
+                              state.R, state.p)
+
+    res = run_transient(grid, initial_state(grid, h, U, params,
+                                            mode=config.step.mode),
+                        h, U, params, config.step, config.n_steps,
+                        config.stationarity_tol,
+                        write_snapshot if config.snapshot_every > 0 else None)
 
     out.mkdir(parents=True, exist_ok=True)
     export_fields_csv(out / "fields_final.csv", grid, params, res.state.R,
@@ -163,7 +176,7 @@ def _transient(config: RunConfig) -> TransientResult:
     _write_text(out / "summary.txt", _transient_summary(res, config))
     entries = [
         ("fields_final.csv", _FIELDS_DESC),
-        ("midline.csv", _MIDLINE_DESC),
+        ("midline.csv", _midline_desc(grid)),
         ("history.csv", f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
         ("trace.csv", "per-step solver work, columns "
                       f"`{TRACE_HEADER}`: step end time, step size used, "
@@ -207,7 +220,7 @@ def _stationary(config: RunConfig
                 _stationary_summary(report, R_s, p_s, params))
     _write_text(out / "MANIFEST.txt", _manifest_text([
         ("fields_final.csv", _FIELDS_DESC),
-        ("midline.csv", _MIDLINE_DESC),
+        ("midline.csv", _midline_desc(grid)),
         ("summary.txt", "solver report (key = value lines)"),
     ]))
     return R_s, p_s, report

@@ -46,18 +46,22 @@ the initial step, so the slow relaxation tail is crossed in steps that grow
 with the time scale of the decay.  An optional inertial mode
 integrates the full second-order wall dynamics with classical RK4 at the
 fixed step ``dt``, under the same positivity guard.
+
+A :class:`TransientState` is ``(t, R, Rdot, p)`` from its first instant:
+:func:`initial_state` slaves the start's pressure to its data, and every
+step returns the rate and pressure of its new state.  The module writes no
+files; :func:`run_transient` hands each step to its caller's ``on_step``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
-from .grid import Grid, ensure_field, export_fields_csv
+from .grid import Grid, ensure_field
 from .elliptic import (_factorize, _stencil, assemble_operator,
                        convective_divergence, film_pencil, film_residual,
                        solve_spd)
@@ -132,14 +136,14 @@ class StepConfig:
 @dataclass
 class TransientState:
     """Solution snapshot: time, radius field, wall velocity ``Rdot = dR/dt``
-    and the slaved film pressure.  ``Rdot`` is the independent velocity
-    ``V`` of the inertial model, and in the quasi-static one the rate
-    ``G(R)`` of the elimination that gave ``p`` (``None`` before any)."""
+    and the slaved film pressure, all four from the first instant.  ``Rdot``
+    is the independent velocity ``V`` of the inertial model, and in the
+    quasi-static one the rate ``G(R)`` of the elimination that gave ``p``."""
 
     t: float
     R: np.ndarray
-    Rdot: np.ndarray | None = None
-    p: np.ndarray | None = None
+    Rdot: np.ndarray
+    p: np.ndarray
 
 
 @dataclass
@@ -176,13 +180,18 @@ class ChordCarry:
     dt_next: float = 0.0
 
 
-def initial_state(grid: Grid, params: PhysicalParams,
-                  mode: str = MODE_INERTIALESS) -> TransientState:
-    """Uniform start at ``R = R0``, at zero wall velocity in inertial mode
-    and with no rate yet (``Rdot = None``) in the quasi-static one."""
+def initial_state(grid: Grid, h: np.ndarray, U: tuple[float, float],
+                  params: PhysicalParams, mode: str = MODE_INERTIALESS
+                  ) -> TransientState:
+    """Uniform start at ``R = R0`` with its slaved pressure: at zero wall
+    velocity in inertial mode, and in the quasi-static one at the rate of
+    the pressure elimination at ``R0``."""
     R = np.full(grid.shape, params.R0)
-    Rdot = np.zeros(grid.shape) if mode == MODE_INERTIAL else None
-    return TransientState(t=0.0, R=R, Rdot=Rdot)
+    if mode == MODE_INERTIAL:
+        V = np.zeros(grid.shape)
+        return TransientState(0.0, R, V,
+                              _wall_acceleration(grid, R, V, h, U, params)[1])
+    return TransientState(0.0, R, *eliminate_pressure(grid, R, h, U, params))
 
 
 def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
@@ -262,10 +271,9 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     at the last of ``picard_max`` iterations, with no update), one pressure
     elimination certifies the iterate: it is accepted only if
     ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  The start rate
-    ``G_n`` is ``state.Rdot``, eliminated at ``state.R`` only when ``None``.
-    ``chord`` carries the predictor history and the proposed step size
-    between steps and is updated in place; without it the step starts at
-    ``step_cfg.dt``.
+    ``G_n`` is ``state.Rdot``.  ``chord`` carries the predictor history and
+    the proposed step size between steps and is updated in place; without
+    it the step starts at ``step_cfg.dt``.
 
     The error of the solved step is estimated as
     ``max|R_new - pred| / max|R_new|``; without a history, as half that
@@ -291,9 +299,6 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     R_old, G_n = state.R, state.Rdot
     total_iters = 0
     factorizations = 0
-    if G_n is None:
-        G_n, _ = eliminate_pressure(grid, R_old, h, U, params)
-        total_iters = 1
     chord = chord or ChordCarry()
     tol = step_cfg.picard_tol
     dt = chord.dt_next or step_cfg.dt
@@ -383,17 +388,14 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
 
     The stage function is ``(R, V) -> (V, -3/2 V²/R - V f2(R) +
     (f1(R) - p(R, V))/R)``.  The first stage takes the pressure the state
-    carries (solved only when ``state.p`` is ``None``); the three later
-    stages and the new state each re-slave it.  A non-positive stage radius
-    rejects the attempt, which is retried at half the step size.  The
-    step's ``iterations`` counts the pressure solves of all its attempts.
+    carries; the three later stages and the new state each re-slave it.  A
+    non-positive stage radius rejects the attempt, which is retried at half
+    the step size.  The step's ``iterations`` counts the pressure solves of
+    all its attempts.
     """
-    if state.Rdot is None:
-        raise ConfigurationError("inertial stepping needs a state with Rdot")
     R0, V0 = state.R, state.Rdot
-    solves = int(state.p is None)
-    a0 = (_wall_acceleration(grid, R0, V0, h, U, params)[0] if solves
-          else _acceleration(R0, V0, state.p, params))
+    a0 = _acceleration(R0, V0, state.p, params)
+    solves = 0
     dt = step_cfg.dt
     halvings = 0
     while True:
@@ -419,23 +421,6 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
                 f"radius field left the positive cone at t = {state.t:.6g} "
                 f"even after {MAX_HALVINGS} step halvings (blow-up)")
         dt *= 0.5
-
-
-@dataclass
-class TransientWatch:
-    """Run supervision: stationarity threshold and snapshots.
-
-    ``stationarity_tol`` declares the run stationary when
-    ``max|R_new - R_old| / (dt R0)`` drops below it (units 1/s).
-    ``snapshot_every`` > 0 writes ``snapshot_<step>.csv`` into ``out_dir``.
-    Whatever the watch, a run ends unsuccessfully as soon as the radius
-    field reaches the critical radius, where the monotone quasi-static
-    response (and with it the model's validity) ends.
-    """
-
-    stationarity_tol: float = 1e-8
-    snapshot_every: int = 0
-    out_dir: Path | None = None
 
 
 @dataclass
@@ -466,35 +451,33 @@ class TransientResult:
 
 def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams,
-                  step_cfg: StepConfig, n_steps: int,
-                  watch: TransientWatch | None = None) -> TransientResult:
-    """March the transient model and watch for stationarity or failure.
+                  step_cfg: StepConfig, n_steps: int, stationarity_tol: float,
+                  on_step: Callable[[int, TransientState], None] | None = None
+                  ) -> TransientResult:
+    """March the transient model from ``state`` and watch for stationarity
+    or failure.
 
     Records the normalized update rate ``max|dR|/(dt R0)``, the radius and
-    pressure extrema per step, and stops early on stationarity, on reaching
-    the critical radius ``R_crit`` of ``compute_derived(params)``, or on
+    pressure extrema per step, and stops early on stationarity (the rate
+    below ``stationarity_tol``, units 1/s), on reaching the critical radius
+    ``R_crit`` of ``compute_derived(params)``, where the monotone
+    quasi-static response (and with it the model's validity) ends, or on
     step failure, which is reported in the result (its message in
     ``failure``, its step in ``failed_step``) rather than raised.
+    ``on_step(step, state)``, when given, sees every completed step's index
+    and new state before these tests.
 
     Backward-Euler steps hand each other one :class:`ChordCarry`: the first
     starts at ``step_cfg.dt``, every later one at the size the error
     controller proposed.  Inertial (RK4) steps start at ``step_cfg.dt``.
     """
-    watch = watch or TransientWatch()
     R_crit = compute_derived(params).R_crit
     hf = ensure_field(grid, h, "h")
 
     hist: dict[str, list] = {k: [] for k in HISTORY_KEYS}
     trace: dict[str, list] = {k: [] for k in STEP_STATS_KEYS}
     chord = ChordCarry()
-    if step_cfg.mode == MODE_INERTIALESS:
-        Rdot, p0 = eliminate_pressure(grid, state.R, hf, U, params)
-    else:
-        if state.Rdot is None:
-            raise ConfigurationError("inertial run needs a state with Rdot")
-        Rdot = state.Rdot
-        _, p0 = _wall_acceleration(grid, state.R, Rdot, hf, U, params)
-    state = start = TransientState(state.t, state.R, Rdot, p0)
+    start = state
     converged = False
     failure = None
     failed_step = None
@@ -525,18 +508,15 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
                 state.t, rate, float(np.min(state.R)) / params.R0, rhat_max,
                 float(np.min(state.p)), float(np.max(state.p)))):
             hist[key].append(val)
-        if (watch.snapshot_every > 0 and watch.out_dir is not None
-                and step % watch.snapshot_every == 0):
-            os.makedirs(watch.out_dir, exist_ok=True)
-            export_fields_csv(Path(watch.out_dir) / f"snapshot_{step}.csv",
-                              grid, params, state.R, state.p)
+        if on_step is not None:
+            on_step(step, state)
         if rhat_max * params.R0 >= R_crit:
             failure = (f"radius reached the critical value at step {step} "
                        f"(max R_hat = {rhat_max:.4f}); quasi-static response "
                        "is no longer monotone")
             failed_step = step
             break
-        if rate < watch.stationarity_tol:
+        if rate < stationarity_tol:
             converged = True
             break
 

@@ -46,7 +46,6 @@ from .physics import (PhysicalParams, compute_derived, eval_f2, eval_f3,
                       eval_f5)
 
 DENSE_ASSEMBLY_LIMIT = 4096
-SPECTRUM_SIZE_LIMIT = 8192
 
 #: eigenvalues the sparse pencil route asks ARPACK for (at most ``n - 2``)
 RIGHTMOST_COUNT = 16
@@ -128,10 +127,6 @@ def compute_spectrum(matrix: np.ndarray, margin: float = 1e-8,
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConfigurationError("spectrum needs a square matrix")
-    if A.shape[0] > SPECTRUM_SIZE_LIMIT:
-        raise ConfigurationError(
-            f"dense spectrum limited to size {SPECTRUM_SIZE_LIMIT}, "
-            f"matrix has {A.shape[0]}")
     eigs = np.sort_complex(np.linalg.eigvals(A))
     max_real = float(np.max(eigs.real))
     return SpectrumReport(eigenvalues=eigs, max_real_part=max_real,

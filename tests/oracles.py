@@ -9,6 +9,8 @@ The tests gate the package's discretization against these:
   :func:`filmcav.elliptic.film_pencil` sums face by face, and ``apply_A2``
   the squeeze response of the pressure equation;
 * ``field_norms`` gives the area-weighted norms of a field;
+* ``slaved_state`` completes a hand-built transient state at any radius
+  field with the rate and pressure the dynamics slaves to it;
 * for a parallel gap both linearized operators block-diagonalize exactly
   over the cross-film Dirichlet sine modes of the 5-point stencil: the
   ``constant_gap_spectrum_*`` helpers exploit that to reach resolutions far
@@ -26,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from filmcav.dynamics import (TransientState, _wall_acceleration,
+                              eliminate_pressure)
 from filmcav.elliptic import (_assemble, _factorize, _sensitivity_fluxes,
                               assemble_operator, film_pencil, solve_spd)
 from filmcav.grid import Grid, ensure_field
@@ -88,6 +92,20 @@ def field_norms(grid: Grid, values: np.ndarray) -> dict[str, float]:
         "L1": float(np.sum(np.abs(arr)) * dA),
         "Linf": float(np.max(np.abs(arr))),
     }
+
+
+def slaved_state(grid: Grid, R: np.ndarray, h: np.ndarray,
+                 U: tuple[float, float], params: PhysicalParams,
+                 V: np.ndarray | None = None) -> TransientState:
+    """Complete transient state at ``t = 0`` and radius field ``R``: with the
+    rate and pressure of the pressure elimination at ``R``, or, given a wall
+    velocity ``V``, with the film pressure of the inertial model at
+    ``(R, V)``."""
+    if V is None:
+        return TransientState(0.0, R, *eliminate_pressure(grid, R, h, U,
+                                                          params))
+    return TransientState(0.0, R, V,
+                          _wall_acceleration(grid, R, V, h, U, params)[1])
 
 
 # ---------------------------------------------------------------------------

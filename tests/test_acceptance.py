@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from filmcav.dynamics import (StepConfig, TransientState, TransientWatch,
-                              initial_state, run_transient, step_inertialess)
+from filmcav.dynamics import (StepConfig, initial_state, run_transient,
+                              step_inertialess)
 from filmcav.elliptic import assemble_operator, solve_spd
 from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, Grid, gap_function,
                           grid_for_params)
@@ -25,7 +25,8 @@ from filmcav.stability import hurwitz_analysis
 from filmcav.stationary import solve_stationary
 from oracles import (apply_A2, assemble_LG, constant_gap_spectrum_LF,
                      constant_gap_spectrum_LG, critical_speed, field_norms,
-                     trivial_branch_spectrum_LF, trivial_LG_eigenvalue)
+                     slaved_state, trivial_branch_spectrum_LF,
+                     trivial_LG_eigenvalue)
 
 DESK = (128, 32)
 DT = 3e-4
@@ -66,11 +67,10 @@ def desk_transients():
         params = PhysicalParams(ecc=ecc)
         grid = grid_for_params(params, *DESK)
         h = gap_function(grid, params)
-        state = initial_state(grid, params)
-        watch = TransientWatch(stationarity_tol=1e-8)
+        U = (params.surface_speed, 0.0)
         start = time.monotonic()
-        res = run_transient(grid, state, h, (params.surface_speed, 0.0),
-                            params, StepConfig(dt=DT), 2500, watch)
+        res = run_transient(grid, initial_state(grid, h, U, params), h, U,
+                            params, StepConfig(dt=DT), 2500, 1e-8)
         runs[ecc] = (res, time.monotonic() - start, grid, h, params)
     return runs
 
@@ -97,9 +97,8 @@ def test_criterion_01_trivial_stationary_state():
     grid = grid_for_params(params, *DESK)
     h = gap_function(grid, params)
     start = time.monotonic()
-    res = run_transient(grid, initial_state(grid, params), h,
-                        (0.0, 0.0), params, StepConfig(dt=DT), 200,
-                        TransientWatch(stationarity_tol=1e-8))
+    res = run_transient(grid, initial_state(grid, h, (0.0, 0.0), params), h,
+                        (0.0, 0.0), params, StepConfig(dt=DT), 200, 1e-8)
     elapsed = time.monotonic() - start
 
     radius_err = float(np.max(np.abs(res.state.R - R_bar))) / R_bar
@@ -333,7 +332,8 @@ def test_criterion_09_property_suites():
     grid = grid_for_params(params0, 4, 4)
     h = gap_function(grid, params0)
     dt, steps = 1e-6, 100
-    state = TransientState(t=0.0, R=np.full(grid.shape, 1.05 * params0.R0))
+    state = slaved_state(grid, np.full(grid.shape, 1.05 * params0.R0), h,
+                         (0.0, 0.0), params0)
     cfg = StepConfig(dt=dt, picard_tol=1e-12, picard_max=200)
     for _ in range(steps):
         state, _ = step_inertialess(grid, state, h, (0.0, 0.0), params0, cfg)

@@ -133,6 +133,19 @@ def test_stationary_writes_artifacts(tmp_path):
         assert (out / name).exists()
 
 
+def test_manifest_names_the_midline_rows_of_an_odd_grid(tmp_path):
+    # with odd n2 the midline is the center row itself, as MANIFEST says
+    cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 5\n")
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", cfg, "--out", str(out)]) == 0
+    manifest = (out / "MANIFEST.txt").read_text(encoding="utf-8")
+    assert "mid-width profile (the center row)" in manifest
+    assert "average" not in manifest
+    fields = _load_csv(out / "fields_final.csv")
+    midline = _load_csv(out / "midline.csv")
+    assert np.array_equal(midline[:, 1], fields[2::5, 2])
+
+
 def test_stationary_supercritical_is_exit_3(tmp_path, capsys):
     cfg = _write(tmp_path, "ecc = 0.55\nn1 = 16\nn2 = 8\n")
     rc = main(["stationary", "--config", cfg, "--out", str(tmp_path / "out")])

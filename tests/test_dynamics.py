@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 
 import filmcav.dynamics as dynamics
 from filmcav.dynamics import (
-    MODE_INERTIAL, ChordCarry, StepConfig, TransientState, TransientWatch,
+    MODE_INERTIAL, ChordCarry, StepConfig, TransientState, _wall_acceleration,
     eliminate_pressure, initial_state, run_transient,
     step_inertial, step_inertialess,
 )
@@ -27,6 +27,7 @@ from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function, grid_for
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1,
                              eval_f2, eval_f3, eval_f4, eval_f5)
 from filmcav.stationary import solve_stationary
+from oracles import slaved_state
 
 DEFAULT = PhysicalParams()
 
@@ -58,12 +59,26 @@ def test_step_config_validation():
 
 def test_initial_state():
     g = Grid(4, 5, 1.0, 1.0)
-    s = initial_state(g, DEFAULT)
+    h = gap_function(g, DEFAULT)
+    s = initial_state(g, h, (0.0, 0.0), DEFAULT)
     assert s.t == 0.0
     assert np.all(s.R == DEFAULT.R0)
-    assert s.Rdot is None
-    s = initial_state(g, DEFAULT, mode=MODE_INERTIAL)
-    assert s.Rdot is not None and np.all(s.Rdot == 0.0)
+    s = initial_state(g, h, (0.0, 0.0), DEFAULT, mode=MODE_INERTIAL)
+    assert np.all(s.Rdot == 0.0)
+
+
+def test_initial_state_is_slaved_to_its_radius_field():
+    # a start state is complete: the quasi-static one carries the rate and
+    # pressure of the elimination at R0, the inertial one the pressure of
+    # the inertial model at R0 and zero wall velocity
+    p, grid, h, U = _journal_case(shape=(8, 4))
+    R0 = np.full(grid.shape, p.R0)
+    s = initial_state(grid, h, U, p)
+    G, pres = eliminate_pressure(grid, R0, h, U, p)
+    assert np.array_equal(s.Rdot, G) and np.array_equal(s.p, pres)
+    s = initial_state(grid, h, U, p, mode=MODE_INERTIAL)
+    _, pres = _wall_acceleration(grid, R0, np.zeros(grid.shape), h, U, p)
+    assert np.array_equal(s.p, pres)
 
 
 @pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
@@ -252,7 +267,7 @@ def test_chord_newton_steps_match_plain_picard(carried):
     h = gap_function(grid, p)
     U = (p.surface_speed, 0.0)
     cfg = StepConfig(dt=3e-4, picard_tol=1e-10)
-    state = initial_state(grid, p)
+    state = start = initial_state(grid, h, U, p)
     chord = ChordCarry() if carried else None
     iterations = []
     dts = []
@@ -261,7 +276,7 @@ def test_chord_newton_steps_match_plain_picard(carried):
         iterations.append(stats.iterations)
         dts.append(stats.dt_used)
     assert max(iterations) > 2             # the chord iteration did the work
-    ref = _picard_reference(grid, initial_state(grid, p).R, h, U, p, dts)
+    ref = _picard_reference(grid, start.R, h, U, p, dts)
     assert np.max(np.abs(state.R - ref) / ref) < 1e-8
 
 
@@ -285,7 +300,8 @@ def test_backward_euler_tracks_the_scalar_reduction():
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
     dt, n = 1e-6, 100
-    state = TransientState(t=0.0, R=np.full(grid.shape, 1.05 * p.R0))
+    state = slaved_state(grid, np.full(grid.shape, 1.05 * p.R0), h,
+                         (0.0, 0.0), p)
     cfg = StepConfig(dt=dt, picard_tol=1e-10)
     for _ in range(n):
         state, _ = step_inertialess(grid, state, h, (0.0, 0.0), p, cfg)
@@ -304,7 +320,8 @@ def test_backward_euler_is_first_order():
     errors = []
     for n in (20, 40, 80):
         cfg = StepConfig(dt=T / n, picard_tol=1e-12, picard_max=200)
-        state = TransientState(t=0.0, R=np.full(grid.shape, 1.1 * p.R0))
+        state = slaved_state(grid, np.full(grid.shape, 1.1 * p.R0), h,
+                             (0.0, 0.0), p)
         for _ in range(n):
             state, _ = step_inertialess(grid, state, h, (0.0, 0.0), p, cfg)
         errors.append(abs(float(state.R[0, 0]) - ref))
@@ -325,11 +342,11 @@ def test_error_test_rejects_and_retries_smaller():
     p, grid, h, U = _journal_case()
     cfg = StepConfig(dt=2e-3)
     chord = ChordCarry()
-    state, stats = step_inertialess(grid, initial_state(grid, p), h, U, p,
-                                    cfg, chord=chord)
+    state, stats = step_inertialess(grid, initial_state(grid, h, U, p), h, U,
+                                    p, cfg, chord=chord)
     assert stats.rejections >= 1 and stats.halvings == 0
     assert cfg.dt * 0.2 ** stats.rejections <= stats.dt_used < cfg.dt
-    assert stats.iterations > stats.rejections + 1   # every attempt counts
+    assert stats.iterations == stats.rejections + 1  # one per attempt
     assert 0.0 < chord.err_prev <= 1.0          # the accepted estimate passed
     # the next step starts from the controller's proposal
     proposal = chord.dt_next
@@ -348,7 +365,7 @@ def test_every_accepted_step_solves_the_implicit_equation():
     R_old = R_s * (1.0 + 1e-11 * (-1.0) ** (i + j))
     dt, cfg = 0.5, StepConfig(dt=0.5)
     new, stats = step_inertialess(
-        grid, TransientState(t=0.0, R=R_old), h, U, p, cfg)
+        grid, slaved_state(grid, R_old, h, U, p), h, U, p, cfg)
     assert stats.dt_used == dt
     residual = np.max(np.abs(R_old + dt * new.Rdot - new.R))
     assert residual / np.max(np.abs(new.R)) < cfg.picard_tol
@@ -365,27 +382,25 @@ def test_step_iterations_count_the_pressure_eliminations(monkeypatch):
     monkeypatch.setattr(dynamics, "eliminate_pressure", counted)
     p, grid, h, U = _journal_case()
     cfg = StepConfig(dt=2e-3)
-    state = initial_state(grid, p)
-    state.Rdot, _ = eliminate(grid, state.R, h, U, p)
+    state = initial_state(grid, h, U, p)
     chord = ChordCarry()
     # from rest the error test rejects the first three attempts, each after
-    # the one elimination that certifies its iterate, then a plain step
-    # follows; a step from a state without a rate counts its own elimination
+    # the one elimination that certifies its iterate, then plain steps
+    # follow; a step starts from the rate its state carries
     counts = []
-    for given in (True, True, False):
+    for _ in range(3):
         calls.clear()
-        if not given:
-            state.Rdot = None
         state, stats = step_inertialess(grid, state, h, U, p, cfg, chord=chord)
         assert stats.iterations == len(calls)
         counts.append(len(calls))
-    assert counts == [4, 1, 2]
+    assert counts == [4, 1, 1]
 
 
 def test_chained_steps_eliminate_once_at_the_first_start_state(monkeypatch):
     # a returned state carries the rate and pressure of the elimination that
-    # certified it, so steps chained without a carry eliminate at their
-    # start state only in the first call, whose state has no rate yet
+    # certified it, so steps chained without a carry never eliminate at
+    # their start state: the one elimination at a start state is the one
+    # that initial_state makes at R0
     radii = []
     eliminate = dynamics.eliminate_pressure
 
@@ -396,7 +411,8 @@ def test_chained_steps_eliminate_once_at_the_first_start_state(monkeypatch):
     monkeypatch.setattr(dynamics, "eliminate_pressure", counted)
     p, grid, h, U = _journal_case()
     cfg = StepConfig()
-    state = initial_state(grid, p)
+    state = initial_state(grid, h, U, p)
+    assert len(radii) == 1 and np.all(radii[0] == p.R0)
     at_start = []
     for _ in range(5):
         radii.clear()
@@ -406,11 +422,11 @@ def test_chained_steps_eliminate_once_at_the_first_start_state(monkeypatch):
         at_start.append(any(np.array_equal(R, start) for R in radii))
         G, pres = eliminate(grid, state.R, h, U, p)
         assert np.array_equal(state.Rdot, G) and np.array_equal(state.p, pres)
-    assert at_start == [True, False, False, False, False]
+    assert at_start == [False] * 5
 
 
 def test_run_trace_counts_the_work_of_the_run(monkeypatch):
-    # every pressure elimination but the run's first is counted in some
+    # every pressure elimination but the start state's is counted in some
     # step's iterations, and every chord LU in some step's factorizations
     eliminations, factorizations = [], []
     eliminate, factorize = dynamics.eliminate_pressure, dynamics._factorize
@@ -420,8 +436,8 @@ def test_run_trace_counts_the_work_of_the_run(monkeypatch):
     monkeypatch.setattr(dynamics, "_factorize",
                         lambda A: factorizations.append(1) or factorize(A))
     p, grid, h, U = _journal_case()
-    res = run_transient(grid, initial_state(grid, p), h, U, p, StepConfig(),
-                        n_steps=5000)
+    res = run_transient(grid, initial_state(grid, h, U, p), h, U, p,
+                        StepConfig(), n_steps=5000, stationarity_tol=1e-8)
     assert res.converged
     stats = res.step_stats
     assert len(eliminations) == 1 + int(np.sum(stats["iterations"]))
@@ -433,8 +449,9 @@ def test_step_size_grows_at_most_fivefold():
     # from a needlessly small initial step, through the error-limited
     # transient, to the slow tail far past the nominal step
     p, grid, h, U = _journal_case(ecc=0.2, shape=(8, 4))
-    res = run_transient(grid, initial_state(grid, p), h, U, p,
-                        StepConfig(dt=1e-8), n_steps=4000)
+    res = run_transient(grid, initial_state(grid, h, U, p), h, U, p,
+                        StepConfig(dt=1e-8), n_steps=4000,
+                        stationarity_tol=1e-8)
     assert res.converged
     dt = res.step_stats["dt_used"]
     assert dt[0] == 1e-8
@@ -448,7 +465,7 @@ def _fixed_step_history(grid, h, U, p, dt, stationarity_tol=1e-8):
     """Step times and radius and pressure extrema of backward Euler at the
     fixed step ``dt`` (each step is error-tested once against a loose
     tolerance, which it passes), until the rate drops below the tolerance."""
-    state = initial_state(grid, p)
+    state = initial_state(grid, h, U, p)
     cfg = StepConfig(dt=dt, error_tol=0.5)
     rows = []
     while True:
@@ -471,8 +488,9 @@ def test_error_control_is_no_less_accurate_than_the_fixed_step():
     p, grid, h, U = _journal_case()
 
     def adaptive(error_tol):
-        res = run_transient(grid, initial_state(grid, p), h, U, p,
-                            StepConfig(dt=3e-4, error_tol=error_tol), 5000)
+        res = run_transient(grid, initial_state(grid, h, U, p), h, U, p,
+                            StepConfig(dt=3e-4, error_tol=error_tol), 5000,
+                            1e-8)
         assert res.converged
         return res
 
@@ -495,9 +513,10 @@ def test_rest_state_is_an_exact_fixed_point():
     consts = compute_derived(p)
     grid = grid_for_params(p, 8, 4)
     h = gap_function(grid, p)
-    state = TransientState(t=0.0, R=np.full(grid.shape, consts.R_bar))
-    res = run_transient(grid, state, h, (p.surface_speed, 0.0), p,
-                        StepConfig(dt=1e-4), n_steps=20)
+    U = (p.surface_speed, 0.0)
+    state = slaved_state(grid, np.full(grid.shape, consts.R_bar), h, U, p)
+    res = run_transient(grid, state, h, U, p, StepConfig(dt=1e-4), n_steps=20,
+                        stationarity_tol=1e-8)
     assert res.converged
     assert res.steps == 1
     assert np.allclose(res.state.R, consts.R_bar, rtol=1e-12)
@@ -509,8 +528,8 @@ def test_positivity_guard_raises_after_exhausting_halvings():
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
     dt = 1e-4
-    crash = np.full(grid.shape, -2100.0 * p.R0 / dt)
-    state = TransientState(t=0.0, R=np.full(grid.shape, p.R0), Rdot=crash)
+    state = slaved_state(grid, np.full(grid.shape, p.R0), h, (0.0, 0.0), p)
+    state.Rdot = np.full(grid.shape, -2100.0 * p.R0 / dt)   # a crash rate
     with pytest.raises(PositivityLossError):
         step_inertialess(grid, state, h, (0.0, 0.0), p, StepConfig(dt=dt))
 
@@ -527,7 +546,8 @@ def test_stalled_iteration_raises_step_failure(monkeypatch):
     p = PhysicalParams(alpha0=0.0, ecc=0.0)
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
-    state = TransientState(t=0.0, R=np.full(grid.shape, 1.2 * p.R0))
+    state = slaved_state(grid, np.full(grid.shape, 1.2 * p.R0), h, (0.0, 0.0),
+                         p)
     cfg = StepConfig(dt=1e-3, picard_tol=1e-8, picard_max=1)
     with pytest.raises(StepFailureError):
         step_inertialess(grid, state, h, (0.0, 0.0), p, cfg)
@@ -539,9 +559,10 @@ def test_run_reports_critical_radius_instead_of_raising():
     consts = compute_derived(p)
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
-    state = TransientState(t=0.0, R=np.full(grid.shape, 1.0001 * consts.R_crit))
+    state = slaved_state(grid, np.full(grid.shape, 1.0001 * consts.R_crit), h,
+                         (0.0, 0.0), p)
     res = run_transient(grid, state, h, (0.0, 0.0), p,
-                        StepConfig(dt=1e-9), n_steps=5)
+                        StepConfig(dt=1e-9), n_steps=5, stationarity_tol=1e-8)
     assert not res.converged
     assert res.failure is not None and "critical" in res.failure
     assert res.failed_step == 1
@@ -551,10 +572,10 @@ def test_history_recording_stride():
     p = PhysicalParams(alpha0=0.0, ecc=0.0)
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
-    state = TransientState(t=0.0, R=np.full(grid.shape, 1.02 * p.R0))
-    watch = TransientWatch(stationarity_tol=1e-30)
+    state = slaved_state(grid, np.full(grid.shape, 1.02 * p.R0), h, (0.0, 0.0),
+                         p)
     res = run_transient(grid, state, h, (0.0, 0.0), p,
-                        StepConfig(dt=1e-7), n_steps=6, watch=watch)
+                        StepConfig(dt=1e-7), n_steps=6, stationarity_tol=1e-30)
     assert res.steps == 6
     assert set(res.history) == {"t", "rate", "min_Rhat", "max_Rhat",
                                 "min_p", "max_p"}
@@ -574,7 +595,8 @@ def test_run_sets_the_step_index_of_a_step_failure(monkeypatch):
     p = PhysicalParams(alpha0=0.0, ecc=0.0)
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
-    state = TransientState(t=0.0, R=np.full(grid.shape, 1.02 * p.R0))
+    state = slaved_state(grid, np.full(grid.shape, 1.02 * p.R0), h, (0.0, 0.0),
+                         p)
     real_step = dynamics.step_inertialess
     injected = StepFailureError("injected failure")
     calls = []
@@ -587,21 +609,27 @@ def test_run_sets_the_step_index_of_a_step_failure(monkeypatch):
 
     monkeypatch.setattr(dynamics, "step_inertialess", failing_third_step)
     res = run_transient(grid, state, h, (0.0, 0.0), p, StepConfig(dt=1e-7),
-                        n_steps=6,
-                        watch=TransientWatch(stationarity_tol=1e-30))
+                        n_steps=6, stationarity_tol=1e-30)
     assert res.failed_step == 3 and res.steps == 2
     assert res.failure == "injected failure"
     assert len(res.step_stats["t"]) == 2
 
 
 def test_inertial_mode_requires_wall_velocity():
+    # a state is complete from its first instant: none is built without its
+    # wall velocity and pressure, and the inertial start is at rest
     p = PhysicalParams(ecc=0.0)
     grid = grid_for_params(p, 4, 4)
     h = gap_function(grid, p)
-    state = TransientState(t=0.0, R=np.full(grid.shape, p.R0))
-    with pytest.raises(ConfigurationError):
-        step_inertial(grid, state, h, (0.0, 0.0), p,
-                      StepConfig(dt=1e-9, mode=MODE_INERTIAL))
+    R = np.full(grid.shape, p.R0)
+    with pytest.raises(TypeError):
+        TransientState(t=0.0, R=R)
+    with pytest.raises(TypeError):
+        TransientState(t=0.0, R=R, Rdot=np.zeros(grid.shape))
+    state = initial_state(grid, h, (0.0, 0.0), p, mode=MODE_INERTIAL)
+    new, _ = step_inertial(grid, state, h, (0.0, 0.0), p,
+                           StepConfig(dt=1e-9, mode=MODE_INERTIAL))
+    assert new.t == 1e-9 and np.all(new.R > 0.0)
 
 
 # Mild laboratory-scale parameters: the single-bubble dynamics is a lightly
@@ -628,8 +656,8 @@ def test_inertial_stepper_tracks_the_oscillator_reduction():
 
     ref = solve_ivp(_oscillator_rhs, (0.0, n * dt), [r_init, 0.0],
                     method="DOP853", rtol=1e-12, atol=1e-14)
-    state = TransientState(t=0.0, R=np.full(grid.shape, r_init),
-                           Rdot=np.zeros(grid.shape))
+    state = slaved_state(grid, np.full(grid.shape, r_init), h, (0.0, 0.0),
+                         TAME, V=np.zeros(grid.shape))
     cfg = StepConfig(dt=dt, mode=MODE_INERTIAL)
     for _ in range(n):
         state, _ = step_inertial(grid, state, h, (0.0, 0.0), TAME, cfg)
@@ -646,8 +674,8 @@ def test_inertial_stepper_is_fourth_order():
                     method="DOP853", rtol=1e-13, atol=1e-15).y[0, -1]
     errors = []
     for n in (8, 16):
-        state = TransientState(t=0.0, R=np.full(grid.shape, r_init),
-                               Rdot=np.zeros(grid.shape))
+        state = slaved_state(grid, np.full(grid.shape, r_init), h,
+                             (0.0, 0.0), TAME, V=np.zeros(grid.shape))
         cfg = StepConfig(dt=T / n, mode=MODE_INERTIAL)
         for _ in range(n):
             state, _ = step_inertial(grid, state, h, (0.0, 0.0), TAME, cfg)
@@ -659,8 +687,8 @@ def test_inertial_stepper_is_fourth_order():
 def test_inertial_positivity_guard():
     grid = grid_for_params(TAME, 4, 4)
     h = gap_function(grid, TAME)
-    state = TransientState(t=0.0, R=np.full(grid.shape, TAME.R0),
-                           Rdot=np.full(grid.shape, -1e6 * TAME.R0))
+    state = slaved_state(grid, np.full(grid.shape, TAME.R0), h, (0.0, 0.0),
+                         TAME, V=np.full(grid.shape, -1e6 * TAME.R0))
     with pytest.raises(PositivityLossError):
         step_inertial(grid, state, h, (0.0, 0.0), TAME,
                       StepConfig(dt=1.0, mode=MODE_INERTIAL))
@@ -668,38 +696,40 @@ def test_inertial_positivity_guard():
 
 def test_inertial_run_trace_counts_every_pressure_solve(monkeypatch):
     # the inertial twin of test_run_trace_counts_the_work_of_the_run: every
-    # pressure solve but the run's first is counted in some step's
-    # iterations, the three later stages and the end-of-step pressure of
-    # every attempt, those of attempts dropped by a halving too
+    # pressure solve of the run from a complete state is counted in some
+    # step's iterations, the three later stages and the end-of-step
+    # pressure of every attempt, those of attempts dropped by a halving too
+    grid = grid_for_params(TAME, 4, 4)
+    h = gap_function(grid, TAME)
+    state = slaved_state(grid, np.full(grid.shape, 1.05 * TAME.R0), h,
+                         (0.0, 0.0), TAME,
+                         V=np.full(grid.shape, -60.0 * TAME.R0))
     solves = []
     accelerate = dynamics._wall_acceleration
     monkeypatch.setattr(dynamics, "_wall_acceleration",
                         lambda *a, **k: solves.append(1) or accelerate(*a, **k))
-    grid = grid_for_params(TAME, 4, 4)
-    h = gap_function(grid, TAME)
-    state = TransientState(t=0.0, R=np.full(grid.shape, 1.05 * TAME.R0),
-                           Rdot=np.full(grid.shape, -60.0 * TAME.R0))
     res = run_transient(grid, state, h, (0.0, 0.0), TAME,
                         StepConfig(dt=1e-3, mode=MODE_INERTIAL), n_steps=50,
-                        watch=TransientWatch(stationarity_tol=0.0))
+                        stationarity_tol=0.0)
     assert res.steps == 50 and res.failure is None
     assert np.sum(res.step_stats["halvings"]) > 0
-    assert len(solves) == 1 + int(np.sum(res.step_stats["iterations"]))
+    assert len(solves) == int(np.sum(res.step_stats["iterations"]))
 
 
 def test_inertial_step_starts_from_the_pressure_its_state_carries(monkeypatch):
     # the first RK4 stage takes the pressure the previous step solved at the
-    # same (R, V): the run's first solve, then four a step
+    # same (R, V): the start state's solve, then four a step
     solves = []
     accelerate = dynamics._wall_acceleration
     monkeypatch.setattr(dynamics, "_wall_acceleration",
                         lambda *a, **k: solves.append(1) or accelerate(*a, **k))
     grid = grid_for_params(TAME, 4, 4)
     h = gap_function(grid, TAME)
-    res = run_transient(grid, initial_state(grid, TAME, MODE_INERTIAL), h,
+    res = run_transient(grid, initial_state(grid, h, (0.0, 0.0), TAME,
+                                            MODE_INERTIAL), h,
                         (0.0, 0.0), TAME,
                         StepConfig(dt=1e-3, mode=MODE_INERTIAL), n_steps=20,
-                        watch=TransientWatch(stationarity_tol=0.0))
+                        stationarity_tol=0.0)
     assert res.steps == 20 and np.sum(res.step_stats["halvings"]) == 0
     assert len(solves) == 1 + 4 * 20
     assert np.all(res.step_stats["iterations"] == 4)
@@ -709,10 +739,10 @@ def test_run_transient_reaches_the_target_rate():
     p = PhysicalParams(ecc=0.15)
     grid = grid_for_params(p, 24, 6)
     h = gap_function(grid, p)
-    state = initial_state(grid, p)
-    res = run_transient(grid, state, h, (p.surface_speed, 0.0), p,
+    U = (p.surface_speed, 0.0)
+    res = run_transient(grid, initial_state(grid, h, U, p), h, U, p,
                         StepConfig(dt=3e-4), n_steps=3200,
-                        watch=TransientWatch(stationarity_tol=1e-6))
+                        stationarity_tol=1e-6)
     assert res.converged
     assert res.rate < 1e-6
     assert res.failure is None

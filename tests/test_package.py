@@ -1,5 +1,6 @@
-"""Package-wide structure: no dead public code, no dead test oracle, and a
-package namespace that imports and re-exports nothing."""
+"""Package-wide structure: no dead public code, no dead test oracle, a
+package namespace that imports and re-exports nothing, and file writes in
+the CLI alone."""
 
 import ast
 import os
@@ -176,5 +177,32 @@ def test_every_file_write_goes_through_a_writer():
                                     getattr(node.func, "attr", None)) == "open"
                         and (module, getattr(top, "name", None)) not in WRITERS
                         and not _opens_for_reading(node)):
+                    strays.append(f"{module}.py:{node.lineno}")
+    assert strays == []
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_only_the_cli_writes_artifacts():
+    # the numerical layers return their results: only cli calls a writer,
+    # and only cli imports os or pathlib
+    writers = {name for _, name in WRITERS}
+    strays = []
+    for module, tree in _modules():
+        if module == "cli":
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id",
+                                    getattr(node.func, "attr", None)) in writers):
+                    strays.append(f"{module}.{getattr(top, 'name', None)}")
+                elif _imported_modules(node) & {"os", "pathlib"}:
                     strays.append(f"{module}.py:{node.lineno}")
     assert strays == []

@@ -29,7 +29,6 @@ from filmcav.grid import BC_DIRICHLET, Grid, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived
 from filmcav.stability import (
     RIGHTMOST_COUNT,
-    SPECTRUM_SIZE_LIMIT,
     TAG_LF,
     VERDICT_MARGINAL,
     VERDICT_STABLE,
@@ -399,9 +398,6 @@ def test_verdict_classification():
 def test_spectrum_input_validation():
     with pytest.raises(ConfigurationError):
         compute_spectrum(np.zeros((3, 4)))
-    with pytest.raises(ConfigurationError):
-        compute_spectrum(np.zeros((SPECTRUM_SIZE_LIMIT + 1,
-                                   SPECTRUM_SIZE_LIMIT + 1)))
 
 
 def test_spectrum_csv_round_trip(tmp_path):
