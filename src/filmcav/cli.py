@@ -250,12 +250,15 @@ def cmd_stability(config: RunConfig) -> int:
         print(f"stability: stationary solve failed "
               f"(residual {report.final_residual:.3e})", file=sys.stderr)
         return 3
+    # both spectra before the first file: a run that fails writes nothing
+    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
+    rep_G = pencil_spectrum(B, P, TAG_LG)
+    rep_F = (compute_spectrum(assemble_LF(grid, R_s, h, U, params), TAG_LF)
+             if inertial else None)
+
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_fields_csv(out / "fields_stationary.csv", grid, params, R_s, p_s)
-
-    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
-    rep_G = pencil_spectrum(B, P, config.stability_margin, TAG_LG)
     export_spectrum_csv(out / "spectrum_LG.csv", rep_G)
     lines = [
         f"operator {rep_G.operator_tag}: verdict = {rep_G.verdict}, "
@@ -272,8 +275,6 @@ def cmd_stability(config: RunConfig) -> int:
                             "is bounded in stability_summary.txt"),
     ]
     if inertial:
-        LF = assemble_LF(grid, R_s, h, U, params)
-        rep_F = compute_spectrum(LF, config.stability_margin, TAG_LF)
         export_spectrum_csv(out / "spectrum_LF.csv", rep_F)
         lines.append(f"operator {rep_F.operator_tag}: verdict = "
                      f"{rep_F.verdict}, max real part = "
@@ -335,7 +336,7 @@ def _sweep_point(args: tuple[RunConfig, float]) -> str:
     params = sub.params
     p_cav = abs(compute_derived(params).p_cav)
     try:
-        if sub.mode == MODE_STATIONARY:
+        if config.sweep_solver == MODE_STATIONARY:
             R_s, p_s, report = _stationary(sub)
             return _sweep_row(value, report.converged,
                               float(np.max(R_s)) / params.R0,
@@ -345,13 +346,22 @@ def _sweep_point(args: tuple[RunConfig, float]) -> str:
         return _sweep_row(value, res.converged, res.max_Rhat, res.min_p / p_cav,
                           float(eval_alpha(res.max_Rhat * params.R0, params)))
     except _NUMERICAL_FAILURES as exc:
-        _write_text(Path(sub.output_dir) / "summary.txt", f"failure = {exc}\n")
+        out = Path(sub.output_dir)
+        _write_text(out / "summary.txt", f"failure = {exc}\n")
+        _write_text(out / "MANIFEST.txt", _manifest_text([
+            ("summary.txt", "the numerical failure that ended the run, "
+                            "one `failure = <message>` line")]))
         return _sweep_row(value, False, *[float("nan")] * 3)
 
 
 def cmd_sweep(config: RunConfig) -> int:
     """Run the configured parameter sweep; point failures are recorded in
     the aggregate CSV and the sweep continues."""
+    if config.sweep_axis == "none":
+        raise ConfigurationError("sweep mode needs sweep_axis = ecc or omega")
+    if not config.sweep_values:
+        raise ConfigurationError("sweep mode needs a nonempty sweep_values "
+                                 "list")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(config, v) for v in config.sweep_values]
@@ -413,7 +423,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         config = parse_config(text)
     else:
         config = RunConfig()
-    config = replace(config, mode=args.command)
     if args.out is not None:
         config = replace(config, output_dir=args.out)
     if args.workers is not None:

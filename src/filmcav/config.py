@@ -29,7 +29,6 @@ MODE_TRANSIENT = "transient"
 MODE_STATIONARY = "stationary"
 MODE_STABILITY = "stability"
 MODE_SWEEP = "sweep"
-RUN_MODES = (MODE_TRANSIENT, MODE_STATIONARY, MODE_STABILITY, MODE_SWEEP)
 
 SWEEP_AXES = ("none", "ecc", "omega")
 
@@ -42,7 +41,6 @@ class RunConfig:
     n1: int = 128
     n2: int = 32
     bc_x1: str = BC_PERIODIC
-    mode: str = MODE_TRANSIENT
     step: StepConfig = StepConfig()
     n_steps: int = 20000
     stationarity_tol: float = 1e-8
@@ -52,13 +50,9 @@ class RunConfig:
     sweep_axis: str = "none"
     sweep_values: tuple[float, ...] = ()
     sweep_solver: str = MODE_TRANSIENT
-    stability_margin: float = 1e-8
     workers: int = 1
 
     def __post_init__(self):
-        if self.mode not in RUN_MODES:
-            raise ConfigurationError(
-                f"mode must be one of {', '.join(RUN_MODES)}, got {self.mode!r}")
         self.make_grid()                 # checks n1, n2 and bc_x1
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be at least 1")
@@ -74,18 +68,8 @@ class RunConfig:
         if self.sweep_solver not in (MODE_TRANSIENT, MODE_STATIONARY):
             raise ConfigurationError("sweep_solver must be 'transient' or "
                                      f"'stationary', got {self.sweep_solver!r}")
-        if not 0.0 < self.stability_margin < math.inf:
-            raise ConfigurationError("stability_margin must be finite and "
-                                     "positive")
         if self.workers < 1:
             raise ConfigurationError("workers must be at least 1")
-        if self.mode == MODE_SWEEP:
-            if self.sweep_axis == "none":
-                raise ConfigurationError(
-                    "sweep mode needs sweep_axis = ecc or omega")
-            if not self.sweep_values:
-                raise ConfigurationError(
-                    "sweep mode needs a nonempty sweep_values list")
         for v in self.sweep_values:
             if self.sweep_axis == "ecc" and not 0.0 <= v < 1.0:
                 raise ConfigurationError(
@@ -202,13 +186,12 @@ def render_config(config: RunConfig) -> str:
 
 
 def config_for_sweep_value(config: RunConfig, value: float) -> RunConfig:
-    """The per-point configuration of a sweep: the axis value substituted,
-    mode switched to the point solver."""
+    """The per-point configuration of a sweep: the axis value substituted
+    and the sweep settings cleared."""
     if config.sweep_axis == "ecc":
         params = replace(config.params, ecc=value)
     elif config.sweep_axis == "omega":
         params = replace(config.params, omega=value)
     else:
         raise ConfigurationError("sweep axis is 'none'")
-    return replace(config, params=params, mode=config.sweep_solver,
-                   sweep_axis="none", sweep_values=())
+    return replace(config, params=params, sweep_axis="none", sweep_values=())

@@ -80,6 +80,10 @@ HISTORY_KEYS = ("t", "rate", "min_Rhat", "max_Rhat", "min_p", "max_p")
 #: most halvings, and most error-test retries, of one step
 MAX_HALVINGS = 10
 
+#: most chord updates of one backward-Euler attempt before the pressure
+#: elimination tests its iterate
+MAX_CHORD_UPDATES = 59
+
 #: a chord iteration that shrinks the update by less than this factor
 #: refactors the Newton matrix at the current iterate
 CHORD_CONTRACTION = 100.0
@@ -104,17 +108,13 @@ class StepConfig:
     local error of backward Euler, so it does not bound that error.
     ``picard_tol`` is the relative residual threshold of the backward-Euler
     solve (required in (0, 1e-3]): an iterate ``x`` is accepted when
-    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``picard_max`` bounds
-    the iterations of one step attempt: at most ``picard_max - 1`` chord
-    updates, then the one pressure elimination that tests the iterate (with
-    ``picard_max = 1`` the extrapolated start is tested as it is).  ``mode``
-    selects quasi-static or inertial wall dynamics.
+    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``mode`` selects
+    quasi-static or inertial wall dynamics.
     """
 
     dt: float = 3e-4
     error_tol: float = 1e-4
     picard_tol: float = 1e-8
-    picard_max: int = 60
     mode: str = MODE_INERTIALESS
 
     def __post_init__(self):
@@ -126,8 +126,6 @@ class StepConfig:
         if not self.picard_tol < self.error_tol < 1.0:
             raise ConfigurationError("error_tol must lie in (picard_tol, 1), "
                                      f"got {self.error_tol!r}")
-        if self.picard_max < 1:
-            raise ConfigurationError("picard_max must be at least 1")
         if self.mode not in (MODE_INERTIALESS, MODE_INERTIAL):
             raise ConfigurationError(f"mode must be '{MODE_INERTIALESS}' or "
                                      f"'{MODE_INERTIAL}', got {self.mode!r}")
@@ -268,8 +266,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     ``A`` at its first iterate, refactors it at the current iterate when an
     iteration shrinks the update by less than ``CHORD_CONTRACTION``, and
     drops it when it ends.  Once an update falls below ``picard_tol`` (or
-    at the last of ``picard_max`` iterations, with no update), one pressure
-    elimination certifies the iterate: it is accepted only if
+    after ``MAX_CHORD_UPDATES`` updates), one pressure elimination
+    certifies the iterate: it is accepted only if
     ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  The start rate
     ``G_n`` is ``state.Rdot``.  ``chord`` carries the predictor history and
     the proposed step size between steps and is updated in place; without
@@ -285,7 +283,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
 
     A step attempt is rejected -- and ``dt`` halved -- when an iterate
     leaves the positive cone or when the iteration stalls (update growing
-    well past its best value, ``picard_max`` iterations spent, or an
+    well past its best value, ``MAX_CHORD_UPDATES`` updates spent, or an
     iterate that fails its certification).  More than ``MAX_HALVINGS``
     halvings raise :class:`StepFailureError` after a stall and
     :class:`PositivityLossError` after a sign loss; more than
@@ -319,7 +317,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             best = np.inf
             lu = None
             stalled = False
-            for _ in range(step_cfg.picard_max - 1):
+            for _ in range(MAX_CHORD_UPDATES):
                 S = (x - R_old) / dt
                 F, _ = film_residual(grid, x, S, h, U, params)
                 rhs = -dt * F.ravel()
@@ -376,7 +374,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     f"even after {MAX_HALVINGS} step halvings (blow-up)")
             raise StepFailureError(
                 f"backward-Euler iteration did not converge within "
-                f"{step_cfg.picard_max} iterations at t = {state.t:.6g} "
+                f"{MAX_CHORD_UPDATES} chord updates at t = {state.t:.6g} "
                 f"(dt = {dt:.3g} after {MAX_HALVINGS} halvings)")
         dt *= 0.5
 

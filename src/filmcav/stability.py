@@ -58,6 +58,9 @@ POLE_RAISES = 3
 #: largest normwise backward error accepted for a listed eigenpair
 BACKWARD_ERROR_TOL = 1e-10
 
+#: half-width of the band of real parts that decides no verdict
+VERDICT_MARGIN = 1e-8
+
 VERDICT_STABLE = "stable"
 VERDICT_UNSTABLE = "unstable"
 VERDICT_MARGINAL = "marginal"
@@ -70,13 +73,13 @@ TAG_LF = "L_F"
 class SpectrumReport:
     """Eigenvalues of a linearized evolution operator with a verdict.
 
-    ``verdict`` applies the ``margin`` of the call that built the report:
-    "stable" when every real part is below ``-margin``, "unstable" when
-    some real part exceeds ``+margin``, and "marginal" otherwise
-    (eigenvalues inside the margin band decide nothing at finite
-    resolution).  ``eigenvalues`` may be the rightmost part of the
-    spectrum only; ``bound`` then bounds the real part of every eigenvalue
-    not listed (``-inf`` when the list is the whole spectrum).
+    ``verdict`` is "stable" when every real part is below
+    ``-VERDICT_MARGIN``, "unstable" when some real part exceeds
+    ``+VERDICT_MARGIN``, and "marginal" otherwise (eigenvalues inside the
+    margin band decide nothing at finite resolution).  ``eigenvalues`` may
+    be the rightmost part of the spectrum only; ``bound`` then bounds the
+    real part of every eigenvalue not listed (``-inf`` when the list is the
+    whole spectrum).
     """
 
     eigenvalues: np.ndarray
@@ -86,11 +89,11 @@ class SpectrumReport:
     bound: float = -np.inf
 
 
-def _verdict(max_real: float, margin: float) -> str:
+def _verdict(max_real: float) -> str:
     """The three-way rule shared by the dense and the sparse spectra."""
-    if max_real < -margin:
+    if max_real < -VERDICT_MARGIN:
         return VERDICT_STABLE
-    if max_real > margin:
+    if max_real > VERDICT_MARGIN:
         return VERDICT_UNSTABLE
     return VERDICT_MARGINAL
 
@@ -121,8 +124,7 @@ def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
     return np.vstack([top, lower])
 
 
-def compute_spectrum(matrix: np.ndarray, margin: float = 1e-8,
-                     operator_tag: str = TAG_LG) -> SpectrumReport:
+def compute_spectrum(matrix: np.ndarray, operator_tag: str = TAG_LG) -> SpectrumReport:
     """Full eigendecomposition with a three-way stability verdict."""
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -130,7 +132,7 @@ def compute_spectrum(matrix: np.ndarray, margin: float = 1e-8,
     eigs = np.sort_complex(np.linalg.eigvals(A))
     max_real = float(np.max(eigs.real))
     return SpectrumReport(eigenvalues=eigs, max_real_part=max_real,
-                          verdict=_verdict(max_real, margin),
+                          verdict=_verdict(max_real),
                           operator_tag=operator_tag)
 
 
@@ -157,7 +159,7 @@ def _complete_pairs(lam: np.ndarray) -> np.ndarray:
     return np.sort_complex(np.concatenate([lam, partners]))
 
 
-def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix, margin: float = 1e-8,
+def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix,
                     operator_tag: str = TAG_LG) -> SpectrumReport:
     """Certified rightmost eigenvalues of the sparse pencil ``B w = lam P w``.
 
@@ -225,7 +227,7 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix, margin: float = 1e-8,
             else:
                 return SpectrumReport(
                     eigenvalues=_complete_pairs(lam), max_real_part=max_real,
-                    verdict=_verdict(max_real, margin),
+                    verdict=_verdict(max_real),
                     operator_tag=operator_tag, bound=bound)
         pole *= POLE_GROWTH
     raise SolverFailureError(

@@ -35,6 +35,8 @@ from .physics import (PhysicalParams, compute_derived, eval_f1, eval_f3,
                       eval_f4)
 
 MAX_BACKTRACKS = 20
+#: most Newton iterations of one solve
+NEWTON_MAX = 40
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,10 @@ class StationarySolveConfig:
     """
 
     newton_tol: float = 1e-10
-    newton_max: int = 40
 
     def __post_init__(self):
         if not 0.0 < self.newton_tol < np.inf:
             raise ConfigurationError("newton_tol must be finite and positive")
-        if self.newton_max < 1:
-            raise ConfigurationError("newton_max must be at least 1")
 
 
 @dataclass
@@ -110,7 +109,7 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
                      ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
     """Newton solve for the stationary pair ``(R_s, p_s)``.
 
-    Damped Newton from the uniform rest state, at most ``cfg.newton_max``
+    Damped Newton from the uniform rest state, at most ``NEWTON_MAX``
     iterations, each step halved until the residual norm decreases.
     Raises :class:`SupercriticalRadiusError` when an iterate reaches the
     critical radius.  A solve that stops short of ``cfg.newton_tol`` (its
@@ -130,7 +129,7 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     while True:
         report.final_residual = float(np.linalg.norm(phi)) / scale
         report.residual_history.append(report.final_residual)
-        if report.final_residual < cfg.newton_tol or iters == cfg.newton_max:
+        if report.final_residual < cfg.newton_tol or iters == NEWTON_MAX:
             break
         iters += 1
         J = film_pencil(grid, R, zero_rate, hf, U, params)[0]

@@ -334,7 +334,7 @@ def test_criterion_09_property_suites():
     dt, steps = 1e-6, 100
     state = slaved_state(grid, np.full(grid.shape, 1.05 * params0.R0), h,
                          (0.0, 0.0), params0)
-    cfg = StepConfig(dt=dt, picard_tol=1e-12, picard_max=200)
+    cfg = StepConfig(dt=dt, picard_tol=1e-12)
     for _ in range(steps):
         state, _ = step_inertialess(grid, state, h, (0.0, 0.0), params0, cfg)
 

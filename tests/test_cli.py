@@ -273,12 +273,14 @@ def test_stability_uncertified_spectrum_is_exit_3(tmp_path, monkeypatch,
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 3
     assert "not certified" in capsys.readouterr().err
-    assert not (out / "stability_summary.txt").exists()
-    assert not (out / "spectrum_LG.csv").exists()
+    # both spectra come before the first file: the failed run writes none
+    assert not out.exists()
 
 
-def test_stability_unconverged_branch_is_exit_3(tmp_path, capsys):
-    cfg = _write(tmp_path, "ecc = 0.4\nn1 = 16\nn2 = 8\nnewton_max = 1\n")
+def test_stability_unconverged_branch_is_exit_3(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr("filmcav.stationary.NEWTON_MAX", 1)
+    cfg = _write(tmp_path, "ecc = 0.4\nn1 = 16\nn2 = 8\n")
     rc = main(["stability", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "stationary solve failed" in capsys.readouterr().err
@@ -302,7 +304,16 @@ def test_sweep_aggregates_and_records_failures(tmp_path, capsys):
     assert rows[2][2] == "nan"
     for value in ("0.1", "0.2", "0.55"):
         assert (out / f"sweep_ecc_{value}" / "summary.txt").exists()
+        assert (out / f"sweep_ecc_{value}" / "MANIFEST.txt").exists()
     assert (out / "sweep_ecc_0.1" / "fields_final.csv").exists()
+    # the failed point's MANIFEST names its one file, the failure record
+    failed = out / "sweep_ecc_0.55"
+    assert sorted(p.name for p in failed.iterdir()) == ["MANIFEST.txt",
+                                                        "summary.txt"]
+    manifest = (failed / "MANIFEST.txt").read_text(encoding="utf-8")
+    assert "summary.txt" in manifest and "failure" in manifest
+    assert (failed / "summary.txt").read_text(
+        encoding="utf-8").startswith("failure = ")
     assert "sweep.csv" in (out / "MANIFEST.txt").read_text()
     assert "0.55,false,nan" in capsys.readouterr().out
 
@@ -403,6 +414,15 @@ def test_configuration_errors_are_exit_2(tmp_path, capsys):
     assert main(["stationary", "--config",
                  _write(tmp_path, "ecc = 1.2\n")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_subcommand_is_the_only_run_mode(tmp_path, capsys):
+    # a `mode` key is not a setting: it is rejected, not silently overridden
+    cfg = _write(tmp_path, "mode = stationary\nn1 = 8\nn2 = 4\n")
+    out = tmp_path / "out"
+    assert main(["transient", "--config", cfg, "--out", str(out)]) == 2
+    assert "unknown configuration key 'mode'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gas_denser_than_liquid_is_exit_2(tmp_path, capsys):

@@ -8,11 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from filmcav.cli import main
 from filmcav.config import (
     KNOWN_KEYS,
     MODE_STATIONARY,
-    MODE_SWEEP,
-    MODE_TRANSIENT,
     RunConfig,
     config_for_sweep_value,
     parse_config,
@@ -30,7 +29,6 @@ def test_defaults_are_the_documented_desk_scale():
     assert config.params == PhysicalParams()
     assert (config.n1, config.n2) == (128, 32)
     assert config.bc_x1 == BC_PERIODIC
-    assert config.mode == MODE_TRANSIENT
     assert config.step.dt == 3e-4
     assert config.step.error_tol == 1e-4
     assert config.step.mode == MODE_INERTIALESS
@@ -67,13 +65,11 @@ def test_comments_and_blank_lines_ignored():
     RunConfig(params=PhysicalParams(ecc=0.4, omega=2500.0 / 3.0),
               n1=48, n2=12, bc_x1=BC_DIRICHLET,
               step=StepConfig(dt=1e-3 / 3.0, error_tol=2e-5 / 3.0,
-                              picard_tol=1e-9, picard_max=25,
-                              mode=MODE_INERTIAL),
+                              picard_tol=1e-9, mode=MODE_INERTIAL),
               n_steps=777, stationarity_tol=2e-7, snapshot_every=50,
               output_dir="artifacts/run one",
-              newton=StationarySolveConfig(newton_tol=1e-9, newton_max=17),
-              stability_margin=1e-6, workers=3),
-    RunConfig(mode=MODE_SWEEP, sweep_axis="ecc",
+              newton=StationarySolveConfig(newton_tol=1e-9), workers=3),
+    RunConfig(sweep_axis="ecc",
               sweep_values=(0.1, 0.2, 1.0 / 3.0),
               sweep_solver=MODE_STATIONARY),
 ], ids=["defaults", "custom", "sweep"])
@@ -83,7 +79,8 @@ def test_render_parse_round_trip_is_exact(config):
 
 def test_unknown_key_rejected_by_name():
     for key in ("frobnicate", "solver_method", "solver_tol",
-                "solver_max_iter", "k_max", "continuation_steps"):
+                "solver_max_iter", "k_max", "continuation_steps", "mode",
+                "stability_margin", "picard_max", "newton_max"):
         with pytest.raises(ConfigurationError, match=key):
             parse_config(f"{key} = 3\n")
 
@@ -161,7 +158,6 @@ def test_out_of_range_physical_values_rejected():
     "snapshot_every = -1",
     "sweep_axis = viscosity",
     "sweep_solver = stability",
-    "stability_margin = 0.0",
     "workers = 0",
     "error_tol = 1e-9",
     "error_tol = 1.0",
@@ -173,7 +169,6 @@ def test_out_of_range_physical_values_rejected():
     "sweep_values = 0.1, inf",
     # settings built in Python, past the parser's finiteness check
     {"stationarity_tol": np.inf},
-    {"stability_margin": np.inf},
 ])
 def test_run_setting_validation(line):
     with pytest.raises(ConfigurationError):
@@ -183,25 +178,30 @@ def test_run_setting_validation(line):
             parse_config(line + "\n")
 
 
-def test_sweep_mode_needs_axis_and_values():
-    with pytest.raises(ConfigurationError, match="sweep_axis"):
-        parse_config("mode = sweep\nsweep_values = 0.1\n")
-    with pytest.raises(ConfigurationError, match="sweep_values"):
-        parse_config("mode = sweep\nsweep_axis = ecc\n")
+def test_sweep_mode_needs_axis_and_values(tmp_path, capsys):
+    # the sweep command checks its axis and values before it makes a
+    # directory
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    for text, key in (("sweep_values = 0.1\n", "sweep_axis"),
+                      ("sweep_axis = ecc\n", "sweep_values")):
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
     # Axis-specific ranges: ecc lives in [0, 1), omega must be >= 0.
     with pytest.raises(ConfigurationError):
-        parse_config("mode = sweep\nsweep_axis = ecc\nsweep_values = 0.1,1.0\n")
+        parse_config("sweep_axis = ecc\nsweep_values = 0.1,1.0\n")
     with pytest.raises(ConfigurationError):
-        parse_config("mode = sweep\nsweep_axis = omega\nsweep_values = -5.0\n")
+        parse_config("sweep_axis = omega\nsweep_values = -5.0\n")
 
 
 def test_sweep_values_parse_and_dedup(caplog):
-    config = parse_config("mode = sweep\nsweep_axis = ecc\n"
-                          "sweep_values = 0.1, 0.3 ,0.2,\n")
+    config = parse_config("sweep_axis = ecc\nsweep_values = 0.1, 0.3 ,0.2,\n")
     assert config.sweep_values == (0.1, 0.3, 0.2)
 
     with caplog.at_level(logging.WARNING, logger="filmcav.config"):
-        config = parse_config("mode = sweep\nsweep_axis = ecc\n"
+        config = parse_config("sweep_axis = ecc\n"
                               "sweep_values = 0.1,0.2,0.1,0.3,0.2\n")
     assert config.sweep_values == (0.1, 0.2, 0.3)
     assert any("duplicate" in rec.message for rec in caplog.records)
@@ -209,13 +209,11 @@ def test_sweep_values_parse_and_dedup(caplog):
 
 def test_nested_solver_keys_route_to_their_configs():
     config = parse_config(
-        "step_mode = inertial\ndt = 1e-5\npicard_tol = 1e-9\npicard_max = 7\n"
-        "error_tol = 1e-6\n"
-        "newton_tol = 1e-9\nnewton_max = 11\n")
+        "step_mode = inertial\ndt = 1e-5\npicard_tol = 1e-9\n"
+        "error_tol = 1e-6\nnewton_tol = 1e-9\n")
     assert config.step == StepConfig(dt=1e-5, error_tol=1e-6, picard_tol=1e-9,
-                                     picard_max=7, mode=MODE_INERTIAL)
-    assert config.newton == StationarySolveConfig(newton_tol=1e-9,
-                                                  newton_max=11)
+                                     mode=MODE_INERTIAL)
+    assert config.newton == StationarySolveConfig(newton_tol=1e-9)
 
 
 def _settings(config):
@@ -239,14 +237,14 @@ def test_every_physical_parameter_is_a_config_key():
         params=replace(params, k_poly=1.0, **{
             f.name: 0.5 * getattr(params, f.name) for f in fields(params)
             if f.name != "k_poly"}),
-        n1=48, n2=12, bc_x1=BC_DIRICHLET, mode=MODE_STATIONARY,
+        n1=48, n2=12, bc_x1=BC_DIRICHLET,
         step=StepConfig(dt=1e-5, error_tol=1e-5, picard_tol=1e-9,
-                        picard_max=7, mode=MODE_INERTIAL),
+                        mode=MODE_INERTIAL),
         n_steps=777, stationarity_tol=2e-7, snapshot_every=50,
         output_dir="elsewhere",
-        newton=StationarySolveConfig(newton_tol=1e-9, newton_max=11),
+        newton=StationarySolveConfig(newton_tol=1e-9),
         sweep_axis="ecc", sweep_values=(0.25,), sweep_solver=MODE_STATIONARY,
-        stability_margin=1e-6, workers=3)
+        workers=3)
     defaults = _settings(RunConfig())
     wanted = _settings(custom)
     assert all(wanted[leaf] != defaults[leaf] for leaf in defaults)
@@ -270,19 +268,16 @@ def test_every_physical_parameter_is_a_config_key():
 
 
 def test_config_for_sweep_value_substitutes_the_axis():
-    base = parse_config("mode = sweep\nsweep_axis = ecc\n"
+    base = parse_config("sweep_axis = ecc\n"
                         "sweep_values = 0.1,0.2\nsweep_solver = stationary\n")
     point = config_for_sweep_value(base, 0.2)
-    assert point.params.ecc == 0.2
-    assert point.mode == MODE_STATIONARY
-    assert point.sweep_axis == "none"
-    assert point.sweep_values == ()
+    assert point == replace(base, params=replace(base.params, ecc=0.2),
+                            sweep_axis="none", sweep_values=())
 
-    base_w = parse_config("mode = sweep\nsweep_axis = omega\n"
-                          "sweep_values = 100.0\n")
+    base_w = parse_config("sweep_axis = omega\nsweep_values = 100.0\n")
     point_w = config_for_sweep_value(base_w, 100.0)
     assert point_w.params.omega == 100.0
-    assert point_w.mode == MODE_TRANSIENT
+    assert point_w.sweep_axis == "none"
 
     with pytest.raises(ConfigurationError):
         config_for_sweep_value(RunConfig(), 0.1)

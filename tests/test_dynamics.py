@@ -47,8 +47,6 @@ def test_step_config_validation():
     with pytest.raises(ConfigurationError):
         StepConfig(picard_tol=1e-2)
     with pytest.raises(ConfigurationError):
-        StepConfig(picard_max=0)
-    with pytest.raises(ConfigurationError):
         StepConfig(mode="semi-implicit")
     # the error tolerance lies strictly between picard_tol and 1
     for error_tol in (0.0, 1e-8, 1e-9, 1.0, 2.0):
@@ -319,7 +317,7 @@ def test_backward_euler_is_first_order():
     ref = _scalar_rk4(1.1 * p.R0, T / 40000, 40000, p)
     errors = []
     for n in (20, 40, 80):
-        cfg = StepConfig(dt=T / n, picard_tol=1e-12, picard_max=200)
+        cfg = StepConfig(dt=T / n, picard_tol=1e-12)
         state = slaved_state(grid, np.full(grid.shape, 1.1 * p.R0), h,
                              (0.0, 0.0), p)
         for _ in range(n):
@@ -535,10 +533,10 @@ def test_positivity_guard_raises_after_exhausting_halvings():
 
 
 def test_stalled_iteration_raises_step_failure(monkeypatch):
-    # One Picard iteration is never enough away from equilibrium, at any of
-    # the fallback step sizes, so the stall is reported as such.  With one
-    # elimination per attempt no update could be tested, so no chord LU is
-    # built.
+    # The extrapolated start alone is never accepted away from equilibrium,
+    # at any of the fallback step sizes, so the stall is reported as such.
+    # With no chord update allowed no chord LU is built.
+    monkeypatch.setattr(dynamics, "MAX_CHORD_UPDATES", 0)
     factorizations = []
     factorize = dynamics._factorize
     monkeypatch.setattr(dynamics, "_factorize",
@@ -548,7 +546,7 @@ def test_stalled_iteration_raises_step_failure(monkeypatch):
     h = gap_function(grid, p)
     state = slaved_state(grid, np.full(grid.shape, 1.2 * p.R0), h, (0.0, 0.0),
                          p)
-    cfg = StepConfig(dt=1e-3, picard_tol=1e-8, picard_max=1)
+    cfg = StepConfig(dt=1e-3, picard_tol=1e-8)
     with pytest.raises(StepFailureError):
         step_inertialess(grid, state, h, (0.0, 0.0), p, cfg)
     assert factorizations == []

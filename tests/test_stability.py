@@ -382,14 +382,15 @@ def test_inertial_spectrum_flips_across_critical_speed():
     assert massless.real.max() < -1.0
 
 
-def test_verdict_classification():
+def test_verdict_classification(monkeypatch):
     stable = compute_spectrum(np.diag([-1.0, -2.0]))
     assert stable.verdict == VERDICT_STABLE
     assert stable.max_real_part == -1.0
     assert compute_spectrum(np.diag([-1.0, 1e-3])).verdict == VERDICT_UNSTABLE
     assert compute_spectrum(np.diag([-1.0, 1e-12])).verdict == VERDICT_MARGINAL
-    # An explicit margin widens the marginal band.
-    wide = compute_spectrum(np.diag([-1.0, -2.0]), margin=1.5)
+    # A wider margin widens the marginal band.
+    monkeypatch.setattr("filmcav.stability.VERDICT_MARGIN", 1.5)
+    wide = compute_spectrum(np.diag([-1.0, -2.0]))
     assert wide.verdict == VERDICT_MARGINAL
     tagged = compute_spectrum(np.diag([-3.0, -2.0]), operator_tag=TAG_LF)
     assert tagged.operator_tag == TAG_LF
