@@ -31,13 +31,13 @@ from .dynamics import (HISTORY_KEYS, MODE_INERTIAL, STEP_STATS_KEYS,
 from .elliptic import film_pencil
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
-from .grid import (BC_PERIODIC, CSV_HEADER, Grid, export_fields_csv,
-                   gap_function, render_csv)
+from .grid import (BC_PERIODIC, CSV_HEADER, Grid, gap_function, render_csv,
+                   render_fields_csv)
 from .physics import PhysicalParams, compute_derived, eval_alpha
 from .stability import (DENSE_ASSEMBLY_LIMIT, TAG_LF, TAG_LG, assemble_LF,
-                        compute_spectrum, export_spectrum_csv,
-                        hurwitz_analysis, hurwitz_report_text,
-                        pencil_spectrum)
+                        compute_spectrum, hurwitz_analysis,
+                        hurwitz_report_text, pencil_spectrum,
+                        render_spectrum_csv)
 from .stationary import StationaryReport, solve_stationary
 
 MIDLINE_HEADER = "x1,R_hat,p_scaled,p_gauge_Pa,alpha"
@@ -60,6 +60,18 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _write_run(out: Path, entries: list[tuple[str, str | None, str]]) -> None:
+    """Write the ``(name, text, description)`` entries of a run directory
+    in order, then its ``MANIFEST.txt`` from the same list.  A ``None``
+    text marks a pattern entry whose files are written elsewhere."""
+    lines = ["# output files", ""]
+    for name, text, desc in entries:
+        if text is not None:
+            _write_text(out / name, text)
+        lines += [name, f"    {desc}"]
+    _write_text(out / "MANIFEST.txt", "\n".join(lines) + "\n")
+
+
 def midline_profile(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Profile along the channel mid-width: the average of the two cell rows
     adjacent to the mid-plane (or the center row when n2 is odd)."""
@@ -78,14 +90,6 @@ def render_midline_csv(grid: Grid, params: PhysicalParams, R: np.ndarray,
                                              params))
     return render_csv(MIDLINE_HEADER, [grid.x1, r_mid / params.R0, p_mid,
                                        params.rho_l * p_mid, a_mid])
-
-
-def _manifest_text(entries: list[tuple[str, str]]) -> str:
-    lines = ["# output files", ""]
-    for name, desc in entries:
-        lines.append(f"{name}")
-        lines.append(f"    {desc}")
-    return "\n".join(lines) + "\n"
 
 
 _FIELDS_DESC = (f"cell-centered fields, columns `{CSV_HEADER}`; "
@@ -154,9 +158,8 @@ def _transient(config: RunConfig) -> TransientResult:
 
     def write_snapshot(step: int, state: TransientState) -> None:
         if step % config.snapshot_every == 0:
-            out.mkdir(parents=True, exist_ok=True)
-            export_fields_csv(out / f"snapshot_{step}.csv", grid, params,
-                              state.R, state.p)
+            _write_text(out / f"snapshot_{step}.csv",
+                        render_fields_csv(grid, params, state.R, state.p))
 
     res = run_transient(grid, initial_state(grid, h, U, params,
                                             mode=config.step.mode),
@@ -164,32 +167,27 @@ def _transient(config: RunConfig) -> TransientResult:
                         config.stationarity_tol,
                         write_snapshot if config.snapshot_every > 0 else None)
 
-    out.mkdir(parents=True, exist_ok=True)
-    export_fields_csv(out / "fields_final.csv", grid, params, res.state.R,
-                      res.state.p)
-    _write_text(out / "midline.csv",
-                render_midline_csv(grid, params, res.state.R, res.state.p))
-    _write_text(out / "history.csv",
-                render_csv(HISTORY_HEADER, res.history.values()))
-    _write_text(out / "trace.csv",
-                render_csv(TRACE_HEADER, res.step_stats.values()))
-    _write_text(out / "summary.txt", _transient_summary(res, config))
+    R, p = res.state.R, res.state.p
     entries = [
-        ("fields_final.csv", _FIELDS_DESC),
-        ("midline.csv", _midline_desc(grid)),
-        ("history.csv", f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
-        ("trace.csv", "per-step solver work, columns "
-                      f"`{TRACE_HEADER}`: step end time, step size used, "
-                      "pressure eliminations and chord Newton LU "
-                      "factorizations over all attempts, step halvings "
-                      "after a positivity loss or a stalled iteration, and "
-                      "attempts rejected by the error test"),
-        ("summary.txt", "run outcome (key = value lines)"),
+        ("fields_final.csv", render_fields_csv(grid, params, R, p),
+         _FIELDS_DESC),
+        ("midline.csv", render_midline_csv(grid, params, R, p),
+         _midline_desc(grid)),
+        ("history.csv", render_csv(HISTORY_HEADER, res.history.values()),
+         f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
+        ("trace.csv", render_csv(TRACE_HEADER, res.step_stats.values()),
+         f"per-step solver work, columns `{TRACE_HEADER}`: step end time, "
+         "step size used, pressure eliminations and chord Newton LU "
+         "factorizations over all attempts, step halvings after a "
+         "positivity loss or a stalled iteration, and attempts rejected by "
+         "the error test"),
+        ("summary.txt", _transient_summary(res, config),
+         "run outcome (key = value lines)"),
     ]
     if config.snapshot_every > 0:
         entries.append((f"snapshot_<step>.csv (every {config.snapshot_every} "
-                        "steps)", _FIELDS_DESC))
-    _write_text(out / "MANIFEST.txt", _manifest_text(entries))
+                        "steps)", None, _FIELDS_DESC))
+    _write_run(out, entries)
     return res
 
 
@@ -211,18 +209,14 @@ def _stationary(config: RunConfig
     h = gap_function(grid, params)
     R_s, p_s, report = solve_stationary(grid, h, config.velocity, params,
                                         config.newton)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    export_fields_csv(out / "fields_final.csv", grid, params, R_s, p_s)
-    _write_text(out / "midline.csv",
-                render_midline_csv(grid, params, R_s, p_s))
-    _write_text(out / "summary.txt",
-                _stationary_summary(report, R_s, p_s, params))
-    _write_text(out / "MANIFEST.txt", _manifest_text([
-        ("fields_final.csv", _FIELDS_DESC),
-        ("midline.csv", _midline_desc(grid)),
-        ("summary.txt", "solver report (key = value lines)"),
-    ]))
+    _write_run(Path(config.output_dir), [
+        ("fields_final.csv", render_fields_csv(grid, params, R_s, p_s),
+         _FIELDS_DESC),
+        ("midline.csv", render_midline_csv(grid, params, R_s, p_s),
+         _midline_desc(grid)),
+        ("summary.txt", _stationary_summary(report, R_s, p_s, params),
+         "solver report (key = value lines)"),
+    ])
     return R_s, p_s, report
 
 
@@ -256,10 +250,6 @@ def cmd_stability(config: RunConfig) -> int:
     rep_F = (compute_spectrum(assemble_LF(grid, R_s, h, U, params), TAG_LF)
              if inertial else None)
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    export_fields_csv(out / "fields_stationary.csv", grid, params, R_s, p_s)
-    export_spectrum_csv(out / "spectrum_LG.csv", rep_G)
     lines = [
         f"operator {rep_G.operator_tag}: verdict = {rep_G.verdict}, "
         f"max real part = {rep_G.max_real_part:.9g}",
@@ -268,19 +258,20 @@ def cmd_stability(config: RunConfig) -> int:
         f"{rep_G.bound:.9g}",
     ]
     entries = [
-        ("fields_stationary.csv", _FIELDS_DESC),
-        ("spectrum_LG.csv", "the k rightmost eigenvalues of the quasi-static "
-                            "linearization (conjugate pairs whole), columns "
-                            "`re,im`; the real part of every other eigenvalue "
-                            "is bounded in stability_summary.txt"),
+        ("fields_stationary.csv", render_fields_csv(grid, params, R_s, p_s),
+         _FIELDS_DESC),
+        ("spectrum_LG.csv", render_spectrum_csv(rep_G),
+         "the k rightmost eigenvalues of the quasi-static linearization "
+         "(conjugate pairs whole), columns `re,im`; the real part of every "
+         "other eigenvalue is bounded in stability_summary.txt"),
     ]
     if inertial:
-        export_spectrum_csv(out / "spectrum_LF.csv", rep_F)
         lines.append(f"operator {rep_F.operator_tag}: verdict = "
                      f"{rep_F.verdict}, max real part = "
                      f"{rep_F.max_real_part:.9g}")
-        entries.append(("spectrum_LF.csv", "eigenvalues of the inertial "
-                        "linearization, columns `re,im`"))
+        entries.append(("spectrum_LF.csv", render_spectrum_csv(rep_F),
+                        "eigenvalues of the inertial linearization, columns "
+                        "`re,im`"))
 
     U_norm = float(np.hypot(*U))
     # the threshold grows with the mode's Laplacian eigenvalue, and it does
@@ -304,18 +295,17 @@ def cmd_stability(config: RunConfig) -> int:
         f"minimal modal critical speed = {u_crit:.9g} m/s at mode (1, 1), "
         "which minimizes the threshold on any rectangle\n\n"
         + hurwitz_report_text(hw))
-    _write_text(out / "hurwitz.txt", hurwitz_text)
-    entries.append(("hurwitz.txt", "modal polynomial analysis at the minimal "
-                    "critical mode of the configured L1 x L2 rectangle "
-                    "(parallel gap, zero pressure on all edges); " + scope))
+    entries.append(("hurwitz.txt", hurwitz_text, "modal polynomial analysis "
+                    "at the minimal critical mode of the configured L1 x L2 "
+                    "rectangle (parallel gap, zero pressure on all edges); "
+                    + scope))
     lines.append(f"minimal modal critical speed = {u_crit:.9g} m/s "
                  "at mode (1, 1)")
-    _write_text(out / "stability_summary.txt", "\n".join(lines) + "\n")
-    entries.append(("stability_summary.txt", "verdicts, the number of "
-                    "listed L_G eigenvalues with the real-part bound of the "
-                    "unlisted ones, and the modal critical speed (plain "
-                    "text)"))
-    _write_text(out / "MANIFEST.txt", _manifest_text(entries))
+    entries.append(("stability_summary.txt", "\n".join(lines) + "\n",
+                    "verdicts, the number of listed L_G eigenvalues with the "
+                    "real-part bound of the unlisted ones, and the modal "
+                    "critical speed (plain text)"))
+    _write_run(Path(config.output_dir), entries)
     for line in lines:
         print(line)
     return 0
@@ -326,13 +316,18 @@ def _sweep_row(value: float, converged: bool, *numbers: float) -> str:
                     + [f"{x:.9g}" for x in numbers])
 
 
+def _point_name(config: RunConfig, value: float) -> str:
+    """Directory name of one sweep point, ``sweep_<axis>_<value:g>``."""
+    return f"sweep_{config.sweep_axis}_{value:g}"
+
+
 def _sweep_point(args: tuple[RunConfig, float]) -> str:
     """One sweep evaluation (top-level for process pools): the plain run of
     the point's configuration, mapped to its ``sweep.csv`` row."""
     config, value = args
     sub = replace(config_for_sweep_value(config, value),
                   output_dir=str(Path(config.output_dir)
-                                 / f"sweep_{config.sweep_axis}_{value:g}"))
+                                 / _point_name(config, value)))
     params = sub.params
     p_cav = abs(compute_derived(params).p_cav)
     try:
@@ -346,11 +341,9 @@ def _sweep_point(args: tuple[RunConfig, float]) -> str:
         return _sweep_row(value, res.converged, res.max_Rhat, res.min_p / p_cav,
                           float(eval_alpha(res.max_Rhat * params.R0, params)))
     except _NUMERICAL_FAILURES as exc:
-        out = Path(sub.output_dir)
-        _write_text(out / "summary.txt", f"failure = {exc}\n")
-        _write_text(out / "MANIFEST.txt", _manifest_text([
-            ("summary.txt", "the numerical failure that ended the run, "
-                            "one `failure = <message>` line")]))
+        _write_run(Path(sub.output_dir), [
+            ("summary.txt", f"failure = {exc}\n", "the numerical failure "
+             "that ended the run, one `failure = <message>` line")])
         return _sweep_row(value, False, *[float("nan")] * 3)
 
 
@@ -362,8 +355,15 @@ def cmd_sweep(config: RunConfig) -> int:
     if not config.sweep_values:
         raise ConfigurationError("sweep mode needs a nonempty sweep_values "
                                  "list")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # points whose values print alike under %g would share one directory
+    taken = {}
+    for v in config.sweep_values:
+        name = _point_name(config, v)
+        if name in taken:
+            raise ConfigurationError(
+                f"sweep_values entries {taken[name]!r} and {v!r} share the "
+                f"point directory {name}/")
+        taken[name] = v
     jobs = [(config, v) for v in config.sweep_values]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -372,16 +372,15 @@ def cmd_sweep(config: RunConfig) -> int:
         rows = [_sweep_point(job) for job in jobs]
 
     lines = [SWEEP_HEADER] + rows
-    _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-    _write_text(out / "MANIFEST.txt", _manifest_text([
-        ("sweep.csv", f"one row per swept value, columns `{SWEEP_HEADER}`; "
-                      "min_phat is the scaled pressure minimum normalized by "
-                      "|min f1| (cavitation level = -1)"),
-        (f"sweep_{config.sweep_axis}_<value>/", "the plain "
+    _write_run(Path(config.output_dir), [
+        ("sweep.csv", "\n".join(lines) + "\n", "one row per swept value, "
+         f"columns `{SWEEP_HEADER}`; min_phat is the scaled pressure minimum "
+         "normalized by |min f1| (cavitation level = -1)"),
+        (f"sweep_{config.sweep_axis}_<value>/", None, "the plain "
          f"`{config.sweep_solver}` run of the point's configuration: its "
          "artifacts and its MANIFEST.txt; the summary.txt of a point that "
          "failed numerically names the failure"),
-    ]))
+    ])
     for line in lines:
         print(line)
     return 0

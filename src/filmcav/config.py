@@ -13,7 +13,6 @@ rendered with full round-trip precision).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
@@ -22,8 +21,6 @@ from .grid import BC_PERIODIC, Grid, grid_for_params
 from .dynamics import StepConfig
 from .physics import PhysicalParams
 from .stationary import StationarySolveConfig
-
-log = logging.getLogger(__name__)
 
 MODE_TRANSIENT = "transient"
 MODE_STATIONARY = "stationary"
@@ -70,14 +67,12 @@ class RunConfig:
                                      f"'stationary', got {self.sweep_solver!r}")
         if self.workers < 1:
             raise ConfigurationError("workers must be at least 1")
-        for v in self.sweep_values:
-            if self.sweep_axis == "ecc" and not 0.0 <= v < 1.0:
+        for v in self.sweep_values if self.sweep_axis != "none" else ():
+            try:                         # the point's parameters check v
+                replace(self.params, **{self.sweep_axis: v})
+            except ConfigurationError as exc:
                 raise ConfigurationError(
-                    f"sweep_values entry {v!r} outside the eccentricity "
-                    "range [0, 1)")
-            if self.sweep_axis == "omega" and v < 0.0:
-                raise ConfigurationError(
-                    f"sweep_values entry {v!r} is a negative rotation speed")
+                    f"sweep_values entry {v!r}: {exc}") from None
 
     def make_grid(self) -> Grid:
         return grid_for_params(self.params, self.n1, self.n2, self.bc_x1)
@@ -133,8 +128,7 @@ def _parse_value(key: str, raw: str):
 def parse_config(text: str) -> RunConfig:
     """Parse and validate flat ``key = value`` configuration text.
 
-    Unknown and repeated keys are rejected by name; duplicate sweep values
-    are dropped (order-preserving) with a logged warning.
+    Unknown and repeated keys are rejected by name.
     """
     given: dict[str | None, dict[str, object]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -154,13 +148,6 @@ def parse_config(text: str) -> RunConfig:
         given[section][name] = _parse_value(key, raw.strip())
 
     run = given.pop(None, {})
-    if "sweep_values" in run:
-        vals = run["sweep_values"]
-        deduped = tuple(dict.fromkeys(vals))
-        if len(deduped) != len(vals):
-            log.warning("dropping %d duplicate sweep value(s)",
-                        len(vals) - len(deduped))
-        run["sweep_values"] = deduped
     defaults = RunConfig()
     return replace(defaults, **run, **{
         section: replace(getattr(defaults, section), **kwargs)
@@ -188,10 +175,7 @@ def render_config(config: RunConfig) -> str:
 def config_for_sweep_value(config: RunConfig, value: float) -> RunConfig:
     """The per-point configuration of a sweep: the axis value substituted
     and the sweep settings cleared."""
-    if config.sweep_axis == "ecc":
-        params = replace(config.params, ecc=value)
-    elif config.sweep_axis == "omega":
-        params = replace(config.params, omega=value)
-    else:
+    if config.sweep_axis == "none":
         raise ConfigurationError("sweep axis is 'none'")
-    return replace(config, params=params, sweep_axis="none", sweep_values=())
+    return replace(config, sweep_axis="none", sweep_values=(),
+                   params=replace(config.params, **{config.sweep_axis: value}))

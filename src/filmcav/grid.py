@@ -1,5 +1,5 @@
 """Cell-centered rectangular grid, gap geometry, the CSV format of
-every artifact table, and field export.
+every artifact table, and field rendering.
 
 The film domain is the rectangle ``[0, L1] x [0, L2]``; for the journal
 setting ``L1 = 2 pi J_r`` (circumferential, usually periodic) and
@@ -136,10 +136,3 @@ def render_fields_csv(grid: Grid, params: PhysicalParams,
         (params.rho_l * pf).ravel(),
         eval_alpha(Rf, params).ravel(),
     ])
-
-
-def export_fields_csv(path, grid: Grid, params: PhysicalParams,
-                      R: np.ndarray, p_scaled: np.ndarray) -> None:
-    """Write :func:`render_fields_csv` output to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_fields_csv(grid, params, R, p_scaled))

@@ -235,12 +235,11 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix,
         f"poles up to {pole / POLE_GROWTH:.6g}: {reason}")
 
 
-def export_spectrum_csv(path, report: SpectrumReport) -> None:
-    """Write the eigenvalues to ``path`` as ``re,im`` rows of
-    :func:`grid.render_csv`, 12 significant digits."""
+def render_spectrum_csv(report: SpectrumReport) -> str:
+    """The eigenvalues as ``re,im`` rows of :func:`grid.render_csv`, 12
+    significant digits."""
     lam = report.eigenvalues
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv("re,im", [lam.real, lam.imag], digits=12))
+    return render_csv("re,im", [lam.real, lam.imag], digits=12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ error, 3 numerical failure.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,23 @@ def _write(tmp_path, text):
 
 def _load_csv(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _assert_manifest_matches(out):
+    """``out`` holds exactly the files its MANIFEST.txt names, each entry
+    matching at least one: ``<step>`` and ``<value>`` match a number, and a
+    name ending in ``/`` is a directory."""
+    lines = (out / "MANIFEST.txt").read_text(encoding="utf-8").splitlines()
+    names = [line.split()[0] for line in lines[2:] if not line.startswith(" ")]
+    patterns = [re.escape(name).replace("<step>", r"\d+")
+                .replace("<value>", r"[-+.\w]+") for name in names]
+    present = [p.name + "/" * p.is_dir() for p in out.iterdir()
+               if p.name != "MANIFEST.txt"]
+    unlisted = [f for f in present
+                if not any(re.fullmatch(p, f) for p in patterns)]
+    missing = [n for n, p in zip(names, patterns)
+               if not any(re.fullmatch(p, f) for f in present)]
+    assert (unlisted, missing) == ([], [])
 
 
 def test_transient_writes_documented_artifacts(tmp_path):
@@ -83,6 +101,7 @@ def test_transient_snapshots_and_early_stop(tmp_path):
     snap = (out / "snapshot_1.csv").read_text(encoding="utf-8")
     assert snap.splitlines()[0] == CSV_HEADER
     assert "snapshot_<step>.csv" in (out / "MANIFEST.txt").read_text()
+    _assert_manifest_matches(out)
 
 
 def test_transient_nonconvergence_is_exit_3(tmp_path):
@@ -131,6 +150,7 @@ def test_stationary_writes_artifacts(tmp_path):
     assert "final_relative_residual" in summary
     for name in ("fields_final.csv", "midline.csv", "MANIFEST.txt"):
         assert (out / name).exists()
+    _assert_manifest_matches(out)
 
 
 def test_manifest_names_the_midline_rows_of_an_odd_grid(tmp_path):
@@ -169,6 +189,7 @@ def test_stability_trivial_branch_both_stable(tmp_path, capsys):
     assert "critical speed" in hurwitz
     assert "sign changes" in hurwitz
     assert "verdict = stable" in capsys.readouterr().out
+    _assert_manifest_matches(out)
 
 
 def test_stability_without_inertia_skips_the_inertial_spectrum(tmp_path):
@@ -302,9 +323,10 @@ def test_sweep_aggregates_and_records_failures(tmp_path, capsys):
     # recorded as NaN and the sweep carries on.
     assert float(rows[1][2]) > float(rows[0][2]) > 1.0
     assert rows[2][2] == "nan"
+    _assert_manifest_matches(out)
     for value in ("0.1", "0.2", "0.55"):
         assert (out / f"sweep_ecc_{value}" / "summary.txt").exists()
-        assert (out / f"sweep_ecc_{value}" / "MANIFEST.txt").exists()
+        _assert_manifest_matches(out / f"sweep_ecc_{value}")
     assert (out / "sweep_ecc_0.1" / "fields_final.csv").exists()
     # the failed point's MANIFEST names its one file, the failure record
     failed = out / "sweep_ecc_0.55"
@@ -338,6 +360,7 @@ def test_sweep_points_are_plain_runs(tmp_path, solver):
         assert main([solver, "--config", str(path), "--out",
                      str(single)]) == 0
         point = out / f"sweep_ecc_{value}"
+        _assert_manifest_matches(point)
         names = sorted(p.name for p in point.iterdir())
         assert names == sorted(p.name for p in single.iterdir())
         assert "MANIFEST.txt" in names and "midline.csv" in names

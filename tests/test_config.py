@@ -1,6 +1,5 @@
 """Tests for the flat key-value run configuration."""
 
-import logging
 import re
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -149,7 +148,7 @@ def test_out_of_range_physical_values_rejected():
 
 
 @pytest.mark.parametrize("line", [
-    "mode = warp",
+    "step_mode = warp",
     "bc_x1 = open",
     "n1 = 3",
     "n2 = 2",
@@ -169,6 +168,8 @@ def test_out_of_range_physical_values_rejected():
     "sweep_values = 0.1, inf",
     # settings built in Python, past the parser's finiteness check
     {"stationarity_tol": np.inf},
+    {"sweep_axis": "omega", "sweep_values": (np.nan,)},
+    {"sweep_axis": "omega", "sweep_values": (np.inf,)},
 ])
 def test_run_setting_validation(line):
     with pytest.raises(ConfigurationError):
@@ -189,22 +190,37 @@ def test_sweep_mode_needs_axis_and_values(tmp_path, capsys):
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
-    # Axis-specific ranges: ecc lives in [0, 1), omega must be >= 0.
-    with pytest.raises(ConfigurationError):
+    # Axis-specific ranges, checked as each point's parameters: ecc lives in
+    # [0, 1), omega must be >= 0.
+    with pytest.raises(ConfigurationError,
+                       match=r"sweep_values entry 1\.0: ecc must lie"):
         parse_config("sweep_axis = ecc\nsweep_values = 0.1,1.0\n")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError,
+                       match="sweep_values entry -5.0: parameter 'omega'"):
         parse_config("sweep_axis = omega\nsweep_values = -5.0\n")
 
 
-def test_sweep_values_parse_and_dedup(caplog):
+def test_sweep_values_parse_and_reject_a_shared_point_directory(tmp_path,
+                                                               capsys):
     config = parse_config("sweep_axis = ecc\nsweep_values = 0.1, 0.3 ,0.2,\n")
     assert config.sweep_values == (0.1, 0.3, 0.2)
 
-    with caplog.at_level(logging.WARNING, logger="filmcav.config"):
-        config = parse_config("sweep_axis = ecc\n"
-                              "sweep_values = 0.1,0.2,0.1,0.3,0.2\n")
-    assert config.sweep_values == (0.1, 0.2, 0.3)
-    assert any("duplicate" in rec.message for rec in caplog.records)
+    # each point writes to sweep_ecc_<value:g>/: values that print alike,
+    # exact repeats among them, are rejected before any directory exists
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    for values, first, second in (("0.1,0.2,0.1", "0.1", "0.1"),
+                                  ("0.1,0.1000001", "0.1", "0.1000001")):
+        text = ("n1 = 8\nn2 = 4\nsweep_axis = ecc\nsweep_solver = stationary"
+                f"\nsweep_values = {values}\n")
+        assert parse_config(text).sweep_values == tuple(
+            float(v) for v in values.split(","))
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"entries {first} and {second} share the point directory "
+                "sweep_ecc_0.1/") in err
+        assert not out.exists()
 
 
 def test_nested_solver_keys_route_to_their_configs():

@@ -1,4 +1,4 @@
-"""Grid geometry, gap profile, field validation, norms and CSV export."""
+"""Grid geometry, gap profile, field validation, norms and CSV rendering."""
 
 import io
 
@@ -7,8 +7,7 @@ import pytest
 
 from filmcav.errors import ConfigurationError
 from filmcav.grid import (
-    BC_PERIODIC, CSV_HEADER, Grid, ensure_field,
-    export_fields_csv, gap_function,
+    BC_PERIODIC, CSV_HEADER, Grid, ensure_field, gap_function,
     grid_for_params, render_fields_csv,
 )
 from filmcav.physics import PhysicalParams, eval_alpha
@@ -155,15 +154,6 @@ def test_csv_gauge_pressure_is_rescaled_by_liquid_density():
     text = render_fields_csv(g, DEFAULT, np.full(g.shape, DEFAULT.R0), pres)
     data = np.loadtxt(text.strip().split("\n")[1:], delimiter=",")
     assert np.allclose(data[:, 4], DEFAULT.rho_l * -208.0, rtol=1e-8)
-
-
-def test_export_writes_the_rendered_text(tmp_path):
-    g = Grid(4, 4, 1.0, 1.0)
-    R = np.full(g.shape, DEFAULT.R0)
-    pres = np.zeros(g.shape)
-    path = tmp_path / "fields.csv"
-    export_fields_csv(path, g, DEFAULT, R, pres)
-    assert path.read_text(encoding="utf-8") == render_fields_csv(g, DEFAULT, R, pres)
 
 
 def test_csv_matches_the_savetxt_oracle():

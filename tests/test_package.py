@@ -1,6 +1,6 @@
 """Package-wide structure: no dead public code, no dead test oracle, a
-package namespace that imports and re-exports nothing, and file writes in
-the CLI alone."""
+package namespace that imports and re-exports nothing, and every file write
+in one CLI function."""
 
 import ast
 import os
@@ -152,10 +152,9 @@ def test_importing_a_layer_loads_only_what_it_imports():
                                    "filmcav.grid", "filmcav.physics"]
 
 
-#: the functions that write files: every artifact of a run goes through one
-#: of them, where a traced run counts its bytes or its time
-WRITERS = {("cli", "_write_text"), ("grid", "export_fields_csv"),
-           ("stability", "export_spectrum_csv")}
+#: the one function that writes files: every artifact of a run goes through
+#: it, where a traced run counts its bytes
+WRITERS = {("cli", "_write_text")}
 
 
 def _opens_for_reading(call):
@@ -166,8 +165,17 @@ def _opens_for_reading(call):
                             and not set(mode.value) & set("wax+"))
 
 
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
 def test_every_file_write_goes_through_a_writer():
-    # an open() outside the writers must open its file for reading
+    # an open() outside the writer must open its file for reading, and the
+    # numerical layers return their results: only cli imports os or pathlib
     strays = []
     for module, tree in _modules():
         for top in tree.body:
@@ -178,31 +186,7 @@ def test_every_file_write_goes_through_a_writer():
                         and (module, getattr(top, "name", None)) not in WRITERS
                         and not _opens_for_reading(node)):
                     strays.append(f"{module}.py:{node.lineno}")
-    assert strays == []
-
-
-def _imported_modules(node):
-    if isinstance(node, ast.Import):
-        return {alias.name.split(".")[0] for alias in node.names}
-    if isinstance(node, ast.ImportFrom) and node.level == 0:
-        return {node.module.split(".")[0]}
-    return set()
-
-
-def test_only_the_cli_writes_artifacts():
-    # the numerical layers return their results: only cli calls a writer,
-    # and only cli imports os or pathlib
-    writers = {name for _, name in WRITERS}
-    strays = []
-    for module, tree in _modules():
-        if module == "cli":
-            continue
-        for top in tree.body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Call)
-                        and getattr(node.func, "id",
-                                    getattr(node.func, "attr", None)) in writers):
-                    strays.append(f"{module}.{getattr(top, 'name', None)}")
-                elif _imported_modules(node) & {"os", "pathlib"}:
+                elif (module != "cli"
+                      and _imported_modules(node) & {"os", "pathlib"}):
                     strays.append(f"{module}.py:{node.lineno}")
     assert strays == []

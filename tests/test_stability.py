@@ -35,10 +35,10 @@ from filmcav.stability import (
     VERDICT_UNSTABLE,
     assemble_LF,
     compute_spectrum,
-    export_spectrum_csv,
     hurwitz_analysis,
     hurwitz_report_text,
     pencil_spectrum,
+    render_spectrum_csv,
     sigma_constants,
 )
 from filmcav.stationary import solve_stationary
@@ -401,11 +401,9 @@ def test_spectrum_input_validation():
         compute_spectrum(np.zeros((3, 4)))
 
 
-def test_spectrum_csv_round_trip(tmp_path):
+def test_spectrum_csv_round_trip():
     report = compute_spectrum(np.array([[0.0, -2.5], [2.5, -1e-7]]))
-    path = tmp_path / "spectrum.csv"
-    export_spectrum_csv(path, report)
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
+    lines = render_spectrum_csv(report).strip().split("\n")
     assert lines[0] == "re,im"
     assert len(lines) == 1 + report.eigenvalues.size
     parsed = np.array([[float(tok) for tok in line.split(",")]
