@@ -174,8 +174,7 @@ def _imported_modules(node):
 
 
 def test_every_file_write_goes_through_a_writer():
-    # an open() outside the writer must open its file for reading, and the
-    # numerical layers return their results: only cli imports os or pathlib
+    # an open() outside the writer must open its file for reading
     strays = []
     for module, tree in _modules():
         for top in tree.body:
@@ -186,7 +185,23 @@ def test_every_file_write_goes_through_a_writer():
                         and (module, getattr(top, "name", None)) not in WRITERS
                         and not _opens_for_reading(node)):
                     strays.append(f"{module}.py:{node.lineno}")
-                elif (module != "cli"
-                      and _imported_modules(node) & {"os", "pathlib"}):
+    assert strays == []
+
+
+def test_only_the_cli_writes_artifacts():
+    # the numerical layers return their results: only cli calls a writer,
+    # and only cli imports os or pathlib
+    writers = {name for _, name in WRITERS}
+    strays = []
+    for module, tree in _modules():
+        if module == "cli":
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id",
+                                    getattr(node.func, "attr", None)) in writers):
+                    strays.append(f"{module}.{getattr(top, 'name', None)}")
+                elif _imported_modules(node) & {"os", "pathlib"}:
                     strays.append(f"{module}.py:{node.lineno}")
     assert strays == []
