@@ -8,8 +8,9 @@ parameter value, with an aggregated CSV).  Every output directory receives
 a MANIFEST documenting file names and column schemas; outputs are
 deterministic for a fixed configuration.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (solver
-breakdown or an unconverged run).
+Exit codes: 0 success, 2 configuration error (an unwritable output
+directory included), 3 numerical failure (solver breakdown or an
+unconverged run).
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, gap_function, render_csv,
                    render_fields_csv)
 from .physics import PhysicalParams, compute_derived, eval_alpha
-from .stability import (DENSE_ASSEMBLY_LIMIT, TAG_LF, TAG_LG, assemble_LF,
-                        compute_spectrum, hurwitz_analysis,
-                        hurwitz_report_text, pencil_spectrum,
-                        render_spectrum_csv)
+from .stability import (DENSE_ASSEMBLY_LIMIT, assemble_LF, compute_spectrum,
+                        hurwitz_analysis, hurwitz_report_text,
+                        pencil_spectrum, render_spectrum_csv)
 from .stationary import StationaryReport, solve_stationary
 
 MIDLINE_HEADER = "x1,R_hat,p_scaled,p_gauge_Pa,alpha"
@@ -55,9 +55,12 @@ _NUMERICAL_FAILURES = (SolverFailureError, StepFailureError,
 # ---------------------------------------------------------------------------
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_run(out: Path, entries: list[tuple[str, str | None, str]]) -> None:
@@ -241,21 +244,19 @@ def cmd_stability(config: RunConfig) -> int:
     U = config.velocity
     R_s, p_s, report = solve_stationary(grid, h, U, params, config.newton)
     if not report.converged:
-        print(f"stability: stationary solve failed "
-              f"(residual {report.final_residual:.3e})", file=sys.stderr)
-        return 3
+        raise SolverFailureError(f"stationary solve failed "
+                                 f"(residual {report.final_residual:.3e})")
     # both spectra before the first file: a run that fails writes nothing
     B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
-    rep_G = pencil_spectrum(B, P, TAG_LG)
-    rep_F = (compute_spectrum(assemble_LF(grid, R_s, h, U, params), TAG_LF)
+    rep_G = pencil_spectrum(B, P)
+    rep_F = (compute_spectrum(assemble_LF(grid, R_s, h, params, B, P))
              if inertial else None)
 
     lines = [
-        f"operator {rep_G.operator_tag}: verdict = {rep_G.verdict}, "
-        f"max real part = {rep_G.max_real_part:.9g}",
-        f"operator {rep_G.operator_tag}: {rep_G.eigenvalues.size} rightmost "
-        "eigenvalues listed, every other eigenvalue has real part <= "
-        f"{rep_G.bound:.9g}",
+        f"operator L_G: verdict = {rep_G.verdict}, max real part = "
+        f"{rep_G.max_real_part:.9g}",
+        f"operator L_G: {rep_G.eigenvalues.size} rightmost eigenvalues "
+        f"listed, every other eigenvalue has real part <= {rep_G.bound:.9g}",
     ]
     entries = [
         ("fields_stationary.csv", render_fields_csv(grid, params, R_s, p_s),
@@ -266,9 +267,8 @@ def cmd_stability(config: RunConfig) -> int:
          "other eigenvalue is bounded in stability_summary.txt"),
     ]
     if inertial:
-        lines.append(f"operator {rep_F.operator_tag}: verdict = "
-                     f"{rep_F.verdict}, max real part = "
-                     f"{rep_F.max_real_part:.9g}")
+        lines.append(f"operator L_F: verdict = {rep_F.verdict}, "
+                     f"max real part = {rep_F.max_real_part:.9g}")
         entries.append(("spectrum_LF.csv", render_spectrum_csv(rep_F),
                         "eigenvalues of the inertial linearization, columns "
                         "`re,im`"))

@@ -17,8 +17,9 @@ stationary solver factors the same ``B``, the stepper ``P - dt B``):
   part of every eigenvalue it does not list.
 
 * ``L_F`` — the inertial model linearized at ``(R_s, 0)``, assembled dense:
-  block matrix ``[[0, I], [diag(1/R_s) K^{-1} B,
-  -diag(f2) + diag(1/R_s) K^{-1} diag(h f5)]]``.
+  the companion matrix ``[[0, I], [diag(1/R_s) K^{-1} B,
+  -diag(1/R_s) K^{-1} P]]`` of the quadratic pencil
+  ``lam^2 K diag(R_s) + lam P - B`` of the same ``(B, P)``.
 
 The sliding-speed instability mechanism is quantified mode-by-mode on an
 ``L1 x L2`` rectangle with a parallel gap and homogeneous Dirichlet values:
@@ -41,9 +42,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
 from .grid import Grid, ensure_field, render_csv
-from .elliptic import _factorize, assemble_operator, film_pencil
-from .physics import (PhysicalParams, compute_derived, eval_f2, eval_f3,
-                      eval_f5)
+from .elliptic import _factorize, assemble_operator
+from .physics import PhysicalParams, compute_derived, eval_f3
 
 DENSE_ASSEMBLY_LIMIT = 4096
 
@@ -65,9 +65,6 @@ VERDICT_STABLE = "stable"
 VERDICT_UNSTABLE = "unstable"
 VERDICT_MARGINAL = "marginal"
 
-TAG_LG = "L_G"
-TAG_LF = "L_F"
-
 
 @dataclass
 class SpectrumReport:
@@ -85,7 +82,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     max_real_part: float
     verdict: str
-    operator_tag: str
     bound: float = -np.inf
 
 
@@ -103,28 +99,29 @@ def _verdict(max_real: float) -> str:
 # ---------------------------------------------------------------------------
 
 def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
-                U: tuple[float, float], params: PhysicalParams) -> np.ndarray:
-    """Dense 2x2-block matrix of the linearized inertial evolution at
-    ``(R_s, 0)``: state ordering is (radius perturbation, rate perturbation).
-    Refuses grids above 4096 cells (dense output)."""
+                params: PhysicalParams, B: sp.spmatrix,
+                P: sp.spmatrix) -> np.ndarray:
+    """Dense companion matrix ``[[0, I], diag(1/R_s) K^{-1} [B, -P]]`` of
+    ``lam^2 K diag(R_s) + lam P - B``, the inertial evolution linearized at
+    ``(R_s, 0)`` for ``(B, P) = film_pencil`` there and the mobility
+    operator ``K = -Div(f3(R_s) h^3 Grad .)``; the state ordering is
+    (radius perturbation, rate perturbation).  Refuses grids above 4096
+    cells (dense output)."""
     if grid.n_cells > DENSE_ASSEMBLY_LIMIT:
         raise ConfigurationError(
             f"dense assembly limited to {DENSE_ASSEMBLY_LIMIT} cells, "
             f"grid has {grid.n_cells}")
     Rf = ensure_field(grid, R_s, "R_s")
     hf = ensure_field(grid, h, "h")
-    B = film_pencil(grid, Rf, np.zeros(grid.shape), hf, U, params)[0]
     K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
     n = grid.n_cells
-    lower = _factorize(K).solve(
-        np.hstack([B.toarray(), np.diag((hf * eval_f5(Rf, params)).ravel())]))
+    lower = _factorize(K).solve(np.hstack([B.toarray(), -P.toarray()]))
     lower /= Rf.ravel()[:, None]
-    lower[:, n:] -= np.diag(eval_f2(Rf, params).ravel())
     top = np.hstack([np.zeros((n, n)), np.eye(n)])
     return np.vstack([top, lower])
 
 
-def compute_spectrum(matrix: np.ndarray, operator_tag: str = TAG_LG) -> SpectrumReport:
+def compute_spectrum(matrix: np.ndarray) -> SpectrumReport:
     """Full eigendecomposition with a three-way stability verdict."""
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -132,8 +129,7 @@ def compute_spectrum(matrix: np.ndarray, operator_tag: str = TAG_LG) -> Spectrum
     eigs = np.sort_complex(np.linalg.eigvals(A))
     max_real = float(np.max(eigs.real))
     return SpectrumReport(eigenvalues=eigs, max_real_part=max_real,
-                          verdict=_verdict(max_real),
-                          operator_tag=operator_tag)
+                          verdict=_verdict(max_real))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +155,7 @@ def _complete_pairs(lam: np.ndarray) -> np.ndarray:
     return np.sort_complex(np.concatenate([lam, partners]))
 
 
-def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix,
-                    operator_tag: str = TAG_LG) -> SpectrumReport:
+def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
     """Certified rightmost eigenvalues of the sparse pencil ``B w = lam P w``.
 
     ARPACK, started from ones, finds the ``k = min(RIGHTMOST_COUNT, n - 2)``
@@ -227,11 +222,10 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix,
             else:
                 return SpectrumReport(
                     eigenvalues=_complete_pairs(lam), max_real_part=max_real,
-                    verdict=_verdict(max_real),
-                    operator_tag=operator_tag, bound=bound)
+                    verdict=_verdict(max_real), bound=bound)
         pole *= POLE_GROWTH
     raise SolverFailureError(
-        f"rightmost eigenvalues of {operator_tag} not certified with Cayley "
+        f"rightmost eigenvalues of the pencil not certified with Cayley "
         f"poles up to {pole / POLE_GROWTH:.6g}: {reason}")
 
 

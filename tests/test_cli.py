@@ -302,9 +302,10 @@ def test_stability_unconverged_branch_is_exit_3(tmp_path, monkeypatch,
                                                 capsys):
     monkeypatch.setattr("filmcav.stationary.NEWTON_MAX", 1)
     cfg = _write(tmp_path, "ecc = 0.4\nn1 = 16\nn2 = 8\n")
-    rc = main(["stability", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert rc == 3
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 3
     assert "stationary solve failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_aggregates_and_records_failures(tmp_path, capsys):
@@ -437,6 +438,24 @@ def test_configuration_errors_are_exit_2(tmp_path, capsys):
     assert main(["stationary", "--config",
                  _write(tmp_path, "ecc = 1.2\n")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, extra", [
+    ("stationary", "n1 = 8\nn2 = 4\n", []),
+    ("sweep", "n1 = 8\nn2 = 4\nsweep_axis = ecc\nsweep_values = 0.1,0.2\n"
+              "sweep_solver = stationary\n", ["--workers", "2"]),
+], ids=["stationary", "pooled-sweep"])
+def test_unwritable_output_directory_is_exit_2(tmp_path, capsys, command,
+                                               text, extra):
+    # the output directory would lie below a regular file; in the pooled
+    # sweep the error is raised in a worker process
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main([command, "--config", _write(tmp_path, text), "--out",
+                 str(blocker / "sub")] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write ")
+    assert err.count("\n") == 1
 
 
 def test_subcommand_is_the_only_run_mode(tmp_path, capsys):

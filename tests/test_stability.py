@@ -23,13 +23,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
-from filmcav.elliptic import film_pencil
+from filmcav.elliptic import assemble_operator, film_pencil
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, Grid, gap_function, grid_for_params
-from filmcav.physics import PhysicalParams, compute_derived
+from filmcav.physics import PhysicalParams, compute_derived, eval_f3
 from filmcav.stability import (
     RIGHTMOST_COUNT,
-    TAG_LF,
     VERDICT_MARGINAL,
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
@@ -107,7 +106,9 @@ def test_growth_jacobian_matches_finite_differences(journal_state):
 def test_inertial_jacobian_blocks_match_acceleration_derivatives(journal_state):
     grid, R_s, h, U, params = journal_state
     n = grid.n_cells
-    LF = assemble_LF(grid, R_s, h, U, params)
+    LF = assemble_LF(grid, R_s, h, params,
+                     *film_pencil(grid, R_s, np.zeros(grid.shape), h, U,
+                                  params))
     assert LF.shape == (2 * n, 2 * n)
     # Top row blocks are the exact kinematic identity d(R)/dt = Rdot.
     assert np.all(LF[:n, :n] == 0.0)
@@ -135,13 +136,29 @@ def test_inertial_jacobian_blocks_match_acceleration_derivatives(journal_state):
         assert np.linalg.norm(got - fd) <= 1e-12 * np.linalg.norm(fd)
 
 
+def test_inertial_operator_is_the_companion_of_the_quadratic_pencil(
+        journal_state):
+    # K diag(R_s) times the lower block row of L_F is [B, -P]: L_F is the
+    # companion matrix of lam^2 K diag(R_s) + lam P - B
+    grid, R_s, h, U, params = journal_state
+    n = grid.n_cells
+    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
+    LF = assemble_LF(grid, R_s, h, params, B, P)
+    K = assemble_operator(grid, eval_f3(R_s, params) * h ** 3)
+    got = K @ (R_s.ravel()[:, None] * LF[n:, :])
+    expected = np.hstack([B.toarray(), -P.toarray()])
+    scale = max(np.abs(B).max(), np.abs(P).max())
+    assert np.abs(got - expected).max() <= 1e-13 * scale
+
+
 def test_dense_assembly_rejects_oversized_grid():
     grid = Grid(72, 72, 1.0, 1.0, bc_x1=BC_DIRICHLET)
     c = compute_derived(TAME)
     R = np.full(grid.shape, c.R_bar)
     h = np.full(grid.shape, TAME.h0)
+    pencil = film_pencil(grid, R, np.zeros(grid.shape), h, (1.0, 0.0), TAME)
     with pytest.raises(ConfigurationError):
-        assemble_LF(grid, R, h, (1.0, 0.0), TAME)
+        assemble_LF(grid, R, h, TAME, *pencil)
 
 
 def test_separated_spectra_match_dense_assemblies():
@@ -158,7 +175,9 @@ def test_separated_spectra_match_dense_assemblies():
     scale = np.abs(separated).max()
     assert _pair_distance(dense, separated) <= 1e-11 * scale
 
-    LF = assemble_LF(grid, R, h, (U_norm, 0.0), TAME)
+    LF = assemble_LF(grid, R, h, TAME,
+                     *film_pencil(grid, R, np.zeros(grid.shape), h,
+                                  (U_norm, 0.0), TAME))
     dense_f = np.linalg.eigvals(LF)
     separated_f = constant_gap_spectrum_LF(TAME, U_norm, 16, 16)
     assert separated_f.size == dense_f.size
@@ -392,8 +411,6 @@ def test_verdict_classification(monkeypatch):
     monkeypatch.setattr("filmcav.stability.VERDICT_MARGIN", 1.5)
     wide = compute_spectrum(np.diag([-1.0, -2.0]))
     assert wide.verdict == VERDICT_MARGINAL
-    tagged = compute_spectrum(np.diag([-3.0, -2.0]), operator_tag=TAG_LF)
-    assert tagged.operator_tag == TAG_LF
 
 
 def test_spectrum_input_validation():
@@ -514,9 +531,8 @@ def test_pencil_spectrum_is_certified_on_known_pencils(extra, verdict):
 def test_pencil_spectrum_of_a_small_pencil_lists_all_but_two():
     B, P, T = _known_pencil([-1.0, -3.0, -7.0, -20.0], [(-2.0, 5.0),
                                                        (-40.0, 1.0)], seed=3)
-    report = pencil_spectrum(B, P, operator_tag=TAG_LF)
+    report = pencil_spectrum(B, P)
     assert report.eigenvalues.size in (6, 7)
-    assert report.operator_tag == TAG_LF
     _check_certificate(report, np.linalg.eigvals(T))
 
 
