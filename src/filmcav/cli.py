@@ -299,12 +299,14 @@ def cmd_stability(config: RunConfig) -> int:
                     "at the minimal critical mode of the configured L1 x L2 "
                     "rectangle (parallel gap, zero pressure on all edges); "
                     + scope))
-    lines.append(f"minimal modal critical speed = {u_crit:.9g} m/s "
-                 "at mode (1, 1)")
+    lines.append(f"minimal modal critical speed not printed, {scope}"
+                 if outside else f"minimal modal critical speed = "
+                 f"{u_crit:.9g} m/s at mode (1, 1)")
     entries.append(("stability_summary.txt", "\n".join(lines) + "\n",
                     "verdicts, the number of listed L_G eigenvalues with the "
                     "real-part bound of the unlisted ones, and the modal "
-                    "critical speed (plain text)"))
+                    "critical speed of a geometry within its analysis "
+                    "(plain text)"))
     _write_run(Path(config.output_dir), entries)
     for line in lines:
         print(line)

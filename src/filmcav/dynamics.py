@@ -4,24 +4,25 @@ The quasi-static (inertialess) model evolves the radius field by
 
     dR/dt = G(R),   G = (f1(R) - p) / (R f2(R)),
 
-where the film pressure ``p`` is slaved to ``R`` through the Reynolds
-equation.  Substituting ``p = f1(R) - R f2(R) S`` into the pressure
-equation turns the elimination into a single sparse solve
+where the film pressure ``p`` is slaved to ``R``: the elimination is the
+root in ``S`` of the film equation ``F(R, S)`` of
+:func:`elliptic.film_residual`.  ``F`` is affine in ``S``,
+``F(R, S) = F(R, 0) + M y`` with ``y = R f2 S``, so the root is one solve
 
-    ( K(R) - diag(h f5 / (R f2)) ) y = K(R) f1(R) + Div(U h f4(R)),
+    M y = -F(R, 0),   M = K(R) - diag(h f5 / (R f2)),
 
-with ``K = -Div(f3(R) h^3 Grad .)`` SPD and ``-h f5/(R f2) >= 0``, so the
-shifted operator ``M`` stays symmetric positive definite: the slaving is
-uniquely solvable for any positive radius field, and ``S = y / (R f2)``,
-``p = f1 - y`` follow pointwise.
+with ``K = -Div(f3(R) h^3 Grad .)`` SPD and ``-h f5/(R f2) >= 0``, so ``M``
+stays symmetric positive definite: the slaving is uniquely solvable for
+any positive radius field, and ``S = y / (R f2)``, ``p = f1 - y`` follow
+pointwise.
 
 Time stepping is backward Euler.  Every step attempt solves the implicit
 equation ``R - R_old - dt G(R) = 0`` from a second-order extrapolated start
 by chord Newton on its pencil form: the film equation ``F(x, S)`` of
 :func:`elliptic.film_residual` at the backward-difference rate
 ``S = (x - R_old) / dt``, which costs one assembly and one product, no
-pressure elimination.  With ``y = x f2 S``, ``F = M y - K f1 - Div(U h f4)``,
-so ``P (R_old + dt G(x) - x) = -dt F`` with ``P = M diag(x f2)``: ``F``
+pressure elimination.  Since ``F(x, S) = F(x, 0) + M diag(x f2) S``,
+``P (R_old + dt G(x) - x) = -dt F`` with ``P = M diag(x f2)``: ``F``
 vanishes exactly at the backward-Euler solution.  Its Newton matrix
 ``P - dt B`` comes from the pencil ``(B, P)`` of :func:`elliptic.film_pencil`,
 the linearization the stationary solver and the spectra use as well, formed
@@ -45,7 +46,8 @@ order faster than the local error of backward Euler itself.  ``dt`` is only
 the initial step, so the slow relaxation tail is crossed in steps that grow
 with the time scale of the decay.  An optional inertial mode
 integrates the full second-order wall dynamics with classical RK4 at the
-fixed step ``dt``, under the same positivity guard.
+fixed step ``dt``, under the same positivity guard, on the film equation
+at the wall velocity ``V``: ``K (R dV/dt + 3/2 V^2) = -F(R, V)``.
 
 A :class:`TransientState` is ``(t, R, Rdot, p)`` from its first instant:
 :func:`initial_state` slaves the start's pressure to its data, and every
@@ -62,11 +64,10 @@ import numpy as np
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field
-from .elliptic import (_factorize, _stencil, assemble_operator,
-                       convective_divergence, film_pencil, film_residual,
+from .elliptic import (_factorize, _stencil, film_pencil, film_residual,
                        solve_spd)
 from .physics import (PhysicalParams, compute_derived, eval_f1, eval_f2,
-                      eval_f3, eval_f4, eval_f5)
+                      eval_f5)
 
 MODE_INERTIALESS = "inertialess"
 MODE_INERTIAL = "inertial"
@@ -198,22 +199,17 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     """Slave the film pressure to the radius field.
 
     Returns ``(G, p)`` where ``G = dR/dt`` of the quasi-static dynamics and
-    ``p`` the film pressure.  The defining linear system is solved in its
-    symmetric-positive-definite form by :func:`elliptic.solve_spd`, which
-    verifies the residual on every call.
+    ``p`` the film pressure, the root in ``S`` of the film equation:
+    ``M y = -F(R, 0)`` with ``y = R f2 G``, solved in its SPD form by
+    :func:`elliptic.solve_spd`, which verifies the residual on every call.
     """
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
-    f1 = eval_f1(Rf, params)
+    F, f1, M = film_residual(grid, Rf, np.zeros(grid.shape), hf, U, params)
     Rf2 = Rf * eval_f2(Rf, params)
-    coeff = eval_f3(Rf, params) * hf ** 3
-    K = assemble_operator(grid, coeff)
-    conv = convective_divergence(grid, U, hf * eval_f4(Rf, params))
-    shift = -hf * eval_f5(Rf, params) / Rf2          # >= 0
-    rhs = K @ f1.ravel() + conv.ravel()
-    M = K                                # shifted in place: K is spent
-    M.data[_stencil(grid).diag] += shift.ravel()
-    y = solve_spd(M, rhs, grid)
+    # shift K in place to M: the diagonal gains -h f5 / (R f2) >= 0
+    M.data[_stencil(grid).diag] -= (hf * eval_f5(Rf, params) / Rf2).ravel()
+    y = solve_spd(M, -F, grid)
     return y / Rf2, f1 - y
 
 
@@ -228,11 +224,11 @@ def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
                        h: np.ndarray, U: tuple[float, float],
                        params: PhysicalParams
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Radial wall acceleration of the inertial model and the film pressure."""
-    K = assemble_operator(grid, eval_f3(R, params) * h ** 3)
-    conv = convective_divergence(grid, U, h * eval_f4(R, params))
-    squeeze = h * eval_f5(R, params) * V
-    p = solve_spd(K, -(conv + squeeze).ravel(), grid)
+    """Radial wall acceleration of the inertial model and the film pressure
+    ``p``, the root of the film equation at ``S = V``: ``K (p - p_g) = F``
+    for ``(F, p_g, K)`` of :func:`elliptic.film_residual`."""
+    F, p, K = film_residual(grid, R, V, h, U, params)
+    p = p + solve_spd(K, F, grid)
     return _acceleration(R, V, p, params), p
 
 
@@ -319,8 +315,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             stalled = False
             for _ in range(MAX_CHORD_UPDATES):
                 S = (x - R_old) / dt
-                F, _ = film_residual(grid, x, S, h, U, params)
-                rhs = -dt * F.ravel()
+                # F alone: a K held here would stay alive across the LU
+                rhs = -dt * film_residual(grid, x, S, h, U, params)[0].ravel()
                 delta = None if lu is None else lu.solve(rhs)
                 if lu is None or _relative(delta, x) * CHORD_CONTRACTION > best:
                     # release the old factor first: building the new one

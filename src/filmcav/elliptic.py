@@ -267,13 +267,14 @@ def _sensitivity_fluxes(grid: Grid, coeff_prime: np.ndarray,
 
 def film_residual(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
     """The film equation at the radius field ``R`` and the growth rate ``S``.
 
-    Returns ``(F, p)``: ``p = f1(R) - R f2(R) S`` is the film pressure the
-    growth law gives for ``S``, and ``F = -(K(R) p + h f5(R) S +
-    Div(U h f4(R)))`` the film flux balance at ``(p, S)``.  ``F`` is affine
-    in ``S``, ``F(R, S) = F(R, 0) + P S`` with ``P`` of :func:`film_pencil`.
+    Returns ``(F, p, K)``: ``p = f1(R) - R f2(R) S`` is the film pressure
+    the growth law gives for ``S``, ``F = -(K p + h f5(R) S + Div(U h f4(R)))``
+    the film flux balance at ``(p, S)`` and ``K = -Div(f3(R) h^3 Grad .)``
+    the mobility operator, the caller's to modify.  ``F`` is affine in
+    ``S``, ``F(R, S) = F(R, 0) + P S`` with ``P`` of :func:`film_pencil`.
     """
     Rf = ensure_field(grid, R, "R")
     Sf = ensure_field(grid, S, "S")
@@ -282,7 +283,7 @@ def film_residual(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
     K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
     conv = convective_divergence(grid, U, hf * eval_f4(Rf, params))
     F = -(K @ p.ravel()) - (hf * eval_f5(Rf, params) * Sf + conv).ravel()
-    return F.reshape(grid.shape), p
+    return F.reshape(grid.shape), p, K
 
 
 def film_pencil(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,

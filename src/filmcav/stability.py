@@ -105,12 +105,7 @@ def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
     ``lam^2 K diag(R_s) + lam P - B``, the inertial evolution linearized at
     ``(R_s, 0)`` for ``(B, P) = film_pencil`` there and the mobility
     operator ``K = -Div(f3(R_s) h^3 Grad .)``; the state ordering is
-    (radius perturbation, rate perturbation).  Refuses grids above 4096
-    cells (dense output)."""
-    if grid.n_cells > DENSE_ASSEMBLY_LIMIT:
-        raise ConfigurationError(
-            f"dense assembly limited to {DENSE_ASSEMBLY_LIMIT} cells, "
-            f"grid has {grid.n_cells}")
+    (radius perturbation, rate perturbation)."""
     Rf = ensure_field(grid, R_s, "R_s")
     hf = ensure_field(grid, h, "h")
     K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)

@@ -231,6 +231,7 @@ def test_stability_verdict_flips_across_critical_speed(tmp_path, factor,
     hurwitz = (out / "hurwitz.txt").read_text(encoding="utf-8")
     assert "the configured geometry is within the analysis" in hurwitz
     assert "outside the analysis" not in hurwitz
+    assert f"minimal modal critical speed = {u_crit:.9g} m/s" in summary
 
 
 def test_stability_names_geometry_outside_the_modal_analysis(tmp_path):
@@ -243,19 +244,26 @@ def test_stability_names_geometry_outside_the_modal_analysis(tmp_path):
     assert "x1 is periodic" in scope and "ecc = 0.2 > 0" in scope
     manifest = (out / "MANIFEST.txt").read_text(encoding="utf-8")
     assert "outside the analysis: x1 is periodic" in manifest
+    summary = (out / "stability_summary.txt").read_text(encoding="utf-8")
+    assert summary.splitlines()[-1] == ("minimal modal critical speed not "
+                                        f"printed, {scope}")
 
 
 @pytest.mark.parametrize("ecc", [0.0, 0.1])
 def test_stability_without_bubbles_has_no_modal_threshold(tmp_path, ecc):
     # alpha0 = 0 leaves the film dynamically passive: the squeeze coupling
-    # sigma1 vanishes, Delta3 no longer depends on U, and no speed is critical
-    cfg = _write(tmp_path, f"alpha0 = 0.0\necc = {ecc}\nn1 = 16\nn2 = 8\n")
+    # sigma1 vanishes, Delta3 no longer depends on U, and no speed is
+    # critical; the summary prints it only for a geometry the modes describe
+    cfg = _write(tmp_path, f"alpha0 = 0.0\necc = {ecc}\nn1 = 16\nn2 = 8\n"
+                 "bc_x1 = dirichlet-zero\n")
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
     hurwitz = (out / "hurwitz.txt").read_text(encoding="utf-8")
     assert "critical speed for this mode: inf m/s" in hurwitz
     summary = (out / "stability_summary.txt").read_text(encoding="utf-8")
-    assert "minimal modal critical speed = inf m/s" in summary
+    assert ("minimal modal critical speed = inf m/s" if ecc == 0.0 else
+            "minimal modal critical speed not printed, outside the analysis: "
+            "ecc = 0.1 > 0") in summary
 
 
 def test_stability_lists_rightmost_eigenvalues_above_dense_limit(tmp_path):

@@ -128,6 +128,28 @@ def test_pressure_elimination_satisfies_both_equations():
     assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(gross)
 
 
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_inertial_pressure_satisfies_the_film_equation(bc):
+    # at a free wall velocity V the pressure solves the film equation with
+    # squeeze rate V, and the acceleration is the Rayleigh-Plesset law there
+    rng = np.random.default_rng(73)
+    p = PhysicalParams(ecc=0.3)
+    grid = Grid(8, 6, 2.0 * np.pi * p.J_r, p.B, bc_x1=bc)
+    R = p.R0 * rng.uniform(0.85, 1.15, size=grid.shape)
+    V = p.R0 * rng.normal(scale=100.0, size=grid.shape)
+    h = gap_function(grid, p)
+    U = (2.0, 0.5)
+    acc, pres = _wall_acceleration(grid, R, V, h, U, p)
+    K = assemble_operator(grid, eval_f3(R, p) * h ** 3)
+    conv = convective_divergence(grid, U, h * eval_f4(R, p)).ravel()
+    squeeze = (h * eval_f5(R, p) * V).ravel()
+    resid = K @ pres.ravel() + squeeze + conv
+    gross = abs(K) @ np.abs(pres.ravel()) + np.abs(squeeze) + np.abs(conv)
+    assert np.linalg.norm(resid) < 1e-12 * np.linalg.norm(gross)
+    law = -1.5 * V ** 2 / R - V * eval_f2(R, p) + (eval_f1(R, p) - pres) / R
+    assert np.allclose(acc, law, rtol=1e-12, atol=0.0)
+
+
 def test_zero_gas_fraction_decouples_the_film():
     # With alpha0 = 0 the mixture closures lose their radius dependence
     # (f5 = 0) and the entrained flux is uniform on a parallel gap, so the
@@ -206,7 +228,7 @@ def test_pencil_residual_is_the_implicit_equation_times_the_pencil(bc):
     p, grid, R_old, x, h, U, dt = _off_solution(bc)
     G, _ = eliminate_pressure(grid, x, h, U, p)
     S = (x - R_old) / dt
-    F, _ = film_residual(grid, x, S, h, U, p)
+    F, _, _ = film_residual(grid, x, S, h, U, p)
     _, P = film_pencil(grid, x, S, h, U, p)
     lhs = P @ (R_old + dt * G - x).ravel()
     want = -dt * F.ravel()

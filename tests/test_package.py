@@ -1,6 +1,6 @@
 """Package-wide structure: no dead public code, no dead test oracle, a
-package namespace that imports and re-exports nothing, and every file write
-in one CLI function."""
+package namespace that imports and re-exports nothing, every file write
+in one CLI function, and the film equation written in one function."""
 
 import ast
 import os
@@ -205,3 +205,18 @@ def test_only_the_cli_writes_artifacts():
                 elif _imported_modules(node) & {"os", "pathlib"}:
                     strays.append(f"{module}.py:{node.lineno}")
     assert strays == []
+
+
+def test_the_film_equation_is_assembled_in_one_function():
+    # both wall models read elliptic.film_residual: no other function
+    # sums the entrained flux into a film balance of its own
+    strays = []
+    for module, tree in _modules():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id",
+                                    getattr(node.func, "attr", None))
+                        == "convective_divergence"):
+                    strays.append(f"{module}.{getattr(top, 'name', None)}")
+    assert strays == ["elliptic.film_residual"]

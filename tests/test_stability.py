@@ -151,16 +151,6 @@ def test_inertial_operator_is_the_companion_of_the_quadratic_pencil(
     assert np.abs(got - expected).max() <= 1e-13 * scale
 
 
-def test_dense_assembly_rejects_oversized_grid():
-    grid = Grid(72, 72, 1.0, 1.0, bc_x1=BC_DIRICHLET)
-    c = compute_derived(TAME)
-    R = np.full(grid.shape, c.R_bar)
-    h = np.full(grid.shape, TAME.h0)
-    pencil = film_pencil(grid, R, np.zeros(grid.shape), h, (1.0, 0.0), TAME)
-    with pytest.raises(ConfigurationError):
-        assemble_LF(grid, R, h, TAME, *pencil)
-
-
 def test_separated_spectra_match_dense_assemblies():
     c = compute_derived(TAME)
     grid = Grid(16, 16, 1.0, 1.0, bc_x1=BC_DIRICHLET)

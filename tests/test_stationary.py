@@ -109,10 +109,10 @@ def test_stationary_balance_is_the_film_equation_at_zero_rate(bc):
     R = p.R0 * rng.uniform(0.85, 1.15, size=grid.shape)
     S = rng.normal(scale=10.0, size=grid.shape)
     phi, scale = stationary_residual(grid, R, h, U, p)
-    F0, p0 = film_residual(grid, R, np.zeros(grid.shape), h, U, p)
+    F0, p0, _ = film_residual(grid, R, np.zeros(grid.shape), h, U, p)
     assert np.array_equal(p0, eval_f1(R, p))
     assert np.linalg.norm(phi + F0.ravel()) <= 1e-14 * scale
-    F, _ = film_residual(grid, R, S, h, U, p)
+    F, _, _ = film_residual(grid, R, S, h, U, p)
     _, P = film_pencil(grid, R, S, h, U, p)
     want = P @ S.ravel()
     err = np.linalg.norm((F - F0).ravel() - want)
