@@ -180,8 +180,9 @@ def _transient(config: RunConfig) -> TransientResult:
          f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
         ("trace.csv", render_csv(TRACE_HEADER, res.step_stats.values()),
          f"per-step solver work, columns `{TRACE_HEADER}`: step end time, "
-         "step size used, pressure eliminations and chord Newton LU "
-         "factorizations over all attempts, step halvings after a "
+         "step size used, chord Newton updates (in inertial mode, pressure "
+         "solves) and chord Newton LU factorizations over all attempts, "
+         "step halvings after a "
          "positivity loss or a stalled iteration, and attempts rejected by "
          "the error test"),
         ("summary.txt", _transient_summary(res, config),

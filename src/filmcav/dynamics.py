@@ -28,12 +28,15 @@ vanishes exactly at the backward-Euler solution.  Its Newton matrix
 the linearization the stationary solver and the spectra use as well, formed
 in place on the shared 5-point pattern.  It is factored at the first iterate
 and refactored when an iteration shrinks the update by less than 100x; the
-factor belongs to the attempt and is dropped with it.  Once the update falls
-below ``picard_tol`` (or the iterations run out), one pressure elimination
-certifies the iterate and gives the new state's rate and pressure.  A step
-that loses positivity, whose iteration stalls or whose iterate fails its
-certification is rejected and retried at half the step size (at most 10
-halvings) before a failure is declared.
+factor belongs to the attempt and is dropped with it.  An attempt converges
+when an update falls below ``picard_tol``, the stopping test of stiff codes
+(Hairer & Wanner, *Solving ODEs II*, §IV.8): an update on an old factor
+contracted at least 100x, so about 1 % of it remains.  The new state is
+``x`` with its backward rate ``S`` and the growth-law pressure
+``f1(x) - x f2(x) S``, where ``F(x, S) = 0`` holds to the chord tolerance.
+A step that loses positivity or whose iteration stalls is rejected and
+retried at half the step size (at most 10 halvings) before a failure is
+declared.
 
 The step size is error-controlled.  The difference between the solved
 step and the extrapolated start is a free error estimate, in the manner of
@@ -50,9 +53,10 @@ fixed step ``dt``, under the same positivity guard, on the film equation
 at the wall velocity ``V``: ``K (R dV/dt + 3/2 V^2) = -F(R, V)``.
 
 A :class:`TransientState` is ``(t, R, Rdot, p)`` from its first instant:
-:func:`initial_state` slaves the start's pressure to its data, and every
-step returns the rate and pressure of its new state.  The module writes no
-files; :func:`run_transient` hands each step to its caller's ``on_step``.
+:func:`initial_state` slaves the start's pressure to its data (the run's
+one pressure elimination), and every step returns the rate and pressure of
+its new state.  The module writes no files; :func:`run_transient` hands
+each step to its caller's ``on_step``.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ HISTORY_KEYS = ("t", "rate", "min_Rhat", "max_Rhat", "min_p", "max_p")
 #: most halvings, and most error-test retries, of one step
 MAX_HALVINGS = 10
 
-#: most chord updates of one backward-Euler attempt before the pressure
-#: elimination tests its iterate
+#: most chord updates of one backward-Euler attempt; an attempt that spends
+#: them without converging has stalled
 MAX_CHORD_UPDATES = 59
 
 #: a chord iteration that shrinks the update by less than this factor
@@ -107,10 +111,10 @@ class StepConfig:
     ``max|R|`` (required in ``(picard_tol, 1)``); the step size follows from
     it.  That distance shrinks like ``dt^3``, one order faster than the
     local error of backward Euler, so it does not bound that error.
-    ``picard_tol`` is the relative residual threshold of the backward-Euler
-    solve (required in (0, 1e-3]): an iterate ``x`` is accepted when
-    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  ``mode`` selects
-    quasi-static or inertial wall dynamics.
+    ``picard_tol`` is the chord Newton stopping test of the backward-Euler
+    solve (required in (0, 1e-3]): an attempt converges at the iterate
+    ``x + delta`` once its update ``max|delta| < picard_tol max|x|``.
+    ``mode`` selects quasi-static or inertial wall dynamics.
     """
 
     dt: float = 3e-4
@@ -137,7 +141,8 @@ class TransientState:
     """Solution snapshot: time, radius field, wall velocity ``Rdot = dR/dt``
     and the slaved film pressure, all four from the first instant.  ``Rdot``
     is the independent velocity ``V`` of the inertial model, and in the
-    quasi-static one the rate ``G(R)`` of the elimination that gave ``p``."""
+    quasi-static one the backward rate of the step that produced the state
+    (the start's: the rate of its pressure elimination)."""
 
     t: float
     R: np.ndarray
@@ -147,7 +152,7 @@ class TransientState:
 
 @dataclass
 class StepStats:
-    """Work of one accepted step: ``iterations``, the pressure eliminations
+    """Work of one accepted step: ``iterations``, the chord Newton updates
     over all its attempts (in inertial mode, its pressure solves, at the
     three later RK4 stages and the new state of every attempt),
     ``factorizations``, the chord Newton LUs over all its attempts,
@@ -261,13 +266,11 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     update ``R_old + dt G_n`` without a history).  Each attempt factors
     ``A`` at its first iterate, refactors it at the current iterate when an
     iteration shrinks the update by less than ``CHORD_CONTRACTION``, and
-    drops it when it ends.  Once an update falls below ``picard_tol`` (or
-    after ``MAX_CHORD_UPDATES`` updates), one pressure elimination
-    certifies the iterate: it is accepted only if
-    ``max|R_old + dt G(x) - x| < picard_tol max|x|``.  The start rate
-    ``G_n`` is ``state.Rdot``.  ``chord`` carries the predictor history and
-    the proposed step size between steps and is updated in place; without
-    it the step starts at ``step_cfg.dt``.
+    drops it when it ends.  The attempt converges at the first iterate
+    whose update fell below ``picard_tol`` (relative to ``max|x|``).  The
+    start rate ``G_n`` is ``state.Rdot``.  ``chord`` carries the predictor
+    history and the proposed step size between steps and is updated in
+    place; without it the step starts at ``step_cfg.dt``.
 
     The error of the solved step is estimated as
     ``max|R_new - pred| / max|R_new|``; without a history, as half that
@@ -279,19 +282,18 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
 
     A step attempt is rejected -- and ``dt`` halved -- when an iterate
     leaves the positive cone or when the iteration stalls (update growing
-    well past its best value, ``MAX_CHORD_UPDATES`` updates spent, or an
-    iterate that fails its certification).  More than ``MAX_HALVINGS``
-    halvings raise :class:`StepFailureError` after a stall and
-    :class:`PositivityLossError` after a sign loss; more than
-    ``MAX_HALVINGS`` error-test retries raise :class:`StepFailureError`.
+    well past its best value, or ``MAX_CHORD_UPDATES`` updates spent
+    without converging).  More than ``MAX_HALVINGS`` halvings raise
+    :class:`StepFailureError` after a stall and :class:`PositivityLossError`
+    after a sign loss; more than ``MAX_HALVINGS`` error-test retries raise
+    :class:`StepFailureError`.
 
-    Returns the new state, whose ``Rdot`` and ``p`` come from the
-    elimination that certified it, and the step statistics (``iterations``
-    counts every pressure elimination of the call, ``factorizations`` every
-    chord LU).
+    Returns the new state ``(t + dt, x, S, f1(x) - x f2(x) S)``, with
+    ``S = (x - R_old) / dt``, and the step statistics (``iterations`` counts
+    every chord update of the call, ``factorizations`` every chord LU).
     """
     R_old, G_n = state.R, state.Rdot
-    total_iters = 0
+    updates = 0
     factorizations = 0
     chord = chord or ChordCarry()
     tol = step_cfg.picard_tol
@@ -305,14 +307,13 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
         else:
             pred = x + dt * dt / chord.dt_prev * (G_n - chord.G_prev)
             weight = 1.0
-        accepted = None
+        converged = False
         sign_loss = np.any(x <= 0.0)                     # reject: halve dt
         if not sign_loss:
             if np.all(pred > 0.0):
                 x = pred
             best = np.inf
             lu = None
-            stalled = False
             for _ in range(MAX_CHORD_UPDATES):
                 S = (x - R_old) / dt
                 # F alone: a K held here would stay alive across the LU
@@ -329,31 +330,28 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     factorizations += 1
                     delta = lu.solve(rhs)
                 update = _relative(delta, x)
+                updates += 1
                 if update > 10.0 * best and update > 100.0 * tol:
-                    stalled = True       # diverging past its best: reject early
-                    break
+                    break        # diverging past its best: a stall, halve dt
                 best = min(best, update)
                 x = x + delta.reshape(grid.shape)
                 if np.any(x <= 0.0):
                     sign_loss = True
                     break                                # reject: halve dt
                 if update < tol:
+                    converged = True
                     break
-            if not (stalled or sign_loss):
-                # the one elimination of the attempt certifies its iterate
-                total_iters += 1
-                G_x, p_x = eliminate_pressure(grid, x, h, U, params)
-                if _relative(R_old + dt * G_x - x, x) < tol:
-                    accepted = TransientState(state.t + dt, x, G_x, p_x)
-        if accepted is not None:
-            err = (weight * _relative(accepted.R - pred, accepted.R)
-                   / step_cfg.error_tol)
+        if converged:
+            err = weight * _relative(x - pred, x) / step_cfg.error_tol
             if err <= 1.0:
                 chord.dt_next = dt * _next_step_factor(err, chord.err_prev)
                 chord.err_prev = err
                 chord.G_prev, chord.dt_prev = G_n, dt
-                return accepted, StepStats(total_iters, halvings, dt,
-                                           rejections, factorizations)
+                S = (x - R_old) / dt
+                p = eval_f1(x, params) - x * eval_f2(x, params) * S
+                return (TransientState(state.t + dt, x, S, p),
+                        StepStats(updates, halvings, dt, rejections,
+                                  factorizations))
             rejections += 1
             if rejections > MAX_HALVINGS:
                 raise StepFailureError(
@@ -424,9 +422,8 @@ class TransientResult:
     ``history`` and ``step_stats`` hold one entry per completed step:
     ``history`` its end time, update rate and field extrema
     (:data:`HISTORY_KEYS`), ``step_stats`` its end time ``t``, ``dt_used``,
-    pressure-elimination ``iterations`` (in inertial mode, pressure
-    solves), chord LU ``factorizations``,
-    ``halvings`` and error-test ``rejections``.
+    chord-update ``iterations`` (in inertial mode, pressure solves), chord
+    LU ``factorizations``, ``halvings`` and error-test ``rejections``.
     """
 
     converged: bool

@@ -1,6 +1,7 @@
 """Package-wide structure: no dead public code, no dead test oracle, a
 package namespace that imports and re-exports nothing, every file write
-in one CLI function, and the film equation written in one function."""
+in one CLI function, the film equation written in one function, and one
+pressure elimination per run, at its start state."""
 
 import ast
 import os
@@ -207,16 +208,29 @@ def test_only_the_cli_writes_artifacts():
     assert strays == []
 
 
-def test_the_film_equation_is_assembled_in_one_function():
-    # both wall models read elliptic.film_residual: no other function
-    # sums the entrained flux into a film balance of its own
-    strays = []
+def _callers(callee):
+    """``module.function`` of every top-level definition in the package
+    that calls ``callee`` by name or attribute."""
+    found = []
     for module, tree in _modules():
         for top in tree.body:
             for node in ast.walk(top):
                 if (isinstance(node, ast.Call)
                         and getattr(node.func, "id",
                                     getattr(node.func, "attr", None))
-                        == "convective_divergence"):
-                    strays.append(f"{module}.{getattr(top, 'name', None)}")
-    assert strays == ["elliptic.film_residual"]
+                        == callee):
+                    found.append(f"{module}.{getattr(top, 'name', None)}")
+    return found
+
+
+def test_the_film_equation_is_assembled_in_one_function():
+    # both wall models read elliptic.film_residual: no other function
+    # sums the entrained flux into a film balance of its own
+    assert _callers("convective_divergence") == ["elliptic.film_residual"]
+
+
+def test_only_the_start_state_eliminates_the_pressure():
+    # a backward-Euler step is accepted on its chord convergence and
+    # carries its own rate and pressure: the SPD pressure elimination
+    # serves the start state alone
+    assert _callers("eliminate_pressure") == ["dynamics.initial_state"]
