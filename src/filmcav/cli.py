@@ -111,6 +111,8 @@ def _transient_summary(res: TransientResult, config: RunConfig) -> str:
     lines = [
         f"converged = {str(res.converged).lower()}",
         f"steps = {res.steps}",
+        f"iterations = {int(np.sum(res.step_stats['iterations']))}",
+        f"factorizations = {int(np.sum(res.step_stats['factorizations']))}",
         f"final_time_s = {res.state.t:.9g}",
         f"stationarity_rate_per_s = {res.rate:.9g}",
         f"stationarity_tol_per_s = {config.stationarity_tol:.9g}",
@@ -181,12 +183,13 @@ def _transient(config: RunConfig) -> TransientResult:
         ("trace.csv", render_csv(TRACE_HEADER, res.step_stats.values()),
          f"per-step solver work, columns `{TRACE_HEADER}`: step end time, "
          "step size used, chord Newton updates (in inertial mode, pressure "
-         "solves) and chord Newton LU factorizations over all attempts, "
-         "step halvings after a "
+         "solves) and chord Newton LU factorizations over all attempts (0 "
+         "for a step that reuses the carried factor), step halvings after a "
          "positivity loss or a stalled iteration, and attempts rejected by "
          "the error test"),
         ("summary.txt", _transient_summary(res, config),
-         "run outcome (key = value lines)"),
+         "run outcome (key = value lines); `iterations` and "
+         "`factorizations` are the column sums of trace.csv"),
     ]
     if config.snapshot_every > 0:
         entries.append((f"snapshot_<step>.csv (every {config.snapshot_every} "

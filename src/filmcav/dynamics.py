@@ -26,14 +26,25 @@ pressure elimination.  Since ``F(x, S) = F(x, 0) + M diag(x f2) S``,
 vanishes exactly at the backward-Euler solution.  Its Newton matrix
 ``P - dt B`` comes from the pencil ``(B, P)`` of :func:`elliptic.film_pencil`,
 the linearization the stationary solver and the spectra use as well, formed
-in place on the shared 5-point pattern.  It is factored at the first iterate
-and refactored when an iteration shrinks the update by less than 100x; the
-factor belongs to the attempt and is dropped with it.  An attempt converges
-when an update falls below ``picard_tol``, the stopping test of stiff codes
-(Hairer & Wanner, *Solving ODEs II*, §IV.8): an update on an old factor
-contracted at least 100x, so about 1 % of it remains.  The new state is
-``x`` with its backward rate ``S`` and the growth-law pressure
-``f1(x) - x f2(x) S``, where ``F(x, S) = 0`` holds to the chord tolerance.
+in place on the shared 5-point pattern.  As stiff BDF codes keep their Newton
+matrix (Brown, Byrne & Hindmarsh, "VODE", SISC 1989), the factor outlives the
+attempt: the run's :class:`ChordCarry` holds it from attempt to attempt and
+step to step while ``dt`` differs by less than half from the step size it was
+built at.  It is refactored at the current iterate when ``dt`` moved further,
+or when an iteration shrinks the update by less than 10x, and the old factor is
+released first.  On a factor it built itself an attempt converges when an
+update falls below ``picard_tol``: that factor is the Newton matrix at one of
+the attempt's own iterates, and the updates after it contract by orders of
+magnitude.  On a reused factor the contraction ``theta`` (the ratio of
+successive updates) is larger and unknown before the second update, so the
+attempt converges on the estimate of the remaining error, ``theta / (1 - theta)
+update <= 1e-3 picard_tol`` (Hairer & Wanner, *Solving ODEs II*, §IV.8).  The
+factor 1e-3 is small because the state's rate ``S = (x - R_old) / dt`` carries
+the error of ``x`` over ``dt``: at 1e-2, the pressure of short early steps
+missed the elimination's by up to 3.1 ``picard_tol max|p|`` (measured at ecc
+0.05-0.3 on 8x4 to 32x16 grids).  The new state is ``x`` with its backward rate
+``S`` and the growth-law pressure ``f1(x) - x f2(x) S``, where ``F(x, S) = 0``
+holds to the chord tolerance.
 A step that loses positivity or whose iteration stalls is rejected and
 retried at half the step size (at most 10 halvings) before a failure is
 declared.
@@ -65,6 +76,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import SuperLU
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field
@@ -91,7 +103,18 @@ MAX_CHORD_UPDATES = 59
 
 #: a chord iteration that shrinks the update by less than this factor
 #: refactors the Newton matrix at the current iterate
-CHORD_CONTRACTION = 100.0
+CHORD_CONTRACTION = 10.0
+
+#: an attempt reuses the carried chord factor while its step size ``dt``
+#: stays within this relative distance of the factor's ``lu_dt``,
+#: ``|dt / lu_dt - 1| < CHORD_DT_RATIO``; a halving moves ``dt`` by exactly
+#: this much, so its retry factors anew
+CHORD_DT_RATIO = 0.5
+
+#: on a reused factor an attempt converges once the contraction estimate
+#: ``theta / (1 - theta) * update`` of the remaining error, ``theta`` the
+#: ratio of two successive updates, is at most ``CHORD_KAPPA * picard_tol``
+CHORD_KAPPA = 1e-3
 
 #: PI step-size controller (Gustafsson, ACM TOMS 1991): exponents of the
 #: current and the previous error (each over ``error_tol``), safety factor,
@@ -113,7 +136,9 @@ class StepConfig:
     local error of backward Euler, so it does not bound that error.
     ``picard_tol`` is the chord Newton stopping test of the backward-Euler
     solve (required in (0, 1e-3]): an attempt converges at the iterate
-    ``x + delta`` once its update ``max|delta| < picard_tol max|x|``.
+    ``x + delta`` once its update ``max|delta| < picard_tol max|x|`` on a
+    chord factor it built, and once ``theta / (1 - theta) max|delta| <=
+    CHORD_KAPPA picard_tol max|x|`` on a reused one.
     ``mode`` selects quasi-static or inertial wall dynamics.
     """
 
@@ -155,7 +180,8 @@ class StepStats:
     """Work of one accepted step: ``iterations``, the chord Newton updates
     over all its attempts (in inertial mode, its pressure solves, at the
     three later RK4 stages and the new state of every attempt),
-    ``factorizations``, the chord Newton LUs over all its attempts,
+    ``factorizations``, the chord Newton LUs over all its attempts (0 when
+    they all reused the carried factor),
     ``halvings`` after a positivity loss or a stall, ``rejections`` by the
     error test, and the step size ``dt_used``."""
 
@@ -168,20 +194,26 @@ class StepStats:
 
 @dataclass
 class ChordCarry:
-    """The predictor and controller history one backward-Euler step hands
-    the next; it holds no factor (a step's start rate is ``state.Rdot``).
+    """The predictor, controller and chord-factor history one backward-Euler
+    step hands the next (a step's start rate is ``state.Rdot``).
 
     ``G_prev`` and ``dt_prev`` (the rate at the start of the last accepted
     step and that step's size) feed the second-order predictor.
     ``err_prev`` is that step's error estimate over ``error_tol`` and
     ``dt_next`` the step size the controller proposed for the next step (0
-    before any step: start at ``StepConfig.dt``).
+    before any step: start at ``StepConfig.dt``).  ``lu`` is the chord
+    factor of ``P - dt B`` the last attempt used, built at the step size
+    ``lu_dt`` (None before any).  A carry belongs to one
+    :func:`run_transient` call, and its factor is dropped with it when the
+    call returns.
     """
 
     G_prev: np.ndarray | None = None
     dt_prev: float = 0.0
     err_prev: float = 1.0
     dt_next: float = 0.0
+    lu: SuperLU | None = None
+    lu_dt: float = 0.0
 
 
 def initial_state(grid: Grid, h: np.ndarray, U: tuple[float, float],
@@ -263,14 +295,19 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     and the Newton matrix ``A = P - dt B`` of the pencil
     :func:`elliptic.film_pencil` at ``(x, S)``, from the predictor
     ``pred = R_old + dt (G_n + (G_n - G_{n-1}) dt / dt_prev)`` (the explicit
-    update ``R_old + dt G_n`` without a history).  Each attempt factors
-    ``A`` at its first iterate, refactors it at the current iterate when an
-    iteration shrinks the update by less than ``CHORD_CONTRACTION``, and
-    drops it when it ends.  The attempt converges at the first iterate
-    whose update fell below ``picard_tol`` (relative to ``max|x|``).  The
-    start rate ``G_n`` is ``state.Rdot``.  ``chord`` carries the predictor
-    history and the proposed step size between steps and is updated in
-    place; without it the step starts at ``step_cfg.dt``.
+    update ``R_old + dt G_n`` without a history).  An attempt reuses the
+    factor of ``A`` that ``chord`` carries while ``|dt / chord.lu_dt - 1|
+    < CHORD_DT_RATIO``, and otherwise factors ``A`` at its first iterate;
+    it refactors at the current iterate when an iteration shrinks the update
+    by less than ``CHORD_CONTRACTION``, releasing the old factor first.  On
+    a factor it built, the attempt converges at the first iterate whose
+    update fell below ``picard_tol`` (relative to ``max|x|``); on a reused
+    one, at the first whose update, times ``theta / (1 - theta)`` with
+    ``theta`` the ratio of the last two updates, is at most
+    ``CHORD_KAPPA * picard_tol``.  The start rate ``G_n`` is
+    ``state.Rdot``.  ``chord`` carries the predictor history, the proposed
+    step size and the factor between steps and is updated in place; without
+    it the step starts at ``step_cfg.dt`` and builds its own factor.
 
     The error of the solved step is estimated as
     ``max|R_new - pred| / max|R_new|``; without a history, as half that
@@ -290,7 +327,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
 
     Returns the new state ``(t + dt, x, S, f1(x) - x f2(x) S)``, with
     ``S = (x - R_old) / dt``, and the step statistics (``iterations`` counts
-    every chord update of the call, ``factorizations`` every chord LU).
+    every chord update of the call, ``factorizations`` every chord LU: 0
+    for a step that only reused the carried factor).
     """
     R_old, G_n = state.R, state.Rdot
     updates = 0
@@ -312,23 +350,28 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
         if not sign_loss:
             if np.all(pred > 0.0):
                 x = pred
-            best = np.inf
-            lu = None
+            if (chord.lu is not None
+                    and abs(dt / chord.lu_dt - 1.0) >= CHORD_DT_RATIO):
+                chord.lu = None
+            fresh = False            # set once the attempt builds a factor
+            best, prev = np.inf, 0.0
             for _ in range(MAX_CHORD_UPDATES):
                 S = (x - R_old) / dt
                 # F alone: a K held here would stay alive across the LU
                 rhs = -dt * film_residual(grid, x, S, h, U, params)[0].ravel()
-                delta = None if lu is None else lu.solve(rhs)
-                if lu is None or _relative(delta, x) * CHORD_CONTRACTION > best:
+                delta = None if chord.lu is None else chord.lu.solve(rhs)
+                if (chord.lu is None
+                        or _relative(delta, x) * CHORD_CONTRACTION > best):
                     # release the old factor first: building the new one
                     # while the old is alive fragments the native heap,
                     # and peak RSS then creeps up by megabytes over a run
-                    lu = None
+                    chord.lu = None
                     B, A = film_pencil(grid, x, S, h, U, params)
                     A.data -= dt * B.data                # P - dt B
-                    lu = _factorize(A)
+                    chord.lu, chord.lu_dt = _factorize(A), dt
+                    fresh = True
                     factorizations += 1
-                    delta = lu.solve(rhs)
+                    delta = chord.lu.solve(rhs)
                 update = _relative(delta, x)
                 updates += 1
                 if update > 10.0 * best and update > 100.0 * tol:
@@ -338,8 +381,16 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                 if np.any(x <= 0.0):
                     sign_loss = True
                     break                                # reject: halve dt
-                if update < tol:
-                    converged = True
+                if fresh:
+                    converged = update < tol
+                else:
+                    # theta / (1 - theta) update <= kappa tol at
+                    # theta = update / prev, times prev - update: the
+                    # first update, with no theta, passes only at zero
+                    converged = (update * update
+                                 <= CHORD_KAPPA * tol * (prev - update))
+                prev = update
+                if converged:
                     break
         if converged:
             err = weight * _relative(x - pred, x) / step_cfg.error_tol
@@ -458,9 +509,11 @@ def run_transient(grid: Grid, state: TransientState, h: np.ndarray,
     ``on_step(step, state)``, when given, sees every completed step's index
     and new state before these tests.
 
-    Backward-Euler steps hand each other one :class:`ChordCarry`: the first
-    starts at ``step_cfg.dt``, every later one at the size the error
-    controller proposed.  Inertial (RK4) steps start at ``step_cfg.dt``.
+    Backward-Euler steps hand each other one :class:`ChordCarry`, local to
+    the call, with the chord factor: the first starts at ``step_cfg.dt``,
+    every later one at the size the error controller proposed.  The carry
+    and its factor are dropped when the call returns.  Inertial (RK4) steps
+    start at ``step_cfg.dt``.
     """
     R_crit = compute_derived(params).R_crit
     hf = ensure_field(grid, h, "h")

@@ -93,6 +93,20 @@ def test_transient_writes_documented_artifacts(tmp_path):
         assert name in manifest
 
 
+def test_transient_summary_totals_the_trace(tmp_path):
+    # the summary's work counts are the column sums of trace.csv
+    cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 4\nn_steps = 4000\n")
+    out = tmp_path / "out"
+    assert main(["transient", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    summary = dict(line.split(" = ", 1) for line in lines)
+    rows = _load_csv(out / "trace.csv")
+    columns = TRACE_HEADER.split(",")
+    for key in ("iterations", "factorizations"):
+        assert int(summary[key]) == int(rows[:, columns.index(key)].sum())
+    assert 1 <= int(summary["factorizations"]) < int(summary["steps"])
+
+
 def test_transient_snapshots_and_early_stop(tmp_path):
     cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 4\nn_steps = 3\n"
                            "stationarity_tol = 1e9\nsnapshot_every = 1\n")
