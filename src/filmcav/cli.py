@@ -29,7 +29,7 @@ from .config import (MODE_STABILITY, MODE_STATIONARY, MODE_SWEEP,
 from .dynamics import (HISTORY_KEYS, MODE_INERTIAL, STEP_STATS_KEYS,
                        TransientResult, TransientState, initial_state,
                        run_transient)
-from .elliptic import film_pencil
+from .elliptic import film_pencil, film_residual
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, gap_function, render_csv,
@@ -222,7 +222,10 @@ def _stationary(config: RunConfig
         ("midline.csv", render_midline_csv(grid, params, R_s, p_s),
          _midline_desc(grid)),
         ("summary.txt", _stationary_summary(report, R_s, p_s, params),
-         "solver report (key = value lines)"),
+         "solver report (key = value lines); `final_relative_residual` and "
+         "`residual_history` are `||Phi||_2 / scale`, scale the gross "
+         "diffusive flux at the pressure floor `p_char` plus the entrained "
+         "divergence"),
     ])
     return R_s, p_s, report
 
@@ -251,10 +254,12 @@ def cmd_stability(config: RunConfig) -> int:
         raise SolverFailureError(f"stationary solve failed "
                                  f"(residual {report.final_residual:.3e})")
     # both spectra before the first file: a run that fails writes nothing
-    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
+    zero_rate = np.zeros(grid.shape)
+    B, P = film_pencil(grid, R_s, zero_rate, h, U, params)
     rep_G = pencil_spectrum(B, P)
-    rep_F = (compute_spectrum(assemble_LF(grid, R_s, h, params, B, P))
-             if inertial else None)
+    if inertial:
+        K = film_residual(grid, R_s, zero_rate, h, U, params)[2]
+        rep_F = compute_spectrum(assemble_LF(R_s, K, B, P))
 
     lines = [
         f"operator L_G: verdict = {rep_G.verdict}, max real part = "

@@ -18,16 +18,19 @@ cached): the interior and periodic faces, the Dirichlet edge cells and the
 fixed 5-point CSR pattern.  Each operator is a short coefficient rule that
 gives every face flux ``F = a S_A + b S_B`` and every edge its diagonal
 term; one assembler sums them into the pattern.  The rules are the
-diffusion operator ``K``, the convective divergence ``C`` (whose field form
-sums the same face fluxes straight into the cells) and the sensitivity of
-the diffusion term to its coefficient at a frozen potential.
+diffusion operator ``K``, the convective divergence ``C`` (summed into the
+cells as a field by :func:`convective_divergence`, into ``B`` of
+:func:`film_pencil` face by face) and the sensitivity of the diffusion term
+to its coefficient at a frozen potential.
 
 The film equation :func:`film_residual` is the pressure equation above at
 ``dR/dt = S`` and the pressure ``p = f1(R) - R f2(R) S`` the growth law gives;
 its one linearization is the pencil ``(B, P)`` of :func:`film_pencil`.  The
 Newton stationary solver factors ``B`` at ``S = 0``, the implicit stepper
 ``P - dt B`` at the backward-difference rate, and the spectra use the pencil
-at ``S = 0``.
+at ``S = 0``.  No other module assembles the film equation or its
+mobility operator ``K``: the stationary balance is ``-F(R, 0)``, and the
+pressure elimination and ``L_F`` take the ``K`` it returns.
 
 Every sparse LU of the package is built by :func:`_factorize`, which fixes
 the column ordering (minimum degree on ``A^T + A``) and SuperLU's panel
@@ -228,22 +231,12 @@ def _convective_fluxes(grid: Grid, U: tuple[float, float], w: np.ndarray):
     return st, a, b, edge
 
 
-def convective_divergence_matrix(grid: Grid, U: tuple[float, float],
-                                 w: np.ndarray) -> sp.csr_matrix:
-    """Matrix form of ``S -> Div(U w S)`` for a frozen weight field ``w``.
-
-    ``U`` is the constant entrainment velocity.  A face carries the
-    upstream cell's value of ``w S`` (upwind, by the sign of each velocity
-    component); a Dirichlet face carries the adjacent interior value.
-    """
-    return _assemble(*_convective_fluxes(grid, U, w))
-
-
 def convective_divergence(grid: Grid, U: tuple[float, float],
                           w: np.ndarray) -> np.ndarray:
     """Cellwise divergence of the entrained flux ``U w`` as a field: the
-    face fluxes ``a + b`` of :func:`convective_divergence_matrix` (its
-    action on ones) summed straight into the cells, without the matrix."""
+    upwind face fluxes ``a + b`` of :func:`_convective_fluxes` (``C`` acting
+    on ones) summed straight into the cells, without the matrix.  A face
+    carries the upstream cell's ``w``, a Dirichlet face the interior one."""
     st, a, b, edge = _convective_fluxes(grid, U, w)
     n = grid.n_cells
     flux = a + b
@@ -279,8 +272,9 @@ def film_residual(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
     Rf = ensure_field(grid, R, "R")
     Sf = ensure_field(grid, S, "S")
     hf = ensure_field(grid, h, "h")
-    p = eval_f1(Rf, params) - Rf * eval_f2(Rf, params) * Sf
+    # K first: a run's first call builds the grid's stencil, its memory peak
     K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
+    p = eval_f1(Rf, params) - Rf * eval_f2(Rf, params) * Sf
     conv = convective_divergence(grid, U, hf * eval_f4(Rf, params))
     F = -(K @ p.ravel()) - (hf * eval_f5(Rf, params) * Sf + conv).ravel()
     return F.reshape(grid.shape), p, K
@@ -297,11 +291,12 @@ def film_pencil(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
         P = K diag(R f2) - diag(h f5),
 
     with ``Dsens(c', q)`` the sensitivity ``S -> Div(c' S Grad q)`` of
-    :func:`_sensitivity_fluxes` and ``C`` of
-    :func:`convective_divergence_matrix`.  ``B`` is summed face by face and
-    assembled once, ``P`` scales the data of ``K`` by ``R f2`` of each
-    entry's column, and both add their diagonal terms through the stencil's
-    diagonal slots: both live on the 5-point pattern of ``K``.
+    :func:`_sensitivity_fluxes` and ``C(w)`` the upwind divergence
+    ``S -> Div(U w S)`` of :func:`_convective_fluxes`.  ``B`` is summed
+    face by face and assembled once, ``P`` scales the data of ``K`` by
+    ``R f2`` of each entry's column, and both add their diagonal terms
+    through the stencil's diagonal slots: both live on the 5-point pattern
+    of ``K``.
     """
     Rf = ensure_field(grid, R, "R")
     Sf = ensure_field(grid, S, "S")

@@ -19,7 +19,9 @@ stationary solver factors the same ``B``, the stepper ``P - dt B``):
 * ``L_F`` — the inertial model linearized at ``(R_s, 0)``, assembled dense:
   the companion matrix ``[[0, I], [diag(1/R_s) K^{-1} B,
   -diag(1/R_s) K^{-1} P]]`` of the quadratic pencil
-  ``lam^2 K diag(R_s) + lam P - B`` of the same ``(B, P)``.
+  ``lam^2 K diag(R_s) + lam P - B`` of the same ``(B, P)``, with ``K`` the
+  mobility operator that ``elliptic.film_residual`` returns at
+  ``(R_s, 0)``: this module assembles no operator of its own.
 
 The sliding-speed instability mechanism is quantified mode-by-mode on an
 ``L1 x L2`` rectangle with a parallel gap and homogeneous Dirichlet values:
@@ -41,9 +43,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
-from .grid import Grid, ensure_field, render_csv
-from .elliptic import _factorize, assemble_operator
-from .physics import PhysicalParams, compute_derived, eval_f3
+from .grid import render_csv
+from .elliptic import _factorize
+from .physics import PhysicalParams, compute_derived
 
 DENSE_ASSEMBLY_LIMIT = 4096
 
@@ -98,20 +100,16 @@ def _verdict(max_real: float) -> str:
 # Linearization about a general stationary state
 # ---------------------------------------------------------------------------
 
-def assemble_LF(grid: Grid, R_s: np.ndarray, h: np.ndarray,
-                params: PhysicalParams, B: sp.spmatrix,
+def assemble_LF(R_s: np.ndarray, K: sp.spmatrix, B: sp.spmatrix,
                 P: sp.spmatrix) -> np.ndarray:
     """Dense companion matrix ``[[0, I], diag(1/R_s) K^{-1} [B, -P]]`` of
     ``lam^2 K diag(R_s) + lam P - B``, the inertial evolution linearized at
     ``(R_s, 0)`` for ``(B, P) = film_pencil`` there and the mobility
-    operator ``K = -Div(f3(R_s) h^3 Grad .)``; the state ordering is
-    (radius perturbation, rate perturbation)."""
-    Rf = ensure_field(grid, R_s, "R_s")
-    hf = ensure_field(grid, h, "h")
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-    n = grid.n_cells
+    operator ``K`` that ``film_residual`` returns there; the state ordering
+    is (radius perturbation, rate perturbation)."""
+    n = K.shape[0]
     lower = _factorize(K).solve(np.hstack([B.toarray(), -P.toarray()]))
-    lower /= Rf.ravel()[:, None]
+    lower /= np.ravel(R_s)[:, None]
     top = np.hstack([np.zeros((n, n)), np.eye(n)])
     return np.vstack([top, lower])
 

@@ -12,8 +12,7 @@ fixed point* the transient integrator relaxes to (not merely a consistent
 one).  The Newton matrix is ``B`` of :func:`elliptic.film_pencil` at
 ``S = 0``, the exact derivative of the discrete balance and the same
 linearization the stepper and the spectra use.  :func:`stationary_residual`
-still assembles ``Phi`` from its two matrices, because its gross-flux scale
-needs their entrywise magnitudes.
+takes ``Phi`` and its scale from one call of :func:`elliptic.film_residual`.
 
 Whenever ``U = 0`` or the gap is parallel (``h - min h = 0``) the uniform
 rest state ``(R_bar, 0)`` is an exact stationary solution; it is the Newton
@@ -29,10 +28,8 @@ import numpy as np
 from .errors import (ConfigurationError, SolverFailureError,
                      SupercriticalRadiusError)
 from .grid import Grid, ensure_field
-from .elliptic import (_factorize, assemble_operator,
-                       convective_divergence_matrix, film_pencil)
-from .physics import (PhysicalParams, compute_derived, eval_f1, eval_f3,
-                      eval_f4)
+from .elliptic import _factorize, film_pencil, film_residual
+from .physics import PhysicalParams, compute_derived, eval_f1
 
 MAX_BACKTRACKS = 20
 #: most Newton iterations of one solve
@@ -44,8 +41,9 @@ class StationarySolveConfig:
     """Newton settings.
 
     ``newton_tol`` is a relative residual tolerance: the discrete balance is
-    declared satisfied when the net flux divergence in every cell has
-    cancelled to that fraction of the gross (sign-less) flux magnitude.
+    declared satisfied when ``||Phi||_2`` has fallen to that fraction of the
+    scale of :func:`stationary_residual`, the gross (sign-less) diffusive
+    flux plus the net entrained divergence of every cell.
     """
 
     newton_tol: float = 1e-10
@@ -78,29 +76,25 @@ def trivial_solution(grid: Grid, params: PhysicalParams
 def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
                         U: tuple[float, float], params: PhysicalParams
                         ) -> tuple[np.ndarray, float]:
-    """Discrete stationary balance and its gross-flux scale.
+    """Discrete stationary balance and its flux scale.
 
-    Returns ``(Phi, scale)`` with ``Phi`` raveled.  ``scale`` bounds
-    ``||Phi||_2`` from above by the per-face triangle inequality over both
-    flux terms, evaluated at the actual fields *plus* the flux the film
-    would carry at the characteristic equilibrium-pressure scale
-    ``(2 sigma/R0 + |P0 - p_bnd|) / rho_l``.  The pressure floor keeps
-    ``||Phi||_2 / scale`` meaningful at the rest state, where the true
-    fluxes vanish to the rounding level of the equilibrium radius and a
-    purely field-based scale would degenerate with them.
+    Returns ``(Phi, scale)`` with ``Phi = -F(R, 0)`` of
+    :func:`elliptic.film_residual`, raveled.  ``scale`` is the 2-norm of
+    ``|K| (|f1| + p_char) + |F + K f1|``, the gross diffusive flux of each
+    cell at the pressure plus the characteristic equilibrium-pressure scale
+    ``p_char = (2 sigma/R0 + |P0 - p_bnd|) / rho_l``, and its net entrained
+    divergence: by the triangle inequality it bounds ``||Phi||_2``.  The
+    pressure floor keeps ``||Phi||_2 / scale`` meaningful at the rest
+    state, where the true fluxes vanish to the rounding level of the
+    equilibrium radius and a purely field-based scale would degenerate.
     """
-    Rf = ensure_field(grid, R, "R")
-    hf = ensure_field(grid, h, "h")
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-    f1 = eval_f1(Rf, params).ravel()
-    M = convective_divergence_matrix(grid, U, hf * eval_f4(Rf, params))
-    ones = np.ones(grid.n_cells)
-    phi = K @ f1 + M @ ones
+    F, f1, K = film_residual(grid, R, np.zeros(grid.shape), h, U, params)
+    F, f1 = F.ravel(), f1.ravel()
     p_char = (2.0 * params.sigma / params.R0
               + abs(params.P0 - params.p_bnd)) / params.rho_l
-    gross = abs(K) @ (np.abs(f1) + p_char) + abs(M) @ ones
+    gross = abs(K) @ (np.abs(f1) + p_char) + np.abs(F + K @ f1)
     scale = float(np.linalg.norm(gross))
-    return phi, max(scale, 1e-300)
+    return -F, max(scale, 1e-300)
 
 
 def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
@@ -123,9 +117,10 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     hf = ensure_field(grid, h, "h")
     report = StationaryReport(converged=False, stage_fractions=[1.0])
     R, _ = trivial_solution(grid, params)
-    zero_rate = np.zeros(grid.shape)
     iters = 0
     phi, scale = stationary_residual(grid, R, hf, U, params)
+    # allocated after the first residual, whose stencil build is the peak
+    zero_rate = np.zeros(grid.shape)
     while True:
         report.final_residual = float(np.linalg.norm(phi)) / scale
         report.residual_history.append(report.final_residual)

@@ -5,7 +5,8 @@ The tests gate the package's discretization against these:
 * ``assemble_LG`` forms the dense quasi-static operator ``P^{-1} B`` from
   the same pencil :func:`filmcav.elliptic.film_pencil` that the certified
   sparse spectrum uses;
-* ``diffusion_sensitivity`` is the matrix of the sensitivity fluxes that
+* ``diffusion_sensitivity`` and ``convective_divergence_matrix`` are the
+  matrices of the sensitivity and the upwind convective fluxes that
   :func:`filmcav.elliptic.film_pencil` sums face by face, and ``apply_A2``
   the squeeze response of the pressure equation;
 * ``field_norms`` gives the area-weighted norms of a field;
@@ -30,8 +31,9 @@ import scipy.sparse as sp
 
 from filmcav.dynamics import (TransientState, _wall_acceleration,
                               eliminate_pressure)
-from filmcav.elliptic import (_assemble, _factorize, _sensitivity_fluxes,
-                              assemble_operator, film_pencil, solve_spd)
+from filmcav.elliptic import (_assemble, _convective_fluxes, _factorize,
+                              _sensitivity_fluxes, assemble_operator,
+                              film_pencil, solve_spd)
 from filmcav.grid import Grid, ensure_field
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1_prime,
                              eval_f2, eval_f3, eval_f4_prime, eval_f5)
@@ -64,6 +66,18 @@ def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
     the ghost-reflected potential and the own-cell coefficient.
     """
     return _assemble(*_sensitivity_fluxes(grid, coeff_prime, potential))
+
+
+def convective_divergence_matrix(grid: Grid, U: tuple[float, float],
+                                 w: np.ndarray) -> sp.csr_matrix:
+    """Matrix form ``C`` of ``S -> Div(U w S)`` for a frozen weight field
+    ``w``, whose action on ones is :func:`elliptic.convective_divergence`.
+
+    ``U`` is the constant entrainment velocity.  A face carries the
+    upstream cell's value of ``w S`` (upwind, by the sign of each velocity
+    component); a Dirichlet face carries the adjacent interior value.
+    """
+    return _assemble(*_convective_fluxes(grid, U, w))
 
 
 def apply_A2(grid: Grid, R: np.ndarray, h: np.ndarray, S: np.ndarray,

@@ -21,16 +21,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import filmcav.elliptic as elliptic
-from filmcav.elliptic import (
-    assemble_operator, convective_divergence, convective_divergence_matrix,
-    film_pencil, solve_spd,
-)
+from filmcav.elliptic import (assemble_operator, convective_divergence,
+                              film_pencil, solve_spd)
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function
 from filmcav.physics import (PhysicalParams, eval_f1, eval_f1_prime, eval_f2,
                              eval_f2_prime, eval_f3, eval_f3_prime,
                              eval_f4_prime, eval_f5, eval_f5_prime)
-from oracles import apply_A2, diffusion_sensitivity, field_norms
+from oracles import (apply_A2, convective_divergence_matrix,
+                     diffusion_sensitivity, field_norms)
 
 DEFAULT = PhysicalParams()
 

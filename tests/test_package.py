@@ -223,10 +223,23 @@ def _callers(callee):
     return found
 
 
+#: the closures that become the film equation's operators
+OPERATOR_CLOSURES = {"eval_f3", "eval_f3_prime", "eval_f4", "eval_f4_prime"}
+
+
 def test_the_film_equation_is_assembled_in_one_function():
-    # both wall models read elliptic.film_residual: no other function
-    # sums the entrained flux into a film balance of its own
+    # both wall models, the stationary balance and L_F read
+    # elliptic.film_residual: no other function sums the entrained flux
+    # into a film balance or assembles the mobility operator of its own,
+    # and only elliptic turns the mobility and entrainment closures into
+    # operators
     assert _callers("convective_divergence") == ["elliptic.film_residual"]
+    assert _callers("assemble_operator") == ["elliptic.film_residual"]
+    importers = sorted(
+        module for module, tree in _modules() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and OPERATOR_CLOSURES & {alias.name for alias in node.names})
+    assert importers == ["elliptic"]
 
 
 def test_only_the_start_state_eliminates_the_pressure():

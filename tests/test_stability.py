@@ -23,7 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
-from filmcav.elliptic import assemble_operator, film_pencil
+from filmcav.elliptic import assemble_operator, film_pencil, film_residual
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, Grid, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived, eval_f3
@@ -103,12 +103,18 @@ def test_growth_jacobian_matches_finite_differences(journal_state):
         assert np.linalg.norm(got - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
+def _inertial_operator(grid, R_s, h, U, params):
+    """``L_F`` at ``(R_s, 0)`` as the stability run builds it: the pencil
+    and the mobility operator of the film equation there."""
+    zero = np.zeros(grid.shape)
+    K = film_residual(grid, R_s, zero, h, U, params)[2]
+    return assemble_LF(R_s, K, *film_pencil(grid, R_s, zero, h, U, params))
+
+
 def test_inertial_jacobian_blocks_match_acceleration_derivatives(journal_state):
     grid, R_s, h, U, params = journal_state
     n = grid.n_cells
-    LF = assemble_LF(grid, R_s, h, params,
-                     *film_pencil(grid, R_s, np.zeros(grid.shape), h, U,
-                                  params))
+    LF = _inertial_operator(grid, R_s, h, U, params)
     assert LF.shape == (2 * n, 2 * n)
     # Top row blocks are the exact kinematic identity d(R)/dt = Rdot.
     assert np.all(LF[:n, :n] == 0.0)
@@ -142,8 +148,10 @@ def test_inertial_operator_is_the_companion_of_the_quadratic_pencil(
     # companion matrix of lam^2 K diag(R_s) + lam P - B
     grid, R_s, h, U, params = journal_state
     n = grid.n_cells
-    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
-    LF = assemble_LF(grid, R_s, h, params, B, P)
+    zero = np.zeros(grid.shape)
+    B, P = film_pencil(grid, R_s, zero, h, U, params)
+    LF = assemble_LF(R_s, film_residual(grid, R_s, zero, h, U, params)[2],
+                     B, P)
     K = assemble_operator(grid, eval_f3(R_s, params) * h ** 3)
     got = K @ (R_s.ravel()[:, None] * LF[n:, :])
     expected = np.hstack([B.toarray(), -P.toarray()])
@@ -165,9 +173,7 @@ def test_separated_spectra_match_dense_assemblies():
     scale = np.abs(separated).max()
     assert _pair_distance(dense, separated) <= 1e-11 * scale
 
-    LF = assemble_LF(grid, R, h, TAME,
-                     *film_pencil(grid, R, np.zeros(grid.shape), h,
-                                  (U_norm, 0.0), TAME))
+    LF = _inertial_operator(grid, R, h, (U_norm, 0.0), TAME)
     dense_f = np.linalg.eigvals(LF)
     separated_f = constant_gap_spectrum_LF(TAME, U_norm, 16, 16)
     assert separated_f.size == dense_f.size

@@ -64,10 +64,11 @@ def test_rest_state_is_exact_without_sliding():
     assert np.allclose(Rs, R, rtol=1e-15)
 
 
-def test_residual_scale_bounds_the_residual():
+@UPWIND_BCS
+def test_residual_scale_bounds_the_residual(bc):
     rng = np.random.default_rng(73)
     p = PhysicalParams(ecc=0.3)
-    grid = grid_for_params(p, 12, 6)
+    grid = grid_for_params(p, 12, 6, bc)
     h = gap_function(grid, p)
     for _ in range(10):
         R = p.R0 * rng.uniform(0.7, 1.4, size=grid.shape)
