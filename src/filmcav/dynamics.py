@@ -29,21 +29,18 @@ the linearization the stationary solver and the spectra use as well, formed
 in place on the shared 5-point pattern.  As stiff BDF codes keep their Newton
 matrix (Brown, Byrne & Hindmarsh, "VODE", SISC 1989), the factor outlives the
 attempt: the run's :class:`ChordCarry` holds it from attempt to attempt and
-step to step while ``dt`` differs by less than half from the step size it was
-built at.  It is refactored at the current iterate when ``dt`` moved further,
-or when an iteration shrinks the update by less than 10x, and the old factor is
-released first.  On a factor it built itself an attempt converges when an
-update falls below ``picard_tol``: that factor is the Newton matrix at one of
-the attempt's own iterates, and the updates after it contract by orders of
-magnitude.  On a reused factor the contraction ``theta`` (the ratio of
-successive updates) is larger and unknown before the second update, so the
-attempt converges on the estimate of the remaining error, ``theta / (1 - theta)
-update <= 1e-3 picard_tol`` (Hairer & Wanner, *Solving ODEs II*, §IV.8).  The
-factor 1e-3 is small because the state's rate ``S = (x - R_old) / dt`` carries
-the error of ``x`` over ``dt``: at 1e-2, the pressure of short early steps
-missed the elimination's by up to 3.1 ``picard_tol max|p|`` (measured at ecc
-0.05-0.3 on 8x4 to 32x16 grids).  The new state is ``x`` with its backward rate
-``S`` and the growth-law pressure ``f1(x) - x f2(x) S``, where ``F(x, S) = 0``
+step to step.  The iteration decides from its own updates alone.  It
+refactors at the current iterate, releasing the old factor first, only when
+it has no factor or when an update shrinks by less than 10x from the best
+one.  It converges on the estimate of the remaining error, ``theta / (1 -
+theta) update <= 1e-3 picard_tol`` with ``theta`` the ratio of successive
+updates (Hairer & Wanner, *Solving ODEs II*, §IV.8), so the first update of
+an attempt, with no ``theta`` yet, converges only at zero.  The factor 1e-3
+is small because the state's rate ``S = (x - R_old) / dt`` carries the error
+of ``x`` over ``dt``: at 1e-2, the pressure of short early steps missed the
+elimination's by up to 3.1 ``picard_tol max|p|`` (measured at ecc 0.05-0.3
+on 8x4 to 32x16 grids).  The new state is ``x`` with its backward rate ``S``
+and the growth-law pressure ``f1(x) - x f2(x) S``, where ``F(x, S) = 0``
 holds to the chord tolerance.
 A step that loses positivity or whose iteration stalls is rejected and
 retried at half the step size (at most 10 halvings) before a failure is
@@ -80,8 +77,7 @@ from scipy.sparse.linalg import SuperLU
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field
-from .elliptic import (_factorize, _stencil, film_pencil, film_residual,
-                       solve_spd)
+from .elliptic import _factorize, film_pencil, film_residual, solve_spd
 from .physics import (PhysicalParams, compute_derived, eval_f1, eval_f2,
                       eval_f5)
 
@@ -105,15 +101,9 @@ MAX_CHORD_UPDATES = 59
 #: refactors the Newton matrix at the current iterate
 CHORD_CONTRACTION = 10.0
 
-#: an attempt reuses the carried chord factor while its step size ``dt``
-#: stays within this relative distance of the factor's ``lu_dt``,
-#: ``|dt / lu_dt - 1| < CHORD_DT_RATIO``; a halving moves ``dt`` by exactly
-#: this much, so its retry factors anew
-CHORD_DT_RATIO = 0.5
-
-#: on a reused factor an attempt converges once the contraction estimate
-#: ``theta / (1 - theta) * update`` of the remaining error, ``theta`` the
-#: ratio of two successive updates, is at most ``CHORD_KAPPA * picard_tol``
+#: an attempt converges once the contraction estimate ``theta / (1 - theta)
+#: * update`` of the remaining error, ``theta`` the ratio of two successive
+#: updates, is at most ``CHORD_KAPPA * picard_tol``
 CHORD_KAPPA = 1e-3
 
 #: PI step-size controller (Gustafsson, ACM TOMS 1991): exponents of the
@@ -136,9 +126,8 @@ class StepConfig:
     local error of backward Euler, so it does not bound that error.
     ``picard_tol`` is the chord Newton stopping test of the backward-Euler
     solve (required in (0, 1e-3]): an attempt converges at the iterate
-    ``x + delta`` once its update ``max|delta| < picard_tol max|x|`` on a
-    chord factor it built, and once ``theta / (1 - theta) max|delta| <=
-    CHORD_KAPPA picard_tol max|x|`` on a reused one.
+    ``x + delta`` once ``theta / (1 - theta) max|delta| <= CHORD_KAPPA
+    picard_tol max|x|``, ``theta`` the ratio of its last two updates.
     ``mode`` selects quasi-static or inertial wall dynamics.
     """
 
@@ -202,8 +191,8 @@ class ChordCarry:
     ``err_prev`` is that step's error estimate over ``error_tol`` and
     ``dt_next`` the step size the controller proposed for the next step (0
     before any step: start at ``StepConfig.dt``).  ``lu`` is the chord
-    factor of ``P - dt B`` the last attempt used, built at the step size
-    ``lu_dt`` (None before any).  A carry belongs to one
+    factor of ``P - dt B`` the last attempt used (None before any), at
+    whatever step size it was built.  A carry belongs to one
     :func:`run_transient` call, and its factor is dropped with it when the
     call returns.
     """
@@ -213,7 +202,6 @@ class ChordCarry:
     err_prev: float = 1.0
     dt_next: float = 0.0
     lu: SuperLU | None = None
-    lu_dt: float = 0.0
 
 
 def initial_state(grid: Grid, h: np.ndarray, U: tuple[float, float],
@@ -244,8 +232,8 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     hf = ensure_field(grid, h, "h")
     F, f1, M = film_residual(grid, Rf, np.zeros(grid.shape), hf, U, params)
     Rf2 = Rf * eval_f2(Rf, params)
-    # shift K in place to M: the diagonal gains -h f5 / (R f2) >= 0
-    M.data[_stencil(grid).diag] -= (hf * eval_f5(Rf, params) / Rf2).ravel()
+    # shift K to M: the diagonal gains -h f5 / (R f2) >= 0
+    M.setdiag(M.diagonal() - (hf * eval_f5(Rf, params) / Rf2).ravel())
     y = solve_spd(M, -F, grid)
     return y / Rf2, f1 - y
 
@@ -295,15 +283,13 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     and the Newton matrix ``A = P - dt B`` of the pencil
     :func:`elliptic.film_pencil` at ``(x, S)``, from the predictor
     ``pred = R_old + dt (G_n + (G_n - G_{n-1}) dt / dt_prev)`` (the explicit
-    update ``R_old + dt G_n`` without a history).  An attempt reuses the
-    factor of ``A`` that ``chord`` carries while ``|dt / chord.lu_dt - 1|
-    < CHORD_DT_RATIO``, and otherwise factors ``A`` at its first iterate;
-    it refactors at the current iterate when an iteration shrinks the update
-    by less than ``CHORD_CONTRACTION``, releasing the old factor first.  On
-    a factor it built, the attempt converges at the first iterate whose
-    update fell below ``picard_tol`` (relative to ``max|x|``); on a reused
-    one, at the first whose update, times ``theta / (1 - theta)`` with
-    ``theta`` the ratio of the last two updates, is at most
+    update ``R_old + dt G_n`` without a history).  An attempt uses the
+    factor of ``A`` that ``chord`` carries, or factors ``A`` at its first
+    iterate when there is none; it refactors at the current iterate when an
+    update is not ``CHORD_CONTRACTION`` times smaller than the best one,
+    releasing the old factor first.  The attempt converges at the first
+    iterate whose update (relative to ``max|x|``), times ``theta / (1 -
+    theta)`` with ``theta`` the ratio of the last two updates, is at most
     ``CHORD_KAPPA * picard_tol``.  The start rate ``G_n`` is
     ``state.Rdot``.  ``chord`` carries the predictor history, the proposed
     step size and the factor between steps and is updated in place; without
@@ -350,10 +336,6 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
         if not sign_loss:
             if np.all(pred > 0.0):
                 x = pred
-            if (chord.lu is not None
-                    and abs(dt / chord.lu_dt - 1.0) >= CHORD_DT_RATIO):
-                chord.lu = None
-            fresh = False            # set once the attempt builds a factor
             best, prev = np.inf, 0.0
             for _ in range(MAX_CHORD_UPDATES):
                 S = (x - R_old) / dt
@@ -368,8 +350,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     chord.lu = None
                     B, A = film_pencil(grid, x, S, h, U, params)
                     A.data -= dt * B.data                # P - dt B
-                    chord.lu, chord.lu_dt = _factorize(A), dt
-                    fresh = True
+                    chord.lu = _factorize(A)
                     factorizations += 1
                     delta = chord.lu.solve(rhs)
                 update = _relative(delta, x)
@@ -381,14 +362,11 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                 if np.any(x <= 0.0):
                     sign_loss = True
                     break                                # reject: halve dt
-                if fresh:
-                    converged = update < tol
-                else:
-                    # theta / (1 - theta) update <= kappa tol at
-                    # theta = update / prev, times prev - update: the
-                    # first update, with no theta, passes only at zero
-                    converged = (update * update
-                                 <= CHORD_KAPPA * tol * (prev - update))
+                # theta / (1 - theta) update <= kappa tol at
+                # theta = update / prev, times prev - update: the first
+                # update, with no theta, passes only at zero
+                converged = (update * update
+                             <= CHORD_KAPPA * tol * (prev - update))
                 prev = update
                 if converged:
                     break

@@ -1,7 +1,8 @@
-"""Package-wide structure: no dead public code, no dead test oracle, a
-package namespace that imports and re-exports nothing, every file write
-in one CLI function, the film equation written in one function, and one
-pressure elimination per run, at its start state."""
+"""Package-wide structure: no dead public code or module constant, no dead
+test oracle, a package namespace that imports and re-exports nothing, every
+file write in one CLI function, the film equation written in one function,
+one pressure elimination per run, at its start state, and a sparse stencil
+only its own layer names."""
 
 import ast
 import os
@@ -56,6 +57,32 @@ def test_every_public_definition_has_a_caller_or_is_an_oracle():
     unnamed = {name: module for name, module in defined.items()
                if name not in named}
     assert set(unnamed) == ORACLES, unnamed
+
+
+def _is_constant(name):
+    return name.lstrip("_")[:1].isalpha() and name == name.upper()
+
+
+def test_every_module_constant_is_read():
+    # an UPPER_CASE name assigned at module level must be read somewhere in
+    # the package outside its own assignment (imports do not count): a
+    # constant no code reads is a leftover of a deleted rule
+    assigned, read = [], set()
+    for module, tree in _modules():
+        for top in tree.body:
+            targets = (top.targets if isinstance(top, ast.Assign)
+                       else [top.target] if isinstance(top, ast.AnnAssign)
+                       else [])
+            assigned += [(module, node.id) for target in targets
+                         for node in ast.walk(target)
+                         if isinstance(node, ast.Name)
+                         and _is_constant(node.id)]
+        read.update(node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load))
+    assert [f"{module}.{name}" for module, name in assigned
+            if name not in read] == []
 
 
 def test_every_test_oracle_is_used():
@@ -247,3 +274,16 @@ def test_only_the_start_state_eliminates_the_pressure():
     # carries its own rate and pressure: the SPD pressure elimination
     # serves the start state alone
     assert _callers("eliminate_pressure") == ["dynamics.initial_state"]
+
+
+def test_only_elliptic_names_its_stencil():
+    # the face stencil is the private layout of elliptic's sparse pattern:
+    # other layers edit a matrix through its own methods, not its slots
+    strays = sorted(
+        f"{module}.py:{node.lineno}" for module, tree in _modules()
+        if module != "elliptic" for node in ast.walk(tree)
+        if "_stencil" in (getattr(node, "id", None),
+                          getattr(node, "attr", None))
+        or (isinstance(node, ast.ImportFrom)
+            and "_stencil" in {alias.name for alias in node.names}))
+    assert strays == []
