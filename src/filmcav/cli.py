@@ -137,6 +137,7 @@ def _stationary_summary(report: StationaryReport, R: np.ndarray,
         f"stage_fractions = {','.join(f'{s:.9g}' for s in report.stage_fractions)}",
         ("newton_iterations = "
          f"{','.join(str(i) for i in report.newton_iterations)}"),
+        f"factorizations = {report.factorizations}",
         f"max_Rhat = {float(np.max(R)) / params.R0:.9g}",
         f"min_Rhat = {float(np.min(R)) / params.R0:.9g}",
         f"min_p_scaled = {float(np.min(p)):.9g}",
@@ -222,10 +223,12 @@ def _stationary(config: RunConfig
         ("midline.csv", render_midline_csv(grid, params, R_s, p_s),
          _midline_desc(grid)),
         ("summary.txt", _stationary_summary(report, R_s, p_s, params),
-         "solver report (key = value lines); `final_relative_residual` and "
-         "`residual_history` are `||Phi||_2 / scale`, scale the gross "
-         "diffusive flux at the pressure floor `p_char` plus the entrained "
-         "divergence"),
+         "solver report (key = value lines); `newton_iterations` counts the "
+         "accepted iterates, chord and Newton steps alike, and "
+         "`factorizations` the LU factorizations of the Newton matrix; "
+         "`final_relative_residual` and `residual_history` are "
+         "`||Phi||_2 / scale`, scale the gross diffusive flux at the pressure "
+         "floor `p_char` plus the entrained divergence"),
     ])
     return R_s, p_s, report
 

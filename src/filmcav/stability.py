@@ -201,9 +201,10 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
             r = float(np.abs(theta).min())
             bound = -pole * (1.0 - r) / (1.0 + r)
             max_real = float(lam.real.max())
-            eta = float(np.max(
-                np.abs(B @ V - (P @ V) * lam).sum(axis=0)
-                / ((norm_B + np.abs(lam) * norm_P) * np.abs(V).sum(axis=0))))
+            # one pair at a time: no n-by-k temporaries at the run's peak
+            eta = max(float(np.abs(B @ v - (P @ v) * mu).sum()
+                            / ((norm_B + abs(mu) * norm_P) * np.abs(v).sum()))
+                      for mu, v in zip(lam, V.T))
             if r > 1.0:
                 reason = (f"all {k} listed eigenvalues lie in the right "
                           "half-plane, the others are not bounded")

@@ -17,6 +17,13 @@ takes ``Phi`` and its scale from one call of :func:`elliptic.film_residual`.
 Whenever ``U = 0`` or the gap is parallel (``h - min h = 0``) the uniform
 rest state ``(R_bar, 0)`` is an exact stationary solution; it is the Newton
 starting point.
+
+The solve is a chord Newton (Kelley, *Solving Nonlinear Equations with
+Newton's Method*, SIAM 2003): it holds its LU of ``B`` across iterations
+and drops it when a chord step cuts ``||Phi||`` less than
+``NEWTON_CONTRACTION`` times, or fails the line search's test at full
+length, in which case the same iterate takes a damped Newton step on a
+fresh LU (see :func:`solve_stationary`).
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ from .physics import PhysicalParams, compute_derived, eval_f1
 MAX_BACKTRACKS = 20
 #: most Newton iterations of one solve
 NEWTON_MAX = 40
+#: a held factor of ``B`` is kept after a chord step only if the step cut
+#: ``||Phi||`` at least this many times
+NEWTON_CONTRACTION = 4.0
 
 
 @dataclass(frozen=True)
@@ -55,13 +65,19 @@ class StationarySolveConfig:
 
 @dataclass
 class StationaryReport:
-    """Convergence record of :func:`solve_stationary`."""
+    """Convergence record of :func:`solve_stationary`.
+
+    ``newton_iterations`` counts the accepted iterates, chord and Newton
+    steps alike (a rejected chord trial is none), and ``factorizations``
+    the LU factorizations of the Newton matrix ``B``.
+    """
 
     converged: bool
     stage_fractions: list[float] = field(default_factory=list)
     newton_iterations: list[int] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
     final_residual: float = np.inf
+    factorizations: int = 0
     message: str | None = None
 
 
@@ -103,14 +119,21 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
                      ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
     """Newton solve for the stationary pair ``(R_s, p_s)``.
 
-    Damped Newton from the uniform rest state, at most ``NEWTON_MAX``
-    iterations, each step halved until the residual norm decreases.
-    Raises :class:`SupercriticalRadiusError` when an iterate reaches the
-    critical radius.  A solve that stops short of ``cfg.newton_tol`` (its
-    iterations spent, a singular Jacobian, or no descending step) is
-    reported unconverged with a ``message``, not raised.  The report's
-    ``stage_fractions`` is ``[1.0]`` and ``newton_iterations`` holds the one
-    iteration count.
+    Chord Newton from the uniform rest state, at most ``NEWTON_MAX``
+    iterations.  An iteration that holds an LU of ``B`` first tries the
+    full chord step on it, accepted if ``R`` stays positive and ``||Phi||``
+    falls to ``1 - 1e-4`` of its value; the factor is kept only after a
+    step that cut ``||Phi||`` at least ``NEWTON_CONTRACTION`` times.
+    Otherwise (no factor held, or the chord step failed) the iteration
+    factors ``B`` at the iterate and takes the damped Newton step, halved
+    until the residual norm decreases.  At most one factor is alive, none
+    after the return.  Raises :class:`SupercriticalRadiusError` when an
+    accepted iterate, chord or Newton, reaches the critical radius.  A
+    solve that stops short of ``cfg.newton_tol`` (its iterations spent, a
+    singular Jacobian, or no descending step) is reported unconverged with
+    a ``message``, not raised.  The report's ``stage_fractions`` is
+    ``[1.0]``, ``newton_iterations`` holds the one iteration count and
+    ``factorizations`` the LUs of ``B``.
     """
     cfg = cfg or StationarySolveConfig()
     R_crit = compute_derived(params).R_crit
@@ -121,29 +144,44 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     phi, scale = stationary_residual(grid, R, hf, U, params)
     # allocated after the first residual, whose stencil build is the peak
     zero_rate = np.zeros(grid.shape)
+    lu = None                                       # the held factor of B
     while True:
         report.final_residual = float(np.linalg.norm(phi)) / scale
         report.residual_history.append(report.final_residual)
         if report.final_residual < cfg.newton_tol or iters == NEWTON_MAX:
             break
-        iters += 1
-        J = film_pencil(grid, R, zero_rate, hf, U, params)[0]
-        try:
-            delta = _factorize(J).solve(-phi).reshape(grid.shape)
-        except SolverFailureError:
-            break                                   # singular Jacobian
         norm_phi = np.linalg.norm(phi)
-        lam = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            R_new = R + lam * delta
+        accepted = False
+        if lu is not None:                          # the full chord step
+            R_new = R + lu.solve(-phi).reshape(grid.shape)
             if np.all(R_new > 0.0):
                 phi_new, scale_new = stationary_residual(grid, R_new, hf, U,
                                                          params)
-                if np.linalg.norm(phi_new) <= (1.0 - 1e-4 * lam) * norm_phi:
-                    break
-            lam *= 0.5
-        else:
-            break                                   # no descending step
+                norm_new = np.linalg.norm(phi_new)
+                accepted = norm_new <= (1.0 - 1e-4) * norm_phi
+            if not accepted or norm_new * NEWTON_CONTRACTION > norm_phi:
+                lu = None                           # refactor at the next use
+        if not accepted:                            # damped Newton step
+            J = film_pencil(grid, R, zero_rate, hf, U, params)[0]
+            try:
+                lu = _factorize(J)
+            except SolverFailureError:
+                break                               # singular Jacobian
+            report.factorizations += 1
+            delta = lu.solve(-phi).reshape(grid.shape)
+            lam = 1.0
+            for _ in range(MAX_BACKTRACKS):
+                R_new = R + lam * delta
+                if np.all(R_new > 0.0):
+                    phi_new, scale_new = stationary_residual(grid, R_new, hf,
+                                                             U, params)
+                    if (np.linalg.norm(phi_new)
+                            <= (1.0 - 1e-4 * lam) * norm_phi):
+                        break
+                lam *= 0.5
+            else:
+                break                               # no descending step
+        iters += 1
         R, phi, scale = R_new, phi_new, scale_new   # the accepted trial
         if float(np.max(R)) >= R_crit:
             raise SupercriticalRadiusError(

@@ -12,6 +12,8 @@ The tests gate the package's discretization against these:
 * ``field_norms`` gives the area-weighted norms of a field;
 * ``slaved_state`` completes a hand-built transient state at any radius
   field with the rate and pressure the dynamics slaves to it;
+* ``damped_newton`` is the stationary solve with a fresh LU of ``B`` at
+  every iterate, the reference of the package's chord solve;
 * for a parallel gap both linearized operators block-diagonalize exactly
   over the cross-film Dirichlet sine modes of the 5-point stencil: the
   ``constant_gap_spectrum_*`` helpers exploit that to reach resolutions far
@@ -34,10 +36,13 @@ from filmcav.dynamics import (TransientState, _wall_acceleration,
 from filmcav.elliptic import (_assemble, _convective_fluxes, _factorize,
                               _sensitivity_fluxes, assemble_operator,
                               film_pencil, solve_spd)
+from filmcav.errors import SupercriticalRadiusError
 from filmcav.grid import Grid, ensure_field
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1_prime,
                              eval_f2, eval_f3, eval_f4_prime, eval_f5)
 from filmcav.stability import hurwitz_analysis
+from filmcav.stationary import (MAX_BACKTRACKS, NEWTON_MAX,
+                                stationary_residual, trivial_solution)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +125,43 @@ def slaved_state(grid: Grid, R: np.ndarray, h: np.ndarray,
                                                           params))
     return TransientState(0.0, R, V,
                           _wall_acceleration(grid, R, V, h, U, params)[1])
+
+
+def damped_newton(grid: Grid, h: np.ndarray, U: tuple[float, float],
+                  params: PhysicalParams, newton_tol: float
+                  ) -> tuple[np.ndarray, bool]:
+    """Full damped Newton solve of the stationary balance, the reference of
+    the chord solve :func:`filmcav.stationary.solve_stationary`.
+
+    From the rest state, at most ``NEWTON_MAX`` iterations, each a fresh LU
+    of ``B`` at the iterate and a step halved until ``||Phi||`` decreases.
+    Returns ``(R, converged)``; raises :class:`SupercriticalRadiusError`
+    when an iterate reaches the critical radius.
+    """
+    R_crit = compute_derived(params).R_crit
+    R, _ = trivial_solution(grid, params)
+    phi, scale = stationary_residual(grid, R, h, U, params)
+    for _ in range(NEWTON_MAX):
+        norm_phi = np.linalg.norm(phi)
+        if norm_phi / scale < newton_tol:
+            break
+        B = film_pencil(grid, R, np.zeros(grid.shape), h, U, params)[0]
+        delta = _factorize(B).solve(-phi).reshape(grid.shape)
+        lam = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            R_new = R + lam * delta
+            if np.all(R_new > 0.0):
+                phi_new, scale_new = stationary_residual(grid, R_new, h, U,
+                                                         params)
+                if np.linalg.norm(phi_new) <= (1.0 - 1e-4 * lam) * norm_phi:
+                    break
+            lam *= 0.5
+        else:
+            break
+        R, phi, scale = R_new, phi_new, scale_new
+        if float(np.max(R)) >= R_crit:
+            raise SupercriticalRadiusError("iterate reached R_crit")
+    return R, bool(np.linalg.norm(phi) / scale < newton_tol)
 
 
 # ---------------------------------------------------------------------------

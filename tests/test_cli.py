@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 import filmcav
-from filmcav import physics
+from filmcav import physics, stationary
 from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
                          midline_profile)
 from filmcav.config import parse_config
@@ -165,6 +165,23 @@ def test_stationary_writes_artifacts(tmp_path):
     for name in ("fields_final.csv", "midline.csv", "MANIFEST.txt"):
         assert (out / name).exists()
     _assert_manifest_matches(out)
+
+
+def test_stationary_summary_counts_the_factorizations(tmp_path,
+                                                    monkeypatch):
+    # the summary's factorizations line is the solve's count of LUs of the
+    # Newton matrix, fewer than its iterations when chord steps reuse one
+    calls = []
+    factorize = stationary._factorize
+    monkeypatch.setattr(stationary, "_factorize",
+                        lambda A: calls.append(1) or factorize(A))
+    cfg = _write(tmp_path, "ecc = 0.3\nn1 = 32\nn2 = 8\n")
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    summary = dict(line.split(" = ", 1) for line in lines)
+    assert int(summary["factorizations"]) == len(calls)
+    assert 1 <= len(calls) < int(summary["newton_iterations"])
 
 
 def test_manifest_names_the_midline_rows_of_an_odd_grid(tmp_path):

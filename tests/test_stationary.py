@@ -6,6 +6,9 @@ growth of the radius maximum along the eccentricity ladder, and against the
 guarded stop at the critical radius.
 """
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from filmcav.stationary import (
     StationarySolveConfig, solve_stationary, stationary_residual,
     trivial_solution,
 )
+from oracles import damped_newton
 
 DEFAULT = PhysicalParams()
 
@@ -154,8 +158,9 @@ def test_supercritical_eccentricity_raises():
 
 
 def test_budget_starved_direct_solve_reports_a_message(monkeypatch):
-    # Five Newton iterations are one too few at this amplitude (measured:
-    # the solve needs six); the shortfall is reported, not raised.
+    # Five iterations are too few at this amplitude (measured: the solve
+    # takes 13, three of them Newton steps and ten chord steps); the
+    # shortfall is reported, not raised.
     p = PhysicalParams(ecc=0.40)
     grid = grid_for_params(p, 32, 8)
     h = gap_function(grid, p)
@@ -168,40 +173,53 @@ def test_budget_starved_direct_solve_reports_a_message(monkeypatch):
     assert report.newton_iterations == [5]
 
 
-def _newton_reevaluating(grid, h, U, p, cfg):
-    """Residual history and iteration count of the damped Newton loop that
+def _chord_reevaluating(grid, h, U, p, cfg):
+    """Residual history and iteration count of the chord Newton loop that
     evaluates the residual at the top of every iteration, so once more at
     each accepted iterate."""
     R, _ = trivial_solution(grid, p)
-    history, iters = [], 0
+    history, iters, lu = [], 0, None
+
+    def norm_at(R):
+        return np.linalg.norm(stationary_residual(grid, R, h, U, p)[0])
+
     while True:
         phi, scale = stationary_residual(grid, R, h, U, p)
-        history.append(float(np.linalg.norm(phi)) / scale)
+        norm_phi = np.linalg.norm(phi)
+        history.append(float(norm_phi) / scale)
         if history[-1] < cfg.newton_tol or iters == stationary.NEWTON_MAX:
             return history, iters
         iters += 1
-        J = _jacobian(grid, R, h, U, p)
-        delta = _factorize(J).solve(-phi).reshape(grid.shape)
+        if lu is not None:
+            R_new = R + lu.solve(-phi).reshape(grid.shape)
+            norm_new = norm_at(R_new) if np.all(R_new > 0.0) else np.inf
+            if norm_new * stationary.NEWTON_CONTRACTION > norm_phi:
+                lu = None
+            if norm_new <= (1.0 - 1e-4) * norm_phi:
+                R = R_new
+                continue
+        lu = _factorize(_jacobian(grid, R, h, U, p))
+        delta = lu.solve(-phi).reshape(grid.shape)
         lam = 1.0
         while True:
             R_new = R + lam * delta
-            if np.all(R_new > 0.0) and (
-                    np.linalg.norm(stationary_residual(grid, R_new, h, U, p)[0])
-                    <= (1.0 - 1e-4 * lam) * np.linalg.norm(phi)):
+            if np.all(R_new > 0.0) and (norm_at(R_new)
+                                        <= (1.0 - 1e-4 * lam) * norm_phi):
                 break
             lam *= 0.5
         R = R_new
 
 
 def test_each_state_is_evaluated_once(monkeypatch):
-    # The line search's accepted residual is the next iterate's: the solve
-    # evaluates the rest state and then each line-search trial, once each.
+    # The accepted trial's residual is the next iterate's: the solve
+    # evaluates the rest state and then each chord or line-search trial,
+    # once each.
     p = PhysicalParams(ecc=0.3)
     grid = grid_for_params(p, 16, 8)
     h = gap_function(grid, p)
     U = (p.surface_speed, 0.0)
     cfg = StationarySolveConfig()
-    history, iters = _newton_reevaluating(grid, h, U, p, cfg)
+    history, iters = _chord_reevaluating(grid, h, U, p, cfg)
     states = []
 
     def counted(grid, R, *args):
@@ -219,3 +237,76 @@ def test_each_state_is_evaluated_once(monkeypatch):
     # the same arithmetic as the loop that re-evaluates
     assert report.residual_history == history
     assert report.newton_iterations == [iters]
+
+
+def test_chord_solve_matches_full_newton():
+    # the held factor changes the path to the root, not the root: on both
+    # x1 closures and two grids the chord solve and the full damped Newton
+    # oracle end alike, at one radius field when they converge
+    cfg = StationarySolveConfig()
+    critical = chord_steps = 0
+    for n1, bc, ecc in itertools.product((16, 32), (BC_PERIODIC, BC_DIRICHLET),
+                                         (0.05, 0.2, 0.35, 0.6)):
+        p = PhysicalParams(ecc=ecc)
+        grid = grid_for_params(p, n1, 8, bc)
+        h = gap_function(grid, p)
+        U = (p.surface_speed, 0.0)
+        try:
+            R_ref, converged = damped_newton(grid, h, U, p, cfg.newton_tol)
+        except SupercriticalRadiusError:
+            with pytest.raises(SupercriticalRadiusError):
+                solve_stationary(grid, h, U, p, cfg)
+            critical += 1
+            continue
+        R, _, report = solve_stationary(grid, h, U, p, cfg)
+        assert report.converged == converged, (n1, bc, ecc)
+        if converged:
+            assert np.max(np.abs(R - R_ref) / R_ref) <= 1e-7, (n1, bc, ecc)
+            chord_steps += report.newton_iterations[0] - report.factorizations
+    assert critical > 0 and chord_steps > 0
+
+
+def test_at_most_one_newton_factor_is_alive(monkeypatch):
+    # the held factor is released before its successor is built and
+    # dropped when solve_stationary returns
+    live, peak, built = [0], [0], []
+    factorize = stationary._factorize
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            built.append(1)
+
+        def solve(self, rhs):
+            return self._lu.solve(rhs)
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(stationary, "_factorize",
+                        lambda A: Counted(factorize(A)))
+    p = PhysicalParams(ecc=0.4)
+    grid = grid_for_params(p, 32, 8)
+    h = gap_function(grid, p)
+    _, _, report = solve_stationary(grid, h, (p.surface_speed, 0.0), p)
+    assert report.converged and len(built) == report.factorizations > 1
+    assert peak[0] == 1
+    assert live[0] == 0
+
+
+def test_chord_iterate_at_the_critical_radius_raises(monkeypatch):
+    # with R_crit just below the converged maximum, the first iterate to
+    # reach it is a chord step's, which is checked like a Newton step's
+    p = PhysicalParams(ecc=0.3)
+    grid = grid_for_params(p, 16, 8)
+    h = gap_function(grid, p)
+    U = (p.surface_speed, 0.0)
+    R, _, report = solve_stationary(grid, h, U, p)
+    assert report.converged
+    consts = dataclasses.replace(compute_derived(p),
+                                 R_crit=float(np.max(R)) * (1.0 - 1e-9))
+    monkeypatch.setattr(stationary, "compute_derived", lambda params: consts)
+    with pytest.raises(SupercriticalRadiusError):
+        solve_stationary(grid, h, U, p)
