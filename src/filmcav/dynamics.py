@@ -396,8 +396,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     f"radius field left the positive cone at t = {state.t:.6g} "
                     f"even after {MAX_HALVINGS} step halvings (blow-up)")
             raise StepFailureError(
-                f"backward-Euler iteration did not converge within "
-                f"{MAX_CHORD_UPDATES} chord updates at t = {state.t:.6g} "
+                f"backward-Euler chord iteration stalled at t = {state.t:.6g} "
                 f"(dt = {dt:.3g} after {MAX_HALVINGS} halvings)")
         dt *= 0.5
 

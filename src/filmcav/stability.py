@@ -217,6 +217,7 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
                 return SpectrumReport(
                     eigenvalues=_complete_pairs(lam), max_real_part=max_real,
                     verdict=_verdict(max_real), bound=bound)
+        lu = V = None  # released before the next pole's factor is built
         pole *= POLE_GROWTH
     raise SolverFailureError(
         f"rightmost eigenvalues of the pencil not certified with Cayley "

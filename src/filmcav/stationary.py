@@ -19,11 +19,11 @@ rest state ``(R_bar, 0)`` is an exact stationary solution; it is the Newton
 starting point.
 
 The solve is a chord Newton (Kelley, *Solving Nonlinear Equations with
-Newton's Method*, SIAM 2003): it holds its LU of ``B`` across iterations
-and drops it when a chord step cuts ``||Phi||`` less than
-``NEWTON_CONTRACTION`` times, or fails the line search's test at full
-length, in which case the same iterate takes a damped Newton step on a
-fresh LU (see :func:`solve_stationary`).
+Newton's Method*, SIAM 2003) on one damped line search: the chord step on
+the LU of ``B`` held across iterations is a single full-length trial, and a
+failed one, or one that cuts ``||Phi||`` less than ``NEWTON_CONTRACTION``
+times, drops the factor; after a failed one the same iterate takes the
+halved Newton step of a fresh LU (see :func:`solve_stationary`).
 """
 
 from __future__ import annotations
@@ -120,13 +120,13 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     """Newton solve for the stationary pair ``(R_s, p_s)``.
 
     Chord Newton from the uniform rest state, at most ``NEWTON_MAX``
-    iterations.  An iteration that holds an LU of ``B`` first tries the
-    full chord step on it, accepted if ``R`` stays positive and ``||Phi||``
-    falls to ``1 - 1e-4`` of its value; the factor is kept only after a
-    step that cut ``||Phi||`` at least ``NEWTON_CONTRACTION`` times.
-    Otherwise (no factor held, or the chord step failed) the iteration
-    factors ``B`` at the iterate and takes the damped Newton step, halved
-    until the residual norm decreases.  At most one factor is alive, none
+    iterations.  Each accepts one trial ``R + lam delta`` that keeps ``R``
+    positive and cuts ``||Phi||`` to ``1 - 1e-4 lam`` of its value: the
+    chord step on a held LU of ``B`` at ``lam = 1`` alone or, when there is
+    no factor or the chord trial failed, the Newton step on a fresh LU at
+    the iterate, ``lam`` halved up to ``MAX_BACKTRACKS`` times.  The factor
+    is kept only after a chord step that cut ``||Phi||`` at least
+    ``NEWTON_CONTRACTION`` times.  At most one factor is alive, none
     after the return.  Raises :class:`SupercriticalRadiusError` when an
     accepted iterate, chord or Newton, reaches the critical radius.  A
     solve that stops short of ``cfg.newton_tol`` (its iterations spent, a
@@ -145,44 +145,43 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     # allocated after the first residual, whose stencil build is the peak
     zero_rate = np.zeros(grid.shape)
     lu = None                                       # the held factor of B
+
+    def descend(delta, steps):
+        # the first of ``steps`` trials R + lam delta, lam = 1, 1/2, ...,
+        # that stays positive and cuts ||Phi|| to 1 - 1e-4 lam of its value
+        lam = 1.0
+        for _ in range(steps):
+            R_new = R + lam * delta.reshape(grid.shape)
+            if np.all(R_new > 0.0):
+                trial = (R_new, *stationary_residual(grid, R_new, hf, U,
+                                                     params))
+                if np.linalg.norm(trial[1]) <= (1.0 - 1e-4 * lam) * norm_phi:
+                    return trial
+            lam *= 0.5
+        return None
+
     while True:
         report.final_residual = float(np.linalg.norm(phi)) / scale
         report.residual_history.append(report.final_residual)
         if report.final_residual < cfg.newton_tol or iters == NEWTON_MAX:
             break
         norm_phi = np.linalg.norm(phi)
-        accepted = False
-        if lu is not None:                          # the full chord step
-            R_new = R + lu.solve(-phi).reshape(grid.shape)
-            if np.all(R_new > 0.0):
-                phi_new, scale_new = stationary_residual(grid, R_new, hf, U,
-                                                         params)
-                norm_new = np.linalg.norm(phi_new)
-                accepted = norm_new <= (1.0 - 1e-4) * norm_phi
-            if not accepted or norm_new * NEWTON_CONTRACTION > norm_phi:
-                lu = None                           # refactor at the next use
-        if not accepted:                            # damped Newton step
-            J = film_pencil(grid, R, zero_rate, hf, U, params)[0]
+        trial = None if lu is None else descend(lu.solve(-phi), 1)  # chord
+        if (trial is None
+                or np.linalg.norm(trial[1]) * NEWTON_CONTRACTION > norm_phi):
+            lu = None                       # refactor now or at the next use
+        if trial is None:                           # damped Newton step
             try:
-                lu = _factorize(J)
+                lu = _factorize(film_pencil(grid, R, zero_rate, hf, U,
+                                            params)[0])
             except SolverFailureError:
                 break                               # singular Jacobian
             report.factorizations += 1
-            delta = lu.solve(-phi).reshape(grid.shape)
-            lam = 1.0
-            for _ in range(MAX_BACKTRACKS):
-                R_new = R + lam * delta
-                if np.all(R_new > 0.0):
-                    phi_new, scale_new = stationary_residual(grid, R_new, hf,
-                                                             U, params)
-                    if (np.linalg.norm(phi_new)
-                            <= (1.0 - 1e-4 * lam) * norm_phi):
-                        break
-                lam *= 0.5
-            else:
+            trial = descend(lu.solve(-phi), MAX_BACKTRACKS)
+            if trial is None:
                 break                               # no descending step
         iters += 1
-        R, phi, scale = R_new, phi_new, scale_new   # the accepted trial
+        R, phi, scale = trial
         if float(np.max(R)) >= R_crit:
             raise SupercriticalRadiusError(
                 f"stationary iterate reached the critical radius "

@@ -128,6 +128,23 @@ def test_transient_nonconvergence_is_exit_3(tmp_path):
     assert "converged = false" in (out / "summary.txt").read_text()
 
 
+def _summary(out):
+    lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
+
+
+def test_transient_critical_radius_writes_its_failure_lines(tmp_path):
+    # at ecc = 0.9 the radius reaches the critical value before the run
+    # settles: the summary names the failure and the step that met it
+    cfg = _write(tmp_path, "ecc = 0.9\nn1 = 32\nn2 = 8\n")
+    out = tmp_path / "out"
+    assert main(["transient", "--config", cfg, "--out", str(out)]) == 3
+    summary = _summary(out)
+    assert summary["failure"].startswith(
+        "radius reached the critical value at step 124 ")
+    assert summary["failed_step"] == "124"
+
+
 def test_transient_singular_factorization_is_exit_3(tmp_path, monkeypatch,
                                                     capsys):
     # SuperLU raises a bare RuntimeError on an exactly singular matrix; the
@@ -182,6 +199,19 @@ def test_stationary_summary_counts_the_factorizations(tmp_path,
     summary = dict(line.split(" = ", 1) for line in lines)
     assert int(summary["factorizations"]) == len(calls)
     assert 1 <= len(calls) < int(summary["newton_iterations"])
+
+
+def test_stationary_unconverged_is_exit_3_with_its_message(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(stationary, "NEWTON_MAX", 1)
+    cfg = _write(tmp_path, "ecc = 0.3\nn1 = 16\nn2 = 8\n")
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", cfg, "--out", str(out)]) == 3
+    summary = _summary(out)
+    assert (summary["converged"], summary["newton_iterations"]) == ("false",
+                                                                    "1")
+    assert summary["message"].startswith(
+        "Newton did not reach the residual tolerance")
 
 
 def test_manifest_names_the_midline_rows_of_an_odd_grid(tmp_path):

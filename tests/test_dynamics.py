@@ -901,3 +901,76 @@ def test_run_transient_reaches_the_target_rate():
     consts = compute_derived(p)
     assert res.max_Rhat * p.R0 < consts.R_crit
     assert res.min_p > consts.p_cav - 1e-6 * abs(consts.p_cav)
+
+
+def _poisoned_chord(monkeypatch, poisoned):
+    """Scale the film residual of the chord calls whose index (from 1)
+    ``poisoned`` accepts by 1e9, which scales their updates alike."""
+    calls = []
+    residual = dynamics.film_residual
+
+    def film_residual(*args):
+        calls.append(1)
+        F, *rest = residual(*args)
+        return (F * 1e9 if poisoned(len(calls)) else F, *rest)
+
+    monkeypatch.setattr(dynamics, "film_residual", film_residual)
+    return calls
+
+
+def test_a_diverging_chord_update_halves_the_step(monkeypatch):
+    # the second update of the first attempt grows far past the first: the
+    # attempt is a stall, and the step is retried at half its size
+    p, grid, h, U = _journal_case()
+    state = initial_state(grid, h, U, p)
+    _poisoned_chord(monkeypatch, lambda call: call == 2)
+    cfg = StepConfig(dt=3e-5)          # a size the error test accepts
+    _, stats = step_inertialess(grid, state, h, U, p, cfg)
+    assert (stats.halvings, stats.rejections) == (1, 0)
+    assert stats.dt_used == 0.5 * cfg.dt
+
+
+def test_a_divergence_stall_after_every_halving_says_so(monkeypatch):
+    # every attempt diverges at its second update, long before it has spent
+    # its MAX_CHORD_UPDATES, and the failure names the stall
+    p, grid, h, U = _journal_case()
+    state = initial_state(grid, h, U, p)
+    calls = _poisoned_chord(monkeypatch, lambda call: call % 2 == 0)
+    with pytest.raises(StepFailureError, match="iteration stalled"):
+        step_inertialess(grid, state, h, U, p, StepConfig())
+    assert len(calls) == 2 * (dynamics.MAX_HALVINGS + 1)
+
+
+def test_a_chord_iterate_off_the_positive_cone_halves_the_step(monkeypatch):
+    # the first chord update of the step crosses zero: the attempt is
+    # rejected as a sign loss, and the step is retried at half its size
+    solves = []
+    factorize = dynamics._factorize
+
+    class Poisoned:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            delta = self._lu.solve(rhs)
+            return np.full_like(delta, -1.0) if len(solves) == 1 else delta
+
+    monkeypatch.setattr(dynamics, "_factorize",
+                        lambda A: Poisoned(factorize(A)))
+    p, grid, h, U = _journal_case()
+    cfg = StepConfig(dt=3e-5)          # a size the error test accepts
+    _, stats = step_inertialess(grid, initial_state(grid, h, U, p), h, U, p,
+                                cfg)
+    assert (stats.halvings, stats.rejections) == (1, 0)
+    assert stats.dt_used == 0.5 * cfg.dt
+
+
+def test_exhausted_error_test_retries_raise_step_failure(monkeypatch):
+    # with the step-size ratio bounded below by 1, a rejected attempt is
+    # retried at the same size and rejected again, MAX_HALVINGS times
+    monkeypatch.setattr(dynamics, "GROWTH_LIMITS", (1.0, 5.0))
+    p, grid, h, U = _journal_case()
+    with pytest.raises(StepFailureError, match="error estimate stayed above"):
+        step_inertialess(grid, initial_state(grid, h, U, p), h, U, p,
+                         StepConfig(dt=2e-3))

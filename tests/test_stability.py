@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+import filmcav.stability as stability
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
 from filmcav.elliptic import assemble_operator, film_pencil, film_residual
 from filmcav.errors import ConfigurationError, SolverFailureError
@@ -542,6 +543,60 @@ def test_pencil_spectrum_raises_the_pole_past_far_complex_eigenvalues():
     report = pencil_spectrum(B, P)
     assert report.max_real_part == pytest.approx(-50.0, rel=1e-10)
     _check_certificate(report, np.linalg.eigvals(T))
+
+
+def test_pencil_spectrum_holds_one_factor_at_a_time(monkeypatch):
+    # on the pencil above, whose first Cayley attempt is refused, the raise
+    # releases that attempt's factor before it factors at the new pole, and
+    # no factor outlives the call
+    live, peak, built = [0], [0], []
+    factorize = stability._factorize
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            built.append(1)
+
+        def solve(self, rhs):
+            return self._lu.solve(rhs)
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(stability, "_factorize",
+                        lambda A: Counted(factorize(A)))
+    real, _ = _stable_set()
+    pairs = [(-55.0, b) for b in np.linspace(2000.0, 2500.0, 10)]
+    B, P, T = _known_pencil(real, pairs, seed=1)
+    report = pencil_spectrum(B, P)
+    _check_certificate(report, np.linalg.eigvals(T))
+    assert len(built) == 3           # the pole estimate and two poles
+    assert peak[0] == 1
+    assert live[0] == 0
+
+
+def test_pencil_spectrum_reports_a_failed_cayley_factorization(monkeypatch):
+    # the pole estimate factors P; every Cayley factor after it fails, at
+    # each pole in turn, and the refusal names the sparse LU
+    calls = []
+    factorize = stability._factorize
+
+    def failing(A):
+        calls.append(1)
+        if len(calls) > 1:
+            raise SolverFailureError("sparse LU failed: Factor is exactly "
+                                     "singular")
+        return factorize(A)
+
+    monkeypatch.setattr(stability, "_factorize", failing)
+    real, pairs = _stable_set()
+    B, P, _ = _known_pencil(real, pairs)
+    with pytest.raises(SolverFailureError,
+                       match="not certified.*sparse LU failed"):
+        pencil_spectrum(B, P)
+    assert len(calls) == 2 + stability.POLE_RAISES
 
 
 def test_pencil_spectrum_refuses_inaccurate_eigenpairs(monkeypatch):

@@ -14,7 +14,8 @@ import pytest
 
 import filmcav.stationary as stationary
 from filmcav.elliptic import _factorize, film_pencil, film_residual
-from filmcav.errors import ConfigurationError, SupercriticalRadiusError
+from filmcav.errors import (ConfigurationError, SolverFailureError,
+                            SupercriticalRadiusError)
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived, eval_f1
 from filmcav.stationary import (
@@ -310,3 +311,42 @@ def test_chord_iterate_at_the_critical_radius_raises(monkeypatch):
     monkeypatch.setattr(stationary, "compute_derived", lambda params: consts)
     with pytest.raises(SupercriticalRadiusError):
         solve_stationary(grid, h, U, p)
+
+
+def _unconverged_at_the_start(report):
+    """The solve stopped before its first iterate, without raising."""
+    assert not report.converged and report.message
+    assert report.newton_iterations == [0]
+    assert len(report.residual_history) == 1
+
+
+def test_singular_newton_matrix_is_reported_unconverged(monkeypatch):
+    def singular(A):
+        raise SolverFailureError("sparse LU failed: Factor is exactly singular")
+
+    monkeypatch.setattr(stationary, "_factorize", singular)
+    p = PhysicalParams(ecc=0.3)
+    grid = grid_for_params(p, 16, 8)
+    R, _, report = solve_stationary(grid, gap_function(grid, p),
+                                    (p.surface_speed, 0.0), p)
+    _unconverged_at_the_start(report)
+    assert report.factorizations == 0
+    assert np.array_equal(R, trivial_solution(grid, p)[0])
+
+
+def test_no_descending_step_is_reported_unconverged(monkeypatch):
+    # every trial returns the rest state's residual, so none decreases:
+    # the fresh factor's Newton step is halved MAX_BACKTRACKS times
+    p = PhysicalParams(ecc=0.3)
+    grid = grid_for_params(p, 16, 8)
+    h = gap_function(grid, p)
+    U = (p.surface_speed, 0.0)
+    at_rest = stationary_residual(grid, trivial_solution(grid, p)[0], h, U, p)
+    calls = []
+    monkeypatch.setattr(stationary, "stationary_residual",
+                        lambda *args: calls.append(1) or at_rest)
+    R, _, report = solve_stationary(grid, h, U, p)
+    _unconverged_at_the_start(report)
+    assert report.factorizations == 1
+    assert len(calls) == 1 + stationary.MAX_BACKTRACKS
+    assert np.array_equal(R, trivial_solution(grid, p)[0])
