@@ -21,7 +21,8 @@ term; one assembler sums them into the pattern.  The rules are the
 diffusion operator ``K``, the convective divergence ``C`` (summed into the
 cells as a field by :func:`convective_divergence`, into ``B`` of
 :func:`film_pencil` face by face) and the sensitivity of the diffusion term
-to its coefficient at a frozen potential.
+to its coefficient at a frozen potential; the upwind side of every face
+is cached per grid and signs of ``U``.
 
 The film equation :func:`film_residual` is the pressure equation above at
 ``dR/dt = S`` and the pressure ``p = f1(R) - R f2(R) S`` the growth law gives;
@@ -30,7 +31,8 @@ Newton stationary solver factors ``B`` at ``S = 0``, the implicit stepper
 ``P - dt B`` at the backward-difference rate, and the spectra use the pencil
 at ``S = 0``.  No other module assembles the film equation or its
 mobility operator ``K``: the stationary balance is ``-F(R, 0)``, and the
-pressure elimination and ``L_F`` take the ``K`` it returns.
+pressure elimination and ``L_F`` take the ``K`` it returns.  Each call
+takes its closures from one pass of :mod:`filmcav.physics` per kind.
 
 Every sparse LU of the package is built by :func:`_factorize`, which fixes
 the column ordering (minimum degree on ``A^T + A``) and SuperLU's panel
@@ -49,9 +51,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
 from .grid import BC_DIRICHLET, BC_PERIODIC, Grid, ensure_field
-from .physics import (PhysicalParams, eval_f1, eval_f1_prime, eval_f2,
-                      eval_f2_prime, eval_f3, eval_f3_prime, eval_f4,
-                      eval_f4_prime, eval_f5, eval_f5_prime)
+from .physics import PhysicalParams, _closure_slopes, _closures
 
 #: largest relative residual ``|K x - b| / |b|`` a solve may return
 RESIDUAL_TOL = 1e-10
@@ -156,8 +156,8 @@ def _factorize(matrix: sp.spmatrix) -> spla.SuperLU:
 
     The column order is minimum degree on ``A^T + A`` (``MMD_AT_PLUS_A``)
     and the panel size is 1, which on the 5-point matrices of this package
-    takes about a fifth less time than SuperLU's default panel of 10
-    (10.5 against 13.3 ms at 128x32 on 2 vCPUs).
+    takes about a ninth less time than SuperLU's default panel of 10
+    (3.6 against 4.0 ms for ``B`` and ``P - dt B`` at 128x32, 2 vCPUs).
 
     Raises :class:`SolverFailureError` when SuperLU finds the matrix
     exactly singular.
@@ -218,28 +218,37 @@ def assemble_operator(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
     return _assemble(*_diffusion_fluxes(grid, coeff))
 
 
+@lru_cache(maxsize=32)
+def _upwind(grid: Grid, forward: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The faces with positive velocity along their axis (``forward`` per
+    axis) and the upwind cell of every face, ``A`` on those and ``B`` on the
+    others (cached: it depends on the grid and the signs of ``U`` alone)."""
+    st = _stencil(grid)
+    mask = np.array(forward).take(st.face_axis)
+    return mask, np.where(mask, st.A, st.B)
+
+
 def _convective_fluxes(grid: Grid, U: tuple[float, float], w: np.ndarray):
-    """Face coefficients ``(a, b)`` and edge terms of ``S -> Div(U w S)``,
-    upwinded."""
+    """``(st, forward, flux, edge)`` of ``S -> Div(U w S)``: a face's flux
+    ``u w / dx`` at its upwind cell is its coefficient ``a`` on the
+    ``forward`` faces and ``b`` on the others; ``edge`` the edge terms."""
     wf = ensure_field(grid, w, "weight field").ravel()
     st = _stencil(grid)
     vel = np.asarray(U, dtype=float)
-    u = vel.take(st.face_axis)
-    a = np.where(u > 0.0, u * wf.take(st.A) / st.face_dx, 0.0)
-    b = np.where(u > 0.0, 0.0, u * wf.take(st.B) / st.face_dx)
+    forward, up = _upwind(grid, tuple((vel > 0.0).tolist()))
+    flux = vel.take(st.face_axis) * wf.take(up) / st.face_dx
     edge = st.edge_side * vel.take(st.edge_axis) * wf.take(st.cell) / st.edge_dx
-    return st, a, b, edge
+    return st, forward, flux, edge
 
 
 def convective_divergence(grid: Grid, U: tuple[float, float],
                           w: np.ndarray) -> np.ndarray:
     """Cellwise divergence of the entrained flux ``U w`` as a field: the
-    upwind face fluxes ``a + b`` of :func:`_convective_fluxes` (``C`` acting
-    on ones) summed straight into the cells, without the matrix.  A face
-    carries the upstream cell's ``w``, a Dirichlet face the interior one."""
-    st, a, b, edge = _convective_fluxes(grid, U, w)
+    upwind face fluxes of :func:`_convective_fluxes` (``C`` acting on ones)
+    summed straight into the cells, without the matrix.  A face carries the
+    upstream cell's ``w``, a Dirichlet face the interior one."""
+    st, _, flux, edge = _convective_fluxes(grid, U, w)
     n = grid.n_cells
-    flux = a + b
     div = (np.bincount(st.A, flux, minlength=n)
            - np.bincount(st.B, flux, minlength=n)
            + np.bincount(st.cell, edge, minlength=n))
@@ -272,11 +281,12 @@ def film_residual(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
     Rf = ensure_field(grid, R, "R")
     Sf = ensure_field(grid, S, "S")
     hf = ensure_field(grid, h, "h")
-    # K first: a run's first call builds the grid's stencil, its memory peak
-    K = assemble_operator(grid, eval_f3(Rf, params) * hf ** 3)
-    p = eval_f1(Rf, params) - Rf * eval_f2(Rf, params) * Sf
-    conv = convective_divergence(grid, U, hf * eval_f4(Rf, params))
-    F = -(K @ p.ravel()) - (hf * eval_f5(Rf, params) * Sf + conv).ravel()
+    _stencil(grid)   # before any closure: a first call's build is its peak
+    f1, f2, f3, f4, f5 = _closures(Rf, params)
+    K = assemble_operator(grid, f3 * hf ** 3)
+    p = f1 - Rf * f2 * Sf
+    conv = convective_divergence(grid, U, hf * f4)
+    F = -(K @ p.ravel()) - (hf * f5 * Sf + conv).ravel()
     return F.reshape(grid.shape), p, K
 
 
@@ -301,20 +311,19 @@ def film_pencil(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
     Rf = ensure_field(grid, R, "R")
     Sf = ensure_field(grid, S, "S")
     hf = ensure_field(grid, h, "h")
+    f1, f2, f3, _, f5 = _closures(Rf, params)
+    df1, df2, df3, df5 = _closure_slopes(Rf, params)
     h3 = hf ** 3
-    f2 = eval_f2(Rf, params)
     Rf2 = Rf * f2
-    st, ka, kb, ke = _diffusion_fluxes(grid, eval_f3(Rf, params) * h3)
-    _, sa, sb, se = _sensitivity_fluxes(grid, eval_f3_prime(Rf, params) * h3,
-                                        eval_f1(Rf, params) - Rf2 * Sf)
-    _, ca, cb, ce = _convective_fluxes(grid, U, hf * eval_f4_prime(Rf, params))
-    d = (eval_f1_prime(Rf, params)
-         - Sf * (f2 + Rf * eval_f2_prime(Rf, params))).ravel()
-    B = _assemble(st, ka * d.take(st.A) - sa + ca,
-                  kb * d.take(st.B) - sb + cb, ke * d.take(st.cell) - se + ce)
-    B.data[st.diag] += (hf * eval_f5_prime(Rf, params) * Sf).ravel()
+    st, ka, kb, ke = _diffusion_fluxes(grid, f3 * h3)
+    _, sa, sb, se = _sensitivity_fluxes(grid, df3 * h3, f1 - Rf2 * Sf)
+    _, forward, cf, ce = _convective_fluxes(grid, U, hf * f5)  # f4' = f5
+    d = (df1 - Sf * (f2 + Rf * df2)).ravel()
+    B = _assemble(st, ka * d.take(st.A) - sa + np.where(forward, cf, 0.0),
+                  kb * d.take(st.B) - sb + np.where(forward, 0.0, cf),
+                  ke * d.take(st.cell) - se + ce)
+    B.data[st.diag] += (hf * df5 * Sf).ravel()
     P = _assemble(st, ka, kb, ke)
     P.data *= Rf2.ravel().take(st.indices)
-    P.data[st.diag] -= (hf * eval_f5(Rf, params)).ravel()
+    P.data[st.diag] -= (hf * f5).ravel()
     return B, P
-

@@ -29,13 +29,17 @@ Every valid :class:`PhysicalParams` meets the five standing hypotheses on
 ``(0, R_crit)``: ``f2, f3, f4 > 0`` by their form, ``f1' < 0`` by the
 definition of ``R_crit``, and ``f5 <= 0`` because ``rho_g <= rho_l``.
 
-Every ``eval_*`` function accepts scalars or numpy arrays and raises
+Two private passes evaluate the closures from one validation of ``R`` and
+one gas fraction: ``_closures`` gives ``(f1, f2, f3, f4, f5)`` for the film
+equation and ``_closure_slopes`` gives ``(f1', f2', f3', f5')`` for its
+pencil (``f4' = f5``).  They hold each formula once; the public ``eval_*``
+read them, accept scalars or numpy arrays and raise
 :class:`~filmcav.errors.NonPositiveRadiusError` for non-positive radii.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -155,27 +159,51 @@ def _match(R, values):
     return float(values) if np.isscalar(R) or np.ndim(R) == 0 else values
 
 
+def _mixture(r, params: PhysicalParams):
+    """The gas fraction at validated radii ``r`` and what the closures read
+    of it: ``a = alpha0 (r/R0)^3``, ``da = d a / dR``, ``alpha = a / (1 +
+    a)``, ``alpha'``, and ``rho_mix`` and ``12 mu_eff`` of ``f3``."""
+    a = params.alpha0 * (r / params.R0) ** 3
+    da = 3.0 * params.alpha0 * r ** 2 / params.R0 ** 3
+    al = a / (1.0 + a)
+    return (a, da, al, da / (1.0 + a) ** 2,
+            (1.0 - al) * params.rho_l + al * params.rho_g,
+            12.0 * ((1.0 - al) * params.mu_l + al * params.mu_g))
+
+
+def _closures(R, params: PhysicalParams):
+    """``(f1, f2, f3, f4, f5)`` at ``R``, from one validation and one gas
+    fraction (``f5 = f4'``)."""
+    r = _as_positive_radius(R)
+    _, _, al, dal, num, den = _mixture(r, params)
+    gas = params.P0 * (params.R0 / r) ** (3.0 * params.k_poly)
+    return ((gas - params.p_bnd - 2.0 * params.sigma / r) / params.rho_l,
+            4.0 * (params.mu_l + params.kappa_s / r) / (params.rho_l * r ** 2),
+            num / den,
+            0.5 * (1.0 + al * (params.rho_g / params.rho_l - 1.0)),
+            0.5 * (params.rho_g / params.rho_l - 1.0) * dal)
+
+
+def _closure_slopes(R, params: PhysicalParams):
+    """``(f1', f2', f3', f5')`` at ``R``, from one validation and one gas
+    fraction (``f4' = f5`` is a value of :func:`_closures`)."""
+    r = _as_positive_radius(R)
+    a, da, al, dal, num, den = _mixture(r, params)
+    n = 3.0 * params.k_poly
+    gas = -n * params.P0 * params.R0 ** n / r ** (n + 1.0)
+    dda = 6.0 * params.alpha0 * r / params.R0 ** 3
+    ddal = dda / (1.0 + a) ** 2 - 2.0 * da ** 2 / (1.0 + a) ** 3
+    return ((gas + 2.0 * params.sigma / r ** 2) / params.rho_l,
+            -4.0 * (2.0 * params.mu_l / r ** 3
+                    + 3.0 * params.kappa_s / r ** 4) / params.rho_l,
+            dal * ((params.rho_g - params.rho_l) * den
+                   - num * (12.0 * (params.mu_g - params.mu_l))) / den ** 2,
+            0.5 * (params.rho_g / params.rho_l - 1.0) * ddal)
+
+
 def eval_alpha(R, params: PhysicalParams):
     """Gas fraction of the mixture at radius ``R``."""
-    r = _as_positive_radius(R)
-    a = params.alpha0 * (r / params.R0) ** 3
-    return _match(R, a / (1.0 + a))
-
-
-def eval_alpha_prime(R, params: PhysicalParams):
-    """d alpha / dR."""
-    r = _as_positive_radius(R)
-    a = params.alpha0 * (r / params.R0) ** 3
-    da = 3.0 * params.alpha0 * r ** 2 / params.R0 ** 3
-    return _match(R, da / (1.0 + a) ** 2)
-
-
-def _alpha_second(R, params: PhysicalParams):
-    r = _as_positive_radius(R)
-    a = params.alpha0 * (r / params.R0) ** 3
-    da = 3.0 * params.alpha0 * r ** 2 / params.R0 ** 3
-    dda = 6.0 * params.alpha0 * r / params.R0 ** 3
-    return _match(R, dda / (1.0 + a) ** 2 - 2.0 * da ** 2 / (1.0 + a) ** 3)
+    return _match(R, _mixture(_as_positive_radius(R), params)[2])
 
 
 def eval_f1(R, params: PhysicalParams):
@@ -185,30 +213,17 @@ def eval_f1(R, params: PhysicalParams):
     radius ``R`` is in quasi-static equilibrium with film pressure
     ``p = f1(R)``; ``f1 - p > 0`` drives growth.
     """
-    r = _as_positive_radius(R)
-    gas = params.P0 * (params.R0 / r) ** (3.0 * params.k_poly)
-    return _match(R, (gas - params.p_bnd - 2.0 * params.sigma / r) / params.rho_l)
+    return _match(R, _closures(R, params)[0])
 
 
 def eval_f1_prime(R, params: PhysicalParams):
     """d f1 / dR."""
-    r = _as_positive_radius(R)
-    n = 3.0 * params.k_poly
-    gas = -n * params.P0 * params.R0 ** n / r ** (n + 1.0)
-    return _match(R, (gas + 2.0 * params.sigma / r ** 2) / params.rho_l)
+    return _match(R, _closure_slopes(R, params)[0])
 
 
 def eval_f2(R, params: PhysicalParams):
     """Wall-damping coefficient 4 (mu_l + kappa_s / R) / (rho_l R²), units 1/s."""
-    r = _as_positive_radius(R)
-    return _match(R, 4.0 * (params.mu_l + params.kappa_s / r) / (params.rho_l * r ** 2))
-
-
-def eval_f2_prime(R, params: PhysicalParams):
-    """d f2 / dR."""
-    r = _as_positive_radius(R)
-    return _match(R, -4.0 * (2.0 * params.mu_l / r ** 3
-                             + 3.0 * params.kappa_s / r ** 4) / params.rho_l)
+    return _match(R, _closures(R, params)[1])
 
 
 def eval_f3(R, params: PhysicalParams):
@@ -220,50 +235,13 @@ def eval_f3(R, params: PhysicalParams):
     ``p_phys = rho_l p`` cancels the two liquid-density factors, leaving the
     *absolute* mixture density in the numerator.
     """
-    r = _as_positive_radius(R)
-    al = eval_alpha(r, params)
-    num = (1.0 - al) * params.rho_l + al * params.rho_g
-    den = 12.0 * ((1.0 - al) * params.mu_l + al * params.mu_g)
-    return _match(R, num / den)
-
-
-def eval_f3_prime(R, params: PhysicalParams):
-    """d f3 / dR (chain rule through the gas fraction)."""
-    r = _as_positive_radius(R)
-    al = eval_alpha(r, params)
-    dal = eval_alpha_prime(r, params)
-    num = (1.0 - al) * params.rho_l + al * params.rho_g
-    dnum = params.rho_g - params.rho_l
-    den = 12.0 * ((1.0 - al) * params.mu_l + al * params.mu_g)
-    dden = 12.0 * (params.mu_g - params.mu_l)
-    return _match(R, dal * (dnum * den - num * dden) / den ** 2)
-
-
-def eval_f4(R, params: PhysicalParams):
-    """Entrained-flux coefficient ½ [1 + alpha (rho_g/rho_l - 1)]."""
-    r = _as_positive_radius(R)
-    al = eval_alpha(r, params)
-    return _match(R, 0.5 * (1.0 + al * (params.rho_g / params.rho_l - 1.0)))
-
-
-def eval_f4_prime(R, params: PhysicalParams):
-    """d f4 / dR; identical to the squeeze coupling f5 for this closure."""
-    r = _as_positive_radius(R)
-    return _match(R, 0.5 * (params.rho_g / params.rho_l - 1.0)
-                  * eval_alpha_prime(r, params))
+    return _match(R, _closures(R, params)[2])
 
 
 def eval_f5(R, params: PhysicalParams):
-    """Squeeze coupling ½ (rho_g/rho_l - 1) alpha'(R); non-positive, since
-    valid parameters have ``rho_g <= rho_l``."""
-    return eval_f4_prime(R, params)
-
-
-def eval_f5_prime(R, params: PhysicalParams):
-    """d f5 / dR."""
-    r = _as_positive_radius(R)
-    return _match(R, 0.5 * (params.rho_g / params.rho_l - 1.0)
-                  * _alpha_second(r, params))
+    """Squeeze coupling ½ (rho_g/rho_l - 1) alpha'(R) = f4'(R); non-positive,
+    since valid parameters have ``rho_g <= rho_l``."""
+    return _match(R, _closures(R, params)[4])
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +293,14 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=32)
 def compute_derived(params: PhysicalParams) -> DerivedConstants:
     """Locate the reference state by bisection and build the constant set.
 
-    The constants depend on ``params`` alone, so the 32 most recently used
-    parameter sets are cached and every caller shares the frozen result.
+    The constants depend on the material parameters alone: the geometry
+    (``J_r``, ``B``, ``h0``, ``ecc``) and the speed ``omega`` enter no
+    closure.  The 32 most recently used materials are cached, so every
+    caller, and every point of an eccentricity or speed sweep, shares one
+    frozen result.
 
     ``R_crit`` is found first from the sign change of f1' (the derivative is
     negative for small radii — gas compression dominates — and positive for
@@ -328,6 +308,12 @@ def compute_derived(params: PhysicalParams) -> DerivedConstants:
     the sign change of f1 on ``[1e-3 R0, R_crit]``.  Raises
     :class:`ConfigurationError` when a bracket carries no sign change.
     """
+    return _derived(replace(params, J_r=1.0, B=1.0, h0=1.0, ecc=0.0,
+                            omega=0.0))
+
+
+@lru_cache(maxsize=32)
+def _derived(params: PhysicalParams) -> DerivedConstants:
     f1p = lambda r: eval_f1_prime(r, params)
 
     lo = 1e-3 * params.R0

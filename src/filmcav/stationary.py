@@ -108,7 +108,9 @@ def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
     F, f1 = F.ravel(), f1.ravel()
     p_char = (2.0 * params.sigma / params.R0
               + abs(params.P0 - params.p_bnd)) / params.rho_l
-    gross = abs(K) @ (np.abs(f1) + p_char) + np.abs(F + K @ f1)
+    net = np.abs(F + K @ f1)
+    np.abs(K.data, out=K.data)                              # K becomes |K|
+    gross = K @ (np.abs(f1) + p_char) + net
     scale = float(np.linalg.norm(gross))
     return -F, max(scale, 1e-300)
 
@@ -131,9 +133,9 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     accepted iterate, chord or Newton, reaches the critical radius.  A
     solve that stops short of ``cfg.newton_tol`` (its iterations spent, a
     singular Jacobian, or no descending step) is reported unconverged with
-    a ``message``, not raised.  The report's ``stage_fractions`` is
-    ``[1.0]``, ``newton_iterations`` holds the one iteration count and
-    ``factorizations`` the LUs of ``B``.
+    a ``message`` that names which of the three ended it, not raised.  The
+    report's ``stage_fractions`` is ``[1.0]``, ``newton_iterations`` holds
+    the one iteration count and ``factorizations`` the LUs of ``B``.
     """
     cfg = cfg or StationarySolveConfig()
     R_crit = compute_derived(params).R_crit
@@ -145,6 +147,7 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     # allocated after the first residual, whose stencil build is the peak
     zero_rate = np.zeros(grid.shape)
     lu = None                                       # the held factor of B
+    stop = f"NEWTON_MAX = {NEWTON_MAX} iterations spent"
 
     def descend(delta, steps):
         # the first of ``steps`` trials R + lam delta, lam = 1, 1/2, ...,
@@ -174,12 +177,14 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
             try:
                 lu = _factorize(film_pencil(grid, R, zero_rate, hf, U,
                                             params)[0])
-            except SolverFailureError:
-                break                               # singular Jacobian
+            except SolverFailureError as exc:
+                stop = f"singular Newton matrix B, {exc}"
+                break
             report.factorizations += 1
             trial = descend(lu.solve(-phi), MAX_BACKTRACKS)
             if trial is None:
-                break                               # no descending step
+                stop = f"no descending step in {MAX_BACKTRACKS} trials"
+                break
         iters += 1
         R, phi, scale = trial
         if float(np.max(R)) >= R_crit:
@@ -191,7 +196,7 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     report.newton_iterations.append(iters)
     report.converged = report.final_residual < cfg.newton_tol
     if not report.converged:
-        report.message = ("Newton did not reach the residual tolerance "
+        report.message = (f"Newton stopped short of the tolerance: {stop} "
                           f"(final relative residual {report.final_residual:.3e})")
     p = eval_f1(R, params)
     return R, p, report

@@ -2,12 +2,15 @@
 
 The tests gate the package's discretization against these:
 
+* the ``eval_*`` closures and slopes that the package evaluates only
+  inside the two closure passes of :mod:`filmcav.physics`, one each;
 * ``assemble_LG`` forms the dense quasi-static operator ``P^{-1} B`` from
   the same pencil :func:`filmcav.elliptic.film_pencil` that the certified
   sparse spectrum uses;
 * ``diffusion_sensitivity`` and ``convective_divergence_matrix`` are the
   matrices of the sensitivity and the upwind convective fluxes that
-  :func:`filmcav.elliptic.film_pencil` sums face by face, and ``apply_A2``
+  :func:`filmcav.elliptic.film_pencil` sums face by face (the latter
+  decides each face's upwind side itself), and ``apply_A2``
   the squeeze response of the pressure equation;
 * ``field_norms`` gives the area-weighted norms of a field;
 * ``slaved_state`` completes a hand-built transient state at any radius
@@ -33,16 +36,52 @@ import scipy.sparse as sp
 
 from filmcav.dynamics import (TransientState, _wall_acceleration,
                               eliminate_pressure)
-from filmcav.elliptic import (_assemble, _convective_fluxes, _factorize,
-                              _sensitivity_fluxes, assemble_operator,
-                              film_pencil, solve_spd)
+from filmcav import physics
+from filmcav.elliptic import (_assemble, _factorize, _sensitivity_fluxes,
+                              _stencil, assemble_operator, film_pencil,
+                              solve_spd)
 from filmcav.errors import SupercriticalRadiusError
 from filmcav.grid import Grid, ensure_field
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1_prime,
-                             eval_f2, eval_f3, eval_f4_prime, eval_f5)
+                             eval_f2, eval_f3, eval_f5)
 from filmcav.stability import hurwitz_analysis
 from filmcav.stationary import (MAX_BACKTRACKS, NEWTON_MAX,
                                 stationary_residual, trivial_solution)
+
+
+# ---------------------------------------------------------------------------
+# Closures the package reads only from the closure passes of filmcav.physics
+# ---------------------------------------------------------------------------
+
+def eval_alpha_prime(R, params: PhysicalParams):
+    """d alpha / dR."""
+    return physics._match(R, physics._mixture(
+        physics._as_positive_radius(R), params)[3])
+
+
+def eval_f2_prime(R, params: PhysicalParams):
+    """d f2 / dR."""
+    return physics._match(R, physics._closure_slopes(R, params)[1])
+
+
+def eval_f3_prime(R, params: PhysicalParams):
+    """d f3 / dR (chain rule through the gas fraction)."""
+    return physics._match(R, physics._closure_slopes(R, params)[2])
+
+
+def eval_f4(R, params: PhysicalParams):
+    """Entrained-flux coefficient ½ [1 + alpha (rho_g/rho_l - 1)]."""
+    return physics._match(R, physics._closures(R, params)[3])
+
+
+def eval_f4_prime(R, params: PhysicalParams):
+    """d f4 / dR; identical to the squeeze coupling f5 for this closure."""
+    return physics._match(R, physics._closures(R, params)[4])
+
+
+def eval_f5_prime(R, params: PhysicalParams):
+    """d f5 / dR."""
+    return physics._match(R, physics._closure_slopes(R, params)[3])
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +119,17 @@ def convective_divergence_matrix(grid: Grid, U: tuple[float, float],
 
     ``U`` is the constant entrainment velocity.  A face carries the
     upstream cell's value of ``w S`` (upwind, by the sign of each velocity
-    component); a Dirichlet face carries the adjacent interior value.
+    component, decided here face by face, not by the package's cached
+    selection); a Dirichlet face carries the adjacent interior value.
     """
-    return _assemble(*_convective_fluxes(grid, U, w))
+    wf = ensure_field(grid, w, "weight field").ravel()
+    st = _stencil(grid)
+    vel = np.asarray(U, dtype=float)
+    u = vel[st.face_axis]
+    a = np.where(u > 0.0, u * wf[st.A] / st.face_dx, 0.0)
+    b = np.where(u > 0.0, 0.0, u * wf[st.B] / st.face_dx)
+    edge = st.edge_side * vel[st.edge_axis] * wf[st.cell] / st.edge_dx
+    return _assemble(st, a, b, edge)
 
 
 def apply_A2(grid: Grid, R: np.ndarray, h: np.ndarray, S: np.ndarray,

@@ -211,7 +211,8 @@ def test_stationary_unconverged_is_exit_3_with_its_message(tmp_path,
     assert (summary["converged"], summary["newton_iterations"]) == ("false",
                                                                     "1")
     assert summary["message"].startswith(
-        "Newton did not reach the residual tolerance")
+        "Newton stopped short of the tolerance: NEWTON_MAX = 1 iterations "
+        "spent (final relative residual ")
 
 
 def test_manifest_names_the_midline_rows_of_an_odd_grid(tmp_path):
@@ -470,11 +471,14 @@ def test_identical_configs_give_bitwise_identical_outputs(tmp_path):
                     == (outs[1] / name).read_bytes())
 
 
-def test_derived_constants_are_computed_once_per_parameter_set(tmp_path,
-                                                               monkeypatch):
+def test_derived_constants_are_computed_once_per_material(tmp_path,
+                                                          monkeypatch):
     # every layer of a run reads the one cached constant set of its
-    # parameters: two bisections (R_crit, R_bar) per distinct parameter set
+    # material: two bisections (R_crit, R_bar) per distinct material, and
+    # an eccentricity or speed sweep, which changes no closure, shares one
     assert compute_derived(PhysicalParams()) is compute_derived(PhysicalParams())
+    assert (compute_derived(PhysicalParams(ecc=0.1, omega=5.0, h0=1e-5))
+            is compute_derived(PhysicalParams()))
     bisections = []
     real_bisect = physics._bisect
 
@@ -486,9 +490,12 @@ def test_derived_constants_are_computed_once_per_parameter_set(tmp_path,
     runs = (("stability", "n1 = 8\nn2 = 4\n", 2),
             ("sweep", "n1 = 8\nn2 = 4\nsweep_axis = ecc\n"
                       "sweep_values = 0.1,0.25,0.4\n"
-                      "sweep_solver = stationary\n", 6))
+                      "sweep_solver = stationary\n", 2),
+            ("sweep", "n1 = 8\nn2 = 4\nsweep_axis = omega\n"
+                      "sweep_values = 60,100,140\n"
+                      "sweep_solver = stationary\n", 2))
     for command, text, expected in runs:
-        compute_derived.cache_clear()   # earlier tests fill the cache
+        physics._derived.cache_clear()   # earlier tests fill the cache
         bisections.clear()
         assert main([command, "--config", _write(tmp_path, text), "--out",
                      str(tmp_path / command)]) == 0

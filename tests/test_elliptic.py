@@ -21,15 +21,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import filmcav.elliptic as elliptic
+import filmcav.physics as physics
 from filmcav.elliptic import (assemble_operator, convective_divergence,
-                              film_pencil, solve_spd)
+                              film_pencil, film_residual, solve_spd)
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function
 from filmcav.physics import (PhysicalParams, eval_f1, eval_f1_prime, eval_f2,
-                             eval_f2_prime, eval_f3, eval_f3_prime,
-                             eval_f4_prime, eval_f5, eval_f5_prime)
+                             eval_f3, eval_f5)
 from oracles import (apply_A2, convective_divergence_matrix,
-                     diffusion_sensitivity, field_norms)
+                     diffusion_sensitivity, eval_f2_prime, eval_f3_prime,
+                     eval_f4_prime, eval_f5_prime, field_norms)
 
 DEFAULT = PhysicalParams()
 
@@ -170,6 +171,22 @@ def test_convective_matrix_agrees_with_field_form(bc, shape, lengths, U,
         got = (M @ S.ravel()).reshape(grid.shape)
         want = convective_divergence(grid, U, w * S)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+
+
+@UPWIND_BCS
+def test_cached_upwind_faces_follow_the_velocity_signs(bc):
+    # the upwind side of every face is cached per grid and signs of U:
+    # velocities of opposite signs, back to back on one grid, must each
+    # match the oracle, which decides every face's upwind side itself
+    rng = np.random.default_rng(61)
+    grid = Grid(7, 5, 1.3, 0.9, bc_x1=bc)
+    w = rng.uniform(0.5, 1.5, size=grid.shape)
+    for U in ((1.7, 0.0), (-1.7, 0.0), (0.0, 1.7), (1.7, -1.7), (0.0, 0.0)):
+        want = (convective_divergence_matrix(grid, U, np.ones(grid.shape))
+                @ w.ravel())
+        got = convective_divergence(grid, U, w).ravel()
+        np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=str(U),
+                                   atol=1e-13 * np.abs(want).max())
 
 
 def test_constant_transported_field_has_zero_divergence():
@@ -354,6 +371,24 @@ def test_flux_jacobian_equals_its_composed_form(bc):
     for M in (B, P):
         assert np.array_equal(M.indptr, K.indptr)
         assert np.array_equal(M.indices, K.indices)
+
+
+def test_the_film_equation_validates_the_radius_once_per_pass(monkeypatch):
+    # film_residual evaluates its five closures in one pass, film_pencil
+    # its closures and their slopes in two: one validation of R each
+    calls = []
+    validate = physics._as_positive_radius
+    monkeypatch.setattr(physics, "_as_positive_radius",
+                        lambda R: calls.append(1) or validate(R))
+    p = PhysicalParams(ecc=0.3)
+    grid = Grid(8, 4, 2.0 * np.pi * p.J_r, p.B)
+    R = p.R0 * np.random.default_rng(67).uniform(0.8, 1.2, size=grid.shape)
+    S, h, U = np.ones(grid.shape), gap_function(grid, p), (p.surface_speed, 0.0)
+    film_residual(grid, R, S, h, U, p)
+    assert len(calls) == 1
+    calls.clear()
+    film_pencil(grid, R, S, h, U, p)
+    assert len(calls) <= 2
 
 
 def test_squeeze_response_is_linear_in_the_rate():

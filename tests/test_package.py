@@ -250,8 +250,10 @@ def _callers(callee):
     return found
 
 
-#: the closures that become the film equation's operators
-OPERATOR_CLOSURES = {"eval_f3", "eval_f3_prime", "eval_f4", "eval_f4_prime"}
+#: the closures that become the film equation's operators, and the two
+#: passes that evaluate every closure of one film equation call
+OPERATOR_CLOSURES = {"eval_f3", "eval_f3_prime", "eval_f4", "eval_f4_prime",
+                     "_closures", "_closure_slopes"}
 
 
 def test_the_film_equation_is_assembled_in_one_function():
@@ -259,7 +261,7 @@ def test_the_film_equation_is_assembled_in_one_function():
     # elliptic.film_residual: no other function sums the entrained flux
     # into a film balance or assembles the mobility operator of its own,
     # and only elliptic turns the mobility and entrainment closures into
-    # operators
+    # operators or imports the closure passes
     assert _callers("convective_divergence") == ["elliptic.film_residual"]
     assert _callers("assemble_operator") == ["elliptic.film_residual"]
     importers = sorted(
@@ -267,6 +269,13 @@ def test_the_film_equation_is_assembled_in_one_function():
         if isinstance(node, ast.ImportFrom)
         and OPERATOR_CLOSURES & {alias.name for alias in node.names})
     assert importers == ["elliptic"]
+    # nor reaches the passes as attributes of the physics module
+    strays = sorted(
+        f"{module}.py:{node.lineno}" for module, tree in _modules()
+        if module not in ("physics", "elliptic") for node in ast.walk(tree)
+        if {"_closures", "_closure_slopes"} & {getattr(node, "id", None),
+                                                getattr(node, "attr", None)})
+    assert strays == []
 
 
 def test_only_the_start_state_eliminates_the_pressure():

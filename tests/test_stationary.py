@@ -330,6 +330,9 @@ def test_singular_newton_matrix_is_reported_unconverged(monkeypatch):
     R, _, report = solve_stationary(grid, gap_function(grid, p),
                                     (p.surface_speed, 0.0), p)
     _unconverged_at_the_start(report)
+    assert report.message.startswith(
+        "Newton stopped short of the tolerance: singular Newton matrix B, "
+        "sparse LU failed: Factor is exactly singular (final relative ")
     assert report.factorizations == 0
     assert np.array_equal(R, trivial_solution(grid, p)[0])
 
@@ -347,6 +350,9 @@ def test_no_descending_step_is_reported_unconverged(monkeypatch):
                         lambda *args: calls.append(1) or at_rest)
     R, _, report = solve_stationary(grid, h, U, p)
     _unconverged_at_the_start(report)
+    assert report.message.startswith(
+        "Newton stopped short of the tolerance: no descending step in "
+        f"{stationary.MAX_BACKTRACKS} trials (final relative residual ")
     assert report.factorizations == 1
     assert len(calls) == 1 + stationary.MAX_BACKTRACKS
     assert np.array_equal(R, trivial_solution(grid, p)[0])
