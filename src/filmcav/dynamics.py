@@ -78,8 +78,7 @@ from scipy.sparse.linalg import SuperLU
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field
 from .elliptic import _factorize, film_pencil, film_residual, solve_spd
-from .physics import (PhysicalParams, compute_derived, eval_f1, eval_f2,
-                      eval_f5)
+from .physics import PhysicalParams, compute_derived, eval_f5, eval_wall
 
 MODE_INERTIALESS = "inertialess"
 MODE_INERTIAL = "inertial"
@@ -231,7 +230,7 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
     F, f1, M = film_residual(grid, Rf, np.zeros(grid.shape), hf, U, params)
-    Rf2 = Rf * eval_f2(Rf, params)
+    Rf2 = Rf * eval_wall(Rf, params)[1]
     # shift K to M: the diagonal gains -h f5 / (R f2) >= 0
     M.setdiag(M.diagonal() - (hf * eval_f5(Rf, params) / Rf2).ravel())
     y = solve_spd(M, -F, grid)
@@ -241,8 +240,8 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
 def _acceleration(R: np.ndarray, V: np.ndarray, p: np.ndarray,
                   params: PhysicalParams) -> np.ndarray:
     """Radial wall acceleration of the inertial model at film pressure ``p``."""
-    return (-1.5 * V ** 2 / R - V * eval_f2(R, params)
-            + (eval_f1(R, params) - p) / R)
+    f1, f2 = eval_wall(R, params)
+    return -1.5 * V ** 2 / R - V * f2 + (f1 - p) / R
 
 
 def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
@@ -377,7 +376,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                 chord.err_prev = err
                 chord.G_prev, chord.dt_prev = G_n, dt
                 S = (x - R_old) / dt
-                p = eval_f1(x, params) - x * eval_f2(x, params) * S
+                f1, f2 = eval_wall(x, params)
+                p = f1 - x * f2 * S
                 return (TransientState(state.t + dt, x, S, p),
                         StepStats(updates, halvings, dt, rejections,
                                   factorizations))

@@ -4,7 +4,8 @@ The model couples a compressible thin-film (Reynolds) equation for the
 density-scaled film pressure ``p`` (units m²/s², i.e. gauge pressure divided
 by the liquid density) with quasi-static or inertial dynamics of a dispersed
 field of micro-bubbles of common local radius ``R(x, t)``.  All material
-behaviour enters through five scalar closures of ``R``:
+behaviour enters through five scalar closures of ``R`` in two laws.  The
+wall law ``R R'' + 3/2 R'^2 = f1(R) - p - R f2(R) R'`` moves each bubble:
 
 ``f1(R)``
     density-scaled net pressure at the bubble wall when the film is at gauge
@@ -14,27 +15,29 @@ behaviour enters through five scalar closures of ``R``:
     is the lowest film pressure the bubble field can balance.
 ``f2(R)``
     wall-damping coefficient (shear plus interface dilatational viscosity).
+
+The mixture law, through the gas fraction ``alpha = a / (1 + a)``, ``a =
+alpha0 (R/R0)^3`` of a fixed bubble count, sets the film equation:
+
 ``f3(R)``
-    pressure mobility of the mixture, ``rho_mix / (12 mu_eff)``.
+    pressure mobility ``rho_mix / (12 mu_eff)`` (s/m²): the film flux
+    ``rho_mix h³ / (12 mu_eff) grad(p_phys)`` over ``rho_l``, at ``p_phys =
+    rho_l p``, keeps the *absolute* mixture density in the numerator.
 ``f4(R)``
     density-scaled transport coefficient of the entrained (Couette) flux.
 ``f5(R)``
     squeeze coupling, ``d f4 / dR``; non-positive while bubbles dilute the
     mixture, so radius growth acts as a volume source on the film.
 
-The gas fraction follows a fixed-count dispersion law
-``alpha(R) = alpha0 (R/R0)^3 / (1 + alpha0 (R/R0)^3)``.
-
 Every valid :class:`PhysicalParams` meets the five standing hypotheses on
 ``(0, R_crit)``: ``f2, f3, f4 > 0`` by their form, ``f1' < 0`` by the
 definition of ``R_crit``, and ``f5 <= 0`` because ``rho_g <= rho_l``.
 
-Two private passes evaluate the closures from one validation of ``R`` and
-one gas fraction: ``_closures`` gives ``(f1, f2, f3, f4, f5)`` for the film
-equation and ``_closure_slopes`` gives ``(f1', f2', f3', f5')`` for its
-pencil (``f4' = f5``).  They hold each formula once; the public ``eval_*``
-read them, accept scalars or numpy arrays and raise
-:class:`~filmcav.errors.NonPositiveRadiusError` for non-positive radii.
+Each formula is written once.  :func:`eval_wall` gives ``(f1, f2)`` from one
+validation of ``R`` and no gas fraction; the film equation reads ``_closures``
+``(f1 … f5)`` and ``_closure_slopes`` ``(f1', f2', f3', f5')`` (``f4' = f5``),
+each from one validation and one gas fraction.  The public ``eval_*`` take
+scalars or arrays and raise :class:`~filmcav.errors.NonPositiveRadiusError`.
 """
 
 from __future__ import annotations
@@ -171,14 +174,19 @@ def _mixture(r, params: PhysicalParams):
             12.0 * ((1.0 - al) * params.mu_l + al * params.mu_g))
 
 
+def _wall(r, params: PhysicalParams):
+    """``(f1, f2)`` at validated radii ``r``; no gas fraction."""
+    gas = params.P0 * (params.R0 / r) ** (3.0 * params.k_poly)
+    return ((gas - params.p_bnd - 2.0 * params.sigma / r) / params.rho_l,
+            4.0 * (params.mu_l + params.kappa_s / r) / (params.rho_l * r ** 2))
+
+
 def _closures(R, params: PhysicalParams):
     """``(f1, f2, f3, f4, f5)`` at ``R``, from one validation and one gas
     fraction (``f5 = f4'``)."""
     r = _as_positive_radius(R)
     _, _, al, dal, num, den = _mixture(r, params)
-    gas = params.P0 * (params.R0 / r) ** (3.0 * params.k_poly)
-    return ((gas - params.p_bnd - 2.0 * params.sigma / r) / params.rho_l,
-            4.0 * (params.mu_l + params.kappa_s / r) / (params.rho_l * r ** 2),
+    return (*_wall(r, params),
             num / den,
             0.5 * (1.0 + al * (params.rho_g / params.rho_l - 1.0)),
             0.5 * (params.rho_g / params.rho_l - 1.0) * dal)
@@ -206,36 +214,18 @@ def eval_alpha(R, params: PhysicalParams):
     return _match(R, _mixture(_as_positive_radius(R), params)[2])
 
 
-def eval_f1(R, params: PhysicalParams):
-    """Density-scaled bubble-wall pressure balance (m²/s²).
-
-    ``f1(R) = (P0 (R0/R)^{3k} - p_bnd - 2 sigma / R) / rho_l``.  A bubble at
-    radius ``R`` is in quasi-static equilibrium with film pressure
-    ``p = f1(R)``; ``f1 - p > 0`` drives growth.
-    """
-    return _match(R, _closures(R, params)[0])
+def eval_wall(R, params: PhysicalParams):
+    """The bubble-wall law ``(f1, f2)`` at radius ``R``: ``f1 = (P0
+    (R0/R)^{3k} - p_bnd - 2 sigma / R) / rho_l`` (m²/s²), the film pressure
+    a bubble of radius ``R`` balances, and the damping ``f2 = 4 (mu_l +
+    kappa_s / R) / (rho_l R²)`` (1/s)."""
+    f1, f2 = _wall(_as_positive_radius(R), params)
+    return _match(R, f1), _match(R, f2)
 
 
 def eval_f1_prime(R, params: PhysicalParams):
     """d f1 / dR."""
     return _match(R, _closure_slopes(R, params)[0])
-
-
-def eval_f2(R, params: PhysicalParams):
-    """Wall-damping coefficient 4 (mu_l + kappa_s / R) / (rho_l R²), units 1/s."""
-    return _match(R, _closures(R, params)[1])
-
-
-def eval_f3(R, params: PhysicalParams):
-    """Pressure mobility of the mixture: rho_mix / (12 mu_eff), units s/m².
-
-    This is the diffusion coefficient of the film equation written in the
-    density-scaled pressure (m²/s²): dividing the compressible-film flux
-    ``rho_mix h³ / (12 mu_eff) · grad(p_phys)`` by ``rho_l`` and substituting
-    ``p_phys = rho_l p`` cancels the two liquid-density factors, leaving the
-    *absolute* mixture density in the numerator.
-    """
-    return _match(R, _closures(R, params)[2])
 
 
 def eval_f5(R, params: PhysicalParams):
@@ -330,15 +320,15 @@ def _derived(params: PhysicalParams) -> DerivedConstants:
                                  "response has no critical radius")
     R_crit = _bisect(f1p, lo, hi)
 
-    R_bar = _bisect(lambda r: eval_f1(r, params), 1e-3 * params.R0, R_crit)
+    R_bar = _bisect(lambda r: eval_wall(r, params)[0], lo, R_crit)
 
     return DerivedConstants(
         R_bar=R_bar,
         R_crit=R_crit,
-        p_cav=eval_f1(R_crit, params),
+        p_cav=eval_wall(R_crit, params)[0],
         b1=-eval_f1_prime(R_bar, params) / R_bar,
-        b2=eval_f2(R_bar, params),
-        b3=eval_f3(R_bar, params),
+        b2=eval_wall(R_bar, params)[1],
+        b3=float(_closures(R_bar, params)[2]),
         b5=-eval_f5(R_bar, params),
         b_r=1.0 / R_bar,
     )

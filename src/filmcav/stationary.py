@@ -36,7 +36,7 @@ from .errors import (ConfigurationError, SolverFailureError,
                      SupercriticalRadiusError)
 from .grid import Grid, ensure_field
 from .elliptic import _factorize, film_pencil, film_residual
-from .physics import PhysicalParams, compute_derived, eval_f1
+from .physics import PhysicalParams, compute_derived, eval_wall
 
 MAX_BACKTRACKS = 20
 #: most Newton iterations of one solve
@@ -198,5 +198,5 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     if not report.converged:
         report.message = (f"Newton stopped short of the tolerance: {stop} "
                           f"(final relative residual {report.final_residual:.3e})")
-    p = eval_f1(R, params)
+    p = eval_wall(R, params)[0]
     return R, p, report

@@ -3,7 +3,8 @@
 The tests gate the package's discretization against these:
 
 * the ``eval_*`` closures and slopes that the package evaluates only
-  inside the two closure passes of :mod:`filmcav.physics`, one each;
+  inside the two closure passes or the wall law of :mod:`filmcav.physics`,
+  one each;
 * ``assemble_LG`` forms the dense quasi-static operator ``P^{-1} B`` from
   the same pencil :func:`filmcav.elliptic.film_pencil` that the certified
   sparse spectrum uses;
@@ -43,15 +44,30 @@ from filmcav.elliptic import (_assemble, _factorize, _sensitivity_fluxes,
 from filmcav.errors import SupercriticalRadiusError
 from filmcav.grid import Grid, ensure_field
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1_prime,
-                             eval_f2, eval_f3, eval_f5)
+                             eval_f5)
 from filmcav.stability import hurwitz_analysis
 from filmcav.stationary import (MAX_BACKTRACKS, NEWTON_MAX,
                                 stationary_residual, trivial_solution)
 
 
 # ---------------------------------------------------------------------------
-# Closures the package reads only from the closure passes of filmcav.physics
+# Closures the package reads only from the closure passes or the wall law
 # ---------------------------------------------------------------------------
+
+def eval_f1(R, params: PhysicalParams):
+    """Density-scaled bubble-wall pressure balance f1 of the wall law."""
+    return physics.eval_wall(R, params)[0]
+
+
+def eval_f2(R, params: PhysicalParams):
+    """Wall-damping coefficient f2 of the wall law."""
+    return physics.eval_wall(R, params)[1]
+
+
+def eval_f3(R, params: PhysicalParams):
+    """Pressure mobility of the mixture, rho_mix / (12 mu_eff)."""
+    return physics._match(R, physics._closures(R, params)[2])
+
 
 def eval_alpha_prime(R, params: PhysicalParams):
     """d alpha / dR."""

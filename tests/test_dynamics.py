@@ -26,10 +26,9 @@ from filmcav.elliptic import (assemble_operator, convective_divergence,
 from filmcav.errors import (ConfigurationError, PositivityLossError,
                             StepFailureError)
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function, grid_for_params
-from filmcav.physics import (PhysicalParams, compute_derived, eval_f1,
-                             eval_f2, eval_f3, eval_f5)
+from filmcav.physics import PhysicalParams, compute_derived, eval_f5
 from filmcav.stationary import solve_stationary
-from oracles import eval_f4, slaved_state
+from oracles import eval_f1, eval_f2, eval_f3, eval_f4, slaved_state
 
 DEFAULT = PhysicalParams()
 

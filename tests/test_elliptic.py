@@ -11,6 +11,7 @@ case kept as an explicit example.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,16 +21,17 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import filmcav.dynamics as dynamics
 import filmcav.elliptic as elliptic
 import filmcav.physics as physics
 from filmcav.elliptic import (assemble_operator, convective_divergence,
                               film_pencil, film_residual, solve_spd)
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function
-from filmcav.physics import (PhysicalParams, eval_f1, eval_f1_prime, eval_f2,
-                             eval_f3, eval_f5)
+from filmcav.physics import PhysicalParams, eval_f1_prime, eval_f5
 from oracles import (apply_A2, convective_divergence_matrix,
-                     diffusion_sensitivity, eval_f2_prime, eval_f3_prime,
+                     diffusion_sensitivity, eval_f1, eval_f2, eval_f2_prime,
+                     eval_f3, eval_f3_prime,
                      eval_f4_prime, eval_f5_prime, field_norms)
 
 DEFAULT = PhysicalParams()
@@ -389,6 +391,29 @@ def test_the_film_equation_validates_the_radius_once_per_pass(monkeypatch):
     calls.clear()
     film_pencil(grid, R, S, h, U, p)
     assert len(calls) <= 2
+
+
+def test_an_accepted_step_makes_no_closure_pass_beyond_its_film_equation(
+        monkeypatch):
+    # the new state's pressure reads the wall law, which needs no gas
+    # fraction: every mixture pass of a step is the one of a film residual
+    # or one of the two of a film pencil
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    p = PhysicalParams(ecc=0.3)
+    grid = Grid(16, 8, 2.0 * np.pi * p.J_r, p.B)
+    h, U = gap_function(grid, p), (p.surface_speed, 0.0)
+    state = dynamics.initial_state(grid, h, U, p)
+    for module, name in ((physics, "_mixture"), (dynamics, "film_residual"),
+                         (dynamics, "film_pencil")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    dynamics.step_inertialess(grid, state, h, U, p, dynamics.StepConfig())
+    assert calls["film_residual"] > 0 and calls["film_pencil"] > 0
+    assert calls["_mixture"] == (calls["film_residual"]
+                                 + 2 * calls["film_pencil"])
 
 
 def test_squeeze_response_is_linear_in_the_rate():

@@ -1,19 +1,23 @@
 """Closure functions, derived constants, parameter validation and the
 standing hypotheses every valid parameter set meets."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from filmcav import physics
 from filmcav.errors import ConfigurationError, NonPositiveRadiusError
 from filmcav.physics import (
-    PhysicalParams, compute_derived, eval_alpha, eval_f1, eval_f1_prime,
-    eval_f2, eval_f3, eval_f5,
+    PhysicalParams, compute_derived, eval_alpha, eval_f1_prime, eval_f5,
+    eval_wall,
 )
-from oracles import (eval_alpha_prime, eval_f2_prime, eval_f3_prime, eval_f4,
-                     eval_f4_prime, eval_f5_prime)
+from oracles import (eval_alpha_prime, eval_f1, eval_f2, eval_f2_prime,
+                     eval_f3, eval_f3_prime, eval_f4, eval_f4_prime,
+                     eval_f5_prime)
 
 DEFAULT = PhysicalParams()
 
@@ -93,6 +97,17 @@ def test_scalar_in_scalar_out():
     assert isinstance(out, float)
     arr = eval_f1(np.full((3, 2), DEFAULT.R0), DEFAULT)
     assert arr.shape == (3, 2)
+    # the wall law: two Python floats for a scalar, arrays of the input's
+    # shape otherwise, each bitwise the film pass's value
+    R = DEFAULT.R0 * np.random.default_rng(71).uniform(0.5, 1.5, size=(3, 2))
+    for r, want in ((DEFAULT.R0, float), (R, np.ndarray)):
+        wall = eval_wall(r, DEFAULT)
+        assert len(wall) == 2 and all(type(v) is want for v in wall)
+        assert all(np.shape(v) == np.shape(r) for v in wall)
+        for got, ref in zip(wall, physics._closures(r, DEFAULT)[:2]):
+            assert np.array_equal(got, ref)
+    c = compute_derived(DEFAULT)
+    assert all(type(getattr(c, f.name)) is float for f in fields(c))
 
 
 # ---------------------------------------------------------------------------

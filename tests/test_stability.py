@@ -11,7 +11,10 @@ the closed forms and the modal critical speed live in ``tests/oracles.py``):
 * closed-form eigenvalue and determinant expressions are checked against
   ``np.roots`` / exact ``fractions.Fraction`` determinant expansions;
 * the certified sparse-pencil spectrum is checked against pencils with
-  known eigenvalues, the dense ``L_G`` and the separated spectra.
+  known eigenvalues, the dense ``L_G`` and the separated spectra;
+* the splitting of the growth pencil into the local relaxation rate
+  ``m = f1' / (R f2)`` and a first-order rest is checked against the
+  oracles' matrix forms of the diffusion sensitivity and the convection.
 """
 
 from fractions import Fraction
@@ -26,8 +29,10 @@ import filmcav.stability as stability
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
 from filmcav.elliptic import assemble_operator, film_pencil, film_residual
 from filmcav.errors import ConfigurationError, SolverFailureError
-from filmcav.grid import BC_DIRICHLET, Grid, gap_function, grid_for_params
-from filmcav.physics import PhysicalParams, compute_derived, eval_f3
+from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, Grid, gap_function,
+                          grid_for_params)
+from filmcav.physics import (PhysicalParams, compute_derived, eval_f1_prime,
+                             eval_f5, eval_wall)
 from filmcav.stability import (
     RIGHTMOST_COUNT,
     VERDICT_MARGINAL,
@@ -48,9 +53,13 @@ from oracles import (
     assemble_LG,
     constant_gap_spectrum_LF,
     constant_gap_spectrum_LG,
+    convective_divergence_matrix,
     critical_speed,
+    diffusion_sensitivity,
     dirichlet_laplacian_eigenvalues,
     dirichlet_laplacian_eigenvalues_1d,
+    eval_f3,
+    eval_f3_prime,
     trivial_branch_spectrum_LF,
     trivial_LF_roots,
     trivial_LG_eigenvalue,
@@ -651,3 +660,25 @@ def test_pencil_spectrum_matches_separated_parallel_gap_spectrum(factor):
     separated = constant_gap_spectrum_LG(TAME, U_norm, 128, 32)
     assert sparse.verdict == VERDICT_STABLE
     _check_certificate(sparse, separated)
+
+
+@pytest.mark.parametrize("ecc", [0.3, 0.4])
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_growth_pencil_splits_into_local_relaxation_and_a_first_order_rest(
+        bc, ecc):
+    # at S = 0 the K diag(f1') parts of B and P diag(m) cancel, with
+    # m = f1' / (R f2) a bubble's relaxation rate at frozen film pressure:
+    # B - P diag(m) = -Dsens(f3' h^3, f1) + C(h f5) + diag(h f5 m), the
+    # splitting behind the essential spectrum of L_G (the range of m)
+    params = PhysicalParams(ecc=ecc)
+    grid = Grid(16, 8, 2.0 * np.pi * params.J_r, params.B, bc_x1=bc)
+    R = params.R0 * np.random.default_rng(73).uniform(0.8, 1.2, grid.shape)
+    h, U = gap_function(grid, params), (params.surface_speed, 0.0)
+    B, P = film_pencil(grid, R, np.zeros(grid.shape), h, U, params)
+    f1, f2 = eval_wall(R, params)
+    m = eval_f1_prime(R, params) / (R * f2)
+    hf5 = h * eval_f5(R, params)
+    rest = (-diffusion_sensitivity(grid, eval_f3_prime(R, params) * h ** 3, f1)
+            + convective_divergence_matrix(grid, U, hf5)
+            + sp.diags((hf5 * m).ravel()))
+    assert abs(B - P @ sp.diags(m.ravel()) - rest).max() <= 1e-13 * abs(B).max()

@@ -17,12 +17,12 @@ from filmcav.elliptic import _factorize, film_pencil, film_residual
 from filmcav.errors import (ConfigurationError, SolverFailureError,
                             SupercriticalRadiusError)
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, gap_function, grid_for_params
-from filmcav.physics import PhysicalParams, compute_derived, eval_f1
+from filmcav.physics import PhysicalParams, compute_derived
 from filmcav.stationary import (
     StationarySolveConfig, solve_stationary, stationary_residual,
     trivial_solution,
 )
-from oracles import damped_newton
+from oracles import damped_newton, eval_f1
 
 DEFAULT = PhysicalParams()
 
