@@ -8,6 +8,12 @@ parameter value, with an aggregated CSV).  Every output directory receives
 a MANIFEST documenting file names and column schemas; outputs are
 deterministic for a fixed configuration.
 
+Every configuration is mirror-symmetric about ``x2 = L2/2``, so for an even
+``n2`` the transient and stationary runs solve the lower half of the grid
+(:func:`~filmcav.grid.mirror_half`) and unfold every field they write,
+snapshots included.  ``stability`` keeps the whole grid: its spectra need
+the eigenvectors antisymmetric about that plane as well.
+
 Exit codes: 0 success, 2 configuration error (an unwritable output
 directory included), 3 numerical failure (solver breakdown or an
 unconverged run).
@@ -32,8 +38,8 @@ from .dynamics import (HISTORY_KEYS, MODE_INERTIAL, STEP_STATS_KEYS,
 from .elliptic import film_pencil, film_residual
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
-from .grid import (BC_PERIODIC, CSV_HEADER, Grid, gap_function, render_csv,
-                   render_fields_csv)
+from .grid import (BC_PERIODIC, CSV_HEADER, Grid, gap_function, mirror_half,
+                   render_csv, render_fields_csv, unfold)
 from .physics import PhysicalParams, compute_derived, eval_alpha
 from .stability import (DENSE_ASSEMBLY_LIMIT, assemble_LF, compute_spectrum,
                         hurwitz_analysis, hurwitz_report_text,
@@ -106,6 +112,16 @@ def _midline_desc(grid: Grid) -> str:
     return f"mid-width profile ({rows}), columns `{MIDLINE_HEADER}`"
 
 
+def _half_desc(half: Grid, closing: str) -> str:
+    """MANIFEST note of a run solved on ``half``: ``closing`` for a mirror
+    grid (:func:`mirror_half` of an even ``n2``), nothing otherwise."""
+    if not half.mirror:
+        return ""
+    return ("; the run solved the lower half of the grid, x2 < L2/2, with a "
+            "zero-flux symmetry plane at x2 = L2/2, and every field file "
+            "holds its mirror image as the upper half" + closing)
+
+
 def _transient_summary(res: TransientResult, config: RunConfig) -> str:
     derived = compute_derived(config.params)
     lines = [
@@ -155,25 +171,29 @@ def _stationary_summary(report: StationaryReport, R: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _transient(config: RunConfig) -> TransientResult:
-    """Time-march the configured model and write every artifact of the run."""
+    """Time-march the configured model on the mirror half of its grid (the
+    whole grid when ``n2`` is odd) and write every artifact of the run, its
+    fields unfolded onto the whole grid."""
     grid = config.make_grid()
+    half = mirror_half(grid)
     params = config.params
-    h = gap_function(grid, params)
+    h = gap_function(half, params)
     U = config.velocity
     out = Path(config.output_dir)
 
     def write_snapshot(step: int, state: TransientState) -> None:
         if step % config.snapshot_every == 0:
             _write_text(out / f"snapshot_{step}.csv",
-                        render_fields_csv(grid, params, state.R, state.p))
+                        render_fields_csv(grid, params, unfold(half, state.R),
+                                          unfold(half, state.p)))
 
-    res = run_transient(grid, initial_state(grid, h, U, params,
+    res = run_transient(half, initial_state(half, h, U, params,
                                             mode=config.step.mode),
                         h, U, params, config.step, config.n_steps,
                         config.stationarity_tol,
                         write_snapshot if config.snapshot_every > 0 else None)
 
-    R, p = res.state.R, res.state.p
+    R, p = unfold(half, res.state.R), unfold(half, res.state.p)
     entries = [
         ("fields_final.csv", render_fields_csv(grid, params, R, p),
          _FIELDS_DESC),
@@ -190,7 +210,9 @@ def _transient(config: RunConfig) -> TransientResult:
          "the error test"),
         ("summary.txt", _transient_summary(res, config),
          "run outcome (key = value lines); `iterations` and "
-         "`factorizations` are the column sums of trace.csv"),
+         "`factorizations` are the column sums of trace.csv"
+         + _half_desc(half, "; its stopping and step tests are max norms, "
+                      "which the mirror image does not change")),
     ]
     if config.snapshot_every > 0:
         entries.append((f"snapshot_<step>.csv (every {config.snapshot_every} "
@@ -210,13 +232,16 @@ def cmd_transient(config: RunConfig) -> int:
 
 def _stationary(config: RunConfig
                 ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
-    """Solve directly for the stationary state and write every artifact of
-    the run."""
+    """Solve directly for the stationary state on the mirror half of the
+    grid (the whole grid when ``n2`` is odd) and write every artifact of
+    the run, its fields unfolded onto the whole grid."""
     grid = config.make_grid()
+    half = mirror_half(grid)
     params = config.params
-    h = gap_function(grid, params)
-    R_s, p_s, report = solve_stationary(grid, h, config.velocity, params,
+    R_s, p_s, report = solve_stationary(half, gap_function(half, params),
+                                        config.velocity, params,
                                         config.newton)
+    R_s, p_s = unfold(half, R_s), unfold(half, p_s)
     _write_run(Path(config.output_dir), [
         ("fields_final.csv", render_fields_csv(grid, params, R_s, p_s),
          _FIELDS_DESC),
@@ -228,7 +253,11 @@ def _stationary(config: RunConfig
          "`factorizations` the LU factorizations of the Newton matrix; "
          "`final_relative_residual` and `residual_history` are "
          "`||Phi||_2 / scale`, scale the gross diffusive flux at the pressure "
-         "floor `p_char` plus the entrained divergence"),
+         "floor `p_char` plus the entrained divergence"
+         + _half_desc(half, "; the half grid's scale omits the gross flux "
+                      "across that plane, so its relative residual is never "
+                      "below the whole grid's at the same state (about 2 % "
+                      "above it on the default 128x32 grid)")),
     ])
     return R_s, p_s, report
 

@@ -239,7 +239,8 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
 
 def _acceleration(R: np.ndarray, V: np.ndarray, p: np.ndarray,
                   params: PhysicalParams) -> np.ndarray:
-    """Radial wall acceleration of the inertial model at film pressure ``p``."""
+    """Radial wall acceleration of the inertial model at film pressure
+    ``p``: the first RK4 stage's, at the pressure its state carries."""
     f1, f2 = eval_wall(R, params)
     return -1.5 * V ** 2 / R - V * f2 + (f1 - p) / R
 
@@ -249,11 +250,13 @@ def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
                        params: PhysicalParams
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Radial wall acceleration of the inertial model and the film pressure
-    ``p``, the root of the film equation at ``S = V``: ``K (p - p_g) = F``
-    for ``(F, p_g, K)`` of :func:`elliptic.film_residual`."""
+    ``p``, the root of the film equation at ``S = V``: ``K y = F`` for
+    ``(F, p_g, K)`` of :func:`elliptic.film_residual` and ``p = p_g + y``.
+    Since ``p_g = f1 - R f2 V``, the wall law's ``f1`` and ``f2`` terms
+    cancel from the acceleration, which is ``-(3/2 V^2 + y) / R``."""
     F, p, K = film_residual(grid, R, V, h, U, params)
-    p = p + solve_spd(K, F, grid)
-    return _acceleration(R, V, p, params), p
+    y = solve_spd(K, F, grid)
+    return -(1.5 * V ** 2 + y) / R, p + y
 
 
 def _relative(update: np.ndarray, x: np.ndarray) -> float:

@@ -8,7 +8,10 @@ depends on the local bubble radius,
 discretized on the cell-centered grid with a 5-point stencil: face
 coefficients are arithmetic means of the adjacent cell values, Dirichlet
 boundaries are enforced by ghost-cell reflection (ghost value = -interior
-value, so the face value vanishes), and the entrained (Couette) flux is
+value, so the face value vanishes), the symmetry plane of a mirror grid
+(its high-``x2`` edge, :func:`filmcav.grid.mirror_half`) by an even ghost
+(ghost value = interior value, so the face carries no flux and has no edge
+term), and the entrained (Couette) flux is
 upwinded, the one convection scheme.  The assembled operator ``K`` represents
 ``-Div(c Grad .)`` and is symmetric positive definite, which is what makes
 the coupled pressure elimination uniquely solvable.
@@ -101,7 +104,9 @@ def _stencil(grid: Grid) -> _FaceStencil:
     batches = [(idx[:-1, :], idx[1:, :], 0), (idx[:, :-1], idx[:, 1:], 1)]
     if grid.bc_x1 == BC_PERIODIC:
         batches.append((idx[-1, :], idx[0, :], 0))
-    edges = [(idx[:, 0], 1, -1.0), (idx[:, -1], 1, 1.0)]
+    edges = [(idx[:, 0], 1, -1.0)]
+    if not grid.mirror:                  # a mirror plane carries no flux
+        edges.append((idx[:, -1], 1, 1.0))
     if grid.bc_x1 == BC_DIRICHLET:
         edges += [(idx[0, :], 0, -1.0), (idx[-1, :], 0, 1.0)]
 

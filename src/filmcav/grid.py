@@ -7,6 +7,13 @@ setting ``L1 = 2 pi J_r`` (circumferential, usually periodic) and
 live at cell centers ``((i + 1/2) dx1, (j + 1/2) dx2)`` and are stored as
 ``(n1, n2)`` arrays; flattened vectors use the row-major cell index
 ``i * n2 + j``.
+
+Every configuration the CLI runs is mirror-symmetric about the mid-plane
+``x2 = L2/2``: the gap depends on ``x1`` alone, the entrainment is along
+``x1`` and both ``x2`` edges are at ambient pressure.  A mirror grid is the
+lower half of such a domain, its high-``x2`` edge the symmetry plane, where
+the film carries no flux.  :func:`mirror_half` gives it for an even ``n2``
+and :func:`unfold` maps its fields back onto the whole grid.
 """
 
 from __future__ import annotations
@@ -31,7 +38,10 @@ class Grid:
 
     ``bc_x1`` selects the circumferential closure ("periodic" for a full
     journal, "dirichlet-zero" for a pad open at both ends); the axial
-    boundary ``x2`` is always at ambient pressure ("dirichlet-zero").
+    boundary ``x2`` is at ambient pressure ("dirichlet-zero"), except
+    that on a ``mirror`` grid the high-``x2`` edge is a symmetry plane:
+    the grid is the lower half of a domain symmetric about it, and no flux
+    crosses it.  A mirror grid needs ``n2 >= 2`` cells, any other grid 4.
     """
 
     n1: int
@@ -39,10 +49,12 @@ class Grid:
     L1: float
     L2: float
     bc_x1: str = BC_PERIODIC
+    mirror: bool = False
 
     def __post_init__(self):
-        if self.n1 < 4 or self.n2 < 4:
-            raise ConfigurationError("grid needs at least 4 cells per direction, "
+        n2_min = 2 if self.mirror else 4
+        if self.n1 < 4 or self.n2 < n2_min:
+            raise ConfigurationError(f"grid needs at least 4 x {n2_min} cells, "
                                      f"got {self.n1} x {self.n2}")
         if not (0.0 < self.L1 < np.inf and 0.0 < self.L2 < np.inf):
             raise ConfigurationError("domain lengths must be finite and "
@@ -86,6 +98,23 @@ def grid_for_params(params: PhysicalParams, n1: int, n2: int,
                     bc_x1: str = BC_PERIODIC) -> Grid:
     """Journal-bearing grid: ``[0, 2 pi J_r] x [0, B]``."""
     return Grid(n1=n1, n2=n2, L1=2.0 * np.pi * params.J_r, L2=params.B, bc_x1=bc_x1)
+
+
+def mirror_half(grid: Grid) -> Grid:
+    """The lower half ``(n1, n2/2, L1, L2/2)`` of a whole ``grid`` as a
+    mirror grid, or ``grid`` itself when ``n2`` is odd and no cell row ends
+    at the mid-plane."""
+    if grid.n2 % 2:
+        return grid
+    return Grid(n1=grid.n1, n2=grid.n2 // 2, L1=grid.L1, L2=0.5 * grid.L2,
+                bc_x1=grid.bc_x1, mirror=True)
+
+
+def unfold(grid: Grid, field: np.ndarray) -> np.ndarray:
+    """A field of ``grid`` on the whole domain: ``[f, f[:, ::-1]]`` on a
+    mirror grid, the field itself on any other."""
+    f = ensure_field(grid, field)
+    return np.hstack([f, f[:, ::-1]]) if grid.mirror else f
 
 
 def gap_function(grid: Grid, params: PhysicalParams) -> np.ndarray:

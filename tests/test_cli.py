@@ -17,11 +17,12 @@ import pytest
 import scipy.sparse as sp
 
 import filmcav
-from filmcav import physics, stationary
+from filmcav import cli, physics, stationary
 from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
                          midline_profile)
 from filmcav.config import parse_config
-from filmcav.grid import CSV_HEADER, Grid
+from filmcav.dynamics import initial_state, run_transient
+from filmcav.grid import CSV_HEADER, Grid, gap_function, mirror_half, unfold
 from filmcav.physics import PhysicalParams, compute_derived
 from oracles import critical_speed
 
@@ -226,6 +227,107 @@ def test_manifest_names_the_midline_rows_of_an_odd_grid(tmp_path):
     fields = _load_csv(out / "fields_final.csv")
     midline = _load_csv(out / "midline.csv")
     assert np.array_equal(midline[:, 1], fields[2::5, 2])
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap ``cli.<name>`` to keep the grid and the result of each call."""
+    calls = []
+    solve = getattr(cli, name)
+
+    def recorded(grid, *args, **kwargs):
+        calls.append((grid, solve(grid, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+def test_even_grid_stationary_solves_the_mirror_half(tmp_path, monkeypatch):
+    # the CLI solves the lower half with a zero-flux mid-plane and unfolds
+    # it; the unfolded state is a converged state of the full grid, and the
+    # full-grid solve finds the same fields
+    calls = _record_calls(monkeypatch, "solve_stationary")
+    cfg = _write(tmp_path, "ecc = 0.3\nn1 = 16\nn2 = 8\n")
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", cfg, "--out", str(out)]) == 0
+    config = parse_config(Path(cfg).read_text(encoding="utf-8"))
+    grid, params = config.make_grid(), config.params
+    [(half, (R_half, _, report))] = calls
+    assert half == mirror_half(grid) and half.n2 == 4
+    R = unfold(half, R_half)
+    h = gap_function(grid, params)
+    phi, scale = stationary.stationary_residual(grid, R, h, config.velocity,
+                                                params)
+    assert np.linalg.norm(phi) / scale < config.newton.newton_tol
+    R_full, _, full = stationary.solve_stationary(grid, h, config.velocity,
+                                                  params, config.newton)
+    assert full.converged and report.converged
+    assert abs(R - R_full).max() <= 1e-10 * R_full.max()
+    fields = _load_csv(out / "fields_final.csv")
+    assert np.allclose(fields[:, 2], R.ravel() / params.R0, rtol=1e-8,
+                       atol=0.0)
+
+
+def test_even_grid_transient_runs_on_the_mirror_half(tmp_path, monkeypatch):
+    # the mirror-half run takes the full grid's steps and work and ends
+    # within picard_tol of its state; snapshots are full-grid fields too
+    calls = _record_calls(monkeypatch, "run_transient")
+    cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 4\nn_steps = 4000\n"
+                           "snapshot_every = 20\n")
+    out = tmp_path / "out"
+    assert main(["transient", "--config", cfg, "--out", str(out)]) == 0
+    config = parse_config(Path(cfg).read_text(encoding="utf-8"))
+    grid, params, U = config.make_grid(), config.params, config.velocity
+    [(half, res)] = calls
+    assert half == mirror_half(grid) and half.n2 == 2
+    h = gap_function(grid, params)
+    full = run_transient(grid, initial_state(grid, h, U, params), h, U,
+                         params, config.step, config.n_steps,
+                         config.stationarity_tol)
+    assert res.converged and full.converged and res.steps == full.steps == 56
+    for key in ("iterations", "factorizations"):
+        assert np.array_equal(res.step_stats[key], full.step_stats[key])
+    R = unfold(half, res.state.R)
+    assert (abs(R - full.state.R).max()
+            <= config.step.picard_tol * full.state.R.max())
+    snapshot = _load_csv(out / "snapshot_20.csv")
+    assert snapshot.shape[0] == grid.n_cells
+    R_hat = snapshot[:, 2].reshape(grid.shape)
+    assert np.array_equal(R_hat, R_hat[:, ::-1])
+
+
+@pytest.mark.parametrize("command", ["stationary", "transient"])
+def test_odd_grid_runs_solve_their_own_grid(tmp_path, monkeypatch, command):
+    # no cell row ends at the mid-plane of an odd n2: the whole grid
+    name = "solve_stationary" if command == "stationary" else "run_transient"
+    calls = _record_calls(monkeypatch, name)
+    cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 5\nn_steps = 4000\n")
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
+    [(grid, _)] = calls
+    assert grid == Grid(8, 5, 2.0 * np.pi * PhysicalParams().J_r,
+                        PhysicalParams().B) and not grid.mirror
+
+
+def test_the_mirror_half_residual_never_reads_below_the_full_grid():
+    # the half grid's scale omits the gross flux across the mid-plane, so at
+    # one state its relative residual is at least the full grid's: a
+    # mirror-half solve stops no earlier than the full solve would.  At the
+    # desk's n2 = 32 that flux is a small share of the scale (about 2 %)
+    params = PhysicalParams(ecc=0.3)
+    grid = Grid(32, 32, 2.0 * np.pi * params.J_r, params.B)
+    half = mirror_half(grid)
+    U = (params.surface_speed, 0.0)
+    R_s, _, _ = stationary.solve_stationary(half, gap_function(half, params),
+                                            U, params)
+    wobble = np.random.default_rng(83).uniform(0.9, 1.1, size=half.shape)
+    for R in (R_s, R_s * wobble):
+        relative = []
+        for g, field in ((half, R), (grid, unfold(half, R))):
+            phi, scale = stationary.stationary_residual(
+                g, field, gap_function(g, params), U, params)
+            relative.append(np.linalg.norm(phi) / scale)
+        assert relative[1] <= relative[0] < 1.05 * relative[1]
 
 
 def test_stationary_supercritical_is_exit_3(tmp_path, capsys):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import filmcav.dynamics as dynamics
+import filmcav.physics as physics
 from filmcav.dynamics import (
     MODE_INERTIAL, ChordCarry, StepConfig, TransientState, _wall_acceleration,
     eliminate_pressure, initial_state, run_transient,
@@ -882,6 +883,25 @@ def test_inertial_step_starts_from_the_pressure_its_state_carries(monkeypatch):
     assert res.steps == 20 and np.sum(res.step_stats["halvings"]) == 0
     assert len(solves) == 1 + 4 * 20
     assert np.all(res.step_stats["iterations"] == 4)
+
+
+def test_an_inertial_step_reads_the_wall_law_once_per_stage_plus_one(
+        monkeypatch):
+    # the four pressure stages read f1 and f2 in their film residual alone
+    # (the acceleration needs neither), and the first stage's acceleration
+    # reads them once at the pressure its state carries
+    p = replace(TAME, alpha0=0.05, ecc=0.3)
+    grid = grid_for_params(p, 16, 8)
+    h = gap_function(grid, p)
+    state = initial_state(grid, h, (p.surface_speed, 0.0), p, MODE_INERTIAL)
+    calls = []
+    wall = physics._wall
+    monkeypatch.setattr(physics, "_wall",
+                        lambda *a: calls.append(1) or wall(*a))
+    _, stats = step_inertial(grid, state, h, (p.surface_speed, 0.0), p,
+                             StepConfig(dt=1e-4, mode=MODE_INERTIAL))
+    assert stats.halvings == 0 and stats.iterations == 4
+    assert len(calls) == 4 + 1
 
 
 def test_run_transient_reaches_the_target_rate():

@@ -27,7 +27,8 @@ import filmcav.physics as physics
 from filmcav.elliptic import (assemble_operator, convective_divergence,
                               film_pencil, film_residual, solve_spd)
 from filmcav.errors import ConfigurationError, SolverFailureError
-from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function
+from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, Grid, gap_function,
+                          mirror_half, unfold)
 from filmcav.physics import PhysicalParams, eval_f1_prime, eval_f5
 from oracles import (apply_A2, convective_divergence_matrix,
                      diffusion_sensitivity, eval_f1, eval_f2, eval_f2_prime,
@@ -373,6 +374,38 @@ def test_flux_jacobian_equals_its_composed_form(bc):
     for M in (B, P):
         assert np.array_equal(M.indptr, K.indptr)
         assert np.array_equal(M.indices, K.indices)
+
+
+@UPWIND_BCS
+@pytest.mark.parametrize("shape", [(16, 8), (12, 6)])
+def test_the_mirror_half_is_the_restriction_of_the_full_grid(bc, shape):
+    # on fields symmetric about x2 = L2/2 the mid-plane face carries no flux
+    # (equal potentials, zero sensitivity gradient, U2 = 0), so the half
+    # grid's film equation is the lower half of the full one, and its pencil
+    # is the full pencil folded onto symmetric vectors, A11 + A12 J
+    rng = np.random.default_rng(61)
+    p = PhysicalParams(ecc=0.3)
+    grid = Grid(*shape, 2.0 * np.pi * p.J_r, p.B, bc_x1=bc)
+    half = mirror_half(grid)
+    assert half.mirror and half.shape == (shape[0], shape[1] // 2)
+    R_half = p.R0 * rng.uniform(0.8, 1.2, size=half.shape)
+    S_half = rng.normal(scale=10.0, size=half.shape)
+    R, S = unfold(half, R_half), unfold(half, S_half)
+    assert np.array_equal(R, R[:, ::-1]) and np.array_equal(S, S[:, ::-1])
+    U = (p.surface_speed, 0.0)
+    h, h_half = gap_function(grid, p), gap_function(half, p)
+    lower = np.s_[:, :half.n2]
+    F, pres, _ = film_residual(grid, R, S, h, U, p)
+    F_half, p_half, _ = film_residual(half, R_half, S_half, h_half, U, p)
+    assert abs(F_half - F[lower]).max() <= 1e-14 * abs(F).max()
+    assert abs(p_half - pres[lower]).max() <= 1e-15 * abs(pres).max()
+    cells = np.arange(grid.n_cells).reshape(grid.shape)
+    rows, mirrored = cells[lower].ravel(), cells[:, ::-1][lower].ravel()
+    for full, folded in zip(film_pencil(grid, R, S, h, U, p),
+                            film_pencil(half, R_half, S_half, h_half, U, p)):
+        dense = full.toarray()
+        ref = dense[np.ix_(rows, rows)] + dense[np.ix_(rows, mirrored)]
+        assert abs(folded.toarray() - ref).max() <= 1e-14 * abs(dense).max()
 
 
 def test_the_film_equation_validates_the_radius_once_per_pass(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from filmcav.errors import ConfigurationError
 from filmcav.grid import (
     BC_PERIODIC, CSV_HEADER, Grid, ensure_field, gap_function,
-    grid_for_params, render_fields_csv,
+    grid_for_params, mirror_half, render_fields_csv, unfold,
 )
 from filmcav.physics import PhysicalParams, eval_alpha
 from oracles import field_norms
@@ -52,6 +52,27 @@ def test_grid_validation():
         Grid(n1=4, n2=4, L1=1.0, L2=np.inf)
     with pytest.raises(ConfigurationError):
         Grid(n1=8, n2=8, L1=1.0, L2=1.0, bc_x1="reflecting")
+
+
+def test_mirror_half_keeps_the_cells_of_the_lower_half():
+    g = Grid(n1=8, n2=6, L1=2.0, L2=1.5, bc_x1="dirichlet-zero")
+    half = mirror_half(g)
+    assert (half.n1, half.n2, half.L1, half.L2) == (8, 3, 2.0, 0.75)
+    assert half.mirror and half.bc_x1 == g.bc_x1 and not g.mirror
+    # the same cells: spacing and centers are bitwise the lower half's
+    assert half.dx2 == g.dx2 and np.array_equal(half.x2, g.x2[:3])
+    f = np.arange(24.0).reshape(8, 3)
+    full = unfold(half, f)
+    assert full.shape == g.shape
+    assert np.array_equal(full[:, :3], f) and np.array_equal(full, full[:, ::-1])
+    # no cell row ends at the mid-plane of an odd grid: it stays whole
+    odd = Grid(n1=8, n2=5, L1=2.0, L2=1.25)
+    assert mirror_half(odd) is odd
+    assert unfold(odd, np.ones(odd.shape)).shape == odd.shape
+    # a mirror grid needs 2 cells across its half, any other grid 4
+    assert mirror_half(Grid(n1=4, n2=4, L1=1.0, L2=1.0)).n2 == 2
+    with pytest.raises(ConfigurationError):
+        Grid(n1=4, n2=1, L1=1.0, L2=1.0, mirror=True)
 
 
 def test_grid_for_params_is_the_journal_rectangle():
