@@ -283,8 +283,7 @@ def cmd_stability(config: RunConfig) -> int:
     U = config.velocity
     R_s, p_s, report = solve_stationary(grid, h, U, params, config.newton)
     if not report.converged:
-        raise SolverFailureError(f"stationary solve failed "
-                                 f"(residual {report.final_residual:.3e})")
+        raise SolverFailureError(f"stationary solve failed: {report.message}")
     # both spectra before the first file: a run that fails writes nothing
     zero_rate = np.zeros(grid.shape)
     B, P = film_pencil(grid, R_s, zero_rate, h, U, params)

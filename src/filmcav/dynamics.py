@@ -34,17 +34,18 @@ refactors at the current iterate, releasing the old factor first, only when
 it has no factor or when an update shrinks by less than 10x from the best
 one.  It converges on the estimate of the remaining error, ``theta / (1 -
 theta) update <= 1e-3 picard_tol`` with ``theta`` the ratio of successive
-updates (Hairer & Wanner, *Solving ODEs II*, §IV.8), so the first update of
-an attempt, with no ``theta`` yet, converges only at zero.  The factor 1e-3
-is small because the state's rate ``S = (x - R_old) / dt`` carries the error
-of ``x`` over ``dt``: at 1e-2, the pressure of short early steps missed the
-elimination's by up to 3.1 ``picard_tol max|p|`` (measured at ecc 0.05-0.3
-on 8x4 to 32x16 grids).  The new state is ``x`` with its backward rate ``S``
-and the growth-law pressure ``f1(x) - x f2(x) S``, where ``F(x, S) = 0``
-holds to the chord tolerance.
-A step that loses positivity or whose iteration stalls is rejected and
-retried at half the step size (at most 10 halvings) before a failure is
-declared.
+updates (Hairer & Wanner, *Solving ODEs II*, §IV.8), or on an update at the
+rounding floor ``64 eps max|x|``, the only way a first update, with no
+``theta`` yet, converges (at rest, updates are noise that never contracts).
+The factor 1e-3 is small because the state's rate ``S = (x - R_old) / dt``
+carries the error of ``x`` over ``dt``: at 1e-2, the pressure of short early
+steps missed the elimination's by up to 3.1 ``picard_tol max|p|`` (measured
+at ecc 0.05-0.3 on 8x4 to 32x16 grids).  The new state is ``x`` with its
+backward rate ``S`` and the growth-law pressure ``f1(x) - x f2(x) S``, where
+``F(x, S) = 0`` holds to the chord tolerance.
+A step whose iterate turns non-positive or non-finite, or whose iteration
+stalls, is rejected and retried at half the step size (at most 10 halvings)
+before a failure is declared.
 
 The step size is error-controlled.  The difference between the solved
 step and the extrapolated start is a free error estimate, in the manner of
@@ -57,7 +58,7 @@ order faster than the local error of backward Euler itself.  ``dt`` is only
 the initial step, so the slow relaxation tail is crossed in steps that grow
 with the time scale of the decay.  An optional inertial mode
 integrates the full second-order wall dynamics with classical RK4 at the
-fixed step ``dt``, under the same positivity guard, on the film equation
+fixed step ``dt``, under the same guard on its stages, on the film equation
 at the wall velocity ``V``: ``K (R dV/dt + 3/2 V^2) = -F(R, V)``.
 
 A :class:`TransientState` is ``(t, R, Rdot, p)`` from its first instant:
@@ -105,6 +106,10 @@ CHORD_CONTRACTION = 10.0
 #: updates, is at most ``CHORD_KAPPA * picard_tol``
 CHORD_KAPPA = 1e-3
 
+#: an update at most this fraction of ``max|x|`` is rounding noise, which
+#: never contracts at rest: it converges the attempt
+CHORD_FLOOR = 64.0 * np.finfo(float).eps
+
 #: PI step-size controller (Gustafsson, ACM TOMS 1991): exponents of the
 #: current and the previous error (each over ``error_tol``), safety factor,
 #: and the bounds of the step-size ratio
@@ -126,8 +131,10 @@ class StepConfig:
     ``picard_tol`` is the chord Newton stopping test of the backward-Euler
     solve (required in (0, 1e-3]): an attempt converges at the iterate
     ``x + delta`` once ``theta / (1 - theta) max|delta| <= CHORD_KAPPA
-    picard_tol max|x|``, ``theta`` the ratio of its last two updates.
-    ``mode`` selects quasi-static or inertial wall dynamics.
+    picard_tol max|x|``, ``theta`` the ratio of its last two updates, or at
+    the rounding floor ``max|delta| <= CHORD_FLOOR max|x|``, so a
+    ``picard_tol`` below ``CHORD_FLOOR / CHORD_KAPPA`` (1.4e-11) cannot be
+    asked for.  ``mode`` selects quasi-static or inertial wall dynamics.
     """
 
     dt: float = 3e-4
@@ -259,6 +266,10 @@ def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
     return -(1.5 * V ** 2 + y) / R, p + y
 
 
+def _admissible(R: np.ndarray) -> bool:
+    return bool(np.all((0.0 < R) & (R < np.inf)))     # NaN fails both
+
+
 def _relative(update: np.ndarray, x: np.ndarray) -> float:
     return float(np.max(np.abs(update))) / max(float(np.max(np.abs(x))), 1e-300)
 
@@ -292,7 +303,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     releasing the old factor first.  The attempt converges at the first
     iterate whose update (relative to ``max|x|``), times ``theta / (1 -
     theta)`` with ``theta`` the ratio of the last two updates, is at most
-    ``CHORD_KAPPA * picard_tol``.  The start rate ``G_n`` is
+    ``CHORD_KAPPA * picard_tol``, or whose update is at most
+    ``CHORD_FLOOR``, the rounding level of ``x``.  The start rate ``G_n`` is
     ``state.Rdot``.  ``chord`` carries the predictor history, the proposed
     step size and the factor between steps and is updated in place; without
     it the step starts at ``step_cfg.dt`` and builds its own factor.
@@ -305,13 +317,13 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     An accepted step stores its estimate and the next step size proposed by
     the PI controller in ``chord``.
 
-    A step attempt is rejected -- and ``dt`` halved -- when an iterate
-    leaves the positive cone or when the iteration stalls (update growing
-    well past its best value, or ``MAX_CHORD_UPDATES`` updates spent
-    without converging).  More than ``MAX_HALVINGS`` halvings raise
-    :class:`StepFailureError` after a stall and :class:`PositivityLossError`
-    after a sign loss; more than ``MAX_HALVINGS`` error-test retries raise
-    :class:`StepFailureError`.
+    A step attempt is rejected -- and ``dt`` halved -- when an iterate, the
+    explicit start included, is not finite and positive or when the iteration
+    stalls (update growing well past its best value, or ``MAX_CHORD_UPDATES``
+    updates spent without converging).  More than ``MAX_HALVINGS`` halvings
+    raise :class:`StepFailureError` after a stall and
+    :class:`PositivityLossError` after a lost or non-finite iterate; more than
+    ``MAX_HALVINGS`` error-test retries raise :class:`StepFailureError`.
 
     Returns the new state ``(t + dt, x, S, f1(x) - x f2(x) S)``, with
     ``S = (x - R_old) / dt``, and the step statistics (``iterations`` counts
@@ -334,9 +346,9 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             pred = x + dt * dt / chord.dt_prev * (G_n - chord.G_prev)
             weight = 1.0
         converged = False
-        sign_loss = np.any(x <= 0.0)                     # reject: halve dt
+        sign_loss = not _admissible(x)                   # reject: halve dt
         if not sign_loss:
-            if np.all(pred > 0.0):
+            if _admissible(pred):
                 x = pred
             best, prev = np.inf, 0.0
             for _ in range(MAX_CHORD_UPDATES):
@@ -361,13 +373,13 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     break        # diverging past its best: a stall, halve dt
                 best = min(best, update)
                 x = x + delta.reshape(grid.shape)
-                if np.any(x <= 0.0):
+                if not _admissible(x):
                     sign_loss = True
                     break                                # reject: halve dt
                 # theta / (1 - theta) update <= kappa tol at
                 # theta = update / prev, times prev - update: the first
-                # update, with no theta, passes only at zero
-                converged = (update * update
+                # update, with no theta, passes only at the rounding floor
+                converged = (update <= CHORD_FLOOR or update * update
                              <= CHORD_KAPPA * tol * (prev - update))
                 prev = update
                 if converged:
@@ -412,9 +424,10 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
     The stage function is ``(R, V) -> (V, -3/2 V²/R - V f2(R) +
     (f1(R) - p(R, V))/R)``.  The first stage takes the pressure the state
     carries; the three later stages and the new state each re-slave it.  A
-    non-positive stage radius rejects the attempt, which is retried at half
-    the step size.  The step's ``iterations`` counts the pressure solves of
-    all its attempts.
+    stage radius that is not finite and positive, or a non-finite
+    acceleration, rejects the attempt, which is retried at half the step
+    size.  The step's ``iterations`` counts the pressure solves of all its
+    attempts.
     """
     R0, V0 = state.R, state.Rdot
     a0 = _acceleration(R0, V0, state.p, params)
@@ -429,10 +442,12 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
                 V = V0 + dt / 6.0 * (kV[0] + 2 * kV[1] + 2 * kV[2] + kV[3])
             else:
                 R, V = R0 + c * dt * kR[-1], V0 + c * dt * kV[-1]
-            if np.any(R <= 0.0):
+            if not _admissible(R):
                 break                                    # reject: halve dt
             solves += 1
             acc, p = _wall_acceleration(grid, R, V, h, U, params)
+            if not np.all(np.isfinite(acc)):
+                break                                    # reject: halve dt
             kR.append(V)
             kV.append(acc)
         else:

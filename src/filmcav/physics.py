@@ -38,6 +38,7 @@ validation of ``R`` and no gas fraction; the film equation reads ``_closures``
 ``(f1 … f5)`` and ``_closure_slopes`` ``(f1', f2', f3', f5')`` (``f4' = f5``),
 each from one validation and one gas fraction.  The public ``eval_*`` take
 scalars or arrays and raise :class:`~filmcav.errors.NonPositiveRadiusError`.
+``R_crit`` has a closed form; :func:`compute_derived` bisects for ``R_bar``.
 """
 
 from __future__ import annotations
@@ -242,10 +243,11 @@ def eval_f5(R, params: PhysicalParams):
 class DerivedConstants:
     """Reference state and linearization constants.
 
-    ``R_bar`` is the equilibrium radius (root of f1), ``R_crit`` the
-    minimiser of f1 bounding the monotone regime, ``p_cav = f1(R_crit)``
-    the lowest balanceable film pressure.  The ``b*`` constants are the
-    linearization coefficients about the uniform state
+    ``R_bar`` is the equilibrium radius (root of f1), ``R_crit = R0 (3k P0
+    R0 / 2 sigma)^(1/(3k-1))`` the minimiser of f1 bounding the monotone
+    regime, ``p_cav = f1(R_crit) < 0`` the lowest balanceable film pressure.
+    The ``b*`` constants are the linearization coefficients about the uniform
+    state
 
         b1 = -f1'(R_bar)/R_bar   b2 = f2(R_bar)    b3 = f3(R_bar)
         b5 = -f5(R_bar) = -f4'(R_bar)              b_r = 1/R_bar
@@ -263,12 +265,10 @@ class DerivedConstants:
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Plain bisection to a bracket of relative width 1e-12."""
-    flo, fhi = fn(lo), fn(hi)
+    flo = fn(lo)
     if flo == 0.0:
         return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    if not (lo < hi < np.inf and flo * fn(hi) <= 0.0):
         raise ConfigurationError("no sign change of the target function in the "
                                  f"search bracket [{lo:g}, {hi:g}]")
     while hi - lo > 1e-12 * max(abs(lo), abs(hi)):
@@ -284,7 +284,7 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def compute_derived(params: PhysicalParams) -> DerivedConstants:
-    """Locate the reference state by bisection and build the constant set.
+    """Locate the reference state and build the constant set.
 
     The constants depend on the material parameters alone: the geometry
     (``J_r``, ``B``, ``h0``, ``ecc``) and the speed ``omega`` enter no
@@ -292,11 +292,14 @@ def compute_derived(params: PhysicalParams) -> DerivedConstants:
     caller, and every point of an eccentricity or speed sweep, shares one
     frozen result.
 
-    ``R_crit`` is found first from the sign change of f1' (the derivative is
-    negative for small radii — gas compression dominates — and positive for
-    large ones where capillarity decays slower); ``R_bar`` then comes from
-    the sign change of f1 on ``[1e-3 R0, R_crit]``.  Raises
-    :class:`ConfigurationError` when a bracket carries no sign change.
+    ``R_crit``, the root of f1' where gas decompression and capillarity
+    balance, is the Blake critical radius ``R0 (3k P0 R0 / 2
+    sigma)^(1/(3k-1))`` (Brennen, *Cavitation and Bubble Dynamics*, 1995,
+    §2.6).  ``R_bar`` is bisected on ``[1e-3 R0, R_crit]``, whose upper end
+    has ``f1(R_crit) = -(p_bnd + 2 sigma (1 - 1/3k) / R_crit) / rho_l < 0``;
+    ``b2``, ``b3`` and ``b5`` come from one closure pass at ``R_bar``.  Raises
+    :class:`ConfigurationError` when that bracket holds no root of f1:
+    ``R_bar``, or ``R_crit``, lies below ``1e-3 R0``.
     """
     return _derived(replace(params, J_r=1.0, B=1.0, h0=1.0, ecc=0.0,
                             omega=0.0))
@@ -304,31 +307,13 @@ def compute_derived(params: PhysicalParams) -> DerivedConstants:
 
 @lru_cache(maxsize=32)
 def _derived(params: PhysicalParams) -> DerivedConstants:
-    f1p = lambda r: eval_f1_prime(r, params)
-
-    lo = 1e-3 * params.R0
-    if f1p(lo) >= 0.0:
-        raise ConfigurationError("f1 is not decreasing at small radii; "
-                                 "parameter set is outside the model's regime")
-    hi = params.R0
-    for _ in range(200):
-        if f1p(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConfigurationError("no sign change of f1' found: the pressure "
-                                 "response has no critical radius")
-    R_crit = _bisect(f1p, lo, hi)
-
-    R_bar = _bisect(lambda r: eval_wall(r, params)[0], lo, R_crit)
-
+    n = 3.0 * params.k_poly
+    R_crit = params.R0 * (n * params.P0 * params.R0
+                          / (2.0 * params.sigma)) ** (1.0 / (n - 1.0))
+    R_bar = _bisect(lambda r: eval_wall(r, params)[0], 1e-3 * params.R0,
+                    R_crit)
+    _, f2, f3, _, f5 = _closures(R_bar, params)
     return DerivedConstants(
-        R_bar=R_bar,
-        R_crit=R_crit,
-        p_cav=eval_wall(R_crit, params)[0],
-        b1=-eval_f1_prime(R_bar, params) / R_bar,
-        b2=eval_wall(R_bar, params)[1],
-        b3=float(_closures(R_bar, params)[2]),
-        b5=-eval_f5(R_bar, params),
-        b_r=1.0 / R_bar,
-    )
+        R_bar=R_bar, R_crit=R_crit, p_cav=eval_wall(R_crit, params)[0],
+        b1=-eval_f1_prime(R_bar, params) / R_bar, b2=float(f2), b3=float(f3),
+        b5=-float(f5), b_r=1.0 / R_bar)

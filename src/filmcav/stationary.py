@@ -123,19 +123,19 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
 
     Chord Newton from the uniform rest state, at most ``NEWTON_MAX``
     iterations.  Each accepts one trial ``R + lam delta`` that keeps ``R``
-    positive and cuts ``||Phi||`` to ``1 - 1e-4 lam`` of its value: the
-    chord step on a held LU of ``B`` at ``lam = 1`` alone or, when there is
-    no factor or the chord trial failed, the Newton step on a fresh LU at
-    the iterate, ``lam`` halved up to ``MAX_BACKTRACKS`` times.  The factor
-    is kept only after a chord step that cut ``||Phi||`` at least
-    ``NEWTON_CONTRACTION`` times.  At most one factor is alive, none
-    after the return.  Raises :class:`SupercriticalRadiusError` when an
-    accepted iterate, chord or Newton, reaches the critical radius.  A
-    solve that stops short of ``cfg.newton_tol`` (its iterations spent, a
-    singular Jacobian, or no descending step) is reported unconverged with
-    a ``message`` that names which of the three ended it, not raised.  The
-    report's ``stage_fractions`` is ``[1.0]``, ``newton_iterations`` holds
-    the one iteration count and ``factorizations`` the LUs of ``B``.
+    finite and positive and cuts ``||Phi||`` to ``1 - 1e-4 lam`` of its value:
+    the chord step on a held LU of ``B`` at ``lam = 1`` alone or, when there is
+    no factor or the chord trial failed, the Newton step on a fresh LU at the
+    iterate, ``lam`` halved up to ``MAX_BACKTRACKS`` times.  The factor is kept
+    only after a chord step that cut ``||Phi||`` at least
+    ``NEWTON_CONTRACTION`` times.  At most one factor is alive, none after the
+    return.  Raises :class:`SupercriticalRadiusError` when an accepted iterate,
+    chord or Newton, reaches the critical radius.  A solve that stops short of
+    ``cfg.newton_tol`` (its iterations spent, a singular Jacobian, or no
+    descending step) is reported unconverged with a ``message`` that names
+    which of the three ended it, not raised.  The report's ``stage_fractions``
+    is ``[1.0]``, ``newton_iterations`` holds the one iteration count and
+    ``factorizations`` the LUs of ``B``.
     """
     cfg = cfg or StationarySolveConfig()
     R_crit = compute_derived(params).R_crit
@@ -150,12 +150,12 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
     stop = f"NEWTON_MAX = {NEWTON_MAX} iterations spent"
 
     def descend(delta, steps):
-        # the first of ``steps`` trials R + lam delta, lam = 1, 1/2, ...,
-        # that stays positive and cuts ||Phi|| to 1 - 1e-4 lam of its value
+        # the first of ``steps`` trials R + lam delta, lam = 1, 1/2, ..., that
+        # is finite, positive and cuts ||Phi|| to 1 - 1e-4 lam of its value
         lam = 1.0
         for _ in range(steps):
             R_new = R + lam * delta.reshape(grid.shape)
-            if np.all(R_new > 0.0):
+            if np.all((0.0 < R_new) & (R_new < np.inf)):
                 trial = (R_new, *stationary_residual(grid, R_new, hf, U,
                                                      params))
                 if np.linalg.norm(trial[1]) <= (1.0 - 1e-4 * lam) * norm_phi:

@@ -480,6 +480,26 @@ def test_stability_unconverged_branch_is_exit_3(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_stability_unconverged_branch_names_its_exit(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr("filmcav.stationary.NEWTON_MAX", 1)
+    cfg = _write(tmp_path, "ecc = 0.4\nn1 = 16\nn2 = 8\n")
+    assert main(["stability", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 3
+    assert "NEWTON_MAX = 1 iterations spent" in capsys.readouterr().err
+
+
+def test_transient_started_at_rest_converges_in_one_step(tmp_path):
+    # P0 = p_bnd + 2 sigma / R0 puts R0 at rest within rounding; the chord
+    # updates are then rounding noise, accepted at the rounding floor
+    cfg = _write(tmp_path, "R0 = 5e-7\nP0 = 241325.0\necc = 0.0\n"
+                           "n1 = 32\nn2 = 8\n")
+    out = tmp_path / "out"
+    assert main(["transient", "--config", cfg, "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "converged = true\n" in summary and "steps = 1\n" in summary
+
+
 def test_sweep_aggregates_and_records_failures(tmp_path, capsys):
     cfg = _write(tmp_path, "n1 = 12\nn2 = 6\nsweep_axis = ecc\n"
                            "sweep_values = 0.1,0.2,0.55\n"
@@ -576,8 +596,9 @@ def test_identical_configs_give_bitwise_identical_outputs(tmp_path):
 def test_derived_constants_are_computed_once_per_material(tmp_path,
                                                           monkeypatch):
     # every layer of a run reads the one cached constant set of its
-    # material: two bisections (R_crit, R_bar) per distinct material, and
-    # an eccentricity or speed sweep, which changes no closure, shares one
+    # material: one bisection (R_bar; R_crit has a closed form) per
+    # distinct material, and an eccentricity or speed sweep, which changes
+    # no closure, shares one
     assert compute_derived(PhysicalParams()) is compute_derived(PhysicalParams())
     assert (compute_derived(PhysicalParams(ecc=0.1, omega=5.0, h0=1e-5))
             is compute_derived(PhysicalParams()))
@@ -589,13 +610,13 @@ def test_derived_constants_are_computed_once_per_material(tmp_path,
         return real_bisect(*args)
 
     monkeypatch.setattr(physics, "_bisect", counted)
-    runs = (("stability", "n1 = 8\nn2 = 4\n", 2),
+    runs = (("stability", "n1 = 8\nn2 = 4\n", 1),
             ("sweep", "n1 = 8\nn2 = 4\nsweep_axis = ecc\n"
                       "sweep_values = 0.1,0.25,0.4\n"
-                      "sweep_solver = stationary\n", 2),
+                      "sweep_solver = stationary\n", 1),
             ("sweep", "n1 = 8\nn2 = 4\nsweep_axis = omega\n"
                       "sweep_values = 60,100,140\n"
-                      "sweep_solver = stationary\n", 2))
+                      "sweep_solver = stationary\n", 1))
     for command, text, expected in runs:
         physics._derived.cache_clear()   # earlier tests fill the cache
         bisections.clear()

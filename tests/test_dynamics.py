@@ -704,6 +704,62 @@ def test_stalled_iteration_raises_step_failure(monkeypatch):
     assert factorizations == []
 
 
+def test_steps_started_within_rounding_of_rest_converge():
+    # at rest the chord updates are rounding noise of max|x| that never
+    # contracts; an update at the rounding floor converges the attempt
+    # instead of spending every update and halving to a stall
+    p = PhysicalParams(ecc=0.0)
+    grid = grid_for_params(p, 8, 4)
+    h = gap_function(grid, p)
+    U = (p.surface_speed, 0.0)
+    for k in range(-300, 301, 3):
+        R = np.full(grid.shape, p.R0 * (1.0 + k * 1e-16))
+        _, stats = step_inertialess(grid, slaved_state(grid, R, h, U, p), h,
+                                    U, p, StepConfig())
+        assert stats.halvings == 0, k
+
+
+def _poisoned_film_residual(monkeypatch, call):
+    """Make the ``call``-th film residual of ``dynamics`` (1-based) NaN."""
+    calls = []
+    real = dynamics.film_residual
+
+    def poisoned(*args):
+        calls.append(1)
+        F, *rest = real(*args)
+        return (F * np.nan if len(calls) == call else F, *rest)
+
+    monkeypatch.setattr(dynamics, "film_residual", poisoned)
+
+
+def test_non_finite_chord_iterate_halves_the_step(monkeypatch):
+    # NaN passes a bare positivity test; the iterate it poisons must fail
+    # the attempt, not reach the next residual as a configuration error
+    p = PhysicalParams(ecc=0.3)
+    grid = grid_for_params(p, 16, 8)
+    h = gap_function(grid, p)
+    U = (p.surface_speed, 0.0)
+    state = initial_state(grid, h, U, p)
+    _poisoned_film_residual(monkeypatch, 2)
+    new, stats = step_inertialess(grid, state, h, U, p, StepConfig())
+    assert stats.halvings == 1
+    assert np.all(np.isfinite(new.R)) and np.all(np.isfinite(new.p))
+
+
+def test_non_finite_rk4_stage_halves_the_step(monkeypatch):
+    # the first pressure solve of the step, at the second stage
+    p = replace(TAME, ecc=0.3)
+    grid = grid_for_params(p, 16, 8)
+    h = gap_function(grid, p)
+    U = (p.surface_speed, 0.0)
+    state = initial_state(grid, h, U, p, mode=MODE_INERTIAL)
+    _poisoned_film_residual(monkeypatch, 1)
+    new, stats = step_inertial(grid, state, h, U, p,
+                               StepConfig(dt=1e-4, mode=MODE_INERTIAL))
+    assert stats.halvings == 1
+    assert np.all(np.isfinite(new.R)) and np.all(np.isfinite(new.p))
+
+
 def test_run_reports_critical_radius_instead_of_raising():
     p = PhysicalParams(ecc=0.0)
     consts = compute_derived(p)

@@ -149,6 +149,30 @@ def test_critical_radius_closed_form():
     assert c.R_crit == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("k_poly", [1.0, 1.4])
+@pytest.mark.parametrize("P0, R0, sigma", [
+    (DEFAULT.P0, DEFAULT.R0, DEFAULT.sigma),
+    (1.2e5, 2e-6, 7.2e-2),
+    (3e5, 5e-5, 2e-2),
+    (2e3, 1e-3, 1.0),
+])
+def test_critical_radius_is_the_minimiser_of_f1(k_poly, P0, R0, sigma):
+    # the closed form is where f1' changes sign, from falling to rising
+    p = PhysicalParams(k_poly=k_poly, P0=P0, R0=R0, sigma=sigma)
+    R_crit = compute_derived(p).R_crit
+    assert eval_f1_prime(R_crit * (1.0 - 1e-9), p) < 0.0
+    assert eval_f1_prime(R_crit * (1.0 + 1e-9), p) > 0.0
+
+
+@pytest.mark.parametrize("P0, R0", [
+    (1e-9, 1.0),        # R_bar < 1e-3 R0 < R_crit: no sign change
+    (1e-300, 1e-10),    # R_crit < 1e-3 R0, and f1(R_crit) overflows
+])
+def test_equilibrium_radius_below_the_bracket_is_refused(P0, R0):
+    with pytest.raises(ConfigurationError, match="search bracket"):
+        compute_derived(PhysicalParams(P0=P0, R0=R0))
+
+
 def test_critical_radius_hat_in_expected_band():
     c = compute_derived(DEFAULT)
     assert 1.7 <= c.R_crit / DEFAULT.R0 <= 1.9

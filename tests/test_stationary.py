@@ -356,3 +356,30 @@ def test_no_descending_step_is_reported_unconverged(monkeypatch):
     assert report.factorizations == 1
     assert len(calls) == 1 + stationary.MAX_BACKTRACKS
     assert np.array_equal(R, trivial_solution(grid, p)[0])
+
+
+def test_non_finite_trial_is_rejected(monkeypatch):
+    # +inf passes a bare positivity test; the chord trial it poisons must
+    # fail, and the fresh factor's Newton step then continues the solve
+    solves = []
+    factorize = stationary._factorize
+
+    class Poisoned:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            x = self._lu.solve(rhs)
+            if len(solves) == 2:                     # the first chord step
+                x[0] = np.inf
+            return x
+
+    monkeypatch.setattr(stationary, "_factorize",
+                        lambda A: Poisoned(factorize(A)))
+    p = PhysicalParams(ecc=0.3)
+    grid = grid_for_params(p, 16, 8)
+    R, _, report = solve_stationary(grid, gap_function(grid, p),
+                                    (p.surface_speed, 0.0), p)
+    assert report.converged and len(solves) > 2
+    assert np.all(np.isfinite(R))
