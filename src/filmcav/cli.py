@@ -35,7 +35,7 @@ from .config import (MODE_STABILITY, MODE_STATIONARY, MODE_SWEEP,
 from .dynamics import (HISTORY_KEYS, MODE_INERTIAL, STEP_STATS_KEYS,
                        TransientResult, TransientState, initial_state,
                        run_transient)
-from .elliptic import film_pencil, film_residual
+from .elliptic import film_pencil, film_residual, mobility_operator
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, gap_function, mirror_half,
@@ -289,7 +289,8 @@ def cmd_stability(config: RunConfig) -> int:
     B, P = film_pencil(grid, R_s, zero_rate, h, U, params)
     rep_G = pencil_spectrum(B, P)
     if inertial:
-        K = film_residual(grid, R_s, zero_rate, h, U, params)[2]
+        K = mobility_operator(grid, film_residual(grid, R_s, zero_rate, h, U,
+                                                  params)[2])
         rep_F = compute_spectrum(assemble_LF(R_s, K, B, P))
 
     lines = [
@@ -342,10 +343,15 @@ def cmd_stability(config: RunConfig) -> int:
     lines.append(f"minimal modal critical speed not printed, {scope}"
                  if outside else f"minimal modal critical speed = "
                  f"{u_crit:.9g} m/s at mode (1, 1)")
+    lines.append(f"operator L_G work: {rep_G.factorizations} LU "
+                 f"factorizations, {rep_G.applications} ARPACK operator "
+                 "applications")
     entries.append(("stability_summary.txt", "\n".join(lines) + "\n",
                     "verdicts, the number of listed L_G eigenvalues with the "
-                    "real-part bound of the unlisted ones, and the modal "
-                    "critical speed of a geometry within its analysis "
+                    "real-part bound of the unlisted ones, the modal "
+                    "critical speed of a geometry within its analysis, and "
+                    "last the sparse LU factorizations and ARPACK operator "
+                    "applications of the L_G solve, pole estimate included "
                     "(plain text)"))
     _write_run(Path(config.output_dir), entries)
     for line in lines:

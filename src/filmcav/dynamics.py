@@ -20,7 +20,7 @@ Time stepping is backward Euler.  Every step attempt solves the implicit
 equation ``R - R_old - dt G(R) = 0`` from a second-order extrapolated start
 by chord Newton on its pencil form: the film equation ``F(x, S)`` of
 :func:`elliptic.film_residual` at the backward-difference rate
-``S = (x - R_old) / dt``, which costs one assembly and one product, no
+``S = (x - R_old) / dt``, which costs face sums, no matrix and no
 pressure elimination.  Since ``F(x, S) = F(x, 0) + M diag(x f2) S``,
 ``P (R_old + dt G(x) - x) = -dt F`` with ``P = M diag(x f2)``: ``F``
 vanishes exactly at the backward-Euler solution.  Its Newton matrix
@@ -78,7 +78,8 @@ from scipy.sparse.linalg import SuperLU
 
 from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field
-from .elliptic import _factorize, film_pencil, film_residual, solve_spd
+from .elliptic import (_factorize, film_pencil, film_residual,
+                       mobility_operator, solve_spd)
 from .physics import PhysicalParams, compute_derived, eval_f5, eval_wall
 
 MODE_INERTIALESS = "inertialess"
@@ -236,7 +237,9 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
     """
     Rf = ensure_field(grid, R, "R")
     hf = ensure_field(grid, h, "h")
-    F, f1, M = film_residual(grid, Rf, np.zeros(grid.shape), hf, U, params)
+    F, f1, mobility = film_residual(grid, Rf, np.zeros(grid.shape), hf, U,
+                                    params)
+    M = mobility_operator(grid, mobility)
     Rf2 = Rf * eval_wall(Rf, params)[1]
     # shift K to M: the diagonal gains -h f5 / (R f2) >= 0
     M.setdiag(M.diagonal() - (hf * eval_f5(Rf, params) / Rf2).ravel())
@@ -258,16 +261,30 @@ def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Radial wall acceleration of the inertial model and the film pressure
     ``p``, the root of the film equation at ``S = V``: ``K y = F`` for
-    ``(F, p_g, K)`` of :func:`elliptic.film_residual` and ``p = p_g + y``.
+    ``(F, p_g)`` of :func:`elliptic.film_residual`, ``K`` its mobility
+    operator, and ``p = p_g + y``.
     Since ``p_g = f1 - R f2 V``, the wall law's ``f1`` and ``f2`` terms
     cancel from the acceleration, which is ``-(3/2 V^2 + y) / R``."""
-    F, p, K = film_residual(grid, R, V, h, U, params)
-    y = solve_spd(K, F, grid)
+    F, p, mobility = film_residual(grid, R, V, h, U, params)
+    y = solve_spd(mobility_operator(grid, mobility), F, grid)
     return -(1.5 * V ** 2 + y) / R, p + y
 
 
-def _admissible(R: np.ndarray) -> bool:
-    return bool(np.all((0.0 < R) & (R < np.inf)))     # NaN fails both
+def _lost(R: np.ndarray) -> str | None:
+    """Why ``R`` is no radius field: ``"non-finite"`` when an entry is NaN
+    or infinite, ``"non-positive"`` when one is at most 0, else None."""
+    if np.all((0.0 < R) & (R < np.inf)):             # NaN fails both
+        return None
+    return "non-positive" if np.all(np.isfinite(R)) else "non-finite"
+
+
+def _blow_up(lost: str, t: float) -> PositivityLossError:
+    """The error of a step whose last attempt lost its iterate as ``lost``."""
+    what = ("left the positive cone" if lost == "non-positive"
+            else "turned non-finite (NaN or inf)")
+    return PositivityLossError(
+        f"radius field {what} at t = {t:.6g} even after {MAX_HALVINGS} "
+        "step halvings (blow-up)")
 
 
 def _relative(update: np.ndarray, x: np.ndarray) -> float:
@@ -322,7 +339,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
     stalls (update growing well past its best value, or ``MAX_CHORD_UPDATES``
     updates spent without converging).  More than ``MAX_HALVINGS`` halvings
     raise :class:`StepFailureError` after a stall and
-    :class:`PositivityLossError` after a lost or non-finite iterate; more than
+    :class:`PositivityLossError` after a lost iterate, whose message names
+    the last attempt's as non-positive or non-finite; more than
     ``MAX_HALVINGS`` error-test retries raise :class:`StepFailureError`.
 
     Returns the new state ``(t + dt, x, S, f1(x) - x f2(x) S)``, with
@@ -346,14 +364,13 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             pred = x + dt * dt / chord.dt_prev * (G_n - chord.G_prev)
             weight = 1.0
         converged = False
-        sign_loss = not _admissible(x)                   # reject: halve dt
-        if not sign_loss:
-            if _admissible(pred):
+        lost = _lost(x)                                  # reject: halve dt
+        if lost is None:
+            if _lost(pred) is None:
                 x = pred
             best, prev = np.inf, 0.0
             for _ in range(MAX_CHORD_UPDATES):
                 S = (x - R_old) / dt
-                # F alone: a K held here would stay alive across the LU
                 rhs = -dt * film_residual(grid, x, S, h, U, params)[0].ravel()
                 delta = None if chord.lu is None else chord.lu.solve(rhs)
                 if (chord.lu is None
@@ -373,8 +390,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     break        # diverging past its best: a stall, halve dt
                 best = min(best, update)
                 x = x + delta.reshape(grid.shape)
-                if not _admissible(x):
-                    sign_loss = True
+                lost = _lost(x)
+                if lost is not None:
                     break                                # reject: halve dt
                 # theta / (1 - theta) update <= kappa tol at
                 # theta = update / prev, times prev - update: the first
@@ -406,10 +423,8 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             continue
         halvings += 1
         if halvings > MAX_HALVINGS:
-            if sign_loss:
-                raise PositivityLossError(
-                    f"radius field left the positive cone at t = {state.t:.6g} "
-                    f"even after {MAX_HALVINGS} step halvings (blow-up)")
+            if lost is not None:
+                raise _blow_up(lost, state.t)
             raise StepFailureError(
                 f"backward-Euler chord iteration stalled at t = {state.t:.6g} "
                 f"(dt = {dt:.3g} after {MAX_HALVINGS} halvings)")
@@ -426,8 +441,9 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
     carries; the three later stages and the new state each re-slave it.  A
     stage radius that is not finite and positive, or a non-finite
     acceleration, rejects the attempt, which is retried at half the step
-    size.  The step's ``iterations`` counts the pressure solves of all its
-    attempts.
+    size; after ``MAX_HALVINGS`` halvings :class:`PositivityLossError`
+    names the last attempt's loss, a non-positive or a non-finite one.  The
+    step's ``iterations`` counts the pressure solves of all its attempts.
     """
     R0, V0 = state.R, state.Rdot
     a0 = _acceleration(R0, V0, state.p, params)
@@ -442,11 +458,13 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
                 V = V0 + dt / 6.0 * (kV[0] + 2 * kV[1] + 2 * kV[2] + kV[3])
             else:
                 R, V = R0 + c * dt * kR[-1], V0 + c * dt * kV[-1]
-            if not _admissible(R):
+            lost = _lost(R)
+            if lost is not None:
                 break                                    # reject: halve dt
             solves += 1
             acc, p = _wall_acceleration(grid, R, V, h, U, params)
             if not np.all(np.isfinite(acc)):
+                lost = "non-finite"
                 break                                    # reject: halve dt
             kR.append(V)
             kV.append(acc)
@@ -455,9 +473,7 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
                     StepStats(solves, halvings, dt))
         halvings += 1
         if halvings > MAX_HALVINGS:
-            raise PositivityLossError(
-                f"radius field left the positive cone at t = {state.t:.6g} "
-                f"even after {MAX_HALVINGS} step halvings (blow-up)")
+            raise _blow_up(lost, state.t)
         dt *= 0.5
 
 

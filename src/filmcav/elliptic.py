@@ -16,26 +16,29 @@ upwinded, the one convection scheme.  The assembled operator ``K`` represents
 ``-Div(c Grad .)`` and is symmetric positive definite, which is what makes
 the coupled pressure elimination uniquely solvable.
 
-Every matrix here comes from one face stencil per grid (built once and
+Every operator here comes from one face stencil per grid (built once and
 cached): the interior and periodic faces, the Dirichlet edge cells and the
 fixed 5-point CSR pattern.  Each operator is a short coefficient rule that
 gives every face flux ``F = a S_A + b S_B`` and every edge its diagonal
 term; one assembler sums them into the pattern.  The rules are the
-diffusion operator ``K``, the convective divergence ``C`` (summed into the
-cells as a field by :func:`convective_divergence`, into ``B`` of
-:func:`film_pencil` face by face) and the sensitivity of the diffusion term
-to its coefficient at a frozen potential; the upwind side of every face
-is cached per grid and signs of ``U``.
+diffusion operator ``K``, the convective divergence ``C`` (summed into
+``B`` of :func:`film_pencil` face by face) and the sensitivity of the
+diffusion term to its coefficient at a frozen potential; the upwind side
+of every face is cached per grid and signs of ``U``.
 
 The film equation :func:`film_residual` is the pressure equation above at
-``dR/dt = S`` and the pressure ``p = f1(R) - R f2(R) S`` the growth law gives;
-its one linearization is the pencil ``(B, P)`` of :func:`film_pencil`.  The
+``dR/dt = S`` and the pressure ``p = f1(R) - R f2(R) S`` the growth law gives,
+written as a conservation law: one flux per face, diffusive plus entrained,
+summed into the cells with the edge terms, and no matrix.  Its one
+linearization is the pencil ``(B, P)`` of :func:`film_pencil`.  The
 Newton stationary solver factors ``B`` at ``S = 0``, the implicit stepper
 ``P - dt B`` at the backward-difference rate, and the spectra use the pencil
 at ``S = 0``.  No other module assembles the film equation or its
-mobility operator ``K``: the stationary balance is ``-F(R, 0)``, and the
-pressure elimination and ``L_F`` take the ``K`` it returns.  Each call
-takes its closures from one pass of :mod:`filmcav.physics` per kind.
+mobility operator ``K``: the stationary balance is ``-F(R, 0)`` with the
+:func:`flux_scale` of its face coefficients, and the pressure elimination,
+the inertial pressure solve and ``L_F`` assemble ``K`` from those
+coefficients by :func:`mobility_operator`.  Each call takes its closures
+from one pass of :mod:`filmcav.physics` per kind.
 
 Every sparse LU of the package is built by :func:`_factorize`, which fixes
 the column ordering (minimum degree on ``A^T + A``) and SuperLU's panel
@@ -202,25 +205,14 @@ def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _diffusion_fluxes(grid: Grid, coeff: np.ndarray):
-    """Face coefficients ``(a, b)`` and edge terms of ``K = -Div(c Grad .)``."""
+    """Face coefficients ``(a, b)`` and edge terms of ``K = -Div(c Grad .)``
+    for a positive ``c``: a Dirichlet edge's flux is ``2 c q / dx^2``."""
     c = ensure_field(grid, coeff, "diffusion coefficient").ravel()
     if np.any(c <= 0.0):
         raise ConfigurationError("diffusion coefficient must be positive")
     st = _stencil(grid)
     cf = 0.5 * (c.take(st.A) + c.take(st.B)) / st.face_dx2
     return st, cf, -cf, 2.0 * c.take(st.cell) / st.edge_dx2
-
-
-def assemble_operator(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
-    """Assemble ``K = -Div(c Grad .)`` for a positive cellwise coefficient:
-    a symmetric positive definite CSR matrix acting on flattened fields
-    (row-major cell order).
-
-    Face coefficients are arithmetic means of the two cells; a Dirichlet
-    face reflects a ghost cell (value ``-q``, coefficient of the own cell),
-    so its flux is ``2 c q / dx^2``.
-    """
-    return _assemble(*_diffusion_fluxes(grid, coeff))
 
 
 @lru_cache(maxsize=32)
@@ -246,20 +238,6 @@ def _convective_fluxes(grid: Grid, U: tuple[float, float], w: np.ndarray):
     return st, forward, flux, edge
 
 
-def convective_divergence(grid: Grid, U: tuple[float, float],
-                          w: np.ndarray) -> np.ndarray:
-    """Cellwise divergence of the entrained flux ``U w`` as a field: the
-    upwind face fluxes of :func:`_convective_fluxes` (``C`` acting on ones)
-    summed straight into the cells, without the matrix.  A face carries the
-    upstream cell's ``w``, a Dirichlet face the interior one."""
-    st, _, flux, edge = _convective_fluxes(grid, U, w)
-    n = grid.n_cells
-    div = (np.bincount(st.A, flux, minlength=n)
-           - np.bincount(st.B, flux, minlength=n)
-           + np.bincount(st.cell, edge, minlength=n))
-    return div.reshape(grid.shape)
-
-
 def _sensitivity_fluxes(grid: Grid, coeff_prime: np.ndarray,
                         potential: np.ndarray):
     """Face coefficients ``(a, b)`` and edge terms of
@@ -272,27 +250,73 @@ def _sensitivity_fluxes(grid: Grid, coeff_prime: np.ndarray,
             -2.0 * cp.take(st.cell) * q.take(st.cell) / st.edge_dx2)
 
 
+def _cell_sums(st: _FaceStencil, face: np.ndarray, sign: float,
+               edge: np.ndarray) -> np.ndarray:
+    """Each cell's sum of the values ``face`` of the faces it is ``A`` of,
+    ``sign`` times those of the faces it is ``B`` of, and its ``edge``
+    values: ``sign = -1`` moves each face's flux from ``A`` to ``B``."""
+    n = st.diag.size
+    return (np.bincount(st.A, face, minlength=n)
+            + sign * np.bincount(st.B, face, minlength=n)
+            + np.bincount(st.cell, edge, minlength=n))
+
+
 def film_residual(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,
                   U: tuple[float, float], params: PhysicalParams
-                  ) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+                  ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The film equation at the radius field ``R`` and the growth rate ``S``.
 
-    Returns ``(F, p, K)``: ``p = f1(R) - R f2(R) S`` is the film pressure
-    the growth law gives for ``S``, ``F = -(K p + h f5(R) S + Div(U h f4(R)))``
-    the film flux balance at ``(p, S)`` and ``K = -Div(f3(R) h^3 Grad .)``
-    the mobility operator, the caller's to modify.  ``F`` is affine in
-    ``S``, ``F(R, S) = F(R, 0) + P S`` with ``P`` of :func:`film_pencil`.
+    Returns ``(F, p, mobility)``: ``p = f1(R) - R f2(R) S`` is the film
+    pressure the growth law gives for ``S``, ``F = -(K p + h f5(R) S +
+    Div(U h f4(R)))`` the film flux balance at ``(p, S)`` and ``mobility =
+    (cf, ke)`` the face and edge coefficients of the mobility operator
+    ``K = -Div(f3(R) h^3 Grad .)``, which :func:`mobility_operator`
+    assembles.  ``F`` is summed into the cells from one flux per face, the
+    diffusive ``cf (p_A - p_B)`` plus the upwind entrained flux of
+    :func:`_convective_fluxes`, and one per edge: no matrix is built.  ``F``
+    is affine in ``S``, ``F(R, S) = F(R, 0) + P S`` with ``P`` of
+    :func:`film_pencil`.
     """
     Rf = ensure_field(grid, R, "R")
     Sf = ensure_field(grid, S, "S")
     hf = ensure_field(grid, h, "h")
-    _stencil(grid)   # before any closure: a first call's build is its peak
+    st = _stencil(grid)   # before any closure: a first call's build is its peak
     f1, f2, f3, f4, f5 = _closures(Rf, params)
-    K = assemble_operator(grid, f3 * hf ** 3)
+    _, cf, _, ke = _diffusion_fluxes(grid, f3 * hf ** 3)
+    _, _, flux, edge = _convective_fluxes(grid, U, hf * f4)
     p = f1 - Rf * f2 * Sf
-    conv = convective_divergence(grid, U, hf * f4)
-    F = -(K @ p.ravel()) - (hf * f5 * Sf + conv).ravel()
-    return F.reshape(grid.shape), p, K
+    q = p.ravel()
+    face = cf * (q.take(st.A) - q.take(st.B)) + flux
+    F = (-_cell_sums(st, face, -1.0, ke * q.take(st.cell) + edge)
+         - (hf * f5 * Sf).ravel())
+    return F.reshape(grid.shape), p, (cf, ke)
+
+
+def mobility_operator(grid: Grid, mobility: tuple) -> sp.csr_matrix:
+    """``K = -Div(f3 h^3 Grad .)``, symmetric positive definite, assembled
+    from the face and edge coefficients ``(cf, ke)`` of
+    :func:`film_residual`: the one assembly of ``K``, for the callers that
+    factor it or make it dense."""
+    cf, ke = mobility
+    return _assemble(_stencil(grid), cf, -cf, ke)
+
+
+def flux_scale(grid: Grid, F: np.ndarray, p: np.ndarray, mobility: tuple,
+               floor: float) -> float:
+    """The 2-norm of ``|K| (|p| + floor) + |F + K p|`` for the balance ``F``,
+    the pressure ``p`` and the ``mobility`` of one :func:`film_residual`
+    call, summed from its face coefficients without ``K``: the
+    off-diagonal entries of ``K`` are ``-cf``, so ``|K| q`` adds
+    ``cf (q_A + q_B)`` to both cells of a face."""
+    st = _stencil(grid)
+    cf, ke = mobility
+    p = p.ravel()
+    q = np.abs(p) + floor
+    d = cf * (p.take(st.A) - p.take(st.B))
+    g = cf * (q.take(st.A) + q.take(st.B))
+    net = np.abs(F.ravel() + _cell_sums(st, d, -1.0, ke * p.take(st.cell)))
+    return float(np.linalg.norm(_cell_sums(st, g, 1.0, ke * q.take(st.cell))
+                                + net))
 
 
 def film_pencil(grid: Grid, R: np.ndarray, S: np.ndarray, h: np.ndarray,

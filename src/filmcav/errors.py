@@ -26,7 +26,8 @@ class StepFailureError(RuntimeError):
 
 
 class PositivityLossError(StepFailureError):
-    """The radius field left the positive cone even after step-size halving.
+    """The radius field left the positive cone, or turned non-finite, even
+    after step-size halving; the message says which.
 
     This is the numerical blow-up signal: the discrete dynamics are driving
     some bubble radius through zero faster than the step guard can follow.

@@ -20,8 +20,9 @@ stationary solver factors the same ``B``, the stepper ``P - dt B``):
   the companion matrix ``[[0, I], [diag(1/R_s) K^{-1} B,
   -diag(1/R_s) K^{-1} P]]`` of the quadratic pencil
   ``lam^2 K diag(R_s) + lam P - B`` of the same ``(B, P)``, with ``K`` the
-  mobility operator that ``elliptic.film_residual`` returns at
-  ``(R_s, 0)``: this module assembles no operator of its own.
+  mobility operator ``elliptic.mobility_operator`` assembles from the
+  face coefficients ``elliptic.film_residual`` returns at ``(R_s, 0)``:
+  this module assembles no operator of its own.
 
 The sliding-speed instability mechanism is quantified mode-by-mode on an
 ``L1 x L2`` rectangle with a parallel gap and homogeneous Dirichlet values:
@@ -78,13 +79,17 @@ class SpectrumReport:
     margin band decide nothing at finite resolution).  ``eigenvalues`` may
     be the rightmost part of the spectrum only; ``bound`` then bounds the
     real part of every eigenvalue not listed (``-inf`` when the list is the
-    whole spectrum).
+    whole spectrum).  ``factorizations`` and ``applications`` count the
+    sparse LUs and the ARPACK operator applications of a pencil solve (0
+    for a dense one).
     """
 
     eigenvalues: np.ndarray
     max_real_part: float
     verdict: str
     bound: float = -np.inf
+    factorizations: int = 0
+    applications: int = 0
 
 
 def _verdict(max_real: float) -> str:
@@ -105,7 +110,7 @@ def assemble_LF(R_s: np.ndarray, K: sp.spmatrix, B: sp.spmatrix,
     """Dense companion matrix ``[[0, I], diag(1/R_s) K^{-1} [B, -P]]`` of
     ``lam^2 K diag(R_s) + lam P - B``, the inertial evolution linearized at
     ``(R_s, 0)`` for ``(B, P) = film_pencil`` there and the mobility
-    operator ``K`` that ``film_residual`` returns there; the state ordering
+    operator ``K`` of ``mobility_operator`` there; the state ordering
     is (radius perturbation, rate perturbation)."""
     n = K.shape[0]
     lower = _factorize(K).solve(np.hstack([B.toarray(), -P.toarray()]))
@@ -170,7 +175,8 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
     map back is well conditioned); an uncertified attempt multiplies it by
     ``POLE_GROWTH``, and after ``POLE_RAISES`` raises
     :class:`SolverFailureError` is raised.  The listed eigenvalues keep
-    conjugate pairs whole.
+    conjugate pairs whole.  The report counts the LUs and the ARPACK
+    operator applications of every attempt, the pole estimate's included.
     """
     B = sp.csc_matrix(B, dtype=float)
     P = sp.csc_matrix(P, dtype=float)
@@ -182,8 +188,18 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
     if k < 1:
         raise ConfigurationError(f"pencil of size {n} is too small")
     v0 = np.ones(n)
+    applications = 0
+
+    def counted(matvec):
+        def apply(x):
+            nonlocal applications
+            applications += 1
+            return matvec(x)
+        return apply
+
     lu = _factorize(P)
-    theta, _ = _largest_modulus(lambda x: lu.solve(B @ x), n, 1, v0,
+    factorizations = 1
+    theta, _ = _largest_modulus(counted(lambda x: lu.solve(B @ x)), n, 1, v0,
                                 POLE_ESTIMATE_TOL)
     del lu  # released before the Cayley factor is built
     pole = 2.0 * float(np.abs(theta).max())
@@ -191,9 +207,10 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
     for _ in range(POLE_RAISES + 1):
         try:
             lu = _factorize(B - pole * P)
+            factorizations += 1
             plus = (B + pole * P).tocsr()
-            theta, V = _largest_modulus(lambda x: lu.solve(plus @ x), n, k,
-                                        v0, 0.0)
+            theta, V = _largest_modulus(counted(lambda x: lu.solve(plus @ x)),
+                                        n, k, v0, 0.0)
         except SolverFailureError as exc:
             reason = str(exc)
         else:
@@ -216,7 +233,8 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
             else:
                 return SpectrumReport(
                     eigenvalues=_complete_pairs(lam), max_real_part=max_real,
-                    verdict=_verdict(max_real), bound=bound)
+                    verdict=_verdict(max_real), bound=bound,
+                    factorizations=factorizations, applications=applications)
         lu = V = None  # released before the next pole's factor is built
         pole *= POLE_GROWTH
     raise SolverFailureError(

@@ -12,7 +12,9 @@ fixed point* the transient integrator relaxes to (not merely a consistent
 one).  The Newton matrix is ``B`` of :func:`elliptic.film_pencil` at
 ``S = 0``, the exact derivative of the discrete balance and the same
 linearization the stepper and the spectra use.  :func:`stationary_residual`
-takes ``Phi`` and its scale from one call of :func:`elliptic.film_residual`.
+takes ``Phi`` from one call of :func:`elliptic.film_residual` and its scale
+from that call's face coefficients, :func:`elliptic.flux_scale`: no
+residual builds a matrix.
 
 Whenever ``U = 0`` or the gap is parallel (``h - min h = 0``) the uniform
 rest state ``(R_bar, 0)`` is an exact stationary solution; it is the Newton
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import (ConfigurationError, SolverFailureError,
                      SupercriticalRadiusError)
 from .grid import Grid, ensure_field
-from .elliptic import _factorize, film_pencil, film_residual
+from .elliptic import _factorize, film_pencil, film_residual, flux_scale
 from .physics import PhysicalParams, compute_derived, eval_wall
 
 MAX_BACKTRACKS = 20
@@ -104,15 +106,11 @@ def stationary_residual(grid: Grid, R: np.ndarray, h: np.ndarray,
     state, where the true fluxes vanish to the rounding level of the
     equilibrium radius and a purely field-based scale would degenerate.
     """
-    F, f1, K = film_residual(grid, R, np.zeros(grid.shape), h, U, params)
-    F, f1 = F.ravel(), f1.ravel()
+    F, f1, mobility = film_residual(grid, R, np.zeros(grid.shape), h, U,
+                                    params)
     p_char = (2.0 * params.sigma / params.R0
               + abs(params.P0 - params.p_bnd)) / params.rho_l
-    net = np.abs(F + K @ f1)
-    np.abs(K.data, out=K.data)                              # K becomes |K|
-    gross = K @ (np.abs(f1) + p_char) + net
-    scale = float(np.linalg.norm(gross))
-    return -F, max(scale, 1e-300)
+    return -F.ravel(), max(flux_scale(grid, F, f1, mobility, p_char), 1e-300)
 
 
 def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],

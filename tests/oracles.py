@@ -8,6 +8,10 @@ The tests gate the package's discretization against these:
 * ``assemble_LG`` forms the dense quasi-static operator ``P^{-1} B`` from
   the same pencil :func:`filmcav.elliptic.film_pencil` that the certified
   sparse spectrum uses;
+* ``assemble_operator`` is the mobility operator ``K`` of a coefficient
+  field and ``convective_divergence`` the upwind entrained divergence as
+  a field, the two terms :func:`filmcav.elliptic.film_residual` sums face
+  by face without a matrix;
 * ``diffusion_sensitivity`` and ``convective_divergence_matrix`` are the
   matrices of the sensitivity and the upwind convective fluxes that
   :func:`filmcav.elliptic.film_pencil` sums face by face (the latter
@@ -38,8 +42,9 @@ import scipy.sparse as sp
 from filmcav.dynamics import (TransientState, _wall_acceleration,
                               eliminate_pressure)
 from filmcav import physics
-from filmcav.elliptic import (_assemble, _factorize, _sensitivity_fluxes,
-                              _stencil, assemble_operator, film_pencil,
+from filmcav.elliptic import (_assemble, _convective_fluxes,
+                              _diffusion_fluxes, _factorize,
+                              _sensitivity_fluxes, _stencil, film_pencil,
                               solve_spd)
 from filmcav.errors import SupercriticalRadiusError
 from filmcav.grid import Grid, ensure_field
@@ -116,6 +121,28 @@ def assemble_LG(grid: Grid, R_s: np.ndarray, h: np.ndarray,
     return _factorize(P).solve(B.toarray())
 
 
+def assemble_operator(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
+    """``K = -Div(c Grad .)`` for a positive cellwise coefficient: a
+    symmetric positive definite CSR matrix acting on flattened fields
+    (row-major cell order), the matrix whose face coefficients
+    :func:`filmcav.elliptic.film_residual` returns at ``c = f3 h^3``."""
+    return _assemble(*_diffusion_fluxes(grid, coeff))
+
+
+def convective_divergence(grid: Grid, U: tuple[float, float],
+                          w: np.ndarray) -> np.ndarray:
+    """Cellwise divergence of the entrained flux ``U w`` as a field: the
+    upwind face fluxes of the package summed into the cells (``C`` acting
+    on ones).  A face carries the upstream cell's ``w``, a Dirichlet face
+    the interior one."""
+    st, _, flux, edge = _convective_fluxes(grid, U, w)
+    n = grid.n_cells
+    div = (np.bincount(st.A, flux, minlength=n)
+           - np.bincount(st.B, flux, minlength=n)
+           + np.bincount(st.cell, edge, minlength=n))
+    return div.reshape(grid.shape)
+
+
 def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
                           potential: np.ndarray) -> sp.csr_matrix:
     """Matrix form of ``S -> Div( c'(R) S Grad q )`` at a frozen potential q.
@@ -131,7 +158,7 @@ def diffusion_sensitivity(grid: Grid, coeff_prime: np.ndarray,
 def convective_divergence_matrix(grid: Grid, U: tuple[float, float],
                                  w: np.ndarray) -> sp.csr_matrix:
     """Matrix form ``C`` of ``S -> Div(U w S)`` for a frozen weight field
-    ``w``, whose action on ones is :func:`elliptic.convective_divergence`.
+    ``w``, whose action on ones is :func:`convective_divergence`.
 
     ``U`` is the constant entrainment velocity.  A face carries the
     upstream cell's value of ``w S`` (upwind, by the sign of each velocity

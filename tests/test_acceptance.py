@@ -14,14 +14,15 @@ import pytest
 
 from filmcav.dynamics import (StepConfig, initial_state, run_transient,
                               step_inertialess)
-from filmcav.elliptic import assemble_operator, solve_spd
+from filmcav.elliptic import solve_spd
 from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, Grid, gap_function,
                           grid_for_params)
 from filmcav.physics import (PhysicalParams, compute_derived, eval_alpha,
                              eval_f1_prime, eval_f5)
 from filmcav.stability import hurwitz_analysis
 from filmcav.stationary import solve_stationary
-from oracles import (apply_A2, assemble_LG, constant_gap_spectrum_LF,
+from oracles import (apply_A2, assemble_LG, assemble_operator,
+                     constant_gap_spectrum_LF,
                      constant_gap_spectrum_LG, critical_speed,
                      eval_alpha_prime, eval_f1, eval_f2, eval_f2_prime,
                      eval_f3, eval_f3_prime, eval_f4,

@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 import filmcav
-from filmcav import cli, physics, stationary
+from filmcav import cli, physics, stability, stationary
 from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
                          midline_profile)
 from filmcav.config import parse_config
@@ -409,8 +409,40 @@ def test_stability_names_geometry_outside_the_modal_analysis(tmp_path):
     manifest = (out / "MANIFEST.txt").read_text(encoding="utf-8")
     assert "outside the analysis: x1 is periodic" in manifest
     summary = (out / "stability_summary.txt").read_text(encoding="utf-8")
-    assert summary.splitlines()[-1] == ("minimal modal critical speed not "
+    # the modal line closes the results; the L_G work line follows them
+    assert summary.splitlines()[-2] == ("minimal modal critical speed not "
                                         f"printed, {scope}")
+    assert summary.splitlines()[-1].startswith("operator L_G work: ")
+
+
+def test_stability_summary_counts_the_work_of_the_LG_solve(tmp_path,
+                                                           monkeypatch):
+    # the last summary line counts the LUs and ARPACK operator applications
+    # of the pencil solve, the pole estimate's included: what a wrapped
+    # operator sees, and the same line in two identical runs
+    lus, applications = [], []
+    factorize, largest = stability._factorize, stability._largest_modulus
+    monkeypatch.setattr(stability, "_factorize",
+                        lambda A: lus.append(1) or factorize(A))
+    monkeypatch.setattr(stability, "_largest_modulus", lambda matvec, *a:
+                        largest(lambda x: applications.append(1)
+                                or matvec(x), *a))
+    cfg = _write(tmp_path, "ecc = 0.2\nn1 = 16\nn2 = 8\n")
+    lines = []
+    for run in ("first", "second"):
+        lus.clear()
+        applications.clear()
+        out = tmp_path / run
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        summary = (out / "stability_summary.txt").read_text(encoding="utf-8")
+        lines.append(summary.splitlines()[-1])
+        assert lines[-1] == (f"operator L_G work: {len(lus)} LU "
+                             f"factorizations, {len(applications)} ARPACK "
+                             "operator applications")
+        assert len(lus) >= 2 and len(applications) > 0
+    assert lines[0] == lines[1]
+    assert "ARPACK operator applications" in (
+        out / "MANIFEST.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("ecc", [0.0, 0.1])

@@ -16,20 +16,21 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import filmcav.dynamics as dynamics
+import filmcav.elliptic as elliptic
 import filmcav.physics as physics
 from filmcav.dynamics import (
-    MODE_INERTIAL, ChordCarry, StepConfig, TransientState, _wall_acceleration,
-    eliminate_pressure, initial_state, run_transient,
+    MODE_INERTIAL, MODE_INERTIALESS, ChordCarry, StepConfig, TransientState,
+    _wall_acceleration, eliminate_pressure, initial_state, run_transient,
     step_inertial, step_inertialess,
 )
-from filmcav.elliptic import (assemble_operator, convective_divergence,
-                              film_pencil, film_residual)
+from filmcav.elliptic import film_pencil, film_residual
 from filmcav.errors import (ConfigurationError, PositivityLossError,
                             StepFailureError)
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function, grid_for_params
 from filmcav.physics import PhysicalParams, compute_derived, eval_f5
 from filmcav.stationary import solve_stationary
-from oracles import eval_f1, eval_f2, eval_f3, eval_f4, slaved_state
+from oracles import (assemble_operator, convective_divergence, eval_f1,
+                     eval_f2, eval_f3, eval_f4, slaved_state)
 
 DEFAULT = PhysicalParams()
 
@@ -720,14 +721,15 @@ def test_steps_started_within_rounding_of_rest_converge():
 
 
 def _poisoned_film_residual(monkeypatch, call):
-    """Make the ``call``-th film residual of ``dynamics`` (1-based) NaN."""
+    """Make the ``call``-th film residual of ``dynamics`` (1-based) NaN,
+    every one for ``call = None``."""
     calls = []
     real = dynamics.film_residual
 
     def poisoned(*args):
         calls.append(1)
         F, *rest = real(*args)
-        return (F * np.nan if len(calls) == call else F, *rest)
+        return (F * np.nan if call in (None, len(calls)) else F, *rest)
 
     monkeypatch.setattr(dynamics, "film_residual", poisoned)
 
@@ -758,6 +760,46 @@ def test_non_finite_rk4_stage_halves_the_step(monkeypatch):
                                StepConfig(dt=1e-4, mode=MODE_INERTIAL))
     assert stats.halvings == 1
     assert np.all(np.isfinite(new.R)) and np.all(np.isfinite(new.p))
+
+
+@pytest.mark.parametrize("mode", [MODE_INERTIALESS, MODE_INERTIAL])
+def test_a_non_finite_iterate_is_named_as_such(mode, monkeypatch):
+    # a film residual that is NaN at every call poisons every attempt: the
+    # step gives up after its halvings with the blow-up error, and that
+    # error names a non-finite iterate, not a sign loss
+    p = PhysicalParams(ecc=0.3)
+    grid = grid_for_params(p, 16, 8)
+    h = gap_function(grid, p)
+    U = (p.surface_speed, 0.0)
+    state = initial_state(grid, h, U, p, mode=mode)
+    _poisoned_film_residual(monkeypatch, None)
+    step = step_inertial if mode == MODE_INERTIAL else step_inertialess
+    with pytest.raises(PositivityLossError, match="non-finite") as err:
+        step(grid, state, h, U, p, StepConfig(mode=mode))
+    assert "positive cone" not in str(err.value)
+
+
+def test_a_step_assembles_only_the_pencils_of_its_chord_factors(
+        monkeypatch):
+    # film_residual builds no matrix: the assembler runs for the B and P
+    # of every chord LU and for nothing else, however many chord updates
+    # reuse a factor
+    assembled = []
+    assemble = elliptic._assemble
+    monkeypatch.setattr(elliptic, "_assemble",
+                        lambda *a: assembled.append(1) or assemble(*a))
+    p, grid, h, U = _journal_case()
+    state = initial_state(grid, h, U, p)
+    assembled.clear()                   # the start state's elimination
+    chord = ChordCarry()
+    updates = factorizations = 0
+    for _ in range(8):
+        state, stats = step_inertialess(grid, state, h, U, p, StepConfig(),
+                                        chord=chord)
+        updates += stats.iterations
+        factorizations += stats.factorizations
+    assert len(assembled) == 2 * factorizations
+    assert updates >= 2 * factorizations > 0
 
 
 def test_run_reports_critical_radius_instead_of_raising():

@@ -24,15 +24,17 @@ from hypothesis import strategies as st
 import filmcav.dynamics as dynamics
 import filmcav.elliptic as elliptic
 import filmcav.physics as physics
-from filmcav.elliptic import (assemble_operator, convective_divergence,
-                              film_pencil, film_residual, solve_spd)
+from filmcav.elliptic import (film_pencil, film_residual, mobility_operator,
+                              solve_spd)
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, Grid, gap_function,
                           mirror_half, unfold)
 from filmcav.physics import PhysicalParams, eval_f1_prime, eval_f5
-from oracles import (apply_A2, convective_divergence_matrix,
+from filmcav.stationary import stationary_residual
+from oracles import (apply_A2, assemble_operator, convective_divergence,
+                     convective_divergence_matrix,
                      diffusion_sensitivity, eval_f1, eval_f2, eval_f2_prime,
-                     eval_f3, eval_f3_prime,
+                     eval_f3, eval_f3_prime, eval_f4,
                      eval_f4_prime, eval_f5_prime, field_norms)
 
 DEFAULT = PhysicalParams()
@@ -406,6 +408,42 @@ def test_the_mirror_half_is_the_restriction_of_the_full_grid(bc, shape):
         dense = full.toarray()
         ref = dense[np.ix_(rows, rows)] + dense[np.ix_(rows, mirrored)]
         assert abs(folded.toarray() - ref).max() <= 1e-14 * abs(dense).max()
+
+
+@UPWIND_BCS
+@pytest.mark.parametrize("mirror", [False, True], ids=["whole", "mirror"])
+def test_the_flux_form_is_the_matrix_form(bc, mirror):
+    # film_residual sums one flux per face and per edge without a matrix:
+    # its F is -(K p + h f5 S + C 1) of the oracle matrices, the K that
+    # mobility_operator assembles from its face coefficients is the
+    # oracle's bit for bit, and the stationary scale is its matrix form
+    # |K| (|f1| + p_char) + |F + K f1|
+    rng = np.random.default_rng(79)
+    p = PhysicalParams(ecc=0.3)
+    grid = Grid(12, 8, 2.0 * np.pi * p.J_r, p.B, bc_x1=bc)
+    if mirror:
+        grid = mirror_half(grid)
+    R = p.R0 * rng.uniform(0.8, 1.2, size=grid.shape)
+    S = rng.normal(scale=10.0, size=grid.shape)
+    h, U = gap_function(grid, p), (p.surface_speed, 0.0 if mirror else 0.7)
+    F, pres, mobility = film_residual(grid, R, S, h, U, p)
+    K = assemble_operator(grid, eval_f3(R, p) * h ** 3)
+    got = mobility_operator(grid, mobility)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(K, name))
+    Kp = K @ pres.ravel()
+    ref = -(Kp + (h * eval_f5(R, p) * S).ravel()
+            + convective_divergence_matrix(grid, U, h * eval_f4(R, p))
+            @ np.ones(grid.n_cells))
+    assert np.abs(F.ravel() - ref).max() <= 1e-14 * np.abs(Kp).max()
+    F0, f1, _ = film_residual(grid, R, np.zeros(grid.shape), h, U, p)
+    F0, f1 = F0.ravel(), f1.ravel()
+    p_char = (2.0 * p.sigma / p.R0 + abs(p.P0 - p.p_bnd)) / p.rho_l
+    want = np.linalg.norm(abs(K) @ (np.abs(f1) + p_char)
+                          + np.abs(F0 + K @ f1))
+    phi, scale = stationary_residual(grid, R, h, U, p)
+    assert np.array_equal(phi, -F0)
+    assert abs(scale - want) <= 1e-14 * want
 
 
 def test_the_film_equation_validates_the_radius_once_per_pass(monkeypatch):

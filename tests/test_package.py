@@ -258,12 +258,22 @@ OPERATOR_CLOSURES = {"eval_f3", "eval_f3_prime", "eval_f4", "eval_f4_prime",
 
 def test_the_film_equation_is_assembled_in_one_function():
     # both wall models, the stationary balance and L_F read
-    # elliptic.film_residual: no other function sums the entrained flux
-    # into a film balance or assembles the mobility operator of its own,
-    # and only elliptic turns the mobility and entrainment closures into
-    # operators or imports the closure passes
-    assert _callers("convective_divergence") == ["elliptic.film_residual"]
-    assert _callers("assemble_operator") == ["elliptic.film_residual"]
+    # elliptic.film_residual: it alone sums the diffusive and entrained face
+    # fluxes into a film balance (film_pencil sums their derivatives into
+    # B), and the mobility operator K is assembled from its face
+    # coefficients by one helper, besides the pencil's B and P the only
+    # matrix the assembler builds (flux_scale sums the same coefficients
+    # into the stationary scale); only elliptic turns the mobility and
+    # entrainment closures into operators or imports the closure passes
+    pair = ["elliptic.film_pencil", "elliptic.film_residual"]
+    assert sorted(_callers("_diffusion_fluxes")) == pair
+    assert sorted(_callers("_convective_fluxes")) == pair
+    assert _callers("_cell_sums") == ["elliptic.film_residual",
+                                      "elliptic.flux_scale",
+                                      "elliptic.flux_scale"]
+    assert sorted(_callers("_assemble")) == ["elliptic.film_pencil",
+                                             "elliptic.film_pencil",
+                                             "elliptic.mobility_operator"]
     importers = sorted(
         module for module, tree in _modules() for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)

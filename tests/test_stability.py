@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import filmcav.stability as stability
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
-from filmcav.elliptic import assemble_operator, film_pencil, film_residual
+from filmcav.elliptic import film_pencil, film_residual, mobility_operator
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, Grid, gap_function,
                           grid_for_params)
@@ -51,6 +51,7 @@ from oracles import (
     _dirichlet_second_difference_1d,
     _stable_quadratic_roots,
     assemble_LG,
+    assemble_operator,
     constant_gap_spectrum_LF,
     constant_gap_spectrum_LG,
     convective_divergence_matrix,
@@ -117,7 +118,7 @@ def _inertial_operator(grid, R_s, h, U, params):
     """``L_F`` at ``(R_s, 0)`` as the stability run builds it: the pencil
     and the mobility operator of the film equation there."""
     zero = np.zeros(grid.shape)
-    K = film_residual(grid, R_s, zero, h, U, params)[2]
+    K = mobility_operator(grid, film_residual(grid, R_s, zero, h, U, params)[2])
     return assemble_LF(R_s, K, *film_pencil(grid, R_s, zero, h, U, params))
 
 
@@ -160,8 +161,8 @@ def test_inertial_operator_is_the_companion_of_the_quadratic_pencil(
     n = grid.n_cells
     zero = np.zeros(grid.shape)
     B, P = film_pencil(grid, R_s, zero, h, U, params)
-    LF = assemble_LF(R_s, film_residual(grid, R_s, zero, h, U, params)[2],
-                     B, P)
+    mobility = film_residual(grid, R_s, zero, h, U, params)[2]
+    LF = assemble_LF(R_s, mobility_operator(grid, mobility), B, P)
     K = assemble_operator(grid, eval_f3(R_s, params) * h ** 3)
     got = K @ (R_s.ravel()[:, None] * LF[n:, :])
     expected = np.hstack([B.toarray(), -P.toarray()])
