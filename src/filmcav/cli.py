@@ -9,10 +9,10 @@ a MANIFEST documenting file names and column schemas; outputs are
 deterministic for a fixed configuration.
 
 Every configuration is mirror-symmetric about ``x2 = L2/2``, so for an even
-``n2`` the transient and stationary runs solve the lower half of the grid
-(:func:`~filmcav.grid.mirror_half`) and unfold every field they write,
-snapshots included.  ``stability`` keeps the whole grid: its spectra need
-the eigenvectors antisymmetric about that plane as well.
+``n2`` every run solves the lower half of the grid
+(:func:`~filmcav.grid.mirror_half`) and unfolds every field it writes,
+snapshots included; ``stability`` folds the whole grid's pencil into its
+symmetric and antisymmetric blocks and lists the union of their spectra.
 
 Exit codes: 0 success, 2 configuration error (an unwritable output
 directory included), 3 numerical failure (solver breakdown or an
@@ -28,6 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import (MODE_STABILITY, MODE_STATIONARY, MODE_SWEEP,
                      MODE_TRANSIENT, RunConfig, config_for_sweep_value,
@@ -41,9 +42,10 @@ from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, gap_function, mirror_half,
                    render_csv, render_fields_csv, unfold)
 from .physics import PhysicalParams, compute_derived, eval_alpha
-from .stability import (DENSE_ASSEMBLY_LIMIT, assemble_LF, compute_spectrum,
-                        hurwitz_analysis, hurwitz_report_text,
-                        pencil_spectrum, render_spectrum_csv)
+from .stability import (DENSE_ASSEMBLY_LIMIT, SpectrumReport, _verdict,
+                        assemble_LF, compute_spectrum, hurwitz_analysis,
+                        hurwitz_report_text, pencil_spectrum,
+                        render_spectrum_csv)
 from .stationary import StationaryReport, solve_stationary
 
 MIDLINE_HEADER = "x1,R_hat,p_scaled,p_gauge_Pa,alpha"
@@ -270,6 +272,21 @@ def cmd_stationary(config: RunConfig) -> int:
     return 0 if report.converged else 3
 
 
+def _mirror_blocks(half: Grid, B: sp.spmatrix, P: sp.spmatrix) -> list:
+    """The symmetric and antisymmetric blocks ``M11 +- M12 J`` of each matrix
+    ``M`` of a mirror-symmetric whole-grid pencil, ``M11`` on the cells of
+    ``half`` and ``J`` their mirror cells: together the pencil's spectrum.
+    The pencil itself is the one block when ``half`` is no mirror grid."""
+    if not half.mirror:
+        return [(B, P)]
+    cells = np.arange(2 * half.n_cells).reshape(half.n1, 2 * half.n2)
+    rows = cells[:, :half.n2].ravel()
+    mirror = cells[:, ::-1][:, :half.n2].ravel()
+    top = [M[rows] for M in (B, P)]
+    return [tuple(M[:, rows] + sign * M[:, mirror] for M in top)
+            for sign in (1.0, -1.0)]
+
+
 def cmd_stability(config: RunConfig) -> int:
     """Stationary branch, linearized spectra, and modal speed thresholds."""
     grid = config.make_grid()
@@ -278,16 +295,24 @@ def cmd_stability(config: RunConfig) -> int:
         raise ConfigurationError(
             f"the inertial spectrum is dense, limited to {DENSE_ASSEMBLY_LIMIT}"
             f" cells; grid has {grid.n_cells}")
-    params = config.params
-    h = gap_function(grid, params)
-    U = config.velocity
-    R_s, p_s, report = solve_stationary(grid, h, U, params, config.newton)
+    half, params, U = mirror_half(grid), config.params, config.velocity
+    R_s, p_s, report = solve_stationary(half, gap_function(half, params), U,
+                                        params, config.newton)
     if not report.converged:
         raise SolverFailureError(f"stationary solve failed: {report.message}")
+    R_s, p_s = unfold(half, R_s), unfold(half, p_s)
     # both spectra before the first file: a run that fails writes nothing
+    h = gap_function(grid, params)
     zero_rate = np.zeros(grid.shape)
     B, P = film_pencil(grid, R_s, zero_rate, h, U, params)
-    rep_G = pencil_spectrum(B, P)
+    # each block certified on its own certifies the union
+    blocks = [pencil_spectrum(*block) for block in _mirror_blocks(half, B, P)]
+    max_real = max(rep.max_real_part for rep in blocks)
+    rep_G = SpectrumReport(
+        np.sort_complex(np.concatenate([rep.eigenvalues for rep in blocks])),
+        max_real, _verdict(max_real), max(rep.bound for rep in blocks),
+        sum(rep.factorizations for rep in blocks),
+        sum(rep.applications for rep in blocks))
     if inertial:
         K = mobility_operator(grid, film_residual(grid, R_s, zero_rate, h, U,
                                                   params)[2])
@@ -301,11 +326,13 @@ def cmd_stability(config: RunConfig) -> int:
     ]
     entries = [
         ("fields_stationary.csv", render_fields_csv(grid, params, R_s, p_s),
-         _FIELDS_DESC),
+         _FIELDS_DESC + _half_desc(half, "; the spectra linearize about "
+                                   "that whole field")),
         ("spectrum_LG.csv", render_spectrum_csv(rep_G),
-         "the k rightmost eigenvalues of the quasi-static linearization "
-         "(conjugate pairs whole), columns `re,im`; the real part of every "
-         "other eigenvalue is bounded in stability_summary.txt"),
+         "the k rightmost eigenvalues of each mirror-symmetry block of the "
+         "quasi-static linearization (the whole operator for an odd n2), "
+         "sorted together, conjugate pairs whole, columns `re,im`; the real "
+         "part of every other eigenvalue is bounded in stability_summary.txt"),
     ]
     if inertial:
         lines.append(f"operator L_F: verdict = {rep_F.verdict}, "
@@ -351,8 +378,8 @@ def cmd_stability(config: RunConfig) -> int:
                     "real-part bound of the unlisted ones, the modal "
                     "critical speed of a geometry within its analysis, and "
                     "last the sparse LU factorizations and ARPACK operator "
-                    "applications of the L_G solve, pole estimate included "
-                    "(plain text)"))
+                    "applications of the L_G solve, pole estimates included, "
+                    "summed over the mirror-symmetry blocks (plain text)"))
     _write_run(Path(config.output_dir), entries)
     for line in lines:
         print(line)

@@ -14,7 +14,8 @@ stationary solver factors the same ``B``, the stepper ``P - dt B``):
   its rightmost eigenvalues without forming ``L_G``: ARPACK on the Cayley
   transform ``(B - s P)^{-1} (B + s P)``, which maps the open right
   half-plane onto ``|theta| > 1``, and a certificate that bounds the real
-  part of every eigenvalue it does not list.
+  part of every eigenvalue it does not list.  The stability run calls it
+  on the pencil's two mirror-symmetry blocks, which split its spectrum.
 
 * ``L_F`` — the inertial model linearized at ``(R_s, 0)``, assembled dense:
   the companion matrix ``[[0, I], [diag(1/R_s) K^{-1} B,

@@ -445,6 +445,70 @@ def test_stability_summary_counts_the_work_of_the_LG_solve(tmp_path,
         out / "MANIFEST.txt").read_text(encoding="utf-8")
 
 
+def test_stability_holds_one_factor_at_a_time(tmp_path, monkeypatch):
+    # the stationary solve and the spectrum of each symmetry block in turn
+    # each release their LU before the next is built, and none outlives
+    # the run
+    live, peak, built = [0], [0], []
+
+    class Counted:
+        def __init__(self, lu, owner):
+            self._lu = lu
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            built.append(owner)
+
+        def solve(self, rhs):
+            return self._lu.solve(rhs)
+
+        def __del__(self):
+            live[0] -= 1
+
+    for module in (stationary, stability):
+        monkeypatch.setattr(module, "_factorize",
+                            lambda A, f=module._factorize, owner=module:
+                            Counted(f(A), owner))
+    cfg = _write(tmp_path, "ecc = 0.2\nn1 = 16\nn2 = 8\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    assert (peak[0], live[0]) == (1, 0)
+    # the pole estimate and at least one Cayley pole per block
+    lus = built.count(stability)
+    assert lus >= 4 and stationary in built
+    summary = (out / "stability_summary.txt").read_text(encoding="utf-8")
+    assert summary.splitlines()[-1].startswith(
+        f"operator L_G work: {lus} LU factorizations, ")
+
+
+def test_stability_at_an_odd_n2_runs_one_block(tmp_path):
+    # no cell row ends at the mid-plane: the run keeps the whole grid, and
+    # its one block is the whole pencil at the whole grid's own state
+    text = "ecc = 0.2\nn1 = 16\nn2 = 5\n"
+    config = parse_config(text)
+    grid = config.make_grid()
+    assert mirror_half(grid) is grid
+    params, U = config.params, config.velocity
+    h = gap_function(grid, params)
+    R_s, _, report = stationary.solve_stationary(grid, h, U, params,
+                                                 config.newton)
+    assert report.converged
+    rep = stability.pencil_spectrum(*cli.film_pencil(
+        grid, R_s, np.zeros(grid.shape), h, U, params))
+    out = tmp_path / "out"
+    assert main(["stability", "--config", _write(tmp_path, text), "--out",
+                 str(out)]) == 0
+    lines = (out / "stability_summary.txt").read_text(
+        encoding="utf-8").splitlines()
+    assert lines[0] == (f"operator L_G: verdict = {rep.verdict}, max real "
+                        f"part = {rep.max_real_part:.9g}")
+    assert lines[1].startswith(f"operator L_G: {rep.eigenvalues.size} ")
+    assert lines[-1] == (f"operator L_G work: {rep.factorizations} LU "
+                         f"factorizations, {rep.applications} ARPACK "
+                         "operator applications")
+    assert "lower half" not in (out / "MANIFEST.txt").read_text(
+        encoding="utf-8")
+
+
 @pytest.mark.parametrize("ecc", [0.0, 0.1])
 def test_stability_without_bubbles_has_no_modal_threshold(tmp_path, ecc):
     # alpha0 = 0 leaves the film dynamically passive: the squeeze coupling
@@ -489,9 +553,12 @@ def test_stability_lists_rightmost_eigenvalues_above_dense_limit(tmp_path):
 def test_stability_uncertified_spectrum_is_exit_3(tmp_path, monkeypatch,
                                                   capsys):
     # a pencil with more unstable eigenvalues than the route lists cannot
-    # be certified: the run fails rather than print an unproven verdict
-    eigenvalues = np.concatenate([np.linspace(1.0, 20.0, 20),
-                                  -np.geomspace(50.0, 2500.0, 12)])
+    # be certified: the run fails rather than print an unproven verdict.
+    # The fake is mirror-symmetric like a film pencil, its values on the
+    # lower-half cells repeated on their mirror cells, so each symmetry
+    # block holds 16 unstable eigenvalues against the 14 it lists
+    lower = np.linspace(1.0, 20.0, 16).reshape(8, 2)
+    eigenvalues = np.hstack([lower, lower[:, ::-1]]).ravel()
     pencil = (sp.diags(eigenvalues).tocsc(), sp.identity(32, format="csc"))
     monkeypatch.setattr("filmcav.cli.film_pencil", lambda *a: pencil)
     cfg = _write(tmp_path, "ecc = 0.2\nn1 = 8\nn2 = 4\n")

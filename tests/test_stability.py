@@ -11,7 +11,9 @@ the closed forms and the modal critical speed live in ``tests/oracles.py``):
 * closed-form eigenvalue and determinant expressions are checked against
   ``np.roots`` / exact ``fractions.Fraction`` determinant expansions;
 * the certified sparse-pencil spectrum is checked against pencils with
-  known eigenvalues, the dense ``L_G`` and the separated spectra;
+  known eigenvalues, the dense ``L_G`` and the separated spectra, and the
+  spectra of the pencil's two mirror-symmetry blocks against the whole
+  pencil's;
 * the splitting of the growth pencil into the local relaxation rate
   ``m = f1' / (R f2)`` and a first-order rest is checked against the
   oracles' matrix forms of the diffusion sensitivity and the convection.
@@ -21,16 +23,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import filmcav.stability as stability
+from filmcav.cli import _mirror_blocks
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
 from filmcav.elliptic import film_pencil, film_residual, mobility_operator
 from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, Grid, gap_function,
-                          grid_for_params)
+                          grid_for_params, mirror_half, unfold)
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1_prime,
                              eval_f5, eval_wall)
 from filmcav.stability import (
@@ -646,6 +651,62 @@ def test_pencil_spectrum_matches_dense_growth_operator(ecc):
     dense = compute_spectrum(assemble_LG(grid, R_s, h, U, params))
     assert sparse.verdict == dense.verdict == VERDICT_STABLE
     _check_certificate(sparse, dense.eigenvalues)
+
+
+def _mirror_state(ecc, n1, n2, bc=BC_PERIODIC):
+    """The stationary state as the stability run solves it, on the mirror
+    half of a journal grid and unfolded, with the whole grid's pencil."""
+    params = PhysicalParams(ecc=ecc)
+    grid = grid_for_params(params, n1, n2, bc)
+    half = mirror_half(grid)
+    U = (params.surface_speed, 0.0)
+    R_s, _, report = solve_stationary(half, gap_function(half, params), U,
+                                      params)
+    assert report.converged
+    R_s, h = unfold(half, R_s), gap_function(grid, params)
+    B, P = film_pencil(grid, R_s, np.zeros(grid.shape), h, U, params)
+    return grid, half, R_s, h, U, params, B, P
+
+
+@pytest.mark.parametrize("ecc", [0.2, 0.4])
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_mirror_blocks_hold_the_whole_pencil_spectrum(bc, ecc):
+    grid, half, *_, B, P = _mirror_state(ecc, 16, 8, bc)
+    # the premise: the pencil commutes with the mirror permutation
+    mirror = np.arange(grid.n_cells).reshape(grid.shape)[:, ::-1].ravel()
+    for M in (B, P):
+        assert abs(M - M[mirror][:, mirror]).max() <= 1e-14 * abs(M).max()
+    whole = scipy.linalg.eigvals(B.toarray(), P.toarray())
+    blocks = _mirror_blocks(half, B, P)
+    assert [b.shape for pencil in blocks for b in pencil] == [(64, 64)] * 4
+    folded = np.concatenate([scipy.linalg.eigvals(b.toarray(), p.toarray())
+                             for b, p in blocks])
+    # one to one by assignment: sorting mismatches near-degenerate pairs
+    cost = np.abs(whole[:, None] - folded[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert rows.size == whole.size == folded.size
+    assert cost[rows, cols].max() <= 1e-12 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("ecc", [0.2, 0.4])
+def test_mirror_block_spectra_certify_the_whole_pencil(ecc):
+    # each block certified on its own certifies the union: its largest
+    # real part is the whole pencil's, every listed eigenvalue is one of
+    # the dense L_G, and the larger bound holds every unlisted one
+    grid, half, R_s, h, U, params, B, P = _mirror_state(ecc, 32, 16)
+    blocks = [pencil_spectrum(*block) for block in _mirror_blocks(half, B, P)]
+    whole = pencil_spectrum(B, P)
+    max_real = max(rep.max_real_part for rep in blocks)
+    assert max_real == pytest.approx(whole.max_real_part, rel=1e-10)
+    dense = compute_spectrum(assemble_LG(grid, R_s, h, U, params)).eigenvalues
+    scale = np.abs(dense).max()
+    listed = np.concatenate([rep.eigenvalues for rep in blocks])
+    near = np.abs(dense[:, None] - listed[None, :]) <= 1e-9 * np.maximum(
+        np.abs(listed), 1e-3 * scale)
+    assert np.all(near.any(axis=0))
+    bound = max(rep.bound for rep in blocks)
+    assert bound < max_real
+    assert np.all(dense[~near.any(axis=1)].real <= bound + 1e-9 * abs(bound))
 
 
 @pytest.mark.parametrize("factor", [0.0, 1.1])
