@@ -10,9 +10,10 @@ deterministic for a fixed configuration.
 
 Every configuration is mirror-symmetric about ``x2 = L2/2``, so for an even
 ``n2`` every run solves the lower half of the grid
-(:func:`~filmcav.grid.mirror_half`) and unfolds every field it writes,
-snapshots included; ``stability`` folds the whole grid's pencil into its
-symmetric and antisymmetric blocks and lists the union of their spectra.
+(:func:`~filmcav.grid.mirror_half`) and renders every field table of the
+whole grid from it, snapshots included; ``stability`` unfolds its state
+onto the whole grid, folds that grid's pencil into its symmetric and
+antisymmetric blocks and lists the union of their spectra.
 
 Exit codes: 0 success, 2 configuration error (an unwritable output
 directory included), 3 numerical failure (solver breakdown or an
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,7 +85,11 @@ def _write_run(out: Path, entries: list[tuple[str, str | None, str]]) -> None:
 
 def midline_profile(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Profile along the channel mid-width: the average of the two cell rows
-    adjacent to the mid-plane (or the center row when n2 is odd)."""
+    adjacent to the mid-plane (or the center row when n2 is odd).  On a
+    mirror grid the two rows are mirror images, so their average is the
+    last row."""
+    if grid.mirror:
+        return values[:, -1].copy()
     j = grid.n2 // 2
     if grid.n2 % 2 == 0:
         return 0.5 * (values[:, j - 1] + values[:, j])
@@ -94,11 +98,14 @@ def midline_profile(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def render_midline_csv(grid: Grid, params: PhysicalParams, R: np.ndarray,
                        p: np.ndarray) -> str:
-    """Midline sample of the exported field quantities."""
-    r_mid = midline_profile(grid, np.asarray(R, dtype=float))
+    """Midline sample of the exported field quantities of the solved
+    ``grid``, the whole grid's profile when ``grid`` is a mirror grid."""
+    R = np.asarray(R, dtype=float)
+    r_mid = midline_profile(grid, R)
     p_mid = midline_profile(grid, np.asarray(p, dtype=float))
-    a_mid = midline_profile(grid, eval_alpha(np.asarray(R, dtype=float),
-                                             params))
+    # a profile of one row commutes with the cellwise alpha
+    a_mid = (eval_alpha(r_mid, params) if grid.mirror or grid.n2 % 2
+             else midline_profile(grid, eval_alpha(R, params)))
     return render_csv(MIDLINE_HEADER, [grid.x1, r_mid / params.R0, p_mid,
                                        params.rho_l * p_mid, a_mid])
 
@@ -174,8 +181,10 @@ def _stationary_summary(report: StationaryReport, R: np.ndarray,
 
 def _transient(config: RunConfig) -> TransientResult:
     """Time-march the configured model on the mirror half of its grid (the
-    whole grid when ``n2`` is odd) and write every artifact of the run, its
-    fields unfolded onto the whole grid."""
+    whole grid when ``n2`` is odd) and write every artifact of the run.  The
+    field tables and snapshots are the whole grid's, rendered from the
+    solved grid by :func:`~filmcav.grid.render_fields_csv`, each distinct
+    value formatted once."""
     grid = config.make_grid()
     half = mirror_half(grid)
     params = config.params
@@ -186,8 +195,7 @@ def _transient(config: RunConfig) -> TransientResult:
     def write_snapshot(step: int, state: TransientState) -> None:
         if step % config.snapshot_every == 0:
             _write_text(out / f"snapshot_{step}.csv",
-                        render_fields_csv(grid, params, unfold(half, state.R),
-                                          unfold(half, state.p)))
+                        render_fields_csv(half, params, state.R, state.p))
 
     res = run_transient(half, initial_state(half, h, U, params,
                                             mode=config.step.mode),
@@ -195,11 +203,11 @@ def _transient(config: RunConfig) -> TransientResult:
                         config.stationarity_tol,
                         write_snapshot if config.snapshot_every > 0 else None)
 
-    R, p = unfold(half, res.state.R), unfold(half, res.state.p)
+    R, p = res.state.R, res.state.p
     entries = [
-        ("fields_final.csv", render_fields_csv(grid, params, R, p),
+        ("fields_final.csv", render_fields_csv(half, params, R, p),
          _FIELDS_DESC),
-        ("midline.csv", render_midline_csv(grid, params, R, p),
+        ("midline.csv", render_midline_csv(half, params, R, p),
          _midline_desc(grid)),
         ("history.csv", render_csv(HISTORY_HEADER, res.history.values()),
          f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
@@ -236,18 +244,20 @@ def _stationary(config: RunConfig
                 ) -> tuple[np.ndarray, np.ndarray, StationaryReport]:
     """Solve directly for the stationary state on the mirror half of the
     grid (the whole grid when ``n2`` is odd) and write every artifact of
-    the run, its fields unfolded onto the whole grid."""
+    the run; return the state on that solved grid.  The field tables are
+    the whole grid's, rendered from the solved grid by
+    :func:`~filmcav.grid.render_fields_csv`, each distinct value formatted
+    once."""
     grid = config.make_grid()
     half = mirror_half(grid)
     params = config.params
     R_s, p_s, report = solve_stationary(half, gap_function(half, params),
                                         config.velocity, params,
                                         config.newton)
-    R_s, p_s = unfold(half, R_s), unfold(half, p_s)
     _write_run(Path(config.output_dir), [
-        ("fields_final.csv", render_fields_csv(grid, params, R_s, p_s),
+        ("fields_final.csv", render_fields_csv(half, params, R_s, p_s),
          _FIELDS_DESC),
-        ("midline.csv", render_midline_csv(grid, params, R_s, p_s),
+        ("midline.csv", render_midline_csv(half, params, R_s, p_s),
          _midline_desc(grid)),
         ("summary.txt", _stationary_summary(report, R_s, p_s, params),
          "solver report (key = value lines); `newton_iterations` counts the "
@@ -296,11 +306,11 @@ def cmd_stability(config: RunConfig) -> int:
             f"the inertial spectrum is dense, limited to {DENSE_ASSEMBLY_LIMIT}"
             f" cells; grid has {grid.n_cells}")
     half, params, U = mirror_half(grid), config.params, config.velocity
-    R_s, p_s, report = solve_stationary(half, gap_function(half, params), U,
-                                        params, config.newton)
+    R_half, p_half, report = solve_stationary(
+        half, gap_function(half, params), U, params, config.newton)
     if not report.converged:
         raise SolverFailureError(f"stationary solve failed: {report.message}")
-    R_s, p_s = unfold(half, R_s), unfold(half, p_s)
+    R_s = unfold(half, R_half)
     # both spectra before the first file: a run that fails writes nothing
     h = gap_function(grid, params)
     zero_rate = np.zeros(grid.shape)
@@ -325,7 +335,8 @@ def cmd_stability(config: RunConfig) -> int:
         f"listed, every other eigenvalue has real part <= {rep_G.bound:.9g}",
     ]
     entries = [
-        ("fields_stationary.csv", render_fields_csv(grid, params, R_s, p_s),
+        ("fields_stationary.csv",
+         render_fields_csv(half, params, R_half, p_half),
          _FIELDS_DESC + _half_desc(half, "; the spectra linearize about "
                                    "that whole field")),
         ("spectrum_LG.csv", render_spectrum_csv(rep_G),
@@ -441,6 +452,7 @@ def cmd_sweep(config: RunConfig) -> int:
         taken[name] = v
     jobs = [(config, v) for v in config.sweep_values]
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:

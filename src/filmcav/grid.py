@@ -13,7 +13,8 @@ Every configuration the CLI runs is mirror-symmetric about the mid-plane
 ``x1`` and both ``x2`` edges are at ambient pressure.  A mirror grid is the
 lower half of such a domain, its high-``x2`` edge the symmetry plane, where
 the film carries no flux.  :func:`mirror_half` gives it for an even ``n2``
-and :func:`unfold` maps its fields back onto the whole grid.
+and :func:`unfold` maps its fields back onto the whole grid;
+:func:`render_fields_csv` writes them on the whole grid without unfolding.
 """
 
 from __future__ import annotations
@@ -147,21 +148,38 @@ def render_csv(header: str, columns, digits: int = 9) -> str:
     return header + "\n" + (row * cols.shape[0]) % tuple(cols.ravel().tolist())
 
 
+def _texts(values: np.ndarray) -> np.ndarray:
+    """Each of ``values`` as its :func:`render_csv` text and a comma."""
+    return np.array(render_csv("", [values]).split(), dtype=object) + ","
+
+
 def render_fields_csv(grid: Grid, params: PhysicalParams,
                       R: np.ndarray, p_scaled: np.ndarray) -> str:
-    """Serialize the solution fields to CSV text.
+    """Serialize the solution fields of the solved ``grid`` to CSV text on
+    the whole grid.
 
     Columns are ``x1,x2,R_hat,p_scaled,p_gauge_Pa,alpha`` with rows in
-    row-major cell order (x2 fastest); values carry 9 significant digits.
-    ``p_gauge_Pa`` is the dimensional gauge pressure ``rho_l * p_scaled``.
+    row-major cell order of the whole grid (x2 fastest); values carry 9
+    significant digits.  ``p_gauge_Pa`` is the dimensional gauge pressure
+    ``rho_l * p_scaled``.  On a mirror grid the rows of the upper half
+    repeat those of their mirror cells (:func:`unfold`), so the text equals
+    that of the unfolded fields on the whole grid.  Each distinct value is
+    formatted once: every coordinate once, and each solved cell's
+    ``R_hat,p_scaled,p_gauge_Pa,alpha`` once, its mirror cell's row reusing
+    that text.
     """
     Rf = ensure_field(grid, R, "R")
     pf = ensure_field(grid, p_scaled, "p")
-    X1, X2 = grid.centers()
-    return render_csv(CSV_HEADER, [
-        X1.ravel(), X2.ravel(),
-        (Rf / params.R0).ravel(),
-        pf.ravel(),
-        (params.rho_l * pf).ravel(),
-        eval_alpha(Rf, params).ravel(),
-    ])
+    cells = render_csv("", [(Rf / params.R0).ravel(), pf.ravel(),
+                            (params.rho_l * pf).ravel(),
+                            eval_alpha(Rf, params).ravel()])
+    cells = np.array(cells.splitlines(keepends=True)[1:],
+                     dtype=object).reshape(grid.shape)
+    if grid.mirror:
+        cells = np.hstack([cells, cells[:, ::-1]])
+    # a mirror grid's dx2 is the whole grid's, L2/2 over n2/2 cells
+    table = np.empty(cells.shape + (3,), dtype=object)
+    table[..., 0] = _texts(grid.x1)[:, None]
+    table[..., 1] = _texts((np.arange(cells.shape[1]) + 0.5) * grid.dx2)
+    table[..., 2] = cells
+    return CSV_HEADER + "\n" + "".join(table.ravel().tolist())

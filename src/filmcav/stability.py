@@ -135,11 +135,14 @@ def compute_spectrum(matrix: np.ndarray) -> SpectrumReport:
 # Certified rightmost eigenvalues of a sparse pencil
 # ---------------------------------------------------------------------------
 
-def _largest_modulus(matvec, n: int, k: int, v0: np.ndarray, tol: float):
-    """``k`` eigenpairs of largest modulus of a real operator (ARPACK)."""
+def _largest_modulus(matvec, n: int, k: int, v0: np.ndarray, tol: float,
+                     vectors: bool):
+    """``k`` eigenvalues of largest modulus of a real operator (ARPACK),
+    with their eigenvectors as ``(theta, V)`` when ``vectors`` is set."""
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
-        return spla.eigs(op, k=k, which="LM", v0=v0, tol=tol)
+        return spla.eigs(op, k=k, which="LM", v0=v0, tol=tol,
+                         return_eigenvectors=vectors)
     except spla.ArpackError as exc:
         raise SolverFailureError(f"ARPACK: {exc}") from exc
 
@@ -200,8 +203,8 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
 
     lu = _factorize(P)
     factorizations = 1
-    theta, _ = _largest_modulus(counted(lambda x: lu.solve(B @ x)), n, 1, v0,
-                                POLE_ESTIMATE_TOL)
+    theta = _largest_modulus(counted(lambda x: lu.solve(B @ x)), n, 1, v0,
+                             POLE_ESTIMATE_TOL, vectors=False)
     del lu  # released before the Cayley factor is built
     pole = 2.0 * float(np.abs(theta).max())
     norm_B, norm_P = spla.norm(B, 1), spla.norm(P, 1)
@@ -211,7 +214,7 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
             factorizations += 1
             plus = (B + pole * P).tocsr()
             theta, V = _largest_modulus(counted(lambda x: lu.solve(plus @ x)),
-                                        n, k, v0, 0.0)
+                                        n, k, v0, 0.0, vectors=True)
         except SolverFailureError as exc:
             reason = str(exc)
         else:

@@ -18,6 +18,10 @@ The tests gate the package's discretization against these:
   decides each face's upwind side itself), and ``apply_A2``
   the squeeze response of the pressure equation;
 * ``field_norms`` gives the area-weighted norms of a field;
+* ``fields_csv`` and ``midline_csv`` render the field table and the
+  midline of whole-grid fields, every number of every row formatted: the
+  reference of the renderers that take a solved mirror grid and format
+  each distinct value once;
 * ``slaved_state`` completes a hand-built transient state at any radius
   field with the rate and pressure the dynamics slaves to it;
 * ``damped_newton`` is the stationary solve with a fresh LU of ``B`` at
@@ -42,14 +46,15 @@ import scipy.sparse as sp
 from filmcav.dynamics import (TransientState, _wall_acceleration,
                               eliminate_pressure)
 from filmcav import physics
+from filmcav.cli import MIDLINE_HEADER
 from filmcav.elliptic import (_assemble, _convective_fluxes,
                               _diffusion_fluxes, _factorize,
                               _sensitivity_fluxes, _stencil, film_pencil,
                               solve_spd)
 from filmcav.errors import SupercriticalRadiusError
-from filmcav.grid import Grid, ensure_field
-from filmcav.physics import (PhysicalParams, compute_derived, eval_f1_prime,
-                             eval_f5)
+from filmcav.grid import CSV_HEADER, Grid, ensure_field, render_csv
+from filmcav.physics import (PhysicalParams, compute_derived, eval_alpha,
+                             eval_f1_prime, eval_f5)
 from filmcav.stability import hurwitz_analysis
 from filmcav.stationary import (MAX_BACKTRACKS, NEWTON_MAX,
                                 stationary_residual, trivial_solution)
@@ -201,6 +206,38 @@ def field_norms(grid: Grid, values: np.ndarray) -> dict[str, float]:
         "L1": float(np.sum(np.abs(arr)) * dA),
         "Linf": float(np.max(np.abs(arr))),
     }
+
+
+def fields_csv(grid: Grid, params: PhysicalParams, R: np.ndarray,
+               p_scaled: np.ndarray) -> str:
+    """The field table of fields on the whole ``grid``: columns
+    ``x1,x2,R_hat,p_scaled,p_gauge_Pa,alpha`` of every cell, row-major."""
+    Rf = ensure_field(grid, R, "R")
+    pf = ensure_field(grid, p_scaled, "p")
+    X1, X2 = grid.centers()
+    return render_csv(CSV_HEADER, [
+        X1.ravel(), X2.ravel(),
+        (Rf / params.R0).ravel(),
+        pf.ravel(),
+        (params.rho_l * pf).ravel(),
+        eval_alpha(Rf, params).ravel(),
+    ])
+
+
+def midline_csv(grid: Grid, params: PhysicalParams, R: np.ndarray,
+                p: np.ndarray) -> str:
+    """The midline table of fields on the whole ``grid``: the average of the
+    two center rows (the center row when ``n2`` is odd) of each quantity."""
+    j = grid.n2 // 2
+
+    def profile(values):
+        return (0.5 * (values[:, j - 1] + values[:, j]) if grid.n2 % 2 == 0
+                else values[:, j])
+
+    r_mid, p_mid = profile(R), profile(p)
+    return render_csv(MIDLINE_HEADER, [grid.x1, r_mid / params.R0, p_mid,
+                                       params.rho_l * p_mid,
+                                       profile(eval_alpha(R, params))])
 
 
 def slaved_state(grid: Grid, R: np.ndarray, h: np.ndarray,

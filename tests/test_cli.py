@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import filmcav
 from filmcav import cli, physics, stability, stationary
@@ -22,9 +24,14 @@ from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
                          midline_profile)
 from filmcav.config import parse_config
 from filmcav.dynamics import initial_state, run_transient
-from filmcav.grid import CSV_HEADER, Grid, gap_function, mirror_half, unfold
+from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, CSV_HEADER, Grid,
+                          gap_function, grid_for_params, mirror_half,
+                          render_fields_csv, unfold)
 from filmcav.physics import PhysicalParams, compute_derived
-from oracles import critical_speed
+from oracles import critical_speed, fields_csv, midline_csv
+
+DEFAULT = PhysicalParams()
+DESK = grid_for_params(DEFAULT, 128, 32)
 
 
 def _write(tmp_path, text):
@@ -424,9 +431,10 @@ def test_stability_summary_counts_the_work_of_the_LG_solve(tmp_path,
     factorize, largest = stability._factorize, stability._largest_modulus
     monkeypatch.setattr(stability, "_factorize",
                         lambda A: lus.append(1) or factorize(A))
-    monkeypatch.setattr(stability, "_largest_modulus", lambda matvec, *a:
-                        largest(lambda x: applications.append(1)
-                                or matvec(x), *a))
+    monkeypatch.setattr(stability, "_largest_modulus",
+                        lambda matvec, *a, **kw: largest(
+                            lambda x: applications.append(1) or matvec(x),
+                            *a, **kw))
     cfg = _write(tmp_path, "ecc = 0.2\nn1 = 16\nn2 = 8\n")
     lines = []
     for run in ("first", "second"):
@@ -805,3 +813,27 @@ def test_midline_profile_even_and_odd_rows():
     odd = Grid(6, 5, 1.0, 1.0)
     values = np.arange(30, dtype=float).reshape(6, 5)
     assert np.array_equal(midline_profile(odd, values), values[:, 2])
+
+
+@given(shape=st.tuples(st.integers(4, 12), st.integers(4, 12)),
+       lengths=st.tuples(st.floats(1e-4, 1e4), st.floats(1e-4, 1e4)),
+       bc_x1=st.sampled_from([BC_PERIODIC, BC_DIRICHLET]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=DESK.shape, lengths=(DESK.L1, DESK.L2), bc_x1=BC_PERIODIC,
+         seed=1)
+def test_field_tables_of_the_solved_grid_are_the_unfolded_fields_tables(
+        shape, lengths, bc_x1, seed):
+    # the tables rendered from the solved grid (the mirror half of an even
+    # n2, the whole grid of an odd one) are, byte for byte, the whole grid's
+    # tables of the unfolded fields with every number formatted
+    grid = Grid(*shape, *lengths, bc_x1=bc_x1)
+    solved = mirror_half(grid)
+    rng = np.random.default_rng(seed)
+    R = DEFAULT.R0 * rng.uniform(0.2, 2.2, size=solved.shape)
+    p = (rng.choice([-1.0, 1.0], size=solved.shape)
+         * 10.0 ** rng.uniform(-8.0, 9.0, size=solved.shape))
+    R_whole, p_whole = unfold(solved, R), unfold(solved, p)
+    assert render_fields_csv(solved, DEFAULT, R, p) == fields_csv(
+        grid, DEFAULT, R_whole, p_whole)
+    assert cli.render_midline_csv(solved, DEFAULT, R, p) == midline_csv(
+        grid, DEFAULT, R_whole, p_whole)
