@@ -84,30 +84,22 @@ def _write_run(out: Path, entries: list[tuple[str, str | None, str]]) -> None:
 
 
 def midline_profile(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Profile along the channel mid-width: the average of the two cell rows
-    adjacent to the mid-plane (or the center row when n2 is odd).  On a
-    mirror grid the two rows are mirror images, so their average is the
-    last row."""
-    if grid.mirror:
-        return values[:, -1].copy()
-    j = grid.n2 // 2
-    if grid.n2 % 2 == 0:
-        return 0.5 * (values[:, j - 1] + values[:, j])
-    return values[:, j].copy()
+    """Profile along the channel mid-width of a solved grid (a mirror grid,
+    or a whole grid of odd ``n2``): the center row of an odd ``n2``, and a
+    mirror grid's last row, the average of the whole grid's two center
+    rows, which are mirror images."""
+    return values[:, -1 if grid.mirror else grid.n2 // 2]
 
 
 def render_midline_csv(grid: Grid, params: PhysicalParams, R: np.ndarray,
                        p: np.ndarray) -> str:
     """Midline sample of the exported field quantities of the solved
     ``grid``, the whole grid's profile when ``grid`` is a mirror grid."""
-    R = np.asarray(R, dtype=float)
-    r_mid = midline_profile(grid, R)
+    r_mid = midline_profile(grid, np.asarray(R, dtype=float))
     p_mid = midline_profile(grid, np.asarray(p, dtype=float))
-    # a profile of one row commutes with the cellwise alpha
-    a_mid = (eval_alpha(r_mid, params) if grid.mirror or grid.n2 % 2
-             else midline_profile(grid, eval_alpha(R, params)))
     return render_csv(MIDLINE_HEADER, [grid.x1, r_mid / params.R0, p_mid,
-                                       params.rho_l * p_mid, a_mid])
+                                       params.rho_l * p_mid,
+                                       eval_alpha(r_mid, params)])
 
 
 _FIELDS_DESC = (f"cell-centered fields, columns `{CSV_HEADER}`; "

@@ -7,26 +7,25 @@ The quasi-static (inertialess) model evolves the radius field by
 where the film pressure ``p`` is slaved to ``R``: the elimination is the
 root in ``S`` of the film equation ``F(R, S)`` of
 :func:`elliptic.film_residual`.  ``F`` is affine in ``S``,
-``F(R, S) = F(R, 0) + M y`` with ``y = R f2 S``, so the root is one solve
+``F(R, S) = F(R, 0) + P S`` with ``P`` of the pencil
+:func:`elliptic.film_pencil`, so the root is one solve
 
-    M y = -F(R, 0),   M = K(R) - diag(h f5 / (R f2)),
+    P G = -F(R, 0),
 
-with ``K = -Div(f3(R) h^3 Grad .)`` SPD and ``-h f5/(R f2) >= 0``, so ``M``
-stays symmetric positive definite: the slaving is uniquely solvable for
-any positive radius field, and ``S = y / (R f2)``, ``p = f1 - y`` follow
-pointwise.
+uniquely solvable for any positive radius field (``P`` is similar to an
+SPD matrix, see :func:`elliptic.solve_spd`), and ``p = f1 - R f2 G``
+follows pointwise.
 
 Time stepping is backward Euler.  Every step attempt solves the implicit
 equation ``R - R_old - dt G(R) = 0`` from a second-order extrapolated start
 by chord Newton on its pencil form: the film equation ``F(x, S)`` of
 :func:`elliptic.film_residual` at the backward-difference rate
 ``S = (x - R_old) / dt``, which costs face sums, no matrix and no
-pressure elimination.  Since ``F(x, S) = F(x, 0) + M diag(x f2) S``,
-``P (R_old + dt G(x) - x) = -dt F`` with ``P = M diag(x f2)``: ``F``
-vanishes exactly at the backward-Euler solution.  Its Newton matrix
-``P - dt B`` comes from the pencil ``(B, P)`` of :func:`elliptic.film_pencil`,
-the linearization the stationary solver and the spectra use as well, formed
-in place on the shared 5-point pattern.  As stiff BDF codes keep their Newton
+pressure elimination.  Since ``F(x, 0) = -P G(x)``, ``P (R_old + dt G(x)
+- x) = -dt F``: ``F`` vanishes exactly at the backward-Euler solution.  Its
+Newton matrix ``P - dt B`` comes from the pencil ``(B, P)`` of
+:func:`elliptic.film_pencil`, the linearization the stationary solver and
+the spectra use as well, formed in place on the shared 5-point pattern.  As stiff BDF codes keep their Newton
 matrix (Brown, Byrne & Hindmarsh, "VODE", SISC 1989), the factor outlives the
 attempt: the run's :class:`ChordCarry` holds it from attempt to attempt and
 step to step.  The iteration decides from its own updates alone.  It
@@ -80,7 +79,7 @@ from .errors import (ConfigurationError, PositivityLossError, StepFailureError)
 from .grid import Grid, ensure_field
 from .elliptic import (_factorize, film_pencil, film_residual,
                        mobility_operator, solve_spd)
-from .physics import PhysicalParams, compute_derived, eval_f5, eval_wall
+from .physics import PhysicalParams, compute_derived, eval_wall, radius_fault
 
 MODE_INERTIALESS = "inertialess"
 MODE_INERTIAL = "inertial"
@@ -230,21 +229,17 @@ def eliminate_pressure(grid: Grid, R: np.ndarray, h: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Slave the film pressure to the radius field.
 
-    Returns ``(G, p)`` where ``G = dR/dt`` of the quasi-static dynamics and
-    ``p`` the film pressure, the root in ``S`` of the film equation:
-    ``M y = -F(R, 0)`` with ``y = R f2 G``, solved in its SPD form by
-    :func:`elliptic.solve_spd`, which verifies the residual on every call.
+    Returns ``(G, p)`` where ``G = dR/dt`` of the quasi-static dynamics,
+    the root in ``S`` of the film equation: ``P G = -F(R, 0)`` with ``P``
+    of :func:`elliptic.film_pencil` at ``(R, 0)``, solved by
+    :func:`elliptic.solve_spd`, which verifies the residual on every call;
+    and ``p = f1 - R f2 G`` the film pressure of the growth law.
     """
     Rf = ensure_field(grid, R, "R")
-    hf = ensure_field(grid, h, "h")
-    F, f1, mobility = film_residual(grid, Rf, np.zeros(grid.shape), hf, U,
-                                    params)
-    M = mobility_operator(grid, mobility)
-    Rf2 = Rf * eval_wall(Rf, params)[1]
-    # shift K to M: the diagonal gains -h f5 / (R f2) >= 0
-    M.setdiag(M.diagonal() - (hf * eval_f5(Rf, params) / Rf2).ravel())
-    y = solve_spd(M, -F, grid)
-    return y / Rf2, f1 - y
+    zero = np.zeros(grid.shape)
+    F, f1, _ = film_residual(grid, Rf, zero, h, U, params)
+    G = solve_spd(film_pencil(grid, Rf, zero, h, U, params)[1], -F, grid)
+    return G, f1 - Rf * eval_wall(Rf, params)[1] * G
 
 
 def _acceleration(R: np.ndarray, V: np.ndarray, p: np.ndarray,
@@ -268,14 +263,6 @@ def _wall_acceleration(grid: Grid, R: np.ndarray, V: np.ndarray,
     F, p, mobility = film_residual(grid, R, V, h, U, params)
     y = solve_spd(mobility_operator(grid, mobility), F, grid)
     return -(1.5 * V ** 2 + y) / R, p + y
-
-
-def _lost(R: np.ndarray) -> str | None:
-    """Why ``R`` is no radius field: ``"non-finite"`` when an entry is NaN
-    or infinite, ``"non-positive"`` when one is at most 0, else None."""
-    if np.all((0.0 < R) & (R < np.inf)):             # NaN fails both
-        return None
-    return "non-positive" if np.all(np.isfinite(R)) else "non-finite"
 
 
 def _blow_up(lost: str, t: float) -> PositivityLossError:
@@ -364,9 +351,9 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
             pred = x + dt * dt / chord.dt_prev * (G_n - chord.G_prev)
             weight = 1.0
         converged = False
-        lost = _lost(x)                                  # reject: halve dt
+        lost = radius_fault(x)                           # reject: halve dt
         if lost is None:
-            if _lost(pred) is None:
+            if radius_fault(pred) is None:
                 x = pred
             best, prev = np.inf, 0.0
             for _ in range(MAX_CHORD_UPDATES):
@@ -390,7 +377,7 @@ def step_inertialess(grid: Grid, state: TransientState, h: np.ndarray,
                     break        # diverging past its best: a stall, halve dt
                 best = min(best, update)
                 x = x + delta.reshape(grid.shape)
-                lost = _lost(x)
+                lost = radius_fault(x)
                 if lost is not None:
                     break                                # reject: halve dt
                 # theta / (1 - theta) update <= kappa tol at
@@ -458,7 +445,7 @@ def step_inertial(grid: Grid, state: TransientState, h: np.ndarray,
                 V = V0 + dt / 6.0 * (kV[0] + 2 * kV[1] + 2 * kV[2] + kV[3])
             else:
                 R, V = R0 + c * dt * kR[-1], V0 + c * dt * kV[-1]
-            lost = _lost(R)
+            lost = radius_fault(R)
             if lost is not None:
                 break                                    # reject: halve dt
             solves += 1

@@ -35,15 +35,17 @@ Newton stationary solver factors ``B`` at ``S = 0``, the implicit stepper
 ``P - dt B`` at the backward-difference rate, and the spectra use the pencil
 at ``S = 0``.  No other module assembles the film equation or its
 mobility operator ``K``: the stationary balance is ``-F(R, 0)`` with the
-:func:`flux_scale` of its face coefficients, and the pressure elimination,
-the inertial pressure solve and ``L_F`` assemble ``K`` from those
-coefficients by :func:`mobility_operator`.  Each call takes its closures
-from one pass of :mod:`filmcav.physics` per kind.
+:func:`flux_scale` of its face coefficients, the pressure elimination
+solves the pencil's ``P``, and the inertial pressure solve and ``L_F``
+assemble ``K`` from those coefficients by :func:`mobility_operator`.
+Each call takes its closures from one pass of :mod:`filmcav.physics` per
+kind.
 
 Every sparse LU of the package is built by :func:`_factorize`, which fixes
 the column ordering (minimum degree on ``A^T + A``) and SuperLU's panel
 size (1), and reports an exactly singular matrix as
-:class:`SolverFailureError`; :func:`solve_spd` is the one SPD solve.
+:class:`SolverFailureError`; :func:`solve_spd` is the one solve that
+verifies its residual.
 """
 
 from __future__ import annotations
@@ -179,7 +181,15 @@ def _factorize(matrix: sp.spmatrix) -> spla.SuperLU:
 
 def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray,
               grid: Grid) -> np.ndarray:
-    """Solve an SPD system by sparse LU with residual verification.
+    """Solve a system by sparse LU with residual verification.
+
+    The matrix is SPD or similar to an SPD matrix.  The package solves two:
+    the mobility operator ``K`` of :func:`mobility_operator` (the inertial
+    pressure) and the pencil's ``P = K diag(R f2) - diag(h f5)`` of
+    :func:`film_pencil` (the pressure elimination).  ``P = M D`` with ``M =
+    K - diag(h f5 / (R f2))`` SPD, since ``f5 <= 0``, and ``D = diag(R f2)
+    > 0``, so ``P`` is similar to the SPD matrix ``D^1/2 M D^1/2`` and
+    nonsingular.
 
     Returns the solution shaped like the grid.  Raises
     :class:`SolverFailureError` if the matrix is singular or the relative

@@ -85,15 +85,6 @@ class Grid:
         """Cell-center coordinates along x1, shape (n1,)."""
         return (np.arange(self.n1) + 0.5) * self.dx1
 
-    @property
-    def x2(self) -> np.ndarray:
-        """Cell-center coordinates along x2, shape (n2,)."""
-        return (np.arange(self.n2) + 0.5) * self.dx2
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcastable center coordinate arrays (X1, X2), each (n1, n2)."""
-        return np.meshgrid(self.x1, self.x2, indexing="ij")
-
 
 def grid_for_params(params: PhysicalParams, n1: int, n2: int,
                     bc_x1: str = BC_PERIODIC) -> Grid:

@@ -37,7 +37,8 @@ Each formula is written once.  :func:`eval_wall` gives ``(f1, f2)`` from one
 validation of ``R`` and no gas fraction; the film equation reads ``_closures``
 ``(f1 … f5)`` and ``_closure_slopes`` ``(f1', f2', f3', f5')`` (``f4' = f5``),
 each from one validation and one gas fraction.  The public ``eval_*`` take
-scalars or arrays and raise :class:`~filmcav.errors.NonPositiveRadiusError`.
+scalars or arrays and raise :class:`~filmcav.errors.NonPositiveRadiusError`
+where :func:`radius_fault`, the one test of a radius field, finds a fault.
 ``R_crit`` has a closed form; :func:`compute_derived` bisects for ``R_bar``.
 """
 
@@ -69,7 +70,8 @@ class PhysicalParams:
     lengths in m, viscosities in Pa·s (``kappa_s`` in Pa·s·m).
 
     ``rho_g <= rho_l`` keeps the squeeze coupling ``f5`` non-positive, as
-    the SPD pressure elimination and the squeeze-feedback sign both need.
+    the solvability of the pressure elimination and the squeeze-feedback
+    sign both need.
 
     Attributes
     ----------
@@ -151,9 +153,17 @@ class PhysicalParams:
         return self.omega * self.J_r
 
 
+def radius_fault(R) -> str | None:
+    """Why ``R`` is no radius field: ``"non-finite"`` when an entry is NaN
+    or infinite, ``"non-positive"`` when one is at most 0, else None."""
+    if np.all((0.0 < R) & (R < np.inf)):             # NaN fails both
+        return None
+    return "non-positive" if np.all(np.isfinite(R)) else "non-finite"
+
+
 def _as_positive_radius(R):
     r = np.asarray(R, dtype=float)
-    if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
+    if radius_fault(r) is not None:
         raise NonPositiveRadiusError("bubble radius must be positive and finite")
     return r
 
@@ -227,12 +237,6 @@ def eval_wall(R, params: PhysicalParams):
 def eval_f1_prime(R, params: PhysicalParams):
     """d f1 / dR."""
     return _match(R, _closure_slopes(R, params)[0])
-
-
-def eval_f5(R, params: PhysicalParams):
-    """Squeeze coupling ½ (rho_g/rho_l - 1) alpha'(R) = f4'(R); non-positive,
-    since valid parameters have ``rho_g <= rho_l``."""
-    return _match(R, _closures(R, params)[4])
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .errors import (ConfigurationError, SolverFailureError,
                      SupercriticalRadiusError)
 from .grid import Grid, ensure_field
 from .elliptic import _factorize, film_pencil, film_residual, flux_scale
-from .physics import PhysicalParams, compute_derived, eval_wall
+from .physics import PhysicalParams, compute_derived, eval_wall, radius_fault
 
 MAX_BACKTRACKS = 20
 #: most Newton iterations of one solve
@@ -153,7 +153,7 @@ def solve_stationary(grid: Grid, h: np.ndarray, U: tuple[float, float],
         lam = 1.0
         for _ in range(steps):
             R_new = R + lam * delta.reshape(grid.shape)
-            if np.all((0.0 < R_new) & (R_new < np.inf)):
+            if radius_fault(R_new) is None:
                 trial = (R_new, *stationary_residual(grid, R_new, hf, U,
                                                      params))
                 if np.linalg.norm(trial[1]) <= (1.0 - 1e-4 * lam) * norm_phi:

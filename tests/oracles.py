@@ -17,7 +17,8 @@ The tests gate the package's discretization against these:
   :func:`filmcav.elliptic.film_pencil` sums face by face (the latter
   decides each face's upwind side itself), and ``apply_A2``
   the squeeze response of the pressure equation;
-* ``field_norms`` gives the area-weighted norms of a field;
+* ``centers`` gives the cell-center coordinates of a grid as fields and
+  ``field_norms`` the area-weighted norms of a field;
 * ``fields_csv`` and ``midline_csv`` render the field table and the
   midline of whole-grid fields, every number of every row formatted: the
   reference of the renderers that take a solved mirror grid and format
@@ -54,7 +55,7 @@ from filmcav.elliptic import (_assemble, _convective_fluxes,
 from filmcav.errors import SupercriticalRadiusError
 from filmcav.grid import CSV_HEADER, Grid, ensure_field, render_csv
 from filmcav.physics import (PhysicalParams, compute_derived, eval_alpha,
-                             eval_f1_prime, eval_f5)
+                             eval_f1_prime)
 from filmcav.stability import hurwitz_analysis
 from filmcav.stationary import (MAX_BACKTRACKS, NEWTON_MAX,
                                 stationary_residual, trivial_solution)
@@ -102,6 +103,12 @@ def eval_f4(R, params: PhysicalParams):
 
 def eval_f4_prime(R, params: PhysicalParams):
     """d f4 / dR; identical to the squeeze coupling f5 for this closure."""
+    return physics._match(R, physics._closures(R, params)[4])
+
+
+def eval_f5(R, params: PhysicalParams):
+    """Squeeze coupling ½ (rho_g/rho_l - 1) alpha'(R) = f4'(R); non-positive,
+    since valid parameters have ``rho_g <= rho_l``."""
     return physics._match(R, physics._closures(R, params)[4])
 
 
@@ -197,6 +204,12 @@ def apply_A2(grid: Grid, R: np.ndarray, h: np.ndarray, S: np.ndarray,
     return solve_spd(K, -rhs.ravel(), grid)
 
 
+def centers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcastable center coordinate arrays (X1, X2), each (n1, n2)."""
+    return np.meshgrid(grid.x1, (np.arange(grid.n2) + 0.5) * grid.dx2,
+                       indexing="ij")
+
+
 def field_norms(grid: Grid, values: np.ndarray) -> dict[str, float]:
     """Area-weighted L2 and L1 norms plus the pointwise maximum."""
     arr = ensure_field(grid, values)
@@ -214,7 +227,7 @@ def fields_csv(grid: Grid, params: PhysicalParams, R: np.ndarray,
     ``x1,x2,R_hat,p_scaled,p_gauge_Pa,alpha`` of every cell, row-major."""
     Rf = ensure_field(grid, R, "R")
     pf = ensure_field(grid, p_scaled, "p")
-    X1, X2 = grid.centers()
+    X1, X2 = centers(grid)
     return render_csv(CSV_HEADER, [
         X1.ravel(), X2.ravel(),
         (Rf / params.R0).ravel(),

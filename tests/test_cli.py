@@ -805,10 +805,13 @@ def test_module_entry_point(tmp_path):
 
 
 def test_midline_profile_even_and_odd_rows():
-    even = Grid(6, 4, 1.0, 1.0)
-    values = np.arange(24, dtype=float).reshape(6, 4)
+    # an even n2 is solved on its mirror half, whose last row is the average
+    # of the whole grid's two center rows
+    even = mirror_half(Grid(6, 4, 1.0, 1.0))
+    values = np.arange(12, dtype=float).reshape(6, 2)
+    whole = unfold(even, values)
     profile = midline_profile(even, values)
-    assert np.array_equal(profile, 0.5 * (values[:, 1] + values[:, 2]))
+    assert np.array_equal(profile, 0.5 * (whole[:, 1] + whole[:, 2]))
 
     odd = Grid(6, 5, 1.0, 1.0)
     values = np.arange(30, dtype=float).reshape(6, 5)

@@ -27,10 +27,10 @@ from filmcav.elliptic import film_pencil, film_residual
 from filmcav.errors import (ConfigurationError, PositivityLossError,
                             StepFailureError)
 from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function, grid_for_params
-from filmcav.physics import PhysicalParams, compute_derived, eval_f5
+from filmcav.physics import PhysicalParams, compute_derived
 from filmcav.stationary import solve_stationary
 from oracles import (assemble_operator, convective_divergence, eval_f1,
-                     eval_f2, eval_f3, eval_f4, slaved_state)
+                     eval_f2, eval_f3, eval_f4, eval_f5, slaved_state)
 
 DEFAULT = PhysicalParams()
 

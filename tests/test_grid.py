@@ -11,7 +11,7 @@ from filmcav.grid import (
     grid_for_params, mirror_half, render_fields_csv, unfold,
 )
 from filmcav.physics import PhysicalParams, eval_alpha
-from oracles import field_norms
+from oracles import centers, field_norms
 
 DEFAULT = PhysicalParams()
 
@@ -27,14 +27,15 @@ def test_grid_spacing_and_centers():
     assert g.x1[0] == pytest.approx(0.125)
     assert g.x1[-1] == pytest.approx(2.0 - 0.125)
     assert np.allclose(np.diff(g.x1), g.dx1)
-    assert g.x2[0] == pytest.approx(0.125)
-    assert g.x2[-1] == pytest.approx(1.25 - 0.125)
-    X1, X2 = g.centers()
+    X1, X2 = centers(g)
+    assert X2[0, 0] == pytest.approx(0.125)
+    assert X2[0, -1] == pytest.approx(1.25 - 0.125)
+    assert np.allclose(np.diff(X2[0]), g.dx2)
     assert X1.shape == g.shape and X2.shape == g.shape
     # X1 varies along axis 0 only, X2 along axis 1 only
     assert np.allclose(X1[:, 0], g.x1)
     assert np.allclose(X1[:, 3], g.x1)
-    assert np.allclose(X2[2, :], g.x2)
+    assert np.allclose(X2[2, :], X2[0])
 
 
 def test_grid_validation():
@@ -60,7 +61,8 @@ def test_mirror_half_keeps_the_cells_of_the_lower_half():
     assert (half.n1, half.n2, half.L1, half.L2) == (8, 3, 2.0, 0.75)
     assert half.mirror and half.bc_x1 == g.bc_x1 and not g.mirror
     # the same cells: spacing and centers are bitwise the lower half's
-    assert half.dx2 == g.dx2 and np.array_equal(half.x2, g.x2[:3])
+    assert half.dx2 == g.dx2 and np.array_equal(centers(half)[1],
+                                                centers(g)[1][:, :3])
     f = np.arange(24.0).reshape(8, 3)
     full = unfold(half, f)
     assert full.shape == g.shape
@@ -160,7 +162,7 @@ def test_csv_layout_and_columns():
     # row-major ordering: x2 cycles fastest
     assert data[0, 0] == pytest.approx(g.x1[0], rel=1e-8)
     assert data[1, 0] == pytest.approx(g.x1[0], rel=1e-8)
-    assert data[1, 1] == pytest.approx(g.x2[1], rel=1e-8)
+    assert data[1, 1] == pytest.approx(centers(g)[1][0, 1], rel=1e-8)
     assert data[g.n2, 0] == pytest.approx(g.x1[1], rel=1e-8)
     # columns carry 9 significant digits of the defining quantities
     assert np.allclose(data[:, 2], (R / p.R0).ravel(), rtol=1e-8)
@@ -187,7 +189,7 @@ def test_csv_matches_the_savetxt_oracle():
         * rng.uniform(0.5, 1.5, size=g.shape)
     pres = rng.choice([-1e9, -1.0, -3e-12, 0.0, 2e-12, 1.0, 7e13],
                       size=g.shape) * rng.uniform(0.5, 1.5, size=g.shape)
-    X1, X2 = g.centers()
+    X1, X2 = centers(g)
     cols = np.column_stack([X1.ravel(), X2.ravel(), (R / p.R0).ravel(),
                             pres.ravel(), (p.rho_l * pres).ravel(),
                             eval_alpha(R, p).ravel()])

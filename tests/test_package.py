@@ -1,8 +1,8 @@
 """Package-wide structure: no dead public code or module constant, no dead
 test oracle, a package namespace that imports and re-exports nothing, every
 file write in one CLI function, the film equation written in one function,
-one pressure elimination per run, at its start state, and a sparse stencil
-only its own layer names."""
+one pressure elimination per run, at its start state, a sparse stencil only
+its own layer names, and no matrix diagonal set outside that layer."""
 
 import ast
 import os
@@ -97,15 +97,10 @@ def test_every_test_oracle_is_used():
     assert sorted(name for name in defined if name not in named) == []
 
 
-def _is_property(node):
-    return isinstance(node, ast.FunctionDef) and any(
-        isinstance(d, ast.Name) and d.id == "property"
-        for d in node.decorator_list)
-
-
-def test_every_public_field_and_property_is_read():
-    # every annotated field and every property of a public class must be
-    # read as an attribute somewhere in the package
+def test_every_public_field_property_and_method_is_read():
+    # every annotated field, property and public method of a public class
+    # must be read as an attribute somewhere in the package: a method only
+    # tests call is a test oracle
     declared, read = [], set()
     for _, tree in _modules():
         for top in tree.body:
@@ -114,7 +109,8 @@ def test_every_public_field_and_property_is_read():
                     if (isinstance(item, ast.AnnAssign)
                             and isinstance(item.target, ast.Name)):
                         declared.append((top.name, item.target.id))
-                    elif _is_property(item):
+                    elif (isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("_")):
                         declared.append((top.name, item.name))
         read.update(node.attr for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute)
@@ -274,6 +270,10 @@ def test_the_film_equation_is_assembled_in_one_function():
     assert sorted(_callers("_assemble")) == ["elliptic.film_pencil",
                                              "elliptic.film_pencil",
                                              "elliptic.mobility_operator"]
+    # K itself only where it is the matrix: the inertial pressure solve and
+    # L_F (the pressure elimination solves the pencil's P)
+    assert sorted(_callers("mobility_operator")) == [
+        "cli.cmd_stability", "dynamics._wall_acceleration"]
     importers = sorted(
         module for module, tree in _modules() for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
@@ -290,8 +290,8 @@ def test_the_film_equation_is_assembled_in_one_function():
 
 def test_only_the_start_state_eliminates_the_pressure():
     # a backward-Euler step is accepted on its chord convergence and
-    # carries its own rate and pressure: the SPD pressure elimination
-    # serves the start state alone
+    # carries its own rate and pressure: the pressure elimination, one
+    # solve of the pencil's P, serves the start state alone
     assert _callers("eliminate_pressure") == ["dynamics.initial_state"]
 
 
@@ -305,4 +305,15 @@ def test_only_elliptic_names_its_stencil():
                           getattr(node, "attr", None))
         or (isinstance(node, ast.ImportFrom)
             and "_stencil" in {alias.name for alias in node.names}))
+    assert strays == []
+
+
+def test_only_elliptic_sets_a_diagonal():
+    # a diagonal shifted by hand outside elliptic would be a second
+    # spelling of the pencil: every matrix the package solves or factors is
+    # K, the pencil (B, P) or a combination of the two
+    strays = sorted(
+        f"{module}.py:{node.lineno}" for module, tree in _modules()
+        if module != "elliptic" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "setdiag")
     assert strays == []

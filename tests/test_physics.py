@@ -12,12 +12,11 @@ from scipy.optimize import brentq
 from filmcav import physics
 from filmcav.errors import ConfigurationError, NonPositiveRadiusError
 from filmcav.physics import (
-    PhysicalParams, compute_derived, eval_alpha, eval_f1_prime, eval_f5,
-    eval_wall,
+    PhysicalParams, compute_derived, eval_alpha, eval_f1_prime, eval_wall,
 )
 from oracles import (eval_alpha_prime, eval_f1, eval_f2, eval_f2_prime,
                      eval_f3, eval_f3_prime, eval_f4, eval_f4_prime,
-                     eval_f5_prime)
+                     eval_f5, eval_f5_prime)
 
 DEFAULT = PhysicalParams()
 

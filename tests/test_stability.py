@@ -37,7 +37,7 @@ from filmcav.errors import ConfigurationError, SolverFailureError
 from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, Grid, gap_function,
                           grid_for_params, mirror_half, unfold)
 from filmcav.physics import (PhysicalParams, compute_derived, eval_f1_prime,
-                             eval_f5, eval_wall)
+                             eval_wall)
 from filmcav.stability import (
     RIGHTMOST_COUNT,
     VERDICT_MARGINAL,
@@ -66,6 +66,7 @@ from oracles import (
     dirichlet_laplacian_eigenvalues_1d,
     eval_f3,
     eval_f3_prime,
+    eval_f5,
     trivial_branch_spectrum_LF,
     trivial_LF_roots,
     trivial_LG_eigenvalue,
