@@ -12,8 +12,8 @@ Every configuration is mirror-symmetric about ``x2 = L2/2``, so for an even
 ``n2`` every run solves the lower half of the grid
 (:func:`~filmcav.grid.mirror_half`) and renders every field table of the
 whole grid from it, snapshots included; ``stability`` unfolds its state
-onto the whole grid, folds that grid's pencil into its symmetric and
-antisymmetric blocks and lists the union of their spectra.
+onto the whole grid and hands that grid's pencil to
+:func:`~filmcav.stability.mirror_spectrum`.
 
 Exit codes: 0 success, 2 configuration error (an unwritable output
 directory included), 3 numerical failure (solver breakdown or an
@@ -28,7 +28,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import (MODE_STABILITY, MODE_STATIONARY, MODE_SWEEP,
                      MODE_TRANSIENT, RunConfig, config_for_sweep_value,
@@ -42,10 +41,9 @@ from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
 from .grid import (BC_PERIODIC, CSV_HEADER, Grid, gap_function, mirror_half,
                    render_csv, render_fields_csv, unfold)
 from .physics import PhysicalParams, compute_derived, eval_alpha
-from .stability import (DENSE_ASSEMBLY_LIMIT, SpectrumReport, _verdict,
-                        assemble_LF, compute_spectrum, hurwitz_analysis,
-                        hurwitz_report_text, pencil_spectrum,
-                        render_spectrum_csv)
+from .stability import (DENSE_ASSEMBLY_LIMIT, assemble_LF, compute_spectrum,
+                        hurwitz_analysis, hurwitz_report_text,
+                        mirror_spectrum, render_spectrum_csv)
 from .stationary import StationaryReport, solve_stationary
 
 MIDLINE_HEADER = "x1,R_hat,p_scaled,p_gauge_Pa,alpha"
@@ -83,20 +81,18 @@ def _write_run(out: Path, entries: list[tuple[str, str | None, str]]) -> None:
     _write_text(out / "MANIFEST.txt", "\n".join(lines) + "\n")
 
 
-def midline_profile(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Profile along the channel mid-width of a solved grid (a mirror grid,
-    or a whole grid of odd ``n2``): the center row of an odd ``n2``, and a
-    mirror grid's last row, the average of the whole grid's two center
-    rows, which are mirror images."""
-    return values[:, -1 if grid.mirror else grid.n2 // 2]
-
-
 def render_midline_csv(grid: Grid, params: PhysicalParams, R: np.ndarray,
                        p: np.ndarray) -> str:
     """Midline sample of the exported field quantities of the solved
-    ``grid``, the whole grid's profile when ``grid`` is a mirror grid."""
-    r_mid = midline_profile(grid, np.asarray(R, dtype=float))
-    p_mid = midline_profile(grid, np.asarray(p, dtype=float))
+    ``grid``: a mirror grid's last row, the average of the whole grid's two
+    center rows, which are mirror images, or the center row of a whole grid
+    of odd ``n2``.  A whole grid of even ``n2`` has no center row."""
+    if not grid.mirror and grid.n2 % 2 == 0:
+        raise ConfigurationError(f"a whole grid of even n2 = {grid.n2} has "
+                                 "no center row; pass its mirror half")
+    row = -1 if grid.mirror else grid.n2 // 2
+    r_mid = np.asarray(R, dtype=float)[:, row]
+    p_mid = np.asarray(p, dtype=float)[:, row]
     return render_csv(MIDLINE_HEADER, [grid.x1, r_mid / params.R0, p_mid,
                                        params.rho_l * p_mid,
                                        eval_alpha(r_mid, params)])
@@ -107,8 +103,8 @@ _FIELDS_DESC = (f"cell-centered fields, columns `{CSV_HEADER}`; "
 
 
 def _midline_desc(grid: Grid) -> str:
-    """MANIFEST entry of ``midline.csv``, as :func:`midline_profile` takes it."""
-    rows = ("average of the two center rows" if grid.n2 % 2 == 0
+    """MANIFEST entry of ``midline.csv`` of the solved ``grid``."""
+    rows = ("average of the two center rows" if grid.mirror
             else "the center row")
     return f"mid-width profile ({rows}), columns `{MIDLINE_HEADER}`"
 
@@ -200,7 +196,7 @@ def _transient(config: RunConfig) -> TransientResult:
         ("fields_final.csv", render_fields_csv(half, params, R, p),
          _FIELDS_DESC),
         ("midline.csv", render_midline_csv(half, params, R, p),
-         _midline_desc(grid)),
+         _midline_desc(half)),
         ("history.csv", render_csv(HISTORY_HEADER, res.history.values()),
          f"per-step diagnostics, columns `{HISTORY_HEADER}`"),
         ("trace.csv", render_csv(TRACE_HEADER, res.step_stats.values()),
@@ -250,7 +246,7 @@ def _stationary(config: RunConfig
         ("fields_final.csv", render_fields_csv(half, params, R_s, p_s),
          _FIELDS_DESC),
         ("midline.csv", render_midline_csv(half, params, R_s, p_s),
-         _midline_desc(grid)),
+         _midline_desc(half)),
         ("summary.txt", _stationary_summary(report, R_s, p_s, params),
          "solver report (key = value lines); `newton_iterations` counts the "
          "accepted iterates, chord and Newton steps alike, and "
@@ -274,21 +270,6 @@ def cmd_stationary(config: RunConfig) -> int:
     return 0 if report.converged else 3
 
 
-def _mirror_blocks(half: Grid, B: sp.spmatrix, P: sp.spmatrix) -> list:
-    """The symmetric and antisymmetric blocks ``M11 +- M12 J`` of each matrix
-    ``M`` of a mirror-symmetric whole-grid pencil, ``M11`` on the cells of
-    ``half`` and ``J`` their mirror cells: together the pencil's spectrum.
-    The pencil itself is the one block when ``half`` is no mirror grid."""
-    if not half.mirror:
-        return [(B, P)]
-    cells = np.arange(2 * half.n_cells).reshape(half.n1, 2 * half.n2)
-    rows = cells[:, :half.n2].ravel()
-    mirror = cells[:, ::-1][:, :half.n2].ravel()
-    top = [M[rows] for M in (B, P)]
-    return [tuple(M[:, rows] + sign * M[:, mirror] for M in top)
-            for sign in (1.0, -1.0)]
-
-
 def cmd_stability(config: RunConfig) -> int:
     """Stationary branch, linearized spectra, and modal speed thresholds."""
     grid = config.make_grid()
@@ -307,14 +288,7 @@ def cmd_stability(config: RunConfig) -> int:
     h = gap_function(grid, params)
     zero_rate = np.zeros(grid.shape)
     B, P = film_pencil(grid, R_s, zero_rate, h, U, params)
-    # each block certified on its own certifies the union
-    blocks = [pencil_spectrum(*block) for block in _mirror_blocks(half, B, P)]
-    max_real = max(rep.max_real_part for rep in blocks)
-    rep_G = SpectrumReport(
-        np.sort_complex(np.concatenate([rep.eigenvalues for rep in blocks])),
-        max_real, _verdict(max_real), max(rep.bound for rep in blocks),
-        sum(rep.factorizations for rep in blocks),
-        sum(rep.applications for rep in blocks))
+    rep_G = mirror_spectrum(half, B, P)
     if inertial:
         K = mobility_operator(grid, film_residual(grid, R_s, zero_rate, h, U,
                                                   params)[2])

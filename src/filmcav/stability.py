@@ -14,8 +14,8 @@ stationary solver factors the same ``B``, the stepper ``P - dt B``):
   its rightmost eigenvalues without forming ``L_G``: ARPACK on the Cayley
   transform ``(B - s P)^{-1} (B + s P)``, which maps the open right
   half-plane onto ``|theta| > 1``, and a certificate that bounds the real
-  part of every eigenvalue it does not list.  The stability run calls it
-  on the pencil's two mirror-symmetry blocks, which split its spectrum.
+  part of every eigenvalue it does not list.  :func:`mirror_spectrum`
+  unites its reports on a pencil's two mirror-symmetry blocks.
 
 * ``L_F`` — the inertial model linearized at ``(R_s, 0)``, assembled dense:
   the companion matrix ``[[0, I], [diag(1/R_s) K^{-1} B,
@@ -45,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
-from .grid import render_csv
+from .grid import Grid, render_csv
 from .elliptic import _factorize
 from .physics import PhysicalParams, compute_derived
 
@@ -74,32 +74,33 @@ VERDICT_MARGINAL = "marginal"
 class SpectrumReport:
     """Eigenvalues of a linearized evolution operator with a verdict.
 
-    ``verdict`` is "stable" when every real part is below
-    ``-VERDICT_MARGIN``, "unstable" when some real part exceeds
-    ``+VERDICT_MARGIN``, and "marginal" otherwise (eigenvalues inside the
-    margin band decide nothing at finite resolution).  ``eigenvalues`` may
-    be the rightmost part of the spectrum only; ``bound`` then bounds the
-    real part of every eigenvalue not listed (``-inf`` when the list is the
-    whole spectrum).  ``factorizations`` and ``applications`` count the
-    sparse LUs and the ARPACK operator applications of a pencil solve (0
-    for a dense one).
+    ``max_real_part`` and ``verdict`` are read from the listed eigenvalues,
+    the verdict "stable" when every real part is below ``-VERDICT_MARGIN``,
+    "unstable" when some real part exceeds ``+VERDICT_MARGIN``, and
+    "marginal" otherwise (eigenvalues inside the margin band decide nothing
+    at finite resolution).  The list may be the rightmost part of the
+    spectrum only; ``bound`` then bounds the real part of every eigenvalue
+    not listed (``-inf`` when the list is the whole spectrum).
+    ``factorizations`` and ``applications`` count the sparse LUs and the
+    ARPACK operator applications of a pencil solve (0 for a dense one).
     """
 
     eigenvalues: np.ndarray
-    max_real_part: float
-    verdict: str
     bound: float = -np.inf
     factorizations: int = 0
     applications: int = 0
 
+    @property
+    def max_real_part(self) -> float:
+        return float(self.eigenvalues.real.max())
 
-def _verdict(max_real: float) -> str:
-    """The three-way rule shared by the dense and the sparse spectra."""
-    if max_real < -VERDICT_MARGIN:
-        return VERDICT_STABLE
-    if max_real > VERDICT_MARGIN:
-        return VERDICT_UNSTABLE
-    return VERDICT_MARGINAL
+    @property
+    def verdict(self) -> str:
+        if self.max_real_part < -VERDICT_MARGIN:
+            return VERDICT_STABLE
+        if self.max_real_part > VERDICT_MARGIN:
+            return VERDICT_UNSTABLE
+        return VERDICT_MARGINAL
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +126,7 @@ def compute_spectrum(matrix: np.ndarray) -> SpectrumReport:
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConfigurationError("spectrum needs a square matrix")
-    eigs = np.sort_complex(np.linalg.eigvals(A))
-    max_real = float(np.max(eigs.real))
-    return SpectrumReport(eigenvalues=eigs, max_real_part=max_real,
-                          verdict=_verdict(max_real))
+    return SpectrumReport(np.sort_complex(np.linalg.eigvals(A)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +233,42 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
             elif eta > BACKWARD_ERROR_TOL:
                 reason = f"eigenpair backward error {eta:.3e}"
             else:
-                return SpectrumReport(
-                    eigenvalues=_complete_pairs(lam), max_real_part=max_real,
-                    verdict=_verdict(max_real), bound=bound,
-                    factorizations=factorizations, applications=applications)
+                return SpectrumReport(_complete_pairs(lam), bound,
+                                      factorizations, applications)
         lu = V = None  # released before the next pole's factor is built
         pole *= POLE_GROWTH
     raise SolverFailureError(
         f"rightmost eigenvalues of the pencil not certified with Cayley "
         f"poles up to {pole / POLE_GROWTH:.6g}: {reason}")
+
+
+def _mirror_blocks(half: Grid, B: sp.spmatrix, P: sp.spmatrix) -> list:
+    """The symmetric and antisymmetric blocks ``M11 +- M12 J`` of each matrix
+    ``M`` of a mirror-symmetric whole-grid pencil, ``M11`` on the cells of
+    ``half`` and ``J`` their mirror cells: together the pencil's spectrum.
+    The pencil itself is the one block when ``half`` is no mirror grid."""
+    if not half.mirror:
+        return [(B, P)]
+    cells = np.arange(2 * half.n_cells).reshape(half.n1, 2 * half.n2)
+    rows = cells[:, :half.n2].ravel()
+    mirror = cells[:, ::-1][:, :half.n2].ravel()
+    top = [M[rows] for M in (B, P)]
+    return [tuple(M[:, rows] + sign * M[:, mirror] for M in top)
+            for sign in (1.0, -1.0)]
+
+
+def mirror_spectrum(half: Grid, B: sp.spmatrix,
+                    P: sp.spmatrix) -> SpectrumReport:
+    """The :func:`pencil_spectrum` of each block of the whole-grid pencil
+    ``(B, P)`` of the solved grid ``half``, united: eigenvalues sorted
+    together, the larger bound, LUs and ARPACK applications summed (each
+    block certified on its own certifies the union)."""
+    blocks = [pencil_spectrum(*block) for block in _mirror_blocks(half, B, P)]
+    return SpectrumReport(
+        np.sort_complex(np.concatenate([rep.eigenvalues for rep in blocks])),
+        max(rep.bound for rep in blocks),
+        sum(rep.factorizations for rep in blocks),
+        sum(rep.applications for rep in blocks))
 
 
 def render_spectrum_csv(report: SpectrumReport) -> str:

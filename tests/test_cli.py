@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 import filmcav
 from filmcav import cli, physics, stability, stationary
-from filmcav.cli import (MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main,
-                         midline_profile)
+from filmcav.cli import MIDLINE_HEADER, SWEEP_HEADER, TRACE_HEADER, main
 from filmcav.config import parse_config
 from filmcav.dynamics import initial_state, run_transient
+from filmcav.errors import ConfigurationError
 from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, CSV_HEADER, Grid,
                           gap_function, grid_for_params, mirror_half,
                           render_fields_csv, unfold)
@@ -804,18 +804,13 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "out" / "fields_final.csv").exists()
 
 
-def test_midline_profile_even_and_odd_rows():
-    # an even n2 is solved on its mirror half, whose last row is the average
-    # of the whole grid's two center rows
-    even = mirror_half(Grid(6, 4, 1.0, 1.0))
-    values = np.arange(12, dtype=float).reshape(6, 2)
-    whole = unfold(even, values)
-    profile = midline_profile(even, values)
-    assert np.array_equal(profile, 0.5 * (whole[:, 1] + whole[:, 2]))
-
-    odd = Grid(6, 5, 1.0, 1.0)
-    values = np.arange(30, dtype=float).reshape(6, 5)
-    assert np.array_equal(midline_profile(odd, values), values[:, 2])
+def test_midline_of_a_whole_grid_of_even_n2_is_rejected():
+    # no cell row of a whole even-n2 grid is its midline: the run renders
+    # the midline from the mirror half, whose last row it is
+    grid = Grid(6, 4, 1.0, 1.0)
+    R = np.full(grid.shape, DEFAULT.R0)
+    with pytest.raises(ConfigurationError, match="even n2"):
+        cli.render_midline_csv(grid, DEFAULT, R, np.zeros(grid.shape))
 
 
 @given(shape=st.tuples(st.integers(4, 12), st.integers(4, 12)),

@@ -2,7 +2,8 @@
 test oracle, a package namespace that imports and re-exports nothing, every
 file write in one CLI function, the film equation written in one function,
 one pressure elimination per run, at its start state, a sparse stencil only
-its own layer names, and no matrix diagonal set outside that layer."""
+its own layer names, no matrix diagonal set outside that layer, and no
+private name taken from another module but the pinned few."""
 
 import ast
 import os
@@ -317,3 +318,36 @@ def test_only_elliptic_sets_a_diagonal():
         if module != "elliptic" for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "setdiag")
     assert strays == []
+
+
+#: the private names one package module takes from another, with their
+#: importers: the one sparse-LU helper and the film equation's two closure
+#: passes
+SHARED_PRIVATE = {("_factorize", "dynamics"), ("_factorize", "stationary"),
+                  ("_factorize", "stability"), ("_closures", "elliptic"),
+                  ("_closure_slopes", "elliptic")}
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_only_the_pinned_private_names_cross_modules():
+    # a private name belongs to its module: another module may import it,
+    # or reach it as an attribute of a name it imports from the package,
+    # only as pinned, so a rule like the L_G verdict stays with its owner
+    crossing = set()
+    for module, tree in _modules():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or node.module.startswith("filmcav")):
+                crossing |= {(alias.name, module) for alias in node.names
+                             if _is_private(alias.name)}
+                imported |= {alias.asname or alias.name
+                             for alias in node.names}
+        crossing |= {(node.attr, module) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in imported and _is_private(node.attr)}
+    assert crossing == SHARED_PRIVATE

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import filmcav.stability as stability
-from filmcav.cli import _mirror_blocks
+from filmcav.stability import _mirror_blocks
 from filmcav.dynamics import _wall_acceleration, eliminate_pressure
 from filmcav.elliptic import film_pencil, film_residual, mobility_operator
 from filmcav.errors import ConfigurationError, SolverFailureError
@@ -47,6 +47,7 @@ from filmcav.stability import (
     compute_spectrum,
     hurwitz_analysis,
     hurwitz_report_text,
+    mirror_spectrum,
     pencil_spectrum,
     render_spectrum_csv,
     sigma_constants,
@@ -695,19 +696,45 @@ def test_mirror_block_spectra_certify_the_whole_pencil(ecc):
     # real part is the whole pencil's, every listed eigenvalue is one of
     # the dense L_G, and the larger bound holds every unlisted one
     grid, half, R_s, h, U, params, B, P = _mirror_state(ecc, 32, 16)
-    blocks = [pencil_spectrum(*block) for block in _mirror_blocks(half, B, P)]
+    union = mirror_spectrum(half, B, P)
     whole = pencil_spectrum(B, P)
-    max_real = max(rep.max_real_part for rep in blocks)
-    assert max_real == pytest.approx(whole.max_real_part, rel=1e-10)
+    assert union.max_real_part == pytest.approx(whole.max_real_part,
+                                                 rel=1e-10)
     dense = compute_spectrum(assemble_LG(grid, R_s, h, U, params)).eigenvalues
     scale = np.abs(dense).max()
-    listed = np.concatenate([rep.eigenvalues for rep in blocks])
+    listed = union.eigenvalues
     near = np.abs(dense[:, None] - listed[None, :]) <= 1e-9 * np.maximum(
         np.abs(listed), 1e-3 * scale)
     assert np.all(near.any(axis=0))
-    bound = max(rep.bound for rep in blocks)
-    assert bound < max_real
+    bound = union.bound
+    assert bound < union.max_real_part
     assert np.all(dense[~near.any(axis=1)].real <= bound + 1e-9 * abs(bound))
+
+
+def test_mirror_spectrum_reports_an_unstable_antisymmetric_block():
+    # B = D + c J with D diagonal and mirror-symmetric and J the mirror
+    # permutation: the symmetric block is D + c, the antisymmetric D - c,
+    # so c = -2 keeps the first stable and lifts the second's top to 1.5
+    half = mirror_half(Grid(16, 8, 1.0, 1.0))
+    n = 2 * half.n_cells
+    d = unfold(half, -(np.arange(half.n_cells) + 0.5).reshape(half.shape))
+    mirror = np.arange(n).reshape(half.n1, 2 * half.n2)[:, ::-1].ravel()
+    J = sp.csr_matrix((np.ones(n), (np.arange(n), mirror)), shape=(n, n))
+    B = (sp.diags(d.ravel()) - 2.0 * J).tocsr()
+    P = sp.identity(n, format="csr")
+    sym, anti = [pencil_spectrum(*block)
+                 for block in _mirror_blocks(half, B, P)]
+    assert sym.verdict == VERDICT_STABLE
+    assert anti.verdict == VERDICT_UNSTABLE
+    union = mirror_spectrum(half, B, P)
+    assert union.verdict == VERDICT_UNSTABLE
+    assert union.max_real_part == anti.max_real_part
+    assert union.max_real_part == pytest.approx(1.5, rel=1e-10)
+    assert union.bound == max(sym.bound, anti.bound)
+    assert union.factorizations == sym.factorizations + anti.factorizations
+    assert union.applications == sym.applications + anti.applications
+    assert np.array_equal(union.eigenvalues, np.sort_complex(
+        np.concatenate([sym.eigenvalues, anti.eigenvalues])))
 
 
 @pytest.mark.parametrize("factor", [0.0, 1.1])
