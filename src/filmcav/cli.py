@@ -13,7 +13,15 @@ Every configuration is mirror-symmetric about ``x2 = L2/2``, so for an even
 (:func:`~filmcav.grid.mirror_half`) and renders every field table of the
 whole grid from it, snapshots included; ``stability`` unfolds its state
 onto the whole grid and hands that grid's pencil to
-:func:`~filmcav.stability.mirror_spectrum`.
+:func:`~filmcav.stability.mirror_spectrum`, and writes the modal report of
+:func:`~filmcav.stability.modal_report`: the CLI holds no spectral algebra.
+
+The CLI runs one BLAS thread: its work is sparse LU, triangular solves
+and ARPACK's small dense kernels, where a second thread spends CPU and no
+wall time.  Importing this module sets ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` to 1 where the environment does not set them, before
+it imports numpy; a user's own setting wins, and a library user who
+imported numpy first keeps the threads numpy started with.
 
 Exit codes: 0 success, 2 configuration error (an unwritable output
 directory included), 3 numerical failure (solver breakdown or an
@@ -23,9 +31,13 @@ unconverged run).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -38,12 +50,11 @@ from .dynamics import (HISTORY_KEYS, MODE_INERTIAL, STEP_STATS_KEYS,
 from .elliptic import film_pencil, film_residual, mobility_operator
 from .errors import (ConfigurationError, SolverFailureError, StepFailureError,
                      SupercriticalRadiusError)
-from .grid import (BC_PERIODIC, CSV_HEADER, Grid, gap_function, mirror_half,
-                   render_csv, render_fields_csv, unfold)
+from .grid import (CSV_HEADER, Grid, gap_function, mirror_half, render_csv,
+                   render_fields_csv, unfold)
 from .physics import PhysicalParams, compute_derived, eval_alpha
 from .stability import (DENSE_ASSEMBLY_LIMIT, assemble_LF, compute_spectrum,
-                        hurwitz_analysis, hurwitz_report_text,
-                        mirror_spectrum, render_spectrum_csv)
+                        mirror_spectrum, modal_report, render_spectrum_csv)
 from .stationary import StationaryReport, solve_stationary
 
 MIDLINE_HEADER = "x1,R_hat,p_scaled,p_gauge_Pa,alpha"
@@ -318,35 +329,12 @@ def cmd_stability(config: RunConfig) -> int:
                         "eigenvalues of the inertial linearization, columns "
                         "`re,im`"))
 
-    U_norm = float(np.hypot(*U))
-    # the threshold grows with the mode's Laplacian eigenvalue, and it does
-    # not depend on U: the (1, 1) analysis at U_norm gives it
-    hw = hurwitz_analysis(params, U_norm, (1, 1), grid.L1, grid.L2)
-    u_crit = float(np.sqrt(hw.U_crit_sq))
-    outside = []
-    if grid.bc_x1 == BC_PERIODIC:
-        outside.append("x1 is periodic, the modes assume zero pressure at "
-                       "x1 = 0 and L1")
-    if params.ecc > 0.0:
-        outside.append(f"ecc = {params.ecc:.9g} > 0, the modes assume a "
-                       "parallel gap")
-    scope = ("outside the analysis: " + "; ".join(outside) if outside else
-             "the configured geometry is within the analysis")
-    hurwitz_text = (
-        f"modal analysis on L1 x L2 = {grid.L1:.9g} m x {grid.L2:.9g} m, "
-        "with a parallel gap and zero pressure on all four edges\n"
-        f"{scope}\n"
-        f"sliding speed |U| = {U_norm:.9g} m/s\n"
-        f"minimal modal critical speed = {u_crit:.9g} m/s at mode (1, 1), "
-        "which minimizes the threshold on any rectangle\n\n"
-        + hurwitz_report_text(hw))
-    entries.append(("hurwitz.txt", hurwitz_text, "modal polynomial analysis "
+    modal_text, scope, modal_line = modal_report(grid, params, U)
+    entries.append(("hurwitz.txt", modal_text, "modal polynomial analysis "
                     "at the minimal critical mode of the configured L1 x L2 "
                     "rectangle (parallel gap, zero pressure on all edges); "
                     + scope))
-    lines.append(f"minimal modal critical speed not printed, {scope}"
-                 if outside else f"minimal modal critical speed = "
-                 f"{u_crit:.9g} m/s at mode (1, 1)")
+    lines.append(modal_line)
     lines.append(f"operator L_G work: {rep_G.factorizations} LU "
                  f"factorizations, {rep_G.applications} ARPACK operator "
                  "applications")

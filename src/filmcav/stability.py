@@ -33,7 +33,9 @@ whose Routh-Hurwitz determinant sequence counts unstable roots, and whose
 third determinant is affine in the squared speed — its root is the exact
 modal instability threshold.  The modal analysis takes the physical
 parameters alone and reads the rest-state constants of
-:func:`physics.compute_derived`.
+:func:`physics.compute_derived`; :func:`modal_report` owns its run report,
+``hurwitz.txt`` and the summary line, which names the critical speed only
+for a geometry within the analysis.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverFailureError
-from .grid import Grid, render_csv
+from .grid import BC_PERIODIC, Grid, render_csv
 from .elliptic import _factorize
 from .physics import PhysicalParams, compute_derived
 
@@ -319,18 +321,6 @@ class HurwitzReport:
     U_crit_sq: float
 
 
-def hurwitz_matrix(alpha0: float, beta0: float, alpha1: float, beta1: float,
-                   alpha2: float) -> np.ndarray:
-    """The 4x4 Hurwitz matrix of
-    ``P(lam) = alpha0 lam^4 + beta0 lam^3 + alpha1 lam^2 + beta1 lam + alpha2``."""
-    return np.array([
-        [beta0, beta1, 0.0, 0.0],
-        [alpha0, alpha1, alpha2, 0.0],
-        [0.0, beta0, beta1, 0.0],
-        [0.0, alpha0, alpha1, alpha2],
-    ])
-
-
 def hurwitz_analysis(params: PhysicalParams, U_norm: float,
                      k_pair: tuple[int, int], L1: float = 1.0,
                      L2: float = 1.0) -> HurwitzReport:
@@ -364,7 +354,10 @@ def hurwitz_analysis(params: PhysicalParams, U_norm: float,
     d2 = beta0 * alpha1 - alpha0 * beta1
     d3 = beta0 * alpha1 * beta1 - alpha0 * beta1 ** 2 - beta0 ** 2 * alpha2
     d4 = alpha2 * d3
-    H = hurwitz_matrix(alpha0, beta0, alpha1, beta1, alpha2)
+    H = np.array([[beta0, beta1, 0.0, 0.0],
+                  [alpha0, alpha1, alpha2, 0.0],
+                  [0.0, beta0, beta1, 0.0],
+                  [0.0, alpha0, alpha1, alpha2]])
     direct = tuple(float(np.linalg.det(H[:m, :m])) for m in range(1, 5))
 
     seq = [alpha0, d1]
@@ -381,21 +374,46 @@ def hurwitz_analysis(params: PhysicalParams, U_norm: float,
                          sign_changes=sign_changes, U_crit_sq=U_crit_sq)
 
 
-def hurwitz_report_text(report: HurwitzReport) -> str:
-    """Human-readable rendering for file output."""
-    d = report.deltas
-    dd = report.deltas_direct
-    lines = [
-        f"mode k = ({report.k[0]}, {report.k[1]})",
-        (f"coefficients: alpha0 = {report.alpha0:.9g}, beta0 = {report.beta0:.9g}, "
-         f"alpha1 = {report.alpha1:.9g}, beta1 = {report.beta1:.9g}, "
-         f"alpha2 = {report.alpha2:.9g}"),
-        (f"determinants (closed form): {d[0]:.9g}, {d[1]:.9g}, {d[2]:.9g}, "
-         f"{d[3]:.9g}"),
-        (f"determinants (direct):      {dd[0]:.9g}, {dd[1]:.9g}, {dd[2]:.9g}, "
-         f"{dd[3]:.9g}"),
-        f"sign changes (unstable roots): {report.sign_changes}",
-        f"critical squared speed for this mode: {report.U_crit_sq:.9g} m^2/s^2",
-        f"critical speed for this mode: {np.sqrt(report.U_crit_sq):.9g} m/s",
-    ]
-    return "\n".join(lines) + "\n"
+def modal_report(grid: Grid, params: PhysicalParams,
+                 U: tuple[float, float]) -> tuple[str, str, str]:
+    """``hurwitz.txt``, its scope line and the summary line of the modal
+    analysis of ``grid`` at ``|U|``; the summary names the minimal modal
+    critical speed only for a geometry within the analysis.  The threshold
+    grows with the mode's Laplacian eigenvalue and does not depend on
+    ``U``, so the mode (1, 1) analysis at ``|U|`` gives it."""
+    U_norm = float(np.hypot(*U))
+    hw = hurwitz_analysis(params, U_norm, (1, 1), grid.L1, grid.L2)
+    u_crit = float(np.sqrt(hw.U_crit_sq))
+    outside = []
+    if grid.bc_x1 == BC_PERIODIC:
+        outside.append("x1 is periodic, the modes assume zero pressure at "
+                       "x1 = 0 and L1")
+    if params.ecc > 0.0:
+        outside.append(f"ecc = {params.ecc:.9g} > 0, the modes assume a "
+                       "parallel gap")
+    scope = ("outside the analysis: " + "; ".join(outside) if outside else
+             "the configured geometry is within the analysis")
+    closed, direct = (", ".join(f"{x:.9g}" for x in ds)
+                      for ds in (hw.deltas, hw.deltas_direct))
+    text = "\n".join([
+        f"modal analysis on L1 x L2 = {grid.L1:.9g} m x {grid.L2:.9g} m, "
+        "with a parallel gap and zero pressure on all four edges",
+        scope,
+        f"sliding speed |U| = {U_norm:.9g} m/s",
+        f"minimal modal critical speed = {u_crit:.9g} m/s at mode (1, 1), "
+        "which minimizes the threshold on any rectangle",
+        "",
+        f"mode k = ({hw.k[0]}, {hw.k[1]})",
+        f"coefficients: alpha0 = {hw.alpha0:.9g}, beta0 = {hw.beta0:.9g}, "
+        f"alpha1 = {hw.alpha1:.9g}, beta1 = {hw.beta1:.9g}, "
+        f"alpha2 = {hw.alpha2:.9g}",
+        f"determinants (closed form): {closed}",
+        f"determinants (direct):      {direct}",
+        f"sign changes (unstable roots): {hw.sign_changes}",
+        f"critical squared speed for this mode: {hw.U_crit_sq:.9g} m^2/s^2",
+        f"critical speed for this mode: {u_crit:.9g} m/s",
+    ]) + "\n"
+    line = (f"minimal modal critical speed not printed, {scope}" if outside
+            else f"minimal modal critical speed = {u_crit:.9g} m/s at mode "
+            "(1, 1)")
+    return text, scope, line

@@ -33,13 +33,19 @@ The tests gate the package's discretization against these:
   beyond dense assembly, and the ``trivial_*`` helpers give the per-mode
   closed forms at the rest state;
 * ``critical_speed`` is the smallest modal instability threshold of the
-  Routh-Hurwitz analysis.
+  Routh-Hurwitz analysis;
+* ``manufactured_stationary`` gives a manufactured radius ``R*`` and the
+  source that makes it the exact stationary solution of the continuous
+  film balance (Roache, "Code verification by the method of manufactured
+  solutions", J. Fluids Eng. 2002), derived by sympy.
 
 The parallel-gap oracles take the physical parameters alone and read the
 rest-state constants of :func:`filmcav.physics.compute_derived`.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,7 +59,8 @@ from filmcav.elliptic import (_assemble, _convective_fluxes,
                               _sensitivity_fluxes, _stencil, film_pencil,
                               solve_spd)
 from filmcav.errors import SupercriticalRadiusError
-from filmcav.grid import CSV_HEADER, Grid, ensure_field, render_csv
+from filmcav.grid import (BC_PERIODIC, CSV_HEADER, Grid, ensure_field,
+                          render_csv)
 from filmcav.physics import (PhysicalParams, compute_derived, eval_alpha,
                              eval_f1_prime)
 from filmcav.stability import hurwitz_analysis
@@ -483,3 +490,55 @@ def critical_speed(params: PhysicalParams, L1: float = 1.0,
     """
     return float(np.sqrt(hurwitz_analysis(params, 0.0, (1, 1), L1,
                                           L2).U_crit_sq))
+
+
+# ---------------------------------------------------------------------------
+# Manufactured stationary solution
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=4)
+def _manufactured(params: PhysicalParams, bc_x1: str):
+    """``R*(x1, x2, a)`` and its source as numpy functions on the journal
+    domain ``[0, 2 pi J_r] x [0, B]`` of ``params``, derived by sympy from
+    the closures' formulas (sympy is imported here, so that the other
+    oracles do not need it)."""
+    import sympy as sy
+
+    x1, x2, a = sy.symbols("x1 x2 a", real=True)
+    p = params
+    g = (1 + sy.cos(x1 / p.J_r) / 2 if bc_x1 == BC_PERIODIC
+         else sy.sin(x1 / (2 * p.J_r)))
+    R = compute_derived(p).R_bar * (1 + a * g * sy.sin(sy.pi * x2 / p.B))
+    f1 = (p.P0 * (p.R0 / R) ** (3 * p.k_poly) - p.p_bnd
+          - 2 * p.sigma / R) / p.rho_l
+    gas = p.alpha0 * (R / p.R0) ** 3
+    al = gas / (1 + gas)
+    f3 = (((1 - al) * p.rho_l + al * p.rho_g)
+          / (12 * ((1 - al) * p.mu_l + al * p.mu_g)))
+    f4 = (1 + al * (p.rho_g / p.rho_l - 1)) / 2
+    h = p.h0 * (1 - p.ecc * sy.cos(x1 / p.J_r))
+    source = (sy.diff(f3 * h ** 3 * sy.diff(f1, x1), x1)
+              + sy.diff(f3 * h ** 3 * sy.diff(f1, x2), x2)
+              - sy.diff(p.surface_speed * h * f4, x1))
+    return (sy.lambdify((x1, x2, a), R, "numpy"),
+            sy.lambdify((x1, x2, a), source, "numpy"))
+
+
+def manufactured_stationary(grid: Grid, params: PhysicalParams,
+                            amplitude: float
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The manufactured radius ``R*`` and its source at the cell centres of
+    ``grid``, a journal grid of ``params`` or its mirror half.
+
+    ``R* = R_bar (1 + a g(x1) sin(pi x2 / B))`` with ``a = amplitude``,
+    ``g = 1 + cos(x1 / J_r) / 2`` on a periodic grid and
+    ``g = sin(pi x1 / L1)`` on a Dirichlet one, so ``p* = f1(R*) = 0`` on
+    every Dirichlet edge and ``R*`` is mirror-symmetric about ``x2 = B/2``.
+    The source is the stationary film balance ``F(R*, 0) = Div(f3 h^3
+    Grad f1(R*)) - d/dx1 (U h f4(R*))`` of the continuum, ``U = omega J_r``:
+    the discrete balance less it has the root ``R*`` up to the
+    discretization error.
+    """
+    radius, source = _manufactured(params, grid.bc_x1)
+    X1, X2 = centers(grid)
+    return radius(X1, X2, amplitude), source(X1, X2, amplitude)

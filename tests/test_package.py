@@ -1,9 +1,10 @@
 """Package-wide structure: no dead public code or module constant, no dead
 test oracle, a package namespace that imports and re-exports nothing, every
 file write in one CLI function, the film equation written in one function,
-one pressure elimination per run, at its start state, a sparse stencil only
-its own layer names, no matrix diagonal set outside that layer, and no
-private name taken from another module but the pinned few."""
+one pressure elimination per run, at its start state, one owner of the
+modal analysis, a sparse stencil only its own layer names, no matrix
+diagonal set outside that layer, and no private name taken from another
+module but the pinned few."""
 
 import ast
 import os
@@ -294,6 +295,16 @@ def test_only_the_start_state_eliminates_the_pressure():
     # carries its own rate and pressure: the pressure elimination, one
     # solve of the pencil's P, serves the start state alone
     assert _callers("eliminate_pressure") == ["dynamics.initial_state"]
+
+
+def test_the_modal_analysis_has_one_owner():
+    # stability.modal_report renders hurwitz.txt, its scope and its summary
+    # line: the CLI writes what it returns and imports no modal name
+    assert _callers("hurwitz_analysis") == ["stability.modal_report"]
+    cli = dict(_modules())["cli"]
+    assert [alias.name for node in ast.walk(cli)
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name.startswith("hurwitz")] == []
 
 
 def test_only_elliptic_names_its_stencil():

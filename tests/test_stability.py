@@ -11,9 +11,10 @@ the closed forms and the modal critical speed live in ``tests/oracles.py``):
 * closed-form eigenvalue and determinant expressions are checked against
   ``np.roots`` / exact ``fractions.Fraction`` determinant expansions;
 * the certified sparse-pencil spectrum is checked against pencils with
-  known eigenvalues, the dense ``L_G`` and the separated spectra, and the
-  spectra of the pencil's two mirror-symmetry blocks against the whole
-  pencil's;
+  known eigenvalues, the dense ``L_G``, the separated spectra and, without
+  gas, the local relaxation rates ``L_G = diag(m)`` on a non-uniform
+  radius field, and the spectra of the pencil's two mirror-symmetry blocks
+  against the whole pencil's;
 * the splitting of the growth pencil into the local relaxation rate
   ``m = f1' / (R f2)`` and a first-order rest is checked against the
   oracles' matrix forms of the diffusion sensitivity and the convection.
@@ -46,8 +47,8 @@ from filmcav.stability import (
     assemble_LF,
     compute_spectrum,
     hurwitz_analysis,
-    hurwitz_report_text,
     mirror_spectrum,
+    modal_report,
     pencil_spectrum,
     render_spectrum_csv,
     sigma_constants,
@@ -465,13 +466,20 @@ def test_journal_spectrum_approaches_parallel_limit():
     assert distances[2] <= 0.02 * scale
 
 
-def test_hurwitz_report_text_lists_both_determinant_routes():
-    text = hurwitz_report_text(hurwitz_analysis(TAME, 2.0, (1, 2)))
-    assert "mode k = (1, 2)" in text
+def test_modal_report_lists_both_determinant_routes():
+    # an all-Dirichlet parallel gap is the analysis's own setting: the
+    # summary line names the critical speed hurwitz.txt prints
+    grid = Grid(16, 8, 2.0, 1.0, bc_x1=BC_DIRICHLET)
+    text, scope, line = modal_report(grid, TAME, (2.0, 0.0))
+    assert "mode k = (1, 1)" in text
     assert "determinants (closed form):" in text
     assert "determinants (direct):" in text
     assert "sign changes" in text
     assert "critical speed for this mode:" in text
+    assert text.splitlines()[1] == scope == (
+        "the configured geometry is within the analysis")
+    assert line == (f"minimal modal critical speed = "
+                    f"{critical_speed(TAME, 2.0, 1.0):.9g} m/s at mode (1, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +743,32 @@ def test_mirror_spectrum_reports_an_unstable_antisymmetric_block():
     assert union.applications == sym.applications + anti.applications
     assert np.array_equal(union.eigenvalues, np.sort_complex(
         np.concatenate([sym.eigenvalues, anti.eigenvalues])))
+
+
+@pytest.mark.parametrize("ecc", [0.0, 0.3])
+@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_DIRICHLET])
+def test_mirror_spectrum_lists_the_local_relaxation_rates_without_gas(bc,
+                                                                      ecc):
+    # at alpha0 = 0, f3' = f5 = 0: B = K diag(f1'), P = K diag(R f2) and
+    # L_G = diag(m), m = f1' / (R f2), on any radius field, so each block
+    # of a mirror-symmetric one lists the largest m of the half cells
+    params = PhysicalParams(ecc=ecc, alpha0=0.0)
+    grid = grid_for_params(params, 32, 16, bc)
+    half = mirror_half(grid)
+    R_half = compute_derived(params).R_bar * np.random.default_rng(
+        5).uniform(0.9, 1.1, half.shape)
+    R = unfold(half, R_half)
+    B, P = film_pencil(grid, R, np.zeros(grid.shape),
+                       gap_function(grid, params), (params.surface_speed,
+                                                    0.0), params)
+    m = eval_f1_prime(R_half, params) / (R_half * eval_wall(R_half,
+                                                             params)[1])
+    expected = np.repeat(np.sort(m.ravel())[-RIGHTMOST_COUNT:], 2)
+    listed = mirror_spectrum(half, B, P).eigenvalues
+    assert listed.size == expected.size
+    assert np.all(np.abs(listed.imag) <= 1e-12 * np.abs(listed))
+    assert np.abs(np.sort(listed.real) - expected).max() <= (
+        1e-12 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("factor", [0.0, 1.1])

@@ -2,8 +2,10 @@
 
 The Jacobian is validated against directional finite differences of the
 residual; the solver against exactness of the rest state, against strict
-growth of the radius maximum along the eccentricity ladder, and against the
-guarded stop at the critical radius.
+growth of the radius maximum along the eccentricity ladder, against the
+guarded stop at the critical radius, and against a manufactured solution
+of the coupled balance, whose exact error gives the discretization's order
+along each axis.
 """
 
 import dataclasses
@@ -16,13 +18,14 @@ import filmcav.stationary as stationary
 from filmcav.elliptic import _factorize, film_pencil, film_residual
 from filmcav.errors import (ConfigurationError, SolverFailureError,
                             SupercriticalRadiusError)
-from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, gap_function, grid_for_params
+from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, gap_function,
+                          grid_for_params, mirror_half)
 from filmcav.physics import PhysicalParams, compute_derived
 from filmcav.stationary import (
     StationarySolveConfig, solve_stationary, stationary_residual,
     trivial_solution,
 )
-from oracles import damped_newton, eval_f1
+from oracles import damped_newton, eval_f1, manufactured_stationary
 
 DEFAULT = PhysicalParams()
 
@@ -383,3 +386,53 @@ def test_non_finite_trial_is_rejected(monkeypatch):
                                     (p.surface_speed, 0.0), p)
     assert report.converged and len(solves) > 2
     assert np.all(np.isfinite(R))
+
+
+# ---------------------------------------------------------------------------
+# Manufactured solution of the coupled stationary balance
+# ---------------------------------------------------------------------------
+
+#: max |R_h - R*| / R_bar of the manufactured solve at 128 x 64, a = 0.05
+MANUFACTURED_ERROR_128x64 = {BC_PERIODIC: 2.355e-2, BC_DIRICHLET: 1.026e-2}
+
+
+def _manufactured_error(monkeypatch, bc, n1, n2, amplitude):
+    """``max |R_h - R*| / R_bar`` of the stationary solve, on the mirror half
+    of the default journal's ``n1 x n2`` grid, of the balance less the
+    source of :func:`oracles.manufactured_stationary`."""
+    grid = mirror_half(grid_for_params(DEFAULT, n1, n2, bc))
+    R_star, source = manufactured_stationary(grid, DEFAULT, amplitude)
+
+    def with_source(*args):
+        F, p, mobility = film_residual(*args)
+        return F - source, p, mobility
+
+    monkeypatch.setattr(stationary, "film_residual", with_source)
+    R, _, report = solve_stationary(grid, gap_function(grid, DEFAULT),
+                                    (DEFAULT.surface_speed, 0.0), DEFAULT)
+    assert report.converged, report.message
+    return float(np.abs(R - R_star).max()) / compute_derived(DEFAULT).R_bar
+
+
+@UPWIND_BCS
+def test_manufactured_solution_is_first_order_along_x1(monkeypatch, bc):
+    # first-order upwind convection along the flow sets the x1 order; the
+    # error at 128 x 64 pins today's constant, so a worse one shows
+    pytest.importorskip("sympy")
+    errors = [_manufactured_error(monkeypatch, bc, n1, 64, 0.05)
+              for n1 in (64, 128, 256)]
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.all((orders >= 0.85) & (orders <= 1.15)), orders
+    assert errors[1] == pytest.approx(MANUFACTURED_ERROR_128x64[bc], rel=0.1)
+
+
+@UPWIND_BCS
+def test_manufactured_solution_is_second_order_across_the_film(monkeypatch,
+                                                                bc):
+    # across the film only the centred diffusion acts; n1 = 1024 keeps the
+    # x1 error below the x2 error up to n2 = 8 (from 8 to 16 the x1 floor
+    # takes over: the Dirichlet order reads 1.71)
+    pytest.importorskip("sympy")
+    coarse, fine = (_manufactured_error(monkeypatch, bc, 1024, n2, 0.2)
+                    for n2 in (4, 8))
+    assert np.log2(coarse / fine) >= 1.8
