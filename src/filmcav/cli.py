@@ -54,7 +54,8 @@ from .grid import (CSV_HEADER, Grid, gap_function, mirror_half, render_csv,
                    render_fields_csv, unfold)
 from .physics import PhysicalParams, compute_derived, eval_alpha
 from .stability import (DENSE_ASSEMBLY_LIMIT, assemble_LF, compute_spectrum,
-                        mirror_spectrum, modal_report, render_spectrum_csv)
+                        essential_edge_line, mirror_spectrum, modal_report,
+                        render_spectrum_csv)
 from .stationary import StationaryReport, solve_stationary
 
 MIDLINE_HEADER = "x1,R_hat,p_scaled,p_gauge_Pa,alpha"
@@ -310,6 +311,7 @@ def cmd_stability(config: RunConfig) -> int:
         f"{rep_G.max_real_part:.9g}",
         f"operator L_G: {rep_G.eigenvalues.size} rightmost eigenvalues "
         f"listed, every other eigenvalue has real part <= {rep_G.bound:.9g}",
+        essential_edge_line(R_half, params, rep_G),
     ]
     entries = [
         ("fields_stationary.csv",
@@ -340,11 +342,16 @@ def cmd_stability(config: RunConfig) -> int:
                  "applications")
     entries.append(("stability_summary.txt", "\n".join(lines) + "\n",
                     "verdicts, the number of listed L_G eigenvalues with the "
-                    "real-part bound of the unlisted ones, the modal "
-                    "critical speed of a geometry within its analysis, and "
-                    "last the sparse LU factorizations and ARPACK operator "
-                    "applications of the L_G solve, pole estimates included, "
-                    "summed over the mirror-symmetry blocks (plain text)"))
+                    "real-part bound of the unlisted ones, the right edge of "
+                    "the essential spectrum of L_G (max over the cells of "
+                    "m = f1'(R)/(R f2(R)), the relaxation rate of one bubble "
+                    "at frozen film pressure, with the R_hat of its cell) "
+                    "and whether it or the listed max real part governs, "
+                    "the modal critical speed of a geometry within its "
+                    "analysis, and last the sparse LU factorizations and "
+                    "ARPACK operator applications of the L_G solve, pole "
+                    "estimates included, summed over the mirror-symmetry "
+                    "blocks (plain text)"))
     _write_run(Path(config.output_dir), entries)
     for line in lines:
         print(line)

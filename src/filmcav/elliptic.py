@@ -20,11 +20,13 @@ Every operator here comes from one face stencil per grid (built once and
 cached): the interior and periodic faces, the Dirichlet edge cells and the
 fixed 5-point CSR pattern.  Each operator is a short coefficient rule that
 gives every face flux ``F = a S_A + b S_B`` and every edge its diagonal
-term; one assembler sums them into the pattern.  The rules are the
-diffusion operator ``K``, the convective divergence ``C`` (summed into
-``B`` of :func:`film_pencil` face by face) and the sensitivity of the
-diffusion term to its coefficient at a frozen potential; the upwind side
-of every face is cached per grid and signs of ``U``.
+term; one assembler sums them into the pattern by one ``bincount``, as a
+residual is summed into the cells.  The rules are the diffusion operator
+``K``, the convective divergence ``C`` (summed into ``B`` of
+:func:`film_pencil` face by face) and the sensitivity of the diffusion
+term to its coefficient at a frozen potential; the upwind side of every
+face is cached per grid and signs of ``U``.  CSR is the package's one
+sparse format: only :func:`_factorize` converts, to CSC for SuperLU.
 
 The film equation :func:`film_residual` is the pressure equation above at
 ``dR/dt = S`` and the pressure ``p = f1(R) - R f2(R) S`` the growth law gives,
@@ -75,13 +77,14 @@ class _FaceStencil:
     that boundary's axis and side (-1 low, +1 high).  ``*_dx`` and
     ``*_dx2`` hold the spacing across each face or edge and its square.
     The four matrix entries of every face, then the diagonal entry of every
-    edge, are summed into the CSR pattern ``(indptr, indices)`` by the 0/1
-    matrix ``scatter``: its row ``s`` lists the entries that land in
-    pattern slot ``s``, face batch by face batch, so that each diagonal
-    accumulates in one fixed order.  ``diag`` holds each cell's diagonal
-    slot in the pattern.  Index arrays are int32; gathers use
-    ``take``, which reads them as they are, where ``[]`` indexing would
-    first copy them to int64 on every call.
+    edge, are summed into the CSR pattern ``(indptr, indices)`` by one
+    ``bincount``, as :func:`_cell_sums` sums a residual into the cells:
+    ``order`` lists the entries face batch by face batch and ``slot`` is
+    each one's pattern slot in that order, so every slot sums its entries
+    in one fixed order.  ``diag`` holds each cell's diagonal slot in the
+    pattern.  Index arrays are int32; gathers use ``take``, which reads
+    them as they are, where ``[]`` indexing would first copy them to int64
+    on every call.
     """
 
     A: np.ndarray
@@ -94,7 +97,8 @@ class _FaceStencil:
     edge_side: np.ndarray
     edge_dx: np.ndarray
     edge_dx2: np.ndarray
-    scatter: sp.csr_matrix
+    order: np.ndarray
+    slot: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     diag: np.ndarray
@@ -130,22 +134,15 @@ def _stencil(grid: Grid) -> _FaceStencil:
                            + [np.full(cell.size, 4 * len(batches))])
     order = np.argsort(group, kind="stable")
     pattern, slot = np.unique(rows * n + cols, return_inverse=True)
-    slot = slot.ravel()[order]
-    # each scatter row keeps its entries in listing order (the CSR product
-    # sums a row in stored order), so every sum is the same at every call
-    by_slot = np.argsort(slot, kind="stable")
-    starts = np.searchsorted(slot[by_slot], np.arange(pattern.size + 1))
     i32 = np.int32
-    scatter = sp.csr_matrix((np.ones(order.size), order[by_slot].astype(i32),
-                             starts.astype(i32)),
-                            shape=(pattern.size, order.size))
     dx = np.array([grid.dx1, grid.dx2])
     dx2 = np.array([grid.dx1 ** 2, grid.dx2 ** 2])
     return _FaceStencil(
         A=A.astype(i32), B=B.astype(i32), face_axis=face_axis.astype(i32),
         face_dx=dx[face_axis], face_dx2=dx2[face_axis], cell=cell.astype(i32),
         edge_axis=edge_axis.astype(i32), edge_side=edge_side,
-        edge_dx=dx[edge_axis], edge_dx2=dx2[edge_axis], scatter=scatter,
+        edge_dx=dx[edge_axis], edge_dx2=dx2[edge_axis],
+        order=order.astype(i32), slot=slot.ravel()[order].astype(i32),
         indptr=np.searchsorted(pattern, n * np.arange(n + 1)).astype(i32),
         indices=(pattern % n).astype(i32),
         diag=np.searchsorted(pattern, (n + 1) * np.arange(n)).astype(i32))
@@ -155,7 +152,8 @@ def _assemble(st: _FaceStencil, a: np.ndarray, b: np.ndarray,
               edge: np.ndarray) -> sp.csr_matrix:
     """CSR matrix of the face fluxes ``F = a S_A + b S_B`` (row ``A`` gains
     ``F``, row ``B`` loses it) plus ``edge`` on each edge cell's diagonal."""
-    data = st.scatter @ np.concatenate([a, -b, b, -a, edge])
+    data = np.bincount(st.slot, np.concatenate([a, -b, b, -a, edge]).take(
+        st.order), minlength=st.indices.size)
     n = st.indptr.size - 1
     return sp.csr_matrix((data, st.indices.copy(), st.indptr.copy()),
                          shape=(n, n))

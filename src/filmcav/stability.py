@@ -15,7 +15,9 @@ stationary solver factors the same ``B``, the stepper ``P - dt B``):
   transform ``(B - s P)^{-1} (B + s P)``, which maps the open right
   half-plane onto ``|theta| > 1``, and a certificate that bounds the real
   part of every eigenvalue it does not list.  :func:`mirror_spectrum`
-  unites its reports on a pencil's two mirror-symmetry blocks.
+  unites its reports on a pencil's two mirror-symmetry blocks, and
+  :func:`essential_edge_line` sets the edge of the essential spectrum
+  beside them.
 
 * ``L_F`` — the inertial model linearized at ``(R_s, 0)``, assembled dense:
   the companion matrix ``[[0, I], [diag(1/R_s) K^{-1} B,
@@ -49,7 +51,8 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverFailureError
 from .grid import BC_PERIODIC, Grid, render_csv
 from .elliptic import _factorize
-from .physics import PhysicalParams, compute_derived
+from .physics import (PhysicalParams, compute_derived, eval_f1_prime,
+                      eval_wall)
 
 DENSE_ASSEMBLY_LIMIT = 4096
 
@@ -181,9 +184,9 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
     :class:`SolverFailureError` is raised.  The listed eigenvalues keep
     conjugate pairs whole.  The report counts the LUs and the ARPACK
     operator applications of every attempt, the pole estimate's included.
+    The blocks are read as given (CSR, no copy): only
+    ``elliptic._factorize`` converts, to CSC for SuperLU.
     """
-    B = sp.csc_matrix(B, dtype=float)
-    P = sp.csc_matrix(P, dtype=float)
     n = B.shape[0]
     if B.shape != (n, n) or P.shape != (n, n):
         raise ConfigurationError("a pencil needs two square matrices of one "
@@ -212,7 +215,7 @@ def pencil_spectrum(B: sp.spmatrix, P: sp.spmatrix) -> SpectrumReport:
         try:
             lu = _factorize(B - pole * P)
             factorizations += 1
-            plus = (B + pole * P).tocsr()
+            plus = B + pole * P
             theta, V = _largest_modulus(counted(lambda x: lu.solve(plus @ x)),
                                         n, k, v0, 0.0, vectors=True)
         except SolverFailureError as exc:
@@ -271,6 +274,29 @@ def mirror_spectrum(half: Grid, B: sp.spmatrix,
         max(rep.bound for rep in blocks),
         sum(rep.factorizations for rep in blocks),
         sum(rep.applications for rep in blocks))
+
+
+def essential_edge_line(R: np.ndarray, params: PhysicalParams,
+                        report: SpectrumReport) -> str:
+    """The summary line of the right edge ``max m`` of the essential
+    spectrum of ``L_G`` at the solved radius field ``R``, ``m = f1'(R) / (R
+    f2(R))`` the relaxation rate of one bubble at frozen film pressure: at
+    ``S = 0``, ``B - P diag(m)`` is first order, so in the continuum the
+    essential spectrum is the range of ``m`` (Kato, *Perturbation Theory
+    for Linear Operators*, ch. IV §5).  The line names the ``R_hat`` of the
+    edge's cell and which number governs: the listed max real part of
+    ``report`` when it lies right of the edge, else the edge, which the
+    listed eigenvalues then approximate from the left.  Below ``R_crit``,
+    ``f1' < 0``: the edge is negative and decides no verdict."""
+    Rf = np.ravel(R)
+    m = eval_f1_prime(Rf, params) / (Rf * eval_wall(Rf, params)[1])
+    cell = int(np.argmax(m))
+    line = (f"operator L_G: essential spectrum edge max f1'/(R f2) = "
+            f"{m[cell]:.9g} at R_hat = {Rf[cell] / params.R0:.9g}, ")
+    if report.max_real_part > m[cell]:
+        return line + "left of the listed max real part, which governs"
+    return line + ("right of the listed max real part: the edge governs, "
+                   "the listed eigenvalues approximate it from the left")
 
 
 def render_spectrum_csv(report: SpectrumReport) -> str:

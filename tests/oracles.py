@@ -37,7 +37,9 @@ The tests gate the package's discretization against these:
 * ``manufactured_stationary`` gives a manufactured radius ``R*`` and the
   source that makes it the exact stationary solution of the continuous
   film balance (Roache, "Code verification by the method of manufactured
-  solutions", J. Fluids Eng. 2002), derived by sympy.
+  solutions", J. Fluids Eng. 2002), derived by sympy, and
+  ``manufactured_transient`` a decaying ``R*(x, t)`` with its rate, whose
+  source is the discrete film equation itself.
 
 The parallel-gap oracles take the physical parameters alone and read the
 rest-state constants of :func:`filmcav.physics.compute_derived`.
@@ -542,3 +544,21 @@ def manufactured_stationary(grid: Grid, params: PhysicalParams,
     radius, source = _manufactured(params, grid.bc_x1)
     X1, X2 = centers(grid)
     return radius(X1, X2, amplitude), source(X1, X2, amplitude)
+
+
+def manufactured_transient(grid: Grid, params: PhysicalParams,
+                           amplitude: float, T: float, t: float
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """The manufactured radius ``R*`` at time ``t`` and its rate ``dR*/dt``
+    at the cell centres of ``grid``, a journal grid of ``params`` or its
+    mirror half: ``R* = R_bar (1 + a g(x1) sin(pi x2 / B) e^{-t/T})`` with
+    ``a = amplitude`` and the ``g`` of :func:`manufactured_stationary`.
+    With the film equation at ``(R*, dR*/dt)`` as its source, the discrete
+    film equation has ``R*`` as its exact solution in time, so a stepper's
+    error against it is its time error alone (no sympy needed)."""
+    X1, X2 = centers(grid)
+    g = (1.0 + 0.5 * np.cos(X1 / params.J_r) if grid.bc_x1 == BC_PERIODIC
+         else np.sin(np.pi * X1 / grid.L1))
+    R_bar = compute_derived(params).R_bar
+    w = R_bar * amplitude * g * np.sin(np.pi * X2 / params.B) * np.exp(-t / T)
+    return R_bar + w, -w / T

@@ -517,6 +517,44 @@ def test_stability_at_an_odd_n2_runs_one_block(tmp_path):
         encoding="utf-8")
 
 
+_EDGE_LINE = re.compile(r"operator L_G: essential spectrum edge max "
+                        r"f1'/\(R f2\) = (\S+) at R_hat = (\S+), (.*)")
+
+
+@pytest.mark.parametrize("n1,n2,ecc,edge,rhat,max_real,governs", [
+    (32, 16, 0.4, -124.806383, 1.56509239, -152.874034,
+     "right of the listed max real part: the edge governs, the listed "
+     "eigenvalues approximate it from the left"),
+    (16, 8, 0.3, -549.939943, 1.21939927, -291.244857,
+     "left of the listed max real part, which governs")])
+def test_stability_summary_prints_the_essential_spectrum_edge(
+        tmp_path, n1, n2, ecc, edge, rhat, max_real, governs):
+    # the third line: the edge max m of the essential spectrum of L_G, the
+    # R_hat of its cell, and which of it and the listed max real part
+    # governs; at ecc 0.4 the listed eigenvalues lie left of the edge, at
+    # 0.3 a point eigenvalue lies right of it.  The other lines keep their
+    # places
+    cfg = _write(tmp_path, f"ecc = {ecc}\nn1 = {n1}\nn2 = {n2}\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "stability_summary.txt").read_text(
+        encoding="utf-8").splitlines()
+    assert len(lines) == 5
+    assert lines[0].startswith("operator L_G: verdict = stable, max real ")
+    assert lines[1].startswith("operator L_G: ")
+    assert lines[-2].startswith("minimal modal critical speed not printed")
+    assert lines[-1].startswith("operator L_G work: ")
+    found = _EDGE_LINE.fullmatch(lines[2])
+    assert found is not None, lines[2]
+    assert float(lines[0].rsplit(" ", 1)[1]) == pytest.approx(max_real,
+                                                              rel=1e-6)
+    assert float(found[1]) == pytest.approx(edge, rel=1e-6)
+    assert float(found[2]) == pytest.approx(rhat, rel=1e-6)
+    assert found[3] == governs
+    assert "essential spectrum of L_G" in (out / "MANIFEST.txt").read_text(
+        encoding="utf-8")
+
+
 @pytest.mark.parametrize("ecc", [0.0, 0.1])
 def test_stability_without_bubbles_has_no_modal_threshold(tmp_path, ecc):
     # alpha0 = 0 leaves the film dynamically passive: the squeeze coupling

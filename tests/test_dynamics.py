@@ -26,11 +26,13 @@ from filmcav.dynamics import (
 from filmcav.elliptic import film_pencil, film_residual
 from filmcav.errors import (ConfigurationError, PositivityLossError,
                             StepFailureError)
-from filmcav.grid import BC_DIRICHLET, BC_PERIODIC, Grid, gap_function, grid_for_params
+from filmcav.grid import (BC_DIRICHLET, BC_PERIODIC, Grid, gap_function,
+                          grid_for_params, mirror_half)
 from filmcav.physics import PhysicalParams, compute_derived
 from filmcav.stationary import solve_stationary
 from oracles import (assemble_operator, convective_divergence, eval_f1,
-                     eval_f2, eval_f3, eval_f4, eval_f5, slaved_state)
+                     eval_f2, eval_f3, eval_f4, eval_f5,
+                     manufactured_transient, slaved_state)
 
 DEFAULT = PhysicalParams()
 
@@ -350,6 +352,46 @@ def test_backward_euler_is_first_order():
         errors.append(abs(float(state.R[0, 0]) - ref))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 0.8) and np.all(orders < 1.2), orders
+
+
+@pytest.mark.parametrize("bc,error_80", [(BC_PERIODIC, 7.388e-5),
+                                         (BC_DIRICHLET, 2.187e-5)])
+def test_manufactured_transient_is_first_order_in_time(monkeypatch, bc,
+                                                        error_80):
+    # the stepper solves the film equation less its value at (R*, dR*/dt)
+    # at the step's end, so R*(x, t) solves the space-discrete problem
+    # exactly and the error at t = T is the time error of backward Euler
+    # on the coupled film and bubbles (alpha0 = 0.1: the mass term acts)
+    p = PhysicalParams(ecc=0.3)
+    grid = mirror_half(grid_for_params(p, 16, 8, bc))
+    h, U = gap_function(grid, p), (p.surface_speed, 0.0)
+    a, T = 0.05, 0.01
+    source = None
+
+    def residual(*args):
+        F, pressure, mobility = film_residual(*args)
+        return F - source, pressure, mobility
+
+    monkeypatch.setattr(dynamics, "film_residual", residual)
+    errors = []
+    for n in (10, 20, 40, 80):
+        dt = T / n
+        R, Rdot = manufactured_transient(grid, p, a, T, 0.0)
+        f1, f2 = physics.eval_wall(R, p)
+        state = TransientState(0.0, R, Rdot, f1 - R * f2 * Rdot)
+        cfg = StepConfig(dt=dt, error_tol=0.5, picard_tol=1e-12)
+        for _ in range(n):
+            source = film_residual(grid, *manufactured_transient(
+                grid, p, a, T, state.t + dt), h, U, p)[0]
+            state, stats = step_inertialess(grid, state, h, U, p, cfg)
+            assert (stats.dt_used, stats.halvings, stats.rejections) == (
+                dt, 0, 0)
+        exact = manufactured_transient(grid, p, a, T, state.t)[0]
+        errors.append(np.abs(state.R - exact).max()
+                      / compute_derived(p).R_bar)
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((orders >= 0.9) & (orders <= 1.1)), orders
+    assert errors[-1] == pytest.approx(error_80, rel=0.1)
 
 
 def _journal_case(ecc=0.4, shape=(16, 8)):

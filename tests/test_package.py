@@ -1,10 +1,10 @@
 """Package-wide structure: no dead public code or module constant, no dead
 test oracle, a package namespace that imports and re-exports nothing, every
 file write in one CLI function, the film equation written in one function,
-one pressure elimination per run, at its start state, one owner of the
-modal analysis, a sparse stencil only its own layer names, no matrix
-diagonal set outside that layer, and no private name taken from another
-module but the pinned few."""
+one sparse format with one conversion, one pressure elimination per run,
+at its start state, one owner of the modal analysis, a sparse stencil only
+its own layer names, no matrix diagonal set outside that layer, and no
+private name taken from another module but the pinned few."""
 
 import ast
 import os
@@ -288,6 +288,22 @@ def test_the_film_equation_is_assembled_in_one_function():
         if {"_closures", "_closure_slopes"} & {getattr(node, "id", None),
                                                 getattr(node, "attr", None)})
     assert strays == []
+
+
+#: the calls that build or convert a sparse matrix, with their callers:
+#: the assembler builds every matrix as CSR, and only the LU helper
+#: converts, to CSC for SuperLU
+SPARSE_FORMAT_CALLS = {"csr_matrix": ["elliptic._assemble"],
+                       "tocsc": ["elliptic._factorize"],
+                       "csc_matrix": [], "tocsr": []}
+
+
+def test_csr_is_the_one_sparse_format():
+    # every matrix is CSR from elliptic._assemble or folded from one: a
+    # second format, or a copy into it, is a second spelling of a matrix
+    # the package already holds
+    assert {name: _callers(name) for name in SPARSE_FORMAT_CALLS} == (
+        SPARSE_FORMAT_CALLS)
 
 
 def test_only_the_start_state_eliminates_the_pressure():

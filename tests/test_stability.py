@@ -46,6 +46,7 @@ from filmcav.stability import (
     VERDICT_UNSTABLE,
     assemble_LF,
     compute_spectrum,
+    essential_edge_line,
     hurwitz_analysis,
     mirror_spectrum,
     modal_report,
@@ -764,11 +765,19 @@ def test_mirror_spectrum_lists_the_local_relaxation_rates_without_gas(bc,
     m = eval_f1_prime(R_half, params) / (R_half * eval_wall(R_half,
                                                              params)[1])
     expected = np.repeat(np.sort(m.ravel())[-RIGHTMOST_COUNT:], 2)
-    listed = mirror_spectrum(half, B, P).eigenvalues
+    report = mirror_spectrum(half, B, P)
+    listed = report.eigenvalues
     assert listed.size == expected.size
     assert np.all(np.abs(listed.imag) <= 1e-12 * np.abs(listed))
     assert np.abs(np.sort(listed.real) - expected).max() <= (
         1e-12 * np.abs(expected).max())
+    # so the listed max real part is the essential edge max m itself
+    edge = m.max()
+    assert abs(report.max_real_part - edge) <= 1e-12 * abs(edge)
+    cell = np.argmax(m)
+    assert (f"edge max f1'/(R f2) = {edge:.9g} at R_hat = "
+            f"{R_half.flat[cell] / params.R0:.9g}, ") in essential_edge_line(
+                R_half, params, report)
 
 
 @pytest.mark.parametrize("factor", [0.0, 1.1])
